@@ -59,7 +59,6 @@ from .metrics import (
     recall_at_k,
 )
 from .model import (
-    Model,
     ModelConfig,
     _check_vocabulary,
     load_checkpoint,

@@ -22,7 +22,6 @@ Variants:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 
 import numpy as np
 
@@ -33,16 +32,6 @@ VARIANTS = ("union", "concat", "sequential", "parallel")
 # Arrangements of (subject, object, union) fed to the shared map, in the
 # order their outputs are summed.
 CONSTRAINED_ORDERS = (("s", "o", "u"), ("s", "u", "o"), ("u", "s", "o"))
-
-
-def swap_subject_object(order: tuple[str, str, str]) -> tuple[str, str, str]:
-    """Image of an arrangement under exchanging the roles of s and o."""
-    flip = {"s": "o", "o": "s", "u": "u"}
-    return tuple(flip[x] for x in order)
-
-
-def all_orders() -> list[tuple[str, str, str]]:
-    return [tuple(p) for p in permutations(("s", "o", "u"))]
 
 
 class Mlp:
@@ -113,29 +102,14 @@ def init_fusion_params(
     return FusionParams(variant, psi, pre)
 
 
-def _check_widths(z_s: Matrix, z_o: Matrix, z_u: Matrix) -> None:
-    if not (z_s.shape == z_o.shape == z_u.shape):
-        raise ShapeError(f"fusion inputs differ in shape: {z_s.shape}, {z_o.shape}, {z_u.shape}")
-
-
-def dse_encode(z_s: Matrix, z_o: Matrix, z_u: Matrix, params: FusionParams) -> Matrix:
-    """Sum of the shared map over the three constrained arrangements."""
-    _check_widths(z_s, z_o, z_u)
-    by_role = {"s": z_s, "o": z_o, "u": z_u}
-    total = None
-    for order in CONSTRAINED_ORDERS:
-        term = params.psi(concat_cols([by_role[r] for r in order]))
-        total = term if total is None else add(total, term)
-    return total
-
-
 def encode_edges(variant: str, z_s: Matrix, z_o: Matrix, z_u: Matrix, params: FusionParams) -> Matrix:
-    """Dispatch to the requested fusion variant."""
+    """Encode M relations (M x D inputs each) with the requested fusion variant."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown fusion variant {variant!r}, expected one of {VARIANTS}")
     if params.variant != variant:
         raise ValueError(f"params were built for {params.variant!r}, not {variant!r}")
-    _check_widths(z_s, z_o, z_u)
+    if not (z_s.shape == z_o.shape == z_u.shape):
+        raise ShapeError(f"fusion inputs differ in shape: {z_s.shape}, {z_o.shape}, {z_u.shape}")
     if variant == "union":
         return params.psi(z_u)
     if variant == "concat":
@@ -143,4 +117,10 @@ def encode_edges(variant: str, z_s: Matrix, z_o: Matrix, z_u: Matrix, params: Fu
     if variant == "sequential":
         so = params.pre(concat_cols([z_s, z_o]))
         return params.psi(concat_cols([so, z_u]))
-    return dse_encode(z_s, z_o, z_u, params)
+    # parallel: the shared map summed over the three constrained arrangements
+    by_role = {"s": z_s, "o": z_o, "u": z_u}
+    total = None
+    for order in CONSTRAINED_ORDERS:
+        term = params.psi(concat_cols([by_role[r] for r in order]))
+        total = term if total is None else add(total, term)
+    return total

@@ -1,10 +1,12 @@
-"""Non-local attention over the three instances of one candidate relation.
+"""Non-local attention over the three instances of each candidate relation.
 
 Each candidate relation carries a subject, an object and a union instance.
-The three features attend to each other with an embedded-Gaussian softmax
-(no scaling of the dot products) and the attended value is mapped back to
-the input width and added as a residual, so zeroing the output map makes
-the whole block an exact identity.
+The three features of one relation attend to each other, and only to each
+other, with an embedded-Gaussian softmax (no scaling of the dot products).
+The attended value is mapped back to the input width and added as a
+residual, so zeroing the output map makes the whole block an exact
+identity. All M relations of a scene are refined in one pass whose cost is
+linear in M; a single relation is the case M = 1.
 """
 
 from __future__ import annotations
@@ -18,30 +20,11 @@ from .autodiff import (
     ShapeError,
     add,
     concat_rows,
-    gather_rows,
-    masked_softmax_rows,
     matmul,
     slice_rows,
-    softmax_rows,
-    transpose,
+    triple_attention,
     uniform_init,
 )
-
-
-@dataclass
-class InstanceTriple:
-    """Subject, object and union features for one candidate relation (1 x D each)."""
-
-    x_s: Matrix
-    x_o: Matrix
-    x_u: Matrix
-
-    def validate(self) -> None:
-        shapes = {self.x_s.shape, self.x_o.shape, self.x_u.shape}
-        if len(shapes) != 1:
-            raise ShapeError(f"InstanceTriple widths differ: {sorted(shapes)}")
-        if self.x_s.rows != 1:
-            raise ShapeError(f"InstanceTriple members must be single rows, got {self.x_s.shape}")
 
 
 @dataclass
@@ -66,49 +49,17 @@ def init_lih_params(rng: np.random.Generator, d: int, d_att: int | None = None) 
     )
 
 
-def _stacked(triple: InstanceTriple) -> Matrix:
-    triple.validate()
-    return concat_rows([triple.x_s, triple.x_o, triple.x_u])
-
-
-def attention_intensities(triple: InstanceTriple, params: LihParams) -> Matrix:
-    """3x3 row-stochastic attention, rows/cols ordered subject, object, union."""
-    x = _stacked(triple)
-    q = matmul(x, params.w_q)
-    k = matmul(x, params.w_k)
-    return softmax_rows(matmul(q, transpose(k)))
-
-
-def lih_forward(triple: InstanceTriple, params: LihParams) -> InstanceTriple:
-    """Attend within the triple and add the mapped result to each input row."""
-    x = _stacked(triple)
-    q = matmul(x, params.w_q)
-    k = matmul(x, params.w_k)
-    v = matmul(x, params.w_v)
-    alpha = softmax_rows(matmul(q, transpose(k)))
-    z = add(matmul(matmul(alpha, v), params.w_f), x)
-    return InstanceTriple(
-        x_s=slice_rows(z, 0, 1),
-        x_o=slice_rows(z, 1, 2),
-        x_u=slice_rows(z, 2, 3),
-    )
-
-
 def lih_forward_batch(s: Matrix, o: Matrix, u: Matrix, params: LihParams) -> tuple[Matrix, Matrix, Matrix]:
-    """lih_forward over M triples at once.
+    """Refine M triples; row i of s, o and u (M x D each) is triple i.
 
-    Rows i, M+i and 2M+i of the stacked matrix form triple i; a tiled
-    identity mask keeps the softmax within each triple, so the result
-    matches looping lih_forward over the triples.
+    Returns the refined subject, object and union rows in the same layout.
     """
     if not (s.shape == o.shape == u.shape):
         raise ShapeError(f"batch shapes differ: {s.shape}, {o.shape}, {u.shape}")
     m = s.rows
     x = concat_rows([s, o, u])
-    mask = np.tile(np.eye(m, dtype=bool), (3, 3))
     q = matmul(x, params.w_q)
     k = matmul(x, params.w_k)
     v = matmul(x, params.w_v)
-    alpha = masked_softmax_rows(matmul(q, transpose(k)), mask)
-    z = add(matmul(matmul(alpha, v), params.w_f), x)
+    z = add(matmul(triple_attention(q, k, v), params.w_f), x)
     return slice_rows(z, 0, m), slice_rows(z, m, 2 * m), slice_rows(z, 2 * m, 3 * m)

@@ -260,8 +260,6 @@ def prepare_scene(
 class ForwardResult:
     node_logits: Matrix
     edge_logits: Matrix
-    node_probs: Matrix
-    edge_probs: Matrix
     edge_embeddings: Matrix  # post-propagation edge features, pre-head
     edge_index: list[tuple[int, int]]
 
@@ -343,14 +341,11 @@ class Model:
         else:
             nodes1, edges1 = nodes0, edges0
         node_logits = linear_map(nodes1, *self.entity_head)
-        node_probs = softmax_rows(node_logits)
         if m > 0:
             edge_logits = linear_map(edges1, *self.predicate_head)
-            edge_probs = softmax_rows(edge_logits)
         else:
             edge_logits = Matrix(np.zeros((0, cfg.n_predicate_categories)))
-            edge_probs = Matrix(np.zeros((0, cfg.n_predicate_categories)))
-        return ForwardResult(node_logits, edge_logits, node_probs, edge_probs, edges1, prep.edge_index)
+        return ForwardResult(node_logits, edge_logits, edges1, prep.edge_index)
 
 
 def _cross_entropy(logits: Matrix, onehot: np.ndarray, row_weights: np.ndarray | None = None) -> Matrix:
@@ -464,7 +459,8 @@ def train(
 
     The reference bank absorbs each scene's edge embeddings after that
     scene's backward pass. With metrics_every > 0 and eval records given,
-    held-out metrics are logged every that many epochs (and on the last).
+    held-out metrics are logged every that many epochs (and on the last);
+    the held-out scenes are prepared once, up front.
     """
     config.validate()
     if not train_records:
@@ -473,6 +469,7 @@ def train(
     model = Model(config)
     bank = ReferenceBank(config.n_predicate_categories, config.d_edge, seed=[_STREAM_BANK, config.seed])
     preps = [prepare_scene(r, fp) for r in train_records]
+    eval_preps = [prepare_scene(r, fp) for r in eval_records] if metrics_every > 0 and eval_records else []
     velocity = {name: np.zeros_like(p.data) for name, p in model.params.items()}
     log: list[EpochLog] = []
     for epoch in range(1, config.epochs + 1):
@@ -503,8 +500,8 @@ def train(
         means = sums / len(preps)
         entry = EpochLog(epoch, means[0], means[1], means[2])
         due = metrics_every > 0 and (epoch % metrics_every == 0 or epoch == config.epochs)
-        if due and eval_records:
-            entry.metrics = evaluate(model, eval_records, fp, ks_recall, ks_pair)
+        if due and eval_preps:
+            entry.metrics = evaluate(model, eval_preps, ks_recall, ks_pair)
         log.append(entry)
     return TrainResult(model, bank, log)
 
@@ -527,26 +524,21 @@ def _check_vocabulary(config: ModelConfig, fp: FeatureParams) -> None:
 def predict_scene(model: Model, prep: PreparedScene, graph_constraint: bool = True):
     """Ranked triplets for one scene (no gradients recorded)."""
     out = model.forward(prep)
-    return ranked_from_scores(out.edge_index, out.edge_probs.data, graph_constraint)
+    return ranked_from_scores(out.edge_index, softmax_rows(out.edge_logits).data, graph_constraint)
 
 
 def evaluate(
     model: Model,
-    records: list[SceneRecord],
-    fp: FeatureParams,
+    preps: list[PreparedScene],
     ks_recall: tuple[int, ...] = (20, 50, 100),
     ks_pair: tuple[int, ...] = (2, 4, 8, 16),
     graph_constraint: bool = True,
 ) -> dict[str, float]:
-    """Corpus metrics keyed like "R@4", "mR@4", "pR@2"."""
-    if not records:
+    """Corpus metrics keyed like "R@4", "mR@4", "pR@2" over prepared scenes."""
+    if not preps:
         raise ValueError("evaluation needs at least one scene")
-    _check_vocabulary(model.config, fp)
-    preds, gts = [], []
-    for record in records:
-        prep = prepare_scene(record, fp)
-        preds.append(predict_scene(model, prep, graph_constraint))
-        gts.append(GroundTruthGraph.from_scene(record))
+    preds = [predict_scene(model, prep, graph_constraint) for prep in preps]
+    gts = [GroundTruthGraph.from_scene(prep.record) for prep in preps]
     out: dict[str, float] = {}
     for k in ks_recall:
         out[f"R@{k}"] = corpus_recall_at_k(preds, gts, k)

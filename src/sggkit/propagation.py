@@ -31,7 +31,6 @@ from .autodiff import (
     add,
     concat_rows,
     leaky_relu,
-    linear_map,
     masked_softmax_rows,
     matmul,
     relu,
@@ -43,26 +42,34 @@ from .autodiff import (
 
 @dataclass
 class BlockAdjacency:
+    """Adjacency A over n nodes then m edges, stored once as A + I.
+
+    A has a zero diagonal, so A and its blocks are read off A + I exactly.
+    """
+
     n_nodes: int
     n_edges: int
-    a: np.ndarray        # (n+m) x (n+m), zero diagonal
-    a_tilde: np.ndarray  # a + I
+    a_tilde: np.ndarray  # (n+m) x (n+m)
+
+    @property
+    def a(self) -> np.ndarray:
+        return self.a_tilde - np.eye(self.a_tilde.shape[0])
 
     @property
     def a_nn(self) -> np.ndarray:
-        return self.a[: self.n_nodes, : self.n_nodes]
+        return self.a_tilde[: self.n_nodes, : self.n_nodes] - np.eye(self.n_nodes)
 
     @property
     def a_ne(self) -> np.ndarray:
-        return self.a[: self.n_nodes, self.n_nodes :]
+        return self.a_tilde[: self.n_nodes, self.n_nodes :]
 
     @property
     def a_en(self) -> np.ndarray:
-        return self.a[self.n_nodes :, : self.n_nodes]
+        return self.a_tilde[self.n_nodes :, : self.n_nodes]
 
     @property
     def a_ee(self) -> np.ndarray:
-        return self.a[self.n_nodes :, self.n_nodes :]
+        return self.a_tilde[self.n_nodes :, self.n_nodes :] - np.eye(self.n_edges)
 
 
 def build_adjacency(n_nodes: int, edges: list[tuple[int, int]]) -> BlockAdjacency:
@@ -84,7 +91,8 @@ def build_adjacency(n_nodes: int, edges: list[tuple[int, int]]) -> BlockAdjacenc
     for mi, (s, o) in enumerate(edges):
         for mj in reverse.get((o, s), ()):
             a[n_nodes + mi, n_nodes + mj] = 1.0
-    return BlockAdjacency(n_nodes, m, a, a + np.eye(size))
+    np.fill_diagonal(a, 1.0)
+    return BlockAdjacency(n_nodes, m, a)
 
 
 @dataclass
@@ -146,7 +154,7 @@ def init_gcn_params(rng: np.random.Generator, d: int, n_layers: int = 4) -> GcnP
 
 def normalized_node_adjacency(adj: BlockAdjacency) -> np.ndarray:
     """Symmetric normalization D^-1/2 (A_nn + I) D^-1/2."""
-    a_hat = adj.a_nn + np.eye(adj.n_nodes)
+    a_hat = adj.a_tilde[: adj.n_nodes, : adj.n_nodes]
     d_inv_sqrt = 1.0 / np.sqrt(a_hat.sum(axis=1))
     return a_hat * d_inv_sqrt[:, None] * d_inv_sqrt[None, :]
 
@@ -187,7 +195,7 @@ def gat_forward(state: GraphState, adj: BlockAdjacency, params: GatParams) -> Gr
     if state.node_feats.rows != adj.n_nodes:
         raise ShapeError(f"state has {state.node_feats.rows} node rows, adjacency {adj.n_nodes}")
     n = adj.n_nodes
-    mask = (adj.a_nn + np.eye(n)) > 0
+    mask = adj.a_tilde[:n, :n] > 0
     ones_row = Matrix(np.ones((1, n)))
     ones_col = Matrix(np.ones((n, 1)))
     h = state.node_feats

@@ -88,6 +88,17 @@ def test_masked_softmax_rejects_empty_row():
         ad.masked_softmax_rows(ad.Matrix([[1.0, 2.0]]), np.array([[False, False]]))
 
 
+def test_triple_attention_rejects_bad_shapes():
+    six = ad.Matrix(np.zeros((6, 2)))
+    for q, k, v in (
+        (six, ad.Matrix(np.zeros((6, 3))), six),  # q and k differ in width
+        (six, six, ad.Matrix(np.zeros((3, 2)))),  # v has other rows
+        (ad.Matrix(np.zeros((4, 2))),) * 3,  # rows not divisible by 3
+    ):
+        with pytest.raises(ad.ShapeError, match="triple_attention"):
+            ad.triple_attention(q, k, v)
+
+
 def test_relu_values_and_gradient():
     x = ad.Matrix([[-2.0, 0.0, 3.0]])
     with ad.Tape() as tape:
@@ -200,6 +211,7 @@ def test_grad_every_primitive_composite(seed):
         h = ad.mul(h, c)
         h = ad.div(h, d)
         h = ad.add(h, ad.transpose(c))
+        att = ad.triple_attention(h, c, d)  # the three rows of h form one triple
         s = ad.masked_softmax_rows(h, mask)
         ls = ad.log_softmax_rows(ad.relu(h))
         top = ad.concat_rows([s, ls])
@@ -207,7 +219,7 @@ def test_grad_every_primitive_composite(seed):
         picked = ad.gather_rows(wide, [0, 2, 5, 2])
         sliced = ad.slice_rows(picked, 1, 4)
         sq = ad.pow_const(ad.add(ad.row_sum(sliced), ad.Matrix([[1.0], [1.0], [1.0]])), 2.0)
-        return ad.add(ad.mean_all(sq), ad.sum_all(ad.softmax_rows(c)))
+        return ad.add(ad.add(ad.mean_all(sq), ad.sum_all(ad.softmax_rows(c))), ad.sum_all(ad.mul(att, c)))
 
     err = ad.grad_check(f, [a, b, c, d], eps=1e-5)
     assert err < 1e-6

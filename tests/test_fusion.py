@@ -11,13 +11,19 @@ from sggkit.fusion import (
     CONSTRAINED_ORDERS,
     FusionParams,
     Mlp,
-    all_orders,
-    dse_encode,
     encode_edges,
     init_fusion_params,
-    init_mlp,
-    swap_subject_object,
 )
+
+
+def swap_subject_object(order):
+    """Image of an arrangement under exchanging the roles of s and o."""
+    flip = {"s": "o", "o": "s", "u": "u"}
+    return tuple(flip[x] for x in order)
+
+
+def all_orders():
+    return [tuple(p) for p in permutations(("s", "o", "u"))]
 
 
 def _rows(rng, m, d):
@@ -50,7 +56,7 @@ def test_zero_weights_return_triple_bias():
     params = FusionParams("parallel", Mlp([(w, b)]))
     rng = np.random.default_rng(0)
     z_s, z_o, z_u = _rows(rng, 2, d)
-    out = dse_encode(z_s, z_o, z_u, params)
+    out = encode_edges("parallel", z_s, z_o, z_u, params)
     np.testing.assert_allclose(out.data, np.tile(3.0 * b.data, (2, 1)), atol=1e-15)
 
 
@@ -60,8 +66,8 @@ def test_subject_equal_object_is_swap_invariant():
     params = init_fusion_params(rng, "parallel", d, d_e)
     z = ad.Matrix(rng.normal(size=(1, d)))
     u = ad.Matrix(rng.normal(size=(1, d)))
-    out1 = dse_encode(z, ad.Matrix(z.data.copy()), u, params)
-    out2 = dse_encode(ad.Matrix(z.data.copy()), z, u, params)
+    out1 = encode_edges("parallel", z, ad.Matrix(z.data.copy()), u, params)
+    out2 = encode_edges("parallel", ad.Matrix(z.data.copy()), z, u, params)
     np.testing.assert_array_equal(out1.data, out2.data)
 
 
@@ -72,8 +78,8 @@ def test_direction_sensitivity_on_seeded_inputs():
     params = init_fusion_params(rng, "parallel", d, d_e)
     for _ in range(1000):
         z_s, z_o, z_u = _rows(rng, 1, d)
-        fwd = dse_encode(z_s, z_o, z_u, params).data
-        bwd = dse_encode(z_o, z_s, z_u, params).data
+        fwd = encode_edges("parallel", z_s, z_o, z_u, params).data
+        bwd = encode_edges("parallel", z_o, z_s, z_u, params).data
         assert np.abs(fwd - bwd).max() > 1e-6
 
 
@@ -96,24 +102,6 @@ def test_concat_zero_weight_returns_bias():
     z_s, z_o, z_u = _rows(rng, 2, d)
     out = encode_edges("concat", z_s, z_o, z_u, params)
     np.testing.assert_array_equal(out.data, np.tile(b.data, (2, 1)))
-
-
-def test_parallel_dispatch_equals_dse_encode_bit_exact():
-    rng = np.random.default_rng(5)
-    d, d_e = 5, 5
-    params = init_fusion_params(rng, "parallel", d, d_e)
-    for seed in range(100):
-        r = np.random.default_rng(seed)
-        z_s, z_o, z_u = _rows(r, 2, d)
-        a = dse_encode(z_s, z_o, z_u, params)
-        b = encode_edges(
-            "parallel",
-            ad.Matrix(z_s.data.copy()),
-            ad.Matrix(z_o.data.copy()),
-            ad.Matrix(z_u.data.copy()),
-            params,
-        )
-        assert a.data.tobytes() == b.data.tobytes()
 
 
 def test_sequential_uses_both_stages():
@@ -160,7 +148,7 @@ def test_width_mismatch_raises():
         ad.Matrix(rng.normal(size=(1, 4))),
     )
     with pytest.raises(ad.ShapeError):
-        dse_encode(*bad, params)
+        encode_edges("parallel", *bad, params)
 
 
 def test_depth_zero_mlp_is_affine():
@@ -191,9 +179,10 @@ def test_batch_rows_equal_per_row_encoding():
     d, d_e, m = 4, 3, 5
     params = init_fusion_params(rng, "parallel", d, d_e)
     z_s, z_o, z_u = _rows(rng, m, d)
-    batch = dse_encode(z_s, z_o, z_u, params).data
+    batch = encode_edges("parallel", z_s, z_o, z_u, params).data
     for i in range(m):
-        row = dse_encode(
+        row = encode_edges(
+            "parallel",
             ad.Matrix(z_s.data[i : i + 1].copy()),
             ad.Matrix(z_o.data[i : i + 1].copy()),
             ad.Matrix(z_u.data[i : i + 1].copy()),

@@ -1,26 +1,29 @@
-"""Local attention: identity behaviour, permutation equivariance, and an
-independent dense re-implementation of the forward pass."""
+"""Local attention: the attention weights inside one triple, identity
+behaviour, permutation equivariance, an independent dense re-implementation
+of the forward pass, and cost linear in the number of triples."""
 
 import numpy as np
 import pytest
 
 from sggkit import autodiff as ad
-from sggkit.local_attention import (
-    InstanceTriple,
-    LihParams,
-    attention_intensities,
-    init_lih_params,
-    lih_forward,
-    lih_forward_batch,
-)
+from sggkit.local_attention import LihParams, init_lih_params, lih_forward_batch
 
 
 def _triple(rng, d):
-    return InstanceTriple(
-        x_s=ad.Matrix(rng.normal(size=(1, d))),
-        x_o=ad.Matrix(rng.normal(size=(1, d))),
-        x_u=ad.Matrix(rng.normal(size=(1, d))),
-    )
+    """Subject, object and union rows of one triple (M = 1)."""
+    return tuple(ad.Matrix(rng.normal(size=(1, d))) for _ in range(3))
+
+
+def _alpha(triple, params):
+    """3x3 attention weights of one triple, rows/cols ordered subject, object, union.
+
+    With one-hot role rows as values, each output row of triple_attention is
+    that row's attention weights.
+    """
+    x = ad.concat_rows(list(triple))
+    q = ad.matmul(x, params.w_q)
+    k = ad.matmul(x, params.w_k)
+    return ad.triple_attention(q, k, ad.Matrix(np.eye(3))).data
 
 
 def _reference_forward(xs, params):
@@ -41,25 +44,25 @@ def test_zero_query_key_gives_uniform_attention():
     params = init_lih_params(rng, d)
     params.w_q = ad.Matrix(np.zeros((d, d)))
     params.w_k = ad.Matrix(np.zeros((d, d)))
-    alpha = attention_intensities(t, params)
-    np.testing.assert_allclose(alpha.data, np.full((3, 3), 1 / 3), atol=1e-15)
+    alpha = _alpha(t, params)
+    np.testing.assert_allclose(alpha, np.full((3, 3), 1 / 3), atol=1e-15)
 
 
 def test_identical_inputs_give_symmetric_rows():
     rng = np.random.default_rng(1)
     d = 4
-    x = ad.Matrix(rng.normal(size=(1, d)))
-    t = InstanceTriple(ad.Matrix(x.data.copy()), ad.Matrix(x.data.copy()), ad.Matrix(x.data.copy()))
-    alpha = attention_intensities(t, init_lih_params(rng, d)).data
+    x = rng.normal(size=(1, d))
+    t = tuple(ad.Matrix(x.copy()) for _ in range(3))
+    alpha = _alpha(t, init_lih_params(rng, d))
     assert np.allclose(alpha, np.full((3, 3), 1 / 3), atol=1e-12)
 
 
 def test_d1_hand_case():
     # D = 1, all maps = [[1]]: logits_ij = x_i * x_j, alpha = row softmax.
-    t = InstanceTriple(ad.Matrix([[1.0]]), ad.Matrix([[2.0]]), ad.Matrix([[0.0]]))
+    t = (ad.Matrix([[1.0]]), ad.Matrix([[2.0]]), ad.Matrix([[0.0]]))
     one = lambda: ad.Matrix([[1.0]])
     params = LihParams(one(), one(), one(), one())
-    alpha = attention_intensities(t, params).data
+    alpha = _alpha(t, params)
     xs = np.array([1.0, 2.0, 0.0])
     for i in range(3):
         logits = xs[i] * xs
@@ -72,7 +75,7 @@ def test_rows_are_stochastic():
     rng = np.random.default_rng(2)
     for _ in range(10):
         d = int(rng.integers(2, 8))
-        alpha = attention_intensities(_triple(rng, d), init_lih_params(rng, d)).data
+        alpha = _alpha(_triple(rng, d), init_lih_params(rng, d))
         assert (alpha > 0).all()
         np.testing.assert_allclose(alpha.sum(axis=1), 1.0, atol=1e-12)
 
@@ -83,62 +86,60 @@ def test_zero_output_map_is_exact_identity():
     t = _triple(rng, d)
     params = init_lih_params(rng, d, d_att=3)
     params.w_f = ad.Matrix(np.zeros((3, d)))
-    z = lih_forward(t, params)
-    np.testing.assert_array_equal(z.x_s.data, t.x_s.data)
-    np.testing.assert_array_equal(z.x_o.data, t.x_o.data)
-    np.testing.assert_array_equal(z.x_u.data, t.x_u.data)
+    z = lih_forward_batch(*t, params)
+    for got, x in zip(z, t):
+        np.testing.assert_array_equal(got.data, x.data)
 
 
 def test_permutation_equivariance():
     """Swapping subject and object swaps the refined outputs exactly."""
     rng = np.random.default_rng(4)
     d = 5
-    t = _triple(rng, d)
+    s, o, u = _triple(rng, d)
     params = init_lih_params(rng, d)
-    z = lih_forward(t, params)
-    swapped = InstanceTriple(
-        x_s=ad.Matrix(t.x_o.data.copy()),
-        x_o=ad.Matrix(t.x_s.data.copy()),
-        x_u=ad.Matrix(t.x_u.data.copy()),
-    )
-    zs = lih_forward(swapped, params)
-    np.testing.assert_allclose(zs.x_s.data, z.x_o.data, atol=1e-12)
-    np.testing.assert_allclose(zs.x_o.data, z.x_s.data, atol=1e-12)
-    np.testing.assert_allclose(zs.x_u.data, z.x_u.data, atol=1e-12)
+    zs, zo, zu = lih_forward_batch(s, o, u, params)
+    ws, wo, wu = lih_forward_batch(ad.Matrix(o.data.copy()), ad.Matrix(s.data.copy()),
+                                   ad.Matrix(u.data.copy()), params)
+    np.testing.assert_allclose(ws.data, zo.data, atol=1e-12)
+    np.testing.assert_allclose(wo.data, zs.data, atol=1e-12)
+    np.testing.assert_allclose(wu.data, zu.data, atol=1e-12)
 
 
 def test_matches_dense_reference():
-    rng = np.random.default_rng(5)
     for seed in range(10):
         r = np.random.default_rng(seed)
         d = int(r.integers(2, 7))
         t = _triple(r, d)
         params = init_lih_params(r, d)
-        z = lih_forward(t, params)
-        got = np.concatenate([z.x_s.data, z.x_o.data, z.x_u.data], axis=0)
-        xs = np.concatenate([t.x_s.data, t.x_o.data, t.x_u.data], axis=0)
+        got = np.concatenate([z.data for z in lih_forward_batch(*t, params)], axis=0)
+        xs = np.concatenate([x.data for x in t], axis=0)
         np.testing.assert_allclose(got, _reference_forward(xs, params), atol=1e-12)
-    _ = rng  # seeds enumerated explicitly above
 
 
 def test_batch_matches_per_triple_loop():
+    """Every triple of a batch equals the dense oracle applied to that triple alone."""
     rng = np.random.default_rng(6)
-    d, m = 5, 7
-    s = ad.Matrix(rng.normal(size=(m, d)))
-    o = ad.Matrix(rng.normal(size=(m, d)))
-    u = ad.Matrix(rng.normal(size=(m, d)))
+    d = 5
+    for m in (7, 272):
+        s, o, u = (ad.Matrix(rng.normal(size=(m, d))) for _ in range(3))
+        params = init_lih_params(rng, d)
+        zs, zo, zu = lih_forward_batch(s, o, u, params)
+        for i in range(m):
+            xs = np.concatenate([s.data[i : i + 1], o.data[i : i + 1], u.data[i : i + 1]], axis=0)
+            got = np.concatenate([zs.data[i : i + 1], zo.data[i : i + 1], zu.data[i : i + 1]], axis=0)
+            np.testing.assert_allclose(got, _reference_forward(xs, params), atol=1e-12)
+
+
+def test_tape_arrays_grow_linearly_in_triples():
+    """No array the block records is larger than the stacked 3M x D input."""
+    rng = np.random.default_rng(9)
+    d, m = 8, 272
+    s, o, u = (ad.Matrix(rng.normal(size=(m, d))) for _ in range(3))
     params = init_lih_params(rng, d)
-    zs, zo, zu = lih_forward_batch(s, o, u, params)
-    for i in range(m):
-        t = InstanceTriple(
-            ad.Matrix(s.data[i : i + 1].copy()),
-            ad.Matrix(o.data[i : i + 1].copy()),
-            ad.Matrix(u.data[i : i + 1].copy()),
-        )
-        z = lih_forward(t, params)
-        np.testing.assert_allclose(zs.data[i : i + 1], z.x_s.data, atol=1e-10)
-        np.testing.assert_allclose(zo.data[i : i + 1], z.x_o.data, atol=1e-10)
-        np.testing.assert_allclose(zu.data[i : i + 1], z.x_u.data, atol=1e-10)
+    with ad.Tape() as tape:
+        lih_forward_batch(s, o, u, params)
+    assert tape.records
+    assert max(out.data.size for _name, out, _fn in tape.records) <= 3 * m * d
 
 
 def test_attention_width_cannot_exceed_feature_width():
@@ -151,11 +152,10 @@ def test_gradients_against_central_differences():
     d = 4
     t = _triple(rng, d)
     params = init_lih_params(rng, d, d_att=3)
-    mats = [t.x_s, t.x_o, t.x_u, params.w_q, params.w_k, params.w_v, params.w_f]
+    mats = [*t, params.w_q, params.w_k, params.w_v, params.w_f]
 
     def f():
-        z = lih_forward(t, params)
-        return ad.sum_all(ad.concat_rows([z.x_s, z.x_o, z.x_u]))
+        return ad.sum_all(ad.concat_rows(list(lih_forward_batch(*t, params))))
 
     assert ad.grad_check(f, mats, eps=1e-5) < 1e-7
 

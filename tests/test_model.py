@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sggkit.attract_repel import ReferenceBank, sample_negatives
-from sggkit.autodiff import NumericError, grad_check
+from sggkit.autodiff import NumericError, grad_check, softmax_rows
 from sggkit.data import Edge, FeatureParams, GeneratorSpec, Node, SceneRecord, generate, split_scenes
 from sggkit.model import (
     EntityProposal,
@@ -149,6 +149,11 @@ def test_prepare_scene_vocabulary_mismatch():
 # forward behavior
 
 
+def probs(logits):
+    """Class distributions as predict_scene computes them from the logits."""
+    return softmax_rows(logits).data
+
+
 def zero_model(config) -> Model:
     model = Model(config)
     for p in model.params.values():
@@ -161,8 +166,8 @@ def test_zero_model_emits_uniform_distributions():
     for variant in ("gih", "none"):
         model = zero_model(tiny_config(gih_variant=variant))
         out = model.forward(prepare_scene(record, fp))
-        np.testing.assert_allclose(out.node_probs.data, 1.0 / 11, atol=1e-15)
-        np.testing.assert_allclose(out.edge_probs.data, 1.0 / 5, atol=1e-15)
+        np.testing.assert_allclose(probs(out.node_logits), 1.0 / 11, atol=1e-15)
+        np.testing.assert_allclose(probs(out.edge_logits), 1.0 / 5, atol=1e-15)
 
 
 def test_probability_rows_sum_to_one_across_variants():
@@ -173,16 +178,16 @@ def test_probability_rows_sum_to_one_across_variants():
             for use_lih in (True, False):
                 cfg = tiny_config(fusion=fusion, gih_variant=variant, gih_layers=layers, use_lih=use_lih, seed=3)
                 out = Model(cfg).forward(prep)
-                np.testing.assert_allclose(out.node_probs.data.sum(axis=1), 1.0, atol=1e-9)
-                np.testing.assert_allclose(out.edge_probs.data.sum(axis=1), 1.0, atol=1e-9)
+                np.testing.assert_allclose(probs(out.node_logits).sum(axis=1), 1.0, atol=1e-9)
+                np.testing.assert_allclose(probs(out.edge_logits).sum(axis=1), 1.0, atol=1e-9)
 
 
 def test_single_proposal_no_edges():
     fp = FeatureParams.from_spec(tiny_spec())
     record = SceneRecord("solo", [Node(0, 3, (0.1, 0.2, 0.6, 0.9), 7)], [])
     out = Model(tiny_config()).forward(prepare_scene(record, fp))
-    assert out.node_probs.shape == (1, 11)
-    assert out.edge_probs.shape == (0, 5)
+    assert probs(out.node_logits).shape == (1, 11)
+    assert probs(out.edge_logits).shape == (0, 5)
     assert out.edge_index == []
 
 
@@ -191,7 +196,8 @@ def test_identical_proposals_get_identical_node_rows():
     nodes = [Node(0, 2, (0.1, 0.1, 0.4, 0.4), 5), Node(1, 2, (0.1, 0.1, 0.4, 0.4), 5)]
     record = SceneRecord("twins", nodes, [])
     out = Model(tiny_config(gih_variant="none")).forward(prepare_scene(record, fp))
-    np.testing.assert_array_equal(out.node_probs.data[0], out.node_probs.data[1])
+    node_probs = probs(out.node_logits)
+    np.testing.assert_array_equal(node_probs[0], node_probs[1])
 
 
 def test_node_head_matches_hand_matrix_product():
@@ -216,8 +222,8 @@ def test_direction_sensitive_fusion_separates_directions():
     record, fp = scene_and_fp()
     prep = prepare_scene(record, fp)
     out = Model(tiny_config(fusion="parallel", gih_variant="none", seed=5)).forward(prep)
-    probs = {pair: out.edge_probs.data[i] for i, pair in enumerate(prep.edge_index)}
-    gaps = [np.abs(probs[(s, o)] - probs[(o, s)]).max() for (s, o) in probs]
+    by_pair = dict(zip(prep.edge_index, probs(out.edge_logits)))
+    gaps = [np.abs(by_pair[(s, o)] - by_pair[(o, s)]).max() for (s, o) in by_pair]
     assert max(gaps) > 1e-6
 
 
@@ -226,10 +232,11 @@ def test_union_fusion_without_propagation_is_direction_blind():
     prep = prepare_scene(record, fp)
     out = Model(tiny_config(fusion="union", use_lih=False, gih_variant="none", seed=6)).forward(prep)
     rows = {pair: i for i, pair in enumerate(prep.edge_index)}
+    edge_probs = probs(out.edge_logits)
     for (s, o), i in rows.items():
         j = rows[(o, s)]
         np.testing.assert_array_equal(out.edge_logits.data[i], out.edge_logits.data[j])
-        np.testing.assert_array_equal(out.edge_probs.data[i], out.edge_probs.data[j])
+        np.testing.assert_array_equal(edge_probs[i], edge_probs[j])
 
 
 def test_union_fusion_with_propagation_stays_direction_blind():
@@ -237,8 +244,9 @@ def test_union_fusion_with_propagation_stays_direction_blind():
     prep = prepare_scene(record, fp)
     out = Model(tiny_config(fusion="union", use_lih=False, gih_variant="gih", seed=7)).forward(prep)
     rows = {pair: i for i, pair in enumerate(prep.edge_index)}
+    edge_probs = probs(out.edge_logits)
     for (s, o), i in rows.items():
-        np.testing.assert_array_equal(out.edge_probs.data[i], out.edge_probs.data[rows[(o, s)]])
+        np.testing.assert_array_equal(edge_probs[i], edge_probs[rows[(o, s)]])
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +273,7 @@ def test_perfect_one_hot_predictions_loss_near_zero():
     node_logits = Matrix(prep.node_onehot * 60.0 - 30.0)
     edge_logits = Matrix(prep.edge_onehot * 60.0 - 30.0)
     out = ForwardResult(
-        node_logits, edge_logits, node_logits, edge_logits,
+        node_logits, edge_logits,
         Matrix(np.zeros((prep.n_edges, cfg.d_edge))), prep.edge_index,
     )
     loss, _ = total_loss(out, prep, ReferenceBank(5, 8), cfg)
@@ -284,7 +292,7 @@ def _three_node_scene(edges):
 
 def _predicate_loss(prep, cfg, edge_logits):
     out = ForwardResult(
-        Matrix(np.zeros((prep.n_nodes, cfg.n_entity_categories))), Matrix(edge_logits), None, None,
+        Matrix(np.zeros((prep.n_nodes, cfg.n_entity_categories))), Matrix(edge_logits),
         Matrix(np.zeros((prep.n_edges, cfg.d_edge))), prep.edge_index,
     )
     _, parts = total_loss(out, prep, ReferenceBank(3, 4), cfg)
@@ -411,7 +419,7 @@ def test_training_improves_heldout_metrics_on_planted_rule():
     cfg = tiny_config(epochs=8, seed=1)
     result = train(cfg, train_recs, fp, eval_records=held, metrics_every=8, ks_recall=(4,), ks_pair=(2,))
     final = result.log[-1].metrics
-    start = evaluate(Model(cfg), held, fp, ks_recall=(4,), ks_pair=(2,))
+    start = evaluate(Model(cfg), [prepare_scene(r, fp) for r in held], ks_recall=(4,), ks_pair=(2,))
     assert final["R@4"] > start["R@4"]
     assert final["pR@2"] >= start["pR@2"]
 
@@ -434,8 +442,9 @@ def test_checkpoint_round_trip(tmp_path):
     np.testing.assert_array_equal(bank.refs, result.bank.refs)
     np.testing.assert_array_equal(bank.counts, result.bank.counts)
     assert bank.rng.bit_generator.state == result.bank.rng.bit_generator.state
-    e1 = evaluate(result.model, records, fp, ks_recall=(4,), ks_pair=(2,))
-    e2 = evaluate(model, records, fp, ks_recall=(4,), ks_pair=(2,))
+    preps = [prepare_scene(r, fp) for r in records]
+    e1 = evaluate(result.model, preps, ks_recall=(4,), ks_pair=(2,))
+    e2 = evaluate(model, preps, ks_recall=(4,), ks_pair=(2,))
     assert e1 == e2
 
 
