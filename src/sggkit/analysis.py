@@ -48,9 +48,6 @@ class CooccurrenceTable:
                 counts[e.predicate, s_cat * n_entities + o_cat] += 1
         return cls(n_entities, n_predicates, counts)
 
-    def pair_index(self, subject_category: int, object_category: int) -> int:
-        return subject_category * self.n_entities + object_category
-
     def _check_predicate(self, i: int) -> None:
         if not 0 <= i < self.n_predicates:
             raise ValueError(f"predicate index {i} outside [0, {self.n_predicates})")

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Matrix, add, div, gather_rows, mul, pow_const, row_sum, sum_all
+from .autodiff import Constant, Matrix, add, div, gather_rows, mul, pow_const, row_sum, sum_all
 
 Negatives = dict[int, np.ndarray]
 
@@ -68,10 +68,6 @@ class ReferenceBank:
         return bank
 
 
-def _as_array(embeddings) -> np.ndarray:
-    return embeddings.data if isinstance(embeddings, Matrix) else np.asarray(embeddings, dtype=np.float64)
-
-
 def _check_labels(bank: ReferenceBank, emb: np.ndarray, labels: np.ndarray) -> None:
     if labels.ndim != 1 or labels.shape[0] != emb.shape[0]:
         raise ValueError(f"labels shape {labels.shape} does not match {emb.shape[0]} embeddings")
@@ -111,7 +107,7 @@ def update_references(
     bank: ReferenceBank, embeddings, labels, negatives: Negatives | None = None, skip_category=None
 ) -> ReferenceBank:
     """Absorb one batch into the bank (off-tape; raw values only)."""
-    emb = _as_array(embeddings)
+    emb = embeddings.data if isinstance(embeddings, Matrix) else np.asarray(embeddings, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.intp)
     _check_labels(bank, emb, labels)
     if negatives is None:
@@ -161,33 +157,11 @@ def attract_repel_loss(
         return Matrix([[0.0]])
 
     e = gather_rows(embeddings, rows)
-    r = Matrix(np.stack(refs))
-    r_norm = Matrix(np.sqrt((r.data ** 2).sum(axis=1, keepdims=True)))
+    r = Constant(np.stack(refs))
+    r_norm = Constant(np.sqrt((r.data ** 2).sum(axis=1, keepdims=True)))
     dots = row_sum(mul(e, r))
     e_norm = pow_const(row_sum(mul(e, e)), 0.5)
     cosines = div(dots, mul(e_norm, r_norm))
-    weighted = mul(cosines, Matrix(np.array(signs).reshape(-1, 1)))
+    weighted = mul(cosines, Constant(np.array(signs).reshape(-1, 1)))
     # sum_pos (1 - cos) + sum_neg cos  =  n_attract - sum_pos cos + sum_neg cos
     return add(sum_all(weighted), Matrix([[float(n_attract)]]))
-
-
-def cluster_stats(embeddings, labels) -> tuple[float, float]:
-    """Mean cosine over same-label pairs and over different-label pairs."""
-    emb = _as_array(embeddings)
-    labels = np.asarray(labels, dtype=np.intp)
-    if labels.shape[0] != emb.shape[0]:
-        raise ValueError(f"labels shape {labels.shape} does not match {emb.shape[0]} embeddings")
-    if len(set(labels.tolist())) < 2:
-        raise ValueError("cluster_stats needs at least two categories")
-    norms = np.sqrt((emb ** 2).sum(axis=1, keepdims=True))
-    if (norms == 0.0).any():
-        raise ValueError("cluster_stats: zero-norm embedding has no cosine")
-    unit = emb / norms
-    cos = unit @ unit.T
-    same = labels[:, None] == labels[None, :]
-    upper = np.triu(np.ones_like(cos, dtype=bool), k=1)
-    intra_mask = same & upper
-    inter_mask = ~same & upper
-    if not intra_mask.any():
-        raise ValueError("cluster_stats: no same-category pair present")
-    return float(cos[intra_mask].mean()), float(cos[inter_mask].mean())

@@ -8,6 +8,9 @@ exact reverse order of recording. Outputs that never receive a gradient
 keep grad None and their closures are skipped, so unused branches cost
 nothing and contribute zero.
 
+A Constant is a Matrix of data (inputs, targets, adjacencies) that never
+holds a gradient; matmul and mul do not even compute one for it.
+
 Tapes are kept on a thread-local stack: independent tapes may run on
 separate threads, but a single tape is strictly single-threaded.
 """
@@ -68,8 +71,9 @@ class Matrix:
 
     def accumulate(self, g) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = g + 0.0  # own copy (add passes one g to both operands); -0.0 -> +0.0
+        else:
+            self.grad += g
 
     def item(self) -> float:
         if self.data.shape != (1, 1):
@@ -78,6 +82,15 @@ class Matrix:
 
     def __repr__(self) -> str:
         return f"Matrix({self.rows}x{self.cols})"
+
+
+class Constant(Matrix):
+    """A leaf matrix of data: its grad stays None."""
+
+    __slots__ = ()
+
+    def accumulate(self, g) -> None:
+        pass
 
 
 def _wrap(arr: np.ndarray) -> Matrix:
@@ -134,8 +147,10 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
     out_data = a.data @ b.data
 
     def backward(g):
-        a.accumulate(g @ b.data.T)
-        b.accumulate(a.data.T @ g)
+        if not isinstance(a, Constant):
+            a.accumulate(g @ b.data.T)
+        if not isinstance(b, Constant):
+            b.accumulate(a.data.T @ g)
 
     return _finish("matmul", out_data, backward)
 
@@ -182,8 +197,10 @@ def mul(a: Matrix, b: Matrix) -> Matrix:
         raise ShapeError(f"mul: incompatible shapes {a.shape} and {b.shape}")
 
     def backward(g):
-        a.accumulate(g * b.data)
-        b.accumulate(g * a.data)
+        if not isinstance(a, Constant):
+            a.accumulate(g * b.data)
+        if not isinstance(b, Constant):
+            b.accumulate(g * a.data)
 
     return _finish("mul", a.data * b.data, backward)
 

@@ -48,14 +48,6 @@ class Mlp:
                 h = relu(h)
         return h
 
-    @property
-    def in_dim(self) -> int:
-        return self.layers[0][0].rows
-
-    @property
-    def out_dim(self) -> int:
-        return self.layers[-1][0].cols
-
     def named(self, prefix: str) -> dict[str, Matrix]:
         out = {}
         for i, (w, b) in enumerate(self.layers):

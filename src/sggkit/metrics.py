@@ -66,20 +66,6 @@ class GroundTruthGraph:
         return {(s, o, p) for (s, o), p in self.edges.items()}
 
 
-def split_pairs_by_symmetry(gt: GroundTruthGraph) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-    """Partition bidirectional pairs into (asymmetric, symmetric).
-
-    A pair is symmetric when both directions carry the same predicate label.
-    """
-    asym, sym = [], []
-    for i, j in gt.bidirectional_pairs:
-        if gt.edges[(i, j)] == gt.edges[(j, i)]:
-            sym.append((i, j))
-        else:
-            asym.append((i, j))
-    return asym, sym
-
-
 def _top_k_set(pred: list[ScoredTriplet], k: int) -> set[tuple[int, int, int]]:
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")

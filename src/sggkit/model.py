@@ -22,6 +22,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .autodiff import (
+    Constant,
     Matrix,
     NumericError,
     Tape,
@@ -54,6 +55,7 @@ from .metrics import (
     ranked_from_scores,
 )
 from .propagation import (
+    BlockAdjacency,
     GraphState,
     build_adjacency,
     init_gat_params,
@@ -67,25 +69,6 @@ PROPAGATION_VARIANTS = ("gih", "gcn", "gat", "none")
 # rng stream tags
 _STREAM_PARAMS = 23
 _STREAM_BANK = 29
-
-
-@dataclass
-class EntityProposal:
-    """One detected entity: appearance vector, unit box, class logits."""
-
-    appearance: np.ndarray
-    box: np.ndarray  # x1, y1, x2, y2 in [0, 1]
-    class_logits: np.ndarray
-
-    def validate(self) -> None:
-        if np.asarray(self.appearance).ndim != 1 or np.asarray(self.class_logits).ndim != 1:
-            raise ValueError("appearance and class_logits must be 1-D vectors")
-        box = np.asarray(self.box, dtype=float)
-        if box.shape != (4,):
-            raise ValueError(f"box must have 4 coordinates, got shape {box.shape}")
-        x1, y1, x2, y2 = box
-        if not (0.0 <= x1 <= x2 <= 1.0 and 0.0 <= y1 <= y2 <= 1.0):
-            raise ValueError(f"box {box.tolist()} is not an ordered unit box")
 
 
 @dataclass
@@ -160,13 +143,11 @@ class PreparedScene:
     node_inputs: np.ndarray  # [N, d_appearance + 4 + n_entity_categories]
     union_inputs: np.ndarray  # [M, 2 * d_appearance + 4]
     edge_index: list[tuple[int, int]]
-    subject_rows: np.ndarray
-    object_rows: np.ndarray
     node_labels: np.ndarray
     edge_labels: np.ndarray
     node_onehot: np.ndarray
     edge_onehot: np.ndarray
-    adjacency: object
+    adjacency: BlockAdjacency  # also holds each edge's subject and object rows
 
     @property
     def n_nodes(self) -> int:
@@ -175,17 +156,6 @@ class PreparedScene:
     @property
     def n_edges(self) -> int:
         return len(self.edge_index)
-
-
-def proposals_from_record(record: SceneRecord, fp: FeatureParams) -> list[EntityProposal]:
-    offset = fp.scene_offset(record.scene_id)
-    out = []
-    for node in record.nodes:
-        prop = EntityProposal(fp.appearance(node) + offset, np.asarray(node.box, dtype=float),
-                              fp.class_logits(node))
-        prop.validate()
-        out.append(prop)
-    return out
 
 
 def prepare_scene(
@@ -206,13 +176,16 @@ def prepare_scene(
                 f"scene {record.scene_id}: predicate label {e.predicate} outside the "
                 f"{fp.n_predicate_categories}-category vocabulary"
             )
-    proposals = proposals_from_record(record, fp)
-    n = len(proposals)
-    node_inputs = np.stack([np.concatenate([p.appearance, p.box, p.class_logits]) for p in proposals])
+    n = len(record.nodes)
+    appearance = np.stack([fp.appearance(node) for node in record.nodes]) + fp.scene_offset(record.scene_id)
+    boxes = np.array([node.box for node in record.nodes], dtype=float).reshape(n, 4)
+    logits = np.stack([fp.class_logits(node) for node in record.nodes])
+    node_inputs = np.concatenate([appearance, boxes, logits], axis=1)
     ids = [node.id for node in record.nodes]
     row_of = {node_id: row for row, node_id in enumerate(ids)}
     if candidate_edges is None:
-        edge_index = [(ids[i], ids[j]) for i in range(n) for j in range(n) if i != j]
+        rows = np.argwhere(~np.eye(n, dtype=bool))
+        edge_index = [(ids[i], ids[j]) for i, j in rows.tolist()]
     else:
         edge_index = [(int(s), int(o)) for s, o in candidate_edges]
         if len(set(edge_index)) != len(edge_index):
@@ -220,38 +193,31 @@ def prepare_scene(
         for s, o in edge_index:
             if s not in row_of or o not in row_of or s == o:
                 raise ValueError(f"scene {record.scene_id}: invalid candidate edge ({s}, {o})")
-    annotated = {(e.subject, e.object): e.predicate for e in record.edges}
-    union_rows = []
-    for s, o in edge_index:
-        a, b = proposals[row_of[s]], proposals[row_of[o]]
-        if o < s:
-            a, b = b, a
-        cover = np.array([
-            min(a.box[0], b.box[0]), min(a.box[1], b.box[1]),
-            max(a.box[2], b.box[2]), max(a.box[3], b.box[3]),
-        ])
-        union_rows.append(np.concatenate([a.appearance, b.appearance, cover]))
-    union_inputs = np.stack(union_rows) if union_rows else np.zeros((0, 2 * fp.d_appearance + 4))
+        rows = np.array([(row_of[s], row_of[o]) for s, o in edge_index], dtype=np.int64).reshape(-1, 2)
+    adjacency = build_adjacency(n, rows)
+    subj, obj = adjacency.subjects, adjacency.objects
+    node_ids = np.array(ids, dtype=np.int64)
+    swap = node_ids[obj] < node_ids[subj]
+    first, second = np.where(swap, obj, subj), np.where(swap, subj, obj)
+    a, b = boxes[first], boxes[second]
+    cover = np.concatenate([np.where(b[:, :2] < a[:, :2], b[:, :2], a[:, :2]),
+                            np.where(b[:, 2:] > a[:, 2:], b[:, 2:], a[:, 2:])], axis=1)
+    union_inputs = np.concatenate([appearance[first], appearance[second], cover], axis=1)
     node_labels = np.array([node.label for node in record.nodes], dtype=np.int64)
-    edge_labels = np.array([annotated.get(pair, 0) for pair in edge_index], dtype=np.int64)
-    node_onehot = np.zeros((n, fp.n_entity_categories))
-    node_onehot[np.arange(n), node_labels] = 1.0
-    edge_onehot = np.zeros((len(edge_index), fp.n_predicate_categories))
-    if edge_index:
-        edge_onehot[np.arange(len(edge_index)), edge_labels] = 1.0
-    adjacency = build_adjacency(n, [(row_of[s], row_of[o]) for s, o in edge_index])
+    annotated = np.zeros((n, n), dtype=np.int64)
+    for e in record.edges:
+        annotated[row_of[e.subject], row_of[e.object]] = e.predicate
+    edge_labels = annotated[subj, obj]
     return PreparedScene(
         scene_id=record.scene_id,
         record=record,
         node_inputs=node_inputs,
         union_inputs=union_inputs,
         edge_index=edge_index,
-        subject_rows=np.array([row_of[s] for s, _ in edge_index], dtype=np.int64),
-        object_rows=np.array([row_of[o] for _, o in edge_index], dtype=np.int64),
         node_labels=node_labels,
         edge_labels=edge_labels,
-        node_onehot=node_onehot,
-        edge_onehot=edge_onehot,
+        node_onehot=np.eye(fp.n_entity_categories)[node_labels],
+        edge_onehot=np.eye(fp.n_predicate_categories)[edge_labels],
         adjacency=adjacency,
     )
 
@@ -322,12 +288,12 @@ class Model:
 
     def forward(self, prep: PreparedScene) -> ForwardResult:
         cfg = self.config
-        nodes0 = linear_map(Matrix(prep.node_inputs), *self.node_map)
+        nodes0 = linear_map(Constant(prep.node_inputs), *self.node_map)
         m = prep.n_edges
         if m > 0:
-            union0 = linear_map(Matrix(prep.union_inputs), *self.union_map)
-            z_s = gather_rows(nodes0, prep.subject_rows)
-            z_o = gather_rows(nodes0, prep.object_rows)
+            union0 = linear_map(Constant(prep.union_inputs), *self.union_map)
+            z_s = gather_rows(nodes0, prep.adjacency.subjects)
+            z_o = gather_rows(nodes0, prep.adjacency.objects)
             if self.lih is not None:
                 z_s, z_o, z_u = lih_forward_batch(z_s, z_o, union0, self.lih)
             else:
@@ -352,9 +318,9 @@ def _cross_entropy(logits: Matrix, onehot: np.ndarray, row_weights: np.ndarray |
     """Row-averaged cross-entropy; row_weights (summing to 1) replace the plain mean."""
     lp = log_softmax_rows(logits)
     if row_weights is None:
-        picked = mul(lp, Matrix(onehot))
+        picked = mul(lp, Constant(onehot))
         return scale(sum_all(picked), -1.0 / logits.rows)
-    picked = mul(lp, Matrix(onehot * row_weights[:, None]))
+    picked = mul(lp, Constant(onehot * row_weights[:, None]))
     return scale(sum_all(picked), -1.0)
 
 

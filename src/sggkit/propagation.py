@@ -17,6 +17,10 @@ with square per-layer weights, no degree normalization, and matmuls grouped
 as (A~ G) W. Zero weights therefore make an even-depth stack an exact
 identity. The gcn and gat baselines update node rows only and leave edge
 rows untouched, which is what the edge-awareness comparisons rely on.
+
+A BlockAdjacency stores only edge endpoints and opposite-edge pairs. Each
+gih_forward builds A~ as a Constant for that forward and its backward, so
+no gradient is formed for it; gcn and gat build the node block likewise.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import (
+    Constant,
     Matrix,
     ShapeError,
     add,
@@ -42,57 +47,65 @@ from .autodiff import (
 
 @dataclass
 class BlockAdjacency:
-    """Adjacency A over n nodes then m edges, stored once as A + I.
+    """Adjacency A over n nodes then m edges, stored as edge endpoints.
 
-    A has a zero diagonal, so A and its blocks are read off A + I exactly.
+    Edge k joins node rows subjects[k] and objects[k]; a row (k, k') of
+    opposite says edge k' joins them the other way. The dense A + I and its
+    node block are built on each access of a_tilde and node_block.
     """
 
     n_nodes: int
-    n_edges: int
-    a_tilde: np.ndarray  # (n+m) x (n+m)
+    subjects: np.ndarray  # (m,) node rows
+    objects: np.ndarray  # (m,) node rows
+    opposite: np.ndarray  # (p, 2) edge pairs
 
     @property
-    def a(self) -> np.ndarray:
-        return self.a_tilde - np.eye(self.a_tilde.shape[0])
+    def n_edges(self) -> int:
+        return self.subjects.size
 
     @property
-    def a_nn(self) -> np.ndarray:
-        return self.a_tilde[: self.n_nodes, : self.n_nodes] - np.eye(self.n_nodes)
+    def node_block(self) -> np.ndarray:
+        """A_nn + I, n x n."""
+        a = np.eye(self.n_nodes)
+        a[self.subjects, self.objects] = a[self.objects, self.subjects] = 1.0
+        return a
 
     @property
-    def a_ne(self) -> np.ndarray:
-        return self.a_tilde[: self.n_nodes, self.n_nodes :]
+    def a_tilde(self) -> np.ndarray:
+        """A + I, (n+m) x (n+m)."""
+        n, s, o = self.n_nodes, self.subjects, self.objects
+        e = n + np.arange(self.n_edges)
+        a = np.eye(n + self.n_edges)
+        a[:n, :n] = self.node_block
+        a[s, e] = a[o, e] = a[e, s] = a[e, o] = 1.0
+        a[n + self.opposite[:, 0], n + self.opposite[:, 1]] = 1.0
+        return a
 
-    @property
-    def a_en(self) -> np.ndarray:
-        return self.a_tilde[self.n_nodes :, : self.n_nodes]
 
-    @property
-    def a_ee(self) -> np.ndarray:
-        return self.a_tilde[self.n_nodes :, self.n_nodes :] - np.eye(self.n_edges)
+def build_adjacency(n_nodes: int, edges) -> BlockAdjacency:
+    """Block adjacency for directed candidate edges, (s, o) node-row pairs.
 
-
-def build_adjacency(n_nodes: int, edges: list[tuple[int, int]]) -> BlockAdjacency:
-    """Assemble the block adjacency for directed candidate edges."""
-    m = len(edges)
-    for s, o in edges:
-        if not (0 <= s < n_nodes and 0 <= o < n_nodes):
-            raise ValueError(f"edge ({s}, {o}) has an endpoint outside 0..{n_nodes - 1}")
-        if s == o:
-            raise ValueError(f"self-loop edge ({s}, {o}) is not allowed")
-    size = n_nodes + m
-    a = np.zeros((size, size))
-    reverse = {}
-    for mi, (s, o) in enumerate(edges):
-        a[s, o] = a[o, s] = 1.0
-        a[s, n_nodes + mi] = a[o, n_nodes + mi] = 1.0
-        a[n_nodes + mi, s] = a[n_nodes + mi, o] = 1.0
-        reverse.setdefault((s, o), []).append(mi)
-    for mi, (s, o) in enumerate(edges):
-        for mj in reverse.get((o, s), ()):
-            a[n_nodes + mi, n_nodes + mj] = 1.0
-    np.fill_diagonal(a, 1.0)
-    return BlockAdjacency(n_nodes, m, a)
+    Each edge is linked to every copy of its opposite, found in O(m log m)
+    by sorting the keys s * n + o.
+    """
+    s, o = np.asarray(edges, dtype=np.int64).reshape(-1, 2).T
+    outside = (s < 0) | (s >= n_nodes) | (o < 0) | (o >= n_nodes)
+    bad = outside | (s == o)
+    if bad.any():
+        k = int(np.argmax(bad))
+        if outside[k]:
+            raise ValueError(f"edge ({s[k]}, {o[k]}) has an endpoint outside 0..{n_nodes - 1}")
+        raise ValueError(f"self-loop edge ({s[k]}, {o[k]}) is not allowed")
+    key = s * n_nodes + o
+    order = np.argsort(key, kind="stable")
+    sorted_keys, reverse = key[order], o * n_nodes + s
+    lo = np.searchsorted(sorted_keys, reverse, side="left")
+    count = np.searchsorted(sorted_keys, reverse, side="right") - lo
+    # edge k has count[k] opposites, at sorted positions lo[k], lo[k] + 1, ...
+    k = np.repeat(np.arange(s.size), count)
+    offset = np.arange(k.size) - np.repeat(np.cumsum(count) - count, count)
+    opposite = np.stack([k, order[lo[k] + offset]], axis=1)
+    return BlockAdjacency(n_nodes, s, o, opposite)
 
 
 @dataclass
@@ -130,7 +143,7 @@ def _check_state(state: GraphState, adj: BlockAdjacency) -> None:
 
 def gih_forward(state: GraphState, adj: BlockAdjacency, params: GihParams) -> GraphState:
     _check_state(state, adj)
-    at = Matrix(adj.a_tilde)
+    at = Constant(adj.a_tilde)
     g = concat_rows([state.node_feats, state.edge_feats])
     prev = {0: g}
     for l, w in enumerate(params.weights, start=1):
@@ -154,7 +167,7 @@ def init_gcn_params(rng: np.random.Generator, d: int, n_layers: int = 4) -> GcnP
 
 def normalized_node_adjacency(adj: BlockAdjacency) -> np.ndarray:
     """Symmetric normalization D^-1/2 (A_nn + I) D^-1/2."""
-    a_hat = adj.a_tilde[: adj.n_nodes, : adj.n_nodes]
+    a_hat = adj.node_block
     d_inv_sqrt = 1.0 / np.sqrt(a_hat.sum(axis=1))
     return a_hat * d_inv_sqrt[:, None] * d_inv_sqrt[None, :]
 
@@ -163,7 +176,7 @@ def gcn_forward(state: GraphState, adj: BlockAdjacency, params: GcnParams) -> Gr
     """Standard graph convolution over node rows only; edge rows pass through."""
     if state.node_feats.rows != adj.n_nodes:
         raise ShapeError(f"state has {state.node_feats.rows} node rows, adjacency {adj.n_nodes}")
-    a_hat = Matrix(normalized_node_adjacency(adj))
+    a_hat = Constant(normalized_node_adjacency(adj))
     h = state.node_feats
     for w in params.weights:
         h = relu(matmul(matmul(a_hat, h), w))
@@ -195,9 +208,9 @@ def gat_forward(state: GraphState, adj: BlockAdjacency, params: GatParams) -> Gr
     if state.node_feats.rows != adj.n_nodes:
         raise ShapeError(f"state has {state.node_feats.rows} node rows, adjacency {adj.n_nodes}")
     n = adj.n_nodes
-    mask = adj.a_tilde[:n, :n] > 0
-    ones_row = Matrix(np.ones((1, n)))
-    ones_col = Matrix(np.ones((n, 1)))
+    mask = adj.node_block > 0
+    ones_row = Constant(np.ones((1, n)))
+    ones_col = Constant(np.ones((n, 1)))
     h = state.node_feats
     for w, a_src, a_dst in params.layers:
         hw = matmul(h, w)

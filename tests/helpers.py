@@ -1,4 +1,4 @@
-"""Shared test utilities: random metric instances and brute-force oracles.
+"""Shared test utilities: random instances, brute-force oracles, dense views.
 
 The oracles deliberately use plain loops and explicit set scans so they
 stay independent of the library's vectorized or dict-based shortcuts.
@@ -107,3 +107,137 @@ def scene_from_graph(gt, scene_id="s0"):
     nodes = [Node(i, lab, (0.0, 0.0, 1.0, 1.0), i) for i, lab in sorted(gt.node_labels.items())]
     edges = [Edge(s, o, p) for (s, o), p in sorted(gt.edges.items())]
     return SceneRecord(scene_id, nodes, edges)
+
+
+def split_pairs_by_symmetry(gt):
+    """Partition bidirectional pairs into (asymmetric, symmetric).
+
+    A pair is symmetric when both directions carry the same predicate label.
+    """
+    asym, sym = [], []
+    for i, j in gt.bidirectional_pairs:
+        if gt.edges[(i, j)] == gt.edges[(j, i)]:
+            sym.append((i, j))
+        else:
+            asym.append((i, j))
+    return asym, sym
+
+
+def cluster_stats(embeddings, labels):
+    """Mean cosine over same-label pairs and over different-label pairs."""
+    emb = np.asarray(embeddings, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.intp)
+    if labels.shape[0] != emb.shape[0]:
+        raise ValueError(f"labels shape {labels.shape} does not match {emb.shape[0]} embeddings")
+    if len(set(labels.tolist())) < 2:
+        raise ValueError("cluster_stats needs at least two categories")
+    norms = np.sqrt((emb ** 2).sum(axis=1, keepdims=True))
+    if (norms == 0.0).any():
+        raise ValueError("cluster_stats: zero-norm embedding has no cosine")
+    unit = emb / norms
+    cos = unit @ unit.T
+    same = labels[:, None] == labels[None, :]
+    upper = np.triu(np.ones_like(cos, dtype=bool), k=1)
+    intra_mask = same & upper
+    inter_mask = ~same & upper
+    if not intra_mask.any():
+        raise ValueError("cluster_stats: no same-category pair present")
+    return float(cos[intra_mask].mean()), float(cos[inter_mask].mean())
+
+
+# ---------------------------------------------------------------------------
+# block adjacency: dense views and the per-edge loop oracle
+
+
+def a_of(adj):
+    """A, read off A + I (A has a zero diagonal)."""
+    at = adj.a_tilde
+    return at - np.eye(at.shape[0])
+
+
+def a_nn_of(adj):
+    return adj.a_tilde[: adj.n_nodes, : adj.n_nodes] - np.eye(adj.n_nodes)
+
+
+def a_ne_of(adj):
+    return adj.a_tilde[: adj.n_nodes, adj.n_nodes :]
+
+
+def a_en_of(adj):
+    return adj.a_tilde[adj.n_nodes :, : adj.n_nodes]
+
+
+def a_ee_of(adj):
+    return adj.a_tilde[adj.n_nodes :, adj.n_nodes :] - np.eye(adj.n_edges)
+
+
+def loop_a_tilde(n_nodes, edges):
+    """A + I filled one edge at a time; each edge links to every opposite copy."""
+    m = len(edges)
+    a = np.zeros((n_nodes + m, n_nodes + m))
+    reverse = {}
+    for mi, (s, o) in enumerate(edges):
+        a[s, o] = a[o, s] = 1.0
+        a[s, n_nodes + mi] = a[o, n_nodes + mi] = 1.0
+        a[n_nodes + mi, s] = a[n_nodes + mi, o] = 1.0
+        reverse.setdefault((s, o), []).append(mi)
+    for mi, (s, o) in enumerate(edges):
+        for mj in reverse.get((o, s), ()):
+            a[n_nodes + mi, n_nodes + mj] = 1.0
+    np.fill_diagonal(a, 1.0)
+    return a
+
+
+# ---------------------------------------------------------------------------
+# scene preparation: the per-edge loop oracle
+
+
+def loop_prepare_scene(record, fp, candidate_edges=None):
+    """prepare_scene's arrays built node by node and edge by edge.
+
+    Returns a dict keyed like the PreparedScene fields it covers, plus the
+    adjacency's "subjects", "objects" and dense "a_tilde".
+    """
+    offset = fp.scene_offset(record.scene_id)
+    props = [(fp.appearance(node) + offset, np.asarray(node.box, dtype=float), fp.class_logits(node))
+             for node in record.nodes]
+    n = len(props)
+    node_inputs = np.stack([np.concatenate(p) for p in props])
+    ids = [node.id for node in record.nodes]
+    row_of = {node_id: row for row, node_id in enumerate(ids)}
+    if candidate_edges is None:
+        edge_index = [(ids[i], ids[j]) for i in range(n) for j in range(n) if i != j]
+    else:
+        edge_index = [(int(s), int(o)) for s, o in candidate_edges]
+    annotated = {(e.subject, e.object): e.predicate for e in record.edges}
+    union_rows = []
+    for s, o in edge_index:
+        (app_a, box_a, _), (app_b, box_b, _) = props[row_of[s]], props[row_of[o]]
+        if o < s:
+            (app_a, box_a), (app_b, box_b) = (app_b, box_b), (app_a, box_a)
+        cover = np.array([
+            min(box_a[0], box_b[0]), min(box_a[1], box_b[1]),
+            max(box_a[2], box_b[2]), max(box_a[3], box_b[3]),
+        ])
+        union_rows.append(np.concatenate([app_a, app_b, cover]))
+    union_inputs = np.stack(union_rows) if union_rows else np.zeros((0, 2 * fp.d_appearance + 4))
+    node_labels = np.array([node.label for node in record.nodes], dtype=np.int64)
+    edge_labels = np.array([annotated.get(pair, 0) for pair in edge_index], dtype=np.int64)
+    node_onehot = np.zeros((n, fp.n_entity_categories))
+    node_onehot[np.arange(n), node_labels] = 1.0
+    edge_onehot = np.zeros((len(edge_index), fp.n_predicate_categories))
+    if edge_index:
+        edge_onehot[np.arange(len(edge_index)), edge_labels] = 1.0
+    rows = [(row_of[s], row_of[o]) for s, o in edge_index]
+    return {
+        "node_inputs": node_inputs,
+        "union_inputs": union_inputs,
+        "edge_index": edge_index,
+        "subjects": np.array([s for s, _ in rows], dtype=np.int64),
+        "objects": np.array([o for _, o in rows], dtype=np.int64),
+        "node_labels": node_labels,
+        "edge_labels": edge_labels,
+        "node_onehot": node_onehot,
+        "edge_onehot": edge_onehot,
+        "a_tilde": loop_a_tilde(n, rows),
+    }

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
+from helpers import cluster_stats
 from sggkit import autodiff as ad
 from sggkit.attract_repel import (
     ReferenceBank,
     attract_repel_loss,
-    cluster_stats,
     sample_negatives,
     update_references,
 )

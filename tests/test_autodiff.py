@@ -250,3 +250,43 @@ def test_gather_rows_accumulates_duplicates():
         out = ad.sum_all(ad.gather_rows(x, [0, 0, 1]))
     tape.backward(out)
     np.testing.assert_array_equal(x.grad, [[2.0, 2.0], [1.0, 1.0]])
+
+
+@pytest.mark.parametrize("op", [ad.matmul, ad.mul])
+def test_constant_operand_gets_no_gradient(op):
+    """The other operand's gradient is byte-identical to the all-Matrix case."""
+    rng = np.random.default_rng(12)
+    x_data, c_data, g = rng.normal(size=(3, 3)), rng.normal(size=(3, 3)), rng.normal(size=(3, 3))
+    grads = []
+    for leaf in (ad.Matrix, ad.Constant):
+        for x_first in (True, False):
+            x, c = ad.Matrix(x_data), leaf(c_data)
+            with ad.Tape() as tape:
+                out = op(x, c) if x_first else op(c, x)
+                loss = ad.sum_all(ad.mul(out, ad.Matrix(g)))
+            tape.backward(loss)
+            grads.append(x.grad.tobytes())
+            if leaf is ad.Constant:
+                assert c.grad is None
+    assert grads[:2] == grads[2:]
+
+
+def test_first_accumulate_owns_its_gradient():
+    g = np.array([[1.5, -2.5]])
+
+    def backward_add(a, b):
+        with ad.Tape() as tape:
+            loss = ad.sum_all(ad.mul(ad.add(a, b), ad.Constant(g)))  # the sum gets gradient g
+        tape.backward(loss)
+
+    x = ad.Matrix([[1.0, 2.0]])
+    backward_add(x, x)
+    np.testing.assert_array_equal(x.grad, 2.0 * g)
+    a, b = ad.Matrix([[1.0, 2.0]]), ad.Matrix([[3.0, 4.0]])
+    backward_add(a, b)
+    assert not np.shares_memory(a.grad, b.grad)
+    a.grad[0, 0] = 7.0
+    assert b.grad[0, 0] == 1.5
+    z = ad.Matrix([[1.0]])
+    z.accumulate(np.array([[-0.0]]))
+    assert not np.signbit(z.grad[0, 0])  # stored as +0.0

@@ -7,6 +7,7 @@ from helpers import (
     brute_recall,
     brute_symmetry_split,
     make_random_instance,
+    split_pairs_by_symmetry,
 )
 from sggkit.data import generate, GeneratorSpec
 from sggkit.metrics import (
@@ -18,7 +19,6 @@ from sggkit.metrics import (
     rank_triplets,
     ranked_from_scores,
     recall_at_k,
-    split_pairs_by_symmetry,
 )
 
 

@@ -6,8 +6,8 @@ import pytest
 from sggkit.attract_repel import ReferenceBank, sample_negatives
 from sggkit.autodiff import NumericError, grad_check, softmax_rows
 from sggkit.data import Edge, FeatureParams, GeneratorSpec, Node, SceneRecord, generate, split_scenes
+from helpers import loop_prepare_scene
 from sggkit.model import (
-    EntityProposal,
     ForwardResult,
     Matrix,
     Model,
@@ -67,13 +67,11 @@ def scene_and_fp(spec=None):
 # configuration and preparation
 
 
-def test_proposal_validation():
-    good = EntityProposal(np.zeros(3), np.array([0.1, 0.1, 0.5, 0.5]), np.zeros(4))
-    good.validate()
-    with pytest.raises(ValueError, match="unit box"):
-        EntityProposal(np.zeros(3), np.array([0.6, 0.1, 0.5, 0.5]), np.zeros(4)).validate()
-    with pytest.raises(ValueError, match="1-D"):
-        EntityProposal(np.zeros((2, 2)), np.array([0.0, 0.0, 1.0, 1.0]), np.zeros(4)).validate()
+def test_prepare_scene_rejects_unordered_box():
+    fp = FeatureParams.from_spec(tiny_spec())
+    prepare_scene(SceneRecord("good", [Node(0, 1, (0.1, 0.1, 0.5, 0.5), 3)], []), fp)
+    with pytest.raises(ValueError, match="scene bad: node 0 box .* unit box"):
+        prepare_scene(SceneRecord("bad", [Node(0, 1, (0.6, 0.1, 0.5, 0.5), 3)], []), fp)
 
 
 def test_config_validation():
@@ -136,6 +134,42 @@ def test_prepare_scene_candidate_subset_and_errors():
         prepare_scene(record, fp, candidate_edges=[(0, 0)])
     with pytest.raises(ValueError, match="duplicate candidate"):
         prepare_scene(record, fp, candidate_edges=[(0, 1), (0, 1)])
+
+
+def _assert_matches_loop_oracle(prep, expect):
+    assert prep.edge_index == expect["edge_index"]
+    for name, want in expect.items():
+        if name == "edge_index":
+            continue
+        got = getattr(prep.adjacency if name in ("subjects", "objects", "a_tilde") else prep, name)
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
+
+
+def test_prepare_scene_matches_per_edge_loop_oracle():
+    """Byte for byte, with node ids out of row order and a scene offset."""
+    rng = np.random.default_rng(13)
+    spec = tiny_spec(nodes_per_scene=6, n_scenes=6, scene_offset_sigma=0.7, seed=4)
+    fp = FeatureParams.from_spec(spec)
+    for record in generate(spec):
+        perm = rng.permutation(len(record.nodes))
+        shuffled = replace(record, nodes=[record.nodes[i] for i in perm])
+        for scene in (record, shuffled):
+            _assert_matches_loop_oracle(prepare_scene(scene, fp), loop_prepare_scene(scene, fp))
+        ids = [node.id for node in shuffled.nodes]
+        pairs = [(s, o) for s in ids for o in ids if s != o]
+        custom = [pairs[t] for t in rng.permutation(len(pairs))[: int(rng.integers(0, len(pairs) + 1))]]
+        _assert_matches_loop_oracle(prepare_scene(shuffled, fp, candidate_edges=custom),
+                                    loop_prepare_scene(shuffled, fp, candidate_edges=custom))
+
+
+def test_prepared_scene_holds_no_dense_adjacency():
+    spec = GeneratorSpec(nodes_per_scene=17, n_scenes=1, seed=5)
+    prep = prepare_scene(generate(spec)[0], FeatureParams.from_spec(spec))
+    dense = (prep.n_nodes + prep.n_edges) ** 2
+    assert prep.n_edges == 17 * 16
+    arrays = [v for v in (*vars(prep).values(), *vars(prep.adjacency).values()) if isinstance(v, np.ndarray)]
+    assert max(a.size for a in arrays) < dense
 
 
 def test_prepare_scene_vocabulary_mismatch():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from helpers import a_ee_of, a_en_of, a_ne_of, a_nn_of, a_of, loop_a_tilde
 from sggkit import autodiff as ad
 from sggkit.propagation import (
     BlockAdjacency,
@@ -31,24 +32,24 @@ def _state(rng, n, m, d):
 
 def test_two_nodes_two_opposite_edges_hand_case():
     adj = build_adjacency(2, [(0, 1), (1, 0)])
-    np.testing.assert_array_equal(adj.a_nn, [[0, 1], [1, 0]])
-    np.testing.assert_array_equal(adj.a_ne, [[1, 1], [1, 1]])
-    np.testing.assert_array_equal(adj.a_en, adj.a_ne.T)
-    np.testing.assert_array_equal(adj.a_ee, [[0, 1], [1, 0]])
-    np.testing.assert_array_equal(np.diag(adj.a), np.zeros(4))
+    np.testing.assert_array_equal(a_nn_of(adj), [[0, 1], [1, 0]])
+    np.testing.assert_array_equal(a_ne_of(adj), [[1, 1], [1, 1]])
+    np.testing.assert_array_equal(a_en_of(adj), a_ne_of(adj).T)
+    np.testing.assert_array_equal(a_ee_of(adj), [[0, 1], [1, 0]])
+    np.testing.assert_array_equal(np.diag(a_of(adj)), np.zeros(4))
     np.testing.assert_array_equal(np.diag(adj.a_tilde), np.ones(4))
 
 
 def test_single_edge_has_no_opposite():
     adj = build_adjacency(3, [(0, 2)])
-    np.testing.assert_array_equal(adj.a_ee, [[0]])
-    np.testing.assert_array_equal(adj.a_nn, [[0, 0, 1], [0, 0, 0], [1, 0, 0]])
-    np.testing.assert_array_equal(adj.a_ne, [[1], [0], [1]])
+    np.testing.assert_array_equal(a_ee_of(adj), [[0]])
+    np.testing.assert_array_equal(a_nn_of(adj), [[0, 0, 1], [0, 0, 0], [1, 0, 0]])
+    np.testing.assert_array_equal(a_ne_of(adj), [[1], [0], [1]])
 
 
 def test_empty_edge_list():
     adj = build_adjacency(3, [])
-    np.testing.assert_array_equal(adj.a, np.zeros((3, 3)))
+    np.testing.assert_array_equal(a_of(adj), np.zeros((3, 3)))
     np.testing.assert_array_equal(adj.a_tilde, np.eye(3))
 
 
@@ -60,7 +61,22 @@ def test_adjacency_is_symmetric():
         take = rng.permutation(len(pairs))[: int(rng.integers(1, len(pairs) + 1))]
         edges = [pairs[t] for t in take]
         adj = build_adjacency(n, edges)
-        np.testing.assert_array_equal(adj.a, adj.a.T)
+        np.testing.assert_array_equal(a_of(adj), a_of(adj).T)
+
+
+def test_matches_per_edge_loop_with_opposites_and_duplicates():
+    rng = np.random.default_rng(12)
+    repeats = 0
+    for _ in range(60):
+        n = int(rng.integers(2, 8))
+        pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+        edges = [pairs[t] for t in rng.integers(0, len(pairs), size=int(rng.integers(0, 2 * len(pairs))))]
+        repeats += len(edges) - len(set(edges))
+        adj = build_adjacency(n, edges)
+        expect = loop_a_tilde(n, edges)
+        assert adj.a_tilde.tobytes() == expect.tobytes()
+        np.testing.assert_array_equal(adj.node_block, expect[:n, :n])
+    assert repeats > 0
 
 
 def test_dangling_endpoint_rejected():
@@ -164,7 +180,7 @@ def test_gcn_path_graph_one_layer_hand_case():
     x = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [2.0, 0.0]])
     edges = [(0, 1), (1, 2), (2, 3)]
     adj = build_adjacency(4, edges)
-    a_hat = adj.a_nn + np.eye(4)
+    a_hat = a_nn_of(adj) + np.eye(4)
     deg = a_hat.sum(axis=1)
     norm = a_hat / np.sqrt(deg)[:, None] / np.sqrt(deg)[None, :]
     expect = np.maximum(norm @ x, 0.0)
@@ -184,7 +200,7 @@ def test_gat_constant_logits_equals_mean_aggregation():
     params = GatParams([(ad.Matrix(w), ad.Matrix(np.zeros((d, 1))), ad.Matrix(np.zeros((d, 1))))])
     state = GraphState(ad.Matrix(x), ad.Matrix(np.zeros((0, d))))
     out = gat_forward(state, adj, params)
-    mask = (adj.a_nn + np.eye(n)) > 0
+    mask = (a_nn_of(adj) + np.eye(n)) > 0
     hw = x @ w
     expect = np.maximum(np.stack([hw[mask[i]].mean(axis=0) for i in range(n)]), 0.0)
     np.testing.assert_allclose(out.node_feats.data, expect, atol=1e-12)
