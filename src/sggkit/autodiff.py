@@ -328,15 +328,6 @@ def sum_all(a: Matrix) -> Matrix:
     return _finish("sum_all", a.data.sum().reshape(1, 1), backward)
 
 
-def mean_all(a: Matrix) -> Matrix:
-    n = a.data.size
-
-    def backward(g):
-        a.accumulate(np.full_like(a.data, g[0, 0] / n))
-
-    return _finish("mean_all", a.data.mean().reshape(1, 1), backward)
-
-
 def row_sum(a: Matrix) -> Matrix:
     """Sum across columns, one value per row (n x 1)."""
 

@@ -69,8 +69,6 @@ from .model import (
 )
 
 ENV_PREFIX = "SGGKIT_"
-DEFAULT_KS_RECALL = (20, 50, 100)
-DEFAULT_KS_PAIR = (2, 4, 8, 16)
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +313,9 @@ def cmd_eval(args) -> int:
     records = read_scenes(args.corpus)
     if not records:
         raise ValueError(f"{args.corpus}: corpus is empty")
+    for record in records:
+        if not record.edges:
+            raise ValueError(f"{args.corpus}: scene {record.scene_id}: no annotated edges, so recall is undefined")
     graphs = [GroundTruthGraph.from_scene(r) for r in records]
     ks_recall = _parse_ks(args.ks_recall, "--ks-recall")
     ks_pair = _parse_ks(args.ks_pair, "--ks-pair")

@@ -11,6 +11,9 @@ Three metric families:
   * pairwise_recall_at_k: fraction of bidirectional pairs whose directed
     triplets are BOTH in the top-k; a direction-blind predictor scores 0
     on every pair whose two directions carry different predicates.
+
+Every metric takes lists as returned by `rank_triplets` or `ranked_from_scores`
+and reads the first k entries of each; no metric ranks a list again.
 """
 
 from __future__ import annotations
@@ -23,9 +26,6 @@ from .data import SceneRecord
 
 # (subject id, object id, predicate, score)
 ScoredTriplet = tuple[int, int, int, float]
-
-RECALL_KS_DEFAULT = (20, 50, 100)
-PAIR_KS_DEFAULT = (2, 4, 8, 16)
 
 
 def rank_triplets(scored: list[ScoredTriplet]) -> list[ScoredTriplet]:
@@ -66,13 +66,14 @@ class GroundTruthGraph:
         return {(s, o, p) for (s, o), p in self.edges.items()}
 
 
-def _top_k_set(pred: list[ScoredTriplet], k: int) -> set[tuple[int, int, int]]:
+def _top_k_set(ranked: list[ScoredTriplet], k: int) -> set[tuple[int, int, int]]:
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    return {(s, o, p) for s, o, p, _ in rank_triplets(pred)[:k]}
+    return {(s, o, p) for s, o, p, _ in ranked[:k]}
 
 
 def recall_at_k(pred: list[ScoredTriplet], gt: GroundTruthGraph, k: int) -> float:
+    """Fraction of the scene's ground-truth triplets among the first k of the ranked `pred`."""
     gt_triplets = gt.triplets
     if not gt_triplets:
         raise ValueError("recall is undefined for a scene with no ground-truth triplets")
@@ -81,6 +82,7 @@ def recall_at_k(pred: list[ScoredTriplet], gt: GroundTruthGraph, k: int) -> floa
 
 
 def pairwise_recall_at_k(pred: list[ScoredTriplet], gt: GroundTruthGraph, k: int) -> float:
+    """Fraction of bidirectional pairs with both directions among the first k of the ranked `pred`."""
     if not gt.bidirectional_pairs:
         raise ValueError("pairwise recall is undefined without bidirectional pairs")
     matched, total = pairwise_recall_components(pred, gt, k)
@@ -88,7 +90,7 @@ def pairwise_recall_at_k(pred: list[ScoredTriplet], gt: GroundTruthGraph, k: int
 
 
 def pairwise_recall_components(pred: list[ScoredTriplet], gt: GroundTruthGraph, k: int) -> tuple[int, int]:
-    """(matched pair count, total pair count) for one scene."""
+    """(matched pair count, total pair count) for one scene's ranked `pred`."""
     top = _top_k_set(pred, k)
     matched = 0
     for i, j in gt.bidirectional_pairs:
@@ -99,7 +101,7 @@ def pairwise_recall_components(pred: list[ScoredTriplet], gt: GroundTruthGraph, 
 
 
 def per_category_components(pred: list[ScoredTriplet], gt: GroundTruthGraph, k: int) -> dict[int, tuple[int, int]]:
-    """Per predicate category: (gt triplets matched in top-k, gt triplets)."""
+    """Per predicate category: (gt triplets among the first k of the ranked `pred`, gt triplets)."""
     top = _top_k_set(pred, k)
     out: dict[int, list[int]] = {}
     for trip in gt.triplets:
@@ -109,7 +111,7 @@ def per_category_components(pred: list[ScoredTriplet], gt: GroundTruthGraph, k: 
 
 
 def mean_recall_at_k(preds: list[list[ScoredTriplet]], gts: list[GroundTruthGraph], k: int) -> float:
-    """Unweighted mean of per-predicate-category recall over a corpus.
+    """Unweighted mean of per-predicate-category recall over ranked lists.
 
     Each category's recall pools its ground-truth triplets across scenes;
     categories absent from the ground truth do not contribute.
@@ -129,14 +131,14 @@ def mean_recall_at_k(preds: list[list[ScoredTriplet]], gts: list[GroundTruthGrap
 
 
 def corpus_recall_at_k(preds: list[list[ScoredTriplet]], gts: list[GroundTruthGraph], k: int) -> float:
-    """Mean of per-scene recall_at_k (every scene weighted equally)."""
+    """Mean of per-scene recall_at_k over ranked lists (every scene weighted equally)."""
     if len(preds) != len(gts) or not gts:
         raise ValueError("need one prediction list per scene and at least one scene")
     return float(np.mean([recall_at_k(p, g, k) for p, g in zip(preds, gts)]))
 
 
 def corpus_pairwise_recall_at_k(preds: list[list[ScoredTriplet]], gts: list[GroundTruthGraph], k: int) -> float:
-    """Matched bidirectional pairs over total pairs, pooled across scenes."""
+    """Matched bidirectional pairs over total pairs, pooled across scenes' ranked lists."""
     if len(preds) != len(gts):
         raise ValueError(f"{len(preds)} prediction lists vs {len(gts)} ground truths")
     matched = total = 0

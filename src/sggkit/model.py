@@ -426,7 +426,7 @@ def train(
     The reference bank absorbs each scene's edge embeddings after that
     scene's backward pass. With metrics_every > 0 and eval records given,
     held-out metrics are logged every that many epochs (and on the last);
-    the held-out scenes are prepared once, up front.
+    the held-out scenes are prepared and checked for edges once, up front.
     """
     config.validate()
     if not train_records:
@@ -436,6 +436,9 @@ def train(
     bank = ReferenceBank(config.n_predicate_categories, config.d_edge, seed=[_STREAM_BANK, config.seed])
     preps = [prepare_scene(r, fp) for r in train_records]
     eval_preps = [prepare_scene(r, fp) for r in eval_records] if metrics_every > 0 and eval_records else []
+    for prep in eval_preps:
+        if not prep.record.edges:
+            raise ValueError(f"held-out scene {prep.scene_id}: no annotated edges, so recall is undefined")
     velocity = {name: np.zeros_like(p.data) for name, p in model.params.items()}
     log: list[EpochLog] = []
     for epoch in range(1, config.epochs + 1):
@@ -500,7 +503,7 @@ def evaluate(
     ks_pair: tuple[int, ...] = (2, 4, 8, 16),
     graph_constraint: bool = True,
 ) -> dict[str, float]:
-    """Corpus metrics keyed like "R@4", "mR@4", "pR@2" over prepared scenes."""
+    """Metrics over prepared scenes: "R@4", "mR@4", and "pR@2" when a scene has a bidirectional pair."""
     if not preps:
         raise ValueError("evaluation needs at least one scene")
     preds = [predict_scene(model, prep, graph_constraint) for prep in preps]
@@ -509,8 +512,9 @@ def evaluate(
     for k in ks_recall:
         out[f"R@{k}"] = corpus_recall_at_k(preds, gts, k)
         out[f"mR@{k}"] = mean_recall_at_k(preds, gts, k)
-    for k in ks_pair:
-        out[f"pR@{k}"] = corpus_pairwise_recall_at_k(preds, gts, k)
+    if any(gt.bidirectional_pairs for gt in gts):
+        for k in ks_pair:
+            out[f"pR@{k}"] = corpus_pairwise_recall_at_k(preds, gts, k)
     return out
 
 

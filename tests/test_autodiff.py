@@ -219,7 +219,7 @@ def test_grad_every_primitive_composite(seed):
         picked = ad.gather_rows(wide, [0, 2, 5, 2])
         sliced = ad.slice_rows(picked, 1, 4)
         sq = ad.pow_const(ad.add(ad.row_sum(sliced), ad.Matrix([[1.0], [1.0], [1.0]])), 2.0)
-        return ad.add(ad.add(ad.mean_all(sq), ad.sum_all(ad.softmax_rows(c))), ad.sum_all(ad.mul(att, c)))
+        return ad.add(ad.add(ad.scale(ad.sum_all(sq), 1.0 / sq.data.size), ad.sum_all(ad.softmax_rows(c))), ad.sum_all(ad.mul(att, c)))
 
     err = ad.grad_check(f, [a, b, c, d], eps=1e-5)
     assert err < 1e-6

@@ -9,14 +9,19 @@ import csv
 import hashlib
 import json
 import os
+import shutil
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import sggkit.cli
+import sggkit.metrics
 from sggkit.cli import main
 from sggkit.data import (
     Edge,
     FeatureParams,
+    GeneratorSpec,
     Node,
     SceneRecord,
     read_predictions,
@@ -31,7 +36,7 @@ from sggkit.metrics import (
     mean_recall_at_k,
     rank_triplets,
 )
-from sggkit.model import Model, load_checkpoint
+from sggkit.model import Model, evaluate, load_checkpoint, prepare_scene
 
 BASELINE_FUSION = "union"
 
@@ -52,6 +57,19 @@ def _write_config(path, **kv):
         for key, value in kv.items():
             fh.write(f"{key} = {value}\n")
     return str(path)
+
+
+def _rewrite_corpus(src, dst, records):
+    """Write `records` to dst next to a copy of src's spec sidecar."""
+    write_scenes(dst, records)
+    shutil.copy(f"{src}.meta.json", f"{dst}.meta.json")
+    return dst
+
+
+def _ground_truth_predictions(path, records):
+    write_predictions(path, {r.scene_id: [(e.subject, e.object, e.predicate, 1.0) for e in r.edges]
+                             for r in records})
+    return path
 
 
 @pytest.fixture(scope="module")
@@ -158,6 +176,20 @@ def test_train_epoch_log_shows_learning(checkpoint):
     assert float(last[2]) < float(first[2])  # predicate loss fell
 
 
+def test_train_without_held_out_pairs_leaves_pair_recall_empty(corpus, tmp_path):
+    # one edge per scene: no held-out scene has a bidirectional pair
+    oneway = _rewrite_corpus(corpus, str(tmp_path / "oneway.sgjsonl"),
+                             [replace(r, edges=r.edges[:1]) for r in read_scenes(corpus)])
+    ckpt = str(tmp_path / "oneway.ckpt.json")
+    assert main(["train", "--corpus", oneway, "--out", ckpt, "--epochs", "1", "--holdout", "20",
+                 "--ks-recall", "4", "--ks-pair", "2"]) == 0
+    assert os.path.exists(ckpt)
+    rows = _read_csv(f"{ckpt}.log.csv")
+    assert rows[0] == ["epoch", "L_ent", "L_pred", "L_ar", "R@4", "pR@2"]
+    assert rows[1][4] != ""
+    assert rows[1][5] == ""
+
+
 def test_train_missing_corpus_is_io_error(tmp_path, capsys):
     code = main(["train", "--corpus", str(tmp_path / "nope.sgjsonl"),
                  "--out", str(tmp_path / "x.ckpt.json"), "--epochs", "1"])
@@ -229,6 +261,53 @@ def test_eval_direction_blind_checkpoint_has_zero_pair_recall(tmp_path):
     pr_values = [float(r[3]) for r in _read_csv(out)[1:] if r[1] == "pR"]
     assert pr_values, "an all-asymmetric corpus still has bidirectional pairs"
     np.testing.assert_array_equal(pr_values, 0.0)
+
+
+@pytest.mark.parametrize("entry", ["eval --checkpoint", "eval --predictions", "train"])
+def test_scene_without_edges_is_named(entry, corpus, checkpoint, tmp_path, capsys):
+    records = read_scenes(corpus)
+    bare = records[-1].scene_id  # the last scene is held out by train
+    records[-1] = replace(records[-1], edges=[])
+    path = _rewrite_corpus(corpus, str(tmp_path / "bare.sgjsonl"), records)
+    out = str(tmp_path / "out.csv")
+    argv = {
+        "eval --checkpoint": ["eval", "--corpus", path, "--checkpoint", checkpoint, "--out", out],
+        "eval --predictions": ["eval", "--corpus", path, "--out", out, "--predictions",
+                               _ground_truth_predictions(str(tmp_path / "gt.pred.jsonl"), records)],
+        "train": ["train", "--corpus", path, "--out", out, "--epochs", "1", "--holdout", "10",
+                  "--ks-recall", "4", "--ks-pair", "2"],
+    }[entry]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"scene {bare}:" in err
+    if entry != "train":
+        assert path in err
+
+
+def test_each_scene_is_ranked_once(corpus, checkpoint, tmp_path, monkeypatch):
+    calls = []
+
+    def counted(rank):
+        def wrapper(scored):
+            calls.append(len(scored))
+            return rank(scored)
+        return wrapper
+
+    monkeypatch.setattr(sggkit.metrics, "rank_triplets", counted(sggkit.metrics.rank_triplets))
+    monkeypatch.setattr(sggkit.cli, "rank_triplets", counted(sggkit.cli.rank_triplets))
+    records = read_scenes(corpus)[:12]
+    small = _rewrite_corpus(corpus, str(tmp_path / "small.sgjsonl"), records)
+    preds = _ground_truth_predictions(str(tmp_path / "gt.pred.jsonl"), records)
+    assert main(["eval", "--corpus", small, "--predictions", preds, "--out", str(tmp_path / "m.csv"),
+                 "--ks-recall", "4,20", "--ks-pair", "2,4"]) == 0
+    assert len(calls) == len(records)
+
+    calls.clear()
+    model, _ = load_checkpoint(checkpoint)
+    with open(f"{corpus}.meta.json") as fh:
+        fp = FeatureParams.from_spec(GeneratorSpec.from_dict(json.load(fh)["spec"]))
+    evaluate(model, [prepare_scene(r, fp) for r in records], (4, 20), (2, 4))
+    assert len(calls) == len(records)
 
 
 def test_eval_rerun_is_byte_identical(corpus, checkpoint, tmp_path):

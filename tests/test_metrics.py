@@ -232,8 +232,8 @@ def test_metrics_match_brute_force_on_random_instances():
     for _ in range(500):
         pred, gt = make_random_instance(rng)
         for k in (1, 2, 4, 8, 16, 20):
-            assert recall_at_k(pred, gt, k) == brute_recall(pred, gt, k)
-            assert pairwise_recall_at_k(pred, gt, k) == brute_pairwise_recall(pred, gt, k)
+            assert recall_at_k(rank_triplets(pred), gt, k) == brute_recall(pred, gt, k)
+            assert pairwise_recall_at_k(rank_triplets(pred), gt, k) == brute_pairwise_recall(pred, gt, k)
         asym, sym = split_pairs_by_symmetry(gt)
         b_asym, b_sym = brute_symmetry_split(gt)
         assert sorted(asym) == sorted(b_asym) and sorted(sym) == sorted(b_sym)
@@ -250,7 +250,9 @@ def test_mean_recall_matches_brute_force_on_random_corpora():
             gts.append(g)
         for k in (1, 4, 16):
             np.testing.assert_allclose(
-                mean_recall_at_k(preds, gts, k), brute_mean_recall(preds, gts, k), atol=1e-12
+                mean_recall_at_k([rank_triplets(p) for p in preds], gts, k),
+                brute_mean_recall(preds, gts, k),
+                atol=1e-12,
             )
 
 
