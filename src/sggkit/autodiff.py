@@ -11,13 +11,11 @@ nothing and contribute zero.
 A Constant is a Matrix of data (inputs, targets, adjacencies) that never
 holds a gradient; matmul and mul do not even compute one for it.
 
-Tapes are kept on a thread-local stack: independent tapes may run on
-separate threads, but a single tape is strictly single-threaded.
+Active tapes form one module-level stack; primitives record onto the
+innermost.
 """
 
 from __future__ import annotations
-
-import threading
 
 import numpy as np
 
@@ -30,15 +28,7 @@ class NumericError(ArithmeticError):
     """A primitive produced a non-finite value."""
 
 
-_local = threading.local()
-
-
-def _stack() -> list:
-    stack = getattr(_local, "stack", None)
-    if stack is None:
-        stack = []
-        _local.stack = stack
-    return stack
+_stack: list[Tape] = []  # active tapes, innermost last
 
 
 class Matrix:
@@ -107,11 +97,11 @@ class Tape:
         self.records = []  # (op name, output Matrix, backward closure)
 
     def __enter__(self) -> "Tape":
-        _stack().append(self)
+        _stack.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        popped = _stack().pop()
+        popped = _stack.pop()
         if popped is not self:
             raise RuntimeError("Tape stack corrupted: exited a tape that is not innermost")
         return False
@@ -131,9 +121,8 @@ def _finish(name: str, out_data: np.ndarray, backward) -> Matrix:
     if not np.all(np.isfinite(out_data)):
         raise NumericError(f"{name} produced a non-finite value")
     out = _wrap(out_data)
-    stack = _stack()
-    if stack:
-        stack[-1].records.append((name, out, backward))
+    if _stack:
+        _stack[-1].records.append((name, out, backward))
     return out
 
 

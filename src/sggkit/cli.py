@@ -198,6 +198,8 @@ def _parse_ks(raw: str, flag: str) -> tuple[int, ...]:
         raise ValueError(f"{flag} expects a comma-separated list of integers, got {raw!r}") from exc
     if not ks:
         raise ValueError(f"{flag} needs at least one k")
+    if min(ks) < 1:
+        raise ValueError(f"{flag}: every k must be >= 1, got {raw!r}")
     return ks
 
 

@@ -389,13 +389,18 @@ def read_predictions(path) -> dict[str, list[tuple[int, int, int, float]]]:
             if not isinstance(obj, dict) or set(obj) != {"scene_id", "triplets"}:
                 raise ValueError(f"line {line_no}: expected keys scene_id and triplets")
             scene_id = obj["scene_id"]
+            if not isinstance(scene_id, str) or not isinstance(obj["triplets"], list):
+                raise ValueError(f"line {line_no}: scene_id must be a string and triplets a list")
             if scene_id in out:
                 raise ValueError(f"line {line_no}: duplicate scene id {scene_id!r}")
             triplets = []
-            for t in obj["triplets"]:
-                if not isinstance(t, list) or len(t) != 4:
-                    raise ValueError(f"line {line_no}: each triplet needs [subject, object, predicate, score]")
-                triplets.append((int(t[0]), int(t[1]), int(t[2]), float(t[3])))
+            try:
+                for t in obj["triplets"]:
+                    if not isinstance(t, list) or len(t) != 4:
+                        raise TypeError("each triplet needs [subject, object, predicate, score]")
+                    triplets.append((int(t[0]), int(t[1]), int(t[2]), float(t[3])))
+            except (TypeError, ValueError) as exc:  # e.g. a null or non-numeric field
+                raise ValueError(f"line {line_no}: {exc}") from exc
             out[scene_id] = triplets
     return out
 

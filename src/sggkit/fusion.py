@@ -17,6 +17,10 @@ Variants:
     concat      psi([s||o||u])        single arrangement
     sequential  psi([pre([s||o])||u]) subject/object fused first
     parallel    the full three-arrangement sum
+
+The variant is fixed when the weights are built: init_fusion_params returns
+FusionParams that carry it, and encode_edges runs the variant its params
+name.
 """
 
 from __future__ import annotations
@@ -71,6 +75,16 @@ class FusionParams:
     psi: Mlp
     pre: Mlp | None = None  # sequential only: fuses [s||o] before the union
 
+    def __post_init__(self):
+        if self.variant not in VARIANTS:
+            raise ValueError(f"unknown fusion variant {self.variant!r}, expected one of {VARIANTS}")
+
+    def named(self, prefix: str) -> dict[str, Matrix]:
+        out = self.psi.named(f"{prefix}.psi")
+        if self.pre is not None:
+            out.update(self.pre.named(f"{prefix}.pre"))
+        return out
+
 
 def init_fusion_params(
     rng: np.random.Generator,
@@ -80,33 +94,26 @@ def init_fusion_params(
     hidden: int | None = None,
 ) -> FusionParams:
     """hidden defaults to 2*d_e; pass hidden=0 for a purely affine map."""
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown fusion variant {variant!r}, expected one of {VARIANTS}")
     if hidden is None:
         hidden = 2 * d_e
     mid = [] if hidden == 0 else [hidden]
     if variant == "union":
         return FusionParams(variant, init_mlp(rng, [d] + mid + [d_e]))
-    if variant in ("concat", "parallel"):
-        return FusionParams(variant, init_mlp(rng, [3 * d] + mid + [d_e]))
-    pre = init_mlp(rng, [2 * d] + mid + [d])
-    psi = init_mlp(rng, [2 * d] + mid + [d_e])
-    return FusionParams(variant, psi, pre)
+    if variant == "sequential":
+        pre = init_mlp(rng, [2 * d] + mid + [d])
+        return FusionParams(variant, init_mlp(rng, [2 * d] + mid + [d_e]), pre)
+    return FusionParams(variant, init_mlp(rng, [3 * d] + mid + [d_e]))  # concat, parallel; unknown names fail here
 
 
-def encode_edges(variant: str, z_s: Matrix, z_o: Matrix, z_u: Matrix, params: FusionParams) -> Matrix:
-    """Encode M relations (M x D inputs each) with the requested fusion variant."""
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown fusion variant {variant!r}, expected one of {VARIANTS}")
-    if params.variant != variant:
-        raise ValueError(f"params were built for {params.variant!r}, not {variant!r}")
+def encode_edges(z_s: Matrix, z_o: Matrix, z_u: Matrix, params: FusionParams) -> Matrix:
+    """Encode M relations (M x D inputs each) with the variant the params were built for."""
     if not (z_s.shape == z_o.shape == z_u.shape):
         raise ShapeError(f"fusion inputs differ in shape: {z_s.shape}, {z_o.shape}, {z_u.shape}")
-    if variant == "union":
+    if params.variant == "union":
         return params.psi(z_u)
-    if variant == "concat":
+    if params.variant == "concat":
         return params.psi(concat_cols([z_s, z_o, z_u]))
-    if variant == "sequential":
+    if params.variant == "sequential":
         so = params.pre(concat_cols([z_s, z_o]))
         return params.psi(concat_cols([so, z_u]))
     # parallel: the shared map summed over the three constrained arrangements

@@ -36,6 +36,9 @@ class LihParams:
     w_v: Matrix
     w_f: Matrix
 
+    def named(self, prefix: str) -> dict[str, Matrix]:
+        return {f"{prefix}.{role}": m for role, m in vars(self).items()}
+
 
 def init_lih_params(rng: np.random.Generator, d: int, d_att: int | None = None) -> LihParams:
     d_att = d if d_att is None else d_att

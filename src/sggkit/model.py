@@ -54,17 +54,8 @@ from .metrics import (
     mean_recall_at_k,
     ranked_from_scores,
 )
-from .propagation import (
-    BlockAdjacency,
-    GraphState,
-    build_adjacency,
-    init_gat_params,
-    init_gcn_params,
-    init_gih_params,
-    propagate,
-)
-
-PROPAGATION_VARIANTS = ("gih", "gcn", "gat", "none")
+from .propagation import VARIANTS as PROPAGATION_VARIANTS
+from .propagation import BlockAdjacency, GraphState, build_adjacency, init_propagation, propagate
 
 # rng stream tags
 _STREAM_PARAMS = 23
@@ -227,7 +218,6 @@ class ForwardResult:
     node_logits: Matrix
     edge_logits: Matrix
     edge_embeddings: Matrix  # post-propagation edge features, pre-head
-    edge_index: list[tuple[int, int]]
 
 
 class Model:
@@ -242,17 +232,9 @@ class Model:
         in_union = 2 * config.d_appearance + 4
         self.node_map = (uniform_init(rng, in_node, d), uniform_init(rng, 1, d, fan_in=in_node))
         self.union_map = (uniform_init(rng, in_union, d), uniform_init(rng, 1, d, fan_in=in_union))
-        self.lih: LihParams | None = None
-        if config.use_lih:
-            self.lih = init_lih_params(rng, d, config.d_attention)
+        self.lih: LihParams | None = init_lih_params(rng, d, config.d_attention) if config.use_lih else None
         self.fusion = init_fusion_params(rng, config.fusion, d, d_e, hidden=config.fusion_hidden)
-        self.prop = None
-        if config.gih_variant == "gih":
-            self.prop = init_gih_params(rng, d, config.gih_layers)
-        elif config.gih_variant == "gcn":
-            self.prop = init_gcn_params(rng, d, config.gih_layers)
-        elif config.gih_variant == "gat":
-            self.prop = init_gat_params(rng, d, config.gih_layers)
+        self.prop = init_propagation(rng, config.gih_variant, d, config.gih_layers)
         self.entity_head = (uniform_init(rng, d, config.n_entity_categories), uniform_init(rng, 1, config.n_entity_categories, fan_in=d))
         self.predicate_head = (uniform_init(rng, d_e, config.n_predicate_categories), uniform_init(rng, 1, config.n_predicate_categories, fan_in=d_e))
         self.params = self._collect_params()
@@ -265,21 +247,9 @@ class Model:
             "union_map.b": self.union_map[1],
         }
         if self.lih is not None:
-            params.update({
-                "lih.w_q": self.lih.w_q, "lih.w_k": self.lih.w_k,
-                "lih.w_v": self.lih.w_v, "lih.w_f": self.lih.w_f,
-            })
-        params.update(self.fusion.psi.named("fusion.psi"))
-        if self.fusion.pre is not None:
-            params.update(self.fusion.pre.named("fusion.pre"))
-        if self.config.gih_variant in ("gih", "gcn"):
-            for i, w in enumerate(self.prop.weights):
-                params[f"prop.w{i}"] = w
-        elif self.config.gih_variant == "gat":
-            for i, (w, a_src, a_dst) in enumerate(self.prop.layers):
-                params[f"prop.w{i}"] = w
-                params[f"prop.a_src{i}"] = a_src
-                params[f"prop.a_dst{i}"] = a_dst
+            params.update(self.lih.named("lih"))
+        params.update(self.fusion.named("fusion"))
+        params.update(self.prop.named("prop"))
         params.update({
             "entity_head.w": self.entity_head[0], "entity_head.b": self.entity_head[1],
             "predicate_head.w": self.predicate_head[0], "predicate_head.b": self.predicate_head[1],
@@ -298,20 +268,16 @@ class Model:
                 z_s, z_o, z_u = lih_forward_batch(z_s, z_o, union0, self.lih)
             else:
                 z_u = union0
-            edges0 = encode_edges(cfg.fusion, z_s, z_o, z_u, self.fusion)
+            edges0 = encode_edges(z_s, z_o, z_u, self.fusion)
         else:
             edges0 = Matrix(np.zeros((0, cfg.d_edge)))
-        if cfg.gih_variant != "none":
-            state = propagate(cfg.gih_variant, GraphState(nodes0, edges0), prep.adjacency, self.prop)
-            nodes1, edges1 = state.node_feats, state.edge_feats
-        else:
-            nodes1, edges1 = nodes0, edges0
-        node_logits = linear_map(nodes1, *self.entity_head)
+        state = propagate(GraphState(nodes0, edges0), prep.adjacency, self.prop)
+        node_logits = linear_map(state.node_feats, *self.entity_head)
         if m > 0:
-            edge_logits = linear_map(edges1, *self.predicate_head)
+            edge_logits = linear_map(state.edge_feats, *self.predicate_head)
         else:
             edge_logits = Matrix(np.zeros((0, cfg.n_predicate_categories)))
-        return ForwardResult(node_logits, edge_logits, edges1, prep.edge_index)
+        return ForwardResult(node_logits, edge_logits, state.edge_feats)
 
 
 def _cross_entropy(logits: Matrix, onehot: np.ndarray, row_weights: np.ndarray | None = None) -> Matrix:
@@ -493,7 +459,7 @@ def _check_vocabulary(config: ModelConfig, fp: FeatureParams) -> None:
 def predict_scene(model: Model, prep: PreparedScene, graph_constraint: bool = True):
     """Ranked triplets for one scene (no gradients recorded)."""
     out = model.forward(prep)
-    return ranked_from_scores(out.edge_index, softmax_rows(out.edge_logits).data, graph_constraint)
+    return ranked_from_scores(prep.edge_index, softmax_rows(out.edge_logits).data, graph_constraint)
 
 
 def evaluate(
@@ -538,20 +504,27 @@ def save_checkpoint(path, model: Model, bank: ReferenceBank) -> None:
 
 def load_checkpoint(path) -> tuple[Model, ReferenceBank]:
     with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+        try:
+            payload = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: not valid JSON ({exc.msg})") from exc
+    if not (isinstance(payload, dict) and all(isinstance(payload.get(k), dict) for k in ("config", "params", "bank"))
+            and {"refs", "counts", "rng_state", "skipped_pairs"} <= set(payload["bank"])):
+        raise ValueError(f"{path}: not a checkpoint: expected a JSON object with config, params and bank "
+                         f"objects, the bank holding refs, counts, rng_state and skipped_pairs")
     version = payload.get("format_version")
     if version != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {version!r}")
+        raise ValueError(f"{path}: unsupported checkpoint version {version!r}")
     model = Model(ModelConfig.from_dict(payload["config"]))
     saved = payload["params"]
     if set(saved) != set(model.params):
-        raise ValueError("checkpoint parameter names do not match the configuration")
+        raise ValueError(f"{path}: checkpoint parameter names do not match the configuration")
     for name, p in model.params.items():
         arr = np.asarray(saved[name], dtype=np.float64)
         if arr.shape != p.data.shape:
-            raise ValueError(f"checkpoint parameter {name} has shape {arr.shape}, expected {p.data.shape}")
+            raise ValueError(f"{path}: checkpoint parameter {name} has shape {arr.shape}, expected {p.data.shape}")
         p.data = arr
     bank = ReferenceBank.from_state(payload["bank"])
     if bank.n_categories != model.config.n_predicate_categories or bank.dim != model.config.d_edge:
-        raise ValueError("checkpoint bank size does not match the configuration")
+        raise ValueError(f"{path}: checkpoint bank size does not match the configuration")
     return model, bank

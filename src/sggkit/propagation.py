@@ -18,6 +18,10 @@ as (A~ G) W. Zero weights therefore make an even-depth stack an exact
 identity. The gcn and gat baselines update node rows only and leave edge
 rows untouched, which is what the edge-awareness comparisons rely on.
 
+The variant is fixed when the weights are built: init_propagation returns
+PropagationParams that carry it, and propagate runs the variant its params
+name (none passes the state through).
+
 A BlockAdjacency stores only edge endpoints and opposite-edge pairs. Each
 gih_forward builds A~ as a Constant for that forward and its backward, so
 no gradient is formed for it; gcn and gat build the node block likewise.
@@ -114,19 +118,51 @@ class GraphState:
     edge_feats: Matrix
 
 
+VARIANTS = ("gih", "gcn", "gat", "none")
+
+
 @dataclass
-class GihParams:
-    weights: list[Matrix]  # one square D x D matrix per layer
+class PropagationParams:
+    """Weights of one propagation variant, fixed when they are built.
+
+    Each layer is (w,) for gih and gcn, and (w, a_src, a_dst) for gat;
+    none has no layers.
+    """
+
+    variant: str
+    layers: list[tuple[Matrix, ...]]
+
+    def __post_init__(self):
+        if self.variant not in VARIANTS:
+            raise ValueError(f"unknown propagation variant {self.variant!r}, expected one of {VARIANTS}")
+
+    def named(self, prefix: str) -> dict[str, Matrix]:
+        out = {}
+        for i, layer in enumerate(self.layers):
+            for role, m in zip(("w", "a_src", "a_dst"), layer):
+                out[f"{prefix}.{role}{i}"] = m
+        return out
 
 
-def init_gih_params(rng: np.random.Generator, d: int, n_layers: int = 4) -> GihParams:
-    if n_layers < 2 or n_layers % 2 != 0:
-        raise ValueError(f"layer count must be even and >= 2, got {n_layers}")
-    # The unnormalized block adjacency multiplies feature magnitudes by its
-    # spectral radius (about 9 when every ordered pair of 6 nodes is a
-    # candidate edge), so the weights start 10x smaller than plain fan-in
-    # scaling to keep a 4-layer stack near unit gain.
-    return GihParams([uniform_init(rng, d, d, fan_in=100 * d) for _ in range(n_layers)])
+def init_propagation(rng: np.random.Generator, variant: str, d: int, n_layers: int = 4) -> PropagationParams:
+    if variant == "gih":
+        if n_layers < 2 or n_layers % 2 != 0:
+            raise ValueError(f"layer count must be even and >= 2, got {n_layers}")
+        # The unnormalized block adjacency multiplies feature magnitudes by its
+        # spectral radius (about 9 when every ordered pair of 6 nodes is a
+        # candidate edge), so the weights start 10x smaller than plain fan-in
+        # scaling to keep a 4-layer stack near unit gain.
+        return PropagationParams(variant, [(uniform_init(rng, d, d, fan_in=100 * d),) for _ in range(n_layers)])
+    if variant in ("gcn", "gat") and n_layers < 1:
+        raise ValueError(f"layer count must be >= 1, got {n_layers}")
+    if variant == "gcn":
+        return PropagationParams(variant, [(uniform_init(rng, d, d),) for _ in range(n_layers)])
+    if variant == "gat":
+        return PropagationParams(variant, [
+            (uniform_init(rng, d, d), uniform_init(rng, d, 1, fan_in=2 * d), uniform_init(rng, d, 1, fan_in=2 * d))
+            for _ in range(n_layers)
+        ])
+    return PropagationParams(variant, [])  # none; an unknown name is rejected here
 
 
 def _check_state(state: GraphState, adj: BlockAdjacency) -> None:
@@ -141,28 +177,17 @@ def _check_state(state: GraphState, adj: BlockAdjacency) -> None:
         )
 
 
-def gih_forward(state: GraphState, adj: BlockAdjacency, params: GihParams) -> GraphState:
+def gih_forward(state: GraphState, adj: BlockAdjacency, params: PropagationParams) -> GraphState:
     _check_state(state, adj)
     at = Constant(adj.a_tilde)
     g = concat_rows([state.node_feats, state.edge_feats])
     prev = {0: g}
-    for l, w in enumerate(params.weights, start=1):
+    for l, (w,) in enumerate(params.layers, start=1):
         h = relu(matmul(matmul(at, prev[l - 1]), w))
         prev[l] = h if l % 2 == 1 else add(prev[l - 2], h)
-    out = prev[len(params.weights)]
+    out = prev[len(params.layers)]
     n = adj.n_nodes
     return GraphState(slice_rows(out, 0, n), slice_rows(out, n, n + adj.n_edges))
-
-
-@dataclass
-class GcnParams:
-    weights: list[Matrix]
-
-
-def init_gcn_params(rng: np.random.Generator, d: int, n_layers: int = 4) -> GcnParams:
-    if n_layers < 1:
-        raise ValueError(f"layer count must be >= 1, got {n_layers}")
-    return GcnParams([uniform_init(rng, d, d) for _ in range(n_layers)])
 
 
 def normalized_node_adjacency(adj: BlockAdjacency) -> np.ndarray:
@@ -172,38 +197,18 @@ def normalized_node_adjacency(adj: BlockAdjacency) -> np.ndarray:
     return a_hat * d_inv_sqrt[:, None] * d_inv_sqrt[None, :]
 
 
-def gcn_forward(state: GraphState, adj: BlockAdjacency, params: GcnParams) -> GraphState:
+def gcn_forward(state: GraphState, adj: BlockAdjacency, params: PropagationParams) -> GraphState:
     """Standard graph convolution over node rows only; edge rows pass through."""
     if state.node_feats.rows != adj.n_nodes:
         raise ShapeError(f"state has {state.node_feats.rows} node rows, adjacency {adj.n_nodes}")
     a_hat = Constant(normalized_node_adjacency(adj))
     h = state.node_feats
-    for w in params.weights:
+    for (w,) in params.layers:
         h = relu(matmul(matmul(a_hat, h), w))
     return GraphState(h, state.edge_feats)
 
 
-@dataclass
-class GatParams:
-    layers: list[tuple[Matrix, Matrix, Matrix]]  # (w, a_src, a_dst) per layer
-
-
-def init_gat_params(rng: np.random.Generator, d: int, n_layers: int = 4) -> GatParams:
-    if n_layers < 1:
-        raise ValueError(f"layer count must be >= 1, got {n_layers}")
-    layers = []
-    for _ in range(n_layers):
-        layers.append(
-            (
-                uniform_init(rng, d, d),
-                uniform_init(rng, d, 1, fan_in=2 * d),
-                uniform_init(rng, d, 1, fan_in=2 * d),
-            )
-        )
-    return GatParams(layers)
-
-
-def gat_forward(state: GraphState, adj: BlockAdjacency, params: GatParams) -> GraphState:
+def gat_forward(state: GraphState, adj: BlockAdjacency, params: PropagationParams) -> GraphState:
     """Attention over node neighbourhoods (self included); edge rows pass through."""
     if state.node_feats.rows != adj.n_nodes:
         raise ShapeError(f"state has {state.node_feats.rows} node rows, adjacency {adj.n_nodes}")
@@ -222,13 +227,12 @@ def gat_forward(state: GraphState, adj: BlockAdjacency, params: GatParams) -> Gr
     return GraphState(h, state.edge_feats)
 
 
-def propagate(variant: str, state: GraphState, adj: BlockAdjacency, params) -> GraphState:
-    if variant == "gih":
+def propagate(state: GraphState, adj: BlockAdjacency, params: PropagationParams) -> GraphState:
+    """Run the variant the params were built for; none returns the state as is."""
+    if params.variant == "gih":
         return gih_forward(state, adj, params)
-    if variant == "gcn":
+    if params.variant == "gcn":
         return gcn_forward(state, adj, params)
-    if variant == "gat":
+    if params.variant == "gat":
         return gat_forward(state, adj, params)
-    if variant == "none":
-        return state
-    raise ValueError(f"unknown propagation variant {variant!r}")
+    return state

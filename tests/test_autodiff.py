@@ -141,6 +141,24 @@ def test_unused_output_keeps_zero_gradient():
     np.testing.assert_array_equal(x.grad, [[2.0, 2.0]])
 
 
+def test_nested_tapes_record_on_the_innermost_and_exit_in_order():
+    x = ad.Matrix([[1.0]])
+    outer, inner = ad.Tape(), ad.Tape()
+    with outer:
+        ad.scale(x, 2.0)
+        with inner:
+            ad.scale(x, 3.0)
+        ad.scale(x, 4.0)
+    assert len(outer.records) == 2 and len(inner.records) == 1
+    outer.__enter__()
+    inner.__enter__()
+    with pytest.raises(RuntimeError, match="Tape stack corrupted"):
+        outer.__exit__(None, None, None)  # pops inner, which is innermost
+    outer.__exit__(None, None, None)
+    ad.scale(x, 5.0)  # no tape is active, so nothing records it
+    assert len(outer.records) == 2 and len(inner.records) == 1
+
+
 def test_forward_is_bit_deterministic():
     rng = np.random.default_rng(7)
     x = rng.normal(size=(6, 6))

@@ -328,6 +328,60 @@ def test_eval_bad_k_list_is_validation_error(corpus, checkpoint, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("command,flag,value", [("train", "--ks-pair", "0"), ("train", "--ks-recall", "4,-1"),
+                                                ("eval", "--ks-recall", "0")])
+def test_k_below_one_names_the_flag(command, flag, value, corpus, checkpoint, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(sggkit.cli, "train", lambda *a, **kw: pytest.fail("trained before checking the k lists"))
+    out = str(tmp_path / "out")
+    source = ["--out", out] if command == "train" else ["--checkpoint", checkpoint, "--out", out]
+    assert main([command, "--corpus", corpus, *source, flag, value]) == 2
+    assert f"{flag}: every k must be >= 1" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("case", ["not json", "list", "no config", "no params", "no bank",
+                                  "bank is a list", "bank without rng_state"])
+def test_malformed_checkpoint_names_the_path(case, corpus, checkpoint, tmp_path, capsys):
+    with open(checkpoint) as fh:
+        payload = json.load(fh)
+
+    def drop(d, key):
+        return {k: v for k, v in d.items() if k != key}
+
+    text = {
+        "not json": "{config",
+        "list": json.dumps([payload]),
+        "no config": json.dumps(drop(payload, "config")),
+        "no params": json.dumps(drop(payload, "params")),
+        "no bank": json.dumps(drop(payload, "bank")),
+        "bank is a list": json.dumps({**payload, "bank": [payload["bank"]]}),
+        "bank without rng_state": json.dumps({**payload, "bank": drop(payload["bank"], "rng_state")}),
+    }[case]
+    bad = tmp_path / "bad.ckpt.json"
+    bad.write_text(text)
+    assert main(["eval", "--corpus", corpus, "--checkpoint", str(bad), "--out", str(tmp_path / "m.csv")]) == 2
+    assert f"error: {bad}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", [
+    '{"scene_id": "s", "triplets": [[0, 1, null, 0.5]]}',
+    '{"scene_id": "s", "triplets": [[0, 1, 2, "high"]]}',
+    '{"scene_id": "s", "triplets": [[0, [1], 2, 0.5]]}',
+    '{"scene_id": "s", "triplets": [[0, 1, 2]]}',
+    '{"scene_id": "s", "triplets": 7}',
+    '{"scene_id": "s", "triplets": null}',
+    '{"scene_id": ["s"], "triplets": []}',
+    '{"scene_id": 3, "triplets": []}',
+])
+def test_malformed_prediction_line_is_named(line, corpus, tmp_path, capsys):
+    records = read_scenes(corpus)
+    path = _ground_truth_predictions(str(tmp_path / "p.pred.jsonl"), records[:2])
+    with open(path, "a") as fh:
+        fh.write(line + "\n")
+    assert main(["eval", "--corpus", corpus, "--predictions", path, "--out", str(tmp_path / "m.csv")]) == 2
+    assert "error: line 3: " in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # train/eval determinism end to end
 

@@ -56,7 +56,7 @@ def test_zero_weights_return_triple_bias():
     params = FusionParams("parallel", Mlp([(w, b)]))
     rng = np.random.default_rng(0)
     z_s, z_o, z_u = _rows(rng, 2, d)
-    out = encode_edges("parallel", z_s, z_o, z_u, params)
+    out = encode_edges(z_s, z_o, z_u, params)
     np.testing.assert_allclose(out.data, np.tile(3.0 * b.data, (2, 1)), atol=1e-15)
 
 
@@ -66,8 +66,8 @@ def test_subject_equal_object_is_swap_invariant():
     params = init_fusion_params(rng, "parallel", d, d_e)
     z = ad.Matrix(rng.normal(size=(1, d)))
     u = ad.Matrix(rng.normal(size=(1, d)))
-    out1 = encode_edges("parallel", z, ad.Matrix(z.data.copy()), u, params)
-    out2 = encode_edges("parallel", ad.Matrix(z.data.copy()), z, u, params)
+    out1 = encode_edges(z, ad.Matrix(z.data.copy()), u, params)
+    out2 = encode_edges(ad.Matrix(z.data.copy()), z, u, params)
     np.testing.assert_array_equal(out1.data, out2.data)
 
 
@@ -78,8 +78,8 @@ def test_direction_sensitivity_on_seeded_inputs():
     params = init_fusion_params(rng, "parallel", d, d_e)
     for _ in range(1000):
         z_s, z_o, z_u = _rows(rng, 1, d)
-        fwd = encode_edges("parallel", z_s, z_o, z_u, params).data
-        bwd = encode_edges("parallel", z_o, z_s, z_u, params).data
+        fwd = encode_edges(z_s, z_o, z_u, params).data
+        bwd = encode_edges(z_o, z_s, z_u, params).data
         assert np.abs(fwd - bwd).max() > 1e-6
 
 
@@ -88,8 +88,8 @@ def test_union_variant_is_bit_identical_under_swap():
     d, d_e = 6, 4
     params = init_fusion_params(rng, "union", d, d_e)
     z_s, z_o, z_u = _rows(rng, 3, d)
-    fwd = encode_edges("union", z_s, z_o, z_u, params)
-    bwd = encode_edges("union", z_o, z_s, z_u, params)
+    fwd = encode_edges(z_s, z_o, z_u, params)
+    bwd = encode_edges(z_o, z_s, z_u, params)
     assert fwd.data.tobytes() == bwd.data.tobytes()
 
 
@@ -100,7 +100,7 @@ def test_concat_zero_weight_returns_bias():
     params = FusionParams("concat", Mlp([(w, b)]))
     rng = np.random.default_rng(4)
     z_s, z_o, z_u = _rows(rng, 2, d)
-    out = encode_edges("concat", z_s, z_o, z_u, params)
+    out = encode_edges(z_s, z_o, z_u, params)
     np.testing.assert_array_equal(out.data, np.tile(b.data, (2, 1)))
 
 
@@ -109,7 +109,7 @@ def test_sequential_uses_both_stages():
     d, d_e = 4, 3
     params = init_fusion_params(rng, "sequential", d, d_e)
     z_s, z_o, z_u = _rows(rng, 2, d)
-    out = encode_edges("sequential", z_s, z_o, z_u, params)
+    out = encode_edges(z_s, z_o, z_u, params)
     assert out.shape == (2, d_e)
     # zeroing the first stage changes the result
     zeroed = FusionParams(
@@ -117,7 +117,7 @@ def test_sequential_uses_both_stages():
         params.psi,
         Mlp([(ad.Matrix(np.zeros_like(w.data)), ad.Matrix(np.zeros_like(b.data))) for w, b in params.pre.layers]),
     )
-    out2 = encode_edges("sequential", z_s, z_o, z_u, zeroed)
+    out2 = encode_edges(z_s, z_o, z_u, zeroed)
     assert np.abs(out.data - out2.data).max() > 1e-8
 
 
@@ -126,17 +126,8 @@ def test_unknown_variant_raises():
     with pytest.raises(ValueError, match="unknown fusion variant"):
         init_fusion_params(rng, "cascade", 4, 4)
     params = init_fusion_params(rng, "union", 4, 4)
-    z = _rows(rng, 1, 4)
-    with pytest.raises(ValueError):
-        encode_edges("cascade", *z, params)
-
-
-def test_variant_params_mismatch_raises():
-    rng = np.random.default_rng(8)
-    params = init_fusion_params(rng, "union", 4, 4)
-    z = _rows(rng, 1, 4)
-    with pytest.raises(ValueError, match="built for"):
-        encode_edges("parallel", *z, params)
+    with pytest.raises(ValueError, match="unknown fusion variant"):
+        FusionParams("cascade", params.psi)
 
 
 def test_width_mismatch_raises():
@@ -148,7 +139,7 @@ def test_width_mismatch_raises():
         ad.Matrix(rng.normal(size=(1, 4))),
     )
     with pytest.raises(ad.ShapeError):
-        encode_edges("parallel", *bad, params)
+        encode_edges(*bad, params)
 
 
 def test_depth_zero_mlp_is_affine():
@@ -163,13 +154,10 @@ def test_gradients_per_variant(variant):
     d, d_e = 3, 2
     params = init_fusion_params(rng, variant, d, d_e)
     z_s, z_o, z_u = _rows(rng, 2, d)
-    mats = [z_s, z_o, z_u]
-    mats += [m for w_b in params.psi.layers for m in w_b]
-    if params.pre is not None:
-        mats += [m for w_b in params.pre.layers for m in w_b]
+    mats = [z_s, z_o, z_u, *params.named("fusion").values()]
 
     def f():
-        return ad.sum_all(ad.pow_const(encode_edges(variant, z_s, z_o, z_u, params), 2.0))
+        return ad.sum_all(ad.pow_const(encode_edges(z_s, z_o, z_u, params), 2.0))
 
     assert ad.grad_check(f, mats, eps=1e-5) < 1e-6
 
@@ -179,10 +167,9 @@ def test_batch_rows_equal_per_row_encoding():
     d, d_e, m = 4, 3, 5
     params = init_fusion_params(rng, "parallel", d, d_e)
     z_s, z_o, z_u = _rows(rng, m, d)
-    batch = encode_edges("parallel", z_s, z_o, z_u, params).data
+    batch = encode_edges(z_s, z_o, z_u, params).data
     for i in range(m):
         row = encode_edges(
-            "parallel",
             ad.Matrix(z_s.data[i : i + 1].copy()),
             ad.Matrix(z_o.data[i : i + 1].copy()),
             ad.Matrix(z_u.data[i : i + 1].copy()),

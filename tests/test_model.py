@@ -219,10 +219,11 @@ def test_probability_rows_sum_to_one_across_variants():
 def test_single_proposal_no_edges():
     fp = FeatureParams.from_spec(tiny_spec())
     record = SceneRecord("solo", [Node(0, 3, (0.1, 0.2, 0.6, 0.9), 7)], [])
-    out = Model(tiny_config()).forward(prepare_scene(record, fp))
+    prep = prepare_scene(record, fp)
+    out = Model(tiny_config()).forward(prep)
     assert probs(out.node_logits).shape == (1, 11)
     assert probs(out.edge_logits).shape == (0, 5)
-    assert out.edge_index == []
+    assert prep.edge_index == []
 
 
 def test_identical_proposals_get_identical_node_rows():
@@ -306,10 +307,7 @@ def test_perfect_one_hot_predictions_loss_near_zero():
     cfg = tiny_config(w_ar=0.0)
     node_logits = Matrix(prep.node_onehot * 60.0 - 30.0)
     edge_logits = Matrix(prep.edge_onehot * 60.0 - 30.0)
-    out = ForwardResult(
-        node_logits, edge_logits,
-        Matrix(np.zeros((prep.n_edges, cfg.d_edge))), prep.edge_index,
-    )
+    out = ForwardResult(node_logits, edge_logits, Matrix(np.zeros((prep.n_edges, cfg.d_edge))))
     loss, _ = total_loss(out, prep, ReferenceBank(5, 8), cfg)
     assert loss.item() <= 1e-6
 
@@ -327,7 +325,7 @@ def _three_node_scene(edges):
 def _predicate_loss(prep, cfg, edge_logits):
     out = ForwardResult(
         Matrix(np.zeros((prep.n_nodes, cfg.n_entity_categories))), Matrix(edge_logits),
-        Matrix(np.zeros((prep.n_edges, cfg.d_edge))), prep.edge_index,
+        Matrix(np.zeros((prep.n_edges, cfg.d_edge))),
     )
     _, parts = total_loss(out, prep, ReferenceBank(3, 4), cfg)
     return parts["loss_predicate"]
@@ -502,3 +500,44 @@ def test_checkpoint_version_and_shape_guards(tmp_path):
     bad.write_text(json.dumps(payload))
     with pytest.raises(ValueError, match="shape"):
         load_checkpoint(bad)
+
+
+# Checkpoint parameter names and shapes per component at tiny_config widths:
+# d_appearance 5 (node inputs 5 + 4 + 11 = 20, union inputs 2 * 5 + 4 = 14),
+# d_node = d_edge = 8, fusion hidden 2 * 8 = 16, 11 entity and 5 predicate
+# categories, 2 propagation layers. A checkpoint written earlier loads only
+# while this table holds.
+_ALWAYS = {
+    "node_map.w": (20, 8), "node_map.b": (1, 8), "union_map.w": (14, 8), "union_map.b": (1, 8),
+    "entity_head.w": (8, 11), "entity_head.b": (1, 11),
+    "predicate_head.w": (8, 5), "predicate_head.b": (1, 5),
+}
+_LIH = {"lih.w_q": (8, 8), "lih.w_k": (8, 8), "lih.w_v": (8, 8), "lih.w_f": (8, 8)}
+_THREE_ROLE_PSI = {"fusion.psi.w0": (24, 16), "fusion.psi.b0": (1, 16),
+                   "fusion.psi.w1": (16, 8), "fusion.psi.b1": (1, 8)}
+_FUSION = {
+    "union": {"fusion.psi.w0": (8, 16), "fusion.psi.b0": (1, 16),
+              "fusion.psi.w1": (16, 8), "fusion.psi.b1": (1, 8)},
+    "concat": _THREE_ROLE_PSI,
+    "parallel": _THREE_ROLE_PSI,
+    "sequential": {"fusion.pre.w0": (16, 16), "fusion.pre.b0": (1, 16),
+                   "fusion.pre.w1": (16, 8), "fusion.pre.b1": (1, 8),
+                   "fusion.psi.w0": (16, 16), "fusion.psi.b0": (1, 16),
+                   "fusion.psi.w1": (16, 8), "fusion.psi.b1": (1, 8)},
+}
+_PROPAGATION = {
+    "gih": {"prop.w0": (8, 8), "prop.w1": (8, 8)},
+    "gcn": {"prop.w0": (8, 8), "prop.w1": (8, 8)},
+    "gat": {"prop.w0": (8, 8), "prop.a_src0": (8, 1), "prop.a_dst0": (8, 1),
+            "prop.w1": (8, 8), "prop.a_src1": (8, 1), "prop.a_dst1": (8, 1)},
+    "none": {},
+}
+
+
+@pytest.mark.parametrize("use_lih", [True, False])
+@pytest.mark.parametrize("gih_variant", sorted(_PROPAGATION))
+@pytest.mark.parametrize("fusion", sorted(_FUSION))
+def test_checkpoint_parameter_names_and_shapes(fusion, gih_variant, use_lih):
+    model = Model(tiny_config(fusion=fusion, gih_variant=gih_variant, use_lih=use_lih))
+    expect = {**_ALWAYS, **(_LIH if use_lih else {}), **_FUSION[fusion], **_PROPAGATION[gih_variant]}
+    assert {name: p.data.shape for name, p in model.params.items()} == expect

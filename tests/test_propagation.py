@@ -6,18 +6,13 @@ import pytest
 from helpers import a_ee_of, a_en_of, a_ne_of, a_nn_of, a_of, loop_a_tilde
 from sggkit import autodiff as ad
 from sggkit.propagation import (
-    BlockAdjacency,
-    GatParams,
-    GcnParams,
-    GihParams,
     GraphState,
+    PropagationParams,
     build_adjacency,
     gat_forward,
     gcn_forward,
     gih_forward,
-    init_gat_params,
-    init_gcn_params,
-    init_gih_params,
+    init_propagation,
     normalized_node_adjacency,
     propagate,
 )
@@ -95,7 +90,7 @@ def test_zero_weights_even_depth_is_exact_identity():
     state = _state(rng, n, m, d)
     edges = [(0, 1), (1, 0), (1, 2), (2, 0)]
     adj = build_adjacency(n, edges)
-    params = GihParams([ad.Matrix(np.zeros((d, d))) for _ in range(4)])
+    params = PropagationParams("gih", [(ad.Matrix(np.zeros((d, d))),) for _ in range(4)])
     out = gih_forward(state, adj, params)
     np.testing.assert_array_equal(out.node_feats.data, state.node_feats.data)
     np.testing.assert_array_equal(out.edge_feats.data, state.edge_feats.data)
@@ -106,7 +101,7 @@ def test_identity_adjacency_identity_weights_doubles_nonneg_input():
     n, d = 4, 3
     state = GraphState(ad.Matrix(rng.uniform(0.0, 1.0, size=(n, d))), ad.Matrix(np.zeros((0, d))))
     adj = build_adjacency(n, [])
-    params = GihParams([ad.Matrix(np.eye(d)), ad.Matrix(np.eye(d))])
+    params = PropagationParams("gih", [(ad.Matrix(np.eye(d)),), (ad.Matrix(np.eye(d)),)])
     out = gih_forward(state, adj, params)
     np.testing.assert_allclose(out.node_feats.data, 2.0 * state.node_feats.data, atol=1e-15)
 
@@ -119,10 +114,10 @@ def test_matches_dense_reference_bit_exact():
     m = len(edges)
     state = _state(rng, n, m, d)
     adj = build_adjacency(n, edges)
-    params = init_gih_params(rng, d, 4)
+    params = init_propagation(rng, "gih", d, 4)
 
     g_prev = {0: np.concatenate([state.node_feats.data, state.edge_feats.data], axis=0)}
-    for l, w in enumerate(params.weights, start=1):
+    for l, (w,) in enumerate(params.layers, start=1):
         h = np.maximum((adj.a_tilde @ g_prev[l - 1]) @ w.data, 0.0)
         g_prev[l] = h if l % 2 == 1 else g_prev[l - 2] + h
     expect = g_prev[4]
@@ -137,12 +132,12 @@ def test_state_shape_mismatch_raises():
     adj = build_adjacency(3, [(0, 1)])
     state = _state(rng, 3, 2, 4)  # adjacency has 1 edge, state has 2
     with pytest.raises(ad.ShapeError, match="do not match"):
-        gih_forward(state, adj, init_gih_params(rng, 4))
+        gih_forward(state, adj, init_propagation(rng, "gih", 4))
 
 
 def test_odd_layer_count_rejected():
     with pytest.raises(ValueError):
-        init_gih_params(np.random.default_rng(0), 4, 3)
+        init_propagation(np.random.default_rng(0), "gih", 4, 3)
 
 
 def test_locality_disconnected_component_unchanged():
@@ -151,7 +146,7 @@ def test_locality_disconnected_component_unchanged():
     d = 4
     edges = [(0, 1), (1, 0)]  # nodes 2, 3 are isolated from 0, 1
     adj = build_adjacency(4, edges)
-    params = init_gih_params(rng, d, 4)
+    params = init_propagation(rng, "gih", d, 4)
     base = _state(rng, 4, 2, d)
     out1 = gih_forward(base, adj, params)
 
@@ -168,7 +163,7 @@ def test_gcn_zero_weights_zero_nodes_edges_untouched():
     n, m, d = 3, 2, 4
     state = _state(rng, n, m, d)
     adj = build_adjacency(n, [(0, 1), (1, 2)])
-    params = GcnParams([ad.Matrix(np.zeros((d, d))) for _ in range(2)])
+    params = PropagationParams("gcn", [(ad.Matrix(np.zeros((d, d))),) for _ in range(2)])
     out = gcn_forward(state, adj, params)
     np.testing.assert_array_equal(out.node_feats.data, np.zeros((n, d)))
     assert out.edge_feats is state.edge_feats
@@ -185,7 +180,7 @@ def test_gcn_path_graph_one_layer_hand_case():
     norm = a_hat / np.sqrt(deg)[:, None] / np.sqrt(deg)[None, :]
     expect = np.maximum(norm @ x, 0.0)
     state = GraphState(ad.Matrix(x), ad.Matrix(np.zeros((3, d))))
-    out = gcn_forward(state, adj, GcnParams([ad.Matrix(np.eye(d))]))
+    out = gcn_forward(state, adj, PropagationParams("gcn", [(ad.Matrix(np.eye(d)),)]))
     np.testing.assert_allclose(out.node_feats.data, expect, atol=1e-14)
 
 
@@ -197,7 +192,7 @@ def test_gat_constant_logits_equals_mean_aggregation():
     adj = build_adjacency(n, edges)
     x = rng.normal(size=(n, d))
     w = rng.normal(size=(d, d))
-    params = GatParams([(ad.Matrix(w), ad.Matrix(np.zeros((d, 1))), ad.Matrix(np.zeros((d, 1))))])
+    params = PropagationParams("gat", [(ad.Matrix(w), ad.Matrix(np.zeros((d, 1))), ad.Matrix(np.zeros((d, 1))))])
     state = GraphState(ad.Matrix(x), ad.Matrix(np.zeros((0, d))))
     out = gat_forward(state, adj, params)
     mask = (a_nn_of(adj) + np.eye(n)) > 0
@@ -211,8 +206,8 @@ def test_gcn_gat_never_touch_edge_rows():
     n, m, d = 4, 3, 4
     state = _state(rng, n, m, d)
     adj = build_adjacency(n, [(0, 1), (1, 0), (2, 3)])
-    for variant, params in [("gcn", init_gcn_params(rng, d)), ("gat", init_gat_params(rng, d))]:
-        out = propagate(variant, state, adj, params)
+    for variant in ("gcn", "gat"):
+        out = propagate(state, adj, init_propagation(rng, variant, d))
         assert out.edge_feats is state.edge_feats, variant
 
 
@@ -227,7 +222,7 @@ def test_edge_awareness_separation():
         ad.Matrix(base.node_feats.data.copy()),
         ad.Matrix(base.edge_feats.data + 5.0),
     )
-    gih = init_gih_params(rng, d, 4)
+    gih = init_propagation(rng, "gih", d, 4)
     assert (
         np.abs(
             gih_forward(base, adj, gih).node_feats.data
@@ -235,12 +230,12 @@ def test_edge_awareness_separation():
         ).max()
         > 1e-6
     )
-    gcn = init_gcn_params(rng, d, 2)
+    gcn = init_propagation(rng, "gcn", d, 2)
     np.testing.assert_array_equal(
         gcn_forward(base, adj, gcn).node_feats.data,
         gcn_forward(bumped, adj, gcn).node_feats.data,
     )
-    gat = init_gat_params(rng, d, 2)
+    gat = init_propagation(rng, "gat", d, 2)
     np.testing.assert_array_equal(
         gat_forward(base, adj, gat).node_feats.data,
         gat_forward(bumped, adj, gat).node_feats.data,
@@ -256,10 +251,10 @@ def test_normalized_adjacency_rows():
 
 def test_unknown_variant_raises():
     rng = np.random.default_rng(10)
-    state = _state(rng, 2, 1, 3)
-    adj = build_adjacency(2, [(0, 1)])
     with pytest.raises(ValueError, match="unknown propagation variant"):
-        propagate("mlp", state, adj, None)
+        init_propagation(rng, "mlp", 3, 2)
+    with pytest.raises(ValueError, match="unknown propagation variant"):
+        PropagationParams("mlp", [])
 
 
 @pytest.mark.parametrize("variant", ["gih", "gcn", "gat"])
@@ -269,19 +264,11 @@ def test_gradients_per_variant(variant):
     edges = [(0, 1), (1, 0), (1, 2)]
     adj = build_adjacency(n, edges)
     state = _state(rng, n, len(edges), d)
-    if variant == "gih":
-        params = init_gih_params(rng, d, 2)
-        mats = list(params.weights)
-    elif variant == "gcn":
-        params = init_gcn_params(rng, d, 2)
-        mats = list(params.weights)
-    else:
-        params = init_gat_params(rng, d, 2)
-        mats = [m for layer in params.layers for m in layer]
-    mats += [state.node_feats, state.edge_feats]
+    params = init_propagation(rng, variant, d, 2)
+    mats = [*params.named("prop").values(), state.node_feats, state.edge_feats]
 
     def f():
-        out = propagate(variant, state, adj, params)
+        out = propagate(state, adj, params)
         return ad.sum_all(
             ad.add(
                 ad.scale(ad.sum_all(ad.pow_const(out.node_feats, 2.0)), 1.0 / out.node_feats.data.size),
