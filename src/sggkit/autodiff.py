@@ -8,8 +8,15 @@ exact reverse order of recording. Outputs that never receive a gradient
 keep grad None and their closures are skipped, so unused branches cost
 nothing and contribute zero.
 
+Every primitive checks its output and raises NumericError naming itself
+when a value is not finite, with or without an active tape. linear_map
+(x @ W + b) is one primitive, so an affine layer records one entry.
+
 A Constant is a Matrix of data (inputs, targets, adjacencies) that never
-holds a gradient; matmul and mul do not even compute one for it.
+holds a gradient; matmul, mul and linear_map do not even compute one for
+it. A Constant built from a 2-D C-contiguous float64 array shares that
+array instead of copying it, so the array must not be mutated while the
+Constant is in use.
 
 Active tapes form one module-level stack; primitives record onto the
 innermost.
@@ -75,9 +82,20 @@ class Matrix:
 
 
 class Constant(Matrix):
-    """A leaf matrix of data: its grad stays None."""
+    """A leaf matrix of data: its grad stays None.
+
+    A 2-D C-contiguous float64 ndarray is shared, not copied; anything else
+    is converted as Matrix does.
+    """
 
     __slots__ = ()
+
+    def __init__(self, data):
+        if type(data) is np.ndarray and data.ndim == 2 and data.dtype == np.float64 and data.flags.c_contiguous:
+            self.data = data
+            self.grad = None
+        else:
+            super().__init__(data)
 
     def accumulate(self, g) -> None:
         pass
@@ -118,7 +136,7 @@ class Tape:
 
 
 def _finish(name: str, out_data: np.ndarray, backward) -> Matrix:
-    if not np.all(np.isfinite(out_data)):
+    if not np.isfinite(out_data).all():
         raise NumericError(f"{name} produced a non-finite value")
     out = _wrap(out_data)
     if _stack:
@@ -154,21 +172,14 @@ def transpose(a: Matrix) -> Matrix:
 
 
 def add(a: Matrix, b: Matrix) -> Matrix:
-    """Elementwise add; b may also be a single row broadcast over a's rows."""
-    if a.shape == b.shape:
-
-        def backward(g):
-            a.accumulate(g)
-            b.accumulate(g)
-
-    elif b.rows == 1 and b.cols == a.cols:
-
-        def backward(g):
-            a.accumulate(g)
-            b.accumulate(g.sum(axis=0, keepdims=True))
-
-    else:
+    """Elementwise add of equal shapes; linear_map adds a bias row."""
+    if a.shape != b.shape:
         raise ShapeError(f"add: incompatible shapes {a.shape} and {b.shape}")
+
+    def backward(g):
+        a.accumulate(g)
+        b.accumulate(g)
+
     return _finish("add", a.data + b.data, backward)
 
 
@@ -388,15 +399,22 @@ def gather_rows(a: Matrix, indices) -> Matrix:
 
 
 def linear_map(x: Matrix, w: Matrix, b: Matrix | None = None) -> Matrix:
-    """x @ w (+ b broadcast over rows). The workhorse affine primitive."""
+    """x @ w (+ b broadcast over rows) as one primitive; without b it is matmul."""
     if x.cols != w.rows:
         raise ShapeError(f"linear_map: input {x.shape} does not match weight {w.shape}")
-    if b is not None and (b.rows != 1 or b.cols != w.cols):
+    if b is None:
+        return matmul(x, w)
+    if b.rows != 1 or b.cols != w.cols:
         raise ShapeError(f"linear_map: bias {b.shape} does not match weight {w.shape}")
-    out = matmul(x, w)
-    if b is not None:
-        out = add(out, b)
-    return out
+
+    def backward(g):
+        b.accumulate(g.sum(axis=0, keepdims=True))
+        g = g + 0.0  # a fresh array, as add handed matmul, keeps gradients byte-identical to that pair
+        if not isinstance(x, Constant):
+            x.accumulate(g @ w.data.T)
+        w.accumulate(x.data.T @ g)
+
+    return _finish("linear_map", x.data @ w.data + b.data, backward)
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -46,6 +47,8 @@ _STREAM_PROTO = 101
 _STREAM_APPEAR = 202
 _STREAM_LOGITS = 303
 _STREAM_SCENE_OFFSET = 404
+
+_FLOAT_MAX = sys.float_info.max
 
 
 @dataclass
@@ -394,13 +397,17 @@ def read_predictions(path) -> dict[str, list[tuple[int, int, int, float]]]:
             if scene_id in out:
                 raise ValueError(f"line {line_no}: duplicate scene id {scene_id!r}")
             triplets = []
-            try:
-                for t in obj["triplets"]:
-                    if not isinstance(t, list) or len(t) != 4:
-                        raise TypeError("each triplet needs [subject, object, predicate, score]")
-                    triplets.append((int(t[0]), int(t[1]), int(t[2]), float(t[3])))
-            except (TypeError, ValueError) as exc:  # e.g. a null or non-numeric field
-                raise ValueError(f"line {line_no}: {exc}") from exc
+            for t in obj["triplets"]:
+                if type(t) is not list or len(t) != 4:
+                    raise ValueError(f"line {line_no}: each triplet needs [subject, object, predicate, score]")
+                s, o, p, score = t
+                if type(s) is not int or type(o) is not int or type(p) is not int:
+                    raise ValueError(f"line {line_no}: subject, object and predicate must be integers, got {t}")
+                if type(score) is int and abs(score) <= _FLOAT_MAX:
+                    score = float(score)
+                if type(score) is not float or not -_FLOAT_MAX <= score <= _FLOAT_MAX:  # NaN fails too
+                    raise ValueError(f"line {line_no}: score must be a finite number, got {t}")
+                triplets.append((s, o, p, score))
             out[scene_id] = triplets
     return out
 
@@ -421,6 +428,7 @@ class FeatureParams:
     logit_scale: float
     seed: int
     scene_offset_sigma: float = 0.0
+    _prototypes: dict[int, np.ndarray] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def from_spec(cls, spec: GeneratorSpec) -> "FeatureParams":
@@ -436,8 +444,13 @@ class FeatureParams:
         )
 
     def prototype(self, category: int) -> np.ndarray:
-        rng = np.random.default_rng([_STREAM_PROTO, self.seed, category])
-        return rng.standard_normal(self.d_appearance)
+        """The category's mean appearance, drawn once per instance and read-only."""
+        proto = self._prototypes.get(category)
+        if proto is None:
+            proto = np.random.default_rng([_STREAM_PROTO, self.seed, category]).standard_normal(self.d_appearance)
+            proto.flags.writeable = False
+            self._prototypes[category] = proto
+        return proto
 
     def appearance(self, node: Node) -> np.ndarray:
         rng = np.random.default_rng([_STREAM_APPEAR, self.seed, node.appearance_seed])

@@ -515,7 +515,10 @@ def load_checkpoint(path) -> tuple[Model, ReferenceBank]:
     version = payload.get("format_version")
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {version!r}")
-    model = Model(ModelConfig.from_dict(payload["config"]))
+    try:
+        model = Model(ModelConfig.from_dict(payload["config"]))
+    except (TypeError, ValueError) as exc:  # e.g. a width stored as a string
+        raise ValueError(f"{path}: invalid checkpoint config ({exc})") from exc
     saved = payload["params"]
     if set(saved) != set(model.params):
         raise ValueError(f"{path}: checkpoint parameter names do not match the configuration")
@@ -524,7 +527,10 @@ def load_checkpoint(path) -> tuple[Model, ReferenceBank]:
         if arr.shape != p.data.shape:
             raise ValueError(f"{path}: checkpoint parameter {name} has shape {arr.shape}, expected {p.data.shape}")
         p.data = arr
-    bank = ReferenceBank.from_state(payload["bank"])
+    try:
+        bank = ReferenceBank.from_state(payload["bank"])
+    except (TypeError, ValueError, KeyError, IndexError) as exc:  # e.g. an rng_state numpy cannot restore
+        raise ValueError(f"{path}: invalid checkpoint bank ({exc!r})") from exc
     if bank.n_categories != model.config.n_predicate_categories or bank.dim != model.config.d_edge:
         raise ValueError(f"{path}: checkpoint bank size does not match the configuration")
     return model, bank

@@ -37,6 +37,45 @@ def test_linear_map_hand_case():
     assert ad.linear_map(x, w, b).item() == 4.0
 
 
+def test_linear_map_records_one_entry():
+    x, w, b = ad.Matrix(np.ones((3, 2))), ad.Matrix(np.ones((2, 4))), ad.Matrix(np.ones((1, 4)))
+    with ad.Tape() as tape:
+        ad.linear_map(x, w, b)
+        ad.linear_map(x, w)
+    assert [name for name, _, _ in tape.records] == ["linear_map", "matmul"]
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+@pytest.mark.parametrize("leaf", [ad.Matrix, ad.Constant])
+def test_linear_map_gradients_are_the_exact_products(rows, leaf):
+    """Bit-exact gradients, and none for a Constant input."""
+    rng = np.random.default_rng(5)
+    x, w, b = leaf(rng.normal(size=(rows, 4))), ad.Matrix(rng.normal(size=(4, 3))), ad.Matrix(rng.normal(size=(1, 3)))
+    g = rng.normal(size=(rows, 3))
+    with ad.Tape() as tape:
+        out = ad.linear_map(x, w, b)
+        loss = ad.sum_all(ad.mul(out, ad.Constant(g)))
+    tape.backward(loss)
+    np.testing.assert_array_equal(out.data, x.data @ w.data + b.data)
+    np.testing.assert_array_equal(b.grad, g.sum(axis=0, keepdims=True))
+    np.testing.assert_array_equal(w.grad, x.data.T @ g)
+    if leaf is ad.Constant:
+        assert x.grad is None
+    else:
+        np.testing.assert_array_equal(x.grad, g @ w.data.T)
+
+
+def test_constant_shares_only_2d_c_contiguous_float64():
+    arr = np.arange(6.0).reshape(2, 3)
+    assert ad.Constant(arr).data is arr
+    for other in (np.asfortranarray(arr), arr[:, :2], arr.astype(np.float32), np.arange(3.0), [[1.0, 2.0]]):
+        c = ad.Constant(other)
+        assert c.data.dtype == np.float64 and c.data.ndim == 2 and c.data.flags.c_contiguous
+        assert not np.shares_memory(c.data, arr)
+    with pytest.raises(ad.ShapeError):
+        ad.Constant(np.zeros((2, 2, 2)))
+
+
 def test_linear_map_shape_error_names_both_shapes():
     x = ad.Matrix(np.zeros((2, 3)))
     w = ad.Matrix(np.zeros((4, 2)))
@@ -176,6 +215,10 @@ def test_non_finite_result_names_primitive():
     big = ad.Matrix(np.full((1, 1), 1e308))
     with pytest.raises(ad.NumericError, match="mul"):
         ad.mul(big, big)
+    with ad.Tape() as tape:  # the check runs on every record, not only on the loss
+        with pytest.raises(ad.NumericError, match="^linear_map produced a non-finite value$"):
+            ad.linear_map(big, ad.Matrix([[10.0]]), ad.Matrix([[1.0]]))
+    assert tape.records == []
 
 
 def test_matrix_rejects_3d():

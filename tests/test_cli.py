@@ -340,7 +340,8 @@ def test_k_below_one_names_the_flag(command, flag, value, corpus, checkpoint, tm
 
 
 @pytest.mark.parametrize("case", ["not json", "list", "no config", "no params", "no bank",
-                                  "bank is a list", "bank without rng_state"])
+                                  "bank is a list", "bank without rng_state", "width is a string",
+                                  "rng_state without state"])
 def test_malformed_checkpoint_names_the_path(case, corpus, checkpoint, tmp_path, capsys):
     with open(checkpoint) as fh:
         payload = json.load(fh)
@@ -356,6 +357,9 @@ def test_malformed_checkpoint_names_the_path(case, corpus, checkpoint, tmp_path,
         "no bank": json.dumps(drop(payload, "bank")),
         "bank is a list": json.dumps({**payload, "bank": [payload["bank"]]}),
         "bank without rng_state": json.dumps({**payload, "bank": drop(payload["bank"], "rng_state")}),
+        "width is a string": json.dumps({**payload, "config": {**payload["config"], "d_node": "8"}}),
+        "rng_state without state": json.dumps({**payload, "bank": {**payload["bank"],
+                                                                  "rng_state": {"bit_generator": "PCG64"}}}),
     }[case]
     bad = tmp_path / "bad.ckpt.json"
     bad.write_text(text)
@@ -372,6 +376,14 @@ def test_malformed_checkpoint_names_the_path(case, corpus, checkpoint, tmp_path,
     '{"scene_id": "s", "triplets": null}',
     '{"scene_id": ["s"], "triplets": []}',
     '{"scene_id": 3, "triplets": []}',
+    '{"scene_id": "s", "triplets": [["5", 1, 2, 0.5]]}',
+    '{"scene_id": "s", "triplets": [[0, true, 2, 0.5]]}',
+    '{"scene_id": "s", "triplets": [[0, 1, 2.0, 0.5]]}',
+    '{"scene_id": "s", "triplets": [[0, 1, 2, "0.5"]]}',
+    '{"scene_id": "s", "triplets": [[0, 1, 2, false]]}',
+    '{"scene_id": "s", "triplets": [[0, 1, 2, NaN]]}',
+    '{"scene_id": "s", "triplets": [[0, 1, 2, -Infinity]]}',
+    '{"scene_id": "s", "triplets": [[0, 1, 2, 1e400]]}',
 ])
 def test_malformed_prediction_line_is_named(line, corpus, tmp_path, capsys):
     records = read_scenes(corpus)

@@ -378,6 +378,17 @@ def test_appearance_sigma_zero_hits_prototype_exactly():
     np.testing.assert_array_equal(fp.appearance(node), fp.prototype(4))
 
 
+def test_prototype_is_drawn_once_per_instance_and_read_only():
+    fp = FeatureParams.from_spec(small_spec())
+    first = fp.prototype(4)
+    assert fp.prototype(4) is first
+    assert not first.flags.writeable
+    fresh = FeatureParams.from_spec(small_spec()).prototype(4)
+    assert fresh is not first
+    np.testing.assert_array_equal(fresh, first)
+    assert not np.array_equal(fp.prototype(5), first)
+
+
 def test_nearest_prototype_accuracy_degrades_with_sigma():
     spec = small_spec(n_scenes=400, seed=21)
     records = generate(spec)

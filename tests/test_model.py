@@ -3,9 +3,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sggkit.attract_repel import ReferenceBank, sample_negatives
-from sggkit.autodiff import NumericError, grad_check, softmax_rows
-from sggkit.data import Edge, FeatureParams, GeneratorSpec, Node, SceneRecord, generate, split_scenes
+from sggkit.attract_repel import ReferenceBank, sample_negatives, update_references
+from sggkit.autodiff import NumericError, Tape, grad_check, softmax_rows
+from sggkit.data import PREDICATE_NO_RELATION, Edge, FeatureParams, GeneratorSpec, Node, SceneRecord, generate, split_scenes
 from helpers import loop_prepare_scene
 from sggkit.model import (
     ForwardResult,
@@ -393,6 +393,30 @@ def test_end_to_end_gradients_on_three_node_four_edge_toy():
 
 # ---------------------------------------------------------------------------
 # training
+
+
+def test_default_training_step_records_71_entries():
+    """One step of the default model at the CLI-default N = 6, AR term included.
+
+    Each affine layer is one linear_map record: the node and union maps, two
+    psi layers for each of the three arrangements, and the two heads.
+    """
+    spec = GeneratorSpec(n_scenes=4)
+    prep = prepare_scene(generate(spec)[0], FeatureParams.from_spec(spec))
+    assert prep.n_nodes == 6
+    cfg = ModelConfig()
+    model = Model(cfg)
+    bank = ReferenceBank(cfg.n_predicate_categories, cfg.d_edge)
+    update_references(bank, model.forward(prep).edge_embeddings, prep.edge_labels,
+                      skip_category=PREDICATE_NO_RELATION)  # give the AR term references to compare with
+    with Tape() as tape:
+        out = model.forward(prep)
+        negatives = sample_negatives(bank, prep.edge_labels, skip_category=PREDICATE_NO_RELATION)
+        _, parts = total_loss(out, prep, bank, cfg, negatives)
+    assert parts["loss_attract_repel"] != 0.0
+    names = [name for name, _, _ in tape.records]
+    assert names.count("linear_map") == 10
+    assert len(names) == 71
 
 
 def test_zero_learning_rate_leaves_parameters_bit_identical():
