@@ -418,7 +418,7 @@ def linear_map(x: Matrix, w: Matrix, b: Matrix | None = None) -> Matrix:
 
 
 # ---------------------------------------------------------------------------
-# initialization and checking
+# initialization
 
 
 def uniform_init(rng: np.random.Generator, rows: int, cols: int, fan_in: int | None = None) -> Matrix:
@@ -428,38 +428,3 @@ def uniform_init(rng: np.random.Generator, rows: int, cols: int, fan_in: int | N
         raise ShapeError(f"uniform_init: fan_in must be positive, got {fan}")
     bound = 1.0 / np.sqrt(fan)
     return Matrix(rng.uniform(-bound, bound, size=(rows, cols)))
-
-
-def grad_check(f, params: list[Matrix], eps: float = 1e-5) -> float:
-    """Compare tape gradients of a scalar-valued callable against central differences.
-
-    f is called with no arguments and must return a 1x1 Matrix built from the
-    primitives in this module. Returns the worst relative error
-    |analytic - numeric| / max(1, |numeric|) over every entry of every param.
-    """
-    if not (1e-7 <= eps <= 1e-4):
-        raise ValueError(f"grad_check: eps must lie in [1e-7, 1e-4], got {eps}")
-    for p in params:
-        p.grad = None
-    with Tape() as tape:
-        out = f()
-        if out.shape != (1, 1):
-            raise ShapeError(f"grad_check: f must return a 1x1 matrix, got {out.shape}")
-    tape.backward(out)
-    analytic = [np.zeros_like(p.data) if p.grad is None else p.grad.copy() for p in params]
-    worst = 0.0
-    for p, ga in zip(params, analytic):
-        flat = p.data.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + eps
-            f_plus = f().item()
-            flat[i] = orig - eps
-            f_minus = f().item()
-            flat[i] = orig
-            numeric = (f_plus - f_minus) / (2.0 * eps)
-            err = abs(ga.reshape(-1)[i] - numeric) / max(1.0, abs(numeric))
-            worst = max(worst, err)
-    for p in params:
-        p.grad = None
-    return worst

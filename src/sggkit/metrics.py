@@ -163,6 +163,8 @@ def ranked_from_scores(
     Predicate 0 is the no-relation class and is never emitted. With the
     graph constraint each directed pair contributes its single best
     predicate; without it every (pair, predicate) combination competes.
+    The pairs must be distinct (`prepare_scene` guarantees it), so no
+    triplet repeats and one lexsort gives `rank_triplets`' order.
     """
     probs = np.asarray(edge_probs, dtype=float)
     if probs.ndim != 2 or probs.shape[0] != len(edge_index):
@@ -171,12 +173,15 @@ def ranked_from_scores(
         )
     if probs.shape[1] < 2:
         raise ValueError("need at least one predicate category besides no-relation")
-    scored: list[ScoredTriplet] = []
-    for row, (s, o) in enumerate(edge_index):
-        if graph_constraint:
-            p = int(np.argmax(probs[row, 1:])) + 1
-            scored.append((s, o, p, float(probs[row, p])))
-        else:
-            for p in range(1, probs.shape[1]):
-                scored.append((s, o, p, float(probs[row, p])))
-    return rank_triplets(scored)
+    ends = np.array(edge_index, dtype=np.int64).reshape(-1, 2)
+    if graph_constraint:
+        preds = np.argmax(probs[:, 1:], axis=1) + 1
+        scores = probs[np.arange(len(preds)), preds]
+        subj, obj = ends[:, 0], ends[:, 1]
+    else:
+        n_pred = probs.shape[1] - 1
+        preds = np.tile(np.arange(1, n_pred + 1), len(ends))
+        scores = probs[:, 1:].ravel()
+        subj, obj = np.repeat(ends[:, 0], n_pred), np.repeat(ends[:, 1], n_pred)
+    order = np.lexsort((preds, obj, subj, -scores))
+    return list(zip(subj[order].tolist(), obj[order].tolist(), preds[order].tolist(), scores[order].tolist()))

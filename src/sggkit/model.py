@@ -17,6 +17,7 @@ the config seed.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -85,6 +86,21 @@ class ModelConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        # checkpoints deliver JSON values, so check types before truthiness or order reads them
+        for name, value in asdict(self).items():
+            kind = type(value)
+            if name in ("fusion", "gih_variant"):
+                ok, want = kind is str, "a string"
+            elif name == "use_lih":
+                ok, want = kind is bool, "true or false"
+            elif name in ("w_entity", "w_predicate", "w_ar", "learning_rate", "momentum", "weight_decay"):
+                ok, want = kind in (int, float) and math.isfinite(value), "a finite number"
+            elif name in ("d_attention", "fusion_hidden"):
+                ok, want = kind is int or value is None, "an integer or null"
+            else:
+                ok, want = kind is int, "an integer"
+            if not ok:
+                raise ValueError(f"config field {name} must be {want}, got {value!r}")
         if min(self.d_appearance, self.d_node, self.d_edge) < 1:
             raise ValueError("widths must be positive")
         if self.n_entity_categories < 2 or self.n_predicate_categories < 2:

@@ -6,8 +6,44 @@ stay independent of the library's vectorized or dict-based shortcuts.
 
 import numpy as np
 
+from sggkit.autodiff import ShapeError, Tape
 from sggkit.data import Edge, Node, SceneRecord
-from sggkit.metrics import GroundTruthGraph
+from sggkit.metrics import GroundTruthGraph, rank_triplets
+
+
+def grad_check(f, params, eps=1e-5):
+    """Compare tape gradients of a scalar-valued callable against central differences.
+
+    f is called with no arguments and must return a 1x1 Matrix built from the
+    primitives in sggkit.autodiff. Returns the worst relative error
+    |analytic - numeric| / max(1, |numeric|) over every entry of every param.
+    """
+    if not (1e-7 <= eps <= 1e-4):
+        raise ValueError(f"grad_check: eps must lie in [1e-7, 1e-4], got {eps}")
+    for p in params:
+        p.grad = None
+    with Tape() as tape:
+        out = f()
+        if out.shape != (1, 1):
+            raise ShapeError(f"grad_check: f must return a 1x1 matrix, got {out.shape}")
+    tape.backward(out)
+    analytic = [np.zeros_like(p.data) if p.grad is None else p.grad.copy() for p in params]
+    worst = 0.0
+    for p, ga in zip(params, analytic):
+        flat = p.data.reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + eps
+            f_plus = f().item()
+            flat[i] = orig - eps
+            f_minus = f().item()
+            flat[i] = orig
+            numeric = (f_plus - f_minus) / (2.0 * eps)
+            err = abs(ga.reshape(-1)[i] - numeric) / max(1.0, abs(numeric))
+            worst = max(worst, err)
+    for p in params:
+        p.grad = None
+    return worst
 
 
 def brute_top_k(pred, k):
@@ -17,6 +53,21 @@ def brute_top_k(pred, k):
             best[(s, o, p)] = score
     order = sorted(best.items(), key=lambda kv: (-kv[1], kv[0][0], kv[0][1], kv[0][2]))
     return [trip for trip, _ in order[:k]]
+
+
+def loop_ranked_from_scores(edge_index, edge_probs, graph_constraint=True):
+    """ranked_from_scores one edge at a time: a tuple per edge (or per edge
+    and predicate), ranked by rank_triplets."""
+    probs = np.asarray(edge_probs, dtype=float)
+    scored = []
+    for row, (s, o) in enumerate(edge_index):
+        if graph_constraint:
+            p = int(np.argmax(probs[row, 1:])) + 1
+            scored.append((s, o, p, float(probs[row, p])))
+        else:
+            for p in range(1, probs.shape[1]):
+                scored.append((s, o, p, float(probs[row, p])))
+    return rank_triplets(scored)
 
 
 def brute_recall(pred, gt, k):

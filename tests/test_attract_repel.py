@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import cluster_stats
+from helpers import cluster_stats, grad_check
 from sggkit import autodiff as ad
 from sggkit.attract_repel import (
     ReferenceBank,
@@ -156,7 +156,7 @@ def test_loss_gradient_against_central_differences():
     emb = ad.Matrix(rng.normal(size=(5, 3)))
     labels = [0, 1, 2, 1, 0]
     negs = sample_negatives(ReferenceBank(3, 3, seed=1), labels)
-    err = ad.grad_check(lambda: attract_repel_loss(bank, emb, labels, negs), [emb], eps=1e-5)
+    err = grad_check(lambda: attract_repel_loss(bank, emb, labels, negs), [emb], eps=1e-5)
     assert err < 1e-7
 
 

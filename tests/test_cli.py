@@ -303,11 +303,20 @@ def test_each_scene_is_ranked_once(corpus, checkpoint, tmp_path, monkeypatch):
     assert len(calls) == len(records)
 
     calls.clear()
+    ranked = []
+    rank_scores = sggkit.model.ranked_from_scores
+
+    def counted_scores(edge_index, edge_probs, graph_constraint=True):
+        ranked.append(len(edge_index))
+        return rank_scores(edge_index, edge_probs, graph_constraint)
+
+    monkeypatch.setattr(sggkit.model, "ranked_from_scores", counted_scores)
     model, _ = load_checkpoint(checkpoint)
     with open(f"{corpus}.meta.json") as fh:
         fp = FeatureParams.from_spec(GeneratorSpec.from_dict(json.load(fh)["spec"]))
     evaluate(model, [prepare_scene(r, fp) for r in records], (4, 20), (2, 4))
-    assert len(calls) == len(records)
+    assert len(ranked) == len(records)
+    assert calls == []
 
 
 def test_eval_rerun_is_byte_identical(corpus, checkpoint, tmp_path):
@@ -341,7 +350,7 @@ def test_k_below_one_names_the_flag(command, flag, value, corpus, checkpoint, tm
 
 @pytest.mark.parametrize("case", ["not json", "list", "no config", "no params", "no bank",
                                   "bank is a list", "bank without rng_state", "width is a string",
-                                  "rng_state without state"])
+                                  "rng_state without state", "use_lih is a string", "w_ar is a bool"])
 def test_malformed_checkpoint_names_the_path(case, corpus, checkpoint, tmp_path, capsys):
     with open(checkpoint) as fh:
         payload = json.load(fh)
@@ -360,6 +369,8 @@ def test_malformed_checkpoint_names_the_path(case, corpus, checkpoint, tmp_path,
         "width is a string": json.dumps({**payload, "config": {**payload["config"], "d_node": "8"}}),
         "rng_state without state": json.dumps({**payload, "bank": {**payload["bank"],
                                                                   "rng_state": {"bit_generator": "PCG64"}}}),
+        "use_lih is a string": json.dumps({**payload, "config": {**payload["config"], "use_lih": "false"}}),
+        "w_ar is a bool": json.dumps({**payload, "config": {**payload["config"], "w_ar": True}}),
     }[case]
     bad = tmp_path / "bad.ckpt.json"
     bad.write_text(text)

@@ -6,6 +6,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
+from helpers import grad_check
 from sggkit import autodiff as ad
 from sggkit.fusion import (
     CONSTRAINED_ORDERS,
@@ -159,7 +160,7 @@ def test_gradients_per_variant(variant):
     def f():
         return ad.sum_all(ad.pow_const(encode_edges(z_s, z_o, z_u, params), 2.0))
 
-    assert ad.grad_check(f, mats, eps=1e-5) < 1e-6
+    assert grad_check(f, mats, eps=1e-5) < 1e-6
 
 
 def test_batch_rows_equal_per_row_encoding():

@@ -5,6 +5,7 @@ of the forward pass, and cost linear in the number of triples."""
 import numpy as np
 import pytest
 
+from helpers import grad_check
 from sggkit import autodiff as ad
 from sggkit.local_attention import LihParams, init_lih_params, lih_forward_batch
 
@@ -157,7 +158,7 @@ def test_gradients_against_central_differences():
     def f():
         return ad.sum_all(ad.concat_rows(list(lih_forward_batch(*t, params))))
 
-    assert ad.grad_check(f, mats, eps=1e-5) < 1e-7
+    assert grad_check(f, mats, eps=1e-5) < 1e-7
 
 
 def test_batch_gradients_against_central_differences():
@@ -173,4 +174,4 @@ def test_batch_gradients_against_central_differences():
         return ad.sum_all(ad.pow_const(ad.concat_rows([zs, zo, zu]), 2.0))
 
     mats = [s, o, u, params.w_q, params.w_k, params.w_v, params.w_f]
-    assert ad.grad_check(f, mats, eps=1e-5) < 1e-6
+    assert grad_check(f, mats, eps=1e-5) < 1e-6

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import (
     brute_mean_recall,
     brute_pairwise_recall,
     brute_recall,
     brute_symmetry_split,
+    loop_ranked_from_scores,
     make_random_instance,
     split_pairs_by_symmetry,
 )
@@ -190,6 +192,31 @@ def test_ranked_from_scores_unconstrained_emits_all_predicates():
     ranked = ranked_from_scores([(0, 1), (1, 0)], probs, graph_constraint=False)
     assert len(ranked) == 4
     assert ranked[0] == (1, 0, 2, 0.5)
+
+
+@st.composite
+def scored_edges(draw):
+    """Distinct (s, o) pairs and a probability row per pair, with exact ties
+    planted: cells come from a small pool that holds 0.0, and rows repeat."""
+    n_cols = draw(st.integers(2, 6))
+    ids = st.integers(-3, 3) | st.integers(-2**63, 2**63 - 1)
+    pairs = draw(st.lists(st.tuples(ids, ids), unique=True, max_size=12))
+    pool = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3)) + [0.0]
+    rows = [draw(st.lists(st.sampled_from(pool), min_size=n_cols, max_size=n_cols)) for _ in pairs]
+    for i in range(1, len(rows)):
+        if draw(st.booleans()):
+            rows[i] = rows[draw(st.integers(0, i - 1))]
+    return pairs, np.array(rows, dtype=float).reshape(len(pairs), n_cols)
+
+
+@settings(deadline=None)
+@given(scored_edges(), st.booleans())
+def test_ranked_from_scores_matches_per_edge_loop(case, graph_constraint):
+    pairs, probs = case
+    ranked = ranked_from_scores(pairs, probs, graph_constraint)
+    assert ranked == loop_ranked_from_scores(pairs, probs, graph_constraint)
+    assert all(type(s) is int and type(o) is int and type(p) is int and type(sc) is float
+               for s, o, p, sc in ranked)
 
 
 def test_ranked_from_scores_shape_errors():

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from sggkit.attract_repel import ReferenceBank, sample_negatives, update_references
-from sggkit.autodiff import NumericError, Tape, grad_check, softmax_rows
+from sggkit.autodiff import NumericError, Tape, softmax_rows
 from sggkit.data import PREDICATE_NO_RELATION, Edge, FeatureParams, GeneratorSpec, Node, SceneRecord, generate, split_scenes
-from helpers import loop_prepare_scene
+from helpers import grad_check, loop_prepare_scene
 from sggkit.model import (
     ForwardResult,
     Matrix,

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import a_ee_of, a_en_of, a_ne_of, a_nn_of, a_of, loop_a_tilde
+from helpers import a_ee_of, a_en_of, a_ne_of, a_nn_of, a_of, grad_check, loop_a_tilde
 from sggkit import autodiff as ad
 from sggkit.propagation import (
     GraphState,
@@ -276,4 +276,4 @@ def test_gradients_per_variant(variant):
             )
         )
 
-    assert ad.grad_check(f, mats, eps=1e-5) < 1e-6
+    assert grad_check(f, mats, eps=1e-5) < 1e-6

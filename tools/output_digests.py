@@ -1,0 +1,116 @@
+"""Digest every output of a fixed sggkit sweep, to compare two checkouts byte for byte.
+
+    python3 tools/output_digests.py --src <checkout>/src --out digests.json
+
+imports sggkit from ``--src`` and runs its CLI in this process, in a temporary
+directory, with BLAS pinned to one thread:
+
+* ``generate`` writes one 160-scene corpus (seed 501);
+* for each fusion x propagation variant, with and without LIH (``gih_layers``
+  2), ``train --epochs 2 --metrics-every 1 --holdout 40``; then ``eval
+  --checkpoint`` constrained and ``--unconstrained``, each with
+  ``--dump-predictions``; then ``eval --predictions`` on each dump.
+
+``--out`` maps every file the sweep wrote (path relative to the temporary
+directory) to its sha256. A manifest is hashed with ``wall_clock_seconds``
+removed, the only field that differs between equal runs. Two checkouts
+produce the same outputs when ``diff`` finds their digest files equal.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+# fixed here rather than read from sggkit, so that every checkout runs the same sweep
+FUSIONS = ("union", "concat", "sequential", "parallel")
+PROPAGATIONS = ("gih", "gcn", "gat", "none")
+
+
+def run(main, argv: list[str]) -> None:
+    """One CLI command, recorded in its manifest as `sggkit <argv>`."""
+    saved = sys.argv
+    sys.argv = ["sggkit", *argv]
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv)
+    finally:
+        sys.argv = saved
+    if code != 0:
+        raise SystemExit(f"sggkit {' '.join(argv)} exited {code}")
+
+
+def sweep(main) -> None:
+    """Write every output of the sweep into the current directory."""
+    with open("gen.cfg", "w", encoding="utf-8") as fh:
+        fh.write("n_scenes = 160\n")
+    run(main, ["generate", "--out", "corpus.sgjsonl", "--config", "gen.cfg", "--seed", "501"])
+    for fusion in FUSIONS:
+        for propagation in PROPAGATIONS:
+            for use_lih in (True, False):
+                tag = f"{fusion}-{propagation}-{'lih' if use_lih else 'nolih'}"
+                os.mkdir(tag)
+                cfg = f"{tag}/model.cfg"
+                with open(cfg, "w", encoding="utf-8") as fh:
+                    fh.write(f"fusion = {fusion}\ngih_variant = {propagation}\n"
+                             f"use_lih = {str(use_lih).lower()}\ngih_layers = 2\n")
+                ckpt = f"{tag}/model.ckpt.json"
+                run(main, ["train", "--corpus", "corpus.sgjsonl", "--out", ckpt, "--config", cfg,
+                           "--epochs", "2", "--metrics-every", "1", "--holdout", "40"])
+                for mode, flags in (("constrained", []), ("unconstrained", ["--unconstrained"])):
+                    dump = f"{tag}/{mode}.pred.jsonl"
+                    run(main, ["eval", "--corpus", "corpus.sgjsonl", "--checkpoint", ckpt,
+                               "--out", f"{tag}/{mode}.csv", "--dump-predictions", dump, *flags])
+                    run(main, ["eval", "--corpus", "corpus.sgjsonl", "--predictions", dump,
+                               "--out", f"{tag}/{mode}.rescore.csv"])
+
+
+def digest(path: str) -> str:
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if path.endswith(".manifest.json"):
+        manifest = json.loads(data)
+        manifest.pop("wall_clock_seconds")
+        data = json.dumps(manifest, sort_keys=True).encode()
+    return hashlib.sha256(data).hexdigest()
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--src", required=True, help="the src/ directory of the checkout to run")
+    ap.add_argument("--out", required=True, help="digest JSON path")
+    args = ap.parse_args()
+    src = os.path.abspath(args.src)
+    out = os.path.abspath(args.out)
+    sys.path.insert(0, src)
+    import sggkit.cli
+
+    if not os.path.abspath(sggkit.cli.__file__).startswith(src + os.sep):
+        raise SystemExit(f"imported sggkit from {sggkit.cli.__file__}, not from {src}")
+    start = os.getcwd()
+    with tempfile.TemporaryDirectory() as work:
+        os.chdir(work)
+        try:
+            sweep(sggkit.cli.main)
+            digests = {os.path.relpath(os.path.join(root, name)): digest(os.path.join(root, name))
+                       for root, _dirs, names in os.walk(".") for name in names}
+        finally:
+            os.chdir(start)
+    with open(out, "w", encoding="utf-8") as fh:
+        json.dump(dict(sorted(digests.items())), fh, indent=1)
+        fh.write("\n")
+    print(f"wrote {len(digests)} digests to {args.out}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
