@@ -50,13 +50,12 @@ from .data import (
 )
 from .metrics import (
     GroundTruthGraph,
+    HitCounts,
     corpus_pairwise_recall_at_k,
     corpus_recall_at_k,
+    count_hits,
     mean_recall_at_k,
-    pairwise_recall_at_k,
-    per_category_components,
     rank_triplets,
-    recall_at_k,
 )
 from .model import (
     ModelConfig,
@@ -294,17 +293,11 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _scene_rows(scene_id, ranked, gt, ks_recall, ks_pair) -> list[list]:
-    rows = []
-    for k in ks_recall:
-        rows.append([scene_id, "R", k, recall_at_k(ranked, gt, k)])
-    for k in ks_recall:
-        comps = per_category_components(ranked, gt, k)
-        per_cat = [hit / total for hit, total in comps.values()]
-        rows.append([scene_id, "mR", k, sum(per_cat) / len(per_cat)])
-    if gt.bidirectional_pairs:
-        for k in ks_pair:
-            rows.append([scene_id, "pR", k, pairwise_recall_at_k(ranked, gt, k)])
+def _scene_rows(scene_id, counts: dict[int, HitCounts], ks_recall, ks_pair) -> list[list]:
+    """One scene's CSV rows from its counts at each k."""
+    rows = [[scene_id, "R", k, counts[k].recall] for k in ks_recall]
+    rows += [[scene_id, "mR", k, counts[k].mean_recall] for k in ks_recall]
+    rows += [[scene_id, "pR", k, counts[k].pair_recall] for k in ks_pair if counts[k].pairs[1]]
     return rows
 
 
@@ -342,17 +335,19 @@ def cmd_eval(args) -> int:
         ranked_lists = [rank_triplets(predictions[r.scene_id]) for r in records]
         inputs.append(args.predictions)
 
+    ks = dict.fromkeys((*ks_recall, *ks_pair))
+    counts = [{k: count_hits(ranked, gt, k) for k in ks} for ranked, gt in zip(ranked_lists, graphs)]
     rows = []
-    for record, ranked, gt in zip(records, ranked_lists, graphs):
-        rows.extend(_scene_rows(record.scene_id, ranked, gt, ks_recall, ks_pair))
+    for record, by_k in zip(records, counts):
+        rows.extend(_scene_rows(record.scene_id, by_k, ks_recall, ks_pair))
     aggregate = []
     for k in ks_recall:
-        aggregate.append(["ALL", "R", k, corpus_recall_at_k(ranked_lists, graphs, k)])
+        aggregate.append(["ALL", "R", k, corpus_recall_at_k([c[k] for c in counts])])
     for k in ks_recall:
-        aggregate.append(["ALL", "mR", k, mean_recall_at_k(ranked_lists, graphs, k)])
+        aggregate.append(["ALL", "mR", k, mean_recall_at_k([c[k] for c in counts])])
     if any(g.bidirectional_pairs for g in graphs):
         for k in ks_pair:
-            aggregate.append(["ALL", "pR", k, corpus_pairwise_recall_at_k(ranked_lists, graphs, k)])
+            aggregate.append(["ALL", "pR", k, corpus_pairwise_recall_at_k([c[k] for c in counts])])
     _write_csv(args.out, ["scene_id", "metric", "k", "value"], rows + aggregate)
 
     outputs = [args.out]

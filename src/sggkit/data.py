@@ -33,7 +33,7 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,6 +49,8 @@ _STREAM_LOGITS = 303
 _STREAM_SCENE_OFFSET = 404
 
 _FLOAT_MAX = sys.float_info.max
+_INT64_END = 2**63  # ids and labels end up in int64 arrays
+_NUMBER_TYPES = frozenset((int, float))  # bool is neither
 
 
 @dataclass
@@ -171,9 +173,6 @@ class GeneratorSpec:
             raise ValueError("appearance parameters out of range")
         if not 0.0 <= self.logit_flip_rate <= 1.0:
             raise ValueError("logit_flip_rate must lie in [0, 1]")
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
 
     @classmethod
     def from_dict(cls, d: dict) -> "GeneratorSpec":
@@ -322,16 +321,36 @@ def _record_to_obj(r: SceneRecord) -> dict:
 
 
 def _record_from_obj(obj: dict, line_no: int) -> SceneRecord:
+    """A scene record from one parsed corpus line, every field type-checked as written."""
+
+    def integer(value, what: str, low: int = -_INT64_END) -> int:
+        if type(value) is not int or not low <= value < _INT64_END:
+            kind = "a non-negative integer" if low == 0 else "an integer"
+            raise ValueError(f"line {line_no}: {what} must be {kind} that fits in int64, got {value!r}")
+        return value
+
+    def box(value) -> tuple[float, float, float, float]:
+        if type(value) is not list or len(value) != 4 or not _NUMBER_TYPES.issuperset(map(type, value)):
+            raise ValueError(f"line {line_no}: node box must be a list of 4 numbers, got {value!r}")
+        return tuple(map(float, value))  # validate rejects NaN and infinities
+
     try:
+        if type(obj["scene_id"]) is not str:
+            raise ValueError(f"line {line_no}: scene_id must be a string, got {obj['scene_id']!r}")
         nodes = [
-            Node(int(n["id"]), int(n["label"]), tuple(float(v) for v in n["box"]), int(n["appearance_seed"]))
+            Node(integer(n["id"], "node id"), integer(n["label"], "node label"), box(n["box"]),
+                 integer(n["appearance_seed"], "appearance_seed", low=0))
             for n in obj["nodes"]
         ]
-        edges = [Edge(int(e["subject"]), int(e["object"]), int(e["predicate"])) for e in obj["edges"]]
-        record = SceneRecord(str(obj["scene_id"]), nodes, edges)
-    except (KeyError, TypeError) as exc:
+        edges = [Edge(integer(e["subject"], "edge subject"), integer(e["object"], "edge object"),
+                      integer(e["predicate"], "edge predicate")) for e in obj["edges"]]
+    except (KeyError, TypeError, OverflowError) as exc:  # OverflowError: a box integer beyond float range
         raise ValueError(f"line {line_no}: malformed scene record ({exc})") from exc
-    record.validate()
+    record = SceneRecord(obj["scene_id"], nodes, edges)
+    try:
+        record.validate()
+    except ValueError as exc:
+        raise ValueError(f"line {line_no}: {exc}") from exc
     return record
 
 
@@ -342,8 +361,8 @@ def write_scenes(path, records: list[SceneRecord]) -> None:
             fh.write("\n")
 
 
-def read_scenes(path) -> list[SceneRecord]:
-    records = []
+def _json_lines(path):
+    """(line number, parsed value) for every non-blank line of a JSON-lines file."""
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
@@ -353,8 +372,11 @@ def read_scenes(path) -> list[SceneRecord]:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"line {line_no}: not valid JSON ({exc.msg})") from exc
-            records.append(_record_from_obj(obj, line_no))
-    return records
+            yield line_no, obj
+
+
+def read_scenes(path) -> list[SceneRecord]:
+    return [_record_from_obj(obj, line_no) for line_no, obj in _json_lines(path)]
 
 
 def split_scenes(records: list[SceneRecord], holdout: int) -> tuple[list[SceneRecord], list[SceneRecord]]:
@@ -380,35 +402,27 @@ def write_predictions(path, predictions: dict[str, list[tuple[int, int, int, flo
 
 def read_predictions(path) -> dict[str, list[tuple[int, int, int, float]]]:
     out: dict[str, list[tuple[int, int, int, float]]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"line {line_no}: not valid JSON ({exc.msg})") from exc
-            if not isinstance(obj, dict) or set(obj) != {"scene_id", "triplets"}:
-                raise ValueError(f"line {line_no}: expected keys scene_id and triplets")
-            scene_id = obj["scene_id"]
-            if not isinstance(scene_id, str) or not isinstance(obj["triplets"], list):
-                raise ValueError(f"line {line_no}: scene_id must be a string and triplets a list")
-            if scene_id in out:
-                raise ValueError(f"line {line_no}: duplicate scene id {scene_id!r}")
-            triplets = []
-            for t in obj["triplets"]:
-                if type(t) is not list or len(t) != 4:
-                    raise ValueError(f"line {line_no}: each triplet needs [subject, object, predicate, score]")
-                s, o, p, score = t
-                if type(s) is not int or type(o) is not int or type(p) is not int:
-                    raise ValueError(f"line {line_no}: subject, object and predicate must be integers, got {t}")
-                if type(score) is int and abs(score) <= _FLOAT_MAX:
-                    score = float(score)
-                if type(score) is not float or not -_FLOAT_MAX <= score <= _FLOAT_MAX:  # NaN fails too
-                    raise ValueError(f"line {line_no}: score must be a finite number, got {t}")
-                triplets.append((s, o, p, score))
-            out[scene_id] = triplets
+    for line_no, obj in _json_lines(path):
+        if not isinstance(obj, dict) or set(obj) != {"scene_id", "triplets"}:
+            raise ValueError(f"line {line_no}: expected keys scene_id and triplets")
+        scene_id = obj["scene_id"]
+        if not isinstance(scene_id, str) or not isinstance(obj["triplets"], list):
+            raise ValueError(f"line {line_no}: scene_id must be a string and triplets a list")
+        if scene_id in out:
+            raise ValueError(f"line {line_no}: duplicate scene id {scene_id!r}")
+        triplets = []
+        for t in obj["triplets"]:
+            if type(t) is not list or len(t) != 4:
+                raise ValueError(f"line {line_no}: each triplet needs [subject, object, predicate, score]")
+            s, o, p, score = t
+            if type(s) is not int or type(o) is not int or type(p) is not int:
+                raise ValueError(f"line {line_no}: subject, object and predicate must be integers, got {t}")
+            if type(score) is int and abs(score) <= _FLOAT_MAX:
+                score = float(score)
+            if type(score) is not float or not -_FLOAT_MAX <= score <= _FLOAT_MAX:  # NaN fails too
+                raise ValueError(f"line {line_no}: score must be a finite number, got {t}")
+            triplets.append((s, o, p, score))
+        out[scene_id] = triplets
     return out
 
 

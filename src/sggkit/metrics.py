@@ -4,16 +4,18 @@ Predictions are scored triplets (subject id, object id, predicate). Matching
 is by exact identity against ground-truth node ids and labels; there is no
 box matching because evaluation assumes ground-truth entities are given.
 
-Three metric families:
-  * recall_at_k: fraction of ground-truth triplets found in the top-k.
-  * mean_recall_at_k: recall computed per predicate category across a
-    corpus, then averaged without frequency weighting.
-  * pairwise_recall_at_k: fraction of bidirectional pairs whose directed
-    triplets are BOTH in the top-k; a direction-blind predictor scores 0
-    on every pair whose two directions carry different predicates.
-
-Every metric takes lists as returned by `rank_triplets` or `ranked_from_scores`
-and reads the first k entries of each; no metric ranks a list again.
+Three metrics, all read from one count per scene and k: `count_hits` builds
+the top-k set of a ranked list (as returned by `rank_triplets` or
+`ranked_from_scores`) and counts the hits per predicate category and the
+matched bidirectional pairs. Per-scene values are `HitCounts` properties and
+corpus values reduce a list of counts; nothing ranks a list again.
+  * R@k: fraction of ground-truth triplets found in the top-k; the corpus
+    value `corpus_recall_at_k` is the mean over scenes.
+  * mR@k: recall per predicate category, averaged without frequency
+    weighting; `mean_recall_at_k` pools each category across scenes.
+  * pR@k: fraction of bidirectional pairs whose directed triplets are BOTH
+    in the top-k, pooled by `corpus_pairwise_recall_at_k`; a direction-blind
+    predictor scores 0 on every pair whose directions differ in predicate.
 """
 
 from __future__ import annotations
@@ -66,61 +68,73 @@ class GroundTruthGraph:
         return {(s, o, p) for (s, o), p in self.edges.items()}
 
 
-def _top_k_set(ranked: list[ScoredTriplet], k: int) -> set[tuple[int, int, int]]:
+@dataclass(frozen=True, slots=True)
+class HitCounts:
+    """One scene's ground truth found among the first k of its ranked list.
+
+    categories maps each predicate category to (hits, ground-truth triplets),
+    in the iteration order of `GroundTruthGraph.triplets`; pairs is
+    (matched, total) over the scene's bidirectional pairs.
+    """
+
+    categories: dict[int, tuple[int, int]]
+    pairs: tuple[int, int]
+
+    @property
+    def recall(self) -> float:
+        """R@k: fraction of the scene's ground-truth triplets that were hit."""
+        if not self.categories:
+            raise ValueError("recall is undefined for a scene with no ground-truth triplets")
+        hits = sum(h for h, _ in self.categories.values())
+        return hits / sum(t for _, t in self.categories.values())
+
+    @property
+    def mean_recall(self) -> float:
+        """mR@k of this scene alone: unweighted mean of its per-category recall."""
+        if not self.categories:
+            raise ValueError("recall is undefined for a scene with no ground-truth triplets")
+        per_cat = [hit / total for hit, total in self.categories.values()]
+        return sum(per_cat) / len(per_cat)
+
+    @property
+    def pair_recall(self) -> float:
+        """pR@k: fraction of bidirectional pairs with both directions hit."""
+        matched, total = self.pairs
+        if not total:
+            raise ValueError("pairwise recall is undefined without bidirectional pairs")
+        return matched / total
+
+
+def count_hits(ranked: list[ScoredTriplet], gt: GroundTruthGraph, k: int) -> HitCounts:
+    """Count the scene's ground truth among the first k of the ranked list; the one top-k set."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    return {(s, o, p) for s, o, p, _ in ranked[:k]}
-
-
-def recall_at_k(pred: list[ScoredTriplet], gt: GroundTruthGraph, k: int) -> float:
-    """Fraction of the scene's ground-truth triplets among the first k of the ranked `pred`."""
-    gt_triplets = gt.triplets
-    if not gt_triplets:
-        raise ValueError("recall is undefined for a scene with no ground-truth triplets")
-    top = _top_k_set(pred, k)
-    return len(gt_triplets & top) / len(gt_triplets)
-
-
-def pairwise_recall_at_k(pred: list[ScoredTriplet], gt: GroundTruthGraph, k: int) -> float:
-    """Fraction of bidirectional pairs with both directions among the first k of the ranked `pred`."""
-    if not gt.bidirectional_pairs:
-        raise ValueError("pairwise recall is undefined without bidirectional pairs")
-    matched, total = pairwise_recall_components(pred, gt, k)
-    return matched / total
-
-
-def pairwise_recall_components(pred: list[ScoredTriplet], gt: GroundTruthGraph, k: int) -> tuple[int, int]:
-    """(matched pair count, total pair count) for one scene's ranked `pred`."""
-    top = _top_k_set(pred, k)
-    matched = 0
-    for i, j in gt.bidirectional_pairs:
-        fwd = (i, j, gt.edges[(i, j)])
-        bwd = (j, i, gt.edges[(j, i)])
-        matched += fwd in top and bwd in top
-    return matched, len(gt.bidirectional_pairs)
-
-
-def per_category_components(pred: list[ScoredTriplet], gt: GroundTruthGraph, k: int) -> dict[int, tuple[int, int]]:
-    """Per predicate category: (gt triplets among the first k of the ranked `pred`, gt triplets)."""
-    top = _top_k_set(pred, k)
-    out: dict[int, list[int]] = {}
+    top = {(s, o, p) for s, o, p, _ in ranked[:k]}
+    categories: dict[int, tuple[int, int]] = {}
     for trip in gt.triplets:
-        hit, total = out.setdefault(trip[2], [0, 0])
-        out[trip[2]] = [hit + (trip in top), total + 1]
-    return {c: (h, t) for c, (h, t) in out.items()}
+        hit, total = categories.get(trip[2], (0, 0))
+        categories[trip[2]] = (hit + (trip in top), total + 1)
+    matched = sum((i, j, gt.edges[(i, j)]) in top and (j, i, gt.edges[(j, i)]) in top
+                  for i, j in gt.bidirectional_pairs)
+    return HitCounts(categories, (matched, len(gt.bidirectional_pairs)))
 
 
-def mean_recall_at_k(preds: list[list[ScoredTriplet]], gts: list[GroundTruthGraph], k: int) -> float:
-    """Unweighted mean of per-predicate-category recall over ranked lists.
+def corpus_recall_at_k(counts: list[HitCounts]) -> float:
+    """Mean of per-scene recall (every scene weighted equally)."""
+    if not counts:
+        raise ValueError("need at least one scene")
+    return float(np.mean([c.recall for c in counts]))
+
+
+def mean_recall_at_k(counts: list[HitCounts]) -> float:
+    """Unweighted mean of per-predicate-category recall.
 
     Each category's recall pools its ground-truth triplets across scenes;
     categories absent from the ground truth do not contribute.
     """
-    if len(preds) != len(gts):
-        raise ValueError(f"{len(preds)} prediction lists vs {len(gts)} ground truths")
     totals: dict[int, list[int]] = {}
-    for pred, gt in zip(preds, gts):
-        for cat, (hit, tot) in per_category_components(pred, gt, k).items():
+    for c in counts:
+        for cat, (hit, tot) in c.categories.items():
             agg = totals.setdefault(cat, [0, 0])
             agg[0] += hit
             agg[1] += tot
@@ -130,24 +144,10 @@ def mean_recall_at_k(preds: list[list[ScoredTriplet]], gts: list[GroundTruthGrap
     return float(np.mean([totals[c][0] / totals[c][1] for c in sorted(totals)]))
 
 
-def corpus_recall_at_k(preds: list[list[ScoredTriplet]], gts: list[GroundTruthGraph], k: int) -> float:
-    """Mean of per-scene recall_at_k over ranked lists (every scene weighted equally)."""
-    if len(preds) != len(gts) or not gts:
-        raise ValueError("need one prediction list per scene and at least one scene")
-    return float(np.mean([recall_at_k(p, g, k) for p, g in zip(preds, gts)]))
-
-
-def corpus_pairwise_recall_at_k(preds: list[list[ScoredTriplet]], gts: list[GroundTruthGraph], k: int) -> float:
-    """Matched bidirectional pairs over total pairs, pooled across scenes' ranked lists."""
-    if len(preds) != len(gts):
-        raise ValueError(f"{len(preds)} prediction lists vs {len(gts)} ground truths")
-    matched = total = 0
-    for pred, gt in zip(preds, gts):
-        if not gt.bidirectional_pairs:
-            continue
-        m, t = pairwise_recall_components(pred, gt, k)
-        matched += m
-        total += t
+def corpus_pairwise_recall_at_k(counts: list[HitCounts]) -> float:
+    """Matched bidirectional pairs over total pairs, pooled across scenes."""
+    matched = sum(c.pairs[0] for c in counts)
+    total = sum(c.pairs[1] for c in counts)
     if total == 0:
         raise ValueError("pairwise recall is undefined without bidirectional pairs")
     return matched / total

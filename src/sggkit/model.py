@@ -52,6 +52,7 @@ from .metrics import (
     GroundTruthGraph,
     corpus_pairwise_recall_at_k,
     corpus_recall_at_k,
+    count_hits,
     mean_recall_at_k,
     ranked_from_scores,
 )
@@ -96,7 +97,8 @@ class ModelConfig:
             elif name in ("w_entity", "w_predicate", "w_ar", "learning_rate", "momentum", "weight_decay"):
                 ok, want = kind in (int, float) and math.isfinite(value), "a finite number"
             elif name in ("d_attention", "fusion_hidden"):
-                ok, want = kind is int or value is None, "an integer or null"
+                least = 1 if name == "d_attention" else 0  # fusion_hidden 0 is a purely affine fusion
+                ok, want = value is None or (kind is int and value >= least), f"null or an integer >= {least}"
             else:
                 ok, want = kind is int, "an integer"
             if not ok:
@@ -165,11 +167,7 @@ class PreparedScene:
         return len(self.edge_index)
 
 
-def prepare_scene(
-    record: SceneRecord,
-    fp: FeatureParams,
-    candidate_edges: list[tuple[int, int]] | None = None,
-) -> PreparedScene:
+def prepare_scene(record: SceneRecord, fp: FeatureParams) -> PreparedScene:
     record.validate()
     for node in record.nodes:
         if node.label >= fp.n_entity_categories:
@@ -190,17 +188,8 @@ def prepare_scene(
     node_inputs = np.concatenate([appearance, boxes, logits], axis=1)
     ids = [node.id for node in record.nodes]
     row_of = {node_id: row for row, node_id in enumerate(ids)}
-    if candidate_edges is None:
-        rows = np.argwhere(~np.eye(n, dtype=bool))
-        edge_index = [(ids[i], ids[j]) for i, j in rows.tolist()]
-    else:
-        edge_index = [(int(s), int(o)) for s, o in candidate_edges]
-        if len(set(edge_index)) != len(edge_index):
-            raise ValueError(f"scene {record.scene_id}: duplicate candidate edges")
-        for s, o in edge_index:
-            if s not in row_of or o not in row_of or s == o:
-                raise ValueError(f"scene {record.scene_id}: invalid candidate edge ({s}, {o})")
-        rows = np.array([(row_of[s], row_of[o]) for s, o in edge_index], dtype=np.int64).reshape(-1, 2)
+    rows = np.argwhere(~np.eye(n, dtype=bool))
+    edge_index = [(ids[i], ids[j]) for i, j in rows.tolist()]
     adjacency = build_adjacency(n, rows)
     subj, obj = adjacency.subjects, adjacency.objects
     node_ids = np.array(ids, dtype=np.int64)
@@ -382,10 +371,6 @@ class EpochLog:
     loss_attract_repel: float
     metrics: dict[str, float] = field(default_factory=dict)
 
-    @property
-    def loss_total(self) -> float:
-        return self.loss_entity + self.loss_predicate + self.loss_attract_repel
-
 
 @dataclass
 class TrainResult:
@@ -490,13 +475,15 @@ def evaluate(
         raise ValueError("evaluation needs at least one scene")
     preds = [predict_scene(model, prep, graph_constraint) for prep in preps]
     gts = [GroundTruthGraph.from_scene(prep.record) for prep in preps]
+    ks = dict.fromkeys((*ks_recall, *ks_pair))
+    counts = [{k: count_hits(pred, gt, k) for k in ks} for pred, gt in zip(preds, gts)]
     out: dict[str, float] = {}
     for k in ks_recall:
-        out[f"R@{k}"] = corpus_recall_at_k(preds, gts, k)
-        out[f"mR@{k}"] = mean_recall_at_k(preds, gts, k)
+        out[f"R@{k}"] = corpus_recall_at_k([c[k] for c in counts])
+        out[f"mR@{k}"] = mean_recall_at_k([c[k] for c in counts])
     if any(gt.bidirectional_pairs for gt in gts):
         for k in ks_pair:
-            out[f"pR@{k}"] = corpus_pairwise_recall_at_k(preds, gts, k)
+            out[f"pR@{k}"] = corpus_pairwise_recall_at_k([c[k] for c in counts])
     return out
 
 

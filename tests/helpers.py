@@ -243,7 +243,7 @@ def loop_a_tilde(n_nodes, edges):
 # scene preparation: the per-edge loop oracle
 
 
-def loop_prepare_scene(record, fp, candidate_edges=None):
+def loop_prepare_scene(record, fp):
     """prepare_scene's arrays built node by node and edge by edge.
 
     Returns a dict keyed like the PreparedScene fields it covers, plus the
@@ -256,10 +256,7 @@ def loop_prepare_scene(record, fp, candidate_edges=None):
     node_inputs = np.stack([np.concatenate(p) for p in props])
     ids = [node.id for node in record.nodes]
     row_of = {node_id: row for row, node_id in enumerate(ids)}
-    if candidate_edges is None:
-        edge_index = [(ids[i], ids[j]) for i in range(n) for j in range(n) if i != j]
-    else:
-        edge_index = [(int(s), int(o)) for s, o in candidate_edges]
+    edge_index = [(ids[i], ids[j]) for i in range(n) for j in range(n) if i != j]
     annotated = {(e.subject, e.object): e.predicate for e in record.edges}
     union_rows = []
     for s, o in edge_index:

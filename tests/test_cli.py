@@ -33,6 +33,7 @@ from sggkit.metrics import (
     GroundTruthGraph,
     corpus_pairwise_recall_at_k,
     corpus_recall_at_k,
+    count_hits,
     mean_recall_at_k,
     rank_triplets,
 )
@@ -239,11 +240,12 @@ def test_eval_checkpoint_matches_library_metrics(corpus, checkpoint, tmp_path):
     records = read_scenes(corpus)
     graphs = [GroundTruthGraph.from_scene(r) for r in records]
     ranked = [rank_triplets(read_predictions(dumped)[r.scene_id]) for r in records]
+    counts = {k: [count_hits(r, g, k) for r, g in zip(ranked, graphs)] for k in (2, 4, 20)}
     agg = {(r[1], int(r[2])): float(r[3]) for r in _read_csv(out)[1:] if r[0] == "ALL"}
-    np.testing.assert_allclose(agg[("R", 4)], corpus_recall_at_k(ranked, graphs, 4))
-    np.testing.assert_allclose(agg[("R", 20)], corpus_recall_at_k(ranked, graphs, 20))
-    np.testing.assert_allclose(agg[("mR", 4)], mean_recall_at_k(ranked, graphs, 4))
-    np.testing.assert_allclose(agg[("pR", 2)], corpus_pairwise_recall_at_k(ranked, graphs, 2))
+    np.testing.assert_allclose(agg[("R", 4)], corpus_recall_at_k(counts[4]))
+    np.testing.assert_allclose(agg[("R", 20)], corpus_recall_at_k(counts[20]))
+    np.testing.assert_allclose(agg[("mR", 4)], mean_recall_at_k(counts[4]))
+    np.testing.assert_allclose(agg[("pR", 2)], corpus_pairwise_recall_at_k(counts[2]))
 
 
 def test_eval_direction_blind_checkpoint_has_zero_pair_recall(tmp_path):
@@ -319,6 +321,31 @@ def test_each_scene_is_ranked_once(corpus, checkpoint, tmp_path, monkeypatch):
     assert calls == []
 
 
+def test_each_scene_and_k_is_counted_once(corpus, checkpoint, tmp_path, monkeypatch):
+    calls = []
+    count = sggkit.metrics.count_hits
+
+    def counted(ranked, gt, k):
+        calls.append(k)
+        return count(ranked, gt, k)
+
+    monkeypatch.setattr(sggkit.cli, "count_hits", counted)
+    monkeypatch.setattr(sggkit.model, "count_hits", counted)
+    records = read_scenes(corpus)[:12]
+    small = _rewrite_corpus(corpus, str(tmp_path / "small.sgjsonl"), records)
+    preds = _ground_truth_predictions(str(tmp_path / "gt.pred.jsonl"), records)
+    assert main(["eval", "--corpus", small, "--predictions", preds, "--out", str(tmp_path / "m.csv"),
+                 "--ks-recall", "2,4", "--ks-pair", "2,4,8"]) == 0
+    assert sorted(calls) == [2] * 12 + [4] * 12 + [8] * 12
+
+    calls.clear()
+    model, _ = load_checkpoint(checkpoint)
+    with open(f"{corpus}.meta.json") as fh:
+        fp = FeatureParams.from_spec(GeneratorSpec.from_dict(json.load(fh)["spec"]))
+    evaluate(model, [prepare_scene(r, fp) for r in records], (2, 4), (2, 4, 8))
+    assert sorted(calls) == [2] * 12 + [4] * 12 + [8] * 12
+
+
 def test_eval_rerun_is_byte_identical(corpus, checkpoint, tmp_path):
     outs = []
     for name in ("one", "two"):
@@ -350,7 +377,8 @@ def test_k_below_one_names_the_flag(command, flag, value, corpus, checkpoint, tm
 
 @pytest.mark.parametrize("case", ["not json", "list", "no config", "no params", "no bank",
                                   "bank is a list", "bank without rng_state", "width is a string",
-                                  "rng_state without state", "use_lih is a string", "w_ar is a bool"])
+                                  "rng_state without state", "use_lih is a string", "w_ar is a bool",
+                                  "d_attention is zero"])
 def test_malformed_checkpoint_names_the_path(case, corpus, checkpoint, tmp_path, capsys):
     with open(checkpoint) as fh:
         payload = json.load(fh)
@@ -371,6 +399,7 @@ def test_malformed_checkpoint_names_the_path(case, corpus, checkpoint, tmp_path,
                                                                   "rng_state": {"bit_generator": "PCG64"}}}),
         "use_lih is a string": json.dumps({**payload, "config": {**payload["config"], "use_lih": "false"}}),
         "w_ar is a bool": json.dumps({**payload, "config": {**payload["config"], "w_ar": True}}),
+        "d_attention is zero": json.dumps({**payload, "config": {**payload["config"], "d_attention": 0}}),
     }[case]
     bad = tmp_path / "bad.ckpt.json"
     bad.write_text(text)
@@ -402,6 +431,25 @@ def test_malformed_prediction_line_is_named(line, corpus, tmp_path, capsys):
     with open(path, "a") as fh:
         fh.write(line + "\n")
     assert main(["eval", "--corpus", corpus, "--predictions", path, "--out", str(tmp_path / "m.csv")]) == 2
+    assert "error: line 3: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field,value", [
+    ("label", True), ("id", 0.7), ("label", "3"), ("appearance_seed", 1.5), ("scene_id", 5),
+    ("predicate", 1.9), ("label", "x"), ("box", [0.1, 0.1, 0.5]), ("box", "0.1"),
+    ("appearance_seed", -1), ("id", 2**70),
+])
+def test_malformed_corpus_line_is_named(field, value, corpus, checkpoint, tmp_path, capsys):
+    with open(corpus) as fh:
+        lines = fh.read().splitlines()[:4]
+    obj = json.loads(lines[2])
+    target = obj if field == "scene_id" else obj["edges"][0] if field == "predicate" else obj["nodes"][0]
+    target[field] = value
+    lines[2] = json.dumps(obj)
+    path = tmp_path / "bad.sgjsonl"
+    path.write_text("\n".join(lines) + "\n")
+    shutil.copy(f"{corpus}.meta.json", f"{path}.meta.json")
+    assert main(["eval", "--corpus", str(path), "--checkpoint", checkpoint, "--out", str(tmp_path / "m.csv")]) == 2
     assert "error: line 3: " in capsys.readouterr().err
 
 

@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -271,7 +272,7 @@ def test_spec_validation_rejects_bad_configs():
 
 def test_spec_json_round_trip_and_unknown_key():
     spec = small_spec(noise_rate=0.1)
-    again = GeneratorSpec.from_dict(json.loads(spec.to_json()))
+    again = GeneratorSpec.from_dict(json.loads(json.dumps(asdict(spec))))
     assert again == spec
     with pytest.raises(ValueError, match="unknown"):
         GeneratorSpec.from_dict({"n_scenes": 5, "bogus": 1})

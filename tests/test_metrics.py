@@ -16,11 +16,10 @@ from sggkit.metrics import (
     GroundTruthGraph,
     corpus_pairwise_recall_at_k,
     corpus_recall_at_k,
+    count_hits,
     mean_recall_at_k,
-    pairwise_recall_at_k,
     rank_triplets,
     ranked_from_scores,
-    recall_at_k,
 )
 
 
@@ -29,6 +28,19 @@ def graph(edges, labels=None):
     e = {(s, o): p for s, o, p in edges}
     pairs = sorted({(min(s, o), max(s, o)) for s, o in e if (o, s) in e})
     return GroundTruthGraph(nodes, e, pairs)
+
+
+def recall(pred, gt, k):
+    return count_hits(pred, gt, k).recall
+
+
+def pair_recall(pred, gt, k):
+    return count_hits(pred, gt, k).pair_recall
+
+
+def corpus(metric, preds, gts, k):
+    """A corpus metric over the scenes' counts at k."""
+    return metric([count_hits(pred, gt, k) for pred, gt in zip(preds, gts)])
 
 
 # ---------------------------------------------------------------------------
@@ -53,13 +65,13 @@ def test_rank_triplets_dedups_keeping_best_score():
 def test_recall_perfect_predictions():
     gt = graph([(0, 1, 2), (1, 0, 3), (0, 2, 1)])
     pred = [(s, o, p, 1.0) for s, o, p in gt.triplets]
-    assert recall_at_k(pred, gt, 3) == 1.0
-    assert recall_at_k(pred, gt, 100) == 1.0
+    assert recall(pred, gt, 3) == 1.0
+    assert recall(pred, gt, 100) == 1.0
 
 
 def test_recall_disjoint_predictions():
     gt = graph([(0, 1, 2)])
-    assert recall_at_k([(0, 1, 5, 1.0), (1, 0, 2, 0.5)], gt, 10) == 0.0
+    assert recall([(0, 1, 5, 1.0), (1, 0, 2, 0.5)], gt, 10) == 0.0
 
 
 def test_recall_three_of_four_in_top_five():
@@ -72,15 +84,15 @@ def test_recall_three_of_four_in_top_five():
         (1, 2, 5, 0.5),
         (2, 0, 4, 0.4),  # rank 6, outside top-5
     ]
-    assert recall_at_k(pred, gt, 5) == 0.75
+    assert recall(pred, gt, 5) == 0.75
 
 
 def test_recall_errors():
     gt = GroundTruthGraph({0: 1}, {}, [])
     with pytest.raises(ValueError, match="no ground-truth"):
-        recall_at_k([], gt, 5)
+        recall([], gt, 5)
     with pytest.raises(ValueError, match="k must be"):
-        recall_at_k([(0, 1, 1, 0.5)], graph([(0, 1, 1)]), 0)
+        recall([(0, 1, 1, 0.5)], graph([(0, 1, 1)]), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -91,20 +103,21 @@ def test_mean_recall_unweighted_over_categories():
     # category 1 has three gt triplets all found, category 2 has one, missed
     gt = graph([(0, 1, 1), (1, 2, 1), (2, 0, 1), (0, 2, 2)])
     pred = [(0, 1, 1, 0.9), (1, 2, 1, 0.8), (2, 0, 1, 0.7)]
-    assert mean_recall_at_k([pred], [gt], 10) == 0.5
+    assert corpus(mean_recall_at_k, [pred], [gt], 10) == 0.5
+    assert count_hits(pred, gt, 10).mean_recall == 0.5
 
 
 def test_mean_recall_single_category_equals_recall():
     gt = graph([(0, 1, 3), (1, 0, 3)])
     pred = [(0, 1, 3, 0.9), (2, 1, 3, 0.8)]
-    assert mean_recall_at_k([pred], [gt], 2) == recall_at_k(pred, gt, 2)
+    assert corpus(mean_recall_at_k, [pred], [gt], 2) == recall(pred, gt, 2)
 
 
 def test_mean_recall_pools_categories_across_scenes():
     gts = [graph([(0, 1, 1)]), graph([(0, 1, 1), (1, 0, 2)])]
     preds = [[(0, 1, 1, 1.0)], [(1, 0, 2, 1.0)]]
     # category 1: 1 of 2 across scenes; category 2: 1 of 1
-    assert mean_recall_at_k(preds, gts, 5) == pytest.approx(0.75)
+    assert corpus(mean_recall_at_k, preds, gts, 5) == pytest.approx(0.75)
 
 
 # ---------------------------------------------------------------------------
@@ -114,26 +127,26 @@ def test_mean_recall_pools_categories_across_scenes():
 def test_pairwise_recall_full_match():
     gt = graph([(0, 1, 2), (1, 0, 3)])
     pred = [(0, 1, 2, 0.9), (1, 0, 3, 0.8)]
-    assert pairwise_recall_at_k(pred, gt, 2) == 1.0
+    assert pair_recall(pred, gt, 2) == 1.0
 
 
 def test_pairwise_recall_direction_blind_zero_on_asymmetric():
     gt = graph([(0, 1, 2), (1, 0, 3)])
     pred = [(0, 1, 2, 0.9), (1, 0, 2, 0.9)]  # same label both ways
     for k in (1, 2, 4, 16):
-        assert pairwise_recall_at_k(pred, gt, k) == 0.0
+        assert pair_recall(pred, gt, k) == 0.0
 
 
 def test_pairwise_recall_one_of_three_pairs_in_top_two():
     gt = graph([(0, 1, 1), (1, 0, 2), (2, 3, 1), (3, 2, 1), (4, 5, 2), (5, 4, 3)])
     pred = [(0, 1, 1, 0.9), (1, 0, 2, 0.8), (2, 3, 1, 0.7), (3, 2, 1, 0.6)]
-    assert pairwise_recall_at_k(pred, gt, 2) == pytest.approx(1 / 3)
+    assert pair_recall(pred, gt, 2) == pytest.approx(1 / 3)
 
 
 def test_pairwise_recall_requires_bidirectional_pairs():
     gt = graph([(0, 1, 2)])
     with pytest.raises(ValueError, match="bidirectional"):
-        pairwise_recall_at_k([(0, 1, 2, 1.0)], gt, 2)
+        pair_recall([(0, 1, 2, 1.0)], gt, 2)
 
 
 def test_split_pairs_by_symmetry():
@@ -234,9 +247,9 @@ def test_recall_monotone_in_k():
     rng = np.random.default_rng(7)
     for _ in range(30):
         pred, gt = make_random_instance(rng)
-        r = [recall_at_k(pred, gt, k) for k in (1, 2, 4, 8, 16, 32)]
+        r = [recall(pred, gt, k) for k in (1, 2, 4, 8, 16, 32)]
         assert all(a <= b for a, b in zip(r, r[1:]))
-        p = [pairwise_recall_at_k(pred, gt, k) for k in (1, 2, 4, 8, 16, 32)]
+        p = [pair_recall(pred, gt, k) for k in (1, 2, 4, 8, 16, 32)]
         assert all(a <= b for a, b in zip(p, p[1:]))
 
 
@@ -251,7 +264,7 @@ def test_pairwise_recall_bounded_by_pair_restricted_recall():
         }
         gt_r = GroundTruthGraph(gt.node_labels, restricted, gt.bidirectional_pairs)
         for k in (1, 2, 4, 8):
-            assert pairwise_recall_at_k(pred, gt, k) <= recall_at_k(pred, gt_r, k) + 1e-12
+            assert pair_recall(pred, gt, k) <= recall(pred, gt_r, k) + 1e-12
 
 
 def test_metrics_match_brute_force_on_random_instances():
@@ -259,8 +272,8 @@ def test_metrics_match_brute_force_on_random_instances():
     for _ in range(500):
         pred, gt = make_random_instance(rng)
         for k in (1, 2, 4, 8, 16, 20):
-            assert recall_at_k(rank_triplets(pred), gt, k) == brute_recall(pred, gt, k)
-            assert pairwise_recall_at_k(rank_triplets(pred), gt, k) == brute_pairwise_recall(pred, gt, k)
+            assert recall(rank_triplets(pred), gt, k) == brute_recall(pred, gt, k)
+            assert pair_recall(rank_triplets(pred), gt, k) == brute_pairwise_recall(pred, gt, k)
         asym, sym = split_pairs_by_symmetry(gt)
         b_asym, b_sym = brute_symmetry_split(gt)
         assert sorted(asym) == sorted(b_asym) and sorted(sym) == sorted(b_sym)
@@ -277,10 +290,12 @@ def test_mean_recall_matches_brute_force_on_random_corpora():
             gts.append(g)
         for k in (1, 4, 16):
             np.testing.assert_allclose(
-                mean_recall_at_k([rank_triplets(p) for p in preds], gts, k),
+                corpus(mean_recall_at_k, [rank_triplets(p) for p in preds], gts, k),
                 brute_mean_recall(preds, gts, k),
                 atol=1e-12,
             )
+            np.testing.assert_allclose(count_hits(rank_triplets(preds[0]), gts[0], k).mean_recall,
+                                       brute_mean_recall(preds[:1], gts[:1], k), atol=1e-12)
 
 
 def test_corpus_aggregates():
@@ -288,5 +303,9 @@ def test_corpus_aggregates():
     gt2 = graph([(0, 1, 3), (1, 0, 4)])
     pred1 = [(0, 1, 1, 0.9), (1, 0, 2, 0.8)]  # both matched
     pred2 = [(0, 1, 3, 0.9), (1, 0, 9, 0.8)]  # one matched, pair missed
-    assert corpus_recall_at_k([pred1, pred2], [gt1, gt2], 2) == 0.75
-    assert corpus_pairwise_recall_at_k([pred1, pred2], [gt1, gt2], 2) == 0.5
+    assert corpus(corpus_recall_at_k, [pred1, pred2], [gt1, gt2], 2) == 0.75
+    assert corpus(corpus_pairwise_recall_at_k, [pred1, pred2], [gt1, gt2], 2) == 0.5
+    with pytest.raises(ValueError, match="no ground-truth triplets"):
+        corpus(corpus_recall_at_k, [pred1], [GroundTruthGraph({0: 1}, {}, [])], 2)
+    with pytest.raises(ValueError, match="pairwise recall is undefined"):
+        corpus(corpus_pairwise_recall_at_k, [pred1], [graph([(0, 1, 1)])], 2)

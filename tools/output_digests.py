@@ -9,7 +9,16 @@ directory, with BLAS pinned to one thread:
 * for each fusion x propagation variant, with and without LIH (``gih_layers``
   2), ``train --epochs 2 --metrics-every 1 --holdout 40``; then ``eval
   --checkpoint`` constrained and ``--unconstrained``, each with
-  ``--dump-predictions``; then ``eval --predictions`` on each dump.
+  ``--dump-predictions``; then ``eval --predictions`` on each dump;
+* generated scenes hold one bidirectional pair and at most two predicate
+  categories each, so the sweep also writes a multi-pair corpus (seed 601):
+  scenes with 2 to 4 bidirectional pairs, one-way edges and up to 6 predicate
+  categories, plus scored triplets for it with tied scores and repeated
+  triplets. The tool writes both as plain JSON lines itself, so every checkout
+  scores the same bytes, and scores them with ``eval --predictions`` at the
+  default ks and at the overlapping ``--ks-recall 2,4 --ks-pair 2,4``. These
+  outputs change when per-scene mR sums its categories in another order or
+  when pR pools pairs differently.
 
 ``--out`` maps every file the sweep wrote (path relative to the temporary
 directory) to its sha256. A manifest is hashed with ``wall_clock_seconds``
@@ -25,6 +34,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import sys
 import tempfile
 
@@ -47,6 +57,44 @@ def run(main, argv: list[str]) -> None:
         sys.argv = saved
     if code != 0:
         raise SystemExit(f"sggkit {' '.join(argv)} exited {code}")
+
+
+def write_multi_pair(corpus: str, predictions: str, n_scenes: int = 40, seed: int = 601) -> None:
+    """A corpus whose scenes hold several bidirectional pairs, and scored triplets for it."""
+    rng = random.Random(seed)
+    with open(corpus, "w", encoding="utf-8") as scenes, open(predictions, "w", encoding="utf-8") as preds:
+        for idx in range(n_scenes):
+            ids = rng.sample(range(40), rng.randint(6, 9))  # out of row order, not contiguous
+            nodes = []
+            for node_id in ids:
+                x1, x2 = sorted(round(rng.random(), 3) for _ in range(2))
+                y1, y2 = sorted(round(rng.random(), 3) for _ in range(2))
+                nodes.append({"id": node_id, "label": rng.randint(1, 10), "box": [x1, y1, x2, y2],
+                              "appearance_seed": rng.randrange(2**31)})
+            n_bidirectional = rng.randint(2, 4)
+            pairs = rng.sample([(a, b) for a in ids for b in ids if a < b], n_bidirectional + rng.randint(0, 3))
+            edges = {}
+            for n, (a, b) in enumerate(pairs):
+                edges[(a, b)] = rng.randint(1, 6)
+                if n < n_bidirectional:
+                    edges[(b, a)] = rng.randint(1, 6)
+            scene_id = f"multi-{idx:03d}"
+            scenes.write(json.dumps({
+                "scene_id": scene_id, "nodes": nodes,
+                "edges": [{"subject": s, "object": o, "predicate": p} for (s, o), p in edges.items()],
+            }, sort_keys=True) + "\n")
+            # scores on a coarse grid, so ties are common; true triplets score higher on average
+            triplets = []
+            for (s, o), p in edges.items():
+                if rng.random() < 0.8:
+                    triplets.append([s, o, p, rng.randint(4, 10) / 10])
+                if rng.random() < 0.5:
+                    triplets.append([s, o, rng.randint(1, 6), rng.randint(0, 8) / 10])
+            for _ in range(rng.randint(3, 12)):
+                s, o = rng.sample(ids, 2)
+                triplets.append([s, o, rng.randint(1, 6), rng.randint(0, 6) / 10])
+            triplets += rng.sample(triplets, min(3, len(triplets)))  # repeated triplets
+            preds.write(json.dumps({"scene_id": scene_id, "triplets": triplets}, sort_keys=True) + "\n")
 
 
 def sweep(main) -> None:
@@ -72,6 +120,11 @@ def sweep(main) -> None:
                                "--out", f"{tag}/{mode}.csv", "--dump-predictions", dump, *flags])
                     run(main, ["eval", "--corpus", "corpus.sgjsonl", "--predictions", dump,
                                "--out", f"{tag}/{mode}.rescore.csv"])
+    os.mkdir("multipair")
+    write_multi_pair("multipair/corpus.sgjsonl", "multipair/scores.pred.jsonl")
+    for name, flags in (("default", []), ("overlap", ["--ks-recall", "2,4", "--ks-pair", "2,4"])):
+        run(main, ["eval", "--corpus", "multipair/corpus.sgjsonl", "--predictions", "multipair/scores.pred.jsonl",
+                   "--out", f"multipair/{name}.csv", *flags])
 
 
 def digest(path: str) -> str:
