@@ -184,10 +184,18 @@ def _load_corpus_spec(corpus_path) -> GeneratorSpec:
             f"parameters and is written by the generate command"
         )
     with open(meta_path, "r", encoding="utf-8") as fh:
-        meta = json.load(fh)
-    if "spec" not in meta:
-        raise ValueError(f"{meta_path}: missing the spec entry")
-    return GeneratorSpec.from_dict(meta["spec"])
+        try:
+            meta = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+            raise ValueError(f"{meta_path}: not valid JSON ({exc})") from exc
+    if type(meta) is not dict or type(meta.get("spec")) is not dict:
+        raise ValueError(f"{meta_path}: expected a JSON object with a spec object")
+    try:
+        spec = GeneratorSpec.from_dict(meta["spec"])
+        spec.validate()
+    except ValueError as exc:
+        raise ValueError(f"{meta_path}: {exc}") from exc
+    return spec
 
 
 def _parse_ks(raw: str, flag: str) -> tuple[int, ...]:

@@ -5,6 +5,14 @@ appearance seeds rather than vectors; appearance is re-materialized on
 demand from a category prototype plus seeded Gaussian noise, so a corpus
 file is small and fully reproducible.
 
+Seeding contract: each node's appearance noise and its observed label come
+from two generators of its own, whose states equal
+np.random.default_rng([stream, corpus seed, appearance_seed]) with the
+appearance and logit stream tags. `FeatureParams.node_features` seeds the
+generators of a whole scene in one array pass of NumPy's SeedSequence
+hash (`seeded_generators`) and draws from each exactly what a per-node
+default_rng would, so any non-negative seed gives the same bytes.
+
 The generator plants a relation rule over entity categories. Categories
 are organized as matched pairs (1,2), (3,4), ...; exactly the matched
 pairs are related, and each related pair carries a forward and a backward
@@ -30,10 +38,12 @@ predicate 0 means no-relation; neither appears in generated annotations.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
+import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -51,6 +61,9 @@ _STREAM_SCENE_OFFSET = 404
 _FLOAT_MAX = sys.float_info.max
 _INT64_END = 2**63  # ids and labels end up in int64 arrays
 _NUMBER_TYPES = frozenset((int, float))  # bool is neither
+_SPEC_NUMBER_FIELDS = frozenset((
+    "asymmetric_fraction", "noise_rate", "appearance_sigma", "scene_offset_sigma", "logit_flip_rate", "logit_scale",
+))
 
 
 @dataclass
@@ -129,6 +142,18 @@ class GeneratorSpec:
     logit_scale: float = 4.0
 
     def validate(self) -> None:
+        # corpus sidecars deliver JSON values, so check types before comparisons read them
+        for name, value in asdict(self).items():
+            kind = type(value)
+            if name in _SPEC_NUMBER_FIELDS:
+                ok = kind is float and math.isfinite(value) or kind is int and abs(value) <= _FLOAT_MAX
+                want = "a finite number"
+            elif name == "seed":
+                ok, want = kind is int and value >= 0, "a non-negative integer"
+            else:
+                ok, want = kind is int, "an integer"
+            if not ok:
+                raise ValueError(f"spec field {name} must be {want}, got {value!r}")
         if self.n_entity_categories < 3:
             raise ValueError("need at least two usable entity categories plus the reserved 0")
         if self.n_predicate_categories < 2:
@@ -429,6 +454,100 @@ def read_predictions(path) -> dict[str, list[tuple[int, int, int, float]]]:
 # ---------------------------------------------------------------------------
 # feature synthesis
 
+# NumPy's SeedSequence hash (numpy/random/bit_generator.pyx), which
+# seeded_generators runs as uint32 array ops over many entropy rows at once
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
+_MASK32 = 0xFFFFFFFF
+# the hashmix call that mixes pool word src into pool word dst, [src, dst]; the
+# diagonal is a call of the same round, computed and then discarded
+_MIX_CALLS = np.array([[_POOL_SIZE + (_POOL_SIZE - 1) * src + dst - (dst >= src) for dst in range(_POOL_SIZE)]
+                       for src in range(_POOL_SIZE)])
+
+
+@functools.cache
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    """init * mult**i mod 2**32 for i in 0..count, as a [count + 1, 1] column."""
+    values = [init]
+    for _ in range(count):
+        values.append(values[-1] * mult & _MASK32)
+    column = np.array(values, dtype=np.uint32).reshape(-1, 1)
+    column.flags.writeable = False
+    return column
+
+
+def _words(value: int) -> list[int]:
+    """A non-negative int as little-endian 32-bit words, the way SeedSequence splits it (0 is one word)."""
+    if value < 0:
+        raise ValueError(f"seeds must be non-negative, got {value}")
+    words = [value & _MASK32]
+    while value := value >> 32:
+        words.append(value & _MASK32)
+    return words
+
+
+class _PresetState(np.random.bit_generator.ISeedSequence):
+    """Hands PCG64 the generate_state(4, uint64) output seeded_generators already computed."""
+
+    def __init__(self, state: np.ndarray):
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.state
+
+
+def _hashmix(values: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix, given the hash constant before and after the call advances it."""
+    out = values ^ xor
+    out *= mul
+    out ^= out >> _XSHIFT
+    return out
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    out = _MIX_MULT_L * x - _MIX_MULT_R * y
+    out ^= out >> _XSHIFT
+    return out
+
+
+def seeded_generators(entropy: list[list[int]]) -> list[np.random.Generator]:
+    """np.random.default_rng(row) for every row of non-negative ints, seeded in one pass.
+
+    Each row's ints are split into 32-bit words as SeedSequence splits them,
+    then run through its hash: hashmix the first pool-size words into the
+    pool (missing words hash as 0), mix every pool word into the others, mix
+    in each word beyond the pool, then hash the pool out to four uint64 words
+    of state. The hash constants follow the number of hashmix calls, not the
+    data, so each step is one array op over all rows; within one source word
+    the mix updates are independent. NumPy's own PCG64 seeding turns each
+    state into a generator.
+    """
+    split = {value: _words(value) for value in {value for row in entropy for value in row}}
+    rows = [[word for value in row for word in split[value]] for row in entropy]
+    width = max(_POOL_SIZE, *map(len, rows)) if rows else _POOL_SIZE
+    words = np.array([word for row in rows for word in (*row, *[0] * (width - len(row)))], dtype=np.uint32)
+    words = words.reshape(len(rows), width).T  # [width, rows]
+    a = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * width)  # a[i] before the i-th hashmix call
+    pool = _hashmix(words[:_POOL_SIZE], a[:_POOL_SIZE], a[1:_POOL_SIZE + 1])
+    xor, mul = a[_MIX_CALLS], a[_MIX_CALLS + 1]
+    for src in range(_POOL_SIZE):
+        mixed = _mix(pool, _hashmix(pool[src], xor[src], mul[src]))
+        mixed[src] = pool[src]  # a pool word does not mix into itself
+        pool = mixed
+    lengths = np.array([len(row) for row in rows]) if width > _POOL_SIZE else None
+    for src in range(_POOL_SIZE, width):  # words beyond the pool, only in the rows that have them
+        longer, call = lengths > src, _POOL_SIZE * src
+        hashed = _hashmix(words[src, longer], a[call:call + _POOL_SIZE], a[call + 1:call + _POOL_SIZE + 1])
+        pool[:, longer] = _mix(pool[:, longer], hashed)
+    b = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
+    state = _hashmix(np.concatenate([pool, pool]), b[:-1], b[1:])
+    # SeedSequence reads its uint32 words as little-endian uint64 pairs
+    state = state.T.astype("<u4", order="C").view("<u8").astype(np.uint64, copy=False)
+    return [np.random.Generator(np.random.PCG64(_PresetState(row))) for row in state]
+
 
 @dataclass
 class FeatureParams:
@@ -466,10 +585,6 @@ class FeatureParams:
             self._prototypes[category] = proto
         return proto
 
-    def appearance(self, node: Node) -> np.ndarray:
-        rng = np.random.default_rng([_STREAM_APPEAR, self.seed, node.appearance_seed])
-        return self.prototype(node.label) + self.appearance_sigma * rng.standard_normal(self.d_appearance)
-
     def scene_offset(self, scene_id: str) -> np.ndarray:
         """A nuisance shift shared by every appearance in one scene.
 
@@ -484,17 +599,27 @@ class FeatureParams:
         rng = np.random.default_rng([_STREAM_SCENE_OFFSET, self.seed, *words.tolist()])
         return self.scene_offset_sigma * rng.standard_normal(self.d_appearance)
 
-    def observed_label(self, node: Node) -> int:
-        """The label a noisy upstream classifier would report for this node."""
-        rng = np.random.default_rng([_STREAM_LOGITS, self.seed, node.appearance_seed])
-        if self.logit_flip_rate > 0.0 and rng.random() < self.logit_flip_rate:
-            wrong = int(rng.integers(1, self.n_entity_categories - 1))
-            if wrong >= node.label:
-                wrong += 1
-            return wrong
-        return node.label
+    def node_features(self, record: SceneRecord) -> tuple[np.ndarray, np.ndarray]:
+        """Appearance [N, d_appearance] and class logits [N, n_entity_categories] of a scene's nodes.
 
-    def class_logits(self, node: Node) -> np.ndarray:
-        logits = np.zeros(self.n_entity_categories)
-        logits[self.observed_label(node)] = self.logit_scale
-        return logits
+        A node's appearance is its category prototype plus appearance_sigma
+        times standard_normal noise, plus the scene offset. Its logits are
+        logit_scale at the label a noisy upstream classifier reports: with
+        probability logit_flip_rate a uniformly drawn wrong label. Both draws
+        come from the node's own generators, seeded together for the scene.
+        """
+        nodes = record.nodes
+        n, d = len(nodes), self.d_appearance
+        rngs = seeded_generators([[stream, self.seed, node.appearance_seed]
+                                  for stream in (_STREAM_APPEAR, _STREAM_LOGITS) for node in nodes])
+        noise = np.array([rng.standard_normal(d) for rng in rngs[:n]]).reshape(n, d)
+        protos = np.array([self.prototype(node.label) for node in nodes]).reshape(n, d)
+        appearance = protos + self.appearance_sigma * noise + self.scene_offset(record.scene_id)
+        labels = [node.label for node in nodes]
+        for i, rng in enumerate(rngs[n:]):
+            if rng.random() < self.logit_flip_rate:
+                wrong = int(rng.integers(1, self.n_entity_categories - 1))
+                labels[i] = wrong + 1 if wrong >= labels[i] else wrong
+        logits = np.zeros((n, self.n_entity_categories))
+        logits[np.arange(n), labels] = self.logit_scale
+        return appearance, logits

@@ -154,15 +154,17 @@ def corpus_pairwise_recall_at_k(counts: list[HitCounts]) -> float:
 
 
 def ranked_from_scores(
-    edge_index: list[tuple[int, int]],
+    edge_index: np.ndarray,
     edge_probs: np.ndarray,
     graph_constraint: bool = True,
 ) -> list[ScoredTriplet]:
     """Turn per-edge predicate distributions into a ranked triplet list.
 
-    Predicate 0 is the no-relation class and is never emitted. With the
-    graph constraint each directed pair contributes its single best
-    predicate; without it every (pair, predicate) combination competes.
+    edge_index is an [M, 2] int64 array of (subject id, object id) rows,
+    like `PreparedScene.edge_index`. Predicate 0 is the no-relation class
+    and is never emitted. With the graph constraint each directed pair
+    contributes its single best predicate; without it every (pair,
+    predicate) combination competes.
     The pairs must be distinct (`prepare_scene` guarantees it), so no
     triplet repeats and one lexsort gives `rank_triplets`' order.
     """
@@ -173,15 +175,14 @@ def ranked_from_scores(
         )
     if probs.shape[1] < 2:
         raise ValueError("need at least one predicate category besides no-relation")
-    ends = np.array(edge_index, dtype=np.int64).reshape(-1, 2)
     if graph_constraint:
         preds = np.argmax(probs[:, 1:], axis=1) + 1
         scores = probs[np.arange(len(preds)), preds]
-        subj, obj = ends[:, 0], ends[:, 1]
+        subj, obj = edge_index[:, 0], edge_index[:, 1]
     else:
         n_pred = probs.shape[1] - 1
-        preds = np.tile(np.arange(1, n_pred + 1), len(ends))
+        preds = np.tile(np.arange(1, n_pred + 1), len(edge_index))
         scores = probs[:, 1:].ravel()
-        subj, obj = np.repeat(ends[:, 0], n_pred), np.repeat(ends[:, 1], n_pred)
+        subj, obj = np.repeat(edge_index[:, 0], n_pred), np.repeat(edge_index[:, 1], n_pred)
     order = np.lexsort((preds, obj, subj, -scores))
     return list(zip(subj[order].tolist(), obj[order].tolist(), preds[order].tolist(), scores[order].tolist()))

@@ -151,7 +151,7 @@ class PreparedScene:
     record: SceneRecord
     node_inputs: np.ndarray  # [N, d_appearance + 4 + n_entity_categories]
     union_inputs: np.ndarray  # [M, 2 * d_appearance + 4]
-    edge_index: list[tuple[int, int]]
+    edge_index: np.ndarray  # [M, 2] int64 (subject id, object id)
     node_labels: np.ndarray
     edge_labels: np.ndarray
     node_onehot: np.ndarray
@@ -182,14 +182,12 @@ def prepare_scene(record: SceneRecord, fp: FeatureParams) -> PreparedScene:
                 f"{fp.n_predicate_categories}-category vocabulary"
             )
     n = len(record.nodes)
-    appearance = np.stack([fp.appearance(node) for node in record.nodes]) + fp.scene_offset(record.scene_id)
+    appearance, logits = fp.node_features(record)
     boxes = np.array([node.box for node in record.nodes], dtype=float).reshape(n, 4)
-    logits = np.stack([fp.class_logits(node) for node in record.nodes])
     node_inputs = np.concatenate([appearance, boxes, logits], axis=1)
     ids = [node.id for node in record.nodes]
     row_of = {node_id: row for row, node_id in enumerate(ids)}
     rows = np.argwhere(~np.eye(n, dtype=bool))
-    edge_index = [(ids[i], ids[j]) for i, j in rows.tolist()]
     adjacency = build_adjacency(n, rows)
     subj, obj = adjacency.subjects, adjacency.objects
     node_ids = np.array(ids, dtype=np.int64)
@@ -209,7 +207,7 @@ def prepare_scene(record: SceneRecord, fp: FeatureParams) -> PreparedScene:
         record=record,
         node_inputs=node_inputs,
         union_inputs=union_inputs,
-        edge_index=edge_index,
+        edge_index=node_ids[rows],
         node_labels=node_labels,
         edge_labels=edge_labels,
         node_onehot=np.eye(fp.n_entity_categories)[node_labels],

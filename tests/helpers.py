@@ -7,7 +7,7 @@ stay independent of the library's vectorized or dict-based shortcuts.
 import numpy as np
 
 from sggkit.autodiff import ShapeError, Tape
-from sggkit.data import Edge, Node, SceneRecord
+from sggkit.data import _STREAM_APPEAR, _STREAM_LOGITS, Edge, Node, SceneRecord
 from sggkit.metrics import GroundTruthGraph, rank_triplets
 
 
@@ -240,6 +240,33 @@ def loop_a_tilde(n_nodes, edges):
 
 
 # ---------------------------------------------------------------------------
+# feature synthesis: the per-node oracle, one default_rng per node and stream
+
+
+def appearance(fp, node):
+    """A node's appearance without the scene offset: prototype plus sigma times its own noise."""
+    rng = np.random.default_rng([_STREAM_APPEAR, fp.seed, node.appearance_seed])
+    return fp.prototype(node.label) + fp.appearance_sigma * rng.standard_normal(fp.d_appearance)
+
+
+def observed_label(fp, node):
+    """The label a noisy upstream classifier would report for this node."""
+    rng = np.random.default_rng([_STREAM_LOGITS, fp.seed, node.appearance_seed])
+    if fp.logit_flip_rate > 0.0 and rng.random() < fp.logit_flip_rate:
+        wrong = int(rng.integers(1, fp.n_entity_categories - 1))
+        if wrong >= node.label:
+            wrong += 1
+        return wrong
+    return node.label
+
+
+def class_logits(fp, node):
+    logits = np.zeros(fp.n_entity_categories)
+    logits[observed_label(fp, node)] = fp.logit_scale
+    return logits
+
+
+# ---------------------------------------------------------------------------
 # scene preparation: the per-edge loop oracle
 
 
@@ -250,7 +277,7 @@ def loop_prepare_scene(record, fp):
     adjacency's "subjects", "objects" and dense "a_tilde".
     """
     offset = fp.scene_offset(record.scene_id)
-    props = [(fp.appearance(node) + offset, np.asarray(node.box, dtype=float), fp.class_logits(node))
+    props = [(appearance(fp, node) + offset, np.asarray(node.box, dtype=float), class_logits(fp, node))
              for node in record.nodes]
     n = len(props)
     node_inputs = np.stack([np.concatenate(p) for p in props])
@@ -280,7 +307,7 @@ def loop_prepare_scene(record, fp):
     return {
         "node_inputs": node_inputs,
         "union_inputs": union_inputs,
-        "edge_index": edge_index,
+        "edge_index": np.array(edge_index, dtype=np.int64).reshape(-1, 2),
         "subjects": np.array([s for s, _ in rows], dtype=np.int64),
         "objects": np.array([o for _, o in rows], dtype=np.int64),
         "node_labels": node_labels,

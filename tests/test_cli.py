@@ -453,6 +453,38 @@ def test_malformed_corpus_line_is_named(field, value, corpus, checkpoint, tmp_pa
     assert "error: line 3: " in capsys.readouterr().err
 
 
+def _corpus_with_spec(corpus, tmp_path, **fields):
+    """The first three scenes of `corpus` next to a sidecar whose spec has `fields` overwritten."""
+    path = _rewrite_corpus(corpus, str(tmp_path / "c.sgjsonl"), read_scenes(corpus)[:3])
+    with open(f"{path}.meta.json") as fh:
+        meta = json.load(fh)
+    meta["spec"].update(fields)
+    with open(f"{path}.meta.json", "w") as fh:
+        json.dump(meta, fh)
+    return path
+
+
+@pytest.mark.parametrize("field,value", [
+    ("seed", 1.5), ("seed", None), ("seed", "3"), ("seed", True), ("seed", -1),
+    ("logit_flip_rate", "0.5"), ("appearance_sigma", None), ("logit_scale", False), ("d_appearance", "12"),
+])
+def test_mistyped_corpus_spec_is_named(field, value, corpus, checkpoint, tmp_path, capsys):
+    path = _corpus_with_spec(corpus, tmp_path, **{field: value})
+    assert main(["eval", "--corpus", path, "--checkpoint", checkpoint, "--out", str(tmp_path / "m.csv")]) == 2
+    assert f"error: {path}.meta.json: spec field {field} must be " in capsys.readouterr().err
+
+
+def test_corpus_spec_seed_has_no_upper_bound_and_broken_sidecar_is_named(corpus, checkpoint, tmp_path, capsys):
+    path = _corpus_with_spec(corpus, tmp_path, seed=2**70)
+    assert main(["eval", "--corpus", path, "--checkpoint", checkpoint, "--out", str(tmp_path / "m.csv")]) == 0
+    with open(f"{path}.meta.json", "w") as fh:
+        fh.write('{"spec": {"seed": 3,')
+    assert main(["eval", "--corpus", path, "--checkpoint", checkpoint, "--out", str(tmp_path / "m.csv")]) == 2
+    assert f"error: {path}.meta.json: not valid JSON" in capsys.readouterr().err
+    assert main(["generate", "--out", str(tmp_path / "g.sgjsonl"), "--seed", "-1"]) == 2
+    assert "spec field seed must be a non-negative integer, got -1" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # train/eval determinism end to end
 

@@ -3,7 +3,9 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from helpers import appearance, class_logits
 from sggkit.data import (
     Edge,
     FeatureParams,
@@ -13,9 +15,11 @@ from sggkit.data import (
     build_rule,
     generate,
     read_scenes,
+    seeded_generators,
     split_scenes,
     write_scenes,
 )
+from sggkit.model import prepare_scene
 
 
 def small_spec(**kw):
@@ -365,18 +369,22 @@ def test_split_scenes_holds_out_tail():
 # feature synthesis
 
 
+def _scene(*nodes):
+    return SceneRecord("scene-00000", list(nodes), [])
+
+
 def test_appearance_deterministic_and_seed_driven():
     fp = FeatureParams.from_spec(small_spec())
-    n1 = Node(0, 3, (0.0, 0.0, 1.0, 1.0), 42)
-    n2 = Node(1, 3, (0.0, 0.0, 1.0, 1.0), 43)
-    np.testing.assert_array_equal(fp.appearance(n1), fp.appearance(n1))
-    assert not np.array_equal(fp.appearance(n1), fp.appearance(n2))
+    scene = _scene(Node(0, 3, (0.0, 0.0, 1.0, 1.0), 42), Node(1, 3, (0.0, 0.0, 1.0, 1.0), 43))
+    appearance, _ = fp.node_features(scene)
+    np.testing.assert_array_equal(fp.node_features(scene)[0], appearance)
+    assert not np.array_equal(appearance[0], appearance[1])
 
 
 def test_appearance_sigma_zero_hits_prototype_exactly():
     fp = FeatureParams.from_spec(small_spec(appearance_sigma=0.0))
-    node = Node(0, 4, (0.0, 0.0, 1.0, 1.0), 7)
-    np.testing.assert_array_equal(fp.appearance(node), fp.prototype(4))
+    appearance, _ = fp.node_features(_scene(Node(0, 4, (0.0, 0.0, 1.0, 1.0), 7)))
+    np.testing.assert_array_equal(appearance[0], fp.prototype(4))
 
 
 def test_prototype_is_drawn_once_per_instance_and_read_only():
@@ -399,8 +407,8 @@ def test_nearest_prototype_accuracy_degrades_with_sigma():
         protos = np.stack([fp.prototype(c) for c in range(spec.n_entity_categories)])
         hit = total = 0
         for rec in records:
-            for n in rec.nodes:
-                d = np.linalg.norm(protos - fp.appearance(n), axis=1)
+            for n, app in zip(rec.nodes, fp.node_features(rec)[0]):
+                d = np.linalg.norm(protos - app, axis=1)
                 d[0] = np.inf  # reserved no-object prototype is not a candidate
                 hit += int(np.argmin(d)) == n.label
                 total += 1
@@ -410,13 +418,12 @@ def test_nearest_prototype_accuracy_degrades_with_sigma():
 
 
 def test_observed_label_flip_rate_endpoints():
-    node = Node(0, 5, (0.0, 0.0, 1.0, 1.0), 99)
     never = FeatureParams.from_spec(small_spec(logit_flip_rate=0.0))
     always = FeatureParams.from_spec(small_spec(logit_flip_rate=1.0))
-    assert never.observed_label(node) == 5
+    assert never.node_features(_scene(Node(0, 5, (0.0, 0.0, 1.0, 1.0), 99)))[1].argmax() == 5
+    _, logits = always.node_features(_scene(*(Node(i, 5, (0.0, 0.0, 1.0, 1.0), i) for i in range(200))))
     seen = set()
-    for seed_val in range(200):
-        lab = always.observed_label(Node(0, 5, (0.0, 0.0, 1.0, 1.0), seed_val))
+    for lab in logits.argmax(axis=1).tolist():
         assert lab != 5 and 1 <= lab <= 10
         seen.add(lab)
     assert len(seen) > 3  # wrong labels spread over the vocabulary
@@ -428,8 +435,9 @@ def test_observed_label_flip_rate_statistics():
     records = generate(spec)
     flips = total = 0
     for rec in records:
-        for n in rec.nodes:
-            flips += fp.observed_label(n) != n.label
+        _, logits = fp.node_features(rec)
+        for n, lab in zip(rec.nodes, logits.argmax(axis=1).tolist()):
+            flips += lab != n.label
             total += 1
     assert abs(flips / total - 0.3) < 0.03
 
@@ -437,11 +445,70 @@ def test_observed_label_flip_rate_statistics():
 def test_class_logits_one_hot_at_observed_label():
     spec = small_spec(logit_flip_rate=0.0, logit_scale=2.5)
     fp = FeatureParams.from_spec(spec)
-    node = Node(0, 6, (0.0, 0.0, 1.0, 1.0), 5)
-    logits = fp.class_logits(node)
-    assert logits.shape == (spec.n_entity_categories,)
-    assert logits[6] == 2.5
+    _, logits = fp.node_features(_scene(Node(0, 6, (0.0, 0.0, 1.0, 1.0), 5)))
+    assert logits.shape == (1, spec.n_entity_categories)
+    assert logits[0, 6] == 2.5
     assert np.count_nonzero(logits) == 1
+
+
+# ints that split into one, two or three 32-bit words, word boundaries included
+seed_ints = st.integers(0, 2**70) | st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64])
+
+
+@settings(deadline=None)
+@given(st.lists(st.lists(seed_ints, min_size=1, max_size=6), max_size=6))
+def test_seeded_generators_match_default_rng(rows):
+    rngs = seeded_generators(rows)
+    assert len(rngs) == len(rows)
+    for rng, row in zip(rngs, rows):
+        want = np.random.default_rng(row)
+        assert rng.bit_generator.state == want.bit_generator.state
+        assert rng.standard_normal(3).tobytes() == want.standard_normal(3).tobytes()
+        assert rng.integers(0, 2**40, size=3).tolist() == want.integers(0, 2**40, size=3).tolist()
+
+
+def test_seeded_generators_reject_negative_seeds():
+    with pytest.raises(ValueError, match="non-negative"):
+        seeded_generators([[3, 4], [202, -1]])
+
+
+below_2_32, from_2_32 = st.integers(0, 2**32 - 1), st.integers(2**32, 2**70)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from([0.0, 0.5, 1.0]), below_2_32 | from_2_32, st.sampled_from([0.0, 0.7]),
+       st.lists(st.tuples(st.integers(1, 10), below_2_32 | from_2_32), max_size=8))
+def test_node_features_match_per_node_oracle(flip_rate, seed, offset_sigma, labelled_seeds):
+    fp = FeatureParams.from_spec(small_spec(seed=seed, logit_flip_rate=flip_rate, scene_offset_sigma=offset_sigma))
+    nodes = [Node(i, label, (0.0, 0.0, 1.0, 1.0), s) for i, (label, s) in enumerate(labelled_seeds)]
+    record = SceneRecord("scene-00007", nodes, [])
+    got_appearance, got_logits = fp.node_features(record)
+    n, offset = len(nodes), fp.scene_offset(record.scene_id)
+    want_appearance = np.array([appearance(fp, node) + offset for node in nodes]).reshape(n, fp.d_appearance)
+    want_logits = np.array([class_logits(fp, node) for node in nodes]).reshape(n, fp.n_entity_categories)
+    assert got_appearance.tobytes() == want_appearance.tobytes()
+    assert got_logits.tobytes() == want_logits.tobytes()
+
+
+def test_preparing_a_scene_seeds_no_generator_per_node(monkeypatch):
+    spec = small_spec(n_entity_categories=33, related_pairs=15, nodes_per_scene=10, n_scenes=1)
+    record = generate(spec)[0]
+    fp = FeatureParams.from_spec(spec)
+    for node in record.nodes:
+        fp.prototype(node.label)
+    calls = []
+    default_rng, seed_sequence = np.random.default_rng, np.random.SeedSequence
+
+    def counted(real):
+        def call(*args, **kwargs):
+            calls.append(real.__name__)
+            return real(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(np.random, "default_rng", counted(default_rng))
+    monkeypatch.setattr(np.random, "SeedSequence", counted(seed_sequence))
+    prepare_scene(record, fp)
+    assert calls == []
 
 
 def test_scene_offset_shared_and_deterministic():

@@ -189,20 +189,20 @@ def test_ranked_from_scores_graph_constraint_one_triplet_per_pair():
         [0.7, 0.2, 0.1],  # argmax over real predicates is 1
         [0.1, 0.3, 0.6],
     ])
-    ranked = ranked_from_scores([(0, 1), (1, 0)], probs)
+    ranked = ranked_from_scores(np.array([(0, 1), (1, 0)]), probs)
     assert ranked == [(1, 0, 2, 0.6), (0, 1, 1, 0.2)]
 
 
 def test_ranked_from_scores_never_emits_no_relation():
     probs = np.array([[0.98, 0.01, 0.01]])
-    ranked = ranked_from_scores([(0, 1)], probs)
+    ranked = ranked_from_scores(np.array([(0, 1)]), probs)
     assert len(ranked) == 1
     assert ranked[0][2] != 0
 
 
 def test_ranked_from_scores_unconstrained_emits_all_predicates():
     probs = np.array([[0.5, 0.3, 0.2], [0.2, 0.3, 0.5]])
-    ranked = ranked_from_scores([(0, 1), (1, 0)], probs, graph_constraint=False)
+    ranked = ranked_from_scores(np.array([(0, 1), (1, 0)]), probs, graph_constraint=False)
     assert len(ranked) == 4
     assert ranked[0] == (1, 0, 2, 0.5)
 
@@ -226,7 +226,7 @@ def scored_edges(draw):
 @given(scored_edges(), st.booleans())
 def test_ranked_from_scores_matches_per_edge_loop(case, graph_constraint):
     pairs, probs = case
-    ranked = ranked_from_scores(pairs, probs, graph_constraint)
+    ranked = ranked_from_scores(np.array(pairs, dtype=np.int64).reshape(-1, 2), probs, graph_constraint)
     assert ranked == loop_ranked_from_scores(pairs, probs, graph_constraint)
     assert all(type(s) is int and type(o) is int and type(p) is int and type(sc) is float
                for s, o, p, sc in ranked)
@@ -234,9 +234,9 @@ def test_ranked_from_scores_matches_per_edge_loop(case, graph_constraint):
 
 def test_ranked_from_scores_shape_errors():
     with pytest.raises(ValueError, match="edge_probs"):
-        ranked_from_scores([(0, 1)], np.zeros((2, 3)))
+        ranked_from_scores(np.array([(0, 1)]), np.zeros((2, 3)))
     with pytest.raises(ValueError, match="predicate category"):
-        ranked_from_scores([(0, 1)], np.ones((1, 1)))
+        ranked_from_scores(np.array([(0, 1)]), np.ones((1, 1)))
 
 
 # ---------------------------------------------------------------------------

@@ -94,14 +94,19 @@ def test_config_validation():
     assert ModelConfig.from_dict(cfg.to_dict()) == cfg
 
 
+def _pairs(prep):
+    return [tuple(pair) for pair in prep.edge_index.tolist()]
+
+
 def test_prepare_scene_candidates_and_labels():
     record, fp = scene_and_fp()
     prep = prepare_scene(record, fp)
     n = len(record.nodes)
     assert prep.n_edges == n * (n - 1)
-    assert sorted(prep.edge_index) == sorted((i, j) for i in range(n) for j in range(n) if i != j)
+    assert prep.edge_index.dtype == np.int64 and prep.edge_index.shape == (n * (n - 1), 2)
+    assert sorted(_pairs(prep)) == sorted((i, j) for i in range(n) for j in range(n) if i != j)
     annotated = {(e.subject, e.object): e.predicate for e in record.edges}
-    for (s, o), label in zip(prep.edge_index, prep.edge_labels):
+    for (s, o), label in zip(_pairs(prep), prep.edge_labels):
         assert label == annotated.get((s, o), 0)
     assert prep.node_onehot.shape == (n, 11)
     np.testing.assert_array_equal(prep.node_onehot.argmax(axis=1), prep.node_labels)
@@ -110,7 +115,7 @@ def test_prepare_scene_candidates_and_labels():
 def test_prepare_scene_union_rows_shared_across_directions():
     record, fp = scene_and_fp()
     prep = prepare_scene(record, fp)
-    rows = {pair: prep.union_inputs[i] for i, pair in enumerate(prep.edge_index)}
+    rows = {pair: prep.union_inputs[i] for i, pair in enumerate(_pairs(prep))}
     for (s, o), row in rows.items():
         np.testing.assert_array_equal(row, rows[(o, s)])
 
@@ -131,10 +136,7 @@ def test_prepare_scene_applies_shared_scene_offset():
 
 
 def _assert_matches_loop_oracle(prep, expect):
-    assert prep.edge_index == expect["edge_index"]
     for name, want in expect.items():
-        if name == "edge_index":
-            continue
         got = getattr(prep.adjacency if name in ("subjects", "objects", "a_tilde") else prep, name)
         assert got.dtype == want.dtype and got.shape == want.shape, name
         assert got.tobytes() == want.tobytes(), name
@@ -212,7 +214,7 @@ def test_single_proposal_no_edges():
     out = Model(tiny_config()).forward(prep)
     assert probs(out.node_logits).shape == (1, 11)
     assert probs(out.edge_logits).shape == (0, 5)
-    assert prep.edge_index == []
+    assert prep.edge_index.shape == (0, 2)
 
 
 def test_identical_proposals_get_identical_node_rows():
@@ -246,7 +248,7 @@ def test_direction_sensitive_fusion_separates_directions():
     record, fp = scene_and_fp()
     prep = prepare_scene(record, fp)
     out = Model(tiny_config(fusion="parallel", gih_variant="none", seed=5)).forward(prep)
-    by_pair = dict(zip(prep.edge_index, probs(out.edge_logits)))
+    by_pair = dict(zip(_pairs(prep), probs(out.edge_logits)))
     gaps = [np.abs(by_pair[(s, o)] - by_pair[(o, s)]).max() for (s, o) in by_pair]
     assert max(gaps) > 1e-6
 
@@ -255,7 +257,7 @@ def test_union_fusion_without_propagation_is_direction_blind():
     record, fp = scene_and_fp()
     prep = prepare_scene(record, fp)
     out = Model(tiny_config(fusion="union", use_lih=False, gih_variant="none", seed=6)).forward(prep)
-    rows = {pair: i for i, pair in enumerate(prep.edge_index)}
+    rows = {pair: i for i, pair in enumerate(_pairs(prep))}
     edge_probs = probs(out.edge_logits)
     for (s, o), i in rows.items():
         j = rows[(o, s)]
@@ -267,7 +269,7 @@ def test_union_fusion_with_propagation_stays_direction_blind():
     record, fp = scene_and_fp()
     prep = prepare_scene(record, fp)
     out = Model(tiny_config(fusion="union", use_lih=False, gih_variant="gih", seed=7)).forward(prep)
-    rows = {pair: i for i, pair in enumerate(prep.edge_index)}
+    rows = {pair: i for i, pair in enumerate(_pairs(prep))}
     edge_probs = probs(out.edge_logits)
     for (s, o), i in rows.items():
         np.testing.assert_array_equal(edge_probs[i], edge_probs[rows[(o, s)]])
@@ -323,7 +325,7 @@ def _predicate_loss(prep, cfg, edge_logits):
 def test_predicate_loss_gives_relation_and_no_relation_rows_half_each():
     prep, cfg = _three_node_scene([Edge(0, 1, 1), Edge(1, 0, 2)])
     assert prep.n_edges == 6
-    rows = {pair: i for i, pair in enumerate(prep.edge_index)}
+    rows = {pair: i for i, pair in enumerate(_pairs(prep))}
     logits = np.tile([np.log(3.0), 0.0, 0.0], (6, 1))  # p(no relation) = 3/5 on the four background rows
     logits[rows[(0, 1)]] = [0.0, np.log(4.0), 0.0]  # p(label 1) = 4/6
     # row (1, 0) keeps [log 3, 0, 0]: p(label 2) = 1/5

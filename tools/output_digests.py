@@ -10,6 +10,12 @@ directory, with BLAS pinned to one thread:
   2), ``train --epochs 2 --metrics-every 1 --holdout 40``; then ``eval
   --checkpoint`` constrained and ``--unconstrained``, each with
   ``--dump-predictions``; then ``eval --predictions`` on each dump;
+* ``eval --checkpoint`` of the parallel-gih-lih model, constrained and
+  ``--unconstrained`` with ``--dump-predictions``, on a stress copy of the
+  corpus: its sidecar sets a corpus seed beyond 2**32, ``logit_flip_rate``
+  0.5 and ``scene_offset_sigma`` 0.3, and a third of its appearance seeds lie
+  beyond 2**32. These outputs change when a node's appearance or observed
+  label is drawn from another generator state, for any seed width;
 * generated scenes hold one bidirectional pair and at most two predicate
   categories each, so the sweep also writes a multi-pair corpus (seed 601):
   scenes with 2 to 4 bidirectional pairs, one-way edges and up to 6 predicate
@@ -97,6 +103,28 @@ def write_multi_pair(corpus: str, predictions: str, n_scenes: int = 40, seed: in
             preds.write(json.dumps({"scene_id": scene_id, "triplets": triplets}, sort_keys=True) + "\n")
 
 
+def write_stress_corpus(corpus: str, stress: str, seed: int = 701) -> None:
+    """A copy of `corpus` whose feature synthesis takes the rarely used paths.
+
+    Its sidecar sets a corpus seed beyond 2**32, logit_flip_rate 0.5 and a
+    scene offset; a third of the nodes get appearance seeds beyond 2**32, so
+    their generators are seeded from five 32-bit words, the others' from four.
+    """
+    rng = random.Random(seed)
+    with open(corpus, encoding="utf-8") as src, open(stress, "w", encoding="utf-8") as dst:
+        for line in src:
+            scene = json.loads(line)
+            for node in scene["nodes"]:
+                if rng.random() < 1 / 3:
+                    node["appearance_seed"] = rng.randrange(2**32, 2**63)
+            dst.write(json.dumps(scene, sort_keys=True) + "\n")
+    with open(f"{corpus}.meta.json", encoding="utf-8") as fh:
+        meta = json.load(fh)
+    meta["spec"].update(seed=2**40 + 501, logit_flip_rate=0.5, scene_offset_sigma=0.3)
+    with open(f"{stress}.meta.json", "w", encoding="utf-8") as fh:
+        json.dump(meta, fh, sort_keys=True, indent=1)
+
+
 def sweep(main) -> None:
     """Write every output of the sweep into the current directory."""
     with open("gen.cfg", "w", encoding="utf-8") as fh:
@@ -120,6 +148,11 @@ def sweep(main) -> None:
                                "--out", f"{tag}/{mode}.csv", "--dump-predictions", dump, *flags])
                     run(main, ["eval", "--corpus", "corpus.sgjsonl", "--predictions", dump,
                                "--out", f"{tag}/{mode}.rescore.csv"])
+    os.mkdir("stress")
+    write_stress_corpus("corpus.sgjsonl", "stress/corpus.sgjsonl")
+    for mode, flags in (("constrained", []), ("unconstrained", ["--unconstrained"])):
+        run(main, ["eval", "--corpus", "stress/corpus.sgjsonl", "--checkpoint", "parallel-gih-lih/model.ckpt.json",
+                   "--out", f"stress/{mode}.csv", "--dump-predictions", f"stress/{mode}.pred.jsonl", *flags])
     os.mkdir("multipair")
     write_multi_pair("multipair/corpus.sgjsonl", "multipair/scores.pred.jsonl")
     for name, flags in (("default", []), ("overlap", ["--ks-recall", "2,4", "--ks-pair", "2,4"])):
