@@ -5,7 +5,10 @@ schema, train the model schema): dataclass defaults, then --config key=value
 file, then SGGKIT_<KEY> environment variables, then explicit flags. Unknown
 keys in a config file are rejected; environment variables that match no field
 of the active schema are ignored so one environment can serve several
-commands.
+commands. Values are read by field annotation (data.FIELD_TYPES): int by int(),
+float by float(), bool from true/false/1/0/yes/no, str as written, `int | None`
+from an int or `none`, a seed as an int that must be non-negative. A value
+that cannot be read exits 2 naming the file or variable and the key.
 
 Every command writes a `<out>.manifest.json` recording the command line, the
 resolved config, seeds, sha256 hashes of inputs and outputs, and wall-clock
@@ -24,8 +27,6 @@ import json
 import os
 import sys
 import time
-import types
-import typing
 from dataclasses import asdict, replace
 
 from .analysis import (
@@ -94,52 +95,21 @@ def _parse_kv_file(path) -> dict[str, str]:
     return out
 
 
-def _coerce(raw: str, tp, key: str):
-    if tp is bool:
-        lowered = raw.lower()
-        if lowered in ("true", "1", "yes"):
-            return True
-        if lowered in ("false", "0", "no"):
-            return False
-        raise ValueError(f"config key {key!r}: cannot read {raw!r} as a boolean")
-    if tp is int:
-        return int(raw)
-    if tp is float:
-        return float(raw)
-    if tp is str:
-        return raw
-    origin = typing.get_origin(tp)
-    if origin in (typing.Union, types.UnionType) and set(typing.get_args(tp)) == {int, type(None)}:
-        return None if raw.lower() == "none" else int(raw)
-    raise ValueError(f"config key {key!r} has unsupported type {tp}")
-
-
 def _assemble_config(cls, config_path, overrides: dict):
     """Resolve one schema: defaults < config file < environment < flags.
 
     Returns the instance plus the set of explicitly assigned field names.
     """
-    hints = typing.get_type_hints(cls)
-    values: dict = {}
-    explicit: set[str] = set()
-    if config_path:
-        raw = _parse_kv_file(config_path)
-        unknown = set(raw) - set(hints)
-        if unknown:
-            raise ValueError(f"{config_path}: unknown config keys {sorted(unknown)}")
-        for key, value in raw.items():
-            values[key] = _coerce(value, hints[key], key)
-        explicit |= set(raw)
-    for key, tp in hints.items():
+    raw = _parse_kv_file(config_path) if config_path else {}
+    if unknown := set(raw) - set(cls.field_types()):
+        raise ValueError(f"{config_path}: unknown config keys {sorted(unknown)}")
+    values = {key: cls.parse_field(config_path, key, value) for key, value in raw.items()}
+    for key in cls.field_types():
         env_key = ENV_PREFIX + key.upper()
         if env_key in os.environ:
-            values[key] = _coerce(os.environ[env_key], tp, key)
-            explicit.add(key)
-    for key, value in overrides.items():
-        if value is not None:
-            values[key] = value
-            explicit.add(key)
-    return cls(**values), explicit
+            values[key] = cls.parse_field(env_key, key, os.environ[env_key])
+    values.update((key, value) for key, value in overrides.items() if value is not None)
+    return cls(**values), set(values)
 
 
 # ---------------------------------------------------------------------------

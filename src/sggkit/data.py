@@ -41,9 +41,10 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-import math
 import sys
-from dataclasses import asdict, dataclass, field
+import typing
+from dataclasses import dataclass, field
+from typing import NewType
 
 import numpy as np
 
@@ -61,9 +62,54 @@ _STREAM_SCENE_OFFSET = 404
 _FLOAT_MAX = sys.float_info.max
 _INT64_END = 2**63  # ids and labels end up in int64 arrays
 _NUMBER_TYPES = frozenset((int, float))  # bool is neither
-_SPEC_NUMBER_FIELDS = frozenset((
-    "asymmetric_fraction", "noise_rate", "appearance_sigma", "scene_offset_sigma", "logit_flip_rate", "logit_scale",
-))
+_BOOL_WORDS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+Seed = NewType("Seed", int)  # a non-negative int with no upper bound
+
+# annotation -> (check for a JSON value, what an error says the value must be, parser for a config string)
+FIELD_TYPES = {
+    int: (lambda v: type(v) is int, "an integer", int),
+    Seed: (lambda v: type(v) is int and v >= 0, "a non-negative integer", int),
+    # ints and floats compare exactly, so an int beyond float range fails with no OverflowError; NaN fails too
+    float: (lambda v: type(v) in _NUMBER_TYPES and -_FLOAT_MAX <= v <= _FLOAT_MAX, "a finite number", float),
+    bool: (lambda v: type(v) is bool, "true or false", lambda raw: _BOOL_WORDS[raw.lower()]),
+    str: (lambda v: type(v) is str, "a string", str),
+    int | None: (lambda v: v is None or type(v) is int, "null or an integer",
+                 lambda raw: None if raw.lower() == "none" else int(raw)),
+}
+
+
+class ConfigSchema:
+    """from_dict, type checks and config-string parsing for a dataclass whose annotations are FIELD_TYPES keys.
+
+    _label names the class in unknown-key errors, _field_label in field errors.
+    """
+
+    @classmethod
+    @functools.cache  # get_type_hints is too slow to run on every validate
+    def field_types(cls) -> dict[str, object]:
+        return typing.get_type_hints(cls)
+
+    @classmethod
+    def from_dict(cls, d: dict):
+        if unknown := set(d) - set(cls.field_types()):
+            raise ValueError(f"unknown {cls._label} keys: {sorted(unknown)}")
+        return cls(**d)
+
+    def check_types(self) -> None:
+        """Reject a value not of its field's annotated kind, as checkpoints and sidecars deliver JSON."""
+        for name, annotation in self.field_types().items():
+            check, want, _ = FIELD_TYPES[annotation]
+            if not check(value := getattr(self, name)):
+                raise ValueError(f"{self._field_label} field {name} must be {want}, got {value!r}")
+
+    @classmethod
+    def parse_field(cls, source, key: str, raw: str):
+        """Field `key`'s value from a config string; an unreadable one names `source`, a file or variable."""
+        _, want, parse = FIELD_TYPES[cls.field_types()[key]]
+        try:
+            return parse(raw)
+        except (KeyError, ValueError):
+            raise ValueError(f"{source}: config key {key!r}: cannot read {raw!r} as {want}") from None
 
 
 @dataclass
@@ -116,7 +162,7 @@ class SceneRecord:
 
 
 @dataclass
-class GeneratorSpec:
+class GeneratorSpec(ConfigSchema):
     """Knobs of the planted-rule corpus.
 
     related_pairs matched category pairs use entity labels 1..2*related_pairs
@@ -133,7 +179,7 @@ class GeneratorSpec:
     noise_rate: float = 0.05
     nodes_per_scene: int = 6
     n_scenes: int = 1000
-    seed: int = 0
+    seed: Seed = 0
     # feature synthesis
     d_appearance: int = 12
     appearance_sigma: float = 0.5
@@ -141,19 +187,10 @@ class GeneratorSpec:
     logit_flip_rate: float = 0.05
     logit_scale: float = 4.0
 
+    _label, _field_label = "generator spec", "spec"
+
     def validate(self) -> None:
-        # corpus sidecars deliver JSON values, so check types before comparisons read them
-        for name, value in asdict(self).items():
-            kind = type(value)
-            if name in _SPEC_NUMBER_FIELDS:
-                ok = kind is float and math.isfinite(value) or kind is int and abs(value) <= _FLOAT_MAX
-                want = "a finite number"
-            elif name == "seed":
-                ok, want = kind is int and value >= 0, "a non-negative integer"
-            else:
-                ok, want = kind is int, "an integer"
-            if not ok:
-                raise ValueError(f"spec field {name} must be {want}, got {value!r}")
+        self.check_types()
         if self.n_entity_categories < 3:
             raise ValueError("need at least two usable entity categories plus the reserved 0")
         if self.n_predicate_categories < 2:
@@ -198,14 +235,6 @@ class GeneratorSpec:
             raise ValueError("appearance parameters out of range")
         if not 0.0 <= self.logit_flip_rate <= 1.0:
             raise ValueError("logit_flip_rate must lie in [0, 1]")
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GeneratorSpec":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(d) - known
-        if unknown:
-            raise ValueError(f"unknown generator spec keys: {sorted(unknown)}")
-        return cls(**d)
 
 
 @dataclass
@@ -401,6 +430,7 @@ def _json_lines(path):
 
 
 def read_scenes(path) -> list[SceneRecord]:
+    """A corpus file's scenes, each type-checked and validated (records are validated here and in prepare_scene)."""
     return [_record_from_obj(obj, line_no) for line_no, obj in _json_lines(path)]
 
 

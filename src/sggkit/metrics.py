@@ -57,7 +57,7 @@ class GroundTruthGraph:
 
     @classmethod
     def from_scene(cls, record: SceneRecord) -> "GroundTruthGraph":
-        record.validate()
+        """The ground truth of a record that read_scenes or prepare_scene has validated."""
         node_labels = {n.id: n.label for n in record.nodes}
         edges = {(e.subject, e.object): e.predicate for e in record.edges}
         pairs = sorted({(min(s, o), max(s, o)) for (s, o) in edges if (o, s) in edges})

@@ -17,7 +17,6 @@ the config seed.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -44,7 +43,7 @@ from .attract_repel import (
     sample_negatives,
     update_references,
 )
-from .data import PREDICATE_NO_RELATION, FeatureParams, SceneRecord
+from .data import PREDICATE_NO_RELATION, ConfigSchema, FeatureParams, SceneRecord, Seed
 from .fusion import VARIANTS as FUSION_VARIANTS
 from .fusion import encode_edges, init_fusion_params
 from .local_attention import LihParams, init_lih_params, lih_forward_batch
@@ -65,7 +64,7 @@ _STREAM_BANK = 29
 
 
 @dataclass
-class ModelConfig:
+class ModelConfig(ConfigSchema):
     d_appearance: int = 12
     d_node: int = 32
     d_edge: int = 32
@@ -84,25 +83,16 @@ class ModelConfig:
     momentum: float = 0.9
     weight_decay: float = 5e-4
     epochs: int = 30
-    seed: int = 0
+    seed: Seed = 0
+
+    _label, _field_label = "model config", "config"
 
     def validate(self) -> None:
-        # checkpoints deliver JSON values, so check types before truthiness or order reads them
-        for name, value in asdict(self).items():
-            kind = type(value)
-            if name in ("fusion", "gih_variant"):
-                ok, want = kind is str, "a string"
-            elif name == "use_lih":
-                ok, want = kind is bool, "true or false"
-            elif name in ("w_entity", "w_predicate", "w_ar", "learning_rate", "momentum", "weight_decay"):
-                ok, want = kind in (int, float) and math.isfinite(value), "a finite number"
-            elif name in ("d_attention", "fusion_hidden"):
-                least = 1 if name == "d_attention" else 0  # fusion_hidden 0 is a purely affine fusion
-                ok, want = value is None or (kind is int and value >= least), f"null or an integer >= {least}"
-            else:
-                ok, want = kind is int, "an integer"
-            if not ok:
-                raise ValueError(f"config field {name} must be {want}, got {value!r}")
+        self.check_types()
+        for name, least in (("d_attention", 1), ("fusion_hidden", 0)):  # fusion_hidden 0 is a purely affine fusion
+            value = getattr(self, name)
+            if value is not None and value < least:
+                raise ValueError(f"config field {name} must be null or an integer >= {least}, got {value!r}")
         if min(self.d_appearance, self.d_node, self.d_edge) < 1:
             raise ValueError("widths must be positive")
         if self.n_entity_categories < 2 or self.n_predicate_categories < 2:
@@ -127,14 +117,6 @@ class ModelConfig:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        known = set(cls.__dataclass_fields__)
-        unknown = set(d) - known
-        if unknown:
-            raise ValueError(f"unknown model config keys: {sorted(unknown)}")
-        return cls(**d)
 
 
 @dataclass
@@ -168,6 +150,7 @@ class PreparedScene:
 
 
 def prepare_scene(record: SceneRecord, fp: FeatureParams) -> PreparedScene:
+    """A validated record lowered to model inputs; with read_scenes, the entry points that validate records."""
     record.validate()
     for node in record.nodes:
         if node.label >= fp.n_entity_categories:
@@ -518,7 +501,7 @@ def load_checkpoint(path) -> tuple[Model, ReferenceBank]:
         raise ValueError(f"{path}: unsupported checkpoint version {version!r}")
     try:
         model = Model(ModelConfig.from_dict(payload["config"]))
-    except (TypeError, ValueError) as exc:  # e.g. a width stored as a string
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: invalid checkpoint config ({exc})") from exc
     saved = payload["params"]
     if set(saved) != set(model.params):

@@ -142,6 +142,17 @@ def test_generate_rejects_unknown_config_key(tmp_path, capsys):
     assert "unknown config keys" in capsys.readouterr().err
 
 
+def test_unreadable_config_value_names_its_source_and_key(corpus, tmp_path, capsys, monkeypatch):
+    out = str(tmp_path / "m.ckpt.json")
+    cfg = _write_config(tmp_path / "train.cfg", epochs="1e3")
+    assert main(["train", "--corpus", corpus, "--out", out, "--config", cfg]) == 2
+    assert f"error: {cfg}: config key 'epochs': cannot read '1e3' as an integer" in capsys.readouterr().err
+    monkeypatch.setenv("SGGKIT_D_NODE", "abc")
+    assert main(["train", "--corpus", corpus, "--out", out]) == 2
+    assert "error: SGGKIT_D_NODE: config key 'd_node': cannot read 'abc' as an integer" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 # ---------------------------------------------------------------------------
 # train
 
@@ -378,7 +389,7 @@ def test_k_below_one_names_the_flag(command, flag, value, corpus, checkpoint, tm
 @pytest.mark.parametrize("case", ["not json", "list", "no config", "no params", "no bank",
                                   "bank is a list", "bank without rng_state", "width is a string",
                                   "rng_state without state", "use_lih is a string", "w_ar is a bool",
-                                  "d_attention is zero"])
+                                  "d_attention is zero", "learning_rate beyond float range"])
 def test_malformed_checkpoint_names_the_path(case, corpus, checkpoint, tmp_path, capsys):
     with open(checkpoint) as fh:
         payload = json.load(fh)
@@ -400,6 +411,8 @@ def test_malformed_checkpoint_names_the_path(case, corpus, checkpoint, tmp_path,
         "use_lih is a string": json.dumps({**payload, "config": {**payload["config"], "use_lih": "false"}}),
         "w_ar is a bool": json.dumps({**payload, "config": {**payload["config"], "w_ar": True}}),
         "d_attention is zero": json.dumps({**payload, "config": {**payload["config"], "d_attention": 0}}),
+        "learning_rate beyond float range": json.dumps({**payload, "config": {**payload["config"],
+                                                                              "learning_rate": 10**400}}),
     }[case]
     bad = tmp_path / "bad.ckpt.json"
     bad.write_text(text)

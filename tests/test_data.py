@@ -1,5 +1,6 @@
 import json
-from dataclasses import asdict
+import typing
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -7,11 +8,13 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import appearance, class_logits
 from sggkit.data import (
+    FIELD_TYPES,
     Edge,
     FeatureParams,
     GeneratorSpec,
     Node,
     SceneRecord,
+    Seed,
     build_rule,
     generate,
     read_scenes,
@@ -19,7 +22,7 @@ from sggkit.data import (
     split_scenes,
     write_scenes,
 )
-from sggkit.model import prepare_scene
+from sggkit.model import ModelConfig, prepare_scene
 
 
 def small_spec(**kw):
@@ -280,6 +283,33 @@ def test_spec_json_round_trip_and_unknown_key():
     assert again == spec
     with pytest.raises(ValueError, match="unknown"):
         GeneratorSpec.from_dict({"n_scenes": 5, "bogus": 1})
+
+
+# JSON values of the wrong kind for each field annotation: a string for a number,
+# a bool for an int, a float for an int, a number for a str
+_WRONG_KIND = {
+    int: ["12", True, 1.0, None],
+    Seed: ["12", True, 1.0, None, -1],
+    float: ["0.5", True, None, float("nan"), float("inf"), 10**400],
+    bool: ["true", 1, 0.0, None],
+    str: [1, 0.5, True, None],
+    int | None: ["12", True, 1.0],
+}
+
+
+@pytest.mark.parametrize("cls,label", [(ModelConfig, "config"), (GeneratorSpec, "spec")],
+                         ids=["ModelConfig", "GeneratorSpec"])
+def test_every_config_field_is_checked_by_its_annotation(cls, label):
+    hints = typing.get_type_hints(cls)
+    cls().validate()
+    for f in fields(cls):
+        annotation = hints[f.name]
+        assert annotation in FIELD_TYPES, f.name
+        for value in _WRONG_KIND[annotation]:
+            with pytest.raises(ValueError, match=f"^{label} field {f.name} must be "):
+                replace(cls(), **{f.name: value}).validate()
+        # the config-string form of the default reads back as the default
+        assert cls.parse_field("test.cfg", f.name, str(f.default)) == f.default
 
 
 # ---------------------------------------------------------------------------

@@ -84,7 +84,7 @@ def test_config_validation():
     tiny_config(d_edge=4, gih_variant="none").validate()  # fine without stacking
     with pytest.raises(ValueError, match="momentum"):
         tiny_config(momentum=1.0).validate()
-    for field, value in (("d_attention", 0), ("d_attention", -2), ("fusion_hidden", -1)):
+    for field, value in (("d_attention", 0), ("d_attention", -2), ("fusion_hidden", -1), ("seed", -1)):
         with pytest.raises(ValueError, match=f"config field {field} must be"):
             tiny_config(**{field: value}).validate()
     tiny_config(fusion_hidden=0).validate()  # a purely affine fusion
