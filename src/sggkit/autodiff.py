@@ -135,10 +135,14 @@ class Tape:
                 fn(g)
 
 
-def _finish(name: str, out_data: np.ndarray, backward) -> Matrix:
-    if not np.isfinite(out_data).all():
+def _checked(name: str, data: np.ndarray) -> np.ndarray:
+    if not np.isfinite(data).all():
         raise NumericError(f"{name} produced a non-finite value")
-    out = _wrap(out_data)
+    return data
+
+
+def _finish(name: str, out_data: np.ndarray, backward) -> Matrix:
+    out = _wrap(_checked(name, out_data))
     if _stack:
         _stack[-1].records.append((name, out, backward))
     return out
@@ -307,6 +311,71 @@ def triple_attention(q: Matrix, k: Matrix, v: Matrix) -> Matrix:
         v.accumulate(np.einsum("ric,rid->cid", alpha, gs).reshape(v.shape))
 
     return _finish("triple_attention", out_data, backward)
+
+
+def parallel_fusion(
+    z_s: Matrix, z_o: Matrix, z_u: Matrix, w0: Matrix, b0: Matrix, w1: Matrix | None = None, b1: Matrix | None = None
+) -> Matrix:
+    """psi([s||o||u]) + psi([s||u||o]) + psi([u||s||o]) for M-row role inputs s, o, u.
+
+    psi(x) is relu(x @ w0 + b0) @ w1 + b1, or x @ w0 + b0 without w1. With
+    w0 cut into row blocks a, b, c, one per input position, the three
+    arrangements use only seven role-block products: s·a, s·b, o·b, o·c,
+    u·a, u·b and u·c. The second layer is linear, so it runs once on the
+    summed activations, (h_sou + h_suo + h_uso) @ w1 + 3 b1. The role
+    products, the pre-activations and the summed activations are checked
+    before they feed the next step, as the separate records checked them.
+    """
+    m, d = z_s.shape
+    h = w0.cols
+    deep = w1 is not None
+    if (z_o.shape != (m, d) or z_u.shape != (m, d) or w0.rows != 3 * d or b0.shape != (1, h)
+            or deep != (b1 is not None) or deep and (w1.rows != h or b1.shape != (1, w1.cols))):
+        shapes = ", ".join(str(x.shape) for x in (z_s, z_o, z_u, w0, b0, w1, b1) if x is not None)
+        raise ShapeError(f"parallel_fusion: the role inputs need one shape (M, d) and the layers must "
+                         f"chain from 3d columns, got {shapes}")
+    s, o, u = z_s.data, z_o.data, z_u.data
+    a, b, c = w0.data[:d], w0.data[d : 2 * d], w0.data[2 * d :]
+    products = np.empty((7, m, h))
+    for i, (x, w) in enumerate(((s, a), (s, b), (o, b), (o, c), (u, a), (u, b), (u, c))):
+        np.matmul(x, w, out=products[i])
+    sa, sb, ob, oc, ua, ub, uc = _checked("parallel_fusion", products)
+    pre = np.empty((3, m, h))  # pre-activations of [s||o||u], [s||u||o], [u||s||o]
+    np.add(sa, ob, out=pre[0])
+    pre[0] += uc
+    np.add(sa, ub, out=pre[1])
+    pre[1] += oc
+    np.add(ua, sb, out=pre[2])
+    pre[2] += oc
+    pre += b0.data
+    _checked("parallel_fusion", pre)
+    if deep:
+        act_sum = _checked("parallel_fusion", np.maximum(pre, 0.0).sum(axis=0))
+        out_data = act_sum @ w1.data + 3.0 * b1.data
+    else:
+        out_data = pre.sum(axis=0)
+
+    def backward(g):
+        if deep:
+            b1.accumulate(3.0 * g.sum(axis=0, keepdims=True))
+            w1.accumulate(act_sum.T @ g)
+            d_pre = (pre > 0.0) * (g @ w1.data.T)
+        else:
+            d_pre = np.broadcast_to(g, pre.shape)
+        b0.accumulate(d_pre.sum(axis=(0, 1)).reshape(1, h))
+        d_sou, d_suo, d_uso = d_pre
+        d_sa, d_oc = d_sou + d_suo, d_suo + d_uso  # the two products that feed two arrangements
+        if not isinstance(z_s, Constant):
+            z_s.accumulate(d_sa @ a.T + d_uso @ b.T)
+        if not isinstance(z_o, Constant):
+            z_o.accumulate(d_sou @ b.T + d_oc @ c.T)
+        if not isinstance(z_u, Constant):
+            z_u.accumulate(d_uso @ a.T + d_suo @ b.T + d_sou @ c.T)
+        w0.accumulate(np.concatenate([s.T @ d_sa + u.T @ d_uso,
+                                      s.T @ d_uso + o.T @ d_sou + u.T @ d_suo,
+                                      o.T @ d_oc + u.T @ d_sou]))
+
+    return _finish("parallel_fusion", out_data, backward)
 
 
 def log_softmax_rows(a: Matrix) -> Matrix:

@@ -187,8 +187,8 @@ def _parse_ks(raw: str, flag: str) -> tuple[int, ...]:
 def cmd_generate(args) -> int:
     t0 = time.perf_counter()
     spec, _ = _assemble_config(GeneratorSpec, args.config, {"seed": args.seed})
-    records = generate(spec)
     rule = build_rule(spec)
+    records = generate(spec, rule)
     write_scenes(args.out, records)
     meta = {
         "spec": asdict(spec),

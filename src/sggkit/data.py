@@ -78,6 +78,12 @@ FIELD_TYPES = {
 }
 
 
+def shown(value, limit: int = 40) -> str:
+    """repr(value) for an error message, cut to `limit` characters with an ellipsis."""
+    text = repr(value)
+    return text if len(text) <= limit else text[: limit - 3] + "..."
+
+
 class ConfigSchema:
     """from_dict, type checks and config-string parsing for a dataclass whose annotations are FIELD_TYPES keys.
 
@@ -100,7 +106,7 @@ class ConfigSchema:
         for name, annotation in self.field_types().items():
             check, want, _ = FIELD_TYPES[annotation]
             if not check(value := getattr(self, name)):
-                raise ValueError(f"{self._field_label} field {name} must be {want}, got {value!r}")
+                raise ValueError(f"{self._field_label} field {name} must be {want}, got {shown(value)}")
 
     @classmethod
     def parse_field(cls, source, key: str, raw: str):
@@ -109,7 +115,7 @@ class ConfigSchema:
         try:
             return parse(raw)
         except (KeyError, ValueError):
-            raise ValueError(f"{source}: config key {key!r}: cannot read {raw!r} as {want}") from None
+            raise ValueError(f"{source}: config key {key!r}: cannot read {shown(raw)} as {want}") from None
 
 
 @dataclass
@@ -315,10 +321,14 @@ def _noisy_predicate(rng: np.random.Generator, true: int, spec: GeneratorSpec) -
     return true
 
 
-def generate(spec: GeneratorSpec) -> list[SceneRecord]:
-    """Emit n_scenes records, each holding exactly one bidirectional pair."""
-    spec.validate()
-    rule = build_rule(spec)
+def generate(spec: GeneratorSpec, rule: RuleTable | None = None) -> list[SceneRecord]:
+    """Emit n_scenes records, each holding exactly one bidirectional pair.
+
+    rule is build_rule(spec), which validates the spec; a caller that already
+    built it passes it in.
+    """
+    if rule is None:
+        rule = build_rule(spec)
     rng = np.random.default_rng([_STREAM_SCENES, spec.seed])
     records = []
     n_pairs = spec.related_pairs
@@ -380,17 +390,17 @@ def _record_from_obj(obj: dict, line_no: int) -> SceneRecord:
     def integer(value, what: str, low: int = -_INT64_END) -> int:
         if type(value) is not int or not low <= value < _INT64_END:
             kind = "a non-negative integer" if low == 0 else "an integer"
-            raise ValueError(f"line {line_no}: {what} must be {kind} that fits in int64, got {value!r}")
+            raise ValueError(f"line {line_no}: {what} must be {kind} that fits in int64, got {shown(value)}")
         return value
 
     def box(value) -> tuple[float, float, float, float]:
         if type(value) is not list or len(value) != 4 or not _NUMBER_TYPES.issuperset(map(type, value)):
-            raise ValueError(f"line {line_no}: node box must be a list of 4 numbers, got {value!r}")
+            raise ValueError(f"line {line_no}: node box must be a list of 4 numbers, got {shown(value)}")
         return tuple(map(float, value))  # validate rejects NaN and infinities
 
     try:
         if type(obj["scene_id"]) is not str:
-            raise ValueError(f"line {line_no}: scene_id must be a string, got {obj['scene_id']!r}")
+            raise ValueError(f"line {line_no}: scene_id must be a string, got {shown(obj['scene_id'])}")
         nodes = [
             Node(integer(n["id"], "node id"), integer(n["label"], "node label"), box(n["box"]),
                  integer(n["appearance_seed"], "appearance_seed", low=0))
@@ -464,18 +474,18 @@ def read_predictions(path) -> dict[str, list[tuple[int, int, int, float]]]:
         if not isinstance(scene_id, str) or not isinstance(obj["triplets"], list):
             raise ValueError(f"line {line_no}: scene_id must be a string and triplets a list")
         if scene_id in out:
-            raise ValueError(f"line {line_no}: duplicate scene id {scene_id!r}")
+            raise ValueError(f"line {line_no}: duplicate scene id {shown(scene_id)}")
         triplets = []
         for t in obj["triplets"]:
             if type(t) is not list or len(t) != 4:
                 raise ValueError(f"line {line_no}: each triplet needs [subject, object, predicate, score]")
             s, o, p, score = t
             if type(s) is not int or type(o) is not int or type(p) is not int:
-                raise ValueError(f"line {line_no}: subject, object and predicate must be integers, got {t}")
+                raise ValueError(f"line {line_no}: subject, object and predicate must be integers, got {shown(t)}")
             if type(score) is int and abs(score) <= _FLOAT_MAX:
                 score = float(score)
             if type(score) is not float or not -_FLOAT_MAX <= score <= _FLOAT_MAX:  # NaN fails too
-                raise ValueError(f"line {line_no}: score must be a finite number, got {t}")
+                raise ValueError(f"line {line_no}: score must be a finite number, got {shown(t)}")
             triplets.append((s, o, p, score))
         out[scene_id] = triplets
     return out

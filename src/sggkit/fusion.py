@@ -20,7 +20,10 @@ Variants:
 
 The variant is fixed when the weights are built: init_fusion_params returns
 FusionParams that carry it, and encode_edges runs the variant its params
-name.
+name. parallel is one tape record, autodiff.parallel_fusion: the three
+arrangements share seven distinct products of a role with a row block of
+psi's first layer, and psi's linear second layer runs once on the summed
+activations. A one-layer psi (fusion_hidden 0) sums the three affine maps.
 """
 
 from __future__ import annotations
@@ -29,12 +32,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Matrix, ShapeError, add, concat_cols, linear_map, relu, uniform_init
+from .autodiff import Matrix, ShapeError, concat_cols, linear_map, parallel_fusion, relu, uniform_init
 
 VARIANTS = ("union", "concat", "sequential", "parallel")
 
 # Arrangements of (subject, object, union) fed to the shared map, in the
-# order their outputs are summed.
+# order their outputs are summed; autodiff.parallel_fusion computes this sum.
 CONSTRAINED_ORDERS = (("s", "o", "u"), ("s", "u", "o"), ("u", "s", "o"))
 
 
@@ -116,10 +119,5 @@ def encode_edges(z_s: Matrix, z_o: Matrix, z_u: Matrix, params: FusionParams) ->
     if params.variant == "sequential":
         so = params.pre(concat_cols([z_s, z_o]))
         return params.psi(concat_cols([so, z_u]))
-    # parallel: the shared map summed over the three constrained arrangements
-    by_role = {"s": z_s, "o": z_o, "u": z_u}
-    total = None
-    for order in CONSTRAINED_ORDERS:
-        term = params.psi(concat_cols([by_role[r] for r in order]))
-        total = term if total is None else add(total, term)
-    return total
+    # parallel: the shared map summed over the three constrained arrangements, as one primitive
+    return parallel_fusion(z_s, z_o, z_u, *(m for layer in params.psi.layers for m in layer))

@@ -43,7 +43,7 @@ from .attract_repel import (
     sample_negatives,
     update_references,
 )
-from .data import PREDICATE_NO_RELATION, ConfigSchema, FeatureParams, SceneRecord, Seed
+from .data import PREDICATE_NO_RELATION, ConfigSchema, FeatureParams, SceneRecord, Seed, shown
 from .fusion import VARIANTS as FUSION_VARIANTS
 from .fusion import encode_edges, init_fusion_params
 from .local_attention import LihParams, init_lih_params, lih_forward_batch
@@ -92,16 +92,16 @@ class ModelConfig(ConfigSchema):
         for name, least in (("d_attention", 1), ("fusion_hidden", 0)):  # fusion_hidden 0 is a purely affine fusion
             value = getattr(self, name)
             if value is not None and value < least:
-                raise ValueError(f"config field {name} must be null or an integer >= {least}, got {value!r}")
+                raise ValueError(f"config field {name} must be null or an integer >= {least}, got {shown(value)}")
         if min(self.d_appearance, self.d_node, self.d_edge) < 1:
             raise ValueError("widths must be positive")
         if self.n_entity_categories < 2 or self.n_predicate_categories < 2:
             raise ValueError("need at least two categories on both vocabularies")
         if self.fusion not in FUSION_VARIANTS:
-            raise ValueError(f"unknown fusion variant {self.fusion!r}, expected one of {FUSION_VARIANTS}")
+            raise ValueError(f"unknown fusion variant {shown(self.fusion)}, expected one of {FUSION_VARIANTS}")
         if self.gih_variant not in PROPAGATION_VARIANTS:
             raise ValueError(
-                f"unknown propagation variant {self.gih_variant!r}, expected one of {PROPAGATION_VARIANTS}"
+                f"unknown propagation variant {shown(self.gih_variant)}, expected one of {PROPAGATION_VARIANTS}"
             )
         if self.gih_variant == "gih" and self.d_node != self.d_edge:
             raise ValueError(
@@ -408,10 +408,13 @@ def train(
                 update_references(bank, out.edge_embeddings.data, prep.edge_labels, negatives,
                                   skip_category=PREDICATE_NO_RELATION)
             for name, p in model.params.items():
-                if p.grad is not None:
-                    step = p.grad + config.weight_decay * p.data
-                    velocity[name] = config.momentum * velocity[name] + step
-                    p.data = p.data - config.learning_rate * velocity[name]
+                if p.grad is not None:  # in place; float sums commute, so the bytes equal w - lr (mu v + (g + wd w))
+                    step = config.weight_decay * p.data
+                    step += p.grad
+                    v = velocity[name]
+                    v *= config.momentum
+                    v += step
+                    p.data -= config.learning_rate * v
                     p.grad = None
             sums += (parts["loss_entity"], parts["loss_predicate"], parts["loss_attract_repel"])
         means = sums / len(preps)
@@ -498,7 +501,7 @@ def load_checkpoint(path) -> tuple[Model, ReferenceBank]:
                          f"objects, the bank holding refs, counts, rng_state and skipped_pairs")
     version = payload.get("format_version")
     if version != CHECKPOINT_VERSION:
-        raise ValueError(f"{path}: unsupported checkpoint version {version!r}")
+        raise ValueError(f"{path}: unsupported checkpoint version {shown(version)}")
     try:
         model = Model(ModelConfig.from_dict(payload["config"]))
     except (TypeError, ValueError) as exc:

@@ -6,8 +6,9 @@ stay independent of the library's vectorized or dict-based shortcuts.
 
 import numpy as np
 
-from sggkit.autodiff import ShapeError, Tape
+from sggkit.autodiff import ShapeError, Tape, add, concat_cols
 from sggkit.data import _STREAM_APPEAR, _STREAM_LOGITS, Edge, Node, SceneRecord
+from sggkit.fusion import CONSTRAINED_ORDERS
 from sggkit.metrics import GroundTruthGraph, rank_triplets
 
 
@@ -44,6 +45,16 @@ def grad_check(f, params, eps=1e-5):
     for p in params:
         p.grad = None
     return worst
+
+
+def loop_parallel_fusion(z_s, z_o, z_u, psi):
+    """Parallel fusion as separate records: psi on each constrained arrangement, the outputs summed in order."""
+    by_role = {"s": z_s, "o": z_o, "u": z_u}
+    total = None
+    for order in CONSTRAINED_ORDERS:
+        term = psi(concat_cols([by_role[r] for r in order]))
+        total = term if total is None else add(total, term)
+    return total
 
 
 def brute_top_k(pred, k):

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import sggkit.cli
+import sggkit.data
 import sggkit.metrics
 from sggkit.cli import main
 from sggkit.data import (
@@ -134,6 +135,26 @@ def test_generate_env_overrides_config_file_and_flag_beats_env(tmp_path, monkeyp
     assert all(len(r.nodes) == 4 for r in records)  # env beat the config file
     with open(f"{out}.manifest.json") as fh:
         assert json.load(fh)["seed"] == 7  # flag beat the env
+
+
+def test_generate_validates_the_spec_and_builds_the_rule_once(tmp_path, monkeypatch):
+    calls = {"validate": 0, "build_rule": 0}
+    validate, build_rule = GeneratorSpec.validate, sggkit.data.build_rule
+
+    def counted_validate(spec):
+        calls["validate"] += 1
+        validate(spec)
+
+    def counted_build_rule(spec):
+        calls["build_rule"] += 1
+        return build_rule(spec)
+
+    monkeypatch.setattr(GeneratorSpec, "validate", counted_validate)
+    for module in (sggkit.data, sggkit.cli):
+        monkeypatch.setattr(module, "build_rule", counted_build_rule)
+    cfg = _write_config(tmp_path / "gen.cfg", n_scenes=5)
+    assert main(["generate", "--out", str(tmp_path / "c.sgjsonl"), "--config", cfg]) == 0
+    assert calls == {"validate": 1, "build_rule": 1}
 
 
 def test_generate_rejects_unknown_config_key(tmp_path, capsys):
@@ -418,6 +439,20 @@ def test_malformed_checkpoint_names_the_path(case, corpus, checkpoint, tmp_path,
     bad.write_text(text)
     assert main(["eval", "--corpus", corpus, "--checkpoint", str(bad), "--out", str(tmp_path / "m.csv")]) == 2
     assert f"error: {bad}: " in capsys.readouterr().err
+
+
+def test_huge_checkpoint_value_is_shown_cut(corpus, checkpoint, tmp_path, capsys, monkeypatch):
+    """A learning_rate of 10**400 (401 digits) exits 2 naming the path and the field, in under 200 characters."""
+    with open(checkpoint) as fh:
+        payload = json.load(fh)
+    payload["config"]["learning_rate"] = 10**400
+    monkeypatch.chdir(tmp_path)
+    with open("big.ckpt.json", "w") as fh:
+        json.dump(payload, fh)
+    assert main(["eval", "--corpus", corpus, "--checkpoint", "big.ckpt.json", "--out", "m.csv"]) == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error: big.ckpt.json: ") and "learning_rate" in err and err.endswith("...)")
+    assert len(err) < 200
 
 
 @pytest.mark.parametrize("line", [

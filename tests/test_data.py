@@ -383,6 +383,22 @@ def test_read_scenes_reports_line_numbers(tmp_path):
         read_scenes(path)
 
 
+@pytest.mark.parametrize("field,value", [("id", 10**400), ("box", [0.5] * 400), ("scene_id", 7 * 10**300)],
+                         ids=["id", "box", "scene_id"])
+def test_corpus_line_shows_a_rejected_value_cut(field, value, tmp_path):
+    path = tmp_path / "corpus.sgjsonl"
+    write_scenes(path, generate(small_spec(n_scenes=1)))
+    obj = json.loads(path.read_text())
+    if field == "scene_id":
+        obj["scene_id"] = value
+    else:
+        obj["nodes"][0][field] = value
+    path.write_text(json.dumps(obj) + "\n")
+    with pytest.raises(ValueError, match=r"^line 1: .*\.\.\.$") as info:
+        read_scenes(path)
+    assert len(str(info.value)) < 120
+
+
 def test_split_scenes_holds_out_tail():
     records = generate(small_spec(n_scenes=10))
     train, held = split_scenes(records, 3)

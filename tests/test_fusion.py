@@ -6,7 +6,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from helpers import grad_check
+from helpers import grad_check, loop_parallel_fusion
 from sggkit import autodiff as ad
 from sggkit.fusion import (
     CONSTRAINED_ORDERS,
@@ -177,3 +177,54 @@ def test_batch_rows_equal_per_row_encoding():
             params,
         ).data
         np.testing.assert_allclose(batch[i : i + 1], row, atol=1e-12)
+
+
+def _encode_and_backward(encode, inputs, params, g):
+    """encode's output and the gradients of sum(output * g) for the inputs and the psi weights."""
+    weights = list(params.psi.named("psi").values())
+    for mat in (*inputs, *weights):
+        mat.grad = None
+    with ad.Tape() as tape:
+        out = encode(*inputs, params)
+        loss = ad.sum_all(ad.mul(out, ad.Constant(g)))
+    tape.backward(loss)
+    return [out.data, *(mat.grad for mat in (*inputs, *weights))]
+
+
+@pytest.mark.parametrize("leaf", [ad.Matrix, ad.Constant])
+@pytest.mark.parametrize("m,d,hidden", [(1, 3, 4), (1, 2, 0), (5, 4, 0), (7, 6, 5), (30, 8, 16)])
+def test_parallel_fusion_matches_arrangement_loop(m, d, hidden, leaf):
+    """Output and every gradient agree with psi run per arrangement, within 1e-12."""
+    rng = np.random.default_rng([m, d, hidden])
+    params = init_fusion_params(rng, "parallel", d, 3, hidden=hidden)
+    data = [rng.normal(size=(m, d)) for _ in range(3)]
+    g = rng.normal(size=(m, 3))
+    new = _encode_and_backward(encode_edges, [leaf(x) for x in data], params, g)
+    old = _encode_and_backward(lambda s, o, u, p: loop_parallel_fusion(s, o, u, p.psi),
+                               [leaf(x) for x in data], params, g)
+    for got, want in zip(new, old):
+        if want is None:  # a Constant input
+            assert got is None
+        else:
+            assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+
+def test_parallel_fusion_gradients_without_hidden_layer():
+    """The one-layer psi; test_gradients_per_variant checks the default two-layer one."""
+    rng = np.random.default_rng(13)
+    params = init_fusion_params(rng, "parallel", 3, 2, hidden=0)
+    z_s, z_o, z_u = _rows(rng, 2, 3)
+    mats = [z_s, z_o, z_u, *params.named("fusion").values()]
+
+    def f():
+        return ad.sum_all(ad.pow_const(encode_edges(z_s, z_o, z_u, params), 2.0))
+
+    assert grad_check(f, mats, eps=1e-5) < 1e-6
+
+
+def test_parallel_fusion_checks_role_products_before_summing_them():
+    """s·a = +inf and o·b = -inf would sum to NaN with a numpy warning; the product check raises first."""
+    params = FusionParams("parallel", Mlp([(ad.Matrix(np.ones((6, 2))), ad.Matrix(np.zeros((1, 2))))]))
+    z_s, z_o, z_u = ad.Matrix([[np.inf, 0.0]]), ad.Matrix([[-np.inf, 0.0]]), ad.Matrix([[0.0, 0.0]])
+    with pytest.raises(ad.NumericError, match="parallel_fusion"):
+        encode_edges(z_s, z_o, z_u, params)

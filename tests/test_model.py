@@ -386,11 +386,12 @@ def test_end_to_end_gradients_on_three_node_six_edge_toy():
 # training
 
 
-def test_default_training_step_records_71_entries():
+def test_default_training_step_records_58_entries():
     """One step of the default model at the CLI-default N = 6, AR term included.
 
-    Each affine layer is one linear_map record: the node and union maps, two
-    psi layers for each of the three arrangements, and the two heads.
+    Each affine layer outside fusion is one linear_map record: the node and
+    union maps and the two heads. Parallel fusion, both psi layers over all
+    three arrangements, is one parallel_fusion record.
     """
     spec = GeneratorSpec(n_scenes=4)
     prep = prepare_scene(generate(spec)[0], FeatureParams.from_spec(spec))
@@ -406,8 +407,9 @@ def test_default_training_step_records_71_entries():
         _, parts = total_loss(out, prep, bank, cfg, negatives)
     assert parts["loss_attract_repel"] != 0.0
     names = [name for name, _, _ in tape.records]
-    assert names.count("linear_map") == 10
-    assert len(names) == 71
+    assert names.count("linear_map") == 4
+    assert names.count("parallel_fusion") == 1
+    assert len(names) == 58
 
 
 def test_zero_learning_rate_leaves_parameters_bit_identical():
