@@ -8,7 +8,8 @@ of the active schema are ignored so one environment can serve several
 commands. Values are read by field annotation (data.FIELD_TYPES): int by int(),
 float by float(), bool from true/false/1/0/yes/no, str as written, `int | None`
 from an int or `none`, a seed as an int that must be non-negative. A value
-that cannot be read exits 2 naming the file or variable and the key.
+that cannot be read exits 2 naming the file or variable and the key; a config
+file that is not UTF-8, or a resolved config that fails validation, names the file.
 
 Every command writes a `<out>.manifest.json` recording the command line, the
 resolved config, seeds, sha256 hashes of inputs and outputs, and wall-clock
@@ -16,6 +17,8 @@ time. Manifests are the only outputs that differ between identical reruns
 (wall-clock); all data artifacts are byte-identical for equal seeds.
 
 Exit codes: 0 success, 2 validation error, 3 numeric failure, 4 I/O error.
+Corpus, prediction, sidecar and checkpoint files are all read by
+data.parse_json, so bad input exits 2 with a message naming its file or line.
 """
 
 from __future__ import annotations
@@ -23,11 +26,12 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import json
 import os
 import sys
 import time
-from dataclasses import asdict, replace
+from dataclasses import asdict
 
 from .analysis import (
     CooccurrenceTable,
@@ -43,9 +47,11 @@ from .data import (
     SceneRecord,
     build_rule,
     generate,
+    parse_json,
     read_predictions,
     read_scenes,
     split_scenes,
+    utf8,
     write_predictions,
     write_scenes,
 )
@@ -76,40 +82,39 @@ ENV_PREFIX = "SGGKIT_"
 
 
 def _parse_kv_file(path) -> dict[str, str]:
-    """Flat `key = value` lines; blank lines and # comments allowed."""
+    """Flat `key = value` lines of UTF-8 text; blank lines and # comments allowed."""
     out: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if "=" not in stripped:
-                raise ValueError(f"{path} line {line_no}: expected key = value")
-            key, _, value = stripped.partition("=")
-            key = key.strip()
-            if not key:
-                raise ValueError(f"{path} line {line_no}: empty key")
-            if key in out:
-                raise ValueError(f"{path} line {line_no}: duplicate key {key!r}")
-            out[key] = value.strip()
+    with open(path, "rb") as fh:
+        lines = io.StringIO(utf8(fh.read(), path), newline=None)  # lines end as in a text-mode open()
+    for line_no, line in enumerate(lines, start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        if "=" not in stripped:
+            raise ValueError(f"{path} line {line_no}: expected key = value")
+        key, _, value = stripped.partition("=")
+        key = key.strip()
+        if not key:
+            raise ValueError(f"{path} line {line_no}: empty key")
+        if key in out:
+            raise ValueError(f"{path} line {line_no}: duplicate key {key!r}")
+        out[key] = value.strip()
     return out
 
 
-def _assemble_config(cls, config_path, overrides: dict):
-    """Resolve one schema: defaults < config file < environment < flags.
-
-    Returns the instance plus the set of explicitly assigned field names.
-    """
+def _assemble_config(cls, config_path, overrides: dict, defaults: dict | None = None):
+    """Resolve one schema: dataclass defaults < `defaults` < config file < environment < flags."""
     raw = _parse_kv_file(config_path) if config_path else {}
     if unknown := set(raw) - set(cls.field_types()):
         raise ValueError(f"{config_path}: unknown config keys {sorted(unknown)}")
-    values = {key: cls.parse_field(config_path, key, value) for key, value in raw.items()}
+    values = dict(defaults or {})
+    values.update((key, cls.parse_field(config_path, key, value)) for key, value in raw.items())
     for key in cls.field_types():
         env_key = ENV_PREFIX + key.upper()
         if env_key in os.environ:
             values[key] = cls.parse_field(env_key, key, os.environ[env_key])
     values.update((key, value) for key, value in overrides.items() if value is not None)
-    return cls(**values), set(values)
+    return cls(**values)
 
 
 # ---------------------------------------------------------------------------
@@ -153,11 +158,8 @@ def _load_corpus_spec(corpus_path) -> GeneratorSpec:
             f"missing corpus sidecar {meta_path}; it carries the feature-synthesis "
             f"parameters and is written by the generate command"
         )
-    with open(meta_path, "r", encoding="utf-8") as fh:
-        try:
-            meta = json.load(fh)
-        except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
-            raise ValueError(f"{meta_path}: not valid JSON ({exc})") from exc
+    with open(meta_path, "rb") as fh:
+        meta = parse_json(fh.read(), meta_path)
     if type(meta) is not dict or type(meta.get("spec")) is not dict:
         raise ValueError(f"{meta_path}: expected a JSON object with a spec object")
     try:
@@ -186,8 +188,11 @@ def _parse_ks(raw: str, flag: str) -> tuple[int, ...]:
 
 def cmd_generate(args) -> int:
     t0 = time.perf_counter()
-    spec, _ = _assemble_config(GeneratorSpec, args.config, {"seed": args.seed})
-    rule = build_rule(spec)
+    spec = _assemble_config(GeneratorSpec, args.config, {"seed": args.seed})
+    try:
+        rule = build_rule(spec)
+    except ValueError as exc:
+        raise ValueError(f"{args.config}: {exc}" if args.config else str(exc)) from exc
     records = generate(spec, rule)
     write_scenes(args.out, records)
     meta = {
@@ -226,18 +231,14 @@ def cmd_train(args) -> int:
     records = read_scenes(args.corpus)
     spec = _load_corpus_spec(args.corpus)
     fp = FeatureParams.from_spec(spec)
-    config, explicit = _assemble_config(ModelConfig, args.config, _train_overrides(args))
     # vocabulary follows the corpus unless the user pinned it explicitly
-    adopt = {}
-    for field, value in (
-        ("n_entity_categories", fp.n_entity_categories),
-        ("n_predicate_categories", fp.n_predicate_categories),
-        ("d_appearance", fp.d_appearance),
-    ):
-        if field not in explicit:
-            adopt[field] = value
-    if adopt:
-        config = replace(config, **adopt)
+    vocabulary = {"n_entity_categories": fp.n_entity_categories,
+                  "n_predicate_categories": fp.n_predicate_categories, "d_appearance": fp.d_appearance}
+    config = _assemble_config(ModelConfig, args.config, _train_overrides(args), vocabulary)
+    try:
+        config.validate()
+    except ValueError as exc:
+        raise ValueError(f"{args.config}: {exc}" if args.config else str(exc)) from exc
     ks_recall = _parse_ks(args.ks_recall, "--ks-recall")
     ks_pair = _parse_ks(args.ks_pair, "--ks-pair")
     train_records, eval_records = split_scenes(records, args.holdout)
@@ -299,11 +300,14 @@ def cmd_eval(args) -> int:
         model, _bank = load_checkpoint(args.checkpoint)
         spec = _load_corpus_spec(args.corpus)
         fp = FeatureParams.from_spec(spec)
-        _check_vocabulary(model.config, fp)
-        ranked_lists = [
-            predict_scene(model, prepare_scene(record, fp), graph_constraint=constraint)
-            for record in records
-        ]
+        try:  # the checkpoint's vocabulary may lack the sidecar's or a scene's labels
+            _check_vocabulary(model.config, fp)
+            ranked_lists = [
+                predict_scene(model, prepare_scene(record, fp), graph_constraint=constraint)
+                for record in records
+            ]
+        except ValueError as exc:
+            raise ValueError(f"{args.corpus}: {exc}") from exc
         inputs += [f"{args.corpus}.meta.json", args.checkpoint]
     else:
         predictions = read_predictions(args.predictions)

@@ -1,6 +1,8 @@
 """Scene records, the planted-rule corpus generator, and feature synthesis.
 
-A corpus is a JSON-lines file (one scene per line). Scenes store per-node
+A corpus is a JSON-lines file (one scene per line). Every JSON input of the
+kit (corpus and prediction lines, sidecars, checkpoints) is parsed by
+`parse_json`, whose every failure names the file or line. Scenes store per-node
 appearance seeds rather than vectors; appearance is re-materialized on
 demand from a category prototype plus seeded Gaussian noise, so a corpus
 file is small and fully reproducible.
@@ -82,6 +84,27 @@ def shown(value, limit: int = 40) -> str:
     """repr(value) for an error message, cut to `limit` characters with an ellipsis."""
     text = repr(value)
     return text if len(text) <= limit else text[: limit - 3] + "..."
+
+
+def utf8(raw: bytes, source) -> str:
+    """A file's or a line's bytes as text; bytes that are not UTF-8 raise a ValueError naming `source`."""
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{source}: not UTF-8 ({exc.reason} at byte {exc.start})") from exc
+
+
+def parse_json(raw: bytes, source):
+    """The JSON value in a file's or a line's bytes; every reader of JSON input calls this one.
+
+    Bytes that are not UTF-8 or not JSON, an integer of more than 4,300 digits
+    and nesting too deep to parse raise a ValueError naming `source`, a path or `line N`.
+    """
+    text = utf8(raw, source)
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # ValueError covers malformed JSON and the digit limit
+        raise ValueError(f"{source}: not valid JSON ({str(exc)[:100]})") from exc
 
 
 class ConfigSchema:
@@ -399,8 +422,8 @@ def _record_from_obj(obj: dict, line_no: int) -> SceneRecord:
         return tuple(map(float, value))  # validate rejects NaN and infinities
 
     try:
-        if type(obj["scene_id"]) is not str:
-            raise ValueError(f"line {line_no}: scene_id must be a string, got {shown(obj['scene_id'])}")
+        if type(obj["scene_id"]) is not str or not obj["scene_id"].isprintable():  # CSV rows and messages show it
+            raise ValueError(f"line {line_no}: scene_id must be a printable string, got {shown(obj['scene_id'])}")
         nodes = [
             Node(integer(n["id"], "node id"), integer(n["label"], "node label"), box(n["box"]),
                  integer(n["appearance_seed"], "appearance_seed", low=0))
@@ -427,16 +450,10 @@ def write_scenes(path, records: list[SceneRecord]) -> None:
 
 def _json_lines(path):
     """(line number, parsed value) for every non-blank line of a JSON-lines file."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:  # lines end at b"\n"; strip() drops the "\r" of a CRLF file
         for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"line {line_no}: not valid JSON ({exc.msg})") from exc
-            yield line_no, obj
+            if line := line.strip():
+                yield line_no, parse_json(line, f"line {line_no}")
 
 
 def read_scenes(path) -> list[SceneRecord]:

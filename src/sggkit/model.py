@@ -11,7 +11,8 @@ Losses: per-node cross-entropy, a per-edge cross-entropy that gives
 relation and no-relation edges equal total weight, plus the reference-bank
 cosine term on post-propagation edge embeddings. Training is plain SGD
 with momentum and weight decay, one scene per step, deterministic given
-the config seed.
+the config seed. A checkpoint loads only when its config validates and each
+parameter holds finite numbers in the shape that config gives.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .attract_repel import (
     sample_negatives,
     update_references,
 )
-from .data import PREDICATE_NO_RELATION, ConfigSchema, FeatureParams, SceneRecord, Seed, shown
+from .data import PREDICATE_NO_RELATION, ConfigSchema, FeatureParams, SceneRecord, Seed, parse_json, shown
 from .fusion import VARIANTS as FUSION_VARIANTS
 from .fusion import encode_edges, init_fusion_params
 from .local_attention import LihParams, init_lih_params, lih_forward_batch
@@ -452,12 +453,11 @@ def evaluate(
     preps: list[PreparedScene],
     ks_recall: tuple[int, ...] = (20, 50, 100),
     ks_pair: tuple[int, ...] = (2, 4, 8, 16),
-    graph_constraint: bool = True,
 ) -> dict[str, float]:
     """Metrics over prepared scenes: "R@4", "mR@4", and "pR@2" when a scene has a bidirectional pair."""
     if not preps:
         raise ValueError("evaluation needs at least one scene")
-    preds = [predict_scene(model, prep, graph_constraint) for prep in preps]
+    preds = [predict_scene(model, prep) for prep in preps]
     gts = [GroundTruthGraph.from_scene(prep.record) for prep in preps]
     ks = dict.fromkeys((*ks_recall, *ks_pair))
     counts = [{k: count_hits(pred, gt, k) for k in ks} for pred, gt in zip(preds, gts)]
@@ -490,11 +490,9 @@ def save_checkpoint(path, model: Model, bank: ReferenceBank) -> None:
 
 
 def load_checkpoint(path) -> tuple[Model, ReferenceBank]:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: not valid JSON ({exc.msg})") from exc
+    """A checkpoint's model and bank; a fault raises a ValueError naming `path` and the faulty part."""
+    with open(path, "rb") as fh:
+        payload = parse_json(fh.read(), path)
     if not (isinstance(payload, dict) and all(isinstance(payload.get(k), dict) for k in ("config", "params", "bank"))
             and {"refs", "counts", "rng_state", "skipped_pairs"} <= set(payload["bank"])):
         raise ValueError(f"{path}: not a checkpoint: expected a JSON object with config, params and bank "
@@ -502,22 +500,24 @@ def load_checkpoint(path) -> tuple[Model, ReferenceBank]:
     version = payload.get("format_version")
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {shown(version)}")
+    part = "config"
     try:
         model = Model(ModelConfig.from_dict(payload["config"]))
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: invalid checkpoint config ({exc})") from exc
-    saved = payload["params"]
-    if set(saved) != set(model.params):
-        raise ValueError(f"{path}: checkpoint parameter names do not match the configuration")
-    for name, p in model.params.items():
-        arr = np.asarray(saved[name], dtype=np.float64)
-        if arr.shape != p.data.shape:
-            raise ValueError(f"{path}: checkpoint parameter {name} has shape {arr.shape}, expected {p.data.shape}")
-        p.data = arr
-    try:
+        part = "params"
+        if set(payload["params"]) != set(model.params):
+            raise ValueError("names do not match the configuration")
+        for name, p in model.params.items():
+            part = f"parameter {name}"
+            arr = np.asarray(payload["params"][name])
+            if arr.dtype.kind not in "iuf" or arr.shape != p.data.shape:  # bool, str, null and ints past int64 fail
+                raise ValueError(f"expected numbers in shape {p.data.shape}, got {arr.dtype} in shape {arr.shape}")
+            if not np.isfinite(arr).all():
+                raise ValueError("holds a non-finite value")
+            p.data = arr.astype(np.float64, copy=False)
+        part = "bank"
         bank = ReferenceBank.from_state(payload["bank"])
-    except (TypeError, ValueError, KeyError, IndexError) as exc:  # e.g. an rng_state numpy cannot restore
-        raise ValueError(f"{path}: invalid checkpoint bank ({exc!r})") from exc
-    if bank.n_categories != model.config.n_predicate_categories or bank.dim != model.config.d_edge:
-        raise ValueError(f"{path}: checkpoint bank size does not match the configuration")
+        if bank.n_categories != model.config.n_predicate_categories or bank.dim != model.config.d_edge:
+            raise ValueError("size does not match the configuration")
+    except (TypeError, ValueError, KeyError, IndexError, OverflowError) as exc:
+        raise ValueError(f"{path}: invalid checkpoint {part} ({exc})") from exc
     return model, bank

@@ -5,8 +5,10 @@ the whole suite stays fast. Artifact determinism is asserted on file hashes;
 metric plumbing is cross-checked against the library functions directly.
 """
 
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import os
 import shutil
@@ -14,6 +16,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import sggkit.cli
 import sggkit.data
@@ -168,6 +171,13 @@ def test_unreadable_config_value_names_its_source_and_key(corpus, tmp_path, caps
     cfg = _write_config(tmp_path / "train.cfg", epochs="1e3")
     assert main(["train", "--corpus", corpus, "--out", out, "--config", cfg]) == 2
     assert f"error: {cfg}: config key 'epochs': cannot read '1e3' as an integer" in capsys.readouterr().err
+    cfg = _write_config(tmp_path / "train.cfg", epochs=-1)
+    assert main(["train", "--corpus", corpus, "--out", out, "--config", cfg]) == 2
+    assert f"error: {cfg}: learning_rate, weight_decay and epochs must be nonnegative" in capsys.readouterr().err
+    with open(cfg, "ab") as fh:
+        fh.write(b"d_node = 8\xff\n")
+    assert main(["train", "--corpus", corpus, "--out", out, "--config", cfg]) == 2
+    assert f"error: {cfg}: not UTF-8 (invalid start byte at byte " in capsys.readouterr().err
     monkeypatch.setenv("SGGKIT_D_NODE", "abc")
     assert main(["train", "--corpus", corpus, "--out", out]) == 2
     assert "error: SGGKIT_D_NODE: config key 'd_node': cannot read 'abc' as an integer" in capsys.readouterr().err
@@ -410,13 +420,18 @@ def test_k_below_one_names_the_flag(command, flag, value, corpus, checkpoint, tm
 @pytest.mark.parametrize("case", ["not json", "list", "no config", "no params", "no bank",
                                   "bank is a list", "bank without rng_state", "width is a string",
                                   "rng_state without state", "use_lih is a string", "w_ar is a bool",
-                                  "d_attention is zero", "learning_rate beyond float range"])
+                                  "d_attention is zero", "learning_rate beyond float range", "5001-digit integer",
+                                  "byte 0xff", "deep nesting", "parameter is a string", "parameter is ragged",
+                                  "parameter is NaN", "skipped_pairs is 1e400"])
 def test_malformed_checkpoint_names_the_path(case, corpus, checkpoint, tmp_path, capsys):
     with open(checkpoint) as fh:
         payload = json.load(fh)
 
     def drop(d, key):
         return {k: v for k, v in d.items() if k != key}
+
+    def with_param(value):
+        return json.dumps({**payload, "params": {**payload["params"], "node_map.w": value}})
 
     text = {
         "not json": "{config",
@@ -434,11 +449,25 @@ def test_malformed_checkpoint_names_the_path(case, corpus, checkpoint, tmp_path,
         "d_attention is zero": json.dumps({**payload, "config": {**payload["config"], "d_attention": 0}}),
         "learning_rate beyond float range": json.dumps({**payload, "config": {**payload["config"],
                                                                               "learning_rate": 10**400}}),
+        "5001-digit integer": json.dumps({**payload, "config": {**payload["config"], "learning_rate": "@"}})
+                              .replace('"@"', "1" * 5001),
+        "byte 0xff": b"\xff" + json.dumps(payload).encode(),
+        "deep nesting": "[" * 100_000,
+        "parameter is a string": with_param([["high"] + payload["params"]["node_map.w"][0][1:]]
+                                            + payload["params"]["node_map.w"][1:]),
+        "parameter is ragged": with_param([[0.5]] + payload["params"]["node_map.w"][1:] + [[0.5, 0.5]]),
+        "parameter is NaN": with_param([[float("nan")] + payload["params"]["node_map.w"][0][1:]]
+                                       + payload["params"]["node_map.w"][1:]),
+        "skipped_pairs is 1e400": json.dumps({**payload, "bank": {**payload["bank"], "skipped_pairs": "@"}})
+                                  .replace('"@"', "1e400"),
     }[case]
     bad = tmp_path / "bad.ckpt.json"
-    bad.write_text(text)
+    bad.write_bytes(text if isinstance(text, bytes) else text.encode())
     assert main(["eval", "--corpus", corpus, "--checkpoint", str(bad), "--out", str(tmp_path / "m.csv")]) == 2
-    assert f"error: {bad}: " in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"error: {bad}: " in err and err.count("\n") == 1
+    if case.startswith("parameter"):
+        assert "parameter node_map.w" in err
 
 
 def test_huge_checkpoint_value_is_shown_cut(corpus, checkpoint, tmp_path, capsys, monkeypatch):
@@ -472,12 +501,15 @@ def test_huge_checkpoint_value_is_shown_cut(corpus, checkpoint, tmp_path, capsys
     '{"scene_id": "s", "triplets": [[0, 1, 2, NaN]]}',
     '{"scene_id": "s", "triplets": [[0, 1, 2, -Infinity]]}',
     '{"scene_id": "s", "triplets": [[0, 1, 2, 1e400]]}',
+    pytest.param('{"scene_id": "s", "triplets": [[' + "1" * 5001 + ', 1, 2, 0.5]]}', id="5001-digit id"),
+    pytest.param(b'{"scene_id": "s\xff", "triplets": []}', id="byte 0xff"),
+    pytest.param("[" * 100_000, id="deep nesting"),
 ])
 def test_malformed_prediction_line_is_named(line, corpus, tmp_path, capsys):
     records = read_scenes(corpus)
     path = _ground_truth_predictions(str(tmp_path / "p.pred.jsonl"), records[:2])
-    with open(path, "a") as fh:
-        fh.write(line + "\n")
+    with open(path, "ab") as fh:
+        fh.write((line if isinstance(line, bytes) else line.encode()) + b"\n")
     assert main(["eval", "--corpus", corpus, "--predictions", path, "--out", str(tmp_path / "m.csv")]) == 2
     assert "error: line 3: " in capsys.readouterr().err
 
@@ -485,7 +517,7 @@ def test_malformed_prediction_line_is_named(line, corpus, tmp_path, capsys):
 @pytest.mark.parametrize("field,value", [
     ("label", True), ("id", 0.7), ("label", "3"), ("appearance_seed", 1.5), ("scene_id", 5),
     ("predicate", 1.9), ("label", "x"), ("box", [0.1, 0.1, 0.5]), ("box", "0.1"),
-    ("appearance_seed", -1), ("id", 2**70),
+    ("appearance_seed", -1), ("id", 2**70), ("scene_id", "\ud800"), ("scene_id", "a\nb"),
 ])
 def test_malformed_corpus_line_is_named(field, value, corpus, checkpoint, tmp_path, capsys):
     with open(corpus) as fh:
@@ -499,6 +531,24 @@ def test_malformed_corpus_line_is_named(field, value, corpus, checkpoint, tmp_pa
     shutil.copy(f"{corpus}.meta.json", f"{path}.meta.json")
     assert main(["eval", "--corpus", str(path), "--checkpoint", checkpoint, "--out", str(tmp_path / "m.csv")]) == 2
     assert "error: line 3: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["LF", "CRLF"])
+@pytest.mark.parametrize("line", [
+    pytest.param('{"scene_id": "s", "nodes": [], "edges": [], "x": ' + "1" * 5001 + "}", id="5001-digit integer"),
+    pytest.param(b'{"scene_id": "s\xff", "nodes": [], "edges": []}', id="byte 0xff"),
+    pytest.param("[" * 100_000, id="deep nesting"),
+])
+def test_unparsable_corpus_line_is_named(line, newline, corpus, checkpoint, tmp_path, capsys):
+    with open(corpus, "rb") as fh:
+        lines = fh.read().splitlines()[:4]
+    lines[2] = line if isinstance(line, bytes) else line.encode()
+    path = tmp_path / "bad.sgjsonl"
+    path.write_bytes(newline.encode().join(lines) + newline.encode())
+    shutil.copy(f"{corpus}.meta.json", f"{path}.meta.json")
+    assert main(["eval", "--corpus", str(path), "--checkpoint", checkpoint, "--out", str(tmp_path / "m.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 3: not ") and err.count("\n") == 1
 
 
 def _corpus_with_spec(corpus, tmp_path, **fields):
@@ -531,6 +581,120 @@ def test_corpus_spec_seed_has_no_upper_bound_and_broken_sidecar_is_named(corpus,
     assert f"error: {path}.meta.json: not valid JSON" in capsys.readouterr().err
     assert main(["generate", "--out", str(tmp_path / "g.sgjsonl"), "--seed", "-1"]) == 2
     assert "spec field seed must be a non-negative integer, got -1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where", ["label", "sidecar"])
+def test_vocabulary_the_checkpoint_lacks_names_the_corpus(where, corpus, checkpoint, tmp_path, capsys):
+    if where == "sidecar":
+        path = _corpus_with_spec(corpus, tmp_path, n_entity_categories=40)
+    else:
+        records = read_scenes(corpus)[:3]
+        records[1].nodes[0].label = 40
+        path = _rewrite_corpus(corpus, str(tmp_path / "c.sgjsonl"), records)
+    assert main(["eval", "--corpus", path, "--checkpoint", checkpoint, "--out", str(tmp_path / "m.csv")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+
+def test_deeply_nested_sidecar_is_named(corpus, checkpoint, tmp_path, capsys):
+    path = _corpus_with_spec(corpus, tmp_path)
+    with open(f"{path}.meta.json", "w") as fh:
+        fh.write('{"spec": ' + "[" * 100_000)
+    assert main(["eval", "--corpus", path, "--checkpoint", checkpoint, "--out", str(tmp_path / "m.csv")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}.meta.json: not valid JSON (maximum recursion depth")
+
+
+# JSON text of a generated value: ints within +-1000 and ints past Python's 4,300-digit limit, floats
+# within +-1e6, NaN, infinities, strings (a lone surrogate and a newline among them), lists and objects.
+# Ints and finite floats in between are left out, as faults of their own (see ROADMAP): a checkpoint
+# width or layer count of 10**6 makes Model allocate that many rows (or loop that many layers) before
+# any parameter shape is checked, and a parameter or sidecar float near 1e308 makes numpy warn of an
+# overflow before the tape's exit-3 message.
+_json_leaf = st.one_of(
+    st.integers(-1000, 1000).map(str),
+    st.integers(4301, 5001).map(lambda digits: "7" * digits),
+    st.floats(-1e6, 1e6).map(json.dumps),
+    st.sampled_from(["NaN", "Infinity", "-Infinity", "1e400", "null", "true", "false", '"\\ud800"', '"a\\nb"']),
+    st.text(max_size=6).map(json.dumps),
+)
+_json_text = st.recursive(_json_leaf, lambda inner: st.one_of(
+    st.lists(inner, max_size=3).map(lambda items: "[" + ", ".join(items) + "]"),
+    st.dictionaries(st.text(max_size=6), inner, max_size=3).map(
+        lambda d: "{" + ", ".join(f"{json.dumps(k)}: {v}" for k, v in d.items()) + "}")), max_leaves=5)
+_MARK = "\0mutant\0"
+
+
+def _with_replaced_value(data, value):
+    """`value` with one node, chosen by walking down at random, replaced by the _MARK placeholder."""
+    if isinstance(value, (dict, list)) and value and data.draw(st.booleans()):
+        key = data.draw(st.sampled_from(list(value) if isinstance(value, dict) else range(len(value))))
+        value = value.copy()
+        value[key] = _with_replaced_value(data, value[key])
+        return value
+    return _MARK
+
+
+def _mutated(data, raw: bytes, is_json: bool) -> bytes:
+    """`raw` truncated, with one byte inserted, with one JSON value replaced, or nested deeply."""
+    kinds = ["truncate", "insert", "nest"] + (["replace"] if is_json else [])
+    kind = data.draw(st.sampled_from(kinds))
+    if kind in ("truncate", "insert"):
+        at = data.draw(st.integers(0, len(raw)))
+        return raw[:at] + (bytes([data.draw(st.integers(0, 255))]) + raw[at:] if kind == "insert" else b"")
+    if kind == "nest":
+        depth = data.draw(st.sampled_from([1, 50, 100_000]))
+        return b"[" * depth + raw + b"]" * depth
+    text = json.dumps(_with_replaced_value(data, json.loads(raw)), sort_keys=True)
+    return text.replace(json.dumps(_MARK), data.draw(_json_text)).encode()
+
+
+@pytest.fixture(scope="module")
+def valid_inputs(corpus, checkpoint, tmp_path_factory):
+    """A 3-scene corpus with its sidecar, its predictions, a checkpoint and a generate config, as paths."""
+    root = tmp_path_factory.mktemp("mutants")
+    paths = {"corpus": _rewrite_corpus(corpus, str(root / "c.sgjsonl"), read_scenes(corpus)[:3])}
+    paths["sidecar"] = f"{paths['corpus']}.meta.json"
+    paths["predictions"] = _ground_truth_predictions(str(root / "p.pred.jsonl"), read_scenes(paths["corpus"]))
+    paths["checkpoint"] = shutil.copy(checkpoint, root / "m.ckpt.json")
+    paths["config"] = _write_config(root / "gen.cfg", n_scenes=3, seed=4, noise_rate=0.05)
+    return {name: str(path) for name, path in paths.items()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["corpus", "predictions", "sidecar", "checkpoint", "config"]), st.data())
+def test_mutated_input_exits_cleanly_and_names_its_source(valid_inputs, target, data):
+    """One mutation of a valid input exits 0, 2 or 3 with at most one stderr line; exit 2 names the file or line."""
+    path = valid_inputs[target]
+    with open(path, "rb") as fh:
+        original = fh.read()
+    lines = original.splitlines(keepends=True)
+    line_no = data.draw(st.integers(1, len(lines))) if target in ("corpus", "predictions") else None
+    if line_no:
+        lines[line_no - 1] = _mutated(data, lines[line_no - 1].rstrip(b"\n"), is_json=True) + b"\n"
+        mutant = b"".join(lines)
+    else:
+        mutant = _mutated(data, original, is_json=target != "config")
+    corpus, out = valid_inputs["corpus"], os.path.join(os.path.dirname(path), "out.csv")
+    argv = {"predictions": ["eval", "--corpus", corpus, "--predictions", path, "--out", out],
+            "config": ["generate", "--config", path, "--out", os.path.join(os.path.dirname(path), "g.sgjsonl")]
+            }.get(target, ["eval", "--corpus", corpus, "--checkpoint", valid_inputs["checkpoint"], "--out", out])
+    err = io.StringIO()
+    try:
+        with open(path, "wb") as fh:
+            fh.write(mutant)
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv)
+    finally:
+        with open(path, "wb") as fh:
+            fh.write(original)
+    message = err.getvalue()
+    assert code in (0, 2, 3), message
+    if code == 0:
+        assert message == ""
+    else:
+        assert message.startswith("error: " if code == 2 else "numeric failure: ") and message.count("\n") == 1
+    if code == 2:
+        source = corpus if target == "sidecar" else path  # a sidecar's path starts with its corpus's
+        assert source in message or message.startswith(f"error: line {line_no}: "), message
 
 
 # ---------------------------------------------------------------------------
