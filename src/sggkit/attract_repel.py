@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Constant, Matrix, add, div, gather_rows, mul, pow_const, row_sum, sum_all
+from .autodiff import Constant, Matrix, add, cosine_rows, gather_rows, mul, sum_all
 
 Negatives = dict[int, np.ndarray]
 
@@ -103,20 +103,16 @@ def sample_negatives(bank: ReferenceBank, labels, skip_category=None) -> Negativ
     return out
 
 
-def update_references(
-    bank: ReferenceBank, embeddings, labels, negatives: Negatives | None = None, skip_category=None
-) -> ReferenceBank:
-    """Absorb one batch into the bank (off-tape; raw values only)."""
-    emb = embeddings.data if isinstance(embeddings, Matrix) else np.asarray(embeddings, dtype=np.float64)
+def update_references(bank: ReferenceBank, embeddings: np.ndarray, labels, negatives: Negatives,
+                      skip_category=None) -> ReferenceBank:
+    """Absorb one batch of raw embeddings into the bank, off the tape."""
     labels = np.asarray(labels, dtype=np.intp)
-    _check_labels(bank, emb, labels)
-    if negatives is None:
-        negatives = sample_negatives(bank, labels, skip_category=skip_category)
+    _check_labels(bank, embeddings, labels)
     for m in _clustered_categories(labels, skip_category):
         pos = np.flatnonzero(labels == m)
         neg = np.asarray(negatives.get(m, np.empty(0, dtype=np.intp)), dtype=np.intp)
         total = bank.counts[m] + pos.size + neg.size
-        moved = bank.refs[m] * bank.counts[m] + emb[pos].sum(axis=0) - emb[neg].sum(axis=0)
+        moved = bank.refs[m] * bank.counts[m] + embeddings[pos].sum(axis=0) - embeddings[neg].sum(axis=0)
         bank.refs[m] = moved / total
         bank.counts[m] = total
     return bank
@@ -129,39 +125,22 @@ def attract_repel_loss(
     emb = embeddings.data
     labels = np.asarray(labels, dtype=np.intp)
     _check_labels(bank, emb, labels)
-    ref_norms = np.sqrt((bank.refs ** 2).sum(axis=1))
-    emb_norms = np.sqrt((emb ** 2).sum(axis=1))
-
-    rows: list[int] = []
-    refs: list[np.ndarray] = []
-    signs: list[float] = []  # -1 attract, +1 repel
-    n_attract = 0
-    for m in _clustered_categories(labels, skip_category):
-        neg = np.asarray(negatives.get(m, np.empty(0, dtype=np.intp)), dtype=np.intp)
-        for i in np.flatnonzero(labels == m):
-            if ref_norms[m] == 0.0 or emb_norms[i] == 0.0:
-                bank.skipped_pairs += 1
-                continue
-            rows.append(int(i))
-            refs.append(bank.refs[m])
-            signs.append(-1.0)
-            n_attract += 1
-        for j in neg:
-            if ref_norms[m] == 0.0 or emb_norms[j] == 0.0:
-                bank.skipped_pairs += 1
-                continue
-            rows.append(int(j))
-            refs.append(bank.refs[m])
-            signs.append(1.0)
-    if not rows:
+    cats = np.array(_clustered_categories(labels, skip_category), dtype=np.intp)
+    negs = [np.asarray(negatives.get(m, ()), dtype=np.intp) for m in cats]
+    pos = np.flatnonzero(labels != skip_category)
+    rows = np.concatenate([pos, *negs])
+    cat = np.concatenate([labels[pos], np.repeat(cats, [n.size for n in negs])])
+    sign = np.repeat([-1.0, 1.0], [pos.size, rows.size - pos.size])  # -1 attract, +1 repel
+    # The loss sums the pairs by ascending category, positives before negatives, each in
+    # row or sampled order (lexsort is stable).
+    order = np.lexsort((sign, cat))
+    rows, refs, sign = rows[order], bank.refs[cat[order]], sign[order]
+    keep = ((refs ** 2).sum(axis=1) != 0.0) & ((emb[rows] ** 2).sum(axis=1) != 0.0)
+    bank.skipped_pairs += int(keep.size - np.count_nonzero(keep))
+    if not keep.any():
         return Matrix([[0.0]])
-
-    e = gather_rows(embeddings, rows)
-    r = Constant(np.stack(refs))
-    r_norm = Constant(np.sqrt((r.data ** 2).sum(axis=1, keepdims=True)))
-    dots = row_sum(mul(e, r))
-    e_norm = pow_const(row_sum(mul(e, e)), 0.5)
-    cosines = div(dots, mul(e_norm, r_norm))
-    weighted = mul(cosines, Constant(np.array(signs).reshape(-1, 1)))
+    sign = sign[keep]
+    cosines = cosine_rows(gather_rows(embeddings, rows[keep]), Constant(refs[keep]))
+    weighted = mul(cosines, Constant(sign.reshape(-1, 1)))
     # sum_pos (1 - cos) + sum_neg cos  =  n_attract - sum_pos cos + sum_neg cos
-    return add(sum_all(weighted), Matrix([[float(n_attract)]]))
+    return add(sum_all(weighted), Matrix([[float(np.count_nonzero(sign < 0.0))]]))

@@ -14,8 +14,9 @@ when a value is not finite, with or without an active tape. linear_map
 
 A Constant is a Matrix of data (inputs, targets, adjacencies) that never
 holds a gradient; matmul, mul and linear_map do not even compute one for
-it. A Constant built from a 2-D C-contiguous float64 array shares that
-array instead of copying it, so the array must not be mutated while the
+it, and cosine_rows takes its second operand only as a Constant. A
+Constant built from a 2-D C-contiguous float64 array shares that array
+instead of copying it, so the array must not be mutated while the
 Constant is in use.
 
 Active tapes form one module-level stack; primitives record onto the
@@ -209,27 +210,6 @@ def mul(a: Matrix, b: Matrix) -> Matrix:
     return _finish("mul", a.data * b.data, backward)
 
 
-def div(a: Matrix, b: Matrix) -> Matrix:
-    if a.shape != b.shape:
-        raise ShapeError(f"div: incompatible shapes {a.shape} and {b.shape}")
-    out_data = a.data / b.data
-
-    def backward(g):
-        a.accumulate(g / b.data)
-        b.accumulate(-g * out_data / b.data)
-
-    return _finish("div", out_data, backward)
-
-
-def pow_const(a: Matrix, p: float) -> Matrix:
-    p = float(p)
-
-    def backward(g):
-        a.accumulate(g * p * a.data ** (p - 1.0))
-
-    return _finish("pow_const", a.data ** p, backward)
-
-
 def relu(a: Matrix) -> Matrix:
     out_data = np.maximum(a.data, 0.0)
 
@@ -397,13 +377,30 @@ def sum_all(a: Matrix) -> Matrix:
     return _finish("sum_all", a.data.sum().reshape(1, 1), backward)
 
 
-def row_sum(a: Matrix) -> Matrix:
-    """Sum across columns, one value per row (n x 1)."""
+def cosine_rows(a: Matrix, r: Constant) -> Matrix:
+    """The cosine of each row of a with the same row of the constant r, as an (n, 1) column.
+
+    cos = (a*r).sum(1) / den, with den = (a*a).sum(1) ** 0.5 * sqrt((r**2).sum(1)).
+    a's gradient is t + t + (g / den) * r, with t the squared-norm term times
+    a. Trained models depend on these float operations and their order to
+    the last digit, so keep them as written (tools/output_digests.py checks).
+    """
+    if not isinstance(r, Constant):
+        raise TypeError(f"cosine_rows: r must be a Constant, got {type(r).__name__}")
+    if a.shape != r.shape:
+        raise ShapeError(f"cosine_rows: incompatible shapes {a.shape} and {r.shape}")
+    sq = (a.data * a.data).sum(axis=1, keepdims=True)
+    r_norm = np.sqrt((r.data ** 2).sum(axis=1, keepdims=True))
+    den = _checked("cosine_rows", sq ** 0.5 * r_norm)
+    if not den.all():
+        raise NumericError("cosine_rows: the norm product of a row pair is 0, so its cosine is undefined")
+    out_data = (a.data * r.data).sum(axis=1, keepdims=True) / den
 
     def backward(g):
-        a.accumulate(np.repeat(g, a.cols, axis=1))
+        t = -g * out_data / den * r_norm * 0.5 * sq ** -0.5 * a.data
+        a.accumulate(t + t + g / den * r.data)
 
-    return _finish("row_sum", a.data.sum(axis=1, keepdims=True), backward)
+    return _finish("cosine_rows", out_data, backward)
 
 
 def concat_cols(mats: list[Matrix]) -> Matrix:

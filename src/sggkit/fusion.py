@@ -36,10 +36,6 @@ from .autodiff import Matrix, ShapeError, concat_cols, linear_map, parallel_fusi
 
 VARIANTS = ("union", "concat", "sequential", "parallel")
 
-# Arrangements of (subject, object, union) fed to the shared map, in the
-# order their outputs are summed; autodiff.parallel_fusion computes this sum.
-CONSTRAINED_ORDERS = (("s", "o", "u"), ("s", "u", "o"), ("u", "s", "o"))
-
 
 class Mlp:
     """A stack of affine layers with relu between them (none after the last)."""

@@ -8,7 +8,6 @@ import numpy as np
 
 from sggkit.autodiff import ShapeError, Tape, add, concat_cols
 from sggkit.data import _STREAM_APPEAR, _STREAM_LOGITS, Edge, Node, SceneRecord
-from sggkit.fusion import CONSTRAINED_ORDERS
 from sggkit.metrics import GroundTruthGraph, rank_triplets
 
 
@@ -45,6 +44,37 @@ def grad_check(f, params, eps=1e-5):
     for p in params:
         p.grad = None
     return worst
+
+
+def chain_cosine_rows(e, r, g):
+    """autodiff.cosine_rows as separate mul, row_sum, pow_const and div records: the
+    cosines of the row pairs of e and r, and the gradient handed to e for output gradient g.
+
+    Each line is one record's forward or backward numpy expression; `+ 0.0` is the copy an
+    accumulate makes.
+    """
+    d = e.shape[1]
+    dots = (e * r).sum(axis=1, keepdims=True)  # row_sum(mul(e, r))
+    sq = (e * e).sum(axis=1, keepdims=True)  # row_sum(mul(e, e))
+    e_norm = sq ** 0.5  # pow_const(sq, 0.5)
+    r_norm = np.sqrt((r ** 2).sum(axis=1, keepdims=True))  # a Constant
+    den = e_norm * r_norm  # mul(e_norm, r_norm)
+    cos = dots / den  # div(dots, den)
+    g_dots = g / den + 0.0  # div backward
+    g_den = -g * cos / den + 0.0
+    g_e_norm = g_den * r_norm + 0.0  # mul backward; r_norm takes no gradient
+    g_sq = g_e_norm * 0.5 * sq ** (0.5 - 1.0) + 0.0  # pow_const backward
+    g_ee = np.repeat(g_sq, d, axis=1) + 0.0  # row_sum backward
+    g_er = np.repeat(g_dots, d, axis=1) + 0.0
+    grad = g_ee * e + 0.0  # mul(e, e) backward sends g_ee * e to e twice
+    grad += g_ee * e
+    grad += g_er * r  # mul(e, r) backward
+    return cos, grad
+
+
+# Arrangements of (subject, object, union) fed to the shared map, in the
+# order their outputs are summed; autodiff.parallel_fusion computes this sum.
+CONSTRAINED_ORDERS = (("s", "o", "u"), ("s", "u", "o"), ("u", "s", "o"))
 
 
 def loop_parallel_fusion(z_s, z_o, z_u, psi):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import cluster_stats, grad_check
+from helpers import chain_cosine_rows, cluster_stats, grad_check
 from sggkit import autodiff as ad
 from sggkit.attract_repel import (
     ReferenceBank,
@@ -28,7 +28,7 @@ def test_absent_category_is_bit_exact_untouched():
     bank.refs[2] = [0.123456789, -9.87654321]
     bank.counts[2] = 5.0
     before = bank.refs[2].tobytes()
-    update_references(bank, np.array([[1.0, 0.0]]), [0])
+    update_references(bank, np.array([[1.0, 0.0]]), [0], {0: np.empty(0, dtype=np.intp)})
     assert bank.refs[2].tobytes() == before
     assert bank.counts[2] == 5.0
 
@@ -59,7 +59,7 @@ def test_update_counts_include_negatives():
 def test_out_of_range_label_raises():
     bank = ReferenceBank(2, 2, seed=0)
     with pytest.raises(ValueError, match="out of range"):
-        update_references(bank, np.array([[1.0, 0.0]]), [5])
+        update_references(bank, np.array([[1.0, 0.0]]), [5], {})
 
 
 def test_sample_negatives_counts_and_pool():
@@ -87,6 +87,30 @@ def test_loss_zero_reference_skips_and_counts():
     loss = attract_repel_loss(bank, emb, [0, 1], {0: np.array([1]), 1: np.array([0])})
     assert loss.item() == 0.0
     assert bank.skipped_pairs == 4
+
+
+def test_loss_skips_and_counts_zero_embedding_pairs():
+    """An all-zero row that is a positive of one category and a sampled negative of
+    others is skipped in every pair; the rest sum, in category and then row order,
+    to what the record-per-operation chain gives."""
+    rng = np.random.default_rng(7)
+    bank = ReferenceBank(3, 4, seed=0)
+    bank.refs = rng.normal(size=(3, 4))
+    emb = rng.normal(size=(6, 4))
+    emb[1] = 0.0
+    labels = [2, 0, 0, 2, 1, 0]
+    negatives = {0: np.array([3, 4]), 1: np.array([1]), 2: np.array([5, 1])}
+    e = ad.Matrix(emb)
+    with ad.Tape() as tape:
+        loss = attract_repel_loss(bank, e, labels, negatives)
+    tape.backward(loss)
+    assert bank.skipped_pairs == 3  # row 1 as a positive of 0 and a negative of 1 and 2
+    pairs = [(0, 2, -1.0), (0, 5, -1.0), (0, 3, 1.0), (0, 4, 1.0), (1, 4, -1.0), (2, 0, -1.0), (2, 3, -1.0),
+             (2, 5, 1.0)]  # (category, row, sign)
+    cats, rows, signs = (np.array(col) for col in zip(*pairs))
+    cos, _ = chain_cosine_rows(emb[rows], bank.refs[cats], np.zeros((len(pairs), 1)))
+    assert loss.item() == (cos * signs.reshape(-1, 1)).sum() + 5.0
+    assert not e.grad[1].any()
 
 
 def test_loss_hand_cases_parallel_orthogonal_antipodal():
@@ -179,7 +203,7 @@ def test_updates_never_touch_gradients():
     bank = ReferenceBank(2, 2, seed=0)
     emb = ad.Matrix([[1.0, 0.0], [0.0, 1.0]])
     with ad.Tape() as tape:
-        update_references(bank, emb, [0, 1])
+        update_references(bank, emb.data, [0, 1], sample_negatives(bank, [0, 1]))
         assert tape.records == []
     assert emb.grad is None
 
@@ -213,7 +237,7 @@ def test_cluster_stats_single_category_raises():
 
 def test_bank_state_round_trip():
     bank = ReferenceBank(3, 2, seed=11)
-    update_references(bank, np.array([[1.0, 2.0], [3.0, -1.0]]), [0, 2])
+    update_references(bank, np.array([[1.0, 2.0], [3.0, -1.0]]), [0, 2], sample_negatives(bank, [0, 2]))
     bank.skipped_pairs = 7
     clone = ReferenceBank.from_state(bank.state())
     np.testing.assert_array_equal(clone.refs, bank.refs)

@@ -1,10 +1,13 @@
 """Numerics substrate: forward values against hand arithmetic, gradients
 against central differences, and the tape replay contract."""
 
+import inspect
+import re
+
 import numpy as np
 import pytest
 
-from helpers import grad_check
+from helpers import chain_cosine_rows, grad_check
 from sggkit import autodiff as ad
 
 
@@ -255,14 +258,22 @@ def test_grad_cross_entropy_of_softmax():
     assert err < 1e-6
 
 
+# Every primitive autodiff defines, by the name it records.
+PRIMITIVES = set(re.findall(r'_finish\("(\w+)"', inspect.getsource(ad)))
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_grad_every_primitive_composite(seed):
-    """One composite per seed touching every differentiable primitive."""
+    """One composite per seed that records every primitive in PRIMITIVES."""
     rng = np.random.default_rng(seed)
     a = ad.Matrix(rng.normal(size=(3, 4)))
     b = ad.Matrix(rng.normal(size=(4, 3)))
     c = ad.Matrix(rng.normal(size=(3, 3)))
     d = ad.Matrix(rng.uniform(0.5, 2.0, size=(3, 3)))
+    bias = ad.Matrix(rng.normal(size=(1, 3)))
+    w0, b0 = ad.Matrix(rng.normal(size=(9, 4))), ad.Matrix(rng.normal(size=(1, 4)))
+    w1, b1 = ad.Matrix(rng.normal(size=(4, 2))), ad.Matrix(rng.normal(size=(1, 2)))
+    ref = ad.Constant(rng.normal(size=(3, 6)))
     mask = rng.uniform(size=(3, 3)) > 0.3
     mask[:, 0] = True
 
@@ -271,20 +282,72 @@ def test_grad_every_primitive_composite(seed):
         h = ad.add(h, c)
         h = ad.leaky_relu(h, 0.2)
         h = ad.mul(h, c)
-        h = ad.div(h, d)
+        h = ad.linear_map(h, d, bias)
         h = ad.add(h, ad.transpose(c))
         att = ad.triple_attention(h, c, d)  # the three rows of h form one triple
+        fused = ad.parallel_fusion(h, c, d, w0, b0, w1, b1)
         s = ad.masked_softmax_rows(h, mask)
         ls = ad.log_softmax_rows(ad.relu(h))
         top = ad.concat_rows([s, ls])
         wide = ad.concat_cols([top, ad.scale(top, 0.5)])
         picked = ad.gather_rows(wide, [0, 2, 5, 2])
-        sliced = ad.slice_rows(picked, 1, 4)
-        sq = ad.pow_const(ad.add(ad.row_sum(sliced), ad.Matrix([[1.0], [1.0], [1.0]])), 2.0)
-        return ad.add(ad.add(ad.scale(ad.sum_all(sq), 1.0 / sq.data.size), ad.sum_all(ad.softmax_rows(c))), ad.sum_all(ad.mul(att, c)))
+        cos = ad.cosine_rows(ad.slice_rows(picked, 1, 4), ref)
+        terms = [ad.sum_all(ad.mul(cos, cos)), ad.sum_all(ad.softmax_rows(c)), ad.sum_all(ad.mul(att, c)),
+                 ad.scale(ad.sum_all(ad.mul(fused, fused)), 0.01)]
+        return ad.add(ad.add(terms[0], terms[1]), ad.add(terms[2], terms[3]))
 
-    err = grad_check(f, [a, b, c, d], eps=1e-5)
+    with ad.Tape() as tape:
+        f()
+    assert {name for name, _, _ in tape.records} == PRIMITIVES
+    err = grad_check(f, [a, b, c, d, bias, w0, b0, w1, b1], eps=1e-5)
     assert err < 1e-6
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_cosine_rows_matches_chain_oracle_bytes(seed):
+    """Values and the gradient equal, byte for byte, those of the record-per-operation chain."""
+    rng = np.random.default_rng(seed)
+    n, d = rng.integers(1, 40), rng.integers(1, 40)
+    e_data, r_data = (rng.normal(size=(n, d)) * 10.0 ** rng.integers(-3, 4) for _ in range(2))
+    g = rng.normal(size=(n, 1))
+    e = ad.Matrix(e_data)
+    with ad.Tape() as tape:
+        cos = ad.cosine_rows(e, ad.Constant(r_data))
+        loss = ad.sum_all(ad.mul(cos, ad.Constant(g)))
+    tape.backward(loss)
+    want_cos, want_grad = chain_cosine_rows(e_data, r_data, g)
+    assert cos.data.tobytes() == want_cos.tobytes()
+    assert e.grad.tobytes() == want_grad.tobytes()
+
+
+def test_cosine_rows_gradient_against_central_differences():
+    rng = np.random.default_rng(21)
+    e = ad.Matrix(rng.normal(size=(4, 3)))
+    r = ad.Constant(rng.normal(size=(4, 3)))
+    g = ad.Constant(rng.normal(size=(4, 1)))
+    assert grad_check(lambda: ad.sum_all(ad.mul(ad.cosine_rows(e, r), g)), [e], eps=1e-5) < 1e-8
+
+
+@pytest.mark.parametrize("r,error", [
+    (ad.Matrix(np.ones((2, 3))), TypeError),
+    (ad.Constant(np.ones((2, 4))), ad.ShapeError),
+    (ad.Constant(np.ones((3, 3))), ad.ShapeError),
+], ids=["not-constant", "wider", "taller"])
+def test_cosine_rows_rejects_bad_reference(r, error):
+    with pytest.raises(error, match="cosine_rows"):
+        ad.cosine_rows(ad.Matrix(np.ones((2, 3))), r)
+
+
+def test_cosine_rows_overflowing_row_names_itself():
+    """A squared norm that overflows raises before the division could turn it into a finite 0."""
+    e = ad.Matrix([[1.0, 2.0], [1e200, -1e200]])
+    with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(ad.NumericError, match="cosine_rows"):
+        ad.cosine_rows(e, ad.Constant(np.ones((2, 2))))
+
+
+def test_cosine_rows_zero_norm_row_raises():
+    with pytest.raises(ad.NumericError, match="cosine_rows.*undefined"):
+        ad.cosine_rows(ad.Matrix([[1.0, 2.0], [0.0, 0.0]]), ad.Constant(np.ones((2, 2))))
 
 
 def test_uniform_init_bounds_and_determinism():

@@ -386,12 +386,13 @@ def test_end_to_end_gradients_on_three_node_six_edge_toy():
 # training
 
 
-def test_default_training_step_records_58_entries():
-    """One step of the default model at the CLI-default N = 6, AR term included.
+def test_default_training_step_records_52_entries():
+    """One step of the default model at the CLI-default N = 6: 52 records, 45 without the AR term.
 
     Each affine layer outside fusion is one linear_map record: the node and
     union maps and the two heads. Parallel fusion, both psi layers over all
-    three arrangements, is one parallel_fusion record.
+    three arrangements, is one parallel_fusion record, and the AR cosines
+    one cosine_rows record.
     """
     spec = GeneratorSpec(n_scenes=4)
     prep = prepare_scene(generate(spec)[0], FeatureParams.from_spec(spec))
@@ -399,7 +400,8 @@ def test_default_training_step_records_58_entries():
     cfg = ModelConfig()
     model = Model(cfg)
     bank = ReferenceBank(cfg.n_predicate_categories, cfg.d_edge)
-    update_references(bank, model.forward(prep).edge_embeddings, prep.edge_labels,
+    update_references(bank, model.forward(prep).edge_embeddings.data, prep.edge_labels,
+                      sample_negatives(bank, prep.edge_labels, skip_category=PREDICATE_NO_RELATION),
                       skip_category=PREDICATE_NO_RELATION)  # give the AR term references to compare with
     with Tape() as tape:
         out = model.forward(prep)
@@ -409,7 +411,11 @@ def test_default_training_step_records_58_entries():
     names = [name for name, _, _ in tape.records]
     assert names.count("linear_map") == 4
     assert names.count("parallel_fusion") == 1
-    assert len(names) == 58
+    assert names.count("cosine_rows") == 1
+    assert len(names) == 52
+    with Tape() as no_ar:
+        total_loss(model.forward(prep), prep, bank, replace(cfg, w_ar=0.0), None)
+    assert len(no_ar.records) == 45
 
 
 def test_zero_learning_rate_leaves_parameters_bit_identical():

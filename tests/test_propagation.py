@@ -271,8 +271,8 @@ def test_gradients_per_variant(variant):
         out = propagate(state, adj, params)
         return ad.sum_all(
             ad.add(
-                ad.scale(ad.sum_all(ad.pow_const(out.node_feats, 2.0)), 1.0 / out.node_feats.data.size),
-                ad.scale(ad.sum_all(ad.pow_const(out.edge_feats, 2.0)), 1.0 / out.edge_feats.data.size),
+                ad.scale(ad.sum_all(ad.mul(out.node_feats, out.node_feats)), 1.0 / out.node_feats.data.size),
+                ad.scale(ad.sum_all(ad.mul(out.edge_feats, out.edge_feats)), 1.0 / out.edge_feats.data.size),
             )
         )
 
