@@ -10,20 +10,24 @@ nothing and contribute zero.
 
 Every primitive checks its output and raises NumericError naming itself
 when a value is not finite, with or without an active tape. linear_map
-(x @ W + b) is one primitive, so an affine layer records one entry.
+(x @ W + b) is one primitive, so an affine layer records one entry, and
+arranged_mlp, a shared MLP summed over arrangements of its role inputs,
+is one entry for every fusion variant.
 
 A Constant is a Matrix of data (inputs, targets, adjacencies) that never
-holds a gradient; matmul, mul and linear_map do not even compute one for
-it, and cosine_rows takes its second operand only as a Constant. A
-Constant built from a 2-D C-contiguous float64 array shares that array
-instead of copying it, so the array must not be mutated while the
-Constant is in use.
+holds a gradient; matmul, mul, linear_map and arranged_mlp do not even
+compute one for it, and cosine_rows takes its second operand only as a
+Constant. A Constant built from a 2-D C-contiguous float64 array shares
+that array instead of copying it, so the array must not be mutated while
+the Constant is in use.
 
 Active tapes form one module-level stack; primitives record onto the
 innermost.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -293,69 +297,90 @@ def triple_attention(q: Matrix, k: Matrix, v: Matrix) -> Matrix:
     return _finish("triple_attention", out_data, backward)
 
 
-def parallel_fusion(
-    z_s: Matrix, z_o: Matrix, z_u: Matrix, w0: Matrix, b0: Matrix, w1: Matrix | None = None, b1: Matrix | None = None
-) -> Matrix:
-    """psi([s||o||u]) + psi([s||u||o]) + psi([u||s||o]) for M-row role inputs s, o, u.
+@functools.cache
+def _arrangement_plan(orders: tuple[tuple[int, ...], ...]):
+    """arranged_mlp's products for one table: the distinct (role, block) pairs, sorted; per
+    order, its product indices by position; per product, the orders that use it, ascending."""
+    if not orders or any(len(order) != len(orders[0]) for order in orders):
+        raise ShapeError(f"arranged_mlp: the orders must be non-empty and of one length, got {orders}")
+    products = sorted({(r, j) for order in orders for j, r in enumerate(order)})
+    sums = [[products.index((r, j)) for j, r in enumerate(order)] for order in orders]
+    uses = [[k for k, order in enumerate(orders) if order[j] == r] for r, j in products]
+    return products, sums, uses
 
-    psi(x) is relu(x @ w0 + b0) @ w1 + b1, or x @ w0 + b0 without w1. With
-    w0 cut into row blocks a, b, c, one per input position, the three
-    arrangements use only seven role-block products: s·a, s·b, o·b, o·c,
-    u·a, u·b and u·c. The second layer is linear, so it runs once on the
-    summed activations, (h_sou + h_suo + h_uso) @ w1 + 3 b1. The role
-    products, the pre-activations and the summed activations are checked
-    before they feed the next step, as the separate records checked them.
+
+def arranged_mlp(roles: tuple[Matrix, ...], orders: tuple[tuple[int, ...], ...], w0: Matrix, b0: Matrix,
+                 w1: Matrix | None = None, b1: Matrix | None = None) -> Matrix:
+    """The sum over orders of psi([roles in that order]), for role inputs of one shape (M, d).
+
+    An order lists indices into roles; all orders have one length n, and w0
+    has n row blocks of d rows, one per input position. psi(x) is
+    relu(x @ w0 + b0) @ w1 + b1, or x @ w0 + b0 without w1. x @ w0 sums
+    each position's role times that position's block, so each distinct
+    (role, block) product is formed once however many orders share it
+    (parallel fusion's three orders share seven). psi's second layer is
+    linear, so it runs once on the summed activations, plus K b1 for K
+    orders. The role products, the pre-activations and the summed
+    activations are checked before they feed the next step.
+
+    Float order: an order's pre-activation is P0 + P1, then += P2, then
+    + b0; a product's gradient sums the orders that use it in table order;
+    a role's gradient folds its products by block, and a block of w0's by
+    role. Trained models depend on that order to the last digit
+    (tools/output_digests.py checks).
     """
-    m, d = z_s.shape
+    products, sums, uses = _arrangement_plan(orders)
+    n = len(orders[0])
+    m, d = roles[0].shape
     h = w0.cols
     deep = w1 is not None
-    if (z_o.shape != (m, d) or z_u.shape != (m, d) or w0.rows != 3 * d or b0.shape != (1, h)
-            or deep != (b1 is not None) or deep and (w1.rows != h or b1.shape != (1, w1.cols))):
-        shapes = ", ".join(str(x.shape) for x in (z_s, z_o, z_u, w0, b0, w1, b1) if x is not None)
-        raise ShapeError(f"parallel_fusion: the role inputs need one shape (M, d) and the layers must "
-                         f"chain from 3d columns, got {shapes}")
-    s, o, u = z_s.data, z_o.data, z_u.data
-    a, b, c = w0.data[:d], w0.data[d : 2 * d], w0.data[2 * d :]
-    products = np.empty((7, m, h))
-    for i, (x, w) in enumerate(((s, a), (s, b), (o, b), (o, c), (u, a), (u, b), (u, c))):
-        np.matmul(x, w, out=products[i])
-    sa, sb, ob, oc, ua, ub, uc = _checked("parallel_fusion", products)
-    pre = np.empty((3, m, h))  # pre-activations of [s||o||u], [s||u||o], [u||s||o]
-    np.add(sa, ob, out=pre[0])
-    pre[0] += uc
-    np.add(sa, ub, out=pre[1])
-    pre[1] += oc
-    np.add(ua, sb, out=pre[2])
-    pre[2] += oc
+    if (any(x.shape != (m, d) for x in roles) or w0.rows != n * d
+            or b0.shape != (1, h) or deep != (b1 is not None) or deep and (w1.rows != h or b1.shape != (1, w1.cols))):
+        shapes = ", ".join(str(x.shape) for x in (*roles, w0, b0, w1, b1) if x is not None)
+        raise ShapeError(f"arranged_mlp: the roles need one shape (M, d) and the layers must chain "
+                         f"from {n}d columns, got {shapes}")
+    blocks = [w0.data[j * d : (j + 1) * d] for j in range(n)]
+    prods = np.empty((len(products), m, h))
+    for i, (r, j) in enumerate(products):
+        np.matmul(roles[r].data, blocks[j], out=prods[i])
+    _checked("arranged_mlp", prods)
+    pre = np.empty((len(orders), m, h))  # one pre-activation per order
+    for out, (first, *rest) in zip(pre, sums):
+        np.copyto(out, prods[first])
+        for i in rest:
+            out += prods[i]
     pre += b0.data
-    _checked("parallel_fusion", pre)
+    _checked("arranged_mlp", pre)
+    n_orders = float(len(orders))
     if deep:
-        act_sum = _checked("parallel_fusion", np.maximum(pre, 0.0).sum(axis=0))
-        out_data = act_sum @ w1.data + 3.0 * b1.data
+        act_sum = _checked("arranged_mlp", np.maximum(pre, 0.0).sum(axis=0))
+        out_data = act_sum @ w1.data + n_orders * b1.data
     else:
         out_data = pre.sum(axis=0)
 
     def backward(g):
         if deep:
-            b1.accumulate(3.0 * g.sum(axis=0, keepdims=True))
+            b1.accumulate(n_orders * g.sum(axis=0, keepdims=True))
             w1.accumulate(act_sum.T @ g)
             d_pre = (pre > 0.0) * (g @ w1.data.T)
         else:
             d_pre = np.broadcast_to(g, pre.shape)
         b0.accumulate(d_pre.sum(axis=(0, 1)).reshape(1, h))
-        d_sou, d_suo, d_uso = d_pre
-        d_sa, d_oc = d_sou + d_suo, d_suo + d_uso  # the two products that feed two arrangements
-        if not isinstance(z_s, Constant):
-            z_s.accumulate(d_sa @ a.T + d_uso @ b.T)
-        if not isinstance(z_o, Constant):
-            z_o.accumulate(d_sou @ b.T + d_oc @ c.T)
-        if not isinstance(z_u, Constant):
-            z_u.accumulate(d_uso @ a.T + d_suo @ b.T + d_sou @ c.T)
-        w0.accumulate(np.concatenate([s.T @ d_sa + u.T @ d_uso,
-                                      s.T @ d_uso + o.T @ d_sou + u.T @ d_suo,
-                                      o.T @ d_oc + u.T @ d_sou]))
+        d_roles, d_blocks = {}, [None] * n
+        for (r, j), (first, *rest) in zip(products, uses):  # by role, then block
+            d_prod = d_pre[first]
+            for k in rest:
+                d_prod = d_prod + d_pre[k]
+            if not isinstance(roles[r], Constant):
+                term = d_prod @ blocks[j].T
+                d_roles[r] = term if r not in d_roles else d_roles[r] + term
+            term = roles[r].data.T @ d_prod
+            d_blocks[j] = term if d_blocks[j] is None else d_blocks[j] + term
+        for r, d_role in d_roles.items():
+            roles[r].accumulate(d_role)
+        w0.accumulate(np.concatenate(d_blocks))
 
-    return _finish("parallel_fusion", out_data, backward)
+    return _finish("arranged_mlp", out_data, backward)
 
 
 def log_softmax_rows(a: Matrix) -> Matrix:
@@ -403,23 +428,6 @@ def cosine_rows(a: Matrix, r: Constant) -> Matrix:
     return _finish("cosine_rows", out_data, backward)
 
 
-def concat_cols(mats: list[Matrix]) -> Matrix:
-    if not mats:
-        raise ShapeError("concat_cols: empty input list")
-    rows = mats[0].rows
-    for m in mats:
-        if m.rows != rows:
-            raise ShapeError(f"concat_cols: row counts differ, {mats[0].shape} vs {m.shape}")
-    widths = [m.cols for m in mats]
-    offsets = np.cumsum([0] + widths)
-
-    def backward(g):
-        for m, lo, hi in zip(mats, offsets[:-1], offsets[1:]):
-            m.accumulate(g[:, lo:hi])
-
-    return _finish("concat_cols", np.concatenate([m.data for m in mats], axis=1), backward)
-
-
 def concat_rows(mats: list[Matrix]) -> Matrix:
     if not mats:
         raise ShapeError("concat_rows: empty input list")
@@ -464,12 +472,10 @@ def gather_rows(a: Matrix, indices) -> Matrix:
     return _finish("gather_rows", a.data[idx, :].copy(), backward)
 
 
-def linear_map(x: Matrix, w: Matrix, b: Matrix | None = None) -> Matrix:
-    """x @ w (+ b broadcast over rows) as one primitive; without b it is matmul."""
+def linear_map(x: Matrix, w: Matrix, b: Matrix) -> Matrix:
+    """x @ w + b, with b broadcast over rows, as one primitive."""
     if x.cols != w.rows:
         raise ShapeError(f"linear_map: input {x.shape} does not match weight {w.shape}")
-    if b is None:
-        return matmul(x, w)
     if b.rows != 1 or b.cols != w.cols:
         raise ShapeError(f"linear_map: bias {b.shape} does not match weight {w.shape}")
 

@@ -179,6 +179,8 @@ def _parse_ks(raw: str, flag: str) -> tuple[int, ...]:
         raise ValueError(f"{flag} needs at least one k")
     if min(ks) < 1:
         raise ValueError(f"{flag}: every k must be >= 1, got {raw!r}")
+    if len(set(ks)) < len(ks):
+        raise ValueError(f"{flag}: every k must be listed once, got {raw!r}")
     return ks
 
 

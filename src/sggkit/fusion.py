@@ -18,12 +18,15 @@ Variants:
     sequential  psi([pre([s||o])||u]) subject/object fused first
     parallel    the full three-arrangement sum
 
-The variant is fixed when the weights are built: init_fusion_params returns
-FusionParams that carry it, and encode_edges runs the variant its params
-name. parallel is one tape record, autodiff.parallel_fusion: the three
-arrangements share seven distinct products of a role with a row block of
-psi's first layer, and psi's linear second layer runs once on the summed
-activations. A one-layer psi (fusion_hidden 0) sums the three affine maps.
+Every variant is psi summed over a table of arrangements, ORDERS, and runs
+as one autodiff.arranged_mlp record; sequential runs pre over [s||o] first,
+and its output takes the subject's place in psi's table. arranged_mlp forms
+each distinct product of a role with a row block of psi's first layer once
+(the parallel table shares seven), and psi's linear second layer runs once
+on the summed activations. A one-layer psi (fusion_hidden 0) sums the affine
+maps. The variant is fixed when the weights are built: init_fusion_params
+returns FusionParams that carry it, and encode_edges runs the variant its
+params name.
 """
 
 from __future__ import annotations
@@ -32,57 +35,38 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Matrix, ShapeError, concat_cols, linear_map, parallel_fusion, relu, uniform_init
+from .autodiff import Matrix, arranged_mlp, uniform_init
 
-VARIANTS = ("union", "concat", "sequential", "parallel")
+S, O, U = 0, 1, 2  # the positions of z_s, z_o and z_u in the roles arranged_mlp reads
 
-
-class Mlp:
-    """A stack of affine layers with relu between them (none after the last)."""
-
-    def __init__(self, layers: list[tuple[Matrix, Matrix]]):
-        self.layers = layers
-
-    def __call__(self, x: Matrix) -> Matrix:
-        h = x
-        for i, (w, b) in enumerate(self.layers):
-            h = linear_map(h, w, b)
-            if i < len(self.layers) - 1:
-                h = relu(h)
-        return h
-
-    def named(self, prefix: str) -> dict[str, Matrix]:
-        out = {}
-        for i, (w, b) in enumerate(self.layers):
-            out[f"{prefix}.w{i}"] = w
-            out[f"{prefix}.b{i}"] = b
-        return out
-
-
-def init_mlp(rng: np.random.Generator, dims: list[int]) -> Mlp:
-    layers = []
-    for d_in, d_out in zip(dims[:-1], dims[1:]):
-        layers.append((uniform_init(rng, d_in, d_out), uniform_init(rng, 1, d_out, fan_in=d_in)))
-    return Mlp(layers)
+# Each variant's arrangements, in the order psi's outputs are summed.
+ORDERS = {
+    "union": ((U,),),
+    "concat": ((S, O, U),),
+    "sequential": ((S, U),),  # S holds pre([s||o])
+    "parallel": ((S, O, U), (S, U, O), (U, S, O)),
+}
+VARIANTS = tuple(ORDERS)
 
 
 @dataclass
 class FusionParams:
-    """Shared fusion map for one variant; sequential carries an extra stage."""
+    """Shared fusion map for one variant; sequential carries an extra stage.
+
+    psi and pre are (w0, b0) or, with a hidden layer, (w0, b0, w1, b1).
+    """
 
     variant: str
-    psi: Mlp
-    pre: Mlp | None = None  # sequential only: fuses [s||o] before the union
+    psi: tuple[Matrix, ...]
+    pre: tuple[Matrix, ...] | None = None  # sequential only: fuses [s||o] before the union
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown fusion variant {self.variant!r}, expected one of {VARIANTS}")
 
     def named(self, prefix: str) -> dict[str, Matrix]:
-        out = self.psi.named(f"{prefix}.psi")
-        if self.pre is not None:
-            out.update(self.pre.named(f"{prefix}.pre"))
-        return out
+        return {f"{prefix}.{stage}.{'wb'[i % 2]}{i // 2}": m
+                for stage, weights in (("psi", self.psi), ("pre", self.pre or ())) for i, m in enumerate(weights)}
 
 
 def init_fusion_params(
@@ -93,27 +77,23 @@ def init_fusion_params(
     hidden: int | None = None,
 ) -> FusionParams:
     """hidden defaults to 2*d_e; pass hidden=0 for a purely affine map."""
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown fusion variant {variant!r}, expected one of {VARIANTS}")
     if hidden is None:
         hidden = 2 * d_e
-    mid = [] if hidden == 0 else [hidden]
-    if variant == "union":
-        return FusionParams(variant, init_mlp(rng, [d] + mid + [d_e]))
-    if variant == "sequential":
-        pre = init_mlp(rng, [2 * d] + mid + [d])
-        return FusionParams(variant, init_mlp(rng, [2 * d] + mid + [d_e]), pre)
-    return FusionParams(variant, init_mlp(rng, [3 * d] + mid + [d_e]))  # concat, parallel; unknown names fail here
+
+    def mlp(d_in: int, d_out: int) -> tuple[Matrix, ...]:
+        dims = [d_in, hidden, d_out] if hidden else [d_in, d_out]
+        # each layer draws its weight, then its bias
+        return tuple(m for a, b in zip(dims, dims[1:]) for m in (uniform_init(rng, a, b), uniform_init(rng, 1, b, fan_in=a)))
+
+    pre = mlp(2 * d, d) if variant == "sequential" else None
+    return FusionParams(variant, mlp(len(ORDERS[variant][0]) * d, d_e), pre)
 
 
 def encode_edges(z_s: Matrix, z_o: Matrix, z_u: Matrix, params: FusionParams) -> Matrix:
     """Encode M relations (M x D inputs each) with the variant the params were built for."""
-    if not (z_s.shape == z_o.shape == z_u.shape):
-        raise ShapeError(f"fusion inputs differ in shape: {z_s.shape}, {z_o.shape}, {z_u.shape}")
-    if params.variant == "union":
-        return params.psi(z_u)
-    if params.variant == "concat":
-        return params.psi(concat_cols([z_s, z_o, z_u]))
+    roles = (z_s, z_o, z_u)
     if params.variant == "sequential":
-        so = params.pre(concat_cols([z_s, z_o]))
-        return params.psi(concat_cols([so, z_u]))
-    # parallel: the shared map summed over the three constrained arrangements, as one primitive
-    return parallel_fusion(z_s, z_o, z_u, *(m for layer in params.psi.layers for m in layer))
+        roles = (arranged_mlp(roles, ((S, O),), *params.pre), z_o, z_u)
+    return arranged_mlp(roles, ORDERS[params.variant], *params.psi)

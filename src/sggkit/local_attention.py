@@ -42,8 +42,6 @@ class LihParams:
 
 def init_lih_params(rng: np.random.Generator, d: int, d_att: int | None = None) -> LihParams:
     d_att = d if d_att is None else d_att
-    if d_att > d:
-        raise ValueError(f"attention width {d_att} must not exceed feature width {d}")
     return LihParams(
         w_q=uniform_init(rng, d, d_att),
         w_k=uniform_init(rng, d, d_att),

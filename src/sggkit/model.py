@@ -104,6 +104,12 @@ class ModelConfig(ConfigSchema):
             raise ValueError(
                 f"unknown propagation variant {shown(self.gih_variant)}, expected one of {PROPAGATION_VARIANTS}"
             )
+        if self.use_lih and self.d_attention is not None and self.d_attention > self.d_node:
+            raise ValueError(f"config field d_attention must not exceed d_node ({self.d_node}), got {self.d_attention}")
+        if self.gih_variant == "gih" and (self.gih_layers < 2 or self.gih_layers % 2):
+            raise ValueError(f"config field gih_layers must be even and >= 2 for gih, got {self.gih_layers}")
+        if self.gih_variant in ("gcn", "gat") and self.gih_layers < 1:
+            raise ValueError(f"config field gih_layers must be >= 1 for {self.gih_variant}, got {self.gih_layers}")
         if self.gih_variant == "gih" and self.d_node != self.d_edge:
             raise ValueError(
                 f"node/edge message passing stacks both feature sets, widths must match "

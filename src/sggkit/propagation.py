@@ -146,15 +146,11 @@ class PropagationParams:
 
 def init_propagation(rng: np.random.Generator, variant: str, d: int, n_layers: int = 4) -> PropagationParams:
     if variant == "gih":
-        if n_layers < 2 or n_layers % 2 != 0:
-            raise ValueError(f"layer count must be even and >= 2, got {n_layers}")
         # The unnormalized block adjacency multiplies feature magnitudes by its
         # spectral radius (about 9 when every ordered pair of 6 nodes is a
         # candidate edge), so the weights start 10x smaller than plain fan-in
         # scaling to keep a 4-layer stack near unit gain.
         return PropagationParams(variant, [(uniform_init(rng, d, d, fan_in=100 * d),) for _ in range(n_layers)])
-    if variant in ("gcn", "gat") and n_layers < 1:
-        raise ValueError(f"layer count must be >= 1, got {n_layers}")
     if variant == "gcn":
         return PropagationParams(variant, [(uniform_init(rng, d, d),) for _ in range(n_layers)])
     if variant == "gat":

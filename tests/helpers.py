@@ -6,8 +6,9 @@ stay independent of the library's vectorized or dict-based shortcuts.
 
 import numpy as np
 
-from sggkit.autodiff import ShapeError, Tape, add, concat_cols
+from sggkit.autodiff import ShapeError, Tape, add, linear_map, matmul, relu, slice_rows
 from sggkit.data import _STREAM_APPEAR, _STREAM_LOGITS, Edge, Node, SceneRecord
+from sggkit.fusion import ORDERS
 from sggkit.metrics import GroundTruthGraph, rank_triplets
 
 
@@ -72,17 +73,31 @@ def chain_cosine_rows(e, r, g):
     return cos, grad
 
 
-# Arrangements of (subject, object, union) fed to the shared map, in the
-# order their outputs are summed; autodiff.parallel_fusion computes this sum.
-CONSTRAINED_ORDERS = (("s", "o", "u"), ("s", "u", "o"), ("u", "s", "o"))
+def loop_psi(parts, w0, b0, w1=None, b1=None):
+    """psi on [parts[0]||parts[1]||...] as separate records: the first layer is a sum of
+    part @ (its row block of w0, cut with slice_rows) plus b0, never one shared product."""
+    d = parts[0].cols
+    pre = None
+    for j, part in enumerate(parts):
+        block = slice_rows(w0, j * d, (j + 1) * d)
+        pre = linear_map(part, block, b0) if pre is None else add(pre, matmul(part, block))
+    return pre if w1 is None else linear_map(relu(pre), w1, b1)
 
 
-def loop_parallel_fusion(z_s, z_o, z_u, psi):
-    """Parallel fusion as separate records: psi on each constrained arrangement, the outputs summed in order."""
-    by_role = {"s": z_s, "o": z_o, "u": z_u}
+def loop_encode_edges(z_s, z_o, z_u, params):
+    """fusion.encode_edges with psi run once per arrangement and the outputs summed in order,
+    each variant written out as the fusion module docstring states it."""
+    psi = params.psi
+    if params.variant == "union":
+        return loop_psi([z_u], *psi)
+    if params.variant == "concat":
+        return loop_psi([z_s, z_o, z_u], *psi)
+    if params.variant == "sequential":
+        return loop_psi([loop_psi([z_s, z_o], *params.pre), z_u], *psi)
+    roles = (z_s, z_o, z_u)
     total = None
-    for order in CONSTRAINED_ORDERS:
-        term = psi(concat_cols([by_role[r] for r in order]))
+    for order in ORDERS["parallel"]:
+        term = loop_psi([roles[r] for r in order], *psi)
         total = term if total is None else add(total, term)
     return total
 

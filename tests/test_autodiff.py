@@ -14,14 +14,14 @@ from sggkit import autodiff as ad
 def test_linear_map_identity_passthrough():
     x = ad.Matrix([[3.0, -1.0], [0.5, 2.0]])
     w = ad.Matrix(np.eye(2))
-    out = ad.linear_map(x, w)
+    out = ad.linear_map(x, w, ad.Matrix(np.zeros((1, 2))))
     np.testing.assert_array_equal(out.data, x.data)
 
 
 def test_linear_map_diagonal_scales_columns():
     x = ad.Matrix([[1.0, 2.0], [3.0, 4.0]])
     w = ad.Matrix([[2.0, 0.0], [0.0, 5.0]])
-    out = ad.linear_map(x, w)
+    out = ad.linear_map(x, w, ad.Matrix(np.zeros((1, 2))))
     np.testing.assert_array_equal(out.data, [[2.0, 10.0], [6.0, 20.0]])
 
 
@@ -45,8 +45,7 @@ def test_linear_map_records_one_entry():
     x, w, b = ad.Matrix(np.ones((3, 2))), ad.Matrix(np.ones((2, 4))), ad.Matrix(np.ones((1, 4)))
     with ad.Tape() as tape:
         ad.linear_map(x, w, b)
-        ad.linear_map(x, w)
-    assert [name for name, _, _ in tape.records] == ["linear_map", "matmul"]
+    assert [name for name, _, _ in tape.records] == ["linear_map"]
 
 
 @pytest.mark.parametrize("rows", [1, 3])
@@ -84,7 +83,7 @@ def test_linear_map_shape_error_names_both_shapes():
     x = ad.Matrix(np.zeros((2, 3)))
     w = ad.Matrix(np.zeros((4, 2)))
     with pytest.raises(ad.ShapeError, match=r"\(2, 3\).*\(4, 2\)"):
-        ad.linear_map(x, w)
+        ad.linear_map(x, w, ad.Matrix(np.zeros((1, 2))))
 
 
 def test_softmax_uniform_logits():
@@ -271,9 +270,9 @@ def test_grad_every_primitive_composite(seed):
     c = ad.Matrix(rng.normal(size=(3, 3)))
     d = ad.Matrix(rng.uniform(0.5, 2.0, size=(3, 3)))
     bias = ad.Matrix(rng.normal(size=(1, 3)))
-    w0, b0 = ad.Matrix(rng.normal(size=(9, 4))), ad.Matrix(rng.normal(size=(1, 4)))
+    w0, b0 = ad.Matrix(rng.normal(size=(6, 4))), ad.Matrix(rng.normal(size=(1, 4)))
     w1, b1 = ad.Matrix(rng.normal(size=(4, 2))), ad.Matrix(rng.normal(size=(1, 2)))
-    ref = ad.Constant(rng.normal(size=(3, 6)))
+    ref = ad.Constant(rng.normal(size=(3, 3)))
     mask = rng.uniform(size=(3, 3)) > 0.3
     mask[:, 0] = True
 
@@ -285,12 +284,12 @@ def test_grad_every_primitive_composite(seed):
         h = ad.linear_map(h, d, bias)
         h = ad.add(h, ad.transpose(c))
         att = ad.triple_attention(h, c, d)  # the three rows of h form one triple
-        fused = ad.parallel_fusion(h, c, d, w0, b0, w1, b1)
+        # h feeds position 0 of two orders and d position 1 of two, so two products serve two orders each
+        fused = ad.arranged_mlp((h, c, d), ((0, 1), (1, 2), (0, 2)), w0, b0, w1, b1)
         s = ad.masked_softmax_rows(h, mask)
         ls = ad.log_softmax_rows(ad.relu(h))
         top = ad.concat_rows([s, ls])
-        wide = ad.concat_cols([top, ad.scale(top, 0.5)])
-        picked = ad.gather_rows(wide, [0, 2, 5, 2])
+        picked = ad.gather_rows(ad.scale(top, 0.5), [0, 2, 5, 2])
         cos = ad.cosine_rows(ad.slice_rows(picked, 1, 4), ref)
         terms = [ad.sum_all(ad.mul(cos, cos)), ad.sum_all(ad.softmax_rows(c)), ad.sum_all(ad.mul(att, c)),
                  ad.scale(ad.sum_all(ad.mul(fused, fused)), 0.01)]
@@ -301,6 +300,19 @@ def test_grad_every_primitive_composite(seed):
     assert {name for name, _, _ in tape.records} == PRIMITIVES
     err = grad_check(f, [a, b, c, d, bias, w0, b0, w1, b1], eps=1e-5)
     assert err < 1e-6
+
+
+def test_arranged_mlp_rejects_bad_tables_and_shapes():
+    x, wide = ad.Matrix(np.ones((2, 3))), ad.Matrix(np.ones((2, 4)))
+    w0, b0 = ad.Matrix(np.ones((6, 4))), ad.Matrix(np.ones((1, 4)))
+    with pytest.raises(ad.ShapeError, match="orders must be non-empty and of one length"):
+        ad.arranged_mlp((x, x), ((0, 1), (1,)), w0, b0)
+    for roles, orders, w in (((x, wide), ((0, 1),), w0), ((x, x), ((0, 1, 1),), w0),
+                             ((x, x), ((0, 1),), ad.Matrix(np.ones((5, 4))))):
+        with pytest.raises(ad.ShapeError, match="^arranged_mlp: the roles need one shape"):
+            ad.arranged_mlp(roles, orders, w, b0)
+    with pytest.raises(ad.ShapeError, match="^arranged_mlp: the roles need one shape"):
+        ad.arranged_mlp((x, x), ((0, 1),), w0, b0, ad.Matrix(np.ones((4, 2))))  # w1 without b1
 
 
 @pytest.mark.parametrize("seed", range(8))

@@ -178,6 +178,13 @@ def test_unreadable_config_value_names_its_source_and_key(corpus, tmp_path, caps
         fh.write(b"d_node = 8\xff\n")
     assert main(["train", "--corpus", corpus, "--out", out, "--config", cfg]) == 2
     assert f"error: {cfg}: not UTF-8 (invalid start byte at byte " in capsys.readouterr().err
+    for setting, message in (({"gih_layers": 3}, "config field gih_layers must be even and >= 2 for gih, got 3"),
+                             ({"d_attention": 64}, "config field d_attention must not exceed d_node (32), got 64"),
+                             ({"gih_variant": "gat", "gih_layers": 0},
+                              "config field gih_layers must be >= 1 for gat, got 0")):
+        cfg = _write_config(tmp_path / "train.cfg", **setting)
+        assert main(["train", "--corpus", corpus, "--out", out, "--config", cfg]) == 2
+        assert f"error: {cfg}: {message}\n" in capsys.readouterr().err
     monkeypatch.setenv("SGGKIT_D_NODE", "abc")
     assert main(["train", "--corpus", corpus, "--out", out]) == 2
     assert "error: SGGKIT_D_NODE: config key 'd_node': cannot read 'abc' as an integer" in capsys.readouterr().err
@@ -407,13 +414,14 @@ def test_eval_bad_k_list_is_validation_error(corpus, checkpoint, tmp_path):
 
 
 @pytest.mark.parametrize("command,flag,value", [("train", "--ks-pair", "0"), ("train", "--ks-recall", "4,-1"),
-                                                ("eval", "--ks-recall", "0")])
+                                                ("eval", "--ks-recall", "0"), ("eval", "--ks-recall", "4,4")])
 def test_k_below_one_names_the_flag(command, flag, value, corpus, checkpoint, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(sggkit.cli, "train", lambda *a, **kw: pytest.fail("trained before checking the k lists"))
     out = str(tmp_path / "out")
     source = ["--out", out] if command == "train" else ["--checkpoint", checkpoint, "--out", out]
     assert main([command, "--corpus", corpus, *source, flag, value]) == 2
-    assert f"{flag}: every k must be >= 1" in capsys.readouterr().err
+    rule = "every k must be listed once" if value == "4,4" else "every k must be >= 1"
+    assert f"{flag}: {rule}, got '{value}'" in capsys.readouterr().err
     assert not os.path.exists(out)
 
 

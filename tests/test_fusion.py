@@ -6,11 +6,15 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from helpers import CONSTRAINED_ORDERS, grad_check, loop_parallel_fusion
+from helpers import grad_check, loop_encode_edges
 from sggkit import autodiff as ad
 from sggkit.fusion import (
+    ORDERS,
+    VARIANTS,
     FusionParams,
-    Mlp,
+    O,
+    S,
+    U,
     encode_edges,
     init_fusion_params,
 )
@@ -18,12 +22,12 @@ from sggkit.fusion import (
 
 def swap_subject_object(order):
     """Image of an arrangement under exchanging the roles of s and o."""
-    flip = {"s": "o", "o": "s", "u": "u"}
+    flip = {S: O, O: S, U: U}
     return tuple(flip[x] for x in order)
 
 
 def all_orders():
-    return [tuple(p) for p in permutations(("s", "o", "u"))]
+    return [tuple(p) for p in permutations((S, O, U))]
 
 
 def _rows(rng, m, d):
@@ -35,9 +39,11 @@ def _rows(rng, m, d):
 
 
 def test_constrained_orders_partition_under_swap():
-    """The three chosen arrangements and their subject/object swaps are
+    """The three arrangements parallel fusion runs are those in which the
+    subject precedes the object; they and their subject/object swaps are
     disjoint and together cover all six orderings."""
-    chosen = set(CONSTRAINED_ORDERS)
+    chosen = set(ORDERS["parallel"])
+    assert all(order.index(S) < order.index(O) for order in chosen)
     swapped = {swap_subject_object(o) for o in chosen}
     assert chosen.isdisjoint(swapped)
     assert chosen | swapped == set(all_orders())
@@ -45,7 +51,7 @@ def test_constrained_orders_partition_under_swap():
 
 
 def test_every_arrangement_changes_under_swap():
-    for order in permutations(("s", "o", "u")):
+    for order in permutations((S, O, U)):
         assert swap_subject_object(tuple(order)) != tuple(order)
 
 
@@ -53,7 +59,7 @@ def test_zero_weights_return_triple_bias():
     d, d_e = 4, 3
     w = ad.Matrix(np.zeros((3 * d, d_e)))
     b = ad.Matrix([[1.0, -2.0, 0.5]])
-    params = FusionParams("parallel", Mlp([(w, b)]))
+    params = FusionParams("parallel", (w, b))
     rng = np.random.default_rng(0)
     z_s, z_o, z_u = _rows(rng, 2, d)
     out = encode_edges(z_s, z_o, z_u, params)
@@ -97,7 +103,7 @@ def test_concat_zero_weight_returns_bias():
     d, d_e = 3, 2
     w = ad.Matrix(np.zeros((3 * d, d_e)))
     b = ad.Matrix([[4.0, -1.0]])
-    params = FusionParams("concat", Mlp([(w, b)]))
+    params = FusionParams("concat", (w, b))
     rng = np.random.default_rng(4)
     z_s, z_o, z_u = _rows(rng, 2, d)
     out = encode_edges(z_s, z_o, z_u, params)
@@ -112,11 +118,7 @@ def test_sequential_uses_both_stages():
     out = encode_edges(z_s, z_o, z_u, params)
     assert out.shape == (2, d_e)
     # zeroing the first stage changes the result
-    zeroed = FusionParams(
-        "sequential",
-        params.psi,
-        Mlp([(ad.Matrix(np.zeros_like(w.data)), ad.Matrix(np.zeros_like(b.data))) for w, b in params.pre.layers]),
-    )
+    zeroed = FusionParams("sequential", params.psi, tuple(ad.Matrix(np.zeros_like(m.data)) for m in params.pre))
     out2 = encode_edges(z_s, z_o, z_u, zeroed)
     assert np.abs(out.data - out2.data).max() > 1e-8
 
@@ -145,7 +147,7 @@ def test_width_mismatch_raises():
 def test_depth_zero_mlp_is_affine():
     rng = np.random.default_rng(10)
     params = init_fusion_params(rng, "parallel", 3, 2, hidden=0)
-    assert len(params.psi.layers) == 1
+    assert [m.shape for m in params.psi] == [(9, 2), (1, 2)]
 
 
 @pytest.mark.parametrize("variant", ["union", "concat", "sequential", "parallel"])
@@ -180,8 +182,8 @@ def test_batch_rows_equal_per_row_encoding():
 
 
 def _encode_and_backward(encode, inputs, params, g):
-    """encode's output and the gradients of sum(output * g) for the inputs and the psi weights."""
-    weights = list(params.psi.named("psi").values())
+    """encode's output and the gradients of sum(output * g) for the inputs and the fusion weights."""
+    weights = list(params.named("fusion").values())
     for mat in (*inputs, *weights):
         mat.grad = None
     with ad.Tape() as tape:
@@ -194,19 +196,19 @@ def _encode_and_backward(encode, inputs, params, g):
 @pytest.mark.parametrize("leaf", [ad.Matrix, ad.Constant])
 @pytest.mark.parametrize("m,d,hidden", [(1, 3, 4), (1, 2, 0), (5, 4, 0), (7, 6, 5), (30, 8, 16)])
 def test_parallel_fusion_matches_arrangement_loop(m, d, hidden, leaf):
-    """Output and every gradient agree with psi run per arrangement, within 1e-12."""
+    """For every variant, output and every gradient agree with psi run per arrangement, within 1e-12."""
     rng = np.random.default_rng([m, d, hidden])
-    params = init_fusion_params(rng, "parallel", d, 3, hidden=hidden)
-    data = [rng.normal(size=(m, d)) for _ in range(3)]
-    g = rng.normal(size=(m, 3))
-    new = _encode_and_backward(encode_edges, [leaf(x) for x in data], params, g)
-    old = _encode_and_backward(lambda s, o, u, p: loop_parallel_fusion(s, o, u, p.psi),
-                               [leaf(x) for x in data], params, g)
-    for got, want in zip(new, old):
-        if want is None:  # a Constant input
-            assert got is None
-        else:
-            assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+    for variant in VARIANTS:
+        params = init_fusion_params(rng, variant, d, 3, hidden=hidden)
+        data = [rng.normal(size=(m, d)) for _ in range(3)]
+        g = rng.normal(size=(m, 3))
+        new = _encode_and_backward(encode_edges, [leaf(x) for x in data], params, g)
+        old = _encode_and_backward(loop_encode_edges, [leaf(x) for x in data], params, g)
+        for got, want in zip(new, old):
+            if want is None:  # a Constant input, or one the variant does not read
+                assert got is None
+            else:
+                assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max()), variant
 
 
 def test_parallel_fusion_gradients_without_hidden_layer():
@@ -225,7 +227,16 @@ def test_parallel_fusion_gradients_without_hidden_layer():
 
 def test_parallel_fusion_checks_role_products_before_summing_them():
     """s·a = +inf and o·b = -inf would sum to NaN with a numpy warning; the product check raises first."""
-    params = FusionParams("parallel", Mlp([(ad.Matrix(np.ones((6, 2))), ad.Matrix(np.zeros((1, 2))))]))
+    params = FusionParams("parallel", (ad.Matrix(np.ones((6, 2))), ad.Matrix(np.zeros((1, 2)))))
     z_s, z_o, z_u = ad.Matrix([[np.inf, 0.0]]), ad.Matrix([[-np.inf, 0.0]]), ad.Matrix([[0.0, 0.0]])
-    with pytest.raises(ad.NumericError, match="parallel_fusion"):
+    with pytest.raises(ad.NumericError, match="^arranged_mlp produced a non-finite value$"):
         encode_edges(z_s, z_o, z_u, params)
+
+
+@pytest.mark.parametrize("variant,records", [("union", 1), ("concat", 1), ("sequential", 2), ("parallel", 1)])
+def test_each_variant_records_one_arranged_mlp_per_stage(variant, records):
+    rng = np.random.default_rng(14)
+    params = init_fusion_params(rng, variant, 3, 2)
+    with ad.Tape() as tape:
+        encode_edges(*_rows(rng, 2, 3), params)
+    assert [name for name, _, _ in tape.records] == ["arranged_mlp"] * records

@@ -8,6 +8,7 @@ import pytest
 from helpers import grad_check
 from sggkit import autodiff as ad
 from sggkit.local_attention import LihParams, init_lih_params, lih_forward_batch
+from sggkit.model import ModelConfig
 
 
 def _triple(rng, d):
@@ -144,8 +145,9 @@ def test_tape_arrays_grow_linearly_in_triples():
 
 
 def test_attention_width_cannot_exceed_feature_width():
-    with pytest.raises(ValueError):
-        init_lih_params(np.random.default_rng(0), 4, d_att=8)
+    with pytest.raises(ValueError, match=r"^config field d_attention must not exceed d_node \(4\), got 8$"):
+        ModelConfig(d_node=4, d_edge=4, d_attention=8).validate()
+    ModelConfig(d_node=4, d_edge=4, d_attention=8, use_lih=False).validate()  # unused without LIH
 
 
 def test_gradients_against_central_differences():

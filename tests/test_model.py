@@ -391,7 +391,7 @@ def test_default_training_step_records_52_entries():
 
     Each affine layer outside fusion is one linear_map record: the node and
     union maps and the two heads. Parallel fusion, both psi layers over all
-    three arrangements, is one parallel_fusion record, and the AR cosines
+    three arrangements, is one arranged_mlp record, and the AR cosines
     one cosine_rows record.
     """
     spec = GeneratorSpec(n_scenes=4)
@@ -410,7 +410,7 @@ def test_default_training_step_records_52_entries():
     assert parts["loss_attract_repel"] != 0.0
     names = [name for name, _, _ in tape.records]
     assert names.count("linear_map") == 4
-    assert names.count("parallel_fusion") == 1
+    assert names.count("arranged_mlp") == 1
     assert names.count("cosine_rows") == 1
     assert len(names) == 52
     with Tape() as no_ar:

@@ -5,6 +5,7 @@ import pytest
 
 from helpers import a_ee_of, a_en_of, a_ne_of, a_nn_of, a_of, grad_check, loop_a_tilde
 from sggkit import autodiff as ad
+from sggkit.model import ModelConfig
 from sggkit.propagation import (
     GraphState,
     PropagationParams,
@@ -136,8 +137,8 @@ def test_state_shape_mismatch_raises():
 
 
 def test_odd_layer_count_rejected():
-    with pytest.raises(ValueError):
-        init_propagation(np.random.default_rng(0), "gih", 4, 3)
+    with pytest.raises(ValueError, match="^config field gih_layers must be even and >= 2 for gih, got 3$"):
+        ModelConfig(gih_layers=3).validate()
 
 
 def test_locality_disconnected_component_unchanged():
