@@ -12,7 +12,15 @@ Every primitive checks its output and raises NumericError naming itself
 when a value is not finite, with or without an active tape. linear_map
 (x @ W + b) is one primitive, so an affine layer records one entry, and
 arranged_mlp, a shared MLP summed over arrangements of its role inputs,
-is one entry for every fusion variant.
+is one entry for every fusion variant. lih (attention inside triples of
+rows) and gih (joint node/edge message passing) are one entry each for a
+whole module, and check each intermediate array too, so a non-finite
+value inside one names the module.
+
+A record holds one output Matrix. lih and gih return row blocks of theirs
+(RowBlock): Matrices whose data is a view of the output's rows and whose
+accumulate adds into the output's gradient, so Tape.backward replays the
+record once, and skips it when no block received a gradient.
 
 A Constant is a Matrix of data (inputs, targets, adjacencies) that never
 holds a gradient; matmul, mul, linear_map and arranged_mlp do not even
@@ -104,6 +112,28 @@ class Constant(Matrix):
 
     def accumulate(self, g) -> None:
         pass
+
+
+class RowBlock(Matrix):
+    """Rows [start, stop) of a primitive's recorded output, used as a Matrix of its own.
+
+    data is a view into the output's data. A gradient handed to the block is
+    added into the output's gradient, which starts as zeros, so the record
+    replays once for all its blocks, and not at all when none receives a
+    gradient. A block's own grad stays None.
+    """
+
+    __slots__ = ("whole", "start", "stop")
+
+    def __init__(self, whole: Matrix, start: int, stop: int):
+        self.data, self.grad = whole.data[start:stop], None
+        self.whole, self.start, self.stop = whole, start, stop
+
+    def accumulate(self, g) -> None:
+        whole = self.whole
+        if whole.grad is None:
+            whole.grad = np.zeros_like(whole.data)
+        whole.grad[self.start : self.stop] += g
 
 
 def _wrap(arr: np.ndarray) -> Matrix:
@@ -265,38 +295,6 @@ def masked_softmax_rows(a: Matrix, mask: np.ndarray) -> Matrix:
     return _finish("masked_softmax_rows", out_data, backward)
 
 
-def triple_attention(q: Matrix, k: Matrix, v: Matrix) -> Matrix:
-    """Softmax attention inside triples of rows; rows i, M+i and 2M+i form triple i.
-
-    Each row weighs the three v rows of its own triple by the softmax of its
-    q row dotted with their k rows (no scaling). This equals a row softmax
-    of q k^T masked to the triples, at 9M dot products instead of (3M)^2.
-    """
-    if q.shape != k.shape or v.rows != q.rows or q.rows % 3:
-        raise ShapeError(
-            f"triple_attention: q {q.shape}, k {k.shape} and v {v.shape} need q and k of one shape "
-            f"and the same row count, divisible by 3, on all three"
-        )
-    m = q.rows // 3
-    qs = q.data.reshape(3, m, q.cols)
-    ks = k.data.reshape(3, m, k.cols)
-    vs = v.data.reshape(3, m, v.cols)
-    logits = np.einsum("rid,cid->ric", qs, ks)  # [role, triple, attended role]
-    e = np.exp(logits - logits.max(axis=2, keepdims=True))
-    alpha = e / e.sum(axis=2, keepdims=True)
-    out_data = np.einsum("ric,cid->rid", alpha, vs).reshape(v.shape)
-
-    def backward(g):
-        gs = g.reshape(3, m, v.cols)
-        d_alpha = np.einsum("rid,cid->ric", gs, vs)
-        d_logits = alpha * (d_alpha - (d_alpha * alpha).sum(axis=2, keepdims=True))
-        q.accumulate(np.einsum("ric,cid->rid", d_logits, ks).reshape(q.shape))
-        k.accumulate(np.einsum("ric,rid->cid", d_logits, qs).reshape(k.shape))
-        v.accumulate(np.einsum("ric,rid->cid", alpha, gs).reshape(v.shape))
-
-    return _finish("triple_attention", out_data, backward)
-
-
 @functools.cache
 def _arrangement_plan(orders: tuple[tuple[int, ...], ...]):
     """arranged_mlp's products for one table: the distinct (role, block) pairs, sorted; per
@@ -383,6 +381,110 @@ def arranged_mlp(roles: tuple[Matrix, ...], orders: tuple[tuple[int, ...], ...],
     return _finish("arranged_mlp", out_data, backward)
 
 
+def lih(s: Matrix, o: Matrix, u: Matrix, w_q: Matrix, w_k: Matrix, w_v: Matrix,
+        w_f: Matrix) -> tuple[RowBlock, RowBlock, RowBlock]:
+    """Attention inside triples of rows: the refined s, o and u, as row blocks of one (3M, D) output.
+
+    Row i of s, o and u (M x D each) forms triple i. With x = [s; o; u],
+    q, k and v are x @ w_q, x @ w_k and x @ w_v (D x D_att each). Each row
+    weighs the three v rows of its own triple by the softmax of its q row
+    dotted with their k rows (no scaling), so 9M dot products stand in for
+    a (3M)^2 masked softmax. The output is that attended value mapped back by
+    w_f (D_att x D), plus x. q, k and v, the attention logits, the attended
+    values and the output map are checked before they feed the next step.
+
+    Float order: that of the record-per-operation chain (concat, three
+    matmuls, the attention einsums, matmul, add) kept as the test oracle,
+    down to x's gradient, which is g + 0.0, then += dv @ w_v.T, += dk @ w_k.T
+    and += dq @ w_q.T. Trained models depend on that order to the last digit
+    (tools/output_digests.py checks).
+    """
+    if (not s.shape == o.shape == u.shape or w_q.shape != w_k.shape or w_v.rows != s.cols or w_q.rows != s.cols
+            or w_f.shape != (w_v.cols, s.cols)):
+        shapes = ", ".join(str(a.shape) for a in (s, o, u, w_q, w_k, w_v, w_f))
+        raise ShapeError(f"lih: s, o and u need one shape (M, D), w_q and w_k one shape (D, D_att), "
+                         f"w_v D rows and w_f shape (w_v columns, D), got {shapes}")
+    m = s.rows
+    x = np.concatenate([s.data, o.data, u.data])
+    q, k, v = (_checked("lih", x @ w.data) for w in (w_q, w_k, w_v))
+    qs, ks, vs = (a.reshape(3, m, a.shape[1]) for a in (q, k, v))
+    logits = _checked("lih", np.einsum("rid,cid->ric", qs, ks))  # [role, triple, attended role]
+    e = np.exp(logits - logits.max(axis=2, keepdims=True))
+    alpha = e / e.sum(axis=2, keepdims=True)
+    att = _checked("lih", np.einsum("ric,cid->rid", alpha, vs).reshape(v.shape))
+
+    def backward(g):
+        w_f.accumulate(att.T @ g)
+        gs = (g @ w_f.data.T).reshape(vs.shape)
+        d_alpha = np.einsum("rid,cid->ric", gs, vs)
+        d_logits = alpha * (d_alpha - (d_alpha * alpha).sum(axis=2, keepdims=True))
+        dq = np.einsum("ric,cid->rid", d_logits, ks).reshape(q.shape)
+        dk = np.einsum("ric,rid->cid", d_logits, qs).reshape(k.shape)
+        dv = np.einsum("ric,rid->cid", alpha, gs).reshape(v.shape)
+        dx = g + 0.0
+        for d, w in ((dv, w_v), (dk, w_k), (dq, w_q)):
+            w.accumulate(x.T @ d)
+            dx += d @ w.data.T
+        for i, part in enumerate((s, o, u)):
+            part.accumulate(dx[i * m : (i + 1) * m])
+
+    out = _finish("lih", _checked("lih", att @ w_f.data) + x, backward)
+    return RowBlock(out, 0, m), RowBlock(out, m, 2 * m), RowBlock(out, 2 * m, 3 * m)
+
+
+def gih(nodes: Matrix, edges: Matrix, a_tilde: np.ndarray, ws) -> tuple[RowBlock, RowBlock]:
+    """Joint node/edge message passing: the node and edge rows of G(L), as row blocks of one output.
+
+    G(0) is [nodes; edges] and, with w = ws[l - 1] (D x D), layer l gives
+    G(l) = relu((a_tilde @ G(l-1)) @ w), plus G(l-2) at even l. a_tilde is
+    a plain (n+m) x (n+m) float64 array and takes no gradient. Each
+    a_tilde @ G, (a_tilde @ G) @ w and residual sum is checked before it
+    feeds the next step.
+
+    Float order: that of the record-per-operation chain (concat, two matmuls
+    and a relu per layer, an add per even layer) kept as the test oracle.
+    The backward runs layer by layer from the last: the residual's gradient
+    goes to G(l-2) first, then the relu mask is applied, then
+    w += (a_tilde @ G(l-1)).T @ d, then G(l-1) += a_tilde.T @ (d @ w.T).
+    Trained models depend on that order to the last digit
+    (tools/output_digests.py checks).
+    """
+    n, d = nodes.shape
+    size = n + edges.rows
+    if edges.cols != d or a_tilde.shape != (size, size) or any(w.shape != (d, d) for w in ws):
+        shapes = ", ".join(str(a.shape) for a in (nodes, edges, a_tilde, *ws))
+        raise ShapeError(f"gih: nodes and edges need one width D, a_tilde a side of their total rows "
+                         f"and every w shape (D, D), got {shapes}")
+    mixed, pre = [], []  # a_tilde @ G(l-1) and its product with w, per layer
+    before, last = None, np.concatenate([nodes.data, edges.data])  # G(l-2), G(l-1)
+    for l, w in enumerate(ws, start=1):
+        mixed.append(_checked("gih", a_tilde @ last))
+        pre.append(_checked("gih", mixed[-1] @ w.data))
+        h = np.maximum(pre[-1], 0.0)
+        if l % 2 == 0:
+            h += before
+            if l < len(ws):  # _finish checks the output
+                _checked("gih", h)
+        before, last = last, h
+
+    def backward(g):
+        grads = {len(ws): g}  # the gradient of each G(l) still to be replayed
+        for l in range(len(ws), 0, -1):
+            d = grads.pop(l)
+            if l % 2 == 0:
+                grads[l - 2] = d + 0.0
+            d = d * (pre[l - 1] > 0.0)
+            w = ws[l - 1]
+            w.accumulate(mixed[l - 1].T @ d)
+            back = a_tilde.T @ (d @ w.data.T)
+            grads[l - 1] = grads[l - 1] + back if l - 1 in grads else back
+        nodes.accumulate(grads[0][:n])
+        edges.accumulate(grads[0][n:])
+
+    out = _finish("gih", last, backward)
+    return RowBlock(out, 0, n), RowBlock(out, n, size)
+
+
 def log_softmax_rows(a: Matrix) -> Matrix:
     z = a.data - a.data.max(axis=1, keepdims=True)
     lse = np.log(np.exp(z).sum(axis=1, keepdims=True))
@@ -426,35 +528,6 @@ def cosine_rows(a: Matrix, r: Constant) -> Matrix:
         a.accumulate(t + t + g / den * r.data)
 
     return _finish("cosine_rows", out_data, backward)
-
-
-def concat_rows(mats: list[Matrix]) -> Matrix:
-    if not mats:
-        raise ShapeError("concat_rows: empty input list")
-    cols = mats[0].cols
-    for m in mats:
-        if m.cols != cols:
-            raise ShapeError(f"concat_rows: column counts differ, {mats[0].shape} vs {m.shape}")
-    heights = [m.rows for m in mats]
-    offsets = np.cumsum([0] + heights)
-
-    def backward(g):
-        for m, lo, hi in zip(mats, offsets[:-1], offsets[1:]):
-            m.accumulate(g[lo:hi, :])
-
-    return _finish("concat_rows", np.concatenate([m.data for m in mats], axis=0), backward)
-
-
-def slice_rows(a: Matrix, start: int, stop: int) -> Matrix:
-    if not (0 <= start <= stop <= a.rows):
-        raise ShapeError(f"slice_rows: [{start}:{stop}] out of range for {a.shape}")
-
-    def backward(g):
-        buf = np.zeros_like(a.data)
-        buf[start:stop, :] = g
-        a.accumulate(buf)
-
-    return _finish("slice_rows", a.data[start:stop, :].copy(), backward)
 
 
 def gather_rows(a: Matrix, indices) -> Matrix:

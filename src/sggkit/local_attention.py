@@ -6,7 +6,8 @@ other, with an embedded-Gaussian softmax (no scaling of the dot products).
 The attended value is mapped back to the input width and added as a
 residual, so zeroing the output map makes the whole block an exact
 identity. All M relations of a scene are refined in one pass whose cost is
-linear in M; a single relation is the case M = 1.
+linear in M; a single relation is the case M = 1. The pass is one tape
+primitive, autodiff.lih, so LIH records one entry per step.
 """
 
 from __future__ import annotations
@@ -15,16 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (
-    Matrix,
-    ShapeError,
-    add,
-    concat_rows,
-    matmul,
-    slice_rows,
-    triple_attention,
-    uniform_init,
-)
+from .autodiff import Matrix, lih, uniform_init
 
 
 @dataclass
@@ -53,14 +45,7 @@ def init_lih_params(rng: np.random.Generator, d: int, d_att: int | None = None) 
 def lih_forward_batch(s: Matrix, o: Matrix, u: Matrix, params: LihParams) -> tuple[Matrix, Matrix, Matrix]:
     """Refine M triples; row i of s, o and u (M x D each) is triple i.
 
-    Returns the refined subject, object and union rows in the same layout.
+    Returns the refined subject, object and union rows in the same layout,
+    as row blocks of autodiff.lih's one recorded output.
     """
-    if not (s.shape == o.shape == u.shape):
-        raise ShapeError(f"batch shapes differ: {s.shape}, {o.shape}, {u.shape}")
-    m = s.rows
-    x = concat_rows([s, o, u])
-    q = matmul(x, params.w_q)
-    k = matmul(x, params.w_k)
-    v = matmul(x, params.w_v)
-    z = add(matmul(triple_attention(q, k, v), params.w_f), x)
-    return slice_rows(z, 0, m), slice_rows(z, m, 2 * m), slice_rows(z, 2 * m, 3 * m)
+    return lih(s, o, u, params.w_q, params.w_k, params.w_v, params.w_f)

@@ -23,8 +23,10 @@ PropagationParams that carry it, and propagate runs the variant its params
 name (none passes the state through).
 
 A BlockAdjacency stores only edge endpoints and opposite-edge pairs. Each
-gih_forward builds A~ as a Constant for that forward and its backward, so
-no gradient is formed for it; gcn and gat build the node block likewise.
+gih_forward builds A~ as a plain array and runs every layer as one tape
+primitive, autodiff.gih, whose backward forms no gradient for A~. gcn
+wraps its normalized node block in a Constant, and gat reads its mask off
+the node block.
 """
 
 from __future__ import annotations
@@ -38,12 +40,11 @@ from .autodiff import (
     Matrix,
     ShapeError,
     add,
-    concat_rows,
+    gih,
     leaky_relu,
     masked_softmax_rows,
     matmul,
     relu,
-    slice_rows,
     transpose,
     uniform_init,
 )
@@ -175,15 +176,8 @@ def _check_state(state: GraphState, adj: BlockAdjacency) -> None:
 
 def gih_forward(state: GraphState, adj: BlockAdjacency, params: PropagationParams) -> GraphState:
     _check_state(state, adj)
-    at = Constant(adj.a_tilde)
-    g = concat_rows([state.node_feats, state.edge_feats])
-    prev = {0: g}
-    for l, (w,) in enumerate(params.layers, start=1):
-        h = relu(matmul(matmul(at, prev[l - 1]), w))
-        prev[l] = h if l % 2 == 1 else add(prev[l - 2], h)
-    out = prev[len(params.layers)]
-    n = adj.n_nodes
-    return GraphState(slice_rows(out, 0, n), slice_rows(out, n, n + adj.n_edges))
+    nodes, edges = gih(state.node_feats, state.edge_feats, adj.a_tilde, [w for (w,) in params.layers])
+    return GraphState(nodes, edges)
 
 
 def normalized_node_adjacency(adj: BlockAdjacency) -> np.ndarray:

@@ -6,10 +6,11 @@ stay independent of the library's vectorized or dict-based shortcuts.
 
 import numpy as np
 
-from sggkit.autodiff import ShapeError, Tape, add, linear_map, matmul, relu, slice_rows
+from sggkit.autodiff import Constant, ShapeError, Tape, _finish, add, linear_map, matmul, relu
 from sggkit.data import _STREAM_APPEAR, _STREAM_LOGITS, Edge, Node, SceneRecord
 from sggkit.fusion import ORDERS
 from sggkit.metrics import GroundTruthGraph, rank_triplets
+from sggkit.propagation import GraphState
 
 
 def grad_check(f, params, eps=1e-5):
@@ -45,6 +46,92 @@ def grad_check(f, params, eps=1e-5):
     for p in params:
         p.grad = None
     return worst
+
+
+# ---------------------------------------------------------------------------
+# record-per-operation oracles: the tape ops and chains that autodiff.lih and
+# autodiff.gih fuse, recorded as the library recorded them before
+
+
+def concat_rows(mats):
+    """The rows of mats stacked, as one record whose backward hands each its row block."""
+    if not mats:
+        raise ShapeError("concat_rows: empty input list")
+    for m in mats:
+        if m.cols != mats[0].cols:
+            raise ShapeError(f"concat_rows: column counts differ, {mats[0].shape} vs {m.shape}")
+    offsets = np.cumsum([0] + [m.rows for m in mats])
+
+    def backward(g):
+        for m, lo, hi in zip(mats, offsets[:-1], offsets[1:]):
+            m.accumulate(g[lo:hi, :])
+
+    return _finish("concat_rows", np.concatenate([m.data for m in mats], axis=0), backward)
+
+
+def slice_rows(a, start, stop):
+    """Rows [start, stop) of a copied out, as one record whose backward pads g with zeros."""
+    if not (0 <= start <= stop <= a.rows):
+        raise ShapeError(f"slice_rows: [{start}:{stop}] out of range for {a.shape}")
+
+    def backward(g):
+        buf = np.zeros_like(a.data)
+        buf[start:stop, :] = g
+        a.accumulate(buf)
+
+    return _finish("slice_rows", a.data[start:stop, :].copy(), backward)
+
+
+def triple_attention(q, k, v):
+    """Softmax attention inside triples of rows (rows i, M+i and 2M+i form triple i), one record."""
+    if q.shape != k.shape or v.rows != q.rows or q.rows % 3:
+        raise ShapeError(
+            f"triple_attention: q {q.shape}, k {k.shape} and v {v.shape} need q and k of one shape "
+            f"and the same row count, divisible by 3, on all three"
+        )
+    m = q.rows // 3
+    qs = q.data.reshape(3, m, q.cols)
+    ks = k.data.reshape(3, m, k.cols)
+    vs = v.data.reshape(3, m, v.cols)
+    logits = np.einsum("rid,cid->ric", qs, ks)  # [role, triple, attended role]
+    e = np.exp(logits - logits.max(axis=2, keepdims=True))
+    alpha = e / e.sum(axis=2, keepdims=True)
+    out_data = np.einsum("ric,cid->rid", alpha, vs).reshape(v.shape)
+
+    def backward(g):
+        gs = g.reshape(3, m, v.cols)
+        d_alpha = np.einsum("rid,cid->ric", gs, vs)
+        d_logits = alpha * (d_alpha - (d_alpha * alpha).sum(axis=2, keepdims=True))
+        q.accumulate(np.einsum("ric,cid->rid", d_logits, ks).reshape(q.shape))
+        k.accumulate(np.einsum("ric,rid->cid", d_logits, qs).reshape(k.shape))
+        v.accumulate(np.einsum("ric,rid->cid", alpha, gs).reshape(v.shape))
+
+    return _finish("triple_attention", out_data, backward)
+
+
+def chain_lih(s, o, u, params):
+    """local_attention.lih_forward_batch as 10 records: concat_rows, the q, k and v matmuls,
+    triple_attention, the output-map matmul, the residual add and three slice_rows."""
+    m = s.rows
+    x = concat_rows([s, o, u])
+    q = matmul(x, params.w_q)
+    k = matmul(x, params.w_k)
+    v = matmul(x, params.w_v)
+    z = add(matmul(triple_attention(q, k, v), params.w_f), x)
+    return slice_rows(z, 0, m), slice_rows(z, m, 2 * m), slice_rows(z, 2 * m, 3 * m)
+
+
+def chain_gih(state, adj, params):
+    """propagation.gih_forward as separate records: concat_rows, per layer matmul(A~, G),
+    matmul(., w) and relu, an add per even layer, and two slice_rows."""
+    at = Constant(adj.a_tilde)
+    prev = {0: concat_rows([state.node_feats, state.edge_feats])}
+    for l, (w,) in enumerate(params.layers, start=1):
+        h = relu(matmul(matmul(at, prev[l - 1]), w))
+        prev[l] = h if l % 2 == 1 else add(prev[l - 2], h)
+    out = prev[len(params.layers)]
+    n = adj.n_nodes
+    return GraphState(slice_rows(out, 0, n), slice_rows(out, n, n + adj.n_edges))
 
 
 def chain_cosine_rows(e, r, g):

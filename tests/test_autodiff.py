@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from helpers import chain_cosine_rows, grad_check
+from helpers import chain_cosine_rows, grad_check, triple_attention
 from sggkit import autodiff as ad
 
 
@@ -131,6 +131,7 @@ def test_masked_softmax_rejects_empty_row():
 
 
 def test_triple_attention_rejects_bad_shapes():
+    """The record-per-operation oracle of autodiff.lih's attention core checks its operands."""
     six = ad.Matrix(np.zeros((6, 2)))
     for q, k, v in (
         (six, ad.Matrix(np.zeros((6, 3))), six),  # q and k differ in width
@@ -138,7 +139,25 @@ def test_triple_attention_rejects_bad_shapes():
         (ad.Matrix(np.zeros((4, 2))),) * 3,  # rows not divisible by 3
     ):
         with pytest.raises(ad.ShapeError, match="triple_attention"):
-            ad.triple_attention(q, k, v)
+            triple_attention(q, k, v)
+
+
+def test_lih_and_gih_reject_bad_shapes():
+    x, w = ad.Matrix(np.zeros((2, 3))), ad.Matrix(np.zeros((3, 3)))
+    for args in (
+        (x, ad.Matrix(np.zeros((1, 3))), x, w, w, w, w),  # o has other rows
+        (x, x, x, w, ad.Matrix(np.zeros((3, 2))), w, w),  # w_q and w_k differ
+        (x, x, x, w, w, w, ad.Matrix(np.zeros((2, 3)))),  # w_f does not map w_v's width back
+    ):
+        with pytest.raises(ad.ShapeError, match="^lih: s, o and u need one shape"):
+            ad.lih(*args)
+    for edges, a_tilde, ws in (
+        (ad.Matrix(np.zeros((1, 2))), np.eye(3), [w]),  # edges of another width
+        (ad.Matrix(np.zeros((1, 3))), np.eye(2), [w]),  # a_tilde misses the edge row
+        (ad.Matrix(np.zeros((1, 3))), np.eye(3), [w, ad.Matrix(np.zeros((3, 2)))]),  # a w is not square
+    ):
+        with pytest.raises(ad.ShapeError, match="^gih: nodes and edges need one width"):
+            ad.gih(x, edges, a_tilde, ws)
 
 
 def test_relu_values_and_gradient():
@@ -275,6 +294,8 @@ def test_grad_every_primitive_composite(seed):
     ref = ad.Constant(rng.normal(size=(3, 3)))
     mask = rng.uniform(size=(3, 3)) > 0.3
     mask[:, 0] = True
+    a_tilde = np.eye(6)
+    a_tilde[[0, 1, 3, 3, 4, 5], [3, 4, 0, 1, 5, 4]] = 1.0  # three nodes, three edges
 
     def f():
         h = ad.matmul(a, b)
@@ -283,15 +304,15 @@ def test_grad_every_primitive_composite(seed):
         h = ad.mul(h, c)
         h = ad.linear_map(h, d, bias)
         h = ad.add(h, ad.transpose(c))
-        att = ad.triple_attention(h, c, d)  # the three rows of h form one triple
+        zs, zo, zu = ad.lih(h, c, d, c, d, ad.scale(c, 0.5), d)  # the rows of h, c and d form three triples
+        nodes, edges = ad.gih(zs, zu, a_tilde, [ad.scale(c, 0.1), ad.scale(d, 0.1)])
         # h feeds position 0 of two orders and d position 1 of two, so two products serve two orders each
         fused = ad.arranged_mlp((h, c, d), ((0, 1), (1, 2), (0, 2)), w0, b0, w1, b1)
-        s = ad.masked_softmax_rows(h, mask)
+        s = ad.masked_softmax_rows(zo, mask)
         ls = ad.log_softmax_rows(ad.relu(h))
-        top = ad.concat_rows([s, ls])
-        picked = ad.gather_rows(ad.scale(top, 0.5), [0, 2, 5, 2])
-        cos = ad.cosine_rows(ad.slice_rows(picked, 1, 4), ref)
-        terms = [ad.sum_all(ad.mul(cos, cos)), ad.sum_all(ad.softmax_rows(c)), ad.sum_all(ad.mul(att, c)),
+        picked = ad.gather_rows(ad.scale(ad.add(s, edges), 0.5), [0, 2, 2])
+        cos = ad.cosine_rows(picked, ref)
+        terms = [ad.sum_all(ad.mul(cos, cos)), ad.sum_all(ad.softmax_rows(c)), ad.sum_all(ad.mul(nodes, ls)),
                  ad.scale(ad.sum_all(ad.mul(fused, fused)), 0.01)]
         return ad.add(ad.add(terms[0], terms[1]), ad.add(terms[2], terms[3]))
 

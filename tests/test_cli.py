@@ -247,13 +247,14 @@ def test_train_missing_corpus_is_io_error(tmp_path, capsys):
     assert "i/o error" in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("ignore:overflow")
 def test_train_divergent_learning_rate_is_numeric_failure(corpus, tmp_path, monkeypatch, capsys):
+    """The exit-3 line is all that reaches stderr: numpy's overflow warnings are off in commands."""
     monkeypatch.setenv("SGGKIT_LEARNING_RATE", "1e9")
     code = main(["train", "--corpus", corpus, "--out", str(tmp_path / "x.ckpt.json"),
                  "--epochs", "2", "--holdout", "110"])
     assert code == 3
-    assert "numeric failure" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: ") and err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------
@@ -611,16 +612,33 @@ def test_deeply_nested_sidecar_is_named(corpus, checkpoint, tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: {path}.meta.json: not valid JSON (maximum recursion depth")
 
 
-# JSON text of a generated value: ints within +-1000 and ints past Python's 4,300-digit limit, floats
-# within +-1e6, NaN, infinities, strings (a lone surrogate and a newline among them), lists and objects.
-# Ints and finite floats in between are left out, as faults of their own (see ROADMAP): a checkpoint
-# width or layer count of 10**6 makes Model allocate that many rows (or loop that many layers) before
-# any parameter shape is checked, and a parameter or sidecar float near 1e308 makes numpy warn of an
-# overflow before the tape's exit-3 message.
+@pytest.mark.parametrize("where", ["checkpoint", "sidecar"])
+def test_float_near_max_in_an_input_is_one_numeric_failure_line(where, corpus, checkpoint, tmp_path, capsys):
+    """A finite input value near float max overflows inside the model; eval exits 3 with one stderr line."""
+    if where == "sidecar":
+        path = _corpus_with_spec(corpus, tmp_path, appearance_sigma=1e308)
+    else:
+        path = _rewrite_corpus(corpus, str(tmp_path / "c.sgjsonl"), read_scenes(corpus)[:3])
+        with open(checkpoint) as fh:
+            payload = json.load(fh)
+        payload["params"]["node_map.w"][0][0] = 1e308
+        checkpoint = str(tmp_path / "big.ckpt.json")
+        with open(checkpoint, "w") as fh:
+            json.dump(payload, fh)
+    assert main(["eval", "--corpus", path, "--checkpoint", checkpoint, "--out", str(tmp_path / "m.csv")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: ") and err.count("\n") == 1
+
+
+# JSON text of a generated value: ints within +-1000 and ints past Python's 4,300-digit limit, every
+# finite float, NaN, infinities, strings (a lone surrogate and a newline among them), lists and objects.
+# Ints in between are left out, as a fault of their own (see ROADMAP): a checkpoint width or layer
+# count of 10**6 makes Model allocate that many rows (or loop that many layers) before any parameter
+# shape is checked.
 _json_leaf = st.one_of(
     st.integers(-1000, 1000).map(str),
     st.integers(4301, 5001).map(lambda digits: "7" * digits),
-    st.floats(-1e6, 1e6).map(json.dumps),
+    st.floats(allow_nan=False, allow_infinity=False).map(json.dumps),
     st.sampled_from(["NaN", "Infinity", "-Infinity", "1e400", "null", "true", "false", '"\\ud800"', '"a\\nb"']),
     st.text(max_size=6).map(json.dumps),
 )

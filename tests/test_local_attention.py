@@ -1,11 +1,12 @@
 """Local attention: the attention weights inside one triple, identity
 behaviour, permutation equivariance, an independent dense re-implementation
-of the forward pass, and cost linear in the number of triples."""
+of the forward pass, cost linear in the number of triples, and byte
+equality with the record-per-operation chain that autodiff.lih fuses."""
 
 import numpy as np
 import pytest
 
-from helpers import grad_check
+from helpers import chain_lih, concat_rows, grad_check, triple_attention
 from sggkit import autodiff as ad
 from sggkit.local_attention import LihParams, init_lih_params, lih_forward_batch
 from sggkit.model import ModelConfig
@@ -22,10 +23,10 @@ def _alpha(triple, params):
     With one-hot role rows as values, each output row of triple_attention is
     that row's attention weights.
     """
-    x = ad.concat_rows(list(triple))
+    x = concat_rows(list(triple))
     q = ad.matmul(x, params.w_q)
     k = ad.matmul(x, params.w_k)
-    return ad.triple_attention(q, k, ad.Matrix(np.eye(3))).data
+    return triple_attention(q, k, ad.Matrix(np.eye(3))).data
 
 
 def _reference_forward(xs, params):
@@ -158,7 +159,7 @@ def test_gradients_against_central_differences():
     mats = [*t, params.w_q, params.w_k, params.w_v, params.w_f]
 
     def f():
-        return ad.sum_all(ad.concat_rows(list(lih_forward_batch(*t, params))))
+        return ad.sum_all(concat_rows(list(lih_forward_batch(*t, params))))
 
     assert grad_check(f, mats, eps=1e-5) < 1e-7
 
@@ -173,8 +174,61 @@ def test_batch_gradients_against_central_differences():
 
     def f():
         zs, zo, zu = lih_forward_batch(s, o, u, params)
-        z = ad.concat_rows([zs, zo, zu])
+        z = concat_rows([zs, zo, zu])
         return ad.sum_all(ad.mul(z, z))
 
     mats = [s, o, u, params.w_q, params.w_k, params.w_v, params.w_f]
     assert grad_check(f, mats, eps=1e-5) < 1e-6
+
+
+def _lih_bytes(lih_forward, inputs, params, targets):
+    """The refined rows and the gradients of the inputs and of every weight, as bytes.
+
+    The loss weighs z_s and z_u by fixed targets and squares z_o, so z_o's
+    rows receive two gradients.
+    """
+    leaves = [ad.Matrix(x.copy()) for x in inputs]
+    weights = LihParams(*(ad.Matrix(w.data.copy()) for w in vars(params).values()))
+    with ad.Tape() as tape:
+        zs, zo, zu = lih_forward(*leaves, weights)
+        loss = ad.add(ad.add(ad.sum_all(ad.mul(zs, ad.Constant(targets[0]))), ad.sum_all(ad.mul(zo, zo))),
+                      ad.sum_all(ad.mul(zu, ad.Constant(targets[1]))))
+    tape.backward(loss)
+    return [z.data.tobytes() for z in (zs, zo, zu)] + [m.grad.tobytes() for m in (*leaves, *vars(weights).values())]
+
+
+@pytest.mark.parametrize("n_nodes,d,d_att", [(2, 32, None), (6, 32, None), (10, 32, None), (17, 32, None),
+                                             (6, 32, 8)])
+def test_lih_matches_record_chain_bytes(n_nodes, d, d_att):
+    """autodiff.lih's refined rows and gradients equal, byte for byte, those of the 10-record chain.
+
+    M = N(N - 1) triples, as a scene of N nodes has; d_att 8 is narrower than the features.
+    """
+    rng = np.random.default_rng(n_nodes)
+    m = n_nodes * (n_nodes - 1)
+    inputs = [rng.normal(size=(m, d)) for _ in range(3)]
+    params = init_lih_params(rng, d, d_att)
+    targets = [rng.normal(size=(m, d)) for _ in range(2)]
+    assert _lih_bytes(lih_forward_batch, inputs, params, targets) == _lih_bytes(chain_lih, inputs, params, targets)
+
+
+def test_lih_records_once_and_views_its_output():
+    rng = np.random.default_rng(10)
+    s, o, u = (ad.Matrix(rng.normal(size=(4, 5))) for _ in range(3))
+    with ad.Tape() as tape:
+        zs, zo, zu = lih_forward_batch(s, o, u, init_lih_params(rng, 5, 3))
+    [(name, whole, _)] = tape.records
+    assert name == "lih" and whole.shape == (12, 5)
+    for i, z in enumerate((zs, zo, zu)):
+        assert z.whole is whole and np.shares_memory(z.data, whole.data)
+        assert z.data.tobytes() == whole.data[4 * i : 4 * (i + 1)].tobytes()
+
+
+def test_non_finite_intermediate_names_lih():
+    """An overflowing query map stops LIH before its softmax sees the non-finite logits."""
+    rng = np.random.default_rng(11)
+    triple = _triple(rng, 3)
+    params = init_lih_params(rng, 3)
+    params.w_q = ad.Matrix(np.full((3, 3), 1e308))
+    with np.errstate(over="ignore"), pytest.raises(ad.NumericError, match="^lih produced a non-finite value$"):
+        lih_forward_batch(*triple, params)

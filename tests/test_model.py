@@ -6,7 +6,9 @@ import pytest
 from sggkit.attract_repel import ReferenceBank, sample_negatives, update_references
 from sggkit.autodiff import NumericError, Tape, softmax_rows
 from sggkit.data import PREDICATE_NO_RELATION, Edge, FeatureParams, GeneratorSpec, Node, SceneRecord, generate, split_scenes
-from helpers import grad_check, loop_prepare_scene
+from helpers import chain_gih, chain_lih, grad_check, loop_prepare_scene
+from sggkit import model as model_module
+from sggkit import propagation
 from sggkit.model import (
     ForwardResult,
     Matrix,
@@ -386,13 +388,14 @@ def test_end_to_end_gradients_on_three_node_six_edge_toy():
 # training
 
 
-def test_default_training_step_records_52_entries():
-    """One step of the default model at the CLI-default N = 6: 52 records, 45 without the AR term.
+def test_default_training_step_records_27_entries():
+    """One step of the default model at the CLI-default N = 6: 27 records, 20 without the AR term.
 
     Each affine layer outside fusion is one linear_map record: the node and
-    union maps and the two heads. Parallel fusion, both psi layers over all
-    three arrangements, is one arranged_mlp record, and the AR cosines
-    one cosine_rows record.
+    union maps and the two heads. LIH is one lih record, parallel fusion
+    (both psi layers over all three arrangements) one arranged_mlp record,
+    GIH's four layers one gih record, and the AR cosines one cosine_rows
+    record.
     """
     spec = GeneratorSpec(n_scenes=4)
     prep = prepare_scene(generate(spec)[0], FeatureParams.from_spec(spec))
@@ -410,12 +413,102 @@ def test_default_training_step_records_52_entries():
     assert parts["loss_attract_repel"] != 0.0
     names = [name for name, _, _ in tape.records]
     assert names.count("linear_map") == 4
+    assert names.count("lih") == 1
     assert names.count("arranged_mlp") == 1
+    assert names.count("gih") == 1
     assert names.count("cosine_rows") == 1
-    assert len(names) == 52
+    assert len(names) == 27
     with Tape() as no_ar:
         total_loss(model.forward(prep), prep, bank, replace(cfg, w_ar=0.0), None)
-    assert len(no_ar.records) == 45
+    assert len(no_ar.records) == 20
+
+
+def _step_bytes(cfg, prep, bank):
+    """A training step's loss, logits and every parameter gradient, as bytes."""
+    model = Model(cfg)
+    negatives = sample_negatives(bank, prep.edge_labels, skip_category=PREDICATE_NO_RELATION)
+    with Tape() as tape:
+        out = model.forward(prep)
+        loss, _ = total_loss(out, prep, bank, cfg, negatives)
+    tape.backward(loss)
+    return [loss.data.tobytes(), out.node_logits.data.tobytes(), out.edge_logits.data.tobytes()] + [
+        (name, None if p.grad is None else p.grad.tobytes()) for name, p in model.params.items()]
+
+
+@pytest.mark.parametrize("n_nodes,overrides", [
+    (6, {}), (17, {}), (6, {"fusion": "sequential", "d_attention": 8}), (1, {}),
+], ids=["n6", "n17", "sequential-d_att8", "one-node"])
+def test_training_step_matches_record_chains_bytes(n_nodes, overrides, monkeypatch):
+    """A step with the fused lih and gih records equals, byte for byte, one that runs the
+    record-per-operation chains they replace, down to every parameter gradient."""
+    spec = GeneratorSpec(n_scenes=2, nodes_per_scene=max(n_nodes, 6))
+    fp = FeatureParams.from_spec(spec)
+    record = generate(spec)[0]
+    if n_nodes == 1:  # GIH over one node row and no edge rows
+        record = SceneRecord("solo", record.nodes[:1], [])
+    prep = prepare_scene(record, fp)
+    assert prep.n_nodes == n_nodes
+    cfg = ModelConfig(**overrides)
+    bank = ReferenceBank(cfg.n_predicate_categories, cfg.d_edge, seed=9)
+    bank.refs = np.random.default_rng(10).standard_normal(bank.refs.shape)
+    bank.counts = np.ones(cfg.n_predicate_categories)
+    fused = _step_bytes(cfg, prep, bank)
+    monkeypatch.setattr(model_module, "lih_forward_batch", chain_lih)
+    monkeypatch.setattr(propagation, "gih_forward", chain_gih)
+    assert _step_bytes(cfg, prep, bank) == fused
+
+
+def _four_node_scene():
+    fp = FeatureParams(n_entity_categories=5, n_predicate_categories=3, d_appearance=3,
+                       appearance_sigma=0.6, logit_flip_rate=0.2, logit_scale=1.5, seed=3)
+    nodes = [Node(i, label, box, 20 + i) for i, (label, box) in enumerate([
+        (1, (0.0, 0.0, 0.4, 0.4)), (2, (0.2, 0.1, 0.8, 0.7)), (3, (0.5, 0.5, 1.0, 1.0)), (4, (0.1, 0.6, 0.5, 0.9))])]
+    edges = [Edge(0, 1, 1), Edge(1, 0, 2), Edge(1, 2, 1), Edge(2, 3, 2)]
+    return prepare_scene(SceneRecord("four", nodes, edges), fp)
+
+
+@pytest.mark.parametrize("fusion", ["union", "concat", "sequential", "parallel"])
+@pytest.mark.parametrize("gih_variant", ["gih", "gcn", "gat", "none"])
+@pytest.mark.parametrize("use_lih", [True, False], ids=["lih", "no-lih"])
+@pytest.mark.parametrize("fusion_hidden", [None, 0], ids=["hidden", "affine"])
+def test_end_to_end_directional_derivatives_every_variant(fusion, gih_variant, use_lih, fusion_hidden):
+    """The tape gradient of the full loss (both cross-entropies and the AR term) agrees with
+    central differences along 8 random unit directions in parameter space, within 1e-7 of
+    max(1, |difference quotient|), for every fusion x propagation x LIH x hidden-layer
+    combination."""
+    prep = _four_node_scene()
+    cfg = ModelConfig(d_appearance=3, d_node=4, d_edge=4, n_entity_categories=5, n_predicate_categories=3,
+                      fusion=fusion, fusion_hidden=fusion_hidden, use_lih=use_lih, gih_variant=gih_variant,
+                      gih_layers=2, seed=5)
+    model = Model(cfg)
+    bank = ReferenceBank(3, 4, seed=9)
+    bank.refs = np.random.default_rng(10).standard_normal((3, 4))
+    bank.counts = np.ones(3)
+    negatives = sample_negatives(bank, prep.edge_labels, skip_category=PREDICATE_NO_RELATION)
+    params = list(model.params.values())
+
+    def loss():
+        return total_loss(model.forward(prep), prep, bank, cfg, negatives)[0]
+
+    with Tape() as tape:
+        out = loss()
+    tape.backward(out)
+    assert out.item() != 0.0 and all(p.grad is not None for p in params)
+    rng = np.random.default_rng(6)
+    base = [p.data for p in params]
+    eps, worst = 1e-6, 0.0
+    for _ in range(8):
+        steps = [rng.standard_normal(x.shape) for x in base]
+        norm = np.sqrt(sum((v * v).sum() for v in steps))
+        analytic = sum((p.grad * v).sum() for p, v in zip(params, steps)) / norm
+        values = []
+        for sign in (1.0, -1.0):
+            for p, x, v in zip(params, base, steps):
+                p.data = x + sign * eps / norm * v
+            values.append(loss().item())
+        numeric = (values[0] - values[1]) / (2.0 * eps)
+        worst = max(worst, abs(analytic - numeric) / max(1.0, abs(numeric)))
+    assert worst < 1e-7
 
 
 def test_zero_learning_rate_leaves_parameters_bit_identical():

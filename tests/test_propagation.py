@@ -1,9 +1,10 @@
-"""Block adjacency construction and the three propagation variants."""
+"""Block adjacency construction, the three propagation variants, and byte
+equality of autodiff.gih with the record-per-operation chain it fuses."""
 
 import numpy as np
 import pytest
 
-from helpers import a_ee_of, a_en_of, a_ne_of, a_nn_of, a_of, grad_check, loop_a_tilde
+from helpers import a_ee_of, a_en_of, a_ne_of, a_nn_of, a_of, chain_gih, grad_check, loop_a_tilde
 from sggkit import autodiff as ad
 from sggkit.model import ModelConfig
 from sggkit.propagation import (
@@ -278,3 +279,84 @@ def test_gradients_per_variant(variant):
         )
 
     assert grad_check(f, mats, eps=1e-5) < 1e-6
+
+
+def _gih_bytes(gih_forward_fn, state, adj, params, targets, views):
+    """The propagated rows and the gradients of both inputs and every weight, as bytes.
+
+    The loss weighs the propagated rows of each view named in views by a
+    fixed target; a view left out receives no gradient.
+    """
+    nodes, edges = (ad.Matrix(m.data.copy()) for m in (state.node_feats, state.edge_feats))
+    weights = PropagationParams("gih", [(ad.Matrix(w.data.copy()),) for (w,) in params.layers])
+    with ad.Tape() as tape:
+        out = gih_forward_fn(GraphState(nodes, edges), adj, weights)
+        rows = {"nodes": out.node_feats, "edges": out.edge_feats}
+        terms = [ad.sum_all(ad.mul(rows[v], ad.Constant(targets[v]))) for v in views]
+        loss = terms[0] if len(terms) == 1 else ad.add(*terms)
+    tape.backward(loss)
+    grads = [m.grad for m in (nodes, edges, *(w for (w,) in weights.layers))]
+    return [out.node_feats.data.tobytes(), out.edge_feats.data.tobytes()] + [
+        None if g is None else g.tobytes() for g in grads]
+
+
+@pytest.mark.parametrize("n_nodes,layers,views", [
+    (2, 4, ("nodes", "edges")), (6, 4, ("nodes", "edges")), (10, 4, ("nodes", "edges")),
+    (17, 4, ("nodes", "edges")), (6, 2, ("nodes", "edges")), (1, 4, ("nodes",)), (6, 4, ("nodes",)),
+    (6, 4, ("edges",)),
+], ids=["n2", "n6", "n10", "n17", "n6-2layers", "one-node", "n6-nodes-only", "n6-edges-only"])
+def test_gih_matches_record_chain_bytes(n_nodes, layers, views):
+    """autodiff.gih's rows and gradients equal, byte for byte, those of the per-layer record chain,
+    on every ordered node pair as candidate edges (none for a one-node scene)."""
+    rng = np.random.default_rng(n_nodes + layers)
+    d = 32
+    adj = build_adjacency(n_nodes, np.argwhere(~np.eye(n_nodes, dtype=bool)))
+    state = _state(rng, n_nodes, adj.n_edges, d)
+    params = init_propagation(rng, "gih", d, layers)
+    targets = {"nodes": rng.normal(size=(n_nodes, d)), "edges": rng.normal(size=(adj.n_edges, d))}
+    got = _gih_bytes(gih_forward, state, adj, params, targets, views)
+    assert got == _gih_bytes(chain_gih, state, adj, params, targets, views)
+    assert None not in got
+
+
+def test_gih_view_without_gradient_leaves_its_rows_untouched():
+    """Only the node rows feed the loss: the output's edge rows keep a zero gradient, and
+    neither view holds a gradient of its own."""
+    rng = np.random.default_rng(13)
+    adj = build_adjacency(3, [(0, 1), (1, 0), (1, 2)])
+    state = _state(rng, 3, 3, 4)
+    with ad.Tape() as tape:
+        out = gih_forward(state, adj, init_propagation(rng, "gih", 4, 2))
+        loss = ad.sum_all(ad.mul(out.node_feats, out.node_feats))
+    tape.backward(loss)
+    [whole] = [record_out for name, record_out, _ in tape.records if name == "gih"]
+    assert out.node_feats.whole is whole and out.edge_feats.whole is whole
+    assert whole.grad[3:].tobytes() == np.zeros((3, 4)).tobytes()
+    assert np.abs(whole.grad[:3]).max() > 0
+    assert out.node_feats.grad is None and out.edge_feats.grad is None
+
+
+def test_gih_records_once_and_no_record_replays_for_unused_rows():
+    rng = np.random.default_rng(14)
+    adj = build_adjacency(3, [(0, 1), (1, 2)])
+    state = _state(rng, 3, 2, 4)
+    params = init_propagation(rng, "gih", 4, 4)
+    with ad.Tape() as tape:
+        out = gih_forward(state, adj, params)
+        unused = ad.sum_all(out.edge_feats)
+        loss = ad.sum_all(state.node_feats)
+    assert [name for name, _, _ in tape.records] == ["gih", "sum_all", "sum_all"]
+    tape.backward(loss)
+    assert unused.grad is None and tape.records[0][1].grad is None
+    assert all(w.grad is None for (w,) in params.layers)
+
+
+def test_non_finite_intermediate_names_gih():
+    """An overflowing layer weight stops GIH before the next layer mixes the non-finite rows."""
+    rng = np.random.default_rng(15)
+    adj = build_adjacency(3, [(0, 1), (1, 2)])
+    params = init_propagation(rng, "gih", 4, 4)
+    params.layers[1] = (ad.Matrix(np.full((4, 4), 1e308)),)
+    state = GraphState(ad.Matrix(np.ones((3, 4))), ad.Matrix(np.ones((2, 4))))
+    with np.errstate(over="ignore"), pytest.raises(ad.NumericError, match="^gih produced a non-finite value$"):
+        gih_forward(state, adj, params)
