@@ -90,9 +90,6 @@ class Matrix:
             raise ShapeError(f"item() needs a 1x1 matrix, got {self.data.shape}")
         return float(self.data[0, 0])
 
-    def __repr__(self) -> str:
-        return f"Matrix({self.rows}x{self.cols})"
-
 
 class Constant(Matrix):
     """A leaf matrix of data: its grad stays None.
@@ -537,10 +534,10 @@ def gather_rows(a: Matrix, indices) -> Matrix:
     if idx.size and (idx.min() < 0 or idx.max() >= a.rows):
         raise ShapeError(f"gather_rows: index out of range for {a.shape}")
 
-    def backward(g):
-        buf = np.zeros_like(a.data)
-        np.add.at(buf, idx, g)
-        a.accumulate(buf)
+    def backward(g):  # each row's sum starts at 0.0 and adds in index order, as np.add.at does
+        rows, cols = a.shape
+        bins = (idx[:, None] * cols + np.arange(cols)).ravel()
+        a.accumulate(np.bincount(bins, weights=g.ravel(), minlength=rows * cols).reshape(rows, cols))
 
     return _finish("gather_rows", a.data[idx, :].copy(), backward)
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, asdict
+from functools import cache
 
 import numpy as np
 
@@ -156,8 +157,26 @@ class PreparedScene:
         return len(self.edge_index)
 
 
+@cache
+def _candidate_graph(n: int) -> tuple[np.ndarray, BlockAdjacency]:
+    """Every ordered pair of n node rows and its block adjacency, built once per n.
+
+    Scenes of n nodes share both, so every array is read-only. The cache is
+    unbounded: all graphs up to n nodes hold O(n^3) ints, fewer than the
+    O(n^4) floats of one forward's A~ at n.
+    """
+    rows = np.argwhere(~np.eye(n, dtype=bool))
+    adjacency = build_adjacency(n, rows)
+    for shared in (rows, adjacency.subjects, adjacency.objects, adjacency.opposite):
+        shared.flags.writeable = False
+    return rows, adjacency
+
+
 def prepare_scene(record: SceneRecord, fp: FeatureParams) -> PreparedScene:
-    """A validated record lowered to model inputs; with read_scenes, the entry points that validate records."""
+    """A validated record lowered to model inputs; with read_scenes, the entry points that validate records.
+
+    Scenes with the same node count share one read-only adjacency, from _candidate_graph.
+    """
     record.validate()
     for node in record.nodes:
         if node.label >= fp.n_entity_categories:
@@ -177,8 +196,7 @@ def prepare_scene(record: SceneRecord, fp: FeatureParams) -> PreparedScene:
     node_inputs = np.concatenate([appearance, boxes, logits], axis=1)
     ids = [node.id for node in record.nodes]
     row_of = {node_id: row for row, node_id in enumerate(ids)}
-    rows = np.argwhere(~np.eye(n, dtype=bool))
-    adjacency = build_adjacency(n, rows)
+    rows, adjacency = _candidate_graph(n)
     subj, obj = adjacency.subjects, adjacency.objects
     node_ids = np.array(ids, dtype=np.int64)
     swap = node_ids[obj] < node_ids[subj]
@@ -367,6 +385,7 @@ class TrainResult:
     log: list[EpochLog]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the tape's checks report non-finite values, as one NumericError
 def train(
     config: ModelConfig,
     train_records: list[SceneRecord],
@@ -382,6 +401,8 @@ def train(
     scene's backward pass. With metrics_every > 0 and eval records given,
     held-out metrics are logged every that many epochs (and on the last);
     the held-out scenes are prepared and checked for edges once, up front.
+    A value that overflows or turns invalid raises NumericError naming the
+    epoch and scene, without a numpy RuntimeWarning first.
     """
     config.validate()
     if not train_records:

@@ -22,16 +22,19 @@ The variant is fixed when the weights are built: init_propagation returns
 PropagationParams that carry it, and propagate runs the variant its params
 name (none passes the state through).
 
-A BlockAdjacency stores only edge endpoints and opposite-edge pairs. Each
-gih_forward builds A~ as a plain array and runs every layer as one tape
+A BlockAdjacency stores only edge endpoints and opposite-edge pairs, plus
+the flat positions of A~'s ones, computed on first use. Each gih_forward
+fills a fresh A~ from those positions and runs every layer as one tape
 primitive, autodiff.gih, whose backward forms no gradient for A~. gcn
 wraps its normalized node block in a Constant, and gat reads its mask off
-the node block.
+the node block. model.prepare_scene builds one adjacency per node count,
+with read-only arrays, and every scene of that count shares it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -50,13 +53,16 @@ from .autodiff import (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class BlockAdjacency:
     """Adjacency A over n nodes then m edges, stored as edge endpoints.
 
     Edge k joins node rows subjects[k] and objects[k]; a row (k, k') of
     opposite says edge k' joins them the other way. The dense A + I and its
-    node block are built on each access of a_tilde and node_block.
+    node block are built on each access of a_tilde and node_block; a_tilde
+    writes 1.0 into zeros at the flat positions of its ones, O(n + m) ints
+    computed once per adjacency. Fields cannot be reassigned, since scenes
+    of one node count share one adjacency.
     """
 
     n_nodes: int
@@ -75,16 +81,25 @@ class BlockAdjacency:
         a[self.subjects, self.objects] = a[self.objects, self.subjects] = 1.0
         return a
 
+    @cached_property
+    def _ones(self) -> np.ndarray:
+        """Flat positions of the ones of A + I, some repeated; read-only."""
+        n, s, o = self.n_nodes, self.subjects, self.objects
+        side = n + self.n_edges
+        diag, e = np.arange(side), n + np.arange(self.n_edges)
+        rows = np.concatenate([diag, s, o, s, o, e, e, n + self.opposite[:, 0]])
+        cols = np.concatenate([diag, o, s, e, e, s, o, n + self.opposite[:, 1]])
+        ones = rows * side + cols
+        ones.flags.writeable = False
+        return ones
+
     @property
     def a_tilde(self) -> np.ndarray:
-        """A + I, (n+m) x (n+m)."""
-        n, s, o = self.n_nodes, self.subjects, self.objects
-        e = n + np.arange(self.n_edges)
-        a = np.eye(n + self.n_edges)
-        a[:n, :n] = self.node_block
-        a[s, e] = a[o, e] = a[e, s] = a[e, o] = 1.0
-        a[n + self.opposite[:, 0], n + self.opposite[:, 1]] = 1.0
-        return a
+        """A + I, (n+m) x (n+m), a fresh writable array on each access."""
+        side = self.n_nodes + self.n_edges
+        a = np.zeros(side * side)
+        a[self._ones] = 1.0
+        return a.reshape(side, side)
 
 
 def build_adjacency(n_nodes: int, edges) -> BlockAdjacency:

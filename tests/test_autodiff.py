@@ -398,6 +398,35 @@ def test_gather_rows_accumulates_duplicates():
     np.testing.assert_array_equal(x.grad, [[2.0, 2.0], [1.0, 1.0]])
 
 
+@pytest.mark.parametrize("indices, negative_zero", [
+    ([3, 0, 3, 3, 1, 0], False),
+    (np.random.default_rng(20).integers(0, 5, size=200), False),
+    ([], False),
+    ([2, 2, 4], True),
+])
+def test_gather_rows_gradient_bytes_match_add_at(indices, negative_zero):
+    """Each row's gradient starts at 0.0 and adds in index order, as np.add.at does.
+
+    x.grad starts at -0.0, so a scatter that began from -0.0 would show.
+    """
+    rng = np.random.default_rng(21)
+    x = ad.Matrix(rng.normal(size=(5, 7)))
+    idx = np.asarray(indices, dtype=np.intp)
+    g = rng.normal(size=(idx.size, 7)) * 10.0 ** rng.integers(-8, 9, size=(idx.size, 1))  # so the order shows
+    if negative_zero:
+        g = np.full_like(g, -0.0)
+    with ad.Tape() as tape:
+        ad.gather_rows(x, idx)
+    (_name, _out, backward), = tape.records
+    x.grad = np.full_like(x.data, -0.0)
+    backward(g)
+    scattered = np.zeros_like(x.data)
+    np.add.at(scattered, idx, g)
+    expect = np.full_like(x.data, -0.0)
+    expect += scattered
+    assert x.grad.tobytes() == expect.tobytes()
+
+
 @pytest.mark.parametrize("op", [ad.matmul, ad.mul])
 def test_constant_operand_gets_no_gradient(op):
     """The other operand's gradient is byte-identical to the all-Matrix case."""

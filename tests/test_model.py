@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -162,6 +162,80 @@ def test_prepared_scene_holds_no_dense_adjacency():
     dense = (prep.n_nodes + prep.n_edges) ** 2
     assert prep.n_edges == 17 * 16
     arrays = [v for v in (*vars(prep).values(), *vars(prep.adjacency).values()) if isinstance(v, np.ndarray)]
+    assert max(a.size for a in arrays) < dense
+
+
+def test_scenes_of_one_node_count_share_a_read_only_graph():
+    spec = tiny_spec(nodes_per_scene=6, n_scenes=2)
+    fp = FeatureParams.from_spec(spec)
+    first, second = (prepare_scene(r, fp) for r in generate(spec))
+    rows, adjacency = model_module._candidate_graph(6)
+    assert first.adjacency is second.adjacency is adjacency
+    assert model_module._candidate_graph(6)[0] is rows
+    adjacency.a_tilde  # fills the cached positions of A~'s ones
+    for shared in (rows, adjacency.subjects, adjacency.objects, adjacency.opposite, adjacency._ones):
+        with pytest.raises(ValueError, match="read-only"):
+            shared[0] = 1
+    with pytest.raises(FrozenInstanceError):
+        adjacency.subjects = adjacency.objects
+    for prep in (first, second):  # the writes above changed nothing
+        _assert_matches_loop_oracle(prep, loop_prepare_scene(prep.record, fp))
+
+
+@pytest.fixture
+def empty_graph_cache():
+    model_module._candidate_graph.cache_clear()
+    yield
+    model_module._candidate_graph.cache_clear()
+
+
+def test_candidate_graph_built_once_per_node_count(monkeypatch, empty_graph_cache):
+    built = []
+
+    def counting(n_nodes, edges):
+        built.append(n_nodes)
+        return propagation.build_adjacency(n_nodes, edges)
+
+    monkeypatch.setattr(model_module, "build_adjacency", counting)
+    six = tiny_spec(nodes_per_scene=6, n_scenes=12)
+    records = generate(six)
+    records[6:6] = generate(tiny_spec(nodes_per_scene=4, n_scenes=3))  # N = 4 between N = 6 scenes
+    fp = FeatureParams.from_spec(six)  # the specs differ only in node count
+    for record in records:
+        prepare_scene(record, fp)
+    assert built == [6, 4]
+
+
+def test_prepare_scene_matches_loop_oracle_across_alternating_node_counts():
+    """A graph cached under the wrong node count fails here."""
+    specs = {n: GeneratorSpec(nodes_per_scene=n, n_scenes=2, related_pairs=16, context_categories=0, seed=n)
+             for n in (2, 6, 17)}
+    for i in range(2):
+        for n, spec in specs.items():
+            fp = FeatureParams.from_spec(spec)
+            record = generate(spec)[i]
+            _assert_matches_loop_oracle(prepare_scene(record, fp), loop_prepare_scene(record, fp))
+
+
+def test_a_tilde_is_a_fresh_writable_array_on_each_access():
+    record, fp = scene_and_fp()
+    adjacency = prepare_scene(record, fp).adjacency
+    first, second = adjacency.a_tilde, adjacency.a_tilde
+    assert first.flags.writeable and not np.shares_memory(first, second)
+    first[:] = 7.0
+    assert adjacency.a_tilde.tobytes() == second.tobytes()
+    assert set(np.unique(second)) == {0.0, 1.0}
+
+
+def test_forward_leaves_no_dense_array_on_the_adjacency():
+    spec = GeneratorSpec(nodes_per_scene=17, n_scenes=1, seed=5)
+    prep = prepare_scene(generate(spec)[0], FeatureParams.from_spec(spec))
+    cfg = tiny_config(d_appearance=spec.d_appearance, n_entity_categories=spec.n_entity_categories,
+                      n_predicate_categories=spec.n_predicate_categories)
+    Model(cfg).forward(prep)
+    dense = (prep.n_nodes + prep.n_edges) ** 2
+    arrays = [v for v in vars(prep.adjacency).values() if isinstance(v, np.ndarray)]
+    assert "_ones" in vars(prep.adjacency)
     assert max(a.size for a in arrays) < dense
 
 
@@ -541,7 +615,6 @@ def test_training_loss_decreases_over_first_epochs():
     assert all(b < a for a, b in zip(totals, totals[1:]))
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_training_aborts_on_numeric_blowup_with_context():
     spec = tiny_spec(n_scenes=4)
     records = generate(spec)
