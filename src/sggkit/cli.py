@@ -1,15 +1,16 @@
 """Command-line surface: generate / train / eval / analyze / br-build / guess-curve.
 
-Config resolution for commands that take one (generate uses the corpus spec
-schema, train the model schema): dataclass defaults, then --config key=value
-file, then SGGKIT_<KEY> environment variables, then explicit flags. Unknown
-keys in a config file are rejected; environment variables that match no field
-of the active schema are ignored so one environment can serve several
-commands. Values are read by field annotation (data.FIELD_TYPES): int by int(),
-float by float(), bool from true/false/1/0/yes/no, str as written, `int | None`
-from an int or `none`, a seed as an int that must be non-negative. A value
-that cannot be read exits 2 naming the file or variable and the key; a config
-file that is not UTF-8, or a resolved config that fails validation, names the file.
+Config resolution for the two commands that take --config and --seed (generate
+uses the corpus spec schema, train the model schema): dataclass defaults, then
+--config key=value file, then SGGKIT_<KEY> environment variables, then
+explicit flags. Unknown keys in a config file are rejected; environment
+variables that match no field of the active schema are ignored so one
+environment can serve several commands. Values are read by field annotation
+(data.FIELD_TYPES): int by int(), float by float(), bool from
+true/false/1/0/yes/no, str as written, `int | None` from an int or `none`, a
+seed as an int that must be non-negative. A value that cannot be read exits 2
+naming the file or variable and the key; a config file that is not UTF-8, or a
+resolved config that fails validation, names the file.
 
 Every command writes a `<out>.manifest.json` recording the command line, the
 resolved config, seeds, sha256 hashes of inputs and outputs, and wall-clock
@@ -46,7 +47,6 @@ from .analysis import (
 )
 from .autodiff import NumericError
 from .data import (
-    FeatureParams,
     GeneratorSpec,
     SceneRecord,
     build_rule,
@@ -133,12 +133,13 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(out_path, command, config_snapshot, seed, inputs, outputs, wall_clock) -> None:
+def _write_manifest(args, out_path, config_snapshot, inputs, outputs, wall_clock) -> None:
+    """The manifest of the command `args` parsed; its seed is the resolved config's, null if it has none."""
     manifest = {
-        "command": command,
-        "argv": sys.argv[1:],
+        "command": args.command,
+        "argv": args.argv,
         "config": config_snapshot,
-        "seed": seed,
+        "seed": config_snapshot.get("seed"),
         "inputs": {str(p): _sha256(p) for p in inputs},
         "outputs": {str(p): _sha256(p) for p in outputs},
         "wall_clock_seconds": wall_clock,
@@ -211,8 +212,7 @@ def cmd_generate(args) -> int:
         json.dump(meta, fh, sort_keys=True, indent=1)
         fh.write("\n")
     inputs = [args.config] if args.config else []
-    _write_manifest(args.out, "generate", asdict(spec), spec.seed, inputs,
-                    [args.out, meta_path], time.perf_counter() - t0)
+    _write_manifest(args, args.out, asdict(spec), inputs, [args.out, meta_path], time.perf_counter() - t0)
     frac = rule.realized_asymmetric_fraction
     print(f"wrote {len(records)} scenes to {args.out} "
           f"(asymmetric fraction {frac if frac is None else round(frac, 4)})")
@@ -236,10 +236,9 @@ def cmd_train(args) -> int:
     t0 = time.perf_counter()
     records = read_scenes(args.corpus)
     spec = _load_corpus_spec(args.corpus)
-    fp = FeatureParams.from_spec(spec)
     # vocabulary follows the corpus unless the user pinned it explicitly
-    vocabulary = {"n_entity_categories": fp.n_entity_categories,
-                  "n_predicate_categories": fp.n_predicate_categories, "d_appearance": fp.d_appearance}
+    vocabulary = {"n_entity_categories": spec.n_entity_categories,
+                  "n_predicate_categories": spec.n_predicate_categories, "d_appearance": spec.d_appearance}
     config = _assemble_config(ModelConfig, args.config, _train_overrides(args), vocabulary)
     try:
         config.validate()
@@ -251,7 +250,7 @@ def cmd_train(args) -> int:
     result = train(
         config,
         train_records,
-        fp,
+        spec,
         eval_records=eval_records or None,
         metrics_every=args.metrics_every if eval_records else 0,
         ks_recall=ks_recall,
@@ -267,8 +266,7 @@ def cmd_train(args) -> int:
         rows.append(row)
     _write_csv(log_csv, ["epoch", "L_ent", "L_pred", "L_ar"] + metric_cols, rows)
     inputs = [args.corpus, f"{args.corpus}.meta.json"] + ([args.config] if args.config else [])
-    _write_manifest(args.out, "train", config.to_dict(), config.seed, inputs,
-                    [args.out, log_csv], time.perf_counter() - t0)
+    _write_manifest(args, args.out, config.to_dict(), inputs, [args.out, log_csv], time.perf_counter() - t0)
     if result.log:
         last = result.log[-1]
         shown = " ".join(f"{k} {v:.3f}" for k, v in sorted(last.metrics.items())) or "no held-out metrics"
@@ -290,6 +288,8 @@ def cmd_eval(args) -> int:
     t0 = time.perf_counter()
     if bool(args.checkpoint) == bool(args.predictions):
         raise ValueError("eval needs exactly one of --checkpoint or --predictions")
+    if args.predictions and args.unconstrained:
+        raise ValueError("--unconstrained applies to --checkpoint only; --predictions are scored as ranked")
     records = read_scenes(args.corpus)
     if not records:
         raise ValueError(f"{args.corpus}: corpus is empty")
@@ -305,11 +305,10 @@ def cmd_eval(args) -> int:
     if args.checkpoint:
         model, _bank = load_checkpoint(args.checkpoint)
         spec = _load_corpus_spec(args.corpus)
-        fp = FeatureParams.from_spec(spec)
         try:  # the checkpoint's vocabulary may lack the sidecar's or a scene's labels
-            _check_vocabulary(model.config, fp)
+            _check_vocabulary(model.config, spec)
             ranked_lists = [
-                predict_scene(model, prepare_scene(record, fp), graph_constraint=constraint)
+                predict_scene(model, prepare_scene(record, spec), graph_constraint=constraint)
                 for record in records
             ]
         except ValueError as exc:
@@ -344,9 +343,8 @@ def cmd_eval(args) -> int:
             record.scene_id: ranked for record, ranked in zip(records, ranked_lists)
         })
         outputs.append(args.dump_predictions)
-    _write_manifest(args.out, "eval", {"ks_recall": list(ks_recall), "ks_pair": list(ks_pair),
-                                       "graph_constraint": constraint},
-                    args.seed, inputs, outputs, time.perf_counter() - t0)
+    _write_manifest(args, args.out, {"ks_recall": list(ks_recall), "ks_pair": list(ks_pair),
+                                     "graph_constraint": constraint}, inputs, outputs, time.perf_counter() - t0)
     shown = " ".join(f"{m}@{k} {v:.3f}" for _, m, k, v in aggregate)
     print(f"{len(records)} scenes | {shown}")
     return 0
@@ -394,9 +392,8 @@ def cmd_analyze(args) -> int:
     _write_csv(curves_path, ["conditioning", "k", "fraction"], curve_rows)
 
     manifest_base = os.path.join(args.out_dir, "analyze")
-    _write_manifest(manifest_base, "analyze", {"k_max": args.k_max}, args.seed,
-                    [args.corpus], [variance_path, distance_path, curves_path],
-                    time.perf_counter() - t0)
+    _write_manifest(args, manifest_base, {"k_max": args.k_max}, [args.corpus],
+                    [variance_path, distance_path, curves_path], time.perf_counter() - t0)
     print(f"wrote {variance_path}, {distance_path}, {curves_path}")
     return 0
 
@@ -410,8 +407,7 @@ def cmd_br_build(args) -> int:
     with open(summary_path, "w", encoding="utf-8") as fh:
         json.dump(summary, fh, sort_keys=True, indent=1)
         fh.write("\n")
-    _write_manifest(args.out, "br-build", {}, args.seed, [args.corpus],
-                    [args.out, summary_path], time.perf_counter() - t0)
+    _write_manifest(args, args.out, {}, [args.corpus], [args.out, summary_path], time.perf_counter() - t0)
     print(f"kept {summary['scenes_retained']} of {summary['scenes_in']} scenes, "
           f"{summary['pairs']} bidirectional pairs")
     return 0
@@ -428,9 +424,9 @@ def cmd_guess_curve(args) -> int:
     _write_csv(args.out, ["conditioning", "k", "fraction"],
                [[label, k + 1, curve[k]] for k in range(len(curve))])
     inputs = [args.train_corpus] + ([args.eval_corpus] if args.eval_corpus else [])
-    _write_manifest(args.out, "guess-curve",
+    _write_manifest(args, args.out,
                     {"conditioning": list(conditioning), "target": args.target, "k_max": args.k_max},
-                    args.seed, inputs, [args.out], time.perf_counter() - t0)
+                    inputs, [args.out], time.perf_counter() - t0)
     print(f"top-1 {curve[0]:.4f} .. top-{len(curve)} {curve[-1]:.4f} -> {args.out}")
     return 0
 
@@ -440,18 +436,18 @@ def cmd_guess_curve(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--seed", type=int, default=None, help="override the config seed")
-    shared.add_argument("--config", default=None, help="flat key = value config file")
+    configured = argparse.ArgumentParser(add_help=False)  # the commands that resolve a config
+    configured.add_argument("--seed", type=int, default=None, help="override the config seed")
+    configured.add_argument("--config", default=None, help="flat key = value config file")
 
     parser = argparse.ArgumentParser(prog="sggkit", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("generate", parents=[shared], help="write a planted-rule corpus")
+    p = sub.add_parser("generate", parents=[configured], help="write a planted-rule corpus")
     p.add_argument("--out", required=True, help="corpus path (.sgjsonl)")
     p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("train", parents=[shared], help="train a model on a corpus")
+    p = sub.add_parser("train", parents=[configured], help="train a model on a corpus")
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True, help="checkpoint path")
     p.add_argument("--holdout", type=int, default=50, help="scenes reserved for held-out metrics")
@@ -466,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-ar", action="store_true", help="drop the attract/repel loss term")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", parents=[shared], help="score a checkpoint or prediction file")
+    p = sub.add_parser("eval", help="score a checkpoint or prediction file")
     p.add_argument("--corpus", required=True)
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--predictions", default=None, help=".pred.jsonl scored triplets per scene")
@@ -474,24 +470,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ks-recall", default="20,50,100")
     p.add_argument("--ks-pair", default="2,4,8,16")
     p.add_argument("--unconstrained", action="store_true",
-                   help="rank every predicate per pair instead of the best one")
+                   help="with --checkpoint: rank every predicate per pair instead of the best one")
     p.add_argument("--dump-predictions", default=None, help="also write ranked triplets (.pred.jsonl)")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("analyze", parents=[shared],
-                       help="co-occurrence variance, pairwise distance, guess curves")
+    p = sub.add_parser("analyze", help="co-occurrence variance, pairwise distance, guess curves")
     p.add_argument("--corpus", required=True)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--k-max", type=int, default=5)
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("br-build", parents=[shared], help="keep only bidirectional pairs")
+    p = sub.add_parser("br-build", help="keep only bidirectional pairs")
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True, help="subset corpus path")
     p.set_defaults(func=cmd_br_build)
 
-    p = sub.add_parser("guess-curve", parents=[shared],
-                       help="frequency-lookup top-k accuracy for one conditioning set")
+    p = sub.add_parser("guess-curve", help="frequency-lookup top-k accuracy for one conditioning set")
     p.add_argument("--train-corpus", required=True)
     p.add_argument("--eval-corpus", default=None, help="defaults to the training corpus")
     p.add_argument("--conditioning", default="", help="comma list from head, tail, h2t, t2h")
@@ -504,7 +498,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(argv)
+    args.argv = argv  # the manifest records the command that ran, not the host process's argv
     try:
         with np.errstate(over="ignore", invalid="ignore"):  # the tape's checks report non-finite values
             return args.func(args)

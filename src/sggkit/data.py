@@ -10,7 +10,7 @@ file is small and fully reproducible.
 Seeding contract: each node's appearance noise and its observed label come
 from two generators of its own, whose states equal
 np.random.default_rng([stream, corpus seed, appearance_seed]) with the
-appearance and logit stream tags. `FeatureParams.node_features` seeds the
+appearance and logit stream tags. `GeneratorSpec.node_features` seeds the
 generators of a whole scene in one array pass of NumPy's SeedSequence
 hash (`seeded_generators`) and draws from each exactly what a per-node
 default_rng would, so any non-negative seed gives the same bytes.
@@ -192,7 +192,11 @@ class SceneRecord:
 
 @dataclass
 class GeneratorSpec(ConfigSchema):
-    """Knobs of the planted-rule corpus.
+    """Knobs of the planted-rule corpus, and the feature synthesis that reads them.
+
+    The corpus sidecar carries the spec, so `node_features` re-materializes a
+    scene's model inputs from it: category prototypes (drawn once per
+    instance), appearance noise, flipped class logits and the scene offset.
 
     related_pairs matched category pairs use entity labels 1..2*related_pairs
     and context markers the next context_categories labels; n_entity_categories
@@ -264,6 +268,59 @@ class GeneratorSpec(ConfigSchema):
             raise ValueError("appearance parameters out of range")
         if not 0.0 <= self.logit_flip_rate <= 1.0:
             raise ValueError("logit_flip_rate must lie in [0, 1]")
+
+    @functools.cached_property
+    def _prototypes(self) -> dict[int, np.ndarray]:
+        """prototype's cache: an instance attribute, not a field, so asdict, == and check_types skip it."""
+        return {}
+
+    def prototype(self, category: int) -> np.ndarray:
+        """The category's mean appearance, drawn once per instance and read-only."""
+        proto = self._prototypes.get(category)
+        if proto is None:
+            proto = np.random.default_rng([_STREAM_PROTO, self.seed, category]).standard_normal(self.d_appearance)
+            proto.flags.writeable = False
+            self._prototypes[category] = proto
+        return proto
+
+    def scene_offset(self, scene_id: str) -> np.ndarray:
+        """A nuisance shift shared by every appearance in one scene.
+
+        Models a global capture condition (lighting, camera) that confuses
+        any per-node readout but cancels for anything that can compare
+        detections within the scene. Zero sigma means no offset at all.
+        """
+        if self.scene_offset_sigma == 0.0:
+            return np.zeros(self.d_appearance)
+        digest = hashlib.sha256(scene_id.encode("utf-8")).digest()
+        words = np.frombuffer(digest[:16], dtype=np.uint32)
+        rng = np.random.default_rng([_STREAM_SCENE_OFFSET, self.seed, *words.tolist()])
+        return self.scene_offset_sigma * rng.standard_normal(self.d_appearance)
+
+    def node_features(self, record: SceneRecord) -> tuple[np.ndarray, np.ndarray]:
+        """Appearance [N, d_appearance] and class logits [N, n_entity_categories] of a scene's nodes.
+
+        A node's appearance is its category prototype plus appearance_sigma
+        times standard_normal noise, plus the scene offset. Its logits are
+        logit_scale at the label a noisy upstream classifier reports: with
+        probability logit_flip_rate a uniformly drawn wrong label. Both draws
+        come from the node's own generators, seeded together for the scene.
+        """
+        nodes = record.nodes
+        n, d = len(nodes), self.d_appearance
+        rngs = seeded_generators([[stream, self.seed, node.appearance_seed]
+                                  for stream in (_STREAM_APPEAR, _STREAM_LOGITS) for node in nodes])
+        noise = np.array([rng.standard_normal(d) for rng in rngs[:n]]).reshape(n, d)
+        protos = np.array([self.prototype(node.label) for node in nodes]).reshape(n, d)
+        appearance = protos + self.appearance_sigma * noise + self.scene_offset(record.scene_id)
+        labels = [node.label for node in nodes]
+        for i, rng in enumerate(rngs[n:]):
+            if rng.random() < self.logit_flip_rate:
+                wrong = int(rng.integers(1, self.n_entity_categories - 1))
+                labels[i] = wrong + 1 if wrong >= labels[i] else wrong
+        logits = np.zeros((n, self.n_entity_categories))
+        logits[np.arange(n), labels] = self.logit_scale
+        return appearance, logits
 
 
 @dataclass
@@ -604,79 +661,3 @@ def seeded_generators(entropy: list[list[int]]) -> list[np.random.Generator]:
     # SeedSequence reads its uint32 words as little-endian uint64 pairs
     state = state.T.astype("<u4", order="C").view("<u8").astype(np.uint64, copy=False)
     return [np.random.Generator(np.random.PCG64(_PresetState(row))) for row in state]
-
-
-@dataclass
-class FeatureParams:
-    """Everything needed to re-materialize model inputs from a record."""
-
-    n_entity_categories: int
-    n_predicate_categories: int
-    d_appearance: int
-    appearance_sigma: float
-    logit_flip_rate: float
-    logit_scale: float
-    seed: int
-    scene_offset_sigma: float = 0.0
-    _prototypes: dict[int, np.ndarray] = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    @classmethod
-    def from_spec(cls, spec: GeneratorSpec) -> "FeatureParams":
-        return cls(
-            n_entity_categories=spec.n_entity_categories,
-            n_predicate_categories=spec.n_predicate_categories,
-            d_appearance=spec.d_appearance,
-            appearance_sigma=spec.appearance_sigma,
-            logit_flip_rate=spec.logit_flip_rate,
-            logit_scale=spec.logit_scale,
-            seed=spec.seed,
-            scene_offset_sigma=spec.scene_offset_sigma,
-        )
-
-    def prototype(self, category: int) -> np.ndarray:
-        """The category's mean appearance, drawn once per instance and read-only."""
-        proto = self._prototypes.get(category)
-        if proto is None:
-            proto = np.random.default_rng([_STREAM_PROTO, self.seed, category]).standard_normal(self.d_appearance)
-            proto.flags.writeable = False
-            self._prototypes[category] = proto
-        return proto
-
-    def scene_offset(self, scene_id: str) -> np.ndarray:
-        """A nuisance shift shared by every appearance in one scene.
-
-        Models a global capture condition (lighting, camera) that confuses
-        any per-node readout but cancels for anything that can compare
-        detections within the scene. Zero sigma means no offset at all.
-        """
-        if self.scene_offset_sigma == 0.0:
-            return np.zeros(self.d_appearance)
-        digest = hashlib.sha256(scene_id.encode("utf-8")).digest()
-        words = np.frombuffer(digest[:16], dtype=np.uint32)
-        rng = np.random.default_rng([_STREAM_SCENE_OFFSET, self.seed, *words.tolist()])
-        return self.scene_offset_sigma * rng.standard_normal(self.d_appearance)
-
-    def node_features(self, record: SceneRecord) -> tuple[np.ndarray, np.ndarray]:
-        """Appearance [N, d_appearance] and class logits [N, n_entity_categories] of a scene's nodes.
-
-        A node's appearance is its category prototype plus appearance_sigma
-        times standard_normal noise, plus the scene offset. Its logits are
-        logit_scale at the label a noisy upstream classifier reports: with
-        probability logit_flip_rate a uniformly drawn wrong label. Both draws
-        come from the node's own generators, seeded together for the scene.
-        """
-        nodes = record.nodes
-        n, d = len(nodes), self.d_appearance
-        rngs = seeded_generators([[stream, self.seed, node.appearance_seed]
-                                  for stream in (_STREAM_APPEAR, _STREAM_LOGITS) for node in nodes])
-        noise = np.array([rng.standard_normal(d) for rng in rngs[:n]]).reshape(n, d)
-        protos = np.array([self.prototype(node.label) for node in nodes]).reshape(n, d)
-        appearance = protos + self.appearance_sigma * noise + self.scene_offset(record.scene_id)
-        labels = [node.label for node in nodes]
-        for i, rng in enumerate(rngs[n:]):
-            if rng.random() < self.logit_flip_rate:
-                wrong = int(rng.integers(1, self.n_entity_categories - 1))
-                labels[i] = wrong + 1 if wrong >= labels[i] else wrong
-        logits = np.zeros((n, self.n_entity_categories))
-        logits[np.arange(n), labels] = self.logit_scale
-        return appearance, logits

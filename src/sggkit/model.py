@@ -45,7 +45,7 @@ from .attract_repel import (
     sample_negatives,
     update_references,
 )
-from .data import PREDICATE_NO_RELATION, ConfigSchema, FeatureParams, SceneRecord, Seed, parse_json, shown
+from .data import PREDICATE_NO_RELATION, ConfigSchema, GeneratorSpec, SceneRecord, Seed, parse_json, shown
 from .fusion import VARIANTS as FUSION_VARIANTS
 from .fusion import encode_edges, init_fusion_params
 from .local_attention import LihParams, init_lih_params, lih_forward_batch
@@ -172,26 +172,27 @@ def _candidate_graph(n: int) -> tuple[np.ndarray, BlockAdjacency]:
     return rows, adjacency
 
 
-def prepare_scene(record: SceneRecord, fp: FeatureParams) -> PreparedScene:
+def prepare_scene(record: SceneRecord, spec: GeneratorSpec) -> PreparedScene:
     """A validated record lowered to model inputs; with read_scenes, the entry points that validate records.
 
-    Scenes with the same node count share one read-only adjacency, from _candidate_graph.
+    `spec`, the corpus's GeneratorSpec, bounds the labels and synthesizes the node features. Scenes
+    with the same node count share one read-only adjacency, from _candidate_graph.
     """
     record.validate()
     for node in record.nodes:
-        if node.label >= fp.n_entity_categories:
+        if node.label >= spec.n_entity_categories:
             raise ValueError(
                 f"scene {record.scene_id}: entity label {node.label} outside the "
-                f"{fp.n_entity_categories}-category vocabulary"
+                f"{spec.n_entity_categories}-category vocabulary"
             )
     for e in record.edges:
-        if e.predicate >= fp.n_predicate_categories:
+        if e.predicate >= spec.n_predicate_categories:
             raise ValueError(
                 f"scene {record.scene_id}: predicate label {e.predicate} outside the "
-                f"{fp.n_predicate_categories}-category vocabulary"
+                f"{spec.n_predicate_categories}-category vocabulary"
             )
     n = len(record.nodes)
-    appearance, logits = fp.node_features(record)
+    appearance, logits = spec.node_features(record)
     boxes = np.array([node.box for node in record.nodes], dtype=float).reshape(n, 4)
     node_inputs = np.concatenate([appearance, boxes, logits], axis=1)
     ids = [node.id for node in record.nodes]
@@ -218,8 +219,8 @@ def prepare_scene(record: SceneRecord, fp: FeatureParams) -> PreparedScene:
         edge_index=node_ids[rows],
         node_labels=node_labels,
         edge_labels=edge_labels,
-        node_onehot=np.eye(fp.n_entity_categories)[node_labels],
-        edge_onehot=np.eye(fp.n_predicate_categories)[edge_labels],
+        node_onehot=np.eye(spec.n_entity_categories)[node_labels],
+        edge_onehot=np.eye(spec.n_predicate_categories)[edge_labels],
         adjacency=adjacency,
     )
 
@@ -389,7 +390,7 @@ class TrainResult:
 def train(
     config: ModelConfig,
     train_records: list[SceneRecord],
-    fp: FeatureParams,
+    spec: GeneratorSpec,
     eval_records: list[SceneRecord] | None = None,
     metrics_every: int = 0,
     ks_recall: tuple[int, ...] = (4,),
@@ -397,21 +398,22 @@ def train(
 ) -> TrainResult:
     """SGD over scenes in corpus order, one scene per step.
 
-    The reference bank absorbs each scene's edge embeddings after that
-    scene's backward pass. With metrics_every > 0 and eval records given,
-    held-out metrics are logged every that many epochs (and on the last);
-    the held-out scenes are prepared and checked for edges once, up front.
-    A value that overflows or turns invalid raises NumericError naming the
-    epoch and scene, without a numpy RuntimeWarning first.
+    Scenes are prepared with the corpus's `spec`, whose vocabulary must match
+    the config's. The reference bank absorbs each scene's edge embeddings
+    after that scene's backward pass. With metrics_every > 0 and eval records
+    given, held-out metrics are logged every that many epochs (and on the
+    last); the held-out scenes are prepared and checked for edges once, up
+    front. A value that overflows or turns invalid raises NumericError naming
+    the epoch and scene, without a numpy RuntimeWarning first.
     """
     config.validate()
     if not train_records:
         raise ValueError("training needs at least one scene")
-    _check_vocabulary(config, fp)
+    _check_vocabulary(config, spec)
     model = Model(config)
     bank = ReferenceBank(config.n_predicate_categories, config.d_edge, seed=[_STREAM_BANK, config.seed])
-    preps = [prepare_scene(r, fp) for r in train_records]
-    eval_preps = [prepare_scene(r, fp) for r in eval_records] if metrics_every > 0 and eval_records else []
+    preps = [prepare_scene(r, spec) for r in train_records]
+    eval_preps = [prepare_scene(r, spec) for r in eval_records] if metrics_every > 0 and eval_records else []
     for prep in eval_preps:
         if not prep.record.edges:
             raise ValueError(f"held-out scene {prep.scene_id}: no annotated edges, so recall is undefined")
@@ -454,11 +456,11 @@ def train(
     return TrainResult(model, bank, log)
 
 
-def _check_vocabulary(config: ModelConfig, fp: FeatureParams) -> None:
+def _check_vocabulary(config: ModelConfig, spec: GeneratorSpec) -> None:
     pairs = (
-        ("entity categories", config.n_entity_categories, fp.n_entity_categories),
-        ("predicate categories", config.n_predicate_categories, fp.n_predicate_categories),
-        ("appearance width", config.d_appearance, fp.d_appearance),
+        ("entity categories", config.n_entity_categories, spec.n_entity_categories),
+        ("predicate categories", config.n_predicate_categories, spec.n_predicate_categories),
+        ("appearance width", config.d_appearance, spec.d_appearance),
     )
     for what, have, want in pairs:
         if have != want:

@@ -12,6 +12,7 @@ import io
 import json
 import os
 import shutil
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -24,7 +25,6 @@ import sggkit.metrics
 from sggkit.cli import main
 from sggkit.data import (
     Edge,
-    FeatureParams,
     GeneratorSpec,
     Node,
     SceneRecord,
@@ -268,6 +268,14 @@ def test_eval_requires_exactly_one_source(corpus, tmp_path, checkpoint):
                  "--checkpoint", checkpoint, "--predictions", "x.jsonl"]) == 2
 
 
+def test_eval_unconstrained_applies_to_checkpoint_only(corpus, tmp_path, capsys):
+    pred_path = _ground_truth_predictions(str(tmp_path / "gt.pred.jsonl"), read_scenes(corpus))
+    out = str(tmp_path / "m.csv")
+    assert main(["eval", "--corpus", corpus, "--predictions", pred_path, "--out", out, "--unconstrained"]) == 2
+    assert "--unconstrained applies to --checkpoint only" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_eval_ground_truth_predictions_score_one(corpus, tmp_path):
     records = read_scenes(corpus)
     preds = {r.scene_id: [(e.subject, e.object, e.predicate, 1.0) for e in r.edges]
@@ -365,7 +373,7 @@ def test_each_scene_is_ranked_once(corpus, checkpoint, tmp_path, monkeypatch):
     monkeypatch.setattr(sggkit.model, "ranked_from_scores", counted_scores)
     model, _ = load_checkpoint(checkpoint)
     with open(f"{corpus}.meta.json") as fh:
-        fp = FeatureParams.from_spec(GeneratorSpec.from_dict(json.load(fh)["spec"]))
+        fp = GeneratorSpec.from_dict(json.load(fh)["spec"])
     evaluate(model, [prepare_scene(r, fp) for r in records], (4, 20), (2, 4))
     assert len(ranked) == len(records)
     assert calls == []
@@ -391,7 +399,7 @@ def test_each_scene_and_k_is_counted_once(corpus, checkpoint, tmp_path, monkeypa
     calls.clear()
     model, _ = load_checkpoint(checkpoint)
     with open(f"{corpus}.meta.json") as fh:
-        fp = FeatureParams.from_spec(GeneratorSpec.from_dict(json.load(fh)["spec"]))
+        fp = GeneratorSpec.from_dict(json.load(fh)["spec"])
     evaluate(model, [prepare_scene(r, fp) for r in records], (2, 4), (2, 4, 8))
     assert sorted(calls) == [2] * 12 + [4] * 12 + [8] * 12
 
@@ -739,6 +747,33 @@ def test_train_rerun_is_byte_identical(corpus, tmp_path):
 
 # ---------------------------------------------------------------------------
 # analyze / br-build / guess-curve
+
+
+@pytest.mark.parametrize("flag,value", [("--config", "bad.cfg"), ("--seed", "1")])
+@pytest.mark.parametrize("argv", [["eval", "--corpus", "c.sgjsonl", "--predictions", "p.jsonl", "--out", "m.csv"],
+                                  ["analyze", "--corpus", "c.sgjsonl", "--out-dir", "analysis"],
+                                  ["br-build", "--corpus", "c.sgjsonl", "--out", "s.sgjsonl"],
+                                  ["guess-curve", "--train-corpus", "c.sgjsonl", "--out", "curve.csv"]],
+                         ids=lambda argv: argv[0])
+def test_commands_that_resolve_no_config_reject_config_and_seed(argv, flag, value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, flag, value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+
+def test_manifest_records_the_argv_main_ran(corpus, tmp_path, monkeypatch):
+    out = str(tmp_path / "subset.sgjsonl")
+    argv = ["br-build", "--corpus", corpus, "--out", out]
+    monkeypatch.setattr(sys, "argv", ["host", "--pretend-host-flag"])
+    assert main(argv) == 0
+    with open(f"{out}.manifest.json") as fh:
+        manifest = json.load(fh)
+    assert (manifest["command"], manifest["argv"], manifest["seed"]) == ("br-build", argv, None)
+    monkeypatch.setattr(sys, "argv", ["sggkit", *argv])  # the console script passes no argv
+    assert main() == 0
+    with open(f"{out}.manifest.json") as fh:
+        assert json.load(fh)["argv"] == argv
 
 
 def _uniform_pair_corpus(path):

@@ -10,7 +10,6 @@ from helpers import appearance, class_logits
 from sggkit.data import (
     FIELD_TYPES,
     Edge,
-    FeatureParams,
     GeneratorSpec,
     Node,
     SceneRecord,
@@ -420,7 +419,7 @@ def _scene(*nodes):
 
 
 def test_appearance_deterministic_and_seed_driven():
-    fp = FeatureParams.from_spec(small_spec())
+    fp = small_spec()
     scene = _scene(Node(0, 3, (0.0, 0.0, 1.0, 1.0), 42), Node(1, 3, (0.0, 0.0, 1.0, 1.0), 43))
     appearance, _ = fp.node_features(scene)
     np.testing.assert_array_equal(fp.node_features(scene)[0], appearance)
@@ -428,20 +427,32 @@ def test_appearance_deterministic_and_seed_driven():
 
 
 def test_appearance_sigma_zero_hits_prototype_exactly():
-    fp = FeatureParams.from_spec(small_spec(appearance_sigma=0.0))
+    fp = small_spec(appearance_sigma=0.0)
     appearance, _ = fp.node_features(_scene(Node(0, 4, (0.0, 0.0, 1.0, 1.0), 7)))
     np.testing.assert_array_equal(appearance[0], fp.prototype(4))
 
 
 def test_prototype_is_drawn_once_per_instance_and_read_only():
-    fp = FeatureParams.from_spec(small_spec())
+    fp = small_spec()
     first = fp.prototype(4)
     assert fp.prototype(4) is first
     assert not first.flags.writeable
-    fresh = FeatureParams.from_spec(small_spec()).prototype(4)
+    fresh = small_spec().prototype(4)
     assert fresh is not first
     np.testing.assert_array_equal(fresh, first)
     assert not np.array_equal(fp.prototype(5), first)
+
+
+def test_feature_synthesis_leaves_the_spec_fields_and_equality_alone():
+    """The prototype cache is no field: the sidecar, ==, the schema and its type checks never see it."""
+    spec = small_spec(scene_offset_sigma=0.3)
+    before = asdict(spec)
+    spec.node_features(_scene(Node(0, 4, (0.0, 0.0, 1.0, 1.0), 7)))
+    spec.prototype(5)
+    assert asdict(spec) == before
+    assert spec == replace(spec)
+    assert set(GeneratorSpec.field_types()) == {f.name for f in fields(GeneratorSpec)}
+    spec.check_types()
 
 
 def test_nearest_prototype_accuracy_degrades_with_sigma():
@@ -449,7 +460,7 @@ def test_nearest_prototype_accuracy_degrades_with_sigma():
     records = generate(spec)
     accs = []
     for sigma in (0.0, 1.5, 4.0):
-        fp = FeatureParams.from_spec(small_spec(appearance_sigma=sigma, seed=21))
+        fp = small_spec(appearance_sigma=sigma, seed=21)
         protos = np.stack([fp.prototype(c) for c in range(spec.n_entity_categories)])
         hit = total = 0
         for rec in records:
@@ -464,8 +475,8 @@ def test_nearest_prototype_accuracy_degrades_with_sigma():
 
 
 def test_observed_label_flip_rate_endpoints():
-    never = FeatureParams.from_spec(small_spec(logit_flip_rate=0.0))
-    always = FeatureParams.from_spec(small_spec(logit_flip_rate=1.0))
+    never = small_spec(logit_flip_rate=0.0)
+    always = small_spec(logit_flip_rate=1.0)
     assert never.node_features(_scene(Node(0, 5, (0.0, 0.0, 1.0, 1.0), 99)))[1].argmax() == 5
     _, logits = always.node_features(_scene(*(Node(i, 5, (0.0, 0.0, 1.0, 1.0), i) for i in range(200))))
     seen = set()
@@ -477,11 +488,10 @@ def test_observed_label_flip_rate_endpoints():
 
 def test_observed_label_flip_rate_statistics():
     spec = small_spec(logit_flip_rate=0.3, n_scenes=1000, seed=2)
-    fp = FeatureParams.from_spec(spec)
     records = generate(spec)
     flips = total = 0
     for rec in records:
-        _, logits = fp.node_features(rec)
+        _, logits = spec.node_features(rec)
         for n, lab in zip(rec.nodes, logits.argmax(axis=1).tolist()):
             flips += lab != n.label
             total += 1
@@ -490,8 +500,7 @@ def test_observed_label_flip_rate_statistics():
 
 def test_class_logits_one_hot_at_observed_label():
     spec = small_spec(logit_flip_rate=0.0, logit_scale=2.5)
-    fp = FeatureParams.from_spec(spec)
-    _, logits = fp.node_features(_scene(Node(0, 6, (0.0, 0.0, 1.0, 1.0), 5)))
+    _, logits = spec.node_features(_scene(Node(0, 6, (0.0, 0.0, 1.0, 1.0), 5)))
     assert logits.shape == (1, spec.n_entity_categories)
     assert logits[0, 6] == 2.5
     assert np.count_nonzero(logits) == 1
@@ -525,7 +534,7 @@ below_2_32, from_2_32 = st.integers(0, 2**32 - 1), st.integers(2**32, 2**70)
 @given(st.sampled_from([0.0, 0.5, 1.0]), below_2_32 | from_2_32, st.sampled_from([0.0, 0.7]),
        st.lists(st.tuples(st.integers(1, 10), below_2_32 | from_2_32), max_size=8))
 def test_node_features_match_per_node_oracle(flip_rate, seed, offset_sigma, labelled_seeds):
-    fp = FeatureParams.from_spec(small_spec(seed=seed, logit_flip_rate=flip_rate, scene_offset_sigma=offset_sigma))
+    fp = small_spec(seed=seed, logit_flip_rate=flip_rate, scene_offset_sigma=offset_sigma)
     nodes = [Node(i, label, (0.0, 0.0, 1.0, 1.0), s) for i, (label, s) in enumerate(labelled_seeds)]
     record = SceneRecord("scene-00007", nodes, [])
     got_appearance, got_logits = fp.node_features(record)
@@ -539,9 +548,8 @@ def test_node_features_match_per_node_oracle(flip_rate, seed, offset_sigma, labe
 def test_preparing_a_scene_seeds_no_generator_per_node(monkeypatch):
     spec = small_spec(n_entity_categories=33, related_pairs=15, nodes_per_scene=10, n_scenes=1)
     record = generate(spec)[0]
-    fp = FeatureParams.from_spec(spec)
     for node in record.nodes:
-        fp.prototype(node.label)
+        spec.prototype(node.label)
     calls = []
     default_rng, seed_sequence = np.random.default_rng, np.random.SeedSequence
 
@@ -553,12 +561,12 @@ def test_preparing_a_scene_seeds_no_generator_per_node(monkeypatch):
 
     monkeypatch.setattr(np.random, "default_rng", counted(default_rng))
     monkeypatch.setattr(np.random, "SeedSequence", counted(seed_sequence))
-    prepare_scene(record, fp)
+    prepare_scene(record, spec)
     assert calls == []
 
 
 def test_scene_offset_shared_and_deterministic():
-    fp = FeatureParams.from_spec(small_spec(scene_offset_sigma=0.7))
+    fp = small_spec(scene_offset_sigma=0.7)
     one = fp.scene_offset("scene-00012")
     two = fp.scene_offset("scene-00012")
     other = fp.scene_offset("scene-00013")
@@ -566,10 +574,10 @@ def test_scene_offset_shared_and_deterministic():
     assert one.shape == (fp.d_appearance,)
     assert np.abs(one - other).max() > 1e-6
     # magnitude tracks the configured spread
-    wide = FeatureParams.from_spec(small_spec(scene_offset_sigma=1.4))
+    wide = small_spec(scene_offset_sigma=1.4)
     np.testing.assert_allclose(wide.scene_offset("scene-00012"), 2.0 * one)
 
 
 def test_scene_offset_zero_sigma_is_exactly_zero():
-    fp = FeatureParams.from_spec(small_spec())
+    fp = small_spec()
     np.testing.assert_array_equal(fp.scene_offset("scene-00000"), 0.0)

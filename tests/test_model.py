@@ -5,7 +5,7 @@ import pytest
 
 from sggkit.attract_repel import ReferenceBank, sample_negatives, update_references
 from sggkit.autodiff import NumericError, Tape, softmax_rows
-from sggkit.data import PREDICATE_NO_RELATION, Edge, FeatureParams, GeneratorSpec, Node, SceneRecord, generate, split_scenes
+from sggkit.data import PREDICATE_NO_RELATION, Edge, GeneratorSpec, Node, SceneRecord, generate, split_scenes
 from helpers import chain_gih, chain_lih, grad_check, loop_prepare_scene
 from sggkit import model as model_module
 from sggkit import propagation
@@ -62,7 +62,7 @@ def tiny_config(**kw):
 
 def scene_and_fp(spec=None):
     spec = spec or tiny_spec()
-    return generate(spec)[0], FeatureParams.from_spec(spec)
+    return generate(spec)[0], spec
 
 
 # ---------------------------------------------------------------------------
@@ -70,7 +70,7 @@ def scene_and_fp(spec=None):
 
 
 def test_prepare_scene_rejects_unordered_box():
-    fp = FeatureParams.from_spec(tiny_spec())
+    fp = tiny_spec()
     prepare_scene(SceneRecord("good", [Node(0, 1, (0.1, 0.1, 0.5, 0.5), 3)], []), fp)
     with pytest.raises(ValueError, match="scene bad: node 0 box .* unit box"):
         prepare_scene(SceneRecord("bad", [Node(0, 1, (0.6, 0.1, 0.5, 0.5), 3)], []), fp)
@@ -148,17 +148,16 @@ def test_prepare_scene_matches_per_edge_loop_oracle():
     """Byte for byte, with node ids out of row order and a scene offset."""
     rng = np.random.default_rng(13)
     spec = tiny_spec(nodes_per_scene=6, n_scenes=6, scene_offset_sigma=0.7, seed=4)
-    fp = FeatureParams.from_spec(spec)
     for record in generate(spec):
         perm = rng.permutation(len(record.nodes))
         shuffled = replace(record, nodes=[record.nodes[i] for i in perm])
         for scene in (record, shuffled):
-            _assert_matches_loop_oracle(prepare_scene(scene, fp), loop_prepare_scene(scene, fp))
+            _assert_matches_loop_oracle(prepare_scene(scene, spec), loop_prepare_scene(scene, spec))
 
 
 def test_prepared_scene_holds_no_dense_adjacency():
     spec = GeneratorSpec(nodes_per_scene=17, n_scenes=1, seed=5)
-    prep = prepare_scene(generate(spec)[0], FeatureParams.from_spec(spec))
+    prep = prepare_scene(generate(spec)[0], spec)
     dense = (prep.n_nodes + prep.n_edges) ** 2
     assert prep.n_edges == 17 * 16
     arrays = [v for v in (*vars(prep).values(), *vars(prep.adjacency).values()) if isinstance(v, np.ndarray)]
@@ -167,8 +166,7 @@ def test_prepared_scene_holds_no_dense_adjacency():
 
 def test_scenes_of_one_node_count_share_a_read_only_graph():
     spec = tiny_spec(nodes_per_scene=6, n_scenes=2)
-    fp = FeatureParams.from_spec(spec)
-    first, second = (prepare_scene(r, fp) for r in generate(spec))
+    first, second = (prepare_scene(r, spec) for r in generate(spec))
     rows, adjacency = model_module._candidate_graph(6)
     assert first.adjacency is second.adjacency is adjacency
     assert model_module._candidate_graph(6)[0] is rows
@@ -179,7 +177,7 @@ def test_scenes_of_one_node_count_share_a_read_only_graph():
     with pytest.raises(FrozenInstanceError):
         adjacency.subjects = adjacency.objects
     for prep in (first, second):  # the writes above changed nothing
-        _assert_matches_loop_oracle(prep, loop_prepare_scene(prep.record, fp))
+        _assert_matches_loop_oracle(prep, loop_prepare_scene(prep.record, spec))
 
 
 @pytest.fixture
@@ -200,9 +198,8 @@ def test_candidate_graph_built_once_per_node_count(monkeypatch, empty_graph_cach
     six = tiny_spec(nodes_per_scene=6, n_scenes=12)
     records = generate(six)
     records[6:6] = generate(tiny_spec(nodes_per_scene=4, n_scenes=3))  # N = 4 between N = 6 scenes
-    fp = FeatureParams.from_spec(six)  # the specs differ only in node count
     for record in records:
-        prepare_scene(record, fp)
+        prepare_scene(record, six)  # the specs differ only in node count
     assert built == [6, 4]
 
 
@@ -212,9 +209,8 @@ def test_prepare_scene_matches_loop_oracle_across_alternating_node_counts():
              for n in (2, 6, 17)}
     for i in range(2):
         for n, spec in specs.items():
-            fp = FeatureParams.from_spec(spec)
             record = generate(spec)[i]
-            _assert_matches_loop_oracle(prepare_scene(record, fp), loop_prepare_scene(record, fp))
+            _assert_matches_loop_oracle(prepare_scene(record, spec), loop_prepare_scene(record, spec))
 
 
 def test_a_tilde_is_a_fresh_writable_array_on_each_access():
@@ -229,7 +225,7 @@ def test_a_tilde_is_a_fresh_writable_array_on_each_access():
 
 def test_forward_leaves_no_dense_array_on_the_adjacency():
     spec = GeneratorSpec(nodes_per_scene=17, n_scenes=1, seed=5)
-    prep = prepare_scene(generate(spec)[0], FeatureParams.from_spec(spec))
+    prep = prepare_scene(generate(spec)[0], spec)
     cfg = tiny_config(d_appearance=spec.d_appearance, n_entity_categories=spec.n_entity_categories,
                       n_predicate_categories=spec.n_predicate_categories)
     Model(cfg).forward(prep)
@@ -241,7 +237,8 @@ def test_forward_leaves_no_dense_array_on_the_adjacency():
 
 def test_prepare_scene_vocabulary_mismatch():
     record, _ = scene_and_fp()
-    bad = FeatureParams(3, 5, 5, 0.5, 0.0, 1.0, seed=1)
+    bad = GeneratorSpec(n_entity_categories=3, n_predicate_categories=5, d_appearance=5, appearance_sigma=0.5,
+                        logit_flip_rate=0.0, logit_scale=1.0, seed=1)
     with pytest.raises(ValueError, match="entity label"):
         prepare_scene(record, bad)
 
@@ -284,7 +281,7 @@ def test_probability_rows_sum_to_one_across_variants():
 
 
 def test_single_proposal_no_edges():
-    fp = FeatureParams.from_spec(tiny_spec())
+    fp = tiny_spec()
     record = SceneRecord("solo", [Node(0, 3, (0.1, 0.2, 0.6, 0.9), 7)], [])
     prep = prepare_scene(record, fp)
     out = Model(tiny_config()).forward(prep)
@@ -294,7 +291,7 @@ def test_single_proposal_no_edges():
 
 
 def test_identical_proposals_get_identical_node_rows():
-    fp = FeatureParams.from_spec(tiny_spec())
+    fp = tiny_spec()
     nodes = [Node(0, 2, (0.1, 0.1, 0.4, 0.4), 5), Node(1, 2, (0.1, 0.1, 0.4, 0.4), 5)]
     record = SceneRecord("twins", nodes, [])
     out = Model(tiny_config(gih_variant="none")).forward(prepare_scene(record, fp))
@@ -303,7 +300,7 @@ def test_identical_proposals_get_identical_node_rows():
 
 
 def test_node_head_matches_hand_matrix_product():
-    fp = FeatureParams.from_spec(tiny_spec())
+    fp = tiny_spec()
     record = SceneRecord("h", [Node(0, 1, (0.0, 0.0, 1.0, 1.0), 3)], [])
     cfg = tiny_config(d_node=2, d_edge=2, n_entity_categories=11, gih_variant="none", use_lih=False, fusion="union")
     model = Model(cfg)
@@ -380,7 +377,7 @@ def test_perfect_one_hot_predictions_loss_near_zero():
 
 
 def _three_node_scene(edges):
-    fp = FeatureParams(n_entity_categories=4, n_predicate_categories=3, d_appearance=3,
+    fp = GeneratorSpec(n_entity_categories=4, n_predicate_categories=3, d_appearance=3,
                        appearance_sigma=0.5, logit_flip_rate=0.0, logit_scale=1.0, seed=3)
     nodes = [Node(0, 1, (0.0, 0.0, 0.4, 0.4), 11), Node(1, 2, (0.2, 0.1, 0.8, 0.7), 12),
              Node(2, 3, (0.5, 0.5, 1.0, 1.0), 13)]
@@ -432,7 +429,7 @@ def test_loss_rejects_out_of_range_labels():
 
 
 def test_end_to_end_gradients_on_three_node_six_edge_toy():
-    fp = FeatureParams(n_entity_categories=4, n_predicate_categories=3, d_appearance=3,
+    fp = GeneratorSpec(n_entity_categories=4, n_predicate_categories=3, d_appearance=3,
                        appearance_sigma=0.6, logit_flip_rate=0.2, logit_scale=1.5, seed=2)
     nodes = [Node(0, 1, (0.0, 0.0, 0.4, 0.4), 11), Node(1, 2, (0.2, 0.1, 0.8, 0.7), 12),
              Node(2, 3, (0.5, 0.5, 1.0, 1.0), 13)]
@@ -472,7 +469,7 @@ def test_default_training_step_records_27_entries():
     record.
     """
     spec = GeneratorSpec(n_scenes=4)
-    prep = prepare_scene(generate(spec)[0], FeatureParams.from_spec(spec))
+    prep = prepare_scene(generate(spec)[0], spec)
     assert prep.n_nodes == 6
     cfg = ModelConfig()
     model = Model(cfg)
@@ -516,11 +513,10 @@ def test_training_step_matches_record_chains_bytes(n_nodes, overrides, monkeypat
     """A step with the fused lih and gih records equals, byte for byte, one that runs the
     record-per-operation chains they replace, down to every parameter gradient."""
     spec = GeneratorSpec(n_scenes=2, nodes_per_scene=max(n_nodes, 6))
-    fp = FeatureParams.from_spec(spec)
     record = generate(spec)[0]
     if n_nodes == 1:  # GIH over one node row and no edge rows
         record = SceneRecord("solo", record.nodes[:1], [])
-    prep = prepare_scene(record, fp)
+    prep = prepare_scene(record, spec)
     assert prep.n_nodes == n_nodes
     cfg = ModelConfig(**overrides)
     bank = ReferenceBank(cfg.n_predicate_categories, cfg.d_edge, seed=9)
@@ -533,7 +529,7 @@ def test_training_step_matches_record_chains_bytes(n_nodes, overrides, monkeypat
 
 
 def _four_node_scene():
-    fp = FeatureParams(n_entity_categories=5, n_predicate_categories=3, d_appearance=3,
+    fp = GeneratorSpec(n_entity_categories=5, n_predicate_categories=3, d_appearance=3,
                        appearance_sigma=0.6, logit_flip_rate=0.2, logit_scale=1.5, seed=3)
     nodes = [Node(i, label, box, 20 + i) for i, (label, box) in enumerate([
         (1, (0.0, 0.0, 0.4, 0.4)), (2, (0.2, 0.1, 0.8, 0.7)), (3, (0.5, 0.5, 1.0, 1.0)), (4, (0.1, 0.6, 0.5, 0.9))])]
@@ -589,7 +585,7 @@ def test_zero_learning_rate_leaves_parameters_bit_identical():
     spec = tiny_spec(n_scenes=6)
     records = generate(spec)
     cfg = tiny_config(learning_rate=0.0, epochs=3)
-    result = train(cfg, records, FeatureParams.from_spec(spec))
+    result = train(cfg, records, spec)
     fresh = Model(tiny_config(learning_rate=0.0, epochs=3))
     for name, p in result.model.params.items():
         np.testing.assert_array_equal(p.data, fresh.params[name].data)
@@ -598,9 +594,8 @@ def test_zero_learning_rate_leaves_parameters_bit_identical():
 def test_training_is_deterministic_given_seed():
     spec = tiny_spec(n_scenes=8)
     records = generate(spec)
-    fp = FeatureParams.from_spec(spec)
-    r1 = train(tiny_config(epochs=2), records, fp, eval_records=records[:4], metrics_every=1)
-    r2 = train(tiny_config(epochs=2), records, fp, eval_records=records[:4], metrics_every=1)
+    r1 = train(tiny_config(epochs=2), records, spec, eval_records=records[:4], metrics_every=1)
+    r2 = train(tiny_config(epochs=2), records, spec, eval_records=records[:4], metrics_every=1)
     assert [vars(e) for e in r1.log] == [vars(e) for e in r2.log]
     for name, p in r1.model.params.items():
         np.testing.assert_array_equal(p.data, r2.model.params[name].data)
@@ -610,7 +605,7 @@ def test_training_is_deterministic_given_seed():
 def test_training_loss_decreases_over_first_epochs():
     spec = tiny_spec(n_scenes=40)
     records = generate(spec)
-    result = train(tiny_config(epochs=5), records, FeatureParams.from_spec(spec))
+    result = train(tiny_config(epochs=5), records, spec)
     totals = [e.loss_entity + e.loss_predicate + e.loss_attract_repel for e in result.log]
     assert all(b < a for a, b in zip(totals, totals[1:]))
 
@@ -620,27 +615,26 @@ def test_training_aborts_on_numeric_blowup_with_context():
     records = generate(spec)
     cfg = tiny_config(learning_rate=1e12, epochs=4, w_ar=0.0)
     with pytest.raises(NumericError, match="epoch"):
-        train(cfg, records, FeatureParams.from_spec(spec))
+        train(cfg, records, spec)
 
 
 def test_train_rejects_vocabulary_mismatch_and_empty_corpus():
     spec = tiny_spec(n_scenes=4)
     records = generate(spec)
     with pytest.raises(ValueError, match="categories"):
-        train(tiny_config(n_entity_categories=9), records, FeatureParams.from_spec(spec))
+        train(tiny_config(n_entity_categories=9), records, spec)
     with pytest.raises(ValueError, match="at least one scene"):
-        train(tiny_config(), [], FeatureParams.from_spec(spec))
+        train(tiny_config(), [], spec)
 
 
 def test_training_improves_heldout_metrics_on_planted_rule():
     spec = tiny_spec(n_scenes=60, seed=2)
     records = generate(spec)
     train_recs, held = split_scenes(records, 12)
-    fp = FeatureParams.from_spec(spec)
     cfg = tiny_config(epochs=8, seed=1)
-    result = train(cfg, train_recs, fp, eval_records=held, metrics_every=8, ks_recall=(4,), ks_pair=(2,))
+    result = train(cfg, train_recs, spec, eval_records=held, metrics_every=8, ks_recall=(4,), ks_pair=(2,))
     final = result.log[-1].metrics
-    start = evaluate(Model(cfg), [prepare_scene(r, fp) for r in held], ks_recall=(4,), ks_pair=(2,))
+    start = evaluate(Model(cfg), [prepare_scene(r, spec) for r in held], ks_recall=(4,), ks_pair=(2,))
     assert final["R@4"] > start["R@4"]
     assert final["pR@2"] >= start["pR@2"]
 
@@ -652,8 +646,7 @@ def test_training_improves_heldout_metrics_on_planted_rule():
 def test_checkpoint_round_trip(tmp_path):
     spec = tiny_spec(n_scenes=6)
     records = generate(spec)
-    fp = FeatureParams.from_spec(spec)
-    result = train(tiny_config(epochs=1), records, fp)
+    result = train(tiny_config(epochs=1), records, spec)
     path = tmp_path / "model.ckpt.json"
     save_checkpoint(path, result.model, result.bank)
     model, bank = load_checkpoint(path)
@@ -663,7 +656,7 @@ def test_checkpoint_round_trip(tmp_path):
     np.testing.assert_array_equal(bank.refs, result.bank.refs)
     np.testing.assert_array_equal(bank.counts, result.bank.counts)
     assert bank.rng.bit_generator.state == result.bank.rng.bit_generator.state
-    preps = [prepare_scene(r, fp) for r in records]
+    preps = [prepare_scene(r, spec) for r in records]
     e1 = evaluate(result.model, preps, ks_recall=(4,), ks_pair=(2,))
     e2 = evaluate(model, preps, ks_recall=(4,), ks_pair=(2,))
     assert e1 == e2
@@ -674,8 +667,7 @@ def test_checkpoint_version_and_shape_guards(tmp_path):
 
     spec = tiny_spec(n_scenes=4)
     records = generate(spec)
-    fp = FeatureParams.from_spec(spec)
-    result = train(tiny_config(epochs=1), records, fp)
+    result = train(tiny_config(epochs=1), records, spec)
     path = tmp_path / "model.ckpt.json"
     save_checkpoint(path, result.model, result.bank)
     payload = json.loads(path.read_text())

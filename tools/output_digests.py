@@ -76,14 +76,9 @@ TOLERANCE = 1e-12  # relative to max(1, |parent value|)
 
 
 def run(main, argv: list[str]) -> None:
-    """One CLI command, recorded in its manifest as `sggkit <argv>`."""
-    saved = sys.argv
-    sys.argv = ["sggkit", *argv]
-    try:
-        with contextlib.redirect_stdout(io.StringIO()):
-            code = main(argv)
-    finally:
-        sys.argv = saved
+    """One CLI command, run in this process with its output discarded."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
     if code != 0:
         raise SystemExit(f"sggkit {' '.join(argv)} exited {code}")
 
@@ -207,7 +202,7 @@ def probe(main, reference: str) -> None:
     """
     from sggkit.attract_repel import sample_negatives
     from sggkit.autodiff import Tape
-    from sggkit.data import PREDICATE_NO_RELATION, FeatureParams, GeneratorSpec, read_scenes
+    from sggkit.data import PREDICATE_NO_RELATION, GeneratorSpec, read_scenes
     from sggkit.model import load_checkpoint, prepare_scene, total_loss
 
     runs = [(tag, tag, "corpus.sgjsonl") for tag in TAGS] + [("stress", "parallel-gih-lih", "stress/corpus.sgjsonl")]
@@ -219,8 +214,8 @@ def probe(main, reference: str) -> None:
         evaluate(main, corpus, ckpt, out_dir, rescore=True)
         model, bank = load_checkpoint(ckpt)
         with open(f"{corpus}.meta.json", encoding="utf-8") as fh:
-            fp = FeatureParams.from_spec(GeneratorSpec.from_dict(json.load(fh)["spec"]))
-        preps = [prepare_scene(record, fp) for record in read_scenes(corpus)]
+            spec = GeneratorSpec.from_dict(json.load(fh)["spec"])
+        preps = [prepare_scene(record, spec) for record in read_scenes(corpus)]
         np.savez(f"{out_dir}/logits.npz", **{prep.scene_id: model.forward(prep).edge_logits.data for prep in preps})
         prep = preps[0]
         with Tape() as tape:
