@@ -36,6 +36,7 @@ innermost.
 from __future__ import annotations
 
 import functools
+from collections.abc import Callable
 
 import numpy as np
 
@@ -570,3 +571,7 @@ def uniform_init(rng: np.random.Generator, rows: int, cols: int, fan_in: int | N
         raise ShapeError(f"uniform_init: fan_in must be positive, got {fan}")
     bound = 1.0 / np.sqrt(fan)
     return Matrix(rng.uniform(-bound, bound, size=(rows, cols)))
+
+
+# param(name, rows, cols, fan_in=None) -> Matrix: a component init's source of the matrix named `name`
+Param = Callable[..., Matrix]

@@ -144,8 +144,12 @@ def _write_manifest(args, out_path, config_snapshot, inputs, outputs, wall_clock
         "outputs": {str(p): _sha256(p) for p in outputs},
         "wall_clock_seconds": wall_clock,
     }
-    with open(f"{out_path}.manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=1)
+    _write_json(f"{out_path}.manifest.json", manifest)
+
+
+def _write_json(path, obj) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, sort_keys=True, indent=1)
         fh.write("\n")
 
 
@@ -208,9 +212,7 @@ def cmd_generate(args) -> int:
         "realized_asymmetric_fraction": rule.realized_asymmetric_fraction,
     }
     meta_path = f"{args.out}.meta.json"
-    with open(meta_path, "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    _write_json(meta_path, meta)
     inputs = [args.config] if args.config else []
     _write_manifest(args, args.out, asdict(spec), inputs, [args.out, meta_path], time.perf_counter() - t0)
     frac = rule.realized_asymmetric_fraction
@@ -404,9 +406,7 @@ def cmd_br_build(args) -> int:
     subset, summary = build_bidirectional_subset(records)
     write_scenes(args.out, subset)
     summary_path = f"{args.out}.summary.json"
-    with open(summary_path, "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    _write_json(summary_path, summary)
     _write_manifest(args, args.out, {}, [args.corpus], [args.out, summary_path], time.perf_counter() - t0)
     print(f"kept {summary['scenes_retained']} of {summary['scenes_in']} scenes, "
           f"{summary['pairs']} bidirectional pairs")

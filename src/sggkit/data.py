@@ -190,7 +190,7 @@ class SceneRecord:
             seen_pairs.add((e.subject, e.object))
 
 
-@dataclass
+@dataclass(frozen=True)  # the prototype cache holds draws from the fields, so they cannot change
 class GeneratorSpec(ConfigSchema):
     """Knobs of the planted-rule corpus, and the feature synthesis that reads them.
 

@@ -33,9 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .autodiff import Matrix, arranged_mlp, uniform_init
+from .autodiff import Matrix, Param, arranged_mlp
 
 S, O, U = 0, 1, 2  # the positions of z_s, z_o and z_u in the roles arranged_mlp reads
 
@@ -64,13 +62,9 @@ class FusionParams:
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown fusion variant {self.variant!r}, expected one of {VARIANTS}")
 
-    def named(self, prefix: str) -> dict[str, Matrix]:
-        return {f"{prefix}.{stage}.{'wb'[i % 2]}{i // 2}": m
-                for stage, weights in (("psi", self.psi), ("pre", self.pre or ())) for i, m in enumerate(weights)}
-
 
 def init_fusion_params(
-    rng: np.random.Generator,
+    param: Param,
     variant: str,
     d: int,
     d_e: int,
@@ -82,13 +76,14 @@ def init_fusion_params(
     if hidden is None:
         hidden = 2 * d_e
 
-    def mlp(d_in: int, d_out: int) -> tuple[Matrix, ...]:
+    def mlp(stage: str, d_in: int, d_out: int) -> tuple[Matrix, ...]:
         dims = [d_in, hidden, d_out] if hidden else [d_in, d_out]
         # each layer draws its weight, then its bias
-        return tuple(m for a, b in zip(dims, dims[1:]) for m in (uniform_init(rng, a, b), uniform_init(rng, 1, b, fan_in=a)))
+        return tuple(m for i, (a, b) in enumerate(zip(dims, dims[1:]))
+                     for m in (param(f"{stage}.w{i}", a, b), param(f"{stage}.b{i}", 1, b, fan_in=a)))
 
-    pre = mlp(2 * d, d) if variant == "sequential" else None
-    return FusionParams(variant, mlp(len(ORDERS[variant][0]) * d, d_e), pre)
+    pre = mlp("pre", 2 * d, d) if variant == "sequential" else None
+    return FusionParams(variant, mlp("psi", len(ORDERS[variant][0]) * d, d_e), pre)
 
 
 def encode_edges(z_s: Matrix, z_o: Matrix, z_u: Matrix, params: FusionParams) -> Matrix:

@@ -14,9 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .autodiff import Matrix, lih, uniform_init
+from .autodiff import Matrix, Param, lih
 
 
 @dataclass
@@ -28,17 +26,14 @@ class LihParams:
     w_v: Matrix
     w_f: Matrix
 
-    def named(self, prefix: str) -> dict[str, Matrix]:
-        return {f"{prefix}.{role}": m for role, m in vars(self).items()}
 
-
-def init_lih_params(rng: np.random.Generator, d: int, d_att: int | None = None) -> LihParams:
+def init_lih_params(param: Param, d: int, d_att: int | None = None) -> LihParams:
     d_att = d if d_att is None else d_att
     return LihParams(
-        w_q=uniform_init(rng, d, d_att),
-        w_k=uniform_init(rng, d, d_att),
-        w_v=uniform_init(rng, d, d_att),
-        w_f=uniform_init(rng, d_att, d),
+        w_q=param("w_q", d, d_att),
+        w_k=param("w_k", d, d_att),
+        w_v=param("w_v", d, d_att),
+        w_f=param("w_f", d_att, d),
     )
 
 

@@ -27,6 +27,7 @@ from .autodiff import (
     Constant,
     Matrix,
     NumericError,
+    Param,
     Tape,
     add,
     gather_rows,
@@ -233,40 +234,35 @@ class ForwardResult:
 
 
 class Model:
-    """Holds all learnable matrices in a flat named dictionary."""
+    """Holds all learnable matrices in a flat dictionary, by checkpoint name."""
 
-    def __init__(self, config: ModelConfig):
+    def __init__(self, config: ModelConfig, saved: dict | None = None):
+        """Draws each parameter from the config seed, or takes it from `saved`, a checkpoint's params,
+        naming it as it comes; the lih, fusion and prop inits name theirs under those prefixes."""
         config.validate()
         self.config = config
-        rng = np.random.default_rng([_STREAM_PARAMS, config.seed])
+        self.params: dict[str, Matrix] = {}
+        rng = np.random.default_rng([_STREAM_PARAMS, config.seed]) if saved is None else None
+
+        def param(name: str, rows: int, cols: int, fan_in: int | None = None) -> Matrix:
+            matrix = uniform_init(rng, rows, cols, fan_in) if saved is None else _saved_matrix(saved, name, rows, cols)
+            self.params[name] = matrix
+            return matrix
+
+        def under(prefix: str) -> Param:
+            return lambda name, rows, cols, fan_in=None: param(f"{prefix}.{name}", rows, cols, fan_in)
+
         d, d_e = config.d_node, config.d_edge
         in_node = config.d_appearance + 4 + config.n_entity_categories
         in_union = 2 * config.d_appearance + 4
-        self.node_map = (uniform_init(rng, in_node, d), uniform_init(rng, 1, d, fan_in=in_node))
-        self.union_map = (uniform_init(rng, in_union, d), uniform_init(rng, 1, d, fan_in=in_union))
-        self.lih: LihParams | None = init_lih_params(rng, d, config.d_attention) if config.use_lih else None
-        self.fusion = init_fusion_params(rng, config.fusion, d, d_e, hidden=config.fusion_hidden)
-        self.prop = init_propagation(rng, config.gih_variant, d, config.gih_layers)
-        self.entity_head = (uniform_init(rng, d, config.n_entity_categories), uniform_init(rng, 1, config.n_entity_categories, fan_in=d))
-        self.predicate_head = (uniform_init(rng, d_e, config.n_predicate_categories), uniform_init(rng, 1, config.n_predicate_categories, fan_in=d_e))
-        self.params = self._collect_params()
-
-    def _collect_params(self) -> dict[str, Matrix]:
-        params: dict[str, Matrix] = {
-            "node_map.w": self.node_map[0],
-            "node_map.b": self.node_map[1],
-            "union_map.w": self.union_map[0],
-            "union_map.b": self.union_map[1],
-        }
-        if self.lih is not None:
-            params.update(self.lih.named("lih"))
-        params.update(self.fusion.named("fusion"))
-        params.update(self.prop.named("prop"))
-        params.update({
-            "entity_head.w": self.entity_head[0], "entity_head.b": self.entity_head[1],
-            "predicate_head.w": self.predicate_head[0], "predicate_head.b": self.predicate_head[1],
-        })
-        return params
+        self.node_map = (param("node_map.w", in_node, d), param("node_map.b", 1, d, fan_in=in_node))
+        self.union_map = (param("union_map.w", in_union, d), param("union_map.b", 1, d, fan_in=in_union))
+        self.lih: LihParams | None = init_lih_params(under("lih"), d, config.d_attention) if config.use_lih else None
+        self.fusion = init_fusion_params(under("fusion"), config.fusion, d, d_e, hidden=config.fusion_hidden)
+        self.prop = init_propagation(under("prop"), config.gih_variant, d, config.gih_layers)
+        n_ent, n_pred = config.n_entity_categories, config.n_predicate_categories
+        self.entity_head = (param("entity_head.w", d, n_ent), param("entity_head.b", 1, n_ent, fan_in=d))
+        self.predicate_head = (param("predicate_head.w", d_e, n_pred), param("predicate_head.b", 1, n_pred, fan_in=d_e))
 
     def forward(self, prep: PreparedScene) -> ForwardResult:
         cfg = self.config
@@ -471,6 +467,7 @@ def _check_vocabulary(config: ModelConfig, spec: GeneratorSpec) -> None:
 # evaluation
 
 
+@np.errstate(over="ignore", invalid="ignore")  # as in train: a non-finite value raises only NumericError
 def predict_scene(model: Model, prep: PreparedScene, graph_constraint: bool = True):
     """Ranked triplets for one scene (no gradients recorded)."""
     out = model.forward(prep)
@@ -518,6 +515,23 @@ def save_checkpoint(path, model: Model, bank: ReferenceBank) -> None:
         fh.write("\n")
 
 
+def _saved_matrix(saved: dict, name: str, rows: int, cols: int) -> Matrix:
+    """Parameter `name` from a checkpoint's params, checked to be present, numeric, (rows, cols) and finite
+    before anything of that shape is allocated, so a huge config fails at its first parameter that does not fit."""
+    if name not in saved:
+        raise ValueError(f"parameter {name}: missing")
+    try:
+        arr = np.asarray(saved[name])
+    except ValueError as exc:  # a ragged list
+        raise ValueError(f"parameter {name}: {exc}") from exc
+    if arr.dtype.kind not in "iuf" or arr.shape != (rows, cols):  # bool, str, null and ints past int64 fail
+        raise ValueError(f"parameter {name}: expected numbers in shape {(rows, cols)}, "
+                         f"got {arr.dtype} in shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"parameter {name}: holds a non-finite value")
+    return Matrix(arr.astype(np.float64, copy=False))
+
+
 def load_checkpoint(path) -> tuple[Model, ReferenceBank]:
     """A checkpoint's model and bank; a fault raises a ValueError naming `path` and the faulty part."""
     with open(path, "rb") as fh:
@@ -531,21 +545,15 @@ def load_checkpoint(path) -> tuple[Model, ReferenceBank]:
         raise ValueError(f"{path}: unsupported checkpoint version {shown(version)}")
     part = "config"
     try:
-        model = Model(ModelConfig.from_dict(payload["config"]))
+        config = ModelConfig.from_dict(payload["config"])
+        config.validate()
         part = "params"
-        if set(payload["params"]) != set(model.params):
-            raise ValueError("names do not match the configuration")
-        for name, p in model.params.items():
-            part = f"parameter {name}"
-            arr = np.asarray(payload["params"][name])
-            if arr.dtype.kind not in "iuf" or arr.shape != p.data.shape:  # bool, str, null and ints past int64 fail
-                raise ValueError(f"expected numbers in shape {p.data.shape}, got {arr.dtype} in shape {arr.shape}")
-            if not np.isfinite(arr).all():
-                raise ValueError("holds a non-finite value")
-            p.data = arr.astype(np.float64, copy=False)
+        model = Model(config, saved=payload["params"])
+        if unknown := set(payload["params"]) - set(model.params):
+            raise ValueError(f"names the configuration does not give: {shown(sorted(unknown))}")
         part = "bank"
         bank = ReferenceBank.from_state(payload["bank"])
-        if bank.n_categories != model.config.n_predicate_categories or bank.dim != model.config.d_edge:
+        if bank.n_categories != config.n_predicate_categories or bank.dim != config.d_edge:
             raise ValueError("size does not match the configuration")
     except (TypeError, ValueError, KeyError, IndexError, OverflowError) as exc:
         raise ValueError(f"{path}: invalid checkpoint {part} ({exc})") from exc

@@ -41,6 +41,7 @@ import numpy as np
 from .autodiff import (
     Constant,
     Matrix,
+    Param,
     ShapeError,
     add,
     gih,
@@ -49,7 +50,6 @@ from .autodiff import (
     matmul,
     relu,
     transpose,
-    uniform_init,
 )
 
 
@@ -152,27 +152,20 @@ class PropagationParams:
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown propagation variant {self.variant!r}, expected one of {VARIANTS}")
 
-    def named(self, prefix: str) -> dict[str, Matrix]:
-        out = {}
-        for i, layer in enumerate(self.layers):
-            for role, m in zip(("w", "a_src", "a_dst"), layer):
-                out[f"{prefix}.{role}{i}"] = m
-        return out
 
-
-def init_propagation(rng: np.random.Generator, variant: str, d: int, n_layers: int = 4) -> PropagationParams:
+def init_propagation(param: Param, variant: str, d: int, n_layers: int = 4) -> PropagationParams:
     if variant == "gih":
         # The unnormalized block adjacency multiplies feature magnitudes by its
         # spectral radius (about 9 when every ordered pair of 6 nodes is a
         # candidate edge), so the weights start 10x smaller than plain fan-in
         # scaling to keep a 4-layer stack near unit gain.
-        return PropagationParams(variant, [(uniform_init(rng, d, d, fan_in=100 * d),) for _ in range(n_layers)])
+        return PropagationParams(variant, [(param(f"w{i}", d, d, fan_in=100 * d),) for i in range(n_layers)])
     if variant == "gcn":
-        return PropagationParams(variant, [(uniform_init(rng, d, d),) for _ in range(n_layers)])
+        return PropagationParams(variant, [(param(f"w{i}", d, d),) for i in range(n_layers)])
     if variant == "gat":
         return PropagationParams(variant, [
-            (uniform_init(rng, d, d), uniform_init(rng, d, 1, fan_in=2 * d), uniform_init(rng, d, 1, fan_in=2 * d))
-            for _ in range(n_layers)
+            (param(f"w{i}", d, d), param(f"a_src{i}", d, 1, fan_in=2 * d), param(f"a_dst{i}", d, 1, fan_in=2 * d))
+            for i in range(n_layers)
         ])
     return PropagationParams(variant, [])  # none; an unknown name is rejected here
 

@@ -6,11 +6,16 @@ stay independent of the library's vectorized or dict-based shortcuts.
 
 import numpy as np
 
-from sggkit.autodiff import Constant, ShapeError, Tape, _finish, add, linear_map, matmul, relu
+from sggkit.autodiff import Constant, ShapeError, Tape, _finish, add, linear_map, matmul, relu, uniform_init
 from sggkit.data import _STREAM_APPEAR, _STREAM_LOGITS, Edge, Node, SceneRecord
 from sggkit.fusion import ORDERS
 from sggkit.metrics import GroundTruthGraph, rank_triplets
 from sggkit.propagation import GraphState
+
+
+def drawn(rng):
+    """A param callable for the component inits that draws each matrix from rng, as Model does."""
+    return lambda name, rows, cols, fan_in=None: uniform_init(rng, rows, cols, fan_in)
 
 
 def grad_check(f, params, eps=1e-5):

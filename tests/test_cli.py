@@ -638,13 +638,12 @@ def test_float_near_max_in_an_input_is_one_numeric_failure_line(where, corpus, c
     assert err.startswith("numeric failure: ") and err.count("\n") == 1
 
 
-# JSON text of a generated value: ints within +-1000 and ints past Python's 4,300-digit limit, every
-# finite float, NaN, infinities, strings (a lone surrogate and a newline among them), lists and objects.
-# Ints in between are left out, as a fault of their own (see ROADMAP): a checkpoint width or layer
-# count of 10**6 makes Model allocate that many rows (or loop that many layers) before any parameter
-# shape is checked.
+# JSON text of a generated value: every int64, ints past Python's 4,300-digit limit, every finite
+# float, NaN, infinities, strings (a lone surrogate and a newline among them), lists and objects. A
+# checkpoint width or layer count up to 2**63 - 1 exits 2 at its first parameter that does not fit,
+# since load_checkpoint checks each saved parameter before allocating anything of the config's size.
 _json_leaf = st.one_of(
-    st.integers(-1000, 1000).map(str),
+    st.integers(-2**63, 2**63 - 1).map(str),
     st.integers(4301, 5001).map(lambda digits: "7" * digits),
     st.floats(allow_nan=False, allow_infinity=False).map(json.dumps),
     st.sampled_from(["NaN", "Infinity", "-Infinity", "1e400", "null", "true", "false", '"\\ud800"', '"a\\nb"']),

@@ -1,6 +1,6 @@
 import json
 import typing
-from dataclasses import asdict, fields, replace
+from dataclasses import FrozenInstanceError, asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -453,6 +453,17 @@ def test_feature_synthesis_leaves_the_spec_fields_and_equality_alone():
     assert spec == replace(spec)
     assert set(GeneratorSpec.field_types()) == {f.name for f in fields(GeneratorSpec)}
     spec.check_types()
+
+
+@pytest.mark.parametrize("name,value", [("seed", 5), ("d_appearance", 3), ("appearance_sigma", 0.1)])
+def test_spec_fields_cannot_be_assigned_after_a_prototype_draw(name, value):
+    """Prototypes are cached per instance, so a field they depend on cannot change under them."""
+    spec = small_spec()
+    first = spec.prototype(1)
+    with pytest.raises(FrozenInstanceError):
+        setattr(spec, name, value)
+    assert spec.prototype(1) is first
+    assert replace(spec, **{name: value}).prototype(1) is not first
 
 
 def test_nearest_prototype_accuracy_degrades_with_sigma():

@@ -6,7 +6,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from helpers import grad_check, loop_encode_edges
+from helpers import drawn, grad_check, loop_encode_edges
 from sggkit import autodiff as ad
 from sggkit.fusion import (
     ORDERS,
@@ -69,7 +69,7 @@ def test_zero_weights_return_triple_bias():
 def test_subject_equal_object_is_swap_invariant():
     rng = np.random.default_rng(1)
     d, d_e = 5, 4
-    params = init_fusion_params(rng, "parallel", d, d_e)
+    params = init_fusion_params(drawn(rng), "parallel", d, d_e)
     z = ad.Matrix(rng.normal(size=(1, d)))
     u = ad.Matrix(rng.normal(size=(1, d)))
     out1 = encode_edges(z, ad.Matrix(z.data.copy()), u, params)
@@ -81,7 +81,7 @@ def test_direction_sensitivity_on_seeded_inputs():
     """Across 1000 seeded draws with z_s != z_o, swapping them moves the code."""
     rng = np.random.default_rng(2)
     d, d_e = 4, 3
-    params = init_fusion_params(rng, "parallel", d, d_e)
+    params = init_fusion_params(drawn(rng), "parallel", d, d_e)
     for _ in range(1000):
         z_s, z_o, z_u = _rows(rng, 1, d)
         fwd = encode_edges(z_s, z_o, z_u, params).data
@@ -92,7 +92,7 @@ def test_direction_sensitivity_on_seeded_inputs():
 def test_union_variant_is_bit_identical_under_swap():
     rng = np.random.default_rng(3)
     d, d_e = 6, 4
-    params = init_fusion_params(rng, "union", d, d_e)
+    params = init_fusion_params(drawn(rng), "union", d, d_e)
     z_s, z_o, z_u = _rows(rng, 3, d)
     fwd = encode_edges(z_s, z_o, z_u, params)
     bwd = encode_edges(z_o, z_s, z_u, params)
@@ -113,7 +113,7 @@ def test_concat_zero_weight_returns_bias():
 def test_sequential_uses_both_stages():
     rng = np.random.default_rng(6)
     d, d_e = 4, 3
-    params = init_fusion_params(rng, "sequential", d, d_e)
+    params = init_fusion_params(drawn(rng), "sequential", d, d_e)
     z_s, z_o, z_u = _rows(rng, 2, d)
     out = encode_edges(z_s, z_o, z_u, params)
     assert out.shape == (2, d_e)
@@ -126,15 +126,15 @@ def test_sequential_uses_both_stages():
 def test_unknown_variant_raises():
     rng = np.random.default_rng(7)
     with pytest.raises(ValueError, match="unknown fusion variant"):
-        init_fusion_params(rng, "cascade", 4, 4)
-    params = init_fusion_params(rng, "union", 4, 4)
+        init_fusion_params(drawn(rng), "cascade", 4, 4)
+    params = init_fusion_params(drawn(rng), "union", 4, 4)
     with pytest.raises(ValueError, match="unknown fusion variant"):
         FusionParams("cascade", params.psi)
 
 
 def test_width_mismatch_raises():
     rng = np.random.default_rng(9)
-    params = init_fusion_params(rng, "parallel", 4, 4)
+    params = init_fusion_params(drawn(rng), "parallel", 4, 4)
     bad = (
         ad.Matrix(rng.normal(size=(1, 4))),
         ad.Matrix(rng.normal(size=(1, 3))),
@@ -146,7 +146,7 @@ def test_width_mismatch_raises():
 
 def test_depth_zero_mlp_is_affine():
     rng = np.random.default_rng(10)
-    params = init_fusion_params(rng, "parallel", 3, 2, hidden=0)
+    params = init_fusion_params(drawn(rng), "parallel", 3, 2, hidden=0)
     assert [m.shape for m in params.psi] == [(9, 2), (1, 2)]
 
 
@@ -154,9 +154,9 @@ def test_depth_zero_mlp_is_affine():
 def test_gradients_per_variant(variant):
     rng = np.random.default_rng(11)
     d, d_e = 3, 2
-    params = init_fusion_params(rng, variant, d, d_e)
+    params = init_fusion_params(drawn(rng), variant, d, d_e)
     z_s, z_o, z_u = _rows(rng, 2, d)
-    mats = [z_s, z_o, z_u, *params.named("fusion").values()]
+    mats = [z_s, z_o, z_u, *params.psi, *(params.pre or ())]
 
     def f():
         out = encode_edges(z_s, z_o, z_u, params)
@@ -168,7 +168,7 @@ def test_gradients_per_variant(variant):
 def test_batch_rows_equal_per_row_encoding():
     rng = np.random.default_rng(12)
     d, d_e, m = 4, 3, 5
-    params = init_fusion_params(rng, "parallel", d, d_e)
+    params = init_fusion_params(drawn(rng), "parallel", d, d_e)
     z_s, z_o, z_u = _rows(rng, m, d)
     batch = encode_edges(z_s, z_o, z_u, params).data
     for i in range(m):
@@ -183,7 +183,7 @@ def test_batch_rows_equal_per_row_encoding():
 
 def _encode_and_backward(encode, inputs, params, g):
     """encode's output and the gradients of sum(output * g) for the inputs and the fusion weights."""
-    weights = list(params.named("fusion").values())
+    weights = [*params.psi, *(params.pre or ())]
     for mat in (*inputs, *weights):
         mat.grad = None
     with ad.Tape() as tape:
@@ -199,7 +199,7 @@ def test_parallel_fusion_matches_arrangement_loop(m, d, hidden, leaf):
     """For every variant, output and every gradient agree with psi run per arrangement, within 1e-12."""
     rng = np.random.default_rng([m, d, hidden])
     for variant in VARIANTS:
-        params = init_fusion_params(rng, variant, d, 3, hidden=hidden)
+        params = init_fusion_params(drawn(rng), variant, d, 3, hidden=hidden)
         data = [rng.normal(size=(m, d)) for _ in range(3)]
         g = rng.normal(size=(m, 3))
         new = _encode_and_backward(encode_edges, [leaf(x) for x in data], params, g)
@@ -214,9 +214,9 @@ def test_parallel_fusion_matches_arrangement_loop(m, d, hidden, leaf):
 def test_parallel_fusion_gradients_without_hidden_layer():
     """The one-layer psi; test_gradients_per_variant checks the default two-layer one."""
     rng = np.random.default_rng(13)
-    params = init_fusion_params(rng, "parallel", 3, 2, hidden=0)
+    params = init_fusion_params(drawn(rng), "parallel", 3, 2, hidden=0)
     z_s, z_o, z_u = _rows(rng, 2, 3)
-    mats = [z_s, z_o, z_u, *params.named("fusion").values()]
+    mats = [z_s, z_o, z_u, *params.psi, *(params.pre or ())]
 
     def f():
         out = encode_edges(z_s, z_o, z_u, params)
@@ -236,7 +236,7 @@ def test_parallel_fusion_checks_role_products_before_summing_them():
 @pytest.mark.parametrize("variant,records", [("union", 1), ("concat", 1), ("sequential", 2), ("parallel", 1)])
 def test_each_variant_records_one_arranged_mlp_per_stage(variant, records):
     rng = np.random.default_rng(14)
-    params = init_fusion_params(rng, variant, 3, 2)
+    params = init_fusion_params(drawn(rng), variant, 3, 2)
     with ad.Tape() as tape:
         encode_edges(*_rows(rng, 2, 3), params)
     assert [name for name, _, _ in tape.records] == ["arranged_mlp"] * records

@@ -6,7 +6,7 @@ equality with the record-per-operation chain that autodiff.lih fuses."""
 import numpy as np
 import pytest
 
-from helpers import chain_lih, concat_rows, grad_check, triple_attention
+from helpers import chain_lih, concat_rows, drawn, grad_check, triple_attention
 from sggkit import autodiff as ad
 from sggkit.local_attention import LihParams, init_lih_params, lih_forward_batch
 from sggkit.model import ModelConfig
@@ -44,7 +44,7 @@ def test_zero_query_key_gives_uniform_attention():
     rng = np.random.default_rng(0)
     d = 5
     t = _triple(rng, d)
-    params = init_lih_params(rng, d)
+    params = init_lih_params(drawn(rng), d)
     params.w_q = ad.Matrix(np.zeros((d, d)))
     params.w_k = ad.Matrix(np.zeros((d, d)))
     alpha = _alpha(t, params)
@@ -56,7 +56,7 @@ def test_identical_inputs_give_symmetric_rows():
     d = 4
     x = rng.normal(size=(1, d))
     t = tuple(ad.Matrix(x.copy()) for _ in range(3))
-    alpha = _alpha(t, init_lih_params(rng, d))
+    alpha = _alpha(t, init_lih_params(drawn(rng), d))
     assert np.allclose(alpha, np.full((3, 3), 1 / 3), atol=1e-12)
 
 
@@ -78,7 +78,7 @@ def test_rows_are_stochastic():
     rng = np.random.default_rng(2)
     for _ in range(10):
         d = int(rng.integers(2, 8))
-        alpha = _alpha(_triple(rng, d), init_lih_params(rng, d))
+        alpha = _alpha(_triple(rng, d), init_lih_params(drawn(rng), d))
         assert (alpha > 0).all()
         np.testing.assert_allclose(alpha.sum(axis=1), 1.0, atol=1e-12)
 
@@ -87,7 +87,7 @@ def test_zero_output_map_is_exact_identity():
     rng = np.random.default_rng(3)
     d = 6
     t = _triple(rng, d)
-    params = init_lih_params(rng, d, d_att=3)
+    params = init_lih_params(drawn(rng), d, d_att=3)
     params.w_f = ad.Matrix(np.zeros((3, d)))
     z = lih_forward_batch(*t, params)
     for got, x in zip(z, t):
@@ -99,7 +99,7 @@ def test_permutation_equivariance():
     rng = np.random.default_rng(4)
     d = 5
     s, o, u = _triple(rng, d)
-    params = init_lih_params(rng, d)
+    params = init_lih_params(drawn(rng), d)
     zs, zo, zu = lih_forward_batch(s, o, u, params)
     ws, wo, wu = lih_forward_batch(ad.Matrix(o.data.copy()), ad.Matrix(s.data.copy()),
                                    ad.Matrix(u.data.copy()), params)
@@ -113,7 +113,7 @@ def test_matches_dense_reference():
         r = np.random.default_rng(seed)
         d = int(r.integers(2, 7))
         t = _triple(r, d)
-        params = init_lih_params(r, d)
+        params = init_lih_params(drawn(r), d)
         got = np.concatenate([z.data for z in lih_forward_batch(*t, params)], axis=0)
         xs = np.concatenate([x.data for x in t], axis=0)
         np.testing.assert_allclose(got, _reference_forward(xs, params), atol=1e-12)
@@ -125,7 +125,7 @@ def test_batch_matches_per_triple_loop():
     d = 5
     for m in (7, 272):
         s, o, u = (ad.Matrix(rng.normal(size=(m, d))) for _ in range(3))
-        params = init_lih_params(rng, d)
+        params = init_lih_params(drawn(rng), d)
         zs, zo, zu = lih_forward_batch(s, o, u, params)
         for i in range(m):
             xs = np.concatenate([s.data[i : i + 1], o.data[i : i + 1], u.data[i : i + 1]], axis=0)
@@ -138,7 +138,7 @@ def test_tape_arrays_grow_linearly_in_triples():
     rng = np.random.default_rng(9)
     d, m = 8, 272
     s, o, u = (ad.Matrix(rng.normal(size=(m, d))) for _ in range(3))
-    params = init_lih_params(rng, d)
+    params = init_lih_params(drawn(rng), d)
     with ad.Tape() as tape:
         lih_forward_batch(s, o, u, params)
     assert tape.records
@@ -155,7 +155,7 @@ def test_gradients_against_central_differences():
     rng = np.random.default_rng(7)
     d = 4
     t = _triple(rng, d)
-    params = init_lih_params(rng, d, d_att=3)
+    params = init_lih_params(drawn(rng), d, d_att=3)
     mats = [*t, params.w_q, params.w_k, params.w_v, params.w_f]
 
     def f():
@@ -170,7 +170,7 @@ def test_batch_gradients_against_central_differences():
     s = ad.Matrix(rng.normal(size=(m, d)))
     o = ad.Matrix(rng.normal(size=(m, d)))
     u = ad.Matrix(rng.normal(size=(m, d)))
-    params = init_lih_params(rng, d)
+    params = init_lih_params(drawn(rng), d)
 
     def f():
         zs, zo, zu = lih_forward_batch(s, o, u, params)
@@ -207,7 +207,7 @@ def test_lih_matches_record_chain_bytes(n_nodes, d, d_att):
     rng = np.random.default_rng(n_nodes)
     m = n_nodes * (n_nodes - 1)
     inputs = [rng.normal(size=(m, d)) for _ in range(3)]
-    params = init_lih_params(rng, d, d_att)
+    params = init_lih_params(drawn(rng), d, d_att)
     targets = [rng.normal(size=(m, d)) for _ in range(2)]
     assert _lih_bytes(lih_forward_batch, inputs, params, targets) == _lih_bytes(chain_lih, inputs, params, targets)
 
@@ -216,7 +216,7 @@ def test_lih_records_once_and_views_its_output():
     rng = np.random.default_rng(10)
     s, o, u = (ad.Matrix(rng.normal(size=(4, 5))) for _ in range(3))
     with ad.Tape() as tape:
-        zs, zo, zu = lih_forward_batch(s, o, u, init_lih_params(rng, 5, 3))
+        zs, zo, zu = lih_forward_batch(s, o, u, init_lih_params(drawn(rng), 5, 3))
     [(name, whole, _)] = tape.records
     assert name == "lih" and whole.shape == (12, 5)
     for i, z in enumerate((zs, zo, zu)):
@@ -228,7 +228,7 @@ def test_non_finite_intermediate_names_lih():
     """An overflowing query map stops LIH before its softmax sees the non-finite logits."""
     rng = np.random.default_rng(11)
     triple = _triple(rng, 3)
-    params = init_lih_params(rng, 3)
+    params = init_lih_params(drawn(rng), 3)
     params.w_q = ad.Matrix(np.full((3, 3), 1e308))
     with np.errstate(over="ignore"), pytest.raises(ad.NumericError, match="^lih produced a non-finite value$"):
         lih_forward_batch(*triple, params)

@@ -1,3 +1,6 @@
+import json
+import re
+import tracemalloc
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -618,6 +621,16 @@ def test_training_aborts_on_numeric_blowup_with_context():
         train(cfg, records, spec)
 
 
+def test_evaluate_on_an_overflowing_weight_raises_only_numeric_error():
+    """A library evaluate whose head overflows raises the tape's NumericError, with no numpy
+    RuntimeWarning first (pytest turns any warning into an error)."""
+    spec = tiny_spec(n_scenes=2)
+    model = Model(tiny_config())
+    model.params["predicate_head.w"].data[:] = 1e308
+    with pytest.raises(NumericError, match="non-finite"):
+        evaluate(model, [prepare_scene(r, spec) for r in generate(spec)], ks_recall=(4,), ks_pair=(2,))
+
+
 def test_train_rejects_vocabulary_mismatch_and_empty_corpus():
     spec = tiny_spec(n_scenes=4)
     records = generate(spec)
@@ -663,8 +676,6 @@ def test_checkpoint_round_trip(tmp_path):
 
 
 def test_checkpoint_version_and_shape_guards(tmp_path):
-    import json
-
     spec = tiny_spec(n_scenes=4)
     records = generate(spec)
     result = train(tiny_config(epochs=1), records, spec)
@@ -681,6 +692,40 @@ def test_checkpoint_version_and_shape_guards(tmp_path):
     bad.write_text(json.dumps(payload))
     with pytest.raises(ValueError, match="shape"):
         load_checkpoint(bad)
+    del payload["params"]["node_map.w"]
+    bad.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=re.escape("invalid checkpoint params (parameter node_map.w: missing)")):
+        load_checkpoint(bad)
+    payload["params"]["node_map.w"] = result.model.params["node_map.w"].data.tolist()
+    payload["params"]["lih.w_z"] = payload["params"]["lih.w_q"]
+    bad.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=re.escape("params (names the configuration does not give: ['lih.w_z'])")):
+        load_checkpoint(bad)
+
+
+@pytest.mark.parametrize("field,value,name", [
+    ("gih_layers", 20_000, "prop.w2: missing"),
+    ("fusion_hidden", 200_000, "fusion.psi.w0: expected numbers in shape (24, 200000)"),
+    ("n_entity_categories", 300_000, "node_map.w: expected numbers in shape (300009, 8)"),
+], ids=["gih_layers", "fusion_hidden", "n_entity_categories"])
+def test_checkpoint_of_a_huge_config_fails_before_allocating_it(field, value, name, tmp_path):
+    """Each saved parameter is checked before the config's shape is allocated, so a checkpoint
+    whose config asks for a huge model fails at its first parameter that does not fit, in well
+    under 1 MB; building the configured model first takes 17 to 77 MB at these sizes."""
+    path = tmp_path / "huge.ckpt.json"
+    save_checkpoint(path, Model(tiny_config()), ReferenceBank(5, 8, seed=1))
+    payload = json.loads(path.read_text())
+    payload["config"][field] = value
+    path.write_text(json.dumps(payload))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as exc:
+            load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert f"invalid checkpoint params (parameter {name}" in str(exc.value)
 
 
 # Checkpoint parameter names and shapes per component at tiny_config widths:

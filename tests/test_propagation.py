@@ -4,7 +4,7 @@ equality of autodiff.gih with the record-per-operation chain it fuses."""
 import numpy as np
 import pytest
 
-from helpers import a_ee_of, a_en_of, a_ne_of, a_nn_of, a_of, chain_gih, grad_check, loop_a_tilde
+from helpers import a_ee_of, a_en_of, a_ne_of, a_nn_of, a_of, chain_gih, drawn, grad_check, loop_a_tilde
 from sggkit import autodiff as ad
 from sggkit.model import ModelConfig
 from sggkit.propagation import (
@@ -116,7 +116,7 @@ def test_matches_dense_reference_bit_exact():
     m = len(edges)
     state = _state(rng, n, m, d)
     adj = build_adjacency(n, edges)
-    params = init_propagation(rng, "gih", d, 4)
+    params = init_propagation(drawn(rng), "gih", d, 4)
 
     g_prev = {0: np.concatenate([state.node_feats.data, state.edge_feats.data], axis=0)}
     for l, (w,) in enumerate(params.layers, start=1):
@@ -134,7 +134,7 @@ def test_state_shape_mismatch_raises():
     adj = build_adjacency(3, [(0, 1)])
     state = _state(rng, 3, 2, 4)  # adjacency has 1 edge, state has 2
     with pytest.raises(ad.ShapeError, match="do not match"):
-        gih_forward(state, adj, init_propagation(rng, "gih", 4))
+        gih_forward(state, adj, init_propagation(drawn(rng), "gih", 4))
 
 
 def test_odd_layer_count_rejected():
@@ -148,7 +148,7 @@ def test_locality_disconnected_component_unchanged():
     d = 4
     edges = [(0, 1), (1, 0)]  # nodes 2, 3 are isolated from 0, 1
     adj = build_adjacency(4, edges)
-    params = init_propagation(rng, "gih", d, 4)
+    params = init_propagation(drawn(rng), "gih", d, 4)
     base = _state(rng, 4, 2, d)
     out1 = gih_forward(base, adj, params)
 
@@ -209,7 +209,7 @@ def test_gcn_gat_never_touch_edge_rows():
     state = _state(rng, n, m, d)
     adj = build_adjacency(n, [(0, 1), (1, 0), (2, 3)])
     for variant in ("gcn", "gat"):
-        out = propagate(state, adj, init_propagation(rng, variant, d))
+        out = propagate(state, adj, init_propagation(drawn(rng), variant, d))
         assert out.edge_feats is state.edge_feats, variant
 
 
@@ -224,7 +224,7 @@ def test_edge_awareness_separation():
         ad.Matrix(base.node_feats.data.copy()),
         ad.Matrix(base.edge_feats.data + 5.0),
     )
-    gih = init_propagation(rng, "gih", d, 4)
+    gih = init_propagation(drawn(rng), "gih", d, 4)
     assert (
         np.abs(
             gih_forward(base, adj, gih).node_feats.data
@@ -232,12 +232,12 @@ def test_edge_awareness_separation():
         ).max()
         > 1e-6
     )
-    gcn = init_propagation(rng, "gcn", d, 2)
+    gcn = init_propagation(drawn(rng), "gcn", d, 2)
     np.testing.assert_array_equal(
         gcn_forward(base, adj, gcn).node_feats.data,
         gcn_forward(bumped, adj, gcn).node_feats.data,
     )
-    gat = init_propagation(rng, "gat", d, 2)
+    gat = init_propagation(drawn(rng), "gat", d, 2)
     np.testing.assert_array_equal(
         gat_forward(base, adj, gat).node_feats.data,
         gat_forward(bumped, adj, gat).node_feats.data,
@@ -254,7 +254,7 @@ def test_normalized_adjacency_rows():
 def test_unknown_variant_raises():
     rng = np.random.default_rng(10)
     with pytest.raises(ValueError, match="unknown propagation variant"):
-        init_propagation(rng, "mlp", 3, 2)
+        init_propagation(drawn(rng), "mlp", 3, 2)
     with pytest.raises(ValueError, match="unknown propagation variant"):
         PropagationParams("mlp", [])
 
@@ -266,8 +266,8 @@ def test_gradients_per_variant(variant):
     edges = [(0, 1), (1, 0), (1, 2)]
     adj = build_adjacency(n, edges)
     state = _state(rng, n, len(edges), d)
-    params = init_propagation(rng, variant, d, 2)
-    mats = [*params.named("prop").values(), state.node_feats, state.edge_feats]
+    params = init_propagation(drawn(rng), variant, d, 2)
+    mats = [*(m for layer in params.layers for m in layer), state.node_feats, state.edge_feats]
 
     def f():
         out = propagate(state, adj, params)
@@ -312,7 +312,7 @@ def test_gih_matches_record_chain_bytes(n_nodes, layers, views):
     d = 32
     adj = build_adjacency(n_nodes, np.argwhere(~np.eye(n_nodes, dtype=bool)))
     state = _state(rng, n_nodes, adj.n_edges, d)
-    params = init_propagation(rng, "gih", d, layers)
+    params = init_propagation(drawn(rng), "gih", d, layers)
     targets = {"nodes": rng.normal(size=(n_nodes, d)), "edges": rng.normal(size=(adj.n_edges, d))}
     got = _gih_bytes(gih_forward, state, adj, params, targets, views)
     assert got == _gih_bytes(chain_gih, state, adj, params, targets, views)
@@ -326,7 +326,7 @@ def test_gih_view_without_gradient_leaves_its_rows_untouched():
     adj = build_adjacency(3, [(0, 1), (1, 0), (1, 2)])
     state = _state(rng, 3, 3, 4)
     with ad.Tape() as tape:
-        out = gih_forward(state, adj, init_propagation(rng, "gih", 4, 2))
+        out = gih_forward(state, adj, init_propagation(drawn(rng), "gih", 4, 2))
         loss = ad.sum_all(ad.mul(out.node_feats, out.node_feats))
     tape.backward(loss)
     [whole] = [record_out for name, record_out, _ in tape.records if name == "gih"]
@@ -340,7 +340,7 @@ def test_gih_records_once_and_no_record_replays_for_unused_rows():
     rng = np.random.default_rng(14)
     adj = build_adjacency(3, [(0, 1), (1, 2)])
     state = _state(rng, 3, 2, 4)
-    params = init_propagation(rng, "gih", 4, 4)
+    params = init_propagation(drawn(rng), "gih", 4, 4)
     with ad.Tape() as tape:
         out = gih_forward(state, adj, params)
         unused = ad.sum_all(out.edge_feats)
@@ -355,7 +355,7 @@ def test_non_finite_intermediate_names_gih():
     """An overflowing layer weight stops GIH before the next layer mixes the non-finite rows."""
     rng = np.random.default_rng(15)
     adj = build_adjacency(3, [(0, 1), (1, 2)])
-    params = init_propagation(rng, "gih", 4, 4)
+    params = init_propagation(drawn(rng), "gih", 4, 4)
     params.layers[1] = (ad.Matrix(np.full((4, 4), 1e308)),)
     state = GraphState(ad.Matrix(np.ones((3, 4))), ad.Matrix(np.ones((2, 4))))
     with np.errstate(over="ignore"), pytest.raises(ad.NumericError, match="^gih produced a non-finite value$"):
