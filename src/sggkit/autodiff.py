@@ -274,25 +274,6 @@ def softmax_rows(a: Matrix) -> Matrix:
     return _finish("softmax_rows", out_data, backward)
 
 
-def masked_softmax_rows(a: Matrix, mask: np.ndarray) -> Matrix:
-    """Row softmax restricted to mask==True entries; masked entries get 0."""
-    m = np.asarray(mask, dtype=bool)
-    if m.shape != a.shape:
-        raise ShapeError(f"masked_softmax_rows: mask {m.shape} does not match {a.shape}")
-    if not m.any(axis=1).all():
-        raise ShapeError("masked_softmax_rows: a row has no unmasked entries")
-    z = np.where(m, a.data, -np.inf)
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.where(m, np.exp(z), 0.0)
-    out_data = e / e.sum(axis=1, keepdims=True)
-
-    def backward(g):
-        dot = (g * out_data).sum(axis=1, keepdims=True)
-        a.accumulate(out_data * (g - dot))
-
-    return _finish("masked_softmax_rows", out_data, backward)
-
-
 @functools.cache
 def _arrangement_plan(orders: tuple[tuple[int, ...], ...]):
     """arranged_mlp's products for one table: the distinct (role, block) pairs, sorted; per

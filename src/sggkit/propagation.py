@@ -17,18 +17,21 @@ with square per-layer weights, no degree normalization, and matmuls grouped
 as (A~ G) W. Zero weights therefore make an even-depth stack an exact
 identity. The gcn and gat baselines update node rows only and leave edge
 rows untouched, which is what the edge-awareness comparisons rely on.
+They read no adjacency: every ordered node pair of a scene is a candidate
+edge, so A_nn + I is all ones, gcn's normalized block is 1/n everywhere
+and gat attends over every node.
 
 The variant is fixed when the weights are built: init_propagation returns
 PropagationParams that carry it, and propagate runs the variant its params
-name (none passes the state through).
+name (none passes the state through), after checking the state's rows
+against the adjacency.
 
 A BlockAdjacency stores only edge endpoints and opposite-edge pairs, plus
 the flat positions of A~'s ones, computed on first use. Each gih_forward
 fills a fresh A~ from those positions and runs every layer as one tape
-primitive, autodiff.gih, whose backward forms no gradient for A~. gcn
-wraps its normalized node block in a Constant, and gat reads its mask off
-the node block. model.prepare_scene builds one adjacency per node count,
-with read-only arrays, and every scene of that count shares it.
+primitive, autodiff.gih, whose backward forms no gradient for A~.
+model.prepare_scene builds one adjacency per node count, with read-only
+arrays, and every scene of that count shares it.
 """
 
 from __future__ import annotations
@@ -46,23 +49,23 @@ from .autodiff import (
     add,
     gih,
     leaky_relu,
-    masked_softmax_rows,
     matmul,
     relu,
+    softmax_rows,
     transpose,
 )
 
 
 @dataclass(frozen=True)
 class BlockAdjacency:
-    """Adjacency A over n nodes then m edges, stored as edge endpoints.
+    """Adjacency A over n nodes then m edges, stored as edge endpoints; only gih reads it.
 
     Edge k joins node rows subjects[k] and objects[k]; a row (k, k') of
-    opposite says edge k' joins them the other way. The dense A + I and its
-    node block are built on each access of a_tilde and node_block; a_tilde
-    writes 1.0 into zeros at the flat positions of its ones, O(n + m) ints
-    computed once per adjacency. Fields cannot be reassigned, since scenes
-    of one node count share one adjacency.
+    opposite says edge k' joins them the other way. The dense A + I is
+    built on each access of a_tilde, which writes 1.0 into zeros at the
+    flat positions of its ones, O(n + m) ints computed once per adjacency.
+    Fields cannot be reassigned, since scenes of one node count share one
+    adjacency.
     """
 
     n_nodes: int
@@ -73,13 +76,6 @@ class BlockAdjacency:
     @property
     def n_edges(self) -> int:
         return self.subjects.size
-
-    @property
-    def node_block(self) -> np.ndarray:
-        """A_nn + I, n x n."""
-        a = np.eye(self.n_nodes)
-        a[self.subjects, self.objects] = a[self.objects, self.subjects] = 1.0
-        return a
 
     @cached_property
     def _ones(self) -> np.ndarray:
@@ -170,67 +166,52 @@ def init_propagation(param: Param, variant: str, d: int, n_layers: int = 4) -> P
     return PropagationParams(variant, [])  # none; an unknown name is rejected here
 
 
-def _check_state(state: GraphState, adj: BlockAdjacency) -> None:
-    if state.node_feats.rows != adj.n_nodes or state.edge_feats.rows != adj.n_edges:
-        raise ShapeError(
-            f"state rows ({state.node_feats.rows} nodes, {state.edge_feats.rows} edges) "
-            f"do not match adjacency ({adj.n_nodes} nodes, {adj.n_edges} edges)"
-        )
-    if state.node_feats.cols != state.edge_feats.cols:
-        raise ShapeError(
-            f"node width {state.node_feats.cols} differs from edge width {state.edge_feats.cols}"
-        )
-
-
 def gih_forward(state: GraphState, adj: BlockAdjacency, params: PropagationParams) -> GraphState:
-    _check_state(state, adj)
     nodes, edges = gih(state.node_feats, state.edge_feats, adj.a_tilde, [w for (w,) in params.layers])
     return GraphState(nodes, edges)
 
 
-def normalized_node_adjacency(adj: BlockAdjacency) -> np.ndarray:
-    """Symmetric normalization D^-1/2 (A_nn + I) D^-1/2."""
-    a_hat = adj.node_block
-    d_inv_sqrt = 1.0 / np.sqrt(a_hat.sum(axis=1))
-    return a_hat * d_inv_sqrt[:, None] * d_inv_sqrt[None, :]
-
-
-def gcn_forward(state: GraphState, adj: BlockAdjacency, params: PropagationParams) -> GraphState:
-    """Standard graph convolution over node rows only; edge rows pass through."""
-    if state.node_feats.rows != adj.n_nodes:
-        raise ShapeError(f"state has {state.node_feats.rows} node rows, adjacency {adj.n_nodes}")
-    a_hat = Constant(normalized_node_adjacency(adj))
-    h = state.node_feats
+def gcn_forward(nodes: Matrix, params: PropagationParams) -> Matrix:
+    """Graph convolution over every node of the scene: the symmetric normalization
+    D^-1/2 (A_nn + I) D^-1/2 of a complete graph is x * x everywhere, with x = 1/sqrt(n)."""
+    n = nodes.rows
+    x = 1.0 / np.sqrt(max(n, 1))  # a scene without nodes has an empty block
+    a_hat = Constant(np.full((n, n), x * x))
+    h = nodes
     for (w,) in params.layers:
         h = relu(matmul(matmul(a_hat, h), w))
-    return GraphState(h, state.edge_feats)
+    return h
 
 
-def gat_forward(state: GraphState, adj: BlockAdjacency, params: PropagationParams) -> GraphState:
-    """Attention over node neighbourhoods (self included); edge rows pass through."""
-    if state.node_feats.rows != adj.n_nodes:
-        raise ShapeError(f"state has {state.node_feats.rows} node rows, adjacency {adj.n_nodes}")
-    n = adj.n_nodes
-    mask = adj.node_block > 0
+def gat_forward(nodes: Matrix, params: PropagationParams) -> Matrix:
+    """Attention of every node over every node of the scene, itself included."""
+    n = nodes.rows
     ones_row = Constant(np.ones((1, n)))
     ones_col = Constant(np.ones((n, 1)))
-    h = state.node_feats
+    h = nodes
     for w, a_src, a_dst in params.layers:
         hw = matmul(h, w)
         src = matmul(hw, a_src)  # n x 1
         dst = matmul(hw, a_dst)  # n x 1
         logits = leaky_relu(add(matmul(src, ones_row), matmul(ones_col, transpose(dst))), 0.2)
-        alpha = masked_softmax_rows(logits, mask)
-        h = relu(matmul(alpha, hw))
-    return GraphState(h, state.edge_feats)
+        h = relu(matmul(softmax_rows(logits), hw))
+    return h
 
 
 def propagate(state: GraphState, adj: BlockAdjacency, params: PropagationParams) -> GraphState:
-    """Run the variant the params were built for; none returns the state as is."""
+    """Run the variant the params were built for; none returns the state as is.
+
+    gcn and gat update the node rows and pass the edge rows through.
+    """
+    if state.node_feats.rows != adj.n_nodes or state.edge_feats.rows != adj.n_edges:
+        raise ShapeError(
+            f"state rows ({state.node_feats.rows} nodes, {state.edge_feats.rows} edges) "
+            f"do not match adjacency ({adj.n_nodes} nodes, {adj.n_edges} edges)"
+        )
     if params.variant == "gih":
         return gih_forward(state, adj, params)
     if params.variant == "gcn":
-        return gcn_forward(state, adj, params)
+        return GraphState(gcn_forward(state.node_feats, params), state.edge_feats)
     if params.variant == "gat":
-        return gat_forward(state, adj, params)
+        return GraphState(gat_forward(state.node_feats, params), state.edge_feats)
     return state

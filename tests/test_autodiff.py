@@ -113,23 +113,6 @@ def test_softmax_single_large_logit_dominates():
     assert out.data[0, 0] > 1.0 - 1e-12
 
 
-def test_masked_softmax_matches_dense_on_submatrix():
-    rng = np.random.default_rng(11)
-    x = rng.normal(size=(2, 4))
-    mask = np.array([[True, True, False, False], [False, True, True, True]])
-    out = ad.masked_softmax_rows(ad.Matrix(x), mask).data
-    row0 = np.exp(x[0, :2]) / np.exp(x[0, :2]).sum()
-    row1 = np.exp(x[1, 1:]) / np.exp(x[1, 1:]).sum()
-    np.testing.assert_allclose(out[0, :2], row0, atol=1e-12)
-    np.testing.assert_array_equal(out[0, 2:], 0.0)
-    np.testing.assert_allclose(out[1, 1:], row1, atol=1e-12)
-
-
-def test_masked_softmax_rejects_empty_row():
-    with pytest.raises(ad.ShapeError):
-        ad.masked_softmax_rows(ad.Matrix([[1.0, 2.0]]), np.array([[False, False]]))
-
-
 def test_triple_attention_rejects_bad_shapes():
     """The record-per-operation oracle of autodiff.lih's attention core checks its operands."""
     six = ad.Matrix(np.zeros((6, 2)))
@@ -292,8 +275,6 @@ def test_grad_every_primitive_composite(seed):
     w0, b0 = ad.Matrix(rng.normal(size=(6, 4))), ad.Matrix(rng.normal(size=(1, 4)))
     w1, b1 = ad.Matrix(rng.normal(size=(4, 2))), ad.Matrix(rng.normal(size=(1, 2)))
     ref = ad.Constant(rng.normal(size=(3, 3)))
-    mask = rng.uniform(size=(3, 3)) > 0.3
-    mask[:, 0] = True
     a_tilde = np.eye(6)
     a_tilde[[0, 1, 3, 3, 4, 5], [3, 4, 0, 1, 5, 4]] = 1.0  # three nodes, three edges
 
@@ -308,7 +289,7 @@ def test_grad_every_primitive_composite(seed):
         nodes, edges = ad.gih(zs, zu, a_tilde, [ad.scale(c, 0.1), ad.scale(d, 0.1)])
         # h feeds position 0 of two orders and d position 1 of two, so two products serve two orders each
         fused = ad.arranged_mlp((h, c, d), ((0, 1), (1, 2), (0, 2)), w0, b0, w1, b1)
-        s = ad.masked_softmax_rows(zo, mask)
+        s = ad.softmax_rows(zo)
         ls = ad.log_softmax_rows(ad.relu(h))
         picked = ad.gather_rows(ad.scale(ad.add(s, edges), 0.5), [0, 2, 2])
         cos = ad.cosine_rows(picked, ref)

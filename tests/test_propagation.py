@@ -1,5 +1,8 @@
 """Block adjacency construction, the three propagation variants, and byte
-equality of autodiff.gih with the record-per-operation chain it fuses."""
+equality of autodiff.gih with the record-per-operation chain it fuses.
+
+gcn and gat read no adjacency: every ordered node pair of a scene is a
+candidate edge, so their tests run on complete graphs."""
 
 import numpy as np
 import pytest
@@ -15,9 +18,13 @@ from sggkit.propagation import (
     gcn_forward,
     gih_forward,
     init_propagation,
-    normalized_node_adjacency,
     propagate,
 )
+
+
+def _complete(n):
+    """The block adjacency of every ordered pair of n nodes, as model.prepare_scene builds it."""
+    return build_adjacency(n, np.argwhere(~np.eye(n, dtype=bool)))
 
 
 def _state(rng, n, m, d):
@@ -72,7 +79,7 @@ def test_matches_per_edge_loop_with_opposites_and_duplicates():
         adj = build_adjacency(n, edges)
         expect = loop_a_tilde(n, edges)
         assert adj.a_tilde.tobytes() == expect.tobytes()
-        np.testing.assert_array_equal(adj.node_block, expect[:n, :n])
+        np.testing.assert_array_equal(adj.a_tilde[:n, :n], expect[:n, :n])
     assert repeats > 0
 
 
@@ -134,7 +141,7 @@ def test_state_shape_mismatch_raises():
     adj = build_adjacency(3, [(0, 1)])
     state = _state(rng, 3, 2, 4)  # adjacency has 1 edge, state has 2
     with pytest.raises(ad.ShapeError, match="do not match"):
-        gih_forward(state, adj, init_propagation(drawn(rng), "gih", 4))
+        propagate(state, adj, init_propagation(drawn(rng), "gih", 4))
 
 
 def test_odd_layer_count_rejected():
@@ -166,41 +173,27 @@ def test_gcn_zero_weights_zero_nodes_edges_untouched():
     state = _state(rng, n, m, d)
     adj = build_adjacency(n, [(0, 1), (1, 2)])
     params = PropagationParams("gcn", [(ad.Matrix(np.zeros((d, d))),) for _ in range(2)])
-    out = gcn_forward(state, adj, params)
+    out = propagate(state, adj, params)
     np.testing.assert_array_equal(out.node_feats.data, np.zeros((n, d)))
     assert out.edge_feats is state.edge_feats
 
 
-def test_gcn_path_graph_one_layer_hand_case():
-    """4-node path 0-1-2-3, one layer, identity weights, nonneg input."""
-    d = 2
+def test_gcn_complete_graph_one_layer_hand_case():
+    """4 nodes, one layer, identity weights, nonneg input: every row is the mean of the input rows."""
     x = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [2.0, 0.0]])
-    edges = [(0, 1), (1, 2), (2, 3)]
-    adj = build_adjacency(4, edges)
-    a_hat = a_nn_of(adj) + np.eye(4)
-    deg = a_hat.sum(axis=1)
-    norm = a_hat / np.sqrt(deg)[:, None] / np.sqrt(deg)[None, :]
-    expect = np.maximum(norm @ x, 0.0)
-    state = GraphState(ad.Matrix(x), ad.Matrix(np.zeros((3, d))))
-    out = gcn_forward(state, adj, PropagationParams("gcn", [(ad.Matrix(np.eye(d)),)]))
-    np.testing.assert_allclose(out.node_feats.data, expect, atol=1e-14)
+    out = gcn_forward(ad.Matrix(x), PropagationParams("gcn", [(ad.Matrix(np.eye(2)),)]))
+    np.testing.assert_allclose(out.data, np.full((4, 2), [1.0, 0.5]), atol=1e-15)
 
 
 def test_gat_constant_logits_equals_mean_aggregation():
     rng = np.random.default_rng(7)
     n, d = 4, 3
-    # regular ring: every node has the same degree
-    edges = [(0, 1), (1, 2), (2, 3), (3, 0)]
-    adj = build_adjacency(n, edges)
     x = rng.normal(size=(n, d))
     w = rng.normal(size=(d, d))
     params = PropagationParams("gat", [(ad.Matrix(w), ad.Matrix(np.zeros((d, 1))), ad.Matrix(np.zeros((d, 1))))])
-    state = GraphState(ad.Matrix(x), ad.Matrix(np.zeros((0, d))))
-    out = gat_forward(state, adj, params)
-    mask = (a_nn_of(adj) + np.eye(n)) > 0
-    hw = x @ w
-    expect = np.maximum(np.stack([hw[mask[i]].mean(axis=0) for i in range(n)]), 0.0)
-    np.testing.assert_allclose(out.node_feats.data, expect, atol=1e-12)
+    out = gat_forward(ad.Matrix(x), params)
+    expect = np.maximum(np.tile((x @ w).mean(axis=0), (n, 1)), 0.0)
+    np.testing.assert_allclose(out.data, expect, atol=1e-12)
 
 
 def test_gcn_gat_never_touch_edge_rows():
@@ -232,23 +225,26 @@ def test_edge_awareness_separation():
         ).max()
         > 1e-6
     )
-    gcn = init_propagation(drawn(rng), "gcn", d, 2)
-    np.testing.assert_array_equal(
-        gcn_forward(base, adj, gcn).node_feats.data,
-        gcn_forward(bumped, adj, gcn).node_feats.data,
-    )
-    gat = init_propagation(drawn(rng), "gat", d, 2)
-    np.testing.assert_array_equal(
-        gat_forward(base, adj, gat).node_feats.data,
-        gat_forward(bumped, adj, gat).node_feats.data,
-    )
+    for variant in ("gcn", "gat"):
+        params = init_propagation(drawn(rng), variant, d, 2)
+        np.testing.assert_array_equal(
+            propagate(base, adj, params).node_feats.data,
+            propagate(bumped, adj, params).node_feats.data,
+        )
 
 
 def test_normalized_adjacency_rows():
-    adj = build_adjacency(3, [(0, 1)])
-    norm = normalized_node_adjacency(adj)
-    np.testing.assert_allclose(norm, norm.T, atol=1e-15)
-    assert norm[2, 2] == 1.0  # isolated node keeps only its self connection
+    """gcn's block is D^-1/2 (A_nn + I) D^-1/2 of the candidate graph byte for byte: one layer
+    equals its numpy transcription with that block, for every node count up to 17."""
+    rng = np.random.default_rng(16)
+    for n in range(1, 18):
+        a_hat = a_nn_of(_complete(n)) + np.eye(n)
+        d_inv_sqrt = 1.0 / np.sqrt(a_hat.sum(axis=1))
+        norm = a_hat * d_inv_sqrt[:, None] * d_inv_sqrt[None, :]
+        x, w = rng.normal(size=(n, 3)), rng.normal(size=(3, 3))
+        expect = np.maximum((norm @ x) @ w, 0.0)
+        out = gcn_forward(ad.Matrix(x), PropagationParams("gcn", [(ad.Matrix(w),)]))
+        assert out.data.tobytes() == expect.tobytes(), n
 
 
 def test_unknown_variant_raises():
