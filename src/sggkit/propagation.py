@@ -19,7 +19,11 @@ identity. The gcn and gat baselines update node rows only and leave edge
 rows untouched, which is what the edge-awareness comparisons rely on.
 They read no adjacency: every ordered node pair of a scene is a candidate
 edge, so A_nn + I is all ones, gcn's normalized block is 1/n everywhere
-and gat attends over every node.
+and gat attends over every node. Their layers are residual,
+
+    gcn:  h + max(0, Â h W)        gat:  h + max(0, alpha (h W))
+
+since without the h term one layer maps every node to the same row.
 
 The variant is fixed when the weights are built: init_propagation returns
 PropagationParams that carry it, and propagate runs the variant its params
@@ -172,19 +176,21 @@ def gih_forward(state: GraphState, adj: BlockAdjacency, params: PropagationParam
 
 
 def gcn_forward(nodes: Matrix, params: PropagationParams) -> Matrix:
-    """Graph convolution over every node of the scene: the symmetric normalization
-    D^-1/2 (A_nn + I) D^-1/2 of a complete graph is x * x everywhere, with x = 1/sqrt(n)."""
+    """Residual graph convolution over every node of the scene, h + relu(Â h W) per layer:
+    Â, the symmetric normalization D^-1/2 (A_nn + I) D^-1/2 of a complete graph, is x * x
+    everywhere, with x = 1/sqrt(n)."""
     n = nodes.rows
     x = 1.0 / np.sqrt(max(n, 1))  # a scene without nodes has an empty block
     a_hat = Constant(np.full((n, n), x * x))
     h = nodes
     for (w,) in params.layers:
-        h = relu(matmul(matmul(a_hat, h), w))
+        h = add(h, relu(matmul(matmul(a_hat, h), w)))
     return h
 
 
 def gat_forward(nodes: Matrix, params: PropagationParams) -> Matrix:
-    """Attention of every node over every node of the scene, itself included."""
+    """Residual attention of every node over every node of the scene, itself included:
+    h + relu(alpha (h W)) per layer."""
     n = nodes.rows
     ones_row = Constant(np.ones((1, n)))
     ones_col = Constant(np.ones((n, 1)))
@@ -194,7 +200,7 @@ def gat_forward(nodes: Matrix, params: PropagationParams) -> Matrix:
         src = matmul(hw, a_src)  # n x 1
         dst = matmul(hw, a_dst)  # n x 1
         logits = leaky_relu(add(matmul(src, ones_row), matmul(ones_col, transpose(dst))), 0.2)
-        h = relu(matmul(softmax_rows(logits), hw))
+        h = add(h, relu(matmul(softmax_rows(logits), hw)))
     return h
 
 

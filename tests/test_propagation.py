@@ -11,6 +11,7 @@ from helpers import a_ee_of, a_en_of, a_ne_of, a_nn_of, a_of, chain_gih, drawn, 
 from sggkit import autodiff as ad
 from sggkit.model import ModelConfig
 from sggkit.propagation import (
+    VARIANTS,
     GraphState,
     PropagationParams,
     build_adjacency,
@@ -168,21 +169,22 @@ def test_locality_disconnected_component_unchanged():
 
 
 def test_gcn_zero_weights_zero_nodes_edges_untouched():
+    """Zero weights zero every layer's node update, so the nodes come out as they went in."""
     rng = np.random.default_rng(6)
     n, m, d = 3, 2, 4
     state = _state(rng, n, m, d)
     adj = build_adjacency(n, [(0, 1), (1, 2)])
     params = PropagationParams("gcn", [(ad.Matrix(np.zeros((d, d))),) for _ in range(2)])
     out = propagate(state, adj, params)
-    np.testing.assert_array_equal(out.node_feats.data, np.zeros((n, d)))
+    np.testing.assert_array_equal(out.node_feats.data, state.node_feats.data)
     assert out.edge_feats is state.edge_feats
 
 
 def test_gcn_complete_graph_one_layer_hand_case():
-    """4 nodes, one layer, identity weights, nonneg input: every row is the mean of the input rows."""
+    """4 nodes, one layer, identity weights, nonneg input: each row gains the mean of the input rows."""
     x = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [2.0, 0.0]])
     out = gcn_forward(ad.Matrix(x), PropagationParams("gcn", [(ad.Matrix(np.eye(2)),)]))
-    np.testing.assert_allclose(out.data, np.full((4, 2), [1.0, 0.5]), atol=1e-15)
+    np.testing.assert_allclose(out.data, x + [1.0, 0.5], atol=1e-15)
 
 
 def test_gat_constant_logits_equals_mean_aggregation():
@@ -192,7 +194,7 @@ def test_gat_constant_logits_equals_mean_aggregation():
     w = rng.normal(size=(d, d))
     params = PropagationParams("gat", [(ad.Matrix(w), ad.Matrix(np.zeros((d, 1))), ad.Matrix(np.zeros((d, 1))))])
     out = gat_forward(ad.Matrix(x), params)
-    expect = np.maximum(np.tile((x @ w).mean(axis=0), (n, 1)), 0.0)
+    expect = x + np.maximum((x @ w).mean(axis=0), 0.0)
     np.testing.assert_allclose(out.data, expect, atol=1e-12)
 
 
@@ -242,9 +244,19 @@ def test_normalized_adjacency_rows():
         d_inv_sqrt = 1.0 / np.sqrt(a_hat.sum(axis=1))
         norm = a_hat * d_inv_sqrt[:, None] * d_inv_sqrt[None, :]
         x, w = rng.normal(size=(n, 3)), rng.normal(size=(3, 3))
-        expect = np.maximum((norm @ x) @ w, 0.0)
+        expect = x + np.maximum((norm @ x) @ w, 0.0)
         out = gcn_forward(ad.Matrix(x), PropagationParams("gcn", [(ad.Matrix(w),)]))
         assert out.data.tobytes() == expect.tobytes(), n
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_node_rows_stay_distinct_on_complete_graph(variant):
+    """Every node row of a complete graph's scene stays distinct after propagation at init."""
+    rng = np.random.default_rng(17)
+    n, d = 6, 8
+    adj = _complete(n)
+    out = propagate(_state(rng, n, adj.n_edges, d), adj, init_propagation(drawn(rng), variant, d, 4))
+    assert len(np.unique(out.node_feats.data, axis=0)) == n
 
 
 def test_unknown_variant_raises():
