@@ -52,6 +52,9 @@ import numpy as np
 
 ENTITY_NO_OBJECT = 0
 PREDICATE_NO_RELATION = 0
+# Every ordered node pair is a candidate edge, so gih's dense A~ has side N + N(N-1) = N^2 and takes
+# 8 N^4 bytes: 76 is the largest N that keeps it within 256 MiB (77 needs 268 MiB, 200 about 12 GiB).
+MAX_SCENE_NODES = 76
 
 # rng stream tags so the one corpus seed drives independent draws
 _STREAM_RULE = 11
@@ -243,6 +246,8 @@ class GeneratorSpec(ConfigSchema):
                 f"markers need {2 * self.related_pairs + self.context_categories} entity "
                 f"categories, only {self.n_entity_categories - 1} usable ones configured"
             )
+        if self.nodes_per_scene > MAX_SCENE_NODES:
+            raise ValueError(f"nodes_per_scene must be at most {MAX_SCENE_NODES}, got {self.nodes_per_scene}")
         reserved = 2 + (1 if self.context_categories else 0)
         if self.nodes_per_scene < reserved:
             raise ValueError(

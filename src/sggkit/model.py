@@ -46,7 +46,8 @@ from .attract_repel import (
     sample_negatives,
     update_references,
 )
-from .data import PREDICATE_NO_RELATION, ConfigSchema, GeneratorSpec, SceneRecord, Seed, parse_json, shown
+from .data import (MAX_SCENE_NODES, PREDICATE_NO_RELATION, ConfigSchema, GeneratorSpec, SceneRecord, Seed,
+                   parse_json, shown)
 from .fusion import VARIANTS as FUSION_VARIANTS
 from .fusion import encode_edges, init_fusion_params
 from .local_attention import LihParams, init_lih_params, lih_forward_batch
@@ -162,9 +163,9 @@ class PreparedScene:
 def _candidate_graph(n: int) -> tuple[np.ndarray, BlockAdjacency]:
     """Every ordered pair of n node rows and its block adjacency, built once per n.
 
-    Scenes of n nodes share both, so every array is read-only. The cache is
-    unbounded: all graphs up to n nodes hold O(n^3) ints, fewer than the
-    O(n^4) floats of one forward's A~ at n.
+    Scenes of n nodes share both, so every array is read-only. prepare_scene
+    bounds n by MAX_SCENE_NODES, and so the cache: all graphs up to n nodes
+    hold O(n^3) ints, fewer than the O(n^4) floats of one forward's A~ at n.
     """
     rows = np.argwhere(~np.eye(n, dtype=bool))
     adjacency = build_adjacency(n, rows)
@@ -176,10 +177,14 @@ def _candidate_graph(n: int) -> tuple[np.ndarray, BlockAdjacency]:
 def prepare_scene(record: SceneRecord, spec: GeneratorSpec) -> PreparedScene:
     """A validated record lowered to model inputs; with read_scenes, the entry points that validate records.
 
-    `spec`, the corpus's GeneratorSpec, bounds the labels and synthesizes the node features. Scenes
-    with the same node count share one read-only adjacency, from _candidate_graph.
+    `spec`, the corpus's GeneratorSpec, bounds the labels and synthesizes the node features. A scene
+    holds at most MAX_SCENE_NODES nodes, and scenes with the same node count share one read-only
+    adjacency, from _candidate_graph.
     """
     record.validate()
+    if len(record.nodes) > MAX_SCENE_NODES:
+        raise ValueError(f"scene {record.scene_id}: {len(record.nodes)} nodes, more than the "
+                         f"{MAX_SCENE_NODES} a scene may hold")
     for node in record.nodes:
         if node.label >= spec.n_entity_categories:
             raise ValueError(

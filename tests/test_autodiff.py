@@ -1,8 +1,10 @@
 """Numerics substrate: forward values against hand arithmetic, gradients
 against central differences, and the tape replay contract."""
 
+import ast
 import inspect
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -302,6 +304,24 @@ def test_grad_every_primitive_composite(seed):
     assert {name for name, _, _ in tape.records} == PRIMITIVES
     err = grad_check(f, [a, b, c, d, bias, w0, b0, w1, b1], eps=1e-5)
     assert err < 1e-6
+
+
+def test_every_primitive_is_called_by_another_module():
+    """Each public function of autodiff that records through _finish is imported by another module of
+    sggkit and used there, so a primitive that only tests call fails here."""
+    tree = ast.parse(inspect.getsource(ad))
+    recorders = {f.name for f in tree.body if isinstance(f, ast.FunctionDef) and not f.name.startswith("_")
+                 and any(isinstance(c, ast.Call) and getattr(c.func, "id", None) == "_finish" for c in ast.walk(f))}
+    assert recorders == PRIMITIVES  # each records under its own name
+    used = set()
+    for path in Path(ad.__file__).parent.glob("*.py"):
+        if path.name == "autodiff.py":
+            continue
+        nodes = list(ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+        imported = {alias.name for n in nodes if isinstance(n, ast.ImportFrom) and n.module == "autodiff"
+                    for alias in n.names}
+        used |= imported & {n.id for n in nodes if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    assert sorted(recorders - used) == []
 
 
 def test_arranged_mlp_rejects_bad_tables_and_shapes():

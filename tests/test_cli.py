@@ -24,6 +24,7 @@ import sggkit.data
 import sggkit.metrics
 from sggkit.cli import main
 from sggkit.data import (
+    MAX_SCENE_NODES,
     Edge,
     GeneratorSpec,
     Node,
@@ -342,6 +343,25 @@ def test_scene_without_edges_is_named(entry, corpus, checkpoint, tmp_path, capsy
     assert f"scene {bare}:" in err
     if entry != "train":
         assert path in err
+
+
+@pytest.mark.parametrize("entry", ["eval --checkpoint", "train"])
+def test_scene_over_the_node_cap_is_one_error_line(entry, corpus, checkpoint, tmp_path, capsys):
+    """A scene of MAX_SCENE_NODES + 1 nodes is rejected before its candidate graph is built."""
+    records = read_scenes(corpus)
+    n = MAX_SCENE_NODES + 1
+    nodes = [Node(i, 1 + i % 2, (0.1, 0.1, 0.5, 0.5), i) for i in range(n)]
+    records[0] = replace(records[0], nodes=nodes, edges=[Edge(0, 1, 1)])
+    path = _rewrite_corpus(corpus, str(tmp_path / "big.sgjsonl"), records)
+    out = str(tmp_path / "out.csv")
+    argv = {
+        "eval --checkpoint": ["eval", "--corpus", path, "--checkpoint", checkpoint, "--out", out],
+        "train": ["train", "--corpus", path, "--out", out, "--epochs", "1", "--holdout", "10"],
+    }[entry]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert f"scene {records[0].scene_id}: {n} nodes, more than the {MAX_SCENE_NODES} a scene may hold" in err
 
 
 def test_each_scene_is_ranked_once(corpus, checkpoint, tmp_path, monkeypatch):

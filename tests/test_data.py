@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from helpers import appearance, class_logits
 from sggkit.data import (
     FIELD_TYPES,
+    MAX_SCENE_NODES,
     Edge,
     GeneratorSpec,
     Node,
@@ -274,6 +275,11 @@ def test_spec_validation_rejects_bad_configs():
         small_spec(noise_rate=0.1, n_predicate_categories=2).validate()
     with pytest.raises(ValueError):
         small_spec(n_scenes=0).validate()
+
+
+def test_spec_rejects_more_nodes_than_a_scene_may_hold():
+    with pytest.raises(ValueError, match=f"^nodes_per_scene must be at most {MAX_SCENE_NODES}, got {MAX_SCENE_NODES + 1}$"):
+        GeneratorSpec(nodes_per_scene=MAX_SCENE_NODES + 1).validate()
 
 
 def test_spec_json_round_trip_and_unknown_key():
