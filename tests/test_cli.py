@@ -347,7 +347,7 @@ def test_scene_without_edges_is_named(entry, corpus, checkpoint, tmp_path, capsy
 
 @pytest.mark.parametrize("entry", ["eval --checkpoint", "train"])
 def test_scene_over_the_node_cap_is_one_error_line(entry, corpus, checkpoint, tmp_path, capsys):
-    """A scene of MAX_SCENE_NODES + 1 nodes is rejected before its candidate graph is built."""
+    """A scene of MAX_SCENE_NODES + 1 nodes ends the command with one error line naming the scene."""
     records = read_scenes(corpus)
     n = MAX_SCENE_NODES + 1
     nodes = [Node(i, 1 + i % 2, (0.1, 0.1, 0.5, 0.5), i) for i in range(n)]

@@ -2,7 +2,7 @@
 equality of autodiff.gih with the record-per-operation chain it fuses.
 
 gcn and gat read no adjacency: every ordered node pair of a scene is a
-candidate edge, so their tests run on complete graphs."""
+candidate edge, so their hand cases are complete graphs."""
 
 import numpy as np
 import pytest
