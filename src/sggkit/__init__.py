@@ -4,7 +4,7 @@ Submodules:
     autodiff        dense float64 matrices + tape reverse-mode differentiation
     local_attention per-relation attention over subject/object/union instances
     fusion          direction-sensitive edge encoding and its baselines
-    propagation     joint node/edge message passing on a block adjacency
+    propagation     joint node/edge message passing on the candidate graph
     attract_repel   reference-bank contrastive loss on edge embeddings
     data            scene records, planted-rule generator, feature synthesis
     model           full model assembly, losses and the training loop

@@ -234,9 +234,16 @@ def _train_overrides(args) -> dict:
     return over
 
 
+def _read_corpus(path) -> list[SceneRecord]:
+    records = read_scenes(path)
+    if not records:
+        raise ValueError(f"{path}: corpus is empty")
+    return records
+
+
 def cmd_train(args) -> int:
     t0 = time.perf_counter()
-    records = read_scenes(args.corpus)
+    records = _read_corpus(args.corpus)
     spec = _load_corpus_spec(args.corpus)
     # vocabulary follows the corpus unless the user pinned it explicitly
     vocabulary = {"n_entity_categories": spec.n_entity_categories,
@@ -292,9 +299,7 @@ def cmd_eval(args) -> int:
         raise ValueError("eval needs exactly one of --checkpoint or --predictions")
     if args.predictions and args.unconstrained:
         raise ValueError("--unconstrained applies to --checkpoint only; --predictions are scored as ranked")
-    records = read_scenes(args.corpus)
-    if not records:
-        raise ValueError(f"{args.corpus}: corpus is empty")
+    records = _read_corpus(args.corpus)
     for record in records:
         if not record.edges:
             raise ValueError(f"{args.corpus}: scene {record.scene_id}: no annotated edges, so recall is undefined")
@@ -360,9 +365,7 @@ def _infer_category_counts(records: list[SceneRecord]) -> tuple[int, int]:
 
 def cmd_analyze(args) -> int:
     t0 = time.perf_counter()
-    records = read_scenes(args.corpus)
-    if not records:
-        raise ValueError(f"{args.corpus}: corpus is empty")
+    records = _read_corpus(args.corpus)
     meta_path = f"{args.corpus}.meta.json"
     if os.path.exists(meta_path):
         spec = _load_corpus_spec(args.corpus)

@@ -50,7 +50,6 @@ from typing import NewType
 
 import numpy as np
 
-ENTITY_NO_OBJECT = 0
 PREDICATE_NO_RELATION = 0
 # Every ordered node pair is a candidate edge, so gih's dense A~ has side N + N(N-1) = N^2 and takes
 # 8 N^4 bytes: 76 is the largest N that keeps it within 256 MiB (77 needs 268 MiB, 200 about 12 GiB).

@@ -4,7 +4,7 @@ Pipeline per scene: proposal features are mapped to node vectors, every
 ordered node pair becomes a candidate edge whose representation is built
 from the (subject, object, union) instance triple by local attention and
 a direction-aware fusion, nodes and edges then exchange messages over the
-scene's block adjacency, and two linear heads read off entity and
+complete candidate graph, and two linear heads read off entity and
 predicate distributions.
 
 Losses: per-node cross-entropy, a per-edge cross-entropy that gives
@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, asdict
-from functools import cache
 
 import numpy as np
 
@@ -60,7 +59,7 @@ from .metrics import (
     ranked_from_scores,
 )
 from .propagation import VARIANTS as PROPAGATION_VARIANTS
-from .propagation import BlockAdjacency, GraphState, build_adjacency, init_propagation, propagate
+from .propagation import GraphState, build_adjacency, init_propagation, propagate
 
 # rng stream tags
 _STREAM_PARAMS = 23
@@ -133,10 +132,12 @@ class ModelConfig(ConfigSchema):
 class PreparedScene:
     """A scene lowered to the dense arrays the model consumes.
 
-    Candidate edges are all ordered node pairs; annotated pairs carry
-    their predicate label and everything else the no-relation label 0.
-    Union inputs concatenate the two appearances in node-index order with
-    the covering box, so both directions of a pair share one union row.
+    Candidate edges are all ordered node pairs, in the order of
+    propagation.build_adjacency; annotated pairs carry their predicate label
+    and everything else the no-relation label 0. Union inputs concatenate
+    the two appearances in node-index order with the covering box, so both
+    directions of a pair share one union row. subjects and objects, each
+    edge's node rows, are shared read-only by every scene of its node count.
     """
 
     scene_id: str
@@ -148,7 +149,8 @@ class PreparedScene:
     edge_labels: np.ndarray
     node_onehot: np.ndarray
     edge_onehot: np.ndarray
-    adjacency: BlockAdjacency  # also holds each edge's subject and object rows
+    subjects: np.ndarray  # [M] int64 node rows
+    objects: np.ndarray  # [M] int64 node rows
 
     @property
     def n_nodes(self) -> int:
@@ -159,29 +161,17 @@ class PreparedScene:
         return len(self.edge_index)
 
 
-@cache
-def _candidate_graph(n: int) -> tuple[np.ndarray, BlockAdjacency]:
-    """Every ordered pair of n node rows and its block adjacency, built once per n.
-
-    Scenes of n nodes share both, so every array is read-only. prepare_scene
-    bounds n by MAX_SCENE_NODES, and so the cache: all graphs up to n nodes
-    hold O(n^3) ints, fewer than the O(n^4) floats of one forward's A~ at n.
-    """
-    rows = np.argwhere(~np.eye(n, dtype=bool))
-    adjacency = build_adjacency(n, rows)
-    for shared in (rows, adjacency.subjects, adjacency.objects, adjacency.opposite):
-        shared.flags.writeable = False
-    return rows, adjacency
-
-
 def prepare_scene(record: SceneRecord, spec: GeneratorSpec) -> PreparedScene:
     """A validated record lowered to model inputs; with read_scenes, the entry points that validate records.
 
     `spec`, the corpus's GeneratorSpec, bounds the labels and synthesizes the node features. A scene
-    holds at most MAX_SCENE_NODES nodes, and scenes with the same node count share one read-only
-    adjacency, from _candidate_graph.
+    holds 1 to MAX_SCENE_NODES nodes. Its candidate edges come from build_adjacency, cached per node
+    count, so the cap bounds that cache too: all graphs up to n nodes hold O(n^3) ints, fewer than the
+    O(n^4) floats of one forward's A~ at n.
     """
     record.validate()
+    if not record.nodes:
+        raise ValueError(f"scene {record.scene_id}: no nodes")
     if len(record.nodes) > MAX_SCENE_NODES:
         raise ValueError(f"scene {record.scene_id}: {len(record.nodes)} nodes, more than the "
                          f"{MAX_SCENE_NODES} a scene may hold")
@@ -203,8 +193,7 @@ def prepare_scene(record: SceneRecord, spec: GeneratorSpec) -> PreparedScene:
     node_inputs = np.concatenate([appearance, boxes, logits], axis=1)
     ids = [node.id for node in record.nodes]
     row_of = {node_id: row for row, node_id in enumerate(ids)}
-    rows, adjacency = _candidate_graph(n)
-    subj, obj = adjacency.subjects, adjacency.objects
+    subj, obj, _ = build_adjacency(n)
     node_ids = np.array(ids, dtype=np.int64)
     swap = node_ids[obj] < node_ids[subj]
     first, second = np.where(swap, obj, subj), np.where(swap, subj, obj)
@@ -222,12 +211,13 @@ def prepare_scene(record: SceneRecord, spec: GeneratorSpec) -> PreparedScene:
         record=record,
         node_inputs=node_inputs,
         union_inputs=union_inputs,
-        edge_index=node_ids[rows],
+        edge_index=np.stack([node_ids[subj], node_ids[obj]], axis=1),
         node_labels=node_labels,
         edge_labels=edge_labels,
         node_onehot=np.eye(spec.n_entity_categories)[node_labels],
         edge_onehot=np.eye(spec.n_predicate_categories)[edge_labels],
-        adjacency=adjacency,
+        subjects=subj,
+        objects=obj,
     )
 
 
@@ -275,8 +265,8 @@ class Model:
         m = prep.n_edges
         if m > 0:
             union0 = linear_map(Constant(prep.union_inputs), *self.union_map)
-            z_s = gather_rows(nodes0, prep.adjacency.subjects)
-            z_o = gather_rows(nodes0, prep.adjacency.objects)
+            z_s = gather_rows(nodes0, prep.subjects)
+            z_o = gather_rows(nodes0, prep.objects)
             if self.lih is not None:
                 z_s, z_o, z_u = lih_forward_batch(z_s, z_o, union0, self.lih)
             else:
@@ -284,7 +274,7 @@ class Model:
             edges0 = encode_edges(z_s, z_o, z_u, self.fusion)
         else:
             edges0 = Matrix(np.zeros((0, cfg.d_edge)))
-        state = propagate(GraphState(nodes0, edges0), prep.adjacency, self.prop)
+        state = propagate(GraphState(nodes0, edges0), self.prop)
         node_logits = linear_map(state.node_feats, *self.entity_head)
         if m > 0:
             edge_logits = linear_map(state.edge_feats, *self.predicate_head)

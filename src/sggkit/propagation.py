@@ -1,14 +1,16 @@
 """Joint message passing over entity nodes and relation edges.
 
-Nodes and edges are stacked into one feature matrix G = [N; E] and mixed
-through a block adjacency A of side (n_nodes + n_edges):
+Every ordered pair of a scene's n nodes is a candidate edge, so the graph
+depends on n alone. Edge k joins subject row s and object row o, k running
+over the pairs (s, o), s != o, in row-major order; its opposite (o, s) is
+edge o(n-1) + s - [s > o]. Nodes and edges are stacked into one feature
+matrix G = [N; E] of n + m = n^2 rows, m = n(n-1), and mixed through
 
-    A_nn[i][j] = 1  iff some edge connects i and j in either direction
-    A_ne[i][m] = 1  iff node i is the subject or object of edge m
-    A_en       = A_ne transposed
-    A_ee[m][m'] = 1 iff m' joins the same node pair as m in the opposite direction
+    A~ = [[J, B], [B^T, I + P]]
 
-Self connections come only from the augmentation A~ = A + I. Layers follow
+where J is the all-ones n x n block, B the n x m incidence matrix (B[i][k]
+is 1 iff node i is the subject or object of edge k) and P swaps each edge
+with its opposite. A~ is the graph's adjacency plus I. Layers follow
 
     odd  l:  G(l) = max(0, A~ G(l-1) W(l))
     even l:  G(l) = G(l-2) + max(0, A~ G(l-1) W(l))
@@ -17,8 +19,7 @@ with square per-layer weights, no degree normalization, and matmuls grouped
 as (A~ G) W. Zero weights therefore make an even-depth stack an exact
 identity. The gcn and gat baselines update node rows only and leave edge
 rows untouched, which is what the edge-awareness comparisons rely on.
-They read no adjacency: every ordered node pair of a scene is a candidate
-edge, so A_nn + I is all ones, gcn's normalized block is 1/n everywhere
+They read only the node block J: gcn's normalized block is 1/n everywhere
 and gat attends over every node. Their layers are residual,
 
     gcn:  h + max(0, Â h W)        gat:  h + max(0, alpha (h W))
@@ -27,21 +28,20 @@ since without the h term one layer maps every node to the same row.
 
 The variant is fixed when the weights are built: init_propagation returns
 PropagationParams that carry it, and propagate runs the variant its params
-name (none passes the state through), after checking the state's rows
-against the adjacency.
+name (none passes the state through), after checking that the state has
+n(n-1) edge rows for its n node rows.
 
-A BlockAdjacency stores only edge endpoints and opposite-edge pairs, plus
-the flat positions of A~'s ones, computed on first use. Each gih_forward
-fills a fresh A~ from those positions and runs every layer as one tape
-primitive, autodiff.gih, whose backward forms no gradient for A~.
-model.prepare_scene builds one adjacency per node count, with read-only
-arrays, and every scene of that count shares it.
+build_adjacency(n) gives the edge endpoints and the flat positions of A~'s
+ones, built once per n as read-only arrays that every scene of n nodes
+shares. Each gih_forward fills a fresh A~ from those positions and runs
+every layer as one tape primitive, autodiff.gih, whose backward forms no
+gradient for A~.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache
 
 import numpy as np
 
@@ -60,72 +60,23 @@ from .autodiff import (
 )
 
 
-@dataclass(frozen=True)
-class BlockAdjacency:
-    """Adjacency A over n nodes then m edges, stored as edge endpoints; only gih reads it.
+@cache
+def build_adjacency(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Subject rows, object rows and the flat positions of A~'s ones for n nodes, all read-only.
 
-    Edge k joins node rows subjects[k] and objects[k]; a row (k, k') of
-    opposite says edge k' joins them the other way. The dense A + I is
-    built on each access of a_tilde, which writes 1.0 into zeros at the
-    flat positions of its ones, O(n + m) ints computed once per adjacency.
-    Fields cannot be reassigned, since scenes of one node count share one
-    adjacency.
+    The positions index A~ raveled, side n^2, and cover J, B, B^T, I and P
+    once each. The cache holds O(n^2) ints per node count.
     """
-
-    n_nodes: int
-    subjects: np.ndarray  # (m,) node rows
-    objects: np.ndarray  # (m,) node rows
-    opposite: np.ndarray  # (p, 2) edge pairs
-
-    @property
-    def n_edges(self) -> int:
-        return self.subjects.size
-
-    @cached_property
-    def _ones(self) -> np.ndarray:
-        """Flat positions of the ones of A + I, some repeated; read-only."""
-        n, s, o = self.n_nodes, self.subjects, self.objects
-        side = n + self.n_edges
-        diag, e = np.arange(side), n + np.arange(self.n_edges)
-        rows = np.concatenate([diag, s, o, s, o, e, e, n + self.opposite[:, 0]])
-        cols = np.concatenate([diag, o, s, e, e, s, o, n + self.opposite[:, 1]])
-        ones = rows * side + cols
-        ones.flags.writeable = False
-        return ones
-
-    @property
-    def a_tilde(self) -> np.ndarray:
-        """A + I, (n+m) x (n+m), a fresh writable array on each access."""
-        side = self.n_nodes + self.n_edges
-        a = np.zeros(side * side)
-        a[self._ones] = 1.0
-        return a.reshape(side, side)
-
-
-def build_adjacency(n_nodes: int, edges) -> BlockAdjacency:
-    """Block adjacency for directed candidate edges, (s, o) node-row pairs.
-
-    Each edge is linked to every copy of its opposite, found in O(m log m)
-    by sorting the keys s * n + o.
-    """
-    s, o = np.asarray(edges, dtype=np.int64).reshape(-1, 2).T
-    outside = (s < 0) | (s >= n_nodes) | (o < 0) | (o >= n_nodes)
-    bad = outside | (s == o)
-    if bad.any():
-        k = int(np.argmax(bad))
-        if outside[k]:
-            raise ValueError(f"edge ({s[k]}, {o[k]}) has an endpoint outside 0..{n_nodes - 1}")
-        raise ValueError(f"self-loop edge ({s[k]}, {o[k]}) is not allowed")
-    key = s * n_nodes + o
-    order = np.argsort(key, kind="stable")
-    sorted_keys, reverse = key[order], o * n_nodes + s
-    lo = np.searchsorted(sorted_keys, reverse, side="left")
-    count = np.searchsorted(sorted_keys, reverse, side="right") - lo
-    # edge k has count[k] opposites, at sorted positions lo[k], lo[k] + 1, ...
-    k = np.repeat(np.arange(s.size), count)
-    offset = np.arange(k.size) - np.repeat(np.cumsum(count) - count, count)
-    opposite = np.stack([k, order[lo[k] + offset]], axis=1)
-    return BlockAdjacency(n_nodes, s, o, opposite)
+    subjects, objects = np.nonzero(~np.eye(n, dtype=bool))
+    side, e = n * n, n + np.arange(n * (n - 1))
+    opposite = n + objects * (n - 1) + subjects - (subjects > objects)
+    nodes = np.arange(n)
+    rows = np.concatenate([np.repeat(nodes, n), subjects, objects, e, e, e, e])
+    cols = np.concatenate([np.tile(nodes, n), e, e, subjects, objects, e, opposite])
+    ones = rows * side + cols
+    for shared in (subjects, objects, ones):
+        shared.flags.writeable = False
+    return subjects, objects, ones
 
 
 @dataclass
@@ -170,8 +121,12 @@ def init_propagation(param: Param, variant: str, d: int, n_layers: int = 4) -> P
     return PropagationParams(variant, [])  # none; an unknown name is rejected here
 
 
-def gih_forward(state: GraphState, adj: BlockAdjacency, params: PropagationParams) -> GraphState:
-    nodes, edges = gih(state.node_feats, state.edge_feats, adj.a_tilde, [w for (w,) in params.layers])
+def gih_forward(state: GraphState, params: PropagationParams) -> GraphState:
+    n = state.node_feats.rows
+    a_tilde = np.zeros(n ** 4)
+    a_tilde[build_adjacency(n)[2]] = 1.0
+    nodes, edges = gih(state.node_feats, state.edge_feats, a_tilde.reshape(n * n, n * n),
+                       [w for (w,) in params.layers])
     return GraphState(nodes, edges)
 
 
@@ -180,7 +135,7 @@ def gcn_forward(nodes: Matrix, params: PropagationParams) -> Matrix:
     Â, the symmetric normalization D^-1/2 (A_nn + I) D^-1/2 of a complete graph, is x * x
     everywhere, with x = 1/sqrt(n)."""
     n = nodes.rows
-    x = 1.0 / np.sqrt(max(n, 1))  # a scene without nodes has an empty block
+    x = 1.0 / np.sqrt(n)
     a_hat = Constant(np.full((n, n), x * x))
     h = nodes
     for (w,) in params.layers:
@@ -204,18 +159,16 @@ def gat_forward(nodes: Matrix, params: PropagationParams) -> Matrix:
     return h
 
 
-def propagate(state: GraphState, adj: BlockAdjacency, params: PropagationParams) -> GraphState:
+def propagate(state: GraphState, params: PropagationParams) -> GraphState:
     """Run the variant the params were built for; none returns the state as is.
 
     gcn and gat update the node rows and pass the edge rows through.
     """
-    if state.node_feats.rows != adj.n_nodes or state.edge_feats.rows != adj.n_edges:
-        raise ShapeError(
-            f"state rows ({state.node_feats.rows} nodes, {state.edge_feats.rows} edges) "
-            f"do not match adjacency ({adj.n_nodes} nodes, {adj.n_edges} edges)"
-        )
+    n, m = state.node_feats.rows, state.edge_feats.rows
+    if m != n * (n - 1):
+        raise ShapeError(f"state rows ({n} nodes, {m} edges) are not a complete graph, which has {n * (n - 1)} edges")
     if params.variant == "gih":
-        return gih_forward(state, adj, params)
+        return gih_forward(state, params)
     if params.variant == "gcn":
         return GraphState(gcn_forward(state.node_feats, params), state.edge_feats)
     if params.variant == "gat":

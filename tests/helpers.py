@@ -10,7 +10,7 @@ from sggkit.autodiff import Constant, ShapeError, Tape, _finish, add, linear_map
 from sggkit.data import _STREAM_APPEAR, _STREAM_LOGITS, Edge, Node, SceneRecord
 from sggkit.fusion import ORDERS
 from sggkit.metrics import GroundTruthGraph, rank_triplets
-from sggkit.propagation import GraphState
+from sggkit.propagation import GraphState, build_adjacency
 
 
 def drawn(rng):
@@ -126,17 +126,17 @@ def chain_lih(s, o, u, params):
     return slice_rows(z, 0, m), slice_rows(z, m, 2 * m), slice_rows(z, 2 * m, 3 * m)
 
 
-def chain_gih(state, adj, params):
+def chain_gih(state, params):
     """propagation.gih_forward as separate records: concat_rows, per layer matmul(A~, G),
     matmul(., w) and relu, an add per even layer, and two slice_rows."""
-    at = Constant(adj.a_tilde)
+    n = state.node_feats.rows
+    at = Constant(complete_a_tilde(n))
     prev = {0: concat_rows([state.node_feats, state.edge_feats])}
     for l, (w,) in enumerate(params.layers, start=1):
         h = relu(matmul(matmul(at, prev[l - 1]), w))
         prev[l] = h if l % 2 == 1 else add(prev[l - 2], h)
     out = prev[len(params.layers)]
-    n = adj.n_nodes
-    return GraphState(slice_rows(out, 0, n), slice_rows(out, n, n + adj.n_edges))
+    return GraphState(slice_rows(out, 0, n), slice_rows(out, n, n * n))
 
 
 def chain_cosine_rows(e, r, g):
@@ -345,33 +345,20 @@ def cluster_stats(embeddings, labels):
 
 
 # ---------------------------------------------------------------------------
-# block adjacency: dense views and the per-edge loop oracle
+# block adjacency: the complete graph's A + I and the per-edge loop oracle
 
 
-def a_of(adj):
-    """A, read off A + I (A has a zero diagonal)."""
-    at = adj.a_tilde
-    return at - np.eye(at.shape[0])
-
-
-def a_nn_of(adj):
-    return adj.a_tilde[: adj.n_nodes, : adj.n_nodes] - np.eye(adj.n_nodes)
-
-
-def a_ne_of(adj):
-    return adj.a_tilde[: adj.n_nodes, adj.n_nodes :]
-
-
-def a_en_of(adj):
-    return adj.a_tilde[adj.n_nodes :, : adj.n_nodes]
-
-
-def a_ee_of(adj):
-    return adj.a_tilde[adj.n_nodes :, adj.n_nodes :] - np.eye(adj.n_edges)
+def complete_a_tilde(n):
+    """A + I of every ordered pair of n nodes, filled as propagation.gih_forward fills it."""
+    a = np.zeros(n ** 4)
+    a[build_adjacency(n)[2]] = 1.0
+    return a.reshape(n * n, n * n)
 
 
 def loop_a_tilde(n_nodes, edges):
-    """A + I filled one edge at a time; each edge links to every opposite copy."""
+    """A + I of any directed edge list, filled one edge at a time; each edge links to
+    every opposite copy. The oracle for complete_a_tilde, and the adjacency of the
+    sparse-graph tests of autodiff.gih."""
     m = len(edges)
     a = np.zeros((n_nodes + m, n_nodes + m))
     reverse = {}
@@ -422,7 +409,7 @@ def loop_prepare_scene(record, fp):
     """prepare_scene's arrays built node by node and edge by edge.
 
     Returns a dict keyed like the PreparedScene fields it covers, plus the
-    adjacency's "subjects", "objects" and dense "a_tilde".
+    dense "a_tilde" of the scene's candidate graph.
     """
     offset = fp.scene_offset(record.scene_id)
     props = [(appearance(fp, node) + offset, np.asarray(node.box, dtype=float), class_logits(fp, node))

@@ -324,6 +324,30 @@ def test_every_primitive_is_called_by_another_module():
     assert sorted(recorders - used) == []
 
 
+def test_every_public_name_is_loaded_outside_its_definition():
+    """Each public top-level function, class and constant of sggkit is read somewhere in sggkit outside
+    its own definition, so a name that only tests read fails here."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in Path(ad.__file__).parent.glob("*.py")}
+    unread = []
+    for module, tree in trees.items():
+        for top in tree.body:
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                names = [top.name]
+            elif isinstance(top, (ast.Assign, ast.AnnAssign)):
+                targets = top.targets if isinstance(top, ast.Assign) else [top.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            for name in names:
+                if not name.startswith("_") and not any(
+                        isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Load)
+                        for other in trees.values() for stmt in other.body if stmt is not top
+                        for node in ast.walk(stmt)):
+                    unread.append(f"{module}:{name}")
+    assert unread == []
+
+
 def test_arranged_mlp_rejects_bad_tables_and_shapes():
     x, wide = ad.Matrix(np.ones((2, 3))), ad.Matrix(np.ones((2, 4)))
     w0, b0 = ad.Matrix(np.ones((6, 4))), ad.Matrix(np.ones((1, 4)))

@@ -364,6 +364,35 @@ def test_scene_over_the_node_cap_is_one_error_line(entry, corpus, checkpoint, tm
     assert f"scene {records[0].scene_id}: {n} nodes, more than the {MAX_SCENE_NODES} a scene may hold" in err
 
 
+@pytest.mark.parametrize("variant", ["gih", "none", "gcn", "gat"])
+def test_training_scene_without_nodes_is_one_error_line(variant, corpus, tmp_path, capsys):
+    """A training scene with no nodes ends train with one error line naming the scene, for every
+    propagation variant."""
+    records = read_scenes(corpus)[:12]
+    records[0] = replace(records[0], nodes=[], edges=[])
+    path = _rewrite_corpus(corpus, str(tmp_path / "nodeless.sgjsonl"), records)
+    cfg = _write_config(tmp_path / "train.cfg", gih_variant=variant)
+    argv = ["train", "--corpus", path, "--out", str(tmp_path / "m.ckpt.json"), "--config", cfg,
+            "--epochs", "1", "--holdout", "0"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: scene {records[0].scene_id}: no nodes\n"
+
+
+@pytest.mark.parametrize("entry", ["train", "eval --checkpoint", "eval --predictions", "analyze"])
+def test_empty_corpus_is_named(entry, corpus, checkpoint, tmp_path, capsys):
+    path = _rewrite_corpus(corpus, str(tmp_path / "empty.sgjsonl"), [])
+    out = str(tmp_path / "out.csv")
+    argv = {
+        "train": ["train", "--corpus", path, "--out", out],
+        "eval --checkpoint": ["eval", "--corpus", path, "--checkpoint", checkpoint, "--out", out],
+        "eval --predictions": ["eval", "--corpus", path, "--out", out, "--predictions",
+                               _ground_truth_predictions(str(tmp_path / "gt.pred.jsonl"), [])],
+        "analyze": ["analyze", "--corpus", path, "--out-dir", str(tmp_path)],
+    }[entry]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {path}: corpus is empty\n"
+
+
 def test_each_scene_is_ranked_once(corpus, checkpoint, tmp_path, monkeypatch):
     calls = []
 

@@ -1,7 +1,7 @@
 import json
 import re
 import tracemalloc
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +9,7 @@ import pytest
 from sggkit.attract_repel import ReferenceBank, sample_negatives, update_references
 from sggkit.autodiff import NumericError, Tape, softmax_rows
 from sggkit.data import PREDICATE_NO_RELATION, Edge, GeneratorSpec, Node, SceneRecord, generate, split_scenes
-from helpers import chain_gih, chain_lih, grad_check, loop_prepare_scene
+from helpers import chain_gih, chain_lih, complete_a_tilde, grad_check, loop_prepare_scene
 from sggkit import model as model_module
 from sggkit import propagation
 from sggkit.model import (
@@ -142,7 +142,7 @@ def test_prepare_scene_applies_shared_scene_offset():
 
 def _assert_matches_loop_oracle(prep, expect):
     for name, want in expect.items():
-        got = getattr(prep.adjacency if name in ("subjects", "objects", "a_tilde") else prep, name)
+        got = complete_a_tilde(prep.n_nodes) if name == "a_tilde" else getattr(prep, name)
         assert got.dtype == want.dtype and got.shape == want.shape, name
         assert got.tobytes() == want.tobytes(), name
 
@@ -163,47 +163,38 @@ def test_prepared_scene_holds_no_dense_adjacency():
     prep = prepare_scene(generate(spec)[0], spec)
     dense = (prep.n_nodes + prep.n_edges) ** 2
     assert prep.n_edges == 17 * 16
-    arrays = [v for v in (*vars(prep).values(), *vars(prep.adjacency).values()) if isinstance(v, np.ndarray)]
+    arrays = [v for v in vars(prep).values() if isinstance(v, np.ndarray)]
     assert max(a.size for a in arrays) < dense
 
 
 def test_scenes_of_one_node_count_share_a_read_only_graph():
     spec = tiny_spec(nodes_per_scene=6, n_scenes=2)
     first, second = (prepare_scene(r, spec) for r in generate(spec))
-    rows, adjacency = model_module._candidate_graph(6)
-    assert first.adjacency is second.adjacency is adjacency
-    assert model_module._candidate_graph(6)[0] is rows
-    adjacency.a_tilde  # fills the cached positions of A~'s ones
-    for shared in (rows, adjacency.subjects, adjacency.objects, adjacency.opposite, adjacency._ones):
+    subjects, objects, ones = propagation.build_adjacency(6)
+    assert first.subjects is second.subjects is subjects
+    assert first.objects is second.objects is objects
+    for shared in (subjects, objects, ones):
         with pytest.raises(ValueError, match="read-only"):
             shared[0] = 1
-    with pytest.raises(FrozenInstanceError):
-        adjacency.subjects = adjacency.objects
     for prep in (first, second):  # the writes above changed nothing
         _assert_matches_loop_oracle(prep, loop_prepare_scene(prep.record, spec))
 
 
 @pytest.fixture
 def empty_graph_cache():
-    model_module._candidate_graph.cache_clear()
+    propagation.build_adjacency.cache_clear()
     yield
-    model_module._candidate_graph.cache_clear()
+    propagation.build_adjacency.cache_clear()
 
 
-def test_candidate_graph_built_once_per_node_count(monkeypatch, empty_graph_cache):
-    built = []
-
-    def counting(n_nodes, edges):
-        built.append(n_nodes)
-        return propagation.build_adjacency(n_nodes, edges)
-
-    monkeypatch.setattr(model_module, "build_adjacency", counting)
+def test_candidate_graph_built_once_per_node_count(empty_graph_cache):
     six = tiny_spec(nodes_per_scene=6, n_scenes=12)
     records = generate(six)
     records[6:6] = generate(tiny_spec(nodes_per_scene=4, n_scenes=3))  # N = 4 between N = 6 scenes
     for record in records:
         prepare_scene(record, six)  # the specs differ only in node count
-    assert built == [6, 4]
+    info = propagation.build_adjacency.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (2, 13, 2)
 
 
 def test_prepare_scene_matches_loop_oracle_across_alternating_node_counts():
@@ -216,14 +207,25 @@ def test_prepare_scene_matches_loop_oracle_across_alternating_node_counts():
             _assert_matches_loop_oracle(prepare_scene(record, spec), loop_prepare_scene(record, spec))
 
 
-def test_a_tilde_is_a_fresh_writable_array_on_each_access():
+def test_a_tilde_is_a_fresh_writable_array_on_each_access(monkeypatch):
+    """Each gih forward hands autodiff.gih its own A + I, so a write into one leaves the next intact."""
     record, fp = scene_and_fp()
-    adjacency = prepare_scene(record, fp).adjacency
-    first, second = adjacency.a_tilde, adjacency.a_tilde
-    assert first.flags.writeable and not np.shares_memory(first, second)
-    first[:] = 7.0
-    assert adjacency.a_tilde.tobytes() == second.tobytes()
-    assert set(np.unique(second)) == {0.0, 1.0}
+    prep = prepare_scene(record, fp)
+    model = Model(tiny_config(d_appearance=fp.d_appearance, n_entity_categories=fp.n_entity_categories,
+                              n_predicate_categories=fp.n_predicate_categories))
+    real_gih, seen = propagation.gih, []
+
+    def spoiling_gih(nodes, edges, a_tilde, ws):
+        out = real_gih(nodes, edges, a_tilde, ws)
+        seen.append(a_tilde.copy())
+        a_tilde[:] = 7.0
+        return out
+
+    monkeypatch.setattr(propagation, "gih", spoiling_gih)
+    model.forward(prep)
+    model.forward(prep)
+    first, second = seen
+    assert first.tobytes() == second.tobytes() == complete_a_tilde(prep.n_nodes).tobytes()
 
 
 def test_forward_leaves_no_dense_array_on_the_adjacency():
@@ -233,8 +235,7 @@ def test_forward_leaves_no_dense_array_on_the_adjacency():
                       n_predicate_categories=spec.n_predicate_categories)
     Model(cfg).forward(prep)
     dense = (prep.n_nodes + prep.n_edges) ** 2
-    arrays = [v for v in vars(prep.adjacency).values() if isinstance(v, np.ndarray)]
-    assert "_ones" in vars(prep.adjacency)
+    arrays = [*propagation.build_adjacency(17), *(v for v in vars(prep).values() if isinstance(v, np.ndarray))]
     assert max(a.size for a in arrays) < dense
 
 

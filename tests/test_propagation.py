@@ -1,13 +1,14 @@
-"""Block adjacency construction, the three propagation variants, and byte
+"""The complete candidate graph, the three propagation variants, and byte
 equality of autodiff.gih with the record-per-operation chain it fuses.
 
-gcn and gat read no adjacency: every ordered node pair of a scene is a
-candidate edge, so their hand cases are complete graphs."""
+propagate runs on complete graphs only: every ordered node pair of a scene is
+a candidate edge. The sparse-graph properties of GIH run autodiff.gih on
+helpers.loop_a_tilde, the per-edge oracle of A + I for any edge list."""
 
 import numpy as np
 import pytest
 
-from helpers import a_ee_of, a_en_of, a_ne_of, a_nn_of, a_of, chain_gih, drawn, grad_check, loop_a_tilde
+from helpers import chain_gih, complete_a_tilde, drawn, grad_check, loop_a_tilde
 from sggkit import autodiff as ad
 from sggkit.model import ModelConfig
 from sggkit.propagation import (
@@ -23,9 +24,9 @@ from sggkit.propagation import (
 )
 
 
-def _complete(n):
-    """The block adjacency of every ordered pair of n nodes, as model.prepare_scene builds it."""
-    return build_adjacency(n, np.argwhere(~np.eye(n, dtype=bool)))
+def _pairs(n):
+    """Every ordered pair of n node rows, in row-major order."""
+    return [(s, o) for s in range(n) for o in range(n) if s != o]
 
 
 def _state(rng, n, m, d):
@@ -35,63 +36,59 @@ def _state(rng, n, m, d):
     )
 
 
+def _gih(state, a_tilde, params):
+    """autodiff.gih over any A + I, as GraphState rows."""
+    return GraphState(*ad.gih(state.node_feats, state.edge_feats, a_tilde, [w for (w,) in params.layers]))
+
+
 def test_two_nodes_two_opposite_edges_hand_case():
-    adj = build_adjacency(2, [(0, 1), (1, 0)])
-    np.testing.assert_array_equal(a_nn_of(adj), [[0, 1], [1, 0]])
-    np.testing.assert_array_equal(a_ne_of(adj), [[1, 1], [1, 1]])
-    np.testing.assert_array_equal(a_en_of(adj), a_ne_of(adj).T)
-    np.testing.assert_array_equal(a_ee_of(adj), [[0, 1], [1, 0]])
-    np.testing.assert_array_equal(np.diag(a_of(adj)), np.zeros(4))
-    np.testing.assert_array_equal(np.diag(adj.a_tilde), np.ones(4))
+    subjects, objects, _ = build_adjacency(2)
+    np.testing.assert_array_equal(np.stack([subjects, objects], axis=1), [(0, 1), (1, 0)])
+    np.testing.assert_array_equal(complete_a_tilde(2), [
+        [1, 1, 1, 1],
+        [1, 1, 1, 1],
+        [1, 1, 1, 1],
+        [1, 1, 1, 1],
+    ])
 
 
-def test_single_edge_has_no_opposite():
-    adj = build_adjacency(3, [(0, 2)])
-    np.testing.assert_array_equal(a_ee_of(adj), [[0]])
-    np.testing.assert_array_equal(a_nn_of(adj), [[0, 0, 1], [0, 0, 0], [1, 0, 0]])
-    np.testing.assert_array_equal(a_ne_of(adj), [[1], [0], [1]])
+def test_three_nodes_hand_case():
+    """A~ = [[J, B], [B^T, I + P]], with B the incidence of each edge and P its opposite."""
+    subjects, objects, _ = build_adjacency(3)
+    np.testing.assert_array_equal(np.stack([subjects, objects], axis=1), _pairs(3))
+    a = complete_a_tilde(3)
+    np.testing.assert_array_equal(a[:3, :3], np.ones((3, 3)))
+    np.testing.assert_array_equal(a[:3, 3:], [
+        [1, 1, 1, 0, 1, 0],
+        [1, 0, 1, 1, 0, 1],
+        [0, 1, 0, 1, 1, 1],
+    ])
+    np.testing.assert_array_equal(a[3:, :3], a[:3, 3:].T)
+    opposite = [2, 4, 0, 5, 1, 3]  # (0,1) <-> (1,0), (0,2) <-> (2,0), (1,2) <-> (2,1)
+    np.testing.assert_array_equal(a[3:, 3:], np.eye(6) + np.eye(6)[opposite])
 
 
 def test_empty_edge_list():
-    adj = build_adjacency(3, [])
-    np.testing.assert_array_equal(a_of(adj), np.zeros((3, 3)))
-    np.testing.assert_array_equal(adj.a_tilde, np.eye(3))
+    """One node has no candidate edge, and A + I is the 1 x 1 identity."""
+    subjects, objects, _ = build_adjacency(1)
+    assert subjects.size == objects.size == 0
+    np.testing.assert_array_equal(complete_a_tilde(1), np.eye(1))
+    np.testing.assert_array_equal(loop_a_tilde(3, []), np.eye(3))
 
 
 def test_adjacency_is_symmetric():
-    rng = np.random.default_rng(0)
-    for _ in range(10):
-        n = int(rng.integers(2, 7))
-        pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
-        take = rng.permutation(len(pairs))[: int(rng.integers(1, len(pairs) + 1))]
-        edges = [pairs[t] for t in take]
-        adj = build_adjacency(n, edges)
-        np.testing.assert_array_equal(a_of(adj), a_of(adj).T)
+    for n in range(1, 9):
+        a = complete_a_tilde(n)
+        np.testing.assert_array_equal(a, a.T)
 
 
-def test_matches_per_edge_loop_with_opposites_and_duplicates():
-    rng = np.random.default_rng(12)
-    repeats = 0
-    for _ in range(60):
-        n = int(rng.integers(2, 8))
-        pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
-        edges = [pairs[t] for t in rng.integers(0, len(pairs), size=int(rng.integers(0, 2 * len(pairs))))]
-        repeats += len(edges) - len(set(edges))
-        adj = build_adjacency(n, edges)
-        expect = loop_a_tilde(n, edges)
-        assert adj.a_tilde.tobytes() == expect.tobytes()
-        np.testing.assert_array_equal(adj.a_tilde[:n, :n], expect[:n, :n])
-    assert repeats > 0
-
-
-def test_dangling_endpoint_rejected():
-    with pytest.raises(ValueError, match=r"\(0, 5\)"):
-        build_adjacency(3, [(0, 5)])
-
-
-def test_self_loop_rejected():
-    with pytest.raises(ValueError, match="self-loop"):
-        build_adjacency(3, [(1, 1)])
+def test_matches_per_edge_loop_oracle():
+    """Byte for byte, the loop oracle over every ordered pair, for every node count up to 17;
+    the positions of the ones hold no repeat."""
+    for n in range(1, 18):
+        assert complete_a_tilde(n).tobytes() == loop_a_tilde(n, _pairs(n)).tobytes(), n
+        ones = build_adjacency(n)[2]
+        assert np.unique(ones).size == ones.size == n * n + 6 * n * (n - 1), n
 
 
 def test_zero_weights_even_depth_is_exact_identity():
@@ -99,9 +96,8 @@ def test_zero_weights_even_depth_is_exact_identity():
     n, m, d = 3, 4, 5
     state = _state(rng, n, m, d)
     edges = [(0, 1), (1, 0), (1, 2), (2, 0)]
-    adj = build_adjacency(n, edges)
     params = PropagationParams("gih", [(ad.Matrix(np.zeros((d, d))),) for _ in range(4)])
-    out = gih_forward(state, adj, params)
+    out = _gih(state, loop_a_tilde(n, edges), params)
     np.testing.assert_array_equal(out.node_feats.data, state.node_feats.data)
     np.testing.assert_array_equal(out.edge_feats.data, state.edge_feats.data)
 
@@ -110,39 +106,44 @@ def test_identity_adjacency_identity_weights_doubles_nonneg_input():
     rng = np.random.default_rng(2)
     n, d = 4, 3
     state = GraphState(ad.Matrix(rng.uniform(0.0, 1.0, size=(n, d))), ad.Matrix(np.zeros((0, d))))
-    adj = build_adjacency(n, [])
     params = PropagationParams("gih", [(ad.Matrix(np.eye(d)),), (ad.Matrix(np.eye(d)),)])
-    out = gih_forward(state, adj, params)
+    out = _gih(state, loop_a_tilde(n, []), params)
     np.testing.assert_allclose(out.node_feats.data, 2.0 * state.node_feats.data, atol=1e-15)
 
 
-def test_matches_dense_reference_bit_exact():
+def _dense_reference(state, a_tilde, params):
     """Loop-free numpy transcription with the same (A~ G) W grouping."""
-    rng = np.random.default_rng(3)
-    n, d = 3, 4
-    edges = [(0, 1), (1, 0)]
-    m = len(edges)
-    state = _state(rng, n, m, d)
-    adj = build_adjacency(n, edges)
-    params = init_propagation(drawn(rng), "gih", d, 4)
-
     g_prev = {0: np.concatenate([state.node_feats.data, state.edge_feats.data], axis=0)}
     for l, (w,) in enumerate(params.layers, start=1):
-        h = np.maximum((adj.a_tilde @ g_prev[l - 1]) @ w.data, 0.0)
+        h = np.maximum((a_tilde @ g_prev[l - 1]) @ w.data, 0.0)
         g_prev[l] = h if l % 2 == 1 else g_prev[l - 2] + h
-    expect = g_prev[4]
+    return g_prev[len(params.layers)]
 
-    out = gih_forward(state, adj, params)
+
+def test_matches_dense_reference_bit_exact():
+    """Unnormalized gih, byte for byte: autodiff.gih on a sparse graph, and gih_forward on
+    complete graphs against the loop oracle's A + I."""
+    rng = np.random.default_rng(3)
+    d = 4
+    edges = [(0, 1), (1, 0)]
+    state = _state(rng, 3, len(edges), d)
+    params = init_propagation(drawn(rng), "gih", d, 4)
+    out = _gih(state, loop_a_tilde(3, edges), params)
     got = np.concatenate([out.node_feats.data, out.edge_feats.data], axis=0)
-    assert got.tobytes() == expect.tobytes()
+    assert got.tobytes() == _dense_reference(state, loop_a_tilde(3, edges), params).tobytes()
+    for n in (2, 3, 6):
+        state = _state(rng, n, n * (n - 1), d)
+        out = gih_forward(state, params)
+        got = np.concatenate([out.node_feats.data, out.edge_feats.data], axis=0)
+        assert got.tobytes() == _dense_reference(state, loop_a_tilde(n, _pairs(n)), params).tobytes(), n
 
 
 def test_state_shape_mismatch_raises():
     rng = np.random.default_rng(4)
-    adj = build_adjacency(3, [(0, 1)])
-    state = _state(rng, 3, 2, 4)  # adjacency has 1 edge, state has 2
-    with pytest.raises(ad.ShapeError, match="do not match"):
-        propagate(state, adj, init_propagation(drawn(rng), "gih", 4))
+    state = _state(rng, 3, 2, 4)  # three nodes have six candidate edges
+    with pytest.raises(ad.ShapeError, match=r"^state rows \(3 nodes, 2 edges\) are not a complete graph, "
+                                            r"which has 6 edges$"):
+        propagate(state, init_propagation(drawn(rng), "gih", 4))
 
 
 def test_odd_layer_count_rejected():
@@ -154,15 +155,14 @@ def test_locality_disconnected_component_unchanged():
     """Perturbing one component never moves features of the other."""
     rng = np.random.default_rng(5)
     d = 4
-    edges = [(0, 1), (1, 0)]  # nodes 2, 3 are isolated from 0, 1
-    adj = build_adjacency(4, edges)
+    a_tilde = loop_a_tilde(4, [(0, 1), (1, 0)])  # nodes 2, 3 are isolated from 0, 1
     params = init_propagation(drawn(rng), "gih", d, 4)
     base = _state(rng, 4, 2, d)
-    out1 = gih_forward(base, adj, params)
+    out1 = _gih(base, a_tilde, params)
 
     moved = GraphState(ad.Matrix(base.node_feats.data.copy()), ad.Matrix(base.edge_feats.data.copy()))
     moved.node_feats.data[0] += 10.0
-    out2 = gih_forward(moved, adj, params)
+    out2 = _gih(moved, a_tilde, params)
 
     np.testing.assert_array_equal(out1.node_feats.data[2:], out2.node_feats.data[2:])
     assert np.abs(out1.node_feats.data[1] - out2.node_feats.data[1]).max() > 0
@@ -171,11 +171,10 @@ def test_locality_disconnected_component_unchanged():
 def test_gcn_zero_weights_zero_nodes_edges_untouched():
     """Zero weights zero every layer's node update, so the nodes come out as they went in."""
     rng = np.random.default_rng(6)
-    n, m, d = 3, 2, 4
+    n, m, d = 3, 6, 4
     state = _state(rng, n, m, d)
-    adj = build_adjacency(n, [(0, 1), (1, 2)])
     params = PropagationParams("gcn", [(ad.Matrix(np.zeros((d, d))),) for _ in range(2)])
-    out = propagate(state, adj, params)
+    out = propagate(state, params)
     np.testing.assert_array_equal(out.node_feats.data, state.node_feats.data)
     assert out.edge_feats is state.edge_feats
 
@@ -200,11 +199,10 @@ def test_gat_constant_logits_equals_mean_aggregation():
 
 def test_gcn_gat_never_touch_edge_rows():
     rng = np.random.default_rng(8)
-    n, m, d = 4, 3, 4
+    n, m, d = 4, 12, 4
     state = _state(rng, n, m, d)
-    adj = build_adjacency(n, [(0, 1), (1, 0), (2, 3)])
     for variant in ("gcn", "gat"):
-        out = propagate(state, adj, init_propagation(drawn(rng), variant, d))
+        out = propagate(state, init_propagation(drawn(rng), variant, d))
         assert out.edge_feats is state.edge_feats, variant
 
 
@@ -212,9 +210,8 @@ def test_edge_awareness_separation():
     """Perturbing an edge row moves gih node outputs but not gcn/gat ones."""
     rng = np.random.default_rng(9)
     n, d = 3, 4
-    edges = [(0, 1), (1, 0), (1, 2)]
-    adj = build_adjacency(n, edges)
-    base = _state(rng, n, len(edges), d)
+    a_tilde = loop_a_tilde(n, _pairs(n))
+    base = _state(rng, n, n * (n - 1), d)
     bumped = GraphState(
         ad.Matrix(base.node_feats.data.copy()),
         ad.Matrix(base.edge_feats.data + 5.0),
@@ -222,16 +219,16 @@ def test_edge_awareness_separation():
     gih = init_propagation(drawn(rng), "gih", d, 4)
     assert (
         np.abs(
-            gih_forward(base, adj, gih).node_feats.data
-            - gih_forward(bumped, adj, gih).node_feats.data
+            _gih(base, a_tilde, gih).node_feats.data
+            - _gih(bumped, a_tilde, gih).node_feats.data
         ).max()
         > 1e-6
     )
     for variant in ("gcn", "gat"):
         params = init_propagation(drawn(rng), variant, d, 2)
         np.testing.assert_array_equal(
-            propagate(base, adj, params).node_feats.data,
-            propagate(bumped, adj, params).node_feats.data,
+            propagate(base, params).node_feats.data,
+            propagate(bumped, params).node_feats.data,
         )
 
 
@@ -240,7 +237,7 @@ def test_normalized_adjacency_rows():
     equals its numpy transcription with that block, for every node count up to 17."""
     rng = np.random.default_rng(16)
     for n in range(1, 18):
-        a_hat = a_nn_of(_complete(n)) + np.eye(n)
+        a_hat = complete_a_tilde(n)[:n, :n]
         d_inv_sqrt = 1.0 / np.sqrt(a_hat.sum(axis=1))
         norm = a_hat * d_inv_sqrt[:, None] * d_inv_sqrt[None, :]
         x, w = rng.normal(size=(n, 3)), rng.normal(size=(3, 3))
@@ -254,8 +251,7 @@ def test_node_rows_stay_distinct_on_complete_graph(variant):
     """Every node row of a complete graph's scene stays distinct after propagation at init."""
     rng = np.random.default_rng(17)
     n, d = 6, 8
-    adj = _complete(n)
-    out = propagate(_state(rng, n, adj.n_edges, d), adj, init_propagation(drawn(rng), variant, d, 4))
+    out = propagate(_state(rng, n, n * (n - 1), d), init_propagation(drawn(rng), variant, d, 4))
     assert len(np.unique(out.node_feats.data, axis=0)) == n
 
 
@@ -271,14 +267,12 @@ def test_unknown_variant_raises():
 def test_gradients_per_variant(variant):
     rng = np.random.default_rng(11)
     n, d = 3, 3
-    edges = [(0, 1), (1, 0), (1, 2)]
-    adj = build_adjacency(n, edges)
-    state = _state(rng, n, len(edges), d)
+    state = _state(rng, n, n * (n - 1), d)
     params = init_propagation(drawn(rng), variant, d, 2)
     mats = [*(m for layer in params.layers for m in layer), state.node_feats, state.edge_feats]
 
     def f():
-        out = propagate(state, adj, params)
+        out = propagate(state, params)
         return ad.sum_all(
             ad.add(
                 ad.scale(ad.sum_all(ad.mul(out.node_feats, out.node_feats)), 1.0 / out.node_feats.data.size),
@@ -289,7 +283,7 @@ def test_gradients_per_variant(variant):
     assert grad_check(f, mats, eps=1e-5) < 1e-6
 
 
-def _gih_bytes(gih_forward_fn, state, adj, params, targets, views):
+def _gih_bytes(gih_forward_fn, state, params, targets, views):
     """The propagated rows and the gradients of both inputs and every weight, as bytes.
 
     The loss weighs the propagated rows of each view named in views by a
@@ -298,7 +292,7 @@ def _gih_bytes(gih_forward_fn, state, adj, params, targets, views):
     nodes, edges = (ad.Matrix(m.data.copy()) for m in (state.node_feats, state.edge_feats))
     weights = PropagationParams("gih", [(ad.Matrix(w.data.copy()),) for (w,) in params.layers])
     with ad.Tape() as tape:
-        out = gih_forward_fn(GraphState(nodes, edges), adj, weights)
+        out = gih_forward_fn(GraphState(nodes, edges), weights)
         rows = {"nodes": out.node_feats, "edges": out.edge_feats}
         terms = [ad.sum_all(ad.mul(rows[v], ad.Constant(targets[v]))) for v in views]
         loss = terms[0] if len(terms) == 1 else ad.add(*terms)
@@ -318,12 +312,12 @@ def test_gih_matches_record_chain_bytes(n_nodes, layers, views):
     on every ordered node pair as candidate edges (none for a one-node scene)."""
     rng = np.random.default_rng(n_nodes + layers)
     d = 32
-    adj = build_adjacency(n_nodes, np.argwhere(~np.eye(n_nodes, dtype=bool)))
-    state = _state(rng, n_nodes, adj.n_edges, d)
+    m = n_nodes * (n_nodes - 1)
+    state = _state(rng, n_nodes, m, d)
     params = init_propagation(drawn(rng), "gih", d, layers)
-    targets = {"nodes": rng.normal(size=(n_nodes, d)), "edges": rng.normal(size=(adj.n_edges, d))}
-    got = _gih_bytes(gih_forward, state, adj, params, targets, views)
-    assert got == _gih_bytes(chain_gih, state, adj, params, targets, views)
+    targets = {"nodes": rng.normal(size=(n_nodes, d)), "edges": rng.normal(size=(m, d))}
+    got = _gih_bytes(gih_forward, state, params, targets, views)
+    assert got == _gih_bytes(chain_gih, state, params, targets, views)
     assert None not in got
 
 
@@ -331,10 +325,9 @@ def test_gih_view_without_gradient_leaves_its_rows_untouched():
     """Only the node rows feed the loss: the output's edge rows keep a zero gradient, and
     neither view holds a gradient of its own."""
     rng = np.random.default_rng(13)
-    adj = build_adjacency(3, [(0, 1), (1, 0), (1, 2)])
     state = _state(rng, 3, 3, 4)
     with ad.Tape() as tape:
-        out = gih_forward(state, adj, init_propagation(drawn(rng), "gih", 4, 2))
+        out = _gih(state, loop_a_tilde(3, [(0, 1), (1, 0), (1, 2)]), init_propagation(drawn(rng), "gih", 4, 2))
         loss = ad.sum_all(ad.mul(out.node_feats, out.node_feats))
     tape.backward(loss)
     [whole] = [record_out for name, record_out, _ in tape.records if name == "gih"]
@@ -346,11 +339,10 @@ def test_gih_view_without_gradient_leaves_its_rows_untouched():
 
 def test_gih_records_once_and_no_record_replays_for_unused_rows():
     rng = np.random.default_rng(14)
-    adj = build_adjacency(3, [(0, 1), (1, 2)])
     state = _state(rng, 3, 2, 4)
     params = init_propagation(drawn(rng), "gih", 4, 4)
     with ad.Tape() as tape:
-        out = gih_forward(state, adj, params)
+        out = _gih(state, loop_a_tilde(3, [(0, 1), (1, 2)]), params)
         unused = ad.sum_all(out.edge_feats)
         loss = ad.sum_all(state.node_feats)
     assert [name for name, _, _ in tape.records] == ["gih", "sum_all", "sum_all"]
@@ -362,9 +354,8 @@ def test_gih_records_once_and_no_record_replays_for_unused_rows():
 def test_non_finite_intermediate_names_gih():
     """An overflowing layer weight stops GIH before the next layer mixes the non-finite rows."""
     rng = np.random.default_rng(15)
-    adj = build_adjacency(3, [(0, 1), (1, 2)])
     params = init_propagation(drawn(rng), "gih", 4, 4)
     params.layers[1] = (ad.Matrix(np.full((4, 4), 1e308)),)
     state = GraphState(ad.Matrix(np.ones((3, 4))), ad.Matrix(np.ones((2, 4))))
     with np.errstate(over="ignore"), pytest.raises(ad.NumericError, match="^gih produced a non-finite value$"):
-        gih_forward(state, adj, params)
+        _gih(state, loop_a_tilde(3, [(0, 1), (1, 2)]), params)
