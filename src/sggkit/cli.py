@@ -255,6 +255,8 @@ def cmd_train(args) -> int:
         raise ValueError(f"{args.config}: {exc}" if args.config else str(exc)) from exc
     ks_recall = _parse_ks(args.ks_recall, "--ks-recall")
     ks_pair = _parse_ks(args.ks_pair, "--ks-pair")
+    if args.metrics_every < 0:
+        raise ValueError(f"--metrics-every must be >= 0, got {args.metrics_every}")
     train_records, eval_records = split_scenes(records, args.holdout)
     result = train(
         config,
@@ -373,26 +375,24 @@ def cmd_analyze(args) -> int:
     else:
         n_ent, n_pred = _infer_category_counts(records)
     table = CooccurrenceTable.from_scenes(records, n_ent, n_pred)
-    os.makedirs(args.out_dir, exist_ok=True)
-
-    variance_path = os.path.join(args.out_dir, "variance.csv")
-    _write_csv(variance_path, ["predicate", "variance"],
-               [[p, intra_class_variance(table, p)] for p in range(n_pred)])
-
+    # every row is computed before the first file is written, so a rejected input leaves no partial output
+    variance_rows = [[p, intra_class_variance(table, p)] for p in range(n_pred)]
     nonzero = [p for p in range(n_pred) if table.counts[p].sum() > 0]
     distance_rows = [
         [i, j, inter_class_distance(table, i, j)]
         for idx, i in enumerate(nonzero)
         for j in nonzero[idx + 1:]
     ]
-    distance_path = os.path.join(args.out_dir, "distance.csv")
-    _write_csv(distance_path, ["predicate_i", "predicate_j", "distance"], distance_rows)
-
     curve_rows = []
     for conditioning in ((), ("head",), ("tail",), ("head", "tail")):
         curve = guess_curve(records, records, conditioning, target="edge", k_max=args.k_max)
         label = "+".join(conditioning)
         curve_rows += [[label, k + 1, curve[k]] for k in range(len(curve))]
+    os.makedirs(args.out_dir, exist_ok=True)
+    variance_path = os.path.join(args.out_dir, "variance.csv")
+    _write_csv(variance_path, ["predicate", "variance"], variance_rows)
+    distance_path = os.path.join(args.out_dir, "distance.csv")
+    _write_csv(distance_path, ["predicate_i", "predicate_j", "distance"], distance_rows)
     curves_path = os.path.join(args.out_dir, "guess_curves.csv")
     _write_csv(curves_path, ["conditioning", "k", "fraction"], curve_rows)
 
@@ -405,7 +405,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_br_build(args) -> int:
     t0 = time.perf_counter()
-    records = read_scenes(args.corpus)
+    records = _read_corpus(args.corpus)
     subset, summary = build_bidirectional_subset(records)
     write_scenes(args.out, subset)
     summary_path = f"{args.out}.summary.json"
@@ -418,8 +418,8 @@ def cmd_br_build(args) -> int:
 
 def cmd_guess_curve(args) -> int:
     t0 = time.perf_counter()
-    train_records = read_scenes(args.train_corpus)
-    eval_records = read_scenes(args.eval_corpus) if args.eval_corpus else train_records
+    train_records = _read_corpus(args.train_corpus)
+    eval_records = _read_corpus(args.eval_corpus) if args.eval_corpus else train_records
     conditioning = tuple(part.strip() for part in args.conditioning.split(",") if part.strip())
     curve = guess_curve(train_records, eval_records, conditioning,
                         target=args.target, k_max=args.k_max)
@@ -442,6 +442,9 @@ def build_parser() -> argparse.ArgumentParser:
     configured = argparse.ArgumentParser(add_help=False)  # the commands that resolve a config
     configured.add_argument("--seed", type=int, default=None, help="override the config seed")
     configured.add_argument("--config", default=None, help="flat key = value config file")
+    ranked = argparse.ArgumentParser(add_help=False)  # the commands that report recall at a list of ks
+    ranked.add_argument("--ks-recall", default="20,50,100")
+    ranked.add_argument("--ks-pair", default="2,4,8,16")
 
     parser = argparse.ArgumentParser(prog="sggkit", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -450,14 +453,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="corpus path (.sgjsonl)")
     p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("train", parents=[configured], help="train a model on a corpus")
+    p = sub.add_parser("train", parents=[configured, ranked], help="train a model on a corpus")
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True, help="checkpoint path")
     p.add_argument("--holdout", type=int, default=50, help="scenes reserved for held-out metrics")
     p.add_argument("--epochs", type=int, default=None, help="override config epochs")
     p.add_argument("--metrics-every", type=int, default=1, help="epochs between held-out evaluations")
-    p.add_argument("--ks-recall", default="20,50,100")
-    p.add_argument("--ks-pair", default="2,4,8,16")
     p.add_argument("--log-csv", default=None, help="epoch log path (default <out>.log.csv)")
     p.add_argument("--no-lih", action="store_true", help="disable node attention refinement")
     p.add_argument("--no-dse", action="store_true", help="union-box fusion only")
@@ -465,13 +466,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-ar", action="store_true", help="drop the attract/repel loss term")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", help="score a checkpoint or prediction file")
+    p = sub.add_parser("eval", parents=[ranked], help="score a checkpoint or prediction file")
     p.add_argument("--corpus", required=True)
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--predictions", default=None, help=".pred.jsonl scored triplets per scene")
     p.add_argument("--out", required=True, help="metrics CSV path")
-    p.add_argument("--ks-recall", default="20,50,100")
-    p.add_argument("--ks-pair", default="2,4,8,16")
     p.add_argument("--unconstrained", action="store_true",
                    help="with --checkpoint: rank every predicate per pair instead of the best one")
     p.add_argument("--dump-predictions", default=None, help="also write ranked triplets (.pred.jsonl)")

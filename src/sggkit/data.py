@@ -320,8 +320,7 @@ class GeneratorSpec(ConfigSchema):
         labels = [node.label for node in nodes]
         for i, rng in enumerate(rngs[n:]):
             if rng.random() < self.logit_flip_rate:
-                wrong = int(rng.integers(1, self.n_entity_categories - 1))
-                labels[i] = wrong + 1 if wrong >= labels[i] else wrong
+                labels[i] = _other_label(rng, self.n_entity_categories, labels[i])
         logits = np.zeros((n, self.n_entity_categories))
         logits[np.arange(n), labels] = self.logit_scale
         return appearance, logits
@@ -366,17 +365,10 @@ def build_rule(spec: GeneratorSpec) -> RuleTable:
     n_asym = int(round(spec.asymmetric_fraction * spec.related_pairs))
     asym_flags = np.zeros(spec.related_pairs, dtype=bool)
     asym_flags[rng.permutation(spec.related_pairs)[:n_asym]] = True
-    usable = spec.n_predicate_categories - 1
     assignments = []
     for asym in asym_flags:
-        fwd = int(rng.integers(1, usable + 1))
-        if asym:
-            bwd = int(rng.integers(1, usable))
-            if bwd >= fwd:
-                bwd += 1
-        else:
-            bwd = fwd
-        assignments.append((fwd, bwd))
+        fwd = int(rng.integers(1, spec.n_predicate_categories))
+        assignments.append((fwd, _other_label(rng, spec.n_predicate_categories, fwd) if asym else fwd))
     n_tables = max(spec.context_categories, 1)
     switched = spec.context_switched_pairs
     tables = np.zeros((n_tables, spec.n_entity_categories, spec.n_entity_categories), dtype=np.int64)
@@ -396,12 +388,16 @@ def _uniform_box(rng: np.random.Generator) -> tuple[float, float, float, float]:
     return (x1, y1, x2, y2)
 
 
+def _other_label(rng: np.random.Generator, n_categories: int, label: int) -> int:
+    """One draw of rng.integers(1, n_categories - 1), moved up by one from `label` on: a label in
+    1..n_categories-1 other than `label`, uniform when `label` lies in that range."""
+    wrong = int(rng.integers(1, n_categories - 1))
+    return wrong + 1 if wrong >= label else wrong
+
+
 def _noisy_predicate(rng: np.random.Generator, true: int, spec: GeneratorSpec) -> int:
     if spec.noise_rate > 0.0 and rng.random() < spec.noise_rate:
-        wrong = int(rng.integers(1, spec.n_predicate_categories - 1))
-        if wrong >= true:
-            wrong += 1
-        return wrong
+        return _other_label(rng, spec.n_predicate_categories, true)
     return true
 
 
@@ -502,11 +498,16 @@ def _record_from_obj(obj: dict, line_no: int) -> SceneRecord:
     return record
 
 
-def write_scenes(path, records: list[SceneRecord]) -> None:
+def _write_json_lines(path, objs) -> None:
+    """Each object as one line of JSON with sorted keys."""
     with open(path, "w", encoding="utf-8") as fh:
-        for r in records:
-            fh.write(json.dumps(_record_to_obj(r), sort_keys=True))
+        for obj in objs:
+            fh.write(json.dumps(obj, sort_keys=True))
             fh.write("\n")
+
+
+def write_scenes(path, records: list[SceneRecord]) -> None:
+    _write_json_lines(path, map(_record_to_obj, records))
 
 
 def _json_lines(path):
@@ -518,8 +519,15 @@ def _json_lines(path):
 
 
 def read_scenes(path) -> list[SceneRecord]:
-    """A corpus file's scenes, each type-checked and validated (records are validated here and in prepare_scene)."""
-    return [_record_from_obj(obj, line_no) for line_no, obj in _json_lines(path)]
+    """A corpus file's scenes, each type-checked and validated (records are validated here and in prepare_scene);
+    a scene id that repeats an earlier line's raises a ValueError naming the line."""
+    records: dict[str, SceneRecord] = {}
+    for line_no, obj in _json_lines(path):
+        record = _record_from_obj(obj, line_no)
+        if record.scene_id in records:
+            raise ValueError(f"line {line_no}: duplicate scene id {shown(record.scene_id)}")
+        records[record.scene_id] = record
+    return list(records.values())
 
 
 def split_scenes(records: list[SceneRecord], holdout: int) -> tuple[list[SceneRecord], list[SceneRecord]]:
@@ -533,14 +541,9 @@ def split_scenes(records: list[SceneRecord], holdout: int) -> tuple[list[SceneRe
 
 def write_predictions(path, predictions: dict[str, list[tuple[int, int, int, float]]]) -> None:
     """One JSON line per scene: id plus score-ordered (subject, object, predicate, score)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for scene_id, triplets in predictions.items():
-            obj = {
-                "scene_id": scene_id,
-                "triplets": [[int(s), int(o), int(p), float(score)] for s, o, p, score in triplets],
-            }
-            fh.write(json.dumps(obj, sort_keys=True))
-            fh.write("\n")
+    _write_json_lines(path, ({"scene_id": scene_id,
+                              "triplets": [[int(s), int(o), int(p), float(score)] for s, o, p, score in triplets]}
+                             for scene_id, triplets in predictions.items()))
 
 
 def read_predictions(path) -> dict[str, list[tuple[int, int, int, float]]]:

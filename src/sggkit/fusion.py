@@ -58,10 +58,6 @@ class FusionParams:
     psi: tuple[Matrix, ...]
     pre: tuple[Matrix, ...] | None = None  # sequential only: fuses [s||o] before the union
 
-    def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown fusion variant {self.variant!r}, expected one of {VARIANTS}")
-
 
 def init_fusion_params(
     param: Param,
@@ -70,9 +66,7 @@ def init_fusion_params(
     d_e: int,
     hidden: int | None = None,
 ) -> FusionParams:
-    """hidden defaults to 2*d_e; pass hidden=0 for a purely affine map."""
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown fusion variant {variant!r}, expected one of {VARIANTS}")
+    """hidden defaults to 2*d_e; pass hidden=0 for a purely affine map. ModelConfig.validate checks the variant."""
     if hidden is None:
         hidden = 2 * d_e
 

@@ -1,8 +1,9 @@
 """Triplet-recall evaluation for labeled directed scene graphs.
 
-Predictions are scored triplets (subject id, object id, predicate). Matching
-is by exact identity against ground-truth node ids and labels; there is no
-box matching because evaluation assumes ground-truth entities are given.
+Predictions are scored triplets (subject id, object id, predicate). A triplet
+matches when its node ids and predicate equal a ground-truth triplet's; node
+labels play no part, and there is no box matching because evaluation assumes
+ground-truth entities are given.
 
 Three metrics, all read from one count per scene and k: `count_hits` builds
 the top-k set of a ranked list (as returned by `rank_triplets` or
@@ -48,9 +49,8 @@ def rank_triplets(scored: list[ScoredTriplet]) -> list[ScoredTriplet]:
 
 @dataclass
 class GroundTruthGraph:
-    """Immutable view of a scene's labels used by the metrics."""
+    """Immutable view of a scene's annotated edges used by the metrics."""
 
-    node_labels: dict[int, int]
     edges: dict[tuple[int, int], int]  # (subject, object) -> predicate
     # unordered pairs annotated in both directions, keyed (min id, max id)
     bidirectional_pairs: list[tuple[int, int]] = field(default_factory=list)
@@ -58,10 +58,9 @@ class GroundTruthGraph:
     @classmethod
     def from_scene(cls, record: SceneRecord) -> "GroundTruthGraph":
         """The ground truth of a record that read_scenes or prepare_scene has validated."""
-        node_labels = {n.id: n.label for n in record.nodes}
         edges = {(e.subject, e.object): e.predicate for e in record.edges}
         pairs = sorted({(min(s, o), max(s, o)) for (s, o) in edges if (o, s) in edges})
-        return cls(node_labels, edges, pairs)
+        return cls(edges, pairs)
 
     @property
     def triplets(self) -> set[tuple[int, int, int]]:

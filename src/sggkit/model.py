@@ -58,8 +58,7 @@ from .metrics import (
     mean_recall_at_k,
     ranked_from_scores,
 )
-from .propagation import VARIANTS as PROPAGATION_VARIANTS
-from .propagation import GraphState, build_adjacency, init_propagation, propagate
+from .propagation import GraphState, build_adjacency, check_settings, init_propagation, propagate
 
 # rng stream tags
 _STREAM_PARAMS = 23
@@ -102,21 +101,9 @@ class ModelConfig(ConfigSchema):
             raise ValueError("need at least two categories on both vocabularies")
         if self.fusion not in FUSION_VARIANTS:
             raise ValueError(f"unknown fusion variant {shown(self.fusion)}, expected one of {FUSION_VARIANTS}")
-        if self.gih_variant not in PROPAGATION_VARIANTS:
-            raise ValueError(
-                f"unknown propagation variant {shown(self.gih_variant)}, expected one of {PROPAGATION_VARIANTS}"
-            )
         if self.use_lih and self.d_attention is not None and self.d_attention > self.d_node:
             raise ValueError(f"config field d_attention must not exceed d_node ({self.d_node}), got {self.d_attention}")
-        if self.gih_variant == "gih" and (self.gih_layers < 2 or self.gih_layers % 2):
-            raise ValueError(f"config field gih_layers must be even and >= 2 for gih, got {self.gih_layers}")
-        if self.gih_variant in ("gcn", "gat") and self.gih_layers < 1:
-            raise ValueError(f"config field gih_layers must be >= 1 for {self.gih_variant}, got {self.gih_layers}")
-        if self.gih_variant == "gih" and self.d_node != self.d_edge:
-            raise ValueError(
-                f"node/edge message passing stacks both feature sets, widths must match "
-                f"(d_node={self.d_node}, d_edge={self.d_edge})"
-            )
+        check_settings(self.gih_variant, self.gih_layers, self.d_node, self.d_edge)
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must lie in [0, 1)")
         if self.learning_rate < 0 or self.weight_decay < 0 or self.epochs < 0:

@@ -26,10 +26,11 @@ and gat attends over every node. Their layers are residual,
 
 since without the h term one layer maps every node to the same row.
 
-The variant is fixed when the weights are built: init_propagation returns
-PropagationParams that carry it, and propagate runs the variant its params
-name (none passes the state through), after checking that the state has
-n(n-1) edge rows for its n node rows.
+Each variant's rules live in check_settings, which ModelConfig.validate and
+init_propagation both call. The variant is fixed when the weights are built:
+init_propagation returns PropagationParams that carry it, and propagate runs
+the variant its params name (none passes the state through), after checking
+that the state has n(n-1) edge rows for its n node rows.
 
 build_adjacency(n) gives the edge endpoints and the flat positions of A~'s
 ones, built once per n as read-only arrays that every scene of n nodes
@@ -58,6 +59,7 @@ from .autodiff import (
     softmax_rows,
     transpose,
 )
+from .data import shown
 
 
 @cache
@@ -99,12 +101,22 @@ class PropagationParams:
     variant: str
     layers: list[tuple[Matrix, ...]]
 
-    def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown propagation variant {self.variant!r}, expected one of {VARIANTS}")
+
+def check_settings(variant: str, n_layers: int, d_node: int, d_edge: int) -> None:
+    """Reject an unknown variant, a layer count it cannot run, and for gih unequal node and edge widths."""
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown propagation variant {shown(variant)}, expected one of {VARIANTS}")
+    if variant == "gih" and (n_layers < 2 or n_layers % 2):
+        raise ValueError(f"config field gih_layers must be even and >= 2 for gih, got {n_layers}")
+    if variant in ("gcn", "gat") and n_layers < 1:
+        raise ValueError(f"config field gih_layers must be >= 1 for {variant}, got {n_layers}")
+    if variant == "gih" and d_node != d_edge:
+        raise ValueError(f"node/edge message passing stacks both feature sets, widths must match "
+                         f"(d_node={d_node}, d_edge={d_edge})")
 
 
 def init_propagation(param: Param, variant: str, d: int, n_layers: int = 4) -> PropagationParams:
+    check_settings(variant, n_layers, d, d)
     if variant == "gih":
         # The unnormalized block adjacency multiplies feature magnitudes by its
         # spectral radius (about 9 when every ordered pair of 6 nodes is a
@@ -118,7 +130,7 @@ def init_propagation(param: Param, variant: str, d: int, n_layers: int = 4) -> P
             (param(f"w{i}", d, d), param(f"a_src{i}", d, 1, fan_in=2 * d), param(f"a_dst{i}", d, 1, fan_in=2 * d))
             for i in range(n_layers)
         ])
-    return PropagationParams(variant, [])  # none; an unknown name is rejected here
+    return PropagationParams(variant, [])  # none
 
 
 def gih_forward(state: GraphState, params: PropagationParams) -> GraphState:

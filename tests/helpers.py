@@ -7,7 +7,7 @@ stay independent of the library's vectorized or dict-based shortcuts.
 import numpy as np
 
 from sggkit.autodiff import Constant, ShapeError, Tape, _finish, add, linear_map, matmul, relu, uniform_init
-from sggkit.data import _STREAM_APPEAR, _STREAM_LOGITS, Edge, Node, SceneRecord
+from sggkit.data import _STREAM_APPEAR, _STREAM_LOGITS
 from sggkit.fusion import ORDERS
 from sggkit.metrics import GroundTruthGraph, rank_triplets
 from sggkit.propagation import GraphState, build_adjacency
@@ -271,7 +271,6 @@ def make_random_instance(rng, n_predicates=6, max_triplets=16, max_pairs=6):
     triplet and pair budgets.
     """
     n_nodes = int(rng.integers(3, 8))
-    node_labels = {i: int(rng.integers(1, 10)) for i in range(n_nodes)}
     edges = {}
     pairs = [(i, j) for i in range(n_nodes) for j in range(i + 1, n_nodes)]
     rng.shuffle(pairs)
@@ -288,7 +287,7 @@ def make_random_instance(rng, n_predicates=6, max_triplets=16, max_pairs=6):
             s, o = (i, j) if rng.random() < 0.5 else (j, i)
             edges[(s, o)] = int(rng.integers(1, n_predicates + 1))
             budget -= 1
-    gt = GroundTruthGraph(node_labels, edges, sorted({(min(s, o), max(s, o)) for s, o in edges if (o, s) in edges}))
+    gt = GroundTruthGraph(edges, sorted({(min(s, o), max(s, o)) for s, o in edges if (o, s) in edges}))
     pred = []
     for (s, o), p in edges.items():
         if rng.random() < 0.7:
@@ -300,12 +299,6 @@ def make_random_instance(rng, n_predicates=6, max_triplets=16, max_pairs=6):
         pred.append((int(s), int(o), int(rng.integers(1, n_predicates + 1)), float(rng.integers(0, 8))))
     rng.shuffle(pred)
     return pred, gt
-
-
-def scene_from_graph(gt, scene_id="s0"):
-    nodes = [Node(i, lab, (0.0, 0.0, 1.0, 1.0), i) for i, lab in sorted(gt.node_labels.items())]
-    edges = [Edge(s, o, p) for (s, o), p in sorted(gt.edges.items())]
-    return SceneRecord(scene_id, nodes, edges)
 
 
 def split_pairs_by_symmetry(gt):

@@ -378,7 +378,8 @@ def test_training_scene_without_nodes_is_one_error_line(variant, corpus, tmp_pat
     assert capsys.readouterr().err == f"error: scene {records[0].scene_id}: no nodes\n"
 
 
-@pytest.mark.parametrize("entry", ["train", "eval --checkpoint", "eval --predictions", "analyze"])
+@pytest.mark.parametrize("entry", ["train", "eval --checkpoint", "eval --predictions", "analyze", "br-build",
+                                   "guess-curve --train-corpus", "guess-curve --eval-corpus"])
 def test_empty_corpus_is_named(entry, corpus, checkpoint, tmp_path, capsys):
     path = _rewrite_corpus(corpus, str(tmp_path / "empty.sgjsonl"), [])
     out = str(tmp_path / "out.csv")
@@ -388,9 +389,19 @@ def test_empty_corpus_is_named(entry, corpus, checkpoint, tmp_path, capsys):
         "eval --predictions": ["eval", "--corpus", path, "--out", out, "--predictions",
                                _ground_truth_predictions(str(tmp_path / "gt.pred.jsonl"), [])],
         "analyze": ["analyze", "--corpus", path, "--out-dir", str(tmp_path)],
+        "br-build": ["br-build", "--corpus", path, "--out", out],
+        "guess-curve --train-corpus": ["guess-curve", "--train-corpus", path, "--out", out],
+        "guess-curve --eval-corpus": ["guess-curve", "--train-corpus", corpus, "--eval-corpus", path, "--out", out],
     }[entry]
     assert main(argv) == 2
     assert capsys.readouterr().err == f"error: {path}: corpus is empty\n"
+
+
+def test_analyze_rejects_k_max_before_writing_any_file(corpus, tmp_path, capsys):
+    out_dir = tmp_path / "analysis"
+    assert main(["analyze", "--corpus", corpus, "--out-dir", str(out_dir), "--k-max", "0"]) == 2
+    assert capsys.readouterr().err == "error: k_max must be >= 1\n"
+    assert not out_dir.exists()
 
 
 def test_each_scene_is_ranked_once(corpus, checkpoint, tmp_path, monkeypatch):
@@ -480,6 +491,14 @@ def test_k_below_one_names_the_flag(command, flag, value, corpus, checkpoint, tm
     assert main([command, "--corpus", corpus, *source, flag, value]) == 2
     rule = "every k must be listed once" if value == "4,4" else "every k must be >= 1"
     assert f"{flag}: {rule}, got '{value}'" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_negative_metrics_every_names_the_flag(corpus, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(sggkit.cli, "train", lambda *a, **kw: pytest.fail("trained before checking --metrics-every"))
+    out = str(tmp_path / "m.ckpt.json")
+    assert main(["train", "--corpus", corpus, "--out", out, "--metrics-every", "-3"]) == 2
+    assert capsys.readouterr().err == "error: --metrics-every must be >= 0, got -3\n"
     assert not os.path.exists(out)
 
 
@@ -584,6 +603,7 @@ def test_malformed_prediction_line_is_named(line, corpus, tmp_path, capsys):
     ("label", True), ("id", 0.7), ("label", "3"), ("appearance_seed", 1.5), ("scene_id", 5),
     ("predicate", 1.9), ("label", "x"), ("box", [0.1, 0.1, 0.5]), ("box", "0.1"),
     ("appearance_seed", -1), ("id", 2**70), ("scene_id", "\ud800"), ("scene_id", "a\nb"),
+    ("scene_id", "scene-00001"),  # line 2's id
 ])
 def test_malformed_corpus_line_is_named(field, value, corpus, checkpoint, tmp_path, capsys):
     with open(corpus) as fh:

@@ -1,6 +1,7 @@
 """Fusion variants: arrangement properties, direction sensitivity, and the
 direction blindness of the union baseline."""
 
+import re
 from itertools import permutations
 
 import numpy as np
@@ -18,6 +19,7 @@ from sggkit.fusion import (
     encode_edges,
     init_fusion_params,
 )
+from sggkit.model import ModelConfig
 
 
 def swap_subject_object(order):
@@ -124,12 +126,8 @@ def test_sequential_uses_both_stages():
 
 
 def test_unknown_variant_raises():
-    rng = np.random.default_rng(7)
-    with pytest.raises(ValueError, match="unknown fusion variant"):
-        init_fusion_params(drawn(rng), "cascade", 4, 4)
-    params = init_fusion_params(drawn(rng), "union", 4, 4)
-    with pytest.raises(ValueError, match="unknown fusion variant"):
-        FusionParams("cascade", params.psi)
+    with pytest.raises(ValueError, match=re.escape(f"unknown fusion variant 'cascade', expected one of {VARIANTS}")):
+        ModelConfig(fusion="cascade").validate()
 
 
 def test_width_mismatch_raises():

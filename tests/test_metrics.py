@@ -23,11 +23,10 @@ from sggkit.metrics import (
 )
 
 
-def graph(edges, labels=None):
-    nodes = labels or {i: 1 for pair in edges for i in pair[:2]}
+def graph(edges):
     e = {(s, o): p for s, o, p in edges}
     pairs = sorted({(min(s, o), max(s, o)) for s, o in e if (o, s) in e})
-    return GroundTruthGraph(nodes, e, pairs)
+    return GroundTruthGraph(e, pairs)
 
 
 def recall(pred, gt, k):
@@ -88,7 +87,7 @@ def test_recall_three_of_four_in_top_five():
 
 
 def test_recall_errors():
-    gt = GroundTruthGraph({0: 1}, {}, [])
+    gt = GroundTruthGraph({}, [])
     with pytest.raises(ValueError, match="no ground-truth"):
         recall([], gt, 5)
     with pytest.raises(ValueError, match="k must be"):
@@ -262,7 +261,7 @@ def test_pairwise_recall_bounded_by_pair_restricted_recall():
             for (s, o), p in gt.edges.items()
             if (min(s, o), max(s, o)) in gt.bidirectional_pairs
         }
-        gt_r = GroundTruthGraph(gt.node_labels, restricted, gt.bidirectional_pairs)
+        gt_r = GroundTruthGraph(restricted, gt.bidirectional_pairs)
         for k in (1, 2, 4, 8):
             assert pair_recall(pred, gt, k) <= recall(pred, gt_r, k) + 1e-12
 
@@ -306,6 +305,6 @@ def test_corpus_aggregates():
     assert corpus(corpus_recall_at_k, [pred1, pred2], [gt1, gt2], 2) == 0.75
     assert corpus(corpus_pairwise_recall_at_k, [pred1, pred2], [gt1, gt2], 2) == 0.5
     with pytest.raises(ValueError, match="no ground-truth triplets"):
-        corpus(corpus_recall_at_k, [pred1], [GroundTruthGraph({0: 1}, {}, [])], 2)
+        corpus(corpus_recall_at_k, [pred1], [GroundTruthGraph({}, [])], 2)
     with pytest.raises(ValueError, match="pairwise recall is undefined"):
         corpus(corpus_pairwise_recall_at_k, [pred1], [graph([(0, 1, 1)])], 2)

@@ -5,8 +5,13 @@ propagate runs on complete graphs only: every ordered node pair of a scene is
 a candidate edge. The sparse-graph properties of GIH run autodiff.gih on
 helpers.loop_a_tilde, the per-edge oracle of A + I for any edge list."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import sggkit.model
 
 from helpers import chain_gih, complete_a_tilde, drawn, grad_check, loop_a_tilde
 from sggkit import autodiff as ad
@@ -259,8 +264,17 @@ def test_unknown_variant_raises():
     rng = np.random.default_rng(10)
     with pytest.raises(ValueError, match="unknown propagation variant"):
         init_propagation(drawn(rng), "mlp", 3, 2)
-    with pytest.raises(ValueError, match="unknown propagation variant"):
-        PropagationParams("mlp", [])
+
+
+def test_model_names_no_propagation_variant():
+    """propagation.check_settings holds every variant's rules, so model.py names no variant except the
+    gih_variant default; a comparison against a variant name there fails here."""
+    tree = ast.parse(Path(sggkit.model.__file__).read_text(encoding="utf-8"))
+    default = {id(node.value) for node in ast.walk(tree)
+               if isinstance(node, ast.AnnAssign) and getattr(node.target, "id", None) == "gih_variant"}
+    named = [(node.lineno, node.value) for node in ast.walk(tree)
+             if isinstance(node, ast.Constant) and node.value in VARIANTS and id(node) not in default]
+    assert named == []
 
 
 @pytest.mark.parametrize("variant", ["gih", "gcn", "gat"])
