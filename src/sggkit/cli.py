@@ -12,10 +12,11 @@ seed as an int that must be non-negative. A value that cannot be read exits 2
 naming the file or variable and the key; a config file that is not UTF-8, or a
 resolved config that fails validation, names the file.
 
-Every command writes a `<out>.manifest.json` recording the command line, the
-resolved config, seeds, sha256 hashes of inputs and outputs, and wall-clock
-time. Manifests are the only outputs that differ between identical reruns
-(wall-clock); all data artifacts are byte-identical for equal seeds.
+Every command returns its manifest base path, config snapshot, inputs and
+outputs, and main writes the `<out>.manifest.json` recording the command line,
+the resolved config, seeds, sha256 hashes of inputs and outputs, and
+wall-clock time. Manifests are the only outputs that differ between identical
+reruns (wall-clock); all data artifacts are byte-identical for equal seeds.
 
 Exit codes: 0 success, 2 validation error, 3 numeric failure, 4 I/O error.
 Commands run with numpy's overflow and invalid-value warnings off, so a
@@ -69,6 +70,7 @@ from .metrics import (
     rank_triplets,
 )
 from .model import (
+    LOSS_COLUMNS,
     ModelConfig,
     _check_vocabulary,
     load_checkpoint,
@@ -133,11 +135,11 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(args, out_path, config_snapshot, inputs, outputs, wall_clock) -> None:
-    """The manifest of the command `args` parsed; its seed is the resolved config's, null if it has none."""
+def _write_manifest(command, argv, out_path, config_snapshot, inputs, outputs, wall_clock) -> None:
+    """The manifest of `command` run as `argv`; its seed is the resolved config's, null if it has none."""
     manifest = {
-        "command": args.command,
-        "argv": args.argv,
+        "command": command,
+        "argv": argv,
         "config": config_snapshot,
         "seed": config_snapshot.get("seed"),
         "inputs": {str(p): _sha256(p) for p in inputs},
@@ -197,8 +199,7 @@ def _parse_ks(raw: str, flag: str) -> tuple[int, ...]:
 # commands
 
 
-def cmd_generate(args) -> int:
-    t0 = time.perf_counter()
+def cmd_generate(args):
     spec = _assemble_config(GeneratorSpec, args.config, {"seed": args.seed})
     try:
         rule = build_rule(spec)
@@ -213,12 +214,10 @@ def cmd_generate(args) -> int:
     }
     meta_path = f"{args.out}.meta.json"
     _write_json(meta_path, meta)
-    inputs = [args.config] if args.config else []
-    _write_manifest(args, args.out, asdict(spec), inputs, [args.out, meta_path], time.perf_counter() - t0)
     frac = rule.realized_asymmetric_fraction
     print(f"wrote {len(records)} scenes to {args.out} "
           f"(asymmetric fraction {frac if frac is None else round(frac, 4)})")
-    return 0
+    return args.out, asdict(spec), [], [args.out, meta_path]
 
 
 def _train_overrides(args) -> dict:
@@ -241,8 +240,7 @@ def _read_corpus(path) -> list[SceneRecord]:
     return records
 
 
-def cmd_train(args) -> int:
-    t0 = time.perf_counter()
+def cmd_train(args):
     records = _read_corpus(args.corpus)
     spec = _load_corpus_spec(args.corpus)
     # vocabulary follows the corpus unless the user pinned it explicitly
@@ -270,21 +268,16 @@ def cmd_train(args) -> int:
     save_checkpoint(args.out, result.model, result.bank)
     log_csv = args.log_csv or f"{args.out}.log.csv"
     metric_cols = [f"R@{k}" for k in ks_recall] + [f"pR@{k}" for k in ks_pair]
-    rows = []
-    for entry in result.log:
-        row = [entry.epoch, entry.loss_entity, entry.loss_predicate, entry.loss_attract_repel]
-        row += [entry.metrics.get(col, "") for col in metric_cols]
-        rows.append(row)
-    _write_csv(log_csv, ["epoch", "L_ent", "L_pred", "L_ar"] + metric_cols, rows)
-    inputs = [args.corpus, f"{args.corpus}.meta.json"] + ([args.config] if args.config else [])
-    _write_manifest(args, args.out, config.to_dict(), inputs, [args.out, log_csv], time.perf_counter() - t0)
+    rows = [[entry.epoch, *(entry.losses[col] for col in LOSS_COLUMNS),
+             *(entry.metrics.get(col, "") for col in metric_cols)] for entry in result.log]
+    _write_csv(log_csv, ["epoch", *LOSS_COLUMNS, *metric_cols], rows)
     if result.log:
         last = result.log[-1]
         shown = " ".join(f"{k} {v:.3f}" for k, v in sorted(last.metrics.items())) or "no held-out metrics"
-        print(f"epoch {last.epoch}: L_ent {last.loss_entity:.4f} L_pred {last.loss_predicate:.4f} "
-              f"L_ar {last.loss_attract_repel:.4f} | {shown}")
+        losses = " ".join(f"{col} {last.losses[col]:.4f}" for col in LOSS_COLUMNS)
+        print(f"epoch {last.epoch}: {losses} | {shown}")
     print(f"checkpoint {args.out}, epoch log {log_csv}")
-    return 0
+    return args.out, asdict(config), [args.corpus, f"{args.corpus}.meta.json"], [args.out, log_csv]
 
 
 def _scene_rows(scene_id, counts: dict[int, HitCounts], ks_recall, ks_pair) -> list[list]:
@@ -295,8 +288,7 @@ def _scene_rows(scene_id, counts: dict[int, HitCounts], ks_recall, ks_pair) -> l
     return rows
 
 
-def cmd_eval(args) -> int:
-    t0 = time.perf_counter()
+def cmd_eval(args):
     if bool(args.checkpoint) == bool(args.predictions):
         raise ValueError("eval needs exactly one of --checkpoint or --predictions")
     if args.predictions and args.unconstrained:
@@ -352,11 +344,10 @@ def cmd_eval(args) -> int:
             record.scene_id: ranked for record, ranked in zip(records, ranked_lists)
         })
         outputs.append(args.dump_predictions)
-    _write_manifest(args, args.out, {"ks_recall": list(ks_recall), "ks_pair": list(ks_pair),
-                                     "graph_constraint": constraint}, inputs, outputs, time.perf_counter() - t0)
     shown = " ".join(f"{m}@{k} {v:.3f}" for _, m, k, v in aggregate)
     print(f"{len(records)} scenes | {shown}")
-    return 0
+    snapshot = {"ks_recall": list(ks_recall), "ks_pair": list(ks_pair), "graph_constraint": constraint}
+    return args.out, snapshot, inputs, outputs
 
 
 def _infer_category_counts(records: list[SceneRecord]) -> tuple[int, int]:
@@ -365,8 +356,7 @@ def _infer_category_counts(records: list[SceneRecord]) -> tuple[int, int]:
     return n_ent, n_pred
 
 
-def cmd_analyze(args) -> int:
-    t0 = time.perf_counter()
+def cmd_analyze(args):
     records = _read_corpus(args.corpus)
     meta_path = f"{args.corpus}.meta.json"
     if os.path.exists(meta_path):
@@ -395,29 +385,23 @@ def cmd_analyze(args) -> int:
     _write_csv(distance_path, ["predicate_i", "predicate_j", "distance"], distance_rows)
     curves_path = os.path.join(args.out_dir, "guess_curves.csv")
     _write_csv(curves_path, ["conditioning", "k", "fraction"], curve_rows)
-
-    manifest_base = os.path.join(args.out_dir, "analyze")
-    _write_manifest(args, manifest_base, {"k_max": args.k_max}, [args.corpus],
-                    [variance_path, distance_path, curves_path], time.perf_counter() - t0)
     print(f"wrote {variance_path}, {distance_path}, {curves_path}")
-    return 0
+    outputs = [variance_path, distance_path, curves_path]
+    return os.path.join(args.out_dir, "analyze"), {"k_max": args.k_max}, [args.corpus], outputs
 
 
-def cmd_br_build(args) -> int:
-    t0 = time.perf_counter()
+def cmd_br_build(args):
     records = _read_corpus(args.corpus)
     subset, summary = build_bidirectional_subset(records)
     write_scenes(args.out, subset)
     summary_path = f"{args.out}.summary.json"
     _write_json(summary_path, summary)
-    _write_manifest(args, args.out, {}, [args.corpus], [args.out, summary_path], time.perf_counter() - t0)
     print(f"kept {summary['scenes_retained']} of {summary['scenes_in']} scenes, "
           f"{summary['pairs']} bidirectional pairs")
-    return 0
+    return args.out, {}, [args.corpus], [args.out, summary_path]
 
 
-def cmd_guess_curve(args) -> int:
-    t0 = time.perf_counter()
+def cmd_guess_curve(args):
     train_records = _read_corpus(args.train_corpus)
     eval_records = _read_corpus(args.eval_corpus) if args.eval_corpus else train_records
     conditioning = tuple(part.strip() for part in args.conditioning.split(",") if part.strip())
@@ -426,12 +410,10 @@ def cmd_guess_curve(args) -> int:
     label = "+".join(conditioning)
     _write_csv(args.out, ["conditioning", "k", "fraction"],
                [[label, k + 1, curve[k]] for k in range(len(curve))])
-    inputs = [args.train_corpus] + ([args.eval_corpus] if args.eval_corpus else [])
-    _write_manifest(args, args.out,
-                    {"conditioning": list(conditioning), "target": args.target, "k_max": args.k_max},
-                    inputs, [args.out], time.perf_counter() - t0)
     print(f"top-1 {curve[0]:.4f} .. top-{len(curve)} {curve[-1]:.4f} -> {args.out}")
-    return 0
+    inputs = [args.train_corpus] + ([args.eval_corpus] if args.eval_corpus else [])
+    snapshot = {"conditioning": list(conditioning), "target": args.target, "k_max": args.k_max}
+    return args.out, snapshot, inputs, [args.out]
 
 
 # ---------------------------------------------------------------------------
@@ -500,12 +482,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command and write its manifest, which records `argv`, not the host process's."""
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(argv)
-    args.argv = argv  # the manifest records the command that ran, not the host process's argv
+    t0 = time.perf_counter()
     try:
         with np.errstate(over="ignore", invalid="ignore"):  # the tape's checks report non-finite values
-            return args.func(args)
+            out_path, config_snapshot, inputs, outputs = args.func(args)
+        if getattr(args, "config", None):
+            inputs.append(args.config)
+        _write_manifest(args.command, argv, out_path, config_snapshot, inputs, outputs, time.perf_counter() - t0)
+        return 0
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3

@@ -64,6 +64,8 @@ from .propagation import GraphState, build_adjacency, check_settings, init_propa
 _STREAM_PARAMS = 23
 _STREAM_BANK = 29
 
+LOSS_COLUMNS = ("L_ent", "L_pred", "L_ar")  # total_loss's parts and the epoch log's loss columns, in this order
+
 
 @dataclass
 class ModelConfig(ConfigSchema):
@@ -111,9 +113,6 @@ class ModelConfig(ConfigSchema):
         if min(self.w_entity, self.w_predicate, self.w_ar) < 0:
             raise ValueError("loss weights must be nonnegative")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class PreparedScene:
@@ -138,10 +137,6 @@ class PreparedScene:
     edge_onehot: np.ndarray
     subjects: np.ndarray  # [M] int64 node rows
     objects: np.ndarray  # [M] int64 node rows
-
-    @property
-    def n_nodes(self) -> int:
-        return self.node_inputs.shape[0]
 
     @property
     def n_edges(self) -> int:
@@ -308,7 +303,7 @@ def total_loss(
     background nearly all of the gradient and training stalls near the
     label prior. The weights sum to 1, so uniform logits still score
     log C. A scene whose edges are all one group keeps the plain mean.
-    parts["loss_predicate"], the epoch log's L_pred, is this balanced value.
+    parts[LOSS_COLUMNS[1]], the epoch log's predicate loss, is this balanced value.
     The entity cross-entropy is a plain mean over nodes.
 
     The attract/repel term clusters annotated relation edges; no-relation
@@ -324,19 +319,19 @@ def total_loss(
         raise ValueError(f"scene {prep.scene_id}: predicate label outside [0, {config.n_predicate_categories})")
     loss_ent = _cross_entropy(out.node_logits, prep.node_onehot)
     total = scale(loss_ent, config.w_entity)
-    parts = {"loss_entity": loss_ent.item(), "loss_predicate": 0.0, "loss_attract_repel": 0.0}
+    parts = [loss_ent.item(), 0.0, 0.0]  # in LOSS_COLUMNS order
     if prep.n_edges:
         loss_pred = _cross_entropy(out.edge_logits, prep.edge_onehot, predicate_row_weights(prep.edge_labels))
         total = add(total, scale(loss_pred, config.w_predicate))
-        parts["loss_predicate"] = loss_pred.item()
+        parts[1] = loss_pred.item()
         if config.w_ar != 0.0 and relation_rows(prep.edge_labels).size:
             loss_ar = attract_repel_loss(
                 bank, out.edge_embeddings, prep.edge_labels, negatives or {},
                 skip_category=PREDICATE_NO_RELATION,
             )
             total = add(total, scale(loss_ar, config.w_ar))
-            parts["loss_attract_repel"] = loss_ar.item()
-    return total, parts
+            parts[2] = loss_ar.item()
+    return total, dict(zip(LOSS_COLUMNS, parts))
 
 
 def relation_rows(edge_labels: np.ndarray) -> np.ndarray:
@@ -351,9 +346,7 @@ def relation_rows(edge_labels: np.ndarray) -> np.ndarray:
 @dataclass
 class EpochLog:
     epoch: int
-    loss_entity: float
-    loss_predicate: float
-    loss_attract_repel: float
+    losses: dict[str, float]  # each LOSS_COLUMNS part's mean over the epoch's scenes
     metrics: dict[str, float] = field(default_factory=dict)
 
 
@@ -398,7 +391,7 @@ def train(
     velocity = {name: np.zeros_like(p.data) for name, p in model.params.items()}
     log: list[EpochLog] = []
     for epoch in range(1, config.epochs + 1):
-        sums = np.zeros(3)
+        sums = np.zeros(len(LOSS_COLUMNS))
         for prep in preps:
             use_ar = config.w_ar != 0.0 and relation_rows(prep.edge_labels).size > 0
             try:
@@ -424,9 +417,8 @@ def train(
                     v += step
                     p.data -= config.learning_rate * v
                     p.grad = None
-            sums += (parts["loss_entity"], parts["loss_predicate"], parts["loss_attract_repel"])
-        means = sums / len(preps)
-        entry = EpochLog(epoch, means[0], means[1], means[2])
+            sums += [parts[column] for column in LOSS_COLUMNS]
+        entry = EpochLog(epoch, dict(zip(LOSS_COLUMNS, sums / len(preps))))
         due = metrics_every > 0 and (epoch % metrics_every == 0 or epoch == config.epochs)
         if due and eval_preps:
             entry.metrics = evaluate(model, eval_preps, ks_recall, ks_pair)
@@ -488,7 +480,7 @@ CHECKPOINT_VERSION = 1
 def save_checkpoint(path, model: Model, bank: ReferenceBank) -> None:
     payload = {
         "format_version": CHECKPOINT_VERSION,
-        "config": model.config.to_dict(),
+        "config": asdict(model.config),
         "params": {name: p.data.tolist() for name, p in model.params.items()},
         "bank": bank.state(),
     }

@@ -5,12 +5,15 @@ the whole suite stays fast. Artifact determinism is asserted on file hashes;
 metric plumbing is cross-checked against the library functions directly.
 """
 
+import ast
 import contextlib
 import csv
 import hashlib
+import inspect
 import io
 import json
 import os
+import re
 import shutil
 import sys
 from dataclasses import replace
@@ -22,6 +25,7 @@ from hypothesis import given, settings, strategies as st
 import sggkit.cli
 import sggkit.data
 import sggkit.metrics
+import sggkit.model
 from sggkit.cli import main
 from sggkit.data import (
     MAX_SCENE_NODES,
@@ -842,6 +846,40 @@ def test_manifest_records_the_argv_main_ran(corpus, tmp_path, monkeypatch):
     assert main() == 0
     with open(f"{out}.manifest.json") as fh:
         assert json.load(fh)["argv"] == argv
+
+
+def test_only_main_times_a_command_and_writes_its_manifest():
+    callers: dict[str, set[str]] = {}
+    for fn in ast.parse(inspect.getsource(sggkit.cli)).body:
+        if isinstance(fn, ast.FunctionDef):
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call) and ast.unparse(node.func) in ("_write_manifest", "time.perf_counter"):
+                    callers.setdefault(ast.unparse(node.func), set()).add(fn.name)
+    assert callers == {"_write_manifest": {"main"}, "time.perf_counter": {"main"}}
+
+
+def test_loss_columns_name_the_loss_parts_and_the_epoch_log(corpus, tmp_path, monkeypatch, capsys):
+    """Renaming the columns in LOSS_COLUMNS renames total_loss's parts, the log header and the printed losses."""
+    columns = ("ent", "pred", "ar")
+    monkeypatch.setattr(sggkit.model, "LOSS_COLUMNS", columns)
+    monkeypatch.setattr(sggkit.cli, "LOSS_COLUMNS", columns)
+    total_loss, keys = sggkit.model.total_loss, set()
+
+    def recorded(*args, **kwargs):
+        loss, parts = total_loss(*args, **kwargs)
+        keys.add(tuple(parts))
+        return loss, parts
+
+    monkeypatch.setattr(sggkit.model, "total_loss", recorded)
+    for epochs in (0, 1):
+        out = str(tmp_path / f"epochs{epochs}.ckpt.json")
+        assert main(["train", "--corpus", corpus, "--out", out, "--epochs", str(epochs), "--holdout", "110",
+                     "--ks-recall", "4", "--ks-pair", "2"]) == 0
+        rows = _read_csv(f"{out}.log.csv")
+        assert rows[0] == ["epoch", *columns, "R@4", "pR@2"]
+        assert len(rows) == 1 + epochs
+    assert keys == {columns}
+    assert re.search(r"^epoch 1: ent \d+\.\d{4} pred \d+\.\d{4} ar \d+\.\d{4} \| ", capsys.readouterr().out, re.M)
 
 
 def _uniform_pair_corpus(path):

@@ -1,7 +1,7 @@
 import json
 import re
 import tracemalloc
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -96,7 +96,7 @@ def test_config_validation():
     with pytest.raises(ValueError, match="unknown model config keys"):
         ModelConfig.from_dict({"banana": 1})
     cfg = tiny_config()
-    assert ModelConfig.from_dict(cfg.to_dict()) == cfg
+    assert ModelConfig.from_dict(asdict(cfg)) == cfg
 
 
 def _pairs(prep):
@@ -133,7 +133,7 @@ def test_prepare_scene_applies_shared_scene_offset():
     offset = fp_shift.scene_offset(record.scene_id)
     d = fp.d_appearance
     node_diff = shifted.node_inputs - base.node_inputs
-    np.testing.assert_allclose(node_diff[:, :d], np.tile(offset, (base.n_nodes, 1)), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(node_diff[:, :d], np.tile(offset, (base.node_inputs.shape[0], 1)), rtol=0, atol=1e-12)
     np.testing.assert_array_equal(node_diff[:, d:], 0.0)  # boxes and logits carry no offset
     union_diff = shifted.union_inputs - base.union_inputs
     np.testing.assert_allclose(union_diff[:, :2 * d], np.tile(offset, (base.n_edges, 2)), rtol=0, atol=1e-12)
@@ -142,7 +142,7 @@ def test_prepare_scene_applies_shared_scene_offset():
 
 def _assert_matches_loop_oracle(prep, expect):
     for name, want in expect.items():
-        got = complete_a_tilde(prep.n_nodes) if name == "a_tilde" else getattr(prep, name)
+        got = complete_a_tilde(prep.node_inputs.shape[0]) if name == "a_tilde" else getattr(prep, name)
         assert got.dtype == want.dtype and got.shape == want.shape, name
         assert got.tobytes() == want.tobytes(), name
 
@@ -161,7 +161,7 @@ def test_prepare_scene_matches_per_edge_loop_oracle():
 def test_prepared_scene_holds_no_dense_adjacency():
     spec = GeneratorSpec(nodes_per_scene=17, n_scenes=1, seed=5)
     prep = prepare_scene(generate(spec)[0], spec)
-    dense = (prep.n_nodes + prep.n_edges) ** 2
+    dense = (prep.node_inputs.shape[0] + prep.n_edges) ** 2
     assert prep.n_edges == 17 * 16
     arrays = [v for v in vars(prep).values() if isinstance(v, np.ndarray)]
     assert max(a.size for a in arrays) < dense
@@ -225,7 +225,7 @@ def test_a_tilde_is_a_fresh_writable_array_on_each_access(monkeypatch):
     model.forward(prep)
     model.forward(prep)
     first, second = seen
-    assert first.tobytes() == second.tobytes() == complete_a_tilde(prep.n_nodes).tobytes()
+    assert first.tobytes() == second.tobytes() == complete_a_tilde(prep.node_inputs.shape[0]).tobytes()
 
 
 def test_forward_leaves_no_dense_array_on_the_adjacency():
@@ -234,7 +234,7 @@ def test_forward_leaves_no_dense_array_on_the_adjacency():
     cfg = tiny_config(d_appearance=spec.d_appearance, n_entity_categories=spec.n_entity_categories,
                       n_predicate_categories=spec.n_predicate_categories)
     Model(cfg).forward(prep)
-    dense = (prep.n_nodes + prep.n_edges) ** 2
+    dense = (prep.node_inputs.shape[0] + prep.n_edges) ** 2
     arrays = [*propagation.build_adjacency(17), *(v for v in vars(prep).values() if isinstance(v, np.ndarray))]
     assert max(a.size for a in arrays) < dense
 
@@ -364,9 +364,9 @@ def test_uniform_predictions_loss_is_log_category_counts():
     bank = ReferenceBank(5, 8)
     loss, parts = total_loss(out, prep, bank, model.config)
     np.testing.assert_allclose(loss.item(), np.log(11) + np.log(5), atol=1e-12)
-    np.testing.assert_allclose(parts["loss_entity"], np.log(11), atol=1e-12)
-    np.testing.assert_allclose(parts["loss_predicate"], np.log(5), atol=1e-12)
-    assert parts["loss_attract_repel"] == 0.0
+    np.testing.assert_allclose(parts["L_ent"], np.log(11), atol=1e-12)
+    np.testing.assert_allclose(parts["L_pred"], np.log(5), atol=1e-12)
+    assert parts["L_ar"] == 0.0
 
 
 def test_perfect_one_hot_predictions_loss_near_zero():
@@ -392,11 +392,11 @@ def _three_node_scene(edges):
 
 def _predicate_loss(prep, cfg, edge_logits):
     out = ForwardResult(
-        Matrix(np.zeros((prep.n_nodes, cfg.n_entity_categories))), Matrix(edge_logits),
+        Matrix(np.zeros((prep.node_inputs.shape[0], cfg.n_entity_categories))), Matrix(edge_logits),
         Matrix(np.zeros((prep.n_edges, cfg.d_edge))),
     )
     _, parts = total_loss(out, prep, ReferenceBank(3, 4), cfg)
-    return parts["loss_predicate"]
+    return parts["L_pred"]
 
 
 def test_predicate_loss_gives_relation_and_no_relation_rows_half_each():
@@ -474,7 +474,7 @@ def test_default_training_step_records_27_entries():
     """
     spec = GeneratorSpec(n_scenes=4)
     prep = prepare_scene(generate(spec)[0], spec)
-    assert prep.n_nodes == 6
+    assert prep.node_inputs.shape[0] == 6
     cfg = ModelConfig()
     model = Model(cfg)
     bank = ReferenceBank(cfg.n_predicate_categories, cfg.d_edge)
@@ -485,7 +485,7 @@ def test_default_training_step_records_27_entries():
         out = model.forward(prep)
         negatives = sample_negatives(bank, prep.edge_labels, skip_category=PREDICATE_NO_RELATION)
         _, parts = total_loss(out, prep, bank, cfg, negatives)
-    assert parts["loss_attract_repel"] != 0.0
+    assert parts["L_ar"] != 0.0
     names = [name for name, _, _ in tape.records]
     assert names.count("linear_map") == 4
     assert names.count("lih") == 1
@@ -521,7 +521,7 @@ def test_training_step_matches_record_chains_bytes(n_nodes, overrides, monkeypat
     if n_nodes == 1:  # GIH over one node row and no edge rows
         record = SceneRecord("solo", record.nodes[:1], [])
     prep = prepare_scene(record, spec)
-    assert prep.n_nodes == n_nodes
+    assert prep.node_inputs.shape[0] == n_nodes
     cfg = ModelConfig(**overrides)
     bank = ReferenceBank(cfg.n_predicate_categories, cfg.d_edge, seed=9)
     bank.refs = np.random.default_rng(10).standard_normal(bank.refs.shape)
@@ -610,7 +610,7 @@ def test_training_loss_decreases_over_first_epochs():
     spec = tiny_spec(n_scenes=40)
     records = generate(spec)
     result = train(tiny_config(epochs=5), records, spec)
-    totals = [e.loss_entity + e.loss_predicate + e.loss_attract_repel for e in result.log]
+    totals = [sum(e.losses.values()) for e in result.log]
     assert all(b < a for a, b in zip(totals, totals[1:]))
 
 
