@@ -9,8 +9,9 @@ environment can serve several commands. Values are read by field annotation
 (data.FIELD_TYPES): int by int(), float by float(), bool from
 true/false/1/0/yes/no, str as written, `int | None` from an int or `none`, a
 seed as an int that must be non-negative. A value that cannot be read exits 2
-naming the file or variable and the key; a config file that is not UTF-8, or a
-resolved config that fails validation, names the file.
+naming the file or variable and the key; a config file that is not UTF-8 names
+the file. A resolved config that fails validation names the file only when the
+defaults and the file's own values already fail it.
 
 Every command returns its manifest base path, config snapshot, inputs and
 outputs, and main writes the `<out>.manifest.json` recording the command line,
@@ -31,6 +32,7 @@ import argparse
 import csv
 import hashlib
 import io
+import itertools
 import json
 import os
 import sys
@@ -108,19 +110,31 @@ def _parse_kv_file(path) -> dict[str, str]:
     return out
 
 
-def _assemble_config(cls, config_path, overrides: dict, defaults: dict | None = None):
-    """Resolve one schema: dataclass defaults < `defaults` < config file < environment < flags."""
+def _assemble_config(cls, config_path, overrides: dict, check, defaults: dict | None = None):
+    """Resolve one schema, dataclass defaults < `defaults` < config file < environment < flags, and run `check`
+    on it once: (config, check's result). If the check fails, the error names the config file only when the
+    defaults and the file's own values fail it too, and then it is their failure."""
     raw = _parse_kv_file(config_path) if config_path else {}
     if unknown := set(raw) - set(cls.field_types()):
         raise ValueError(f"{config_path}: unknown config keys {sorted(unknown)}")
     values = dict(defaults or {})
     values.update((key, cls.parse_field(config_path, key, value)) for key, value in raw.items())
+    from_file = dict(values)
     for key in cls.field_types():
         env_key = ENV_PREFIX + key.upper()
         if env_key in os.environ:
             values[key] = cls.parse_field(env_key, key, os.environ[env_key])
     values.update((key, value) for key, value in overrides.items() if value is not None)
-    return cls(**values)
+    config = cls(**values)
+    try:
+        return config, check(config)
+    except ValueError:
+        if config_path:
+            try:
+                check(cls(**from_file))
+            except ValueError as exc:
+                raise ValueError(f"{config_path}: {exc}") from exc
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -162,9 +176,12 @@ def _write_csv(path, header: list[str], rows: list[list]) -> None:
         writer.writerows(rows)
 
 
-def _load_corpus_spec(corpus_path) -> GeneratorSpec:
+def _load_corpus_spec(corpus_path, required: bool = True) -> GeneratorSpec | None:
+    """The spec in the corpus's sidecar; None when there is no sidecar and none is `required`."""
     meta_path = f"{corpus_path}.meta.json"
     if not os.path.exists(meta_path):
+        if not required:
+            return None
         raise ValueError(
             f"missing corpus sidecar {meta_path}; it carries the feature-synthesis "
             f"parameters and is written by the generate command"
@@ -179,6 +196,11 @@ def _load_corpus_spec(corpus_path) -> GeneratorSpec:
     except ValueError as exc:
         raise ValueError(f"{meta_path}: {exc}") from exc
     return spec
+
+
+def _at_least(flag: str, value: int, least: int) -> None:
+    if value < least:
+        raise ValueError(f"{flag} must be >= {least}, got {value}")
 
 
 def _parse_ks(raw: str, flag: str) -> tuple[int, ...]:
@@ -200,11 +222,7 @@ def _parse_ks(raw: str, flag: str) -> tuple[int, ...]:
 
 
 def cmd_generate(args):
-    spec = _assemble_config(GeneratorSpec, args.config, {"seed": args.seed})
-    try:
-        rule = build_rule(spec)
-    except ValueError as exc:
-        raise ValueError(f"{args.config}: {exc}" if args.config else str(exc)) from exc
+    spec, rule = _assemble_config(GeneratorSpec, args.config, {"seed": args.seed}, build_rule)
     records = generate(spec, rule)
     write_scenes(args.out, records)
     meta = {
@@ -240,21 +258,25 @@ def _read_corpus(path) -> list[SceneRecord]:
     return records
 
 
+def _read_annotated_corpus(path, flag: str | None = None) -> list[SceneRecord]:
+    """A corpus with an annotated edge, which guess curves count; `flag`, if given, names which corpus it is."""
+    records = _read_corpus(path)
+    if not any(record.edges for record in records):
+        source = f"{flag} {path}" if flag else path
+        raise ValueError(f"{source}: no scene has an annotated edge, so guess curves have nothing to count")
+    return records
+
+
 def cmd_train(args):
     records = _read_corpus(args.corpus)
     spec = _load_corpus_spec(args.corpus)
     # vocabulary follows the corpus unless the user pinned it explicitly
     vocabulary = {"n_entity_categories": spec.n_entity_categories,
                   "n_predicate_categories": spec.n_predicate_categories, "d_appearance": spec.d_appearance}
-    config = _assemble_config(ModelConfig, args.config, _train_overrides(args), vocabulary)
-    try:
-        config.validate()
-    except ValueError as exc:
-        raise ValueError(f"{args.config}: {exc}" if args.config else str(exc)) from exc
+    config, _ = _assemble_config(ModelConfig, args.config, _train_overrides(args), ModelConfig.validate, vocabulary)
     ks_recall = _parse_ks(args.ks_recall, "--ks-recall")
     ks_pair = _parse_ks(args.ks_pair, "--ks-pair")
-    if args.metrics_every < 0:
-        raise ValueError(f"--metrics-every must be >= 0, got {args.metrics_every}")
+    _at_least("--metrics-every", args.metrics_every, 0)
     train_records, eval_records = split_scenes(records, args.holdout)
     result = train(
         config,
@@ -325,24 +347,16 @@ def cmd_eval(args):
 
     ks = dict.fromkeys((*ks_recall, *ks_pair))
     counts = [{k: count_hits(ranked, gt, k) for k in ks} for ranked, gt in zip(ranked_lists, graphs)]
-    rows = []
-    for record, by_k in zip(records, counts):
-        rows.extend(_scene_rows(record.scene_id, by_k, ks_recall, ks_pair))
-    aggregate = []
-    for k in ks_recall:
-        aggregate.append(["ALL", "R", k, corpus_recall_at_k([c[k] for c in counts])])
-    for k in ks_recall:
-        aggregate.append(["ALL", "mR", k, mean_recall_at_k([c[k] for c in counts])])
+    rows = [row for r, by_k in zip(records, counts) for row in _scene_rows(r.scene_id, by_k, ks_recall, ks_pair)]
+    aggregate = [["ALL", "R", k, corpus_recall_at_k([c[k] for c in counts])] for k in ks_recall]
+    aggregate += [["ALL", "mR", k, mean_recall_at_k([c[k] for c in counts])] for k in ks_recall]
     if any(g.bidirectional_pairs for g in graphs):
-        for k in ks_pair:
-            aggregate.append(["ALL", "pR", k, corpus_pairwise_recall_at_k([c[k] for c in counts])])
+        aggregate += [["ALL", "pR", k, corpus_pairwise_recall_at_k([c[k] for c in counts])] for k in ks_pair]
     _write_csv(args.out, ["scene_id", "metric", "k", "value"], rows + aggregate)
 
     outputs = [args.out]
     if args.dump_predictions:
-        write_predictions(args.dump_predictions, {
-            record.scene_id: ranked for record, ranked in zip(records, ranked_lists)
-        })
+        write_predictions(args.dump_predictions, {r.scene_id: ranked for r, ranked in zip(records, ranked_lists)})
         outputs.append(args.dump_predictions)
     shown = " ".join(f"{m}@{k} {v:.3f}" for _, m, k, v in aggregate)
     print(f"{len(records)} scenes | {shown}")
@@ -357,22 +371,15 @@ def _infer_category_counts(records: list[SceneRecord]) -> tuple[int, int]:
 
 
 def cmd_analyze(args):
-    records = _read_corpus(args.corpus)
-    meta_path = f"{args.corpus}.meta.json"
-    if os.path.exists(meta_path):
-        spec = _load_corpus_spec(args.corpus)
-        n_ent, n_pred = spec.n_entity_categories, spec.n_predicate_categories
-    else:
-        n_ent, n_pred = _infer_category_counts(records)
+    _at_least("--k-max", args.k_max, 1)
+    records = _read_annotated_corpus(args.corpus)
+    spec = _load_corpus_spec(args.corpus, required=False)
+    n_ent, n_pred = (spec.n_entity_categories, spec.n_predicate_categories) if spec else _infer_category_counts(records)
     table = CooccurrenceTable.from_scenes(records, n_ent, n_pred)
     # every row is computed before the first file is written, so a rejected input leaves no partial output
     variance_rows = [[p, intra_class_variance(table, p)] for p in range(n_pred)]
     nonzero = [p for p in range(n_pred) if table.counts[p].sum() > 0]
-    distance_rows = [
-        [i, j, inter_class_distance(table, i, j)]
-        for idx, i in enumerate(nonzero)
-        for j in nonzero[idx + 1:]
-    ]
+    distance_rows = [[i, j, inter_class_distance(table, i, j)] for i, j in itertools.combinations(nonzero, 2)]
     curve_rows = []
     for conditioning in ((), ("head",), ("tail",), ("head", "tail")):
         curve = guess_curve(records, records, conditioning, target="edge", k_max=args.k_max)
@@ -391,22 +398,31 @@ def cmd_analyze(args):
 
 
 def cmd_br_build(args):
+    """The bidirectional subset, its summary and, when the corpus has a sidecar, a sidecar with its spec."""
     records = _read_corpus(args.corpus)
+    spec = _load_corpus_spec(args.corpus, required=False)
     subset, summary = build_bidirectional_subset(records)
+    if not subset:
+        raise ValueError(f"{args.corpus}: no scene has a bidirectional pair, so the subset would be empty")
     write_scenes(args.out, subset)
     summary_path = f"{args.out}.summary.json"
     _write_json(summary_path, summary)
+    inputs, outputs = [args.corpus], [args.out, summary_path]
+    if spec is not None:
+        _write_json(f"{args.out}.meta.json", {"spec": asdict(spec)})
+        inputs.append(f"{args.corpus}.meta.json")
+        outputs.append(f"{args.out}.meta.json")
     print(f"kept {summary['scenes_retained']} of {summary['scenes_in']} scenes, "
           f"{summary['pairs']} bidirectional pairs")
-    return args.out, {}, [args.corpus], [args.out, summary_path]
+    return args.out, {}, inputs, outputs
 
 
 def cmd_guess_curve(args):
-    train_records = _read_corpus(args.train_corpus)
-    eval_records = _read_corpus(args.eval_corpus) if args.eval_corpus else train_records
+    _at_least("--k-max", args.k_max, 1)
+    train_records = _read_annotated_corpus(args.train_corpus, "--train-corpus")
+    eval_records = _read_annotated_corpus(args.eval_corpus, "--eval-corpus") if args.eval_corpus else train_records
     conditioning = tuple(part.strip() for part in args.conditioning.split(",") if part.strip())
-    curve = guess_curve(train_records, eval_records, conditioning,
-                        target=args.target, k_max=args.k_max)
+    curve = guess_curve(train_records, eval_records, conditioning, target=args.target, k_max=args.k_max)
     label = "+".join(conditioning)
     _write_csv(args.out, ["conditioning", "k", "fraction"],
                [[label, k + 1, curve[k]] for k in range(len(curve))])

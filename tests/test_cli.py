@@ -165,6 +165,29 @@ def test_generate_validates_the_spec_and_builds_the_rule_once(tmp_path, monkeypa
     assert calls == {"validate": 1, "build_rule": 1}
 
 
+@pytest.mark.parametrize("command,setting,message", [
+    ("train", ["--epochs", "-1"], "learning_rate, weight_decay and epochs must be nonnegative"),
+    ("train", {"SGGKIT_MOMENTUM": "2"}, "momentum must lie in [0, 1)"),
+    ("generate", {"SGGKIT_NOISE_RATE": "2"}, "noise_rate must lie in [0, 1)"),
+], ids=["train flag", "train variable", "generate variable"])
+def test_valid_config_is_not_blamed_for_a_flag_or_variable(command, setting, message, corpus, tmp_path, capsys,
+                                                           monkeypatch):
+    out = str(tmp_path / "out")
+    cfg = _write_config(tmp_path / "ok.cfg", **({"epochs": 1} if command == "train" else {"n_scenes": 5}))
+    argv = ["train", "--corpus", corpus] if command == "train" else ["generate"]
+    for name, value in (setting.items() if isinstance(setting, dict) else []):
+        monkeypatch.setenv(name, value)
+    flags = setting if isinstance(setting, list) else []
+    assert main([*argv, "--out", out, "--config", cfg, *flags]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    # the file alone fails too: then it is named, with its own failure
+    with open(cfg, "a") as fh:
+        fh.write("seed = -5\n")
+    assert main([*argv, "--out", out, "--config", cfg, *flags]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {cfg}: ")
+    assert os.listdir(tmp_path) == ["ok.cfg"]
+
+
 def test_generate_rejects_unknown_config_key(tmp_path, capsys):
     cfg = _write_config(tmp_path / "bad.cfg", not_a_field=3)
     assert main(["generate", "--out", str(tmp_path / "x.sgjsonl"), "--config", cfg]) == 2
@@ -404,8 +427,35 @@ def test_empty_corpus_is_named(entry, corpus, checkpoint, tmp_path, capsys):
 def test_analyze_rejects_k_max_before_writing_any_file(corpus, tmp_path, capsys):
     out_dir = tmp_path / "analysis"
     assert main(["analyze", "--corpus", corpus, "--out-dir", str(out_dir), "--k-max", "0"]) == 2
-    assert capsys.readouterr().err == "error: k_max must be >= 1\n"
+    assert capsys.readouterr().err == "error: --k-max must be >= 1, got 0\n"
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command", ["analyze", "guess-curve"])
+def test_k_max_below_one_names_the_flag_before_reading_any_file(command, tmp_path, capsys):
+    missing = str(tmp_path / "missing.sgjsonl")  # reading it first would be an i/o error, exit 4
+    out = ["--out-dir", str(tmp_path / "analysis")] if command == "analyze" else ["--out", str(tmp_path / "c.csv")]
+    corpus = ["--corpus", missing] if command == "analyze" else ["--train-corpus", missing]
+    assert main([command, *corpus, *out, "--k-max", "0"]) == 2
+    assert capsys.readouterr().err == "error: --k-max must be >= 1, got 0\n"
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("entry", ["analyze", "guess-curve --train-corpus", "guess-curve --eval-corpus"])
+def test_corpus_without_edges_is_named_by_guess_curves(entry, corpus, tmp_path, capsys):
+    path = _rewrite_corpus(corpus, str(tmp_path / "edgeless.sgjsonl"),
+                           [replace(r, edges=[]) for r in read_scenes(corpus)[:12]])
+    out_dir, out = tmp_path / "analysis", str(tmp_path / "curve.csv")
+    argv = {
+        "analyze": ["analyze", "--corpus", path, "--out-dir", str(out_dir)],
+        "guess-curve --train-corpus": ["guess-curve", "--train-corpus", path, "--eval-corpus", corpus, "--out", out],
+        "guess-curve --eval-corpus": ["guess-curve", "--train-corpus", corpus, "--eval-corpus", path, "--out", out],
+    }[entry]
+    assert main(argv) == 2
+    source = path if entry == "analyze" else f"{entry.split()[1]} {path}"
+    assert capsys.readouterr().err == (f"error: {source}: no scene has an annotated edge, "
+                                       f"so guess curves have nothing to count\n")
+    assert not out_dir.exists() and not os.path.exists(out)
 
 
 def test_each_scene_is_ranked_once(corpus, checkpoint, tmp_path, monkeypatch):
@@ -923,7 +973,7 @@ def test_analyze_writes_distance_and_guess_curves(corpus, tmp_path):
         assert fractions == sorted(fractions)  # top-k curves never decrease
 
 
-def test_br_build_without_bidirectional_pairs_is_empty(tmp_path):
+def test_br_build_without_bidirectional_pairs_is_rejected(tmp_path, capsys):
     corpus = str(tmp_path / "oneway.sgjsonl")
     box = (0.2, 0.2, 0.7, 0.7)
     write_scenes(corpus, [
@@ -931,12 +981,33 @@ def test_br_build_without_bidirectional_pairs_is_empty(tmp_path):
         SceneRecord("s1", [Node(0, 3, box, 3), Node(1, 4, box, 4)], [Edge(1, 0, 2)]),
     ])
     out = str(tmp_path / "subset.sgjsonl")
+    assert main(["br-build", "--corpus", corpus, "--out", out]) == 2
+    assert capsys.readouterr().err == (f"error: {corpus}: no scene has a bidirectional pair, "
+                                       f"so the subset would be empty\n")
+    assert os.listdir(tmp_path) == ["oneway.sgjsonl"]
+
+
+def test_br_build_subset_carries_the_sidecar_and_can_be_scored(corpus, checkpoint, tmp_path, capsys):
+    out = str(tmp_path / "subset.sgjsonl")
     assert main(["br-build", "--corpus", corpus, "--out", out]) == 0
-    assert read_scenes(out) == []
-    with open(f"{out}.summary.json") as fh:
-        summary = json.load(fh)
-    assert summary["scenes_retained"] == 0
-    assert summary["pairs"] == 0
+    with open(f"{corpus}.meta.json") as fh:
+        spec = json.load(fh)["spec"]
+    with open(f"{out}.meta.json") as fh:
+        assert json.load(fh) == {"spec": spec}
+    with open(f"{out}.manifest.json") as fh:
+        manifest = json.load(fh)
+    assert manifest["inputs"] == {corpus: _sha(corpus), f"{corpus}.meta.json": _sha(f"{corpus}.meta.json")}
+    assert manifest["outputs"][f"{out}.meta.json"] == _sha(f"{out}.meta.json")
+    assert main(["eval", "--corpus", out, "--checkpoint", checkpoint, "--out", str(tmp_path / "m.csv")]) == 0
+    out_dir = str(tmp_path / "analysis")
+    assert main(["analyze", "--corpus", out, "--out-dir", out_dir]) == 0
+    assert len(_read_csv(os.path.join(out_dir, "variance.csv"))) == 1 + spec["n_predicate_categories"]
+    assert capsys.readouterr().err == ""
+    # a corpus without a sidecar gives a subset without one
+    uniform = str(tmp_path / "uniform.sgjsonl")
+    _uniform_pair_corpus(uniform)
+    assert main(["br-build", "--corpus", uniform, "--out", str(tmp_path / "u.sgjsonl")]) == 0
+    assert not os.path.exists(tmp_path / "u.sgjsonl.meta.json")
 
 
 def test_br_build_keeps_both_directions(corpus, tmp_path):
