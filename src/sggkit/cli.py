@@ -221,7 +221,7 @@ def _parse_ks(raw: str, flag: str) -> tuple[int, ...]:
 # commands
 
 
-def cmd_generate(args):
+def cmd_generate(args) -> tuple[str, dict, list, list]:
     spec, rule = _assemble_config(GeneratorSpec, args.config, {"seed": args.seed}, build_rule)
     records = generate(spec, rule)
     write_scenes(args.out, records)
@@ -258,16 +258,15 @@ def _read_corpus(path) -> list[SceneRecord]:
     return records
 
 
-def _read_annotated_corpus(path, flag: str | None = None) -> list[SceneRecord]:
-    """A corpus with an annotated edge, which guess curves count; `flag`, if given, names which corpus it is."""
+def _read_annotated_corpus(path, flag: str) -> list[SceneRecord]:
+    """The corpus `flag` names, which must hold an annotated edge for guess curves to count."""
     records = _read_corpus(path)
     if not any(record.edges for record in records):
-        source = f"{flag} {path}" if flag else path
-        raise ValueError(f"{source}: no scene has an annotated edge, so guess curves have nothing to count")
+        raise ValueError(f"{flag} {path}: no scene has an annotated edge, so guess curves have nothing to count")
     return records
 
 
-def cmd_train(args):
+def cmd_train(args) -> tuple[str, dict, list, list]:
     records = _read_corpus(args.corpus)
     spec = _load_corpus_spec(args.corpus)
     # vocabulary follows the corpus unless the user pinned it explicitly
@@ -310,7 +309,7 @@ def _scene_rows(scene_id, counts: dict[int, HitCounts], ks_recall, ks_pair) -> l
     return rows
 
 
-def cmd_eval(args):
+def cmd_eval(args) -> tuple[str, dict, list, list]:
     if bool(args.checkpoint) == bool(args.predictions):
         raise ValueError("eval needs exactly one of --checkpoint or --predictions")
     if args.predictions and args.unconstrained:
@@ -370,9 +369,9 @@ def _infer_category_counts(records: list[SceneRecord]) -> tuple[int, int]:
     return n_ent, n_pred
 
 
-def cmd_analyze(args):
+def cmd_analyze(args) -> tuple[str, dict, list, list]:
     _at_least("--k-max", args.k_max, 1)
-    records = _read_annotated_corpus(args.corpus)
+    records = _read_annotated_corpus(args.corpus, "--corpus")
     spec = _load_corpus_spec(args.corpus, required=False)
     n_ent, n_pred = (spec.n_entity_categories, spec.n_predicate_categories) if spec else _infer_category_counts(records)
     table = CooccurrenceTable.from_scenes(records, n_ent, n_pred)
@@ -397,8 +396,7 @@ def cmd_analyze(args):
     return os.path.join(args.out_dir, "analyze"), {"k_max": args.k_max}, [args.corpus], outputs
 
 
-def cmd_br_build(args):
-    """The bidirectional subset, its summary and, when the corpus has a sidecar, a sidecar with its spec."""
+def cmd_br_build(args) -> tuple[str, dict, list, list]:
     records = _read_corpus(args.corpus)
     spec = _load_corpus_spec(args.corpus, required=False)
     subset, summary = build_bidirectional_subset(records)
@@ -417,7 +415,7 @@ def cmd_br_build(args):
     return args.out, {}, inputs, outputs
 
 
-def cmd_guess_curve(args):
+def cmd_guess_curve(args) -> tuple[str, dict, list, list]:
     _at_least("--k-max", args.k_max, 1)
     train_records = _read_annotated_corpus(args.train_corpus, "--train-corpus")
     eval_records = _read_annotated_corpus(args.eval_corpus, "--eval-corpus") if args.eval_corpus else train_records

@@ -452,7 +452,7 @@ def test_corpus_without_edges_is_named_by_guess_curves(entry, corpus, tmp_path, 
         "guess-curve --eval-corpus": ["guess-curve", "--train-corpus", corpus, "--eval-corpus", path, "--out", out],
     }[entry]
     assert main(argv) == 2
-    source = path if entry == "analyze" else f"{entry.split()[1]} {path}"
+    source = f"--corpus {path}" if entry == "analyze" else f"{entry.split()[1]} {path}"
     assert capsys.readouterr().err == (f"error: {source}: no scene has an annotated edge, "
                                        f"so guess curves have nothing to count\n")
     assert not out_dir.exists() and not os.path.exists(out)
