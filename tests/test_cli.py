@@ -165,19 +165,18 @@ def test_generate_validates_the_spec_and_builds_the_rule_once(tmp_path, monkeypa
     assert calls == {"validate": 1, "build_rule": 1}
 
 
-@pytest.mark.parametrize("command,setting,message", [
-    ("train", ["--epochs", "-1"], "learning_rate, weight_decay and epochs must be nonnegative"),
-    ("train", {"SGGKIT_MOMENTUM": "2"}, "momentum must lie in [0, 1)"),
-    ("generate", {"SGGKIT_NOISE_RATE": "2"}, "noise_rate must lie in [0, 1)"),
+@pytest.mark.parametrize("command,env,flags,message", [
+    ("train", {}, ["--epochs", "-1"], "learning_rate, weight_decay and epochs must be nonnegative"),
+    ("train", {"SGGKIT_MOMENTUM": "2"}, [], "momentum must lie in [0, 1)"),
+    ("generate", {"SGGKIT_NOISE_RATE": "2"}, [], "noise_rate must lie in [0, 1)"),
 ], ids=["train flag", "train variable", "generate variable"])
-def test_valid_config_is_not_blamed_for_a_flag_or_variable(command, setting, message, corpus, tmp_path, capsys,
+def test_valid_config_is_not_blamed_for_a_flag_or_variable(command, env, flags, message, corpus, tmp_path, capsys,
                                                            monkeypatch):
     out = str(tmp_path / "out")
     cfg = _write_config(tmp_path / "ok.cfg", **({"epochs": 1} if command == "train" else {"n_scenes": 5}))
     argv = ["train", "--corpus", corpus] if command == "train" else ["generate"]
-    for name, value in (setting.items() if isinstance(setting, dict) else []):
+    for name, value in env.items():
         monkeypatch.setenv(name, value)
-    flags = setting if isinstance(setting, list) else []
     assert main([*argv, "--out", out, "--config", cfg, *flags]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     # the file alone fails too: then it is named, with its own failure
