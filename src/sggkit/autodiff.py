@@ -59,10 +59,6 @@ class Matrix:
 
     def __init__(self, data):
         arr = np.array(data, dtype=np.float64, order="C")
-        if arr.ndim == 0:
-            arr = arr.reshape(1, 1)
-        elif arr.ndim == 1:
-            arr = arr.reshape(1, -1)
         if arr.ndim != 2:
             raise ShapeError(f"Matrix must be 2-D, got array of shape {arr.shape}")
         self.data = arr

@@ -232,9 +232,8 @@ def cmd_generate(args) -> tuple[str, dict, list, list]:
     }
     meta_path = f"{args.out}.meta.json"
     _write_json(meta_path, meta)
-    frac = rule.realized_asymmetric_fraction
     print(f"wrote {len(records)} scenes to {args.out} "
-          f"(asymmetric fraction {frac if frac is None else round(frac, 4)})")
+          f"(asymmetric fraction {round(rule.realized_asymmetric_fraction, 4)})")
     return args.out, asdict(spec), [], [args.out, meta_path]
 
 

@@ -58,7 +58,7 @@ from .metrics import (
     mean_recall_at_k,
     ranked_from_scores,
 )
-from .propagation import GraphState, build_adjacency, check_settings, init_propagation, propagate
+from .propagation import build_adjacency, check_settings, init_propagation, propagate
 
 # rng stream tags
 _STREAM_PARAMS = 23
@@ -256,13 +256,13 @@ class Model:
             edges0 = encode_edges(z_s, z_o, z_u, self.fusion)
         else:
             edges0 = Matrix(np.zeros((0, cfg.d_edge)))
-        state = propagate(GraphState(nodes0, edges0), self.prop)
-        node_logits = linear_map(state.node_feats, *self.entity_head)
+        nodes, edges = propagate(nodes0, edges0, self.prop)
+        node_logits = linear_map(nodes, *self.entity_head)
         if m > 0:
-            edge_logits = linear_map(state.edge_feats, *self.predicate_head)
+            edge_logits = linear_map(edges, *self.predicate_head)
         else:
             edge_logits = Matrix(np.zeros((0, cfg.n_predicate_categories)))
-        return ForwardResult(node_logits, edge_logits, state.edge_feats)
+        return ForwardResult(node_logits, edge_logits, edges)
 
 
 def _cross_entropy(logits: Matrix, onehot: np.ndarray, row_weights: np.ndarray | None = None) -> Matrix:

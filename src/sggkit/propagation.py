@@ -29,8 +29,8 @@ since without the h term one layer maps every node to the same row.
 Each variant's rules live in check_settings, which ModelConfig.validate and
 init_propagation both call. The variant is fixed when the weights are built:
 init_propagation returns PropagationParams that carry it, and propagate runs
-the variant its params name (none passes the state through), after checking
-that the state has n(n-1) edge rows for its n node rows.
+the variant its params name on the node and edge rows (none passes them
+through), after checking that there are n(n-1) edge rows for n node rows.
 
 build_adjacency(n) gives the edge endpoints and the flat positions of A~'s
 ones, built once per n as read-only arrays that every scene of n nodes
@@ -81,12 +81,6 @@ def build_adjacency(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return subjects, objects, ones
 
 
-@dataclass
-class GraphState:
-    node_feats: Matrix
-    edge_feats: Matrix
-
-
 VARIANTS = ("gih", "gcn", "gat", "none")
 
 
@@ -133,13 +127,11 @@ def init_propagation(param: Param, variant: str, d: int, n_layers: int = 4) -> P
     return PropagationParams(variant, [])  # none
 
 
-def gih_forward(state: GraphState, params: PropagationParams) -> GraphState:
-    n = state.node_feats.rows
+def gih_forward(nodes: Matrix, edges: Matrix, params: PropagationParams) -> tuple[Matrix, Matrix]:
+    n = nodes.rows
     a_tilde = np.zeros(n ** 4)
     a_tilde[build_adjacency(n)[2]] = 1.0
-    nodes, edges = gih(state.node_feats, state.edge_feats, a_tilde.reshape(n * n, n * n),
-                       [w for (w,) in params.layers])
-    return GraphState(nodes, edges)
+    return gih(nodes, edges, a_tilde.reshape(n * n, n * n), [w for (w,) in params.layers])
 
 
 def gcn_forward(nodes: Matrix, params: PropagationParams) -> Matrix:
@@ -171,18 +163,18 @@ def gat_forward(nodes: Matrix, params: PropagationParams) -> Matrix:
     return h
 
 
-def propagate(state: GraphState, params: PropagationParams) -> GraphState:
-    """Run the variant the params were built for; none returns the state as is.
+def propagate(nodes: Matrix, edges: Matrix, params: PropagationParams) -> tuple[Matrix, Matrix]:
+    """Run the variant the params were built for on the node and edge rows; none returns them as they are.
 
     gcn and gat update the node rows and pass the edge rows through.
     """
-    n, m = state.node_feats.rows, state.edge_feats.rows
+    n, m = nodes.rows, edges.rows
     if m != n * (n - 1):
         raise ShapeError(f"state rows ({n} nodes, {m} edges) are not a complete graph, which has {n * (n - 1)} edges")
     if params.variant == "gih":
-        return gih_forward(state, params)
+        return gih_forward(nodes, edges, params)
     if params.variant == "gcn":
-        return GraphState(gcn_forward(state.node_feats, params), state.edge_feats)
+        return gcn_forward(nodes, params), edges
     if params.variant == "gat":
-        return GraphState(gat_forward(state.node_feats, params), state.edge_feats)
-    return state
+        return gat_forward(nodes, params), edges
+    return nodes, edges

@@ -10,7 +10,7 @@ from sggkit.autodiff import Constant, ShapeError, Tape, _finish, add, linear_map
 from sggkit.data import _STREAM_APPEAR, _STREAM_LOGITS
 from sggkit.fusion import ORDERS
 from sggkit.metrics import GroundTruthGraph, rank_triplets
-from sggkit.propagation import GraphState, build_adjacency
+from sggkit.propagation import build_adjacency
 
 
 def drawn(rng):
@@ -126,17 +126,17 @@ def chain_lih(s, o, u, params):
     return slice_rows(z, 0, m), slice_rows(z, m, 2 * m), slice_rows(z, 2 * m, 3 * m)
 
 
-def chain_gih(state, params):
+def chain_gih(nodes, edges, params):
     """propagation.gih_forward as separate records: concat_rows, per layer matmul(A~, G),
     matmul(., w) and relu, an add per even layer, and two slice_rows."""
-    n = state.node_feats.rows
+    n = nodes.rows
     at = Constant(complete_a_tilde(n))
-    prev = {0: concat_rows([state.node_feats, state.edge_feats])}
+    prev = {0: concat_rows([nodes, edges])}
     for l, (w,) in enumerate(params.layers, start=1):
         h = relu(matmul(matmul(at, prev[l - 1]), w))
         prev[l] = h if l % 2 == 1 else add(prev[l - 2], h)
     out = prev[len(params.layers)]
-    return GraphState(slice_rows(out, 0, n), slice_rows(out, n, n * n))
+    return slice_rows(out, 0, n), slice_rows(out, n, n * n)
 
 
 def chain_cosine_rows(e, r, g):

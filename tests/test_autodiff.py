@@ -73,12 +73,14 @@ def test_linear_map_gradients_are_the_exact_products(rows, leaf):
 def test_constant_shares_only_2d_c_contiguous_float64():
     arr = np.arange(6.0).reshape(2, 3)
     assert ad.Constant(arr).data is arr
-    for other in (np.asfortranarray(arr), arr[:, :2], arr.astype(np.float32), np.arange(3.0), [[1.0, 2.0]]):
+    for other in (np.asfortranarray(arr), arr[:, :2], arr.astype(np.float32), [[1.0, 2.0]]):
         c = ad.Constant(other)
         assert c.data.dtype == np.float64 and c.data.ndim == 2 and c.data.flags.c_contiguous
         assert not np.shares_memory(c.data, arr)
-    with pytest.raises(ad.ShapeError):
-        ad.Constant(np.zeros((2, 2, 2)))
+    for not_2d in (np.zeros((2, 2, 2)), np.arange(3.0), 1.0, [1.0, 2.0]):
+        for cls in (ad.Matrix, ad.Constant):
+            with pytest.raises(ad.ShapeError, match=r"^Matrix must be 2-D, got array of shape "):
+                cls(not_2d)
 
 
 def test_linear_map_shape_error_names_both_shapes():

@@ -18,7 +18,6 @@ from sggkit import autodiff as ad
 from sggkit.model import ModelConfig
 from sggkit.propagation import (
     VARIANTS,
-    GraphState,
     PropagationParams,
     build_adjacency,
     gat_forward,
@@ -35,15 +34,13 @@ def _pairs(n):
 
 
 def _state(rng, n, m, d):
-    return GraphState(
-        node_feats=ad.Matrix(rng.normal(size=(n, d))),
-        edge_feats=ad.Matrix(rng.normal(size=(m, d))),
-    )
+    """Random node and edge rows."""
+    return ad.Matrix(rng.normal(size=(n, d))), ad.Matrix(rng.normal(size=(m, d)))
 
 
-def _gih(state, a_tilde, params):
-    """autodiff.gih over any A + I, as GraphState rows."""
-    return GraphState(*ad.gih(state.node_feats, state.edge_feats, a_tilde, [w for (w,) in params.layers]))
+def _gih(nodes, edges, a_tilde, params):
+    """autodiff.gih over any A + I: the node and edge rows."""
+    return ad.gih(nodes, edges, a_tilde, [w for (w,) in params.layers])
 
 
 def test_two_nodes_two_opposite_edges_hand_case():
@@ -99,26 +96,25 @@ def test_matches_per_edge_loop_oracle():
 def test_zero_weights_even_depth_is_exact_identity():
     rng = np.random.default_rng(1)
     n, m, d = 3, 4, 5
-    state = _state(rng, n, m, d)
-    edges = [(0, 1), (1, 0), (1, 2), (2, 0)]
+    nodes, edges = _state(rng, n, m, d)
     params = PropagationParams("gih", [(ad.Matrix(np.zeros((d, d))),) for _ in range(4)])
-    out = _gih(state, loop_a_tilde(n, edges), params)
-    np.testing.assert_array_equal(out.node_feats.data, state.node_feats.data)
-    np.testing.assert_array_equal(out.edge_feats.data, state.edge_feats.data)
+    out_nodes, out_edges = _gih(nodes, edges, loop_a_tilde(n, [(0, 1), (1, 0), (1, 2), (2, 0)]), params)
+    np.testing.assert_array_equal(out_nodes.data, nodes.data)
+    np.testing.assert_array_equal(out_edges.data, edges.data)
 
 
 def test_identity_adjacency_identity_weights_doubles_nonneg_input():
     rng = np.random.default_rng(2)
     n, d = 4, 3
-    state = GraphState(ad.Matrix(rng.uniform(0.0, 1.0, size=(n, d))), ad.Matrix(np.zeros((0, d))))
+    nodes = ad.Matrix(rng.uniform(0.0, 1.0, size=(n, d)))
     params = PropagationParams("gih", [(ad.Matrix(np.eye(d)),), (ad.Matrix(np.eye(d)),)])
-    out = _gih(state, loop_a_tilde(n, []), params)
-    np.testing.assert_allclose(out.node_feats.data, 2.0 * state.node_feats.data, atol=1e-15)
+    out_nodes, _ = _gih(nodes, ad.Matrix(np.zeros((0, d))), loop_a_tilde(n, []), params)
+    np.testing.assert_allclose(out_nodes.data, 2.0 * nodes.data, atol=1e-15)
 
 
-def _dense_reference(state, a_tilde, params):
+def _dense_reference(nodes, edges, a_tilde, params):
     """Loop-free numpy transcription with the same (A~ G) W grouping."""
-    g_prev = {0: np.concatenate([state.node_feats.data, state.edge_feats.data], axis=0)}
+    g_prev = {0: np.concatenate([nodes.data, edges.data], axis=0)}
     for l, (w,) in enumerate(params.layers, start=1):
         h = np.maximum((a_tilde @ g_prev[l - 1]) @ w.data, 0.0)
         g_prev[l] = h if l % 2 == 1 else g_prev[l - 2] + h
@@ -133,22 +129,22 @@ def test_matches_dense_reference_bit_exact():
     edges = [(0, 1), (1, 0)]
     state = _state(rng, 3, len(edges), d)
     params = init_propagation(drawn(rng), "gih", d, 4)
-    out = _gih(state, loop_a_tilde(3, edges), params)
-    got = np.concatenate([out.node_feats.data, out.edge_feats.data], axis=0)
-    assert got.tobytes() == _dense_reference(state, loop_a_tilde(3, edges), params).tobytes()
+    out = _gih(*state, loop_a_tilde(3, edges), params)
+    got = np.concatenate([m.data for m in out], axis=0)
+    assert got.tobytes() == _dense_reference(*state, loop_a_tilde(3, edges), params).tobytes()
     for n in (2, 3, 6):
         state = _state(rng, n, n * (n - 1), d)
-        out = gih_forward(state, params)
-        got = np.concatenate([out.node_feats.data, out.edge_feats.data], axis=0)
-        assert got.tobytes() == _dense_reference(state, loop_a_tilde(n, _pairs(n)), params).tobytes(), n
+        out = gih_forward(*state, params)
+        got = np.concatenate([m.data for m in out], axis=0)
+        assert got.tobytes() == _dense_reference(*state, loop_a_tilde(n, _pairs(n)), params).tobytes(), n
 
 
 def test_state_shape_mismatch_raises():
     rng = np.random.default_rng(4)
-    state = _state(rng, 3, 2, 4)  # three nodes have six candidate edges
+    nodes, edges = _state(rng, 3, 2, 4)  # three nodes have six candidate edges
     with pytest.raises(ad.ShapeError, match=r"^state rows \(3 nodes, 2 edges\) are not a complete graph, "
                                             r"which has 6 edges$"):
-        propagate(state, init_propagation(drawn(rng), "gih", 4))
+        propagate(nodes, edges, init_propagation(drawn(rng), "gih", 4))
 
 
 def test_odd_layer_count_rejected():
@@ -162,26 +158,26 @@ def test_locality_disconnected_component_unchanged():
     d = 4
     a_tilde = loop_a_tilde(4, [(0, 1), (1, 0)])  # nodes 2, 3 are isolated from 0, 1
     params = init_propagation(drawn(rng), "gih", d, 4)
-    base = _state(rng, 4, 2, d)
-    out1 = _gih(base, a_tilde, params)
+    nodes, edges = _state(rng, 4, 2, d)
+    out1, _ = _gih(nodes, edges, a_tilde, params)
 
-    moved = GraphState(ad.Matrix(base.node_feats.data.copy()), ad.Matrix(base.edge_feats.data.copy()))
-    moved.node_feats.data[0] += 10.0
-    out2 = _gih(moved, a_tilde, params)
+    moved = ad.Matrix(nodes.data.copy())
+    moved.data[0] += 10.0
+    out2, _ = _gih(moved, ad.Matrix(edges.data.copy()), a_tilde, params)
 
-    np.testing.assert_array_equal(out1.node_feats.data[2:], out2.node_feats.data[2:])
-    assert np.abs(out1.node_feats.data[1] - out2.node_feats.data[1]).max() > 0
+    np.testing.assert_array_equal(out1.data[2:], out2.data[2:])
+    assert np.abs(out1.data[1] - out2.data[1]).max() > 0
 
 
 def test_gcn_zero_weights_zero_nodes_edges_untouched():
     """Zero weights zero every layer's node update, so the nodes come out as they went in."""
     rng = np.random.default_rng(6)
     n, m, d = 3, 6, 4
-    state = _state(rng, n, m, d)
+    nodes, edges = _state(rng, n, m, d)
     params = PropagationParams("gcn", [(ad.Matrix(np.zeros((d, d))),) for _ in range(2)])
-    out = propagate(state, params)
-    np.testing.assert_array_equal(out.node_feats.data, state.node_feats.data)
-    assert out.edge_feats is state.edge_feats
+    out_nodes, out_edges = propagate(nodes, edges, params)
+    np.testing.assert_array_equal(out_nodes.data, nodes.data)
+    assert out_edges is edges
 
 
 def test_gcn_complete_graph_one_layer_hand_case():
@@ -205,10 +201,10 @@ def test_gat_constant_logits_equals_mean_aggregation():
 def test_gcn_gat_never_touch_edge_rows():
     rng = np.random.default_rng(8)
     n, m, d = 4, 12, 4
-    state = _state(rng, n, m, d)
+    nodes, edges = _state(rng, n, m, d)
     for variant in ("gcn", "gat"):
-        out = propagate(state, init_propagation(drawn(rng), variant, d))
-        assert out.edge_feats is state.edge_feats, variant
+        _, out_edges = propagate(nodes, edges, init_propagation(drawn(rng), variant, d))
+        assert out_edges is edges, variant
 
 
 def test_edge_awareness_separation():
@@ -217,23 +213,20 @@ def test_edge_awareness_separation():
     n, d = 3, 4
     a_tilde = loop_a_tilde(n, _pairs(n))
     base = _state(rng, n, n * (n - 1), d)
-    bumped = GraphState(
-        ad.Matrix(base.node_feats.data.copy()),
-        ad.Matrix(base.edge_feats.data + 5.0),
-    )
+    bumped = (ad.Matrix(base[0].data.copy()), ad.Matrix(base[1].data + 5.0))
     gih = init_propagation(drawn(rng), "gih", d, 4)
     assert (
         np.abs(
-            _gih(base, a_tilde, gih).node_feats.data
-            - _gih(bumped, a_tilde, gih).node_feats.data
+            _gih(*base, a_tilde, gih)[0].data
+            - _gih(*bumped, a_tilde, gih)[0].data
         ).max()
         > 1e-6
     )
     for variant in ("gcn", "gat"):
         params = init_propagation(drawn(rng), variant, d, 2)
         np.testing.assert_array_equal(
-            propagate(base, params).node_feats.data,
-            propagate(bumped, params).node_feats.data,
+            propagate(*base, params)[0].data,
+            propagate(*bumped, params)[0].data,
         )
 
 
@@ -256,8 +249,8 @@ def test_node_rows_stay_distinct_on_complete_graph(variant):
     """Every node row of a complete graph's scene stays distinct after propagation at init."""
     rng = np.random.default_rng(17)
     n, d = 6, 8
-    out = propagate(_state(rng, n, n * (n - 1), d), init_propagation(drawn(rng), variant, d, 4))
-    assert len(np.unique(out.node_feats.data, axis=0)) == n
+    out_nodes, _ = propagate(*_state(rng, n, n * (n - 1), d), init_propagation(drawn(rng), variant, d, 4))
+    assert len(np.unique(out_nodes.data, axis=0)) == n
 
 
 def test_unknown_variant_raises():
@@ -281,16 +274,16 @@ def test_model_names_no_propagation_variant():
 def test_gradients_per_variant(variant):
     rng = np.random.default_rng(11)
     n, d = 3, 3
-    state = _state(rng, n, n * (n - 1), d)
+    nodes, edges = _state(rng, n, n * (n - 1), d)
     params = init_propagation(drawn(rng), variant, d, 2)
-    mats = [*(m for layer in params.layers for m in layer), state.node_feats, state.edge_feats]
+    mats = [*(m for layer in params.layers for m in layer), nodes, edges]
 
     def f():
-        out = propagate(state, params)
+        out_nodes, out_edges = propagate(nodes, edges, params)
         return ad.sum_all(
             ad.add(
-                ad.scale(ad.sum_all(ad.mul(out.node_feats, out.node_feats)), 1.0 / out.node_feats.data.size),
-                ad.scale(ad.sum_all(ad.mul(out.edge_feats, out.edge_feats)), 1.0 / out.edge_feats.data.size),
+                ad.scale(ad.sum_all(ad.mul(out_nodes, out_nodes)), 1.0 / out_nodes.data.size),
+                ad.scale(ad.sum_all(ad.mul(out_edges, out_edges)), 1.0 / out_edges.data.size),
             )
         )
 
@@ -303,17 +296,16 @@ def _gih_bytes(gih_forward_fn, state, params, targets, views):
     The loss weighs the propagated rows of each view named in views by a
     fixed target; a view left out receives no gradient.
     """
-    nodes, edges = (ad.Matrix(m.data.copy()) for m in (state.node_feats, state.edge_feats))
+    nodes, edges = (ad.Matrix(m.data.copy()) for m in state)
     weights = PropagationParams("gih", [(ad.Matrix(w.data.copy()),) for (w,) in params.layers])
     with ad.Tape() as tape:
-        out = gih_forward_fn(GraphState(nodes, edges), weights)
-        rows = {"nodes": out.node_feats, "edges": out.edge_feats}
+        out = gih_forward_fn(nodes, edges, weights)
+        rows = dict(zip(("nodes", "edges"), out))
         terms = [ad.sum_all(ad.mul(rows[v], ad.Constant(targets[v]))) for v in views]
         loss = terms[0] if len(terms) == 1 else ad.add(*terms)
     tape.backward(loss)
     grads = [m.grad for m in (nodes, edges, *(w for (w,) in weights.layers))]
-    return [out.node_feats.data.tobytes(), out.edge_feats.data.tobytes()] + [
-        None if g is None else g.tobytes() for g in grads]
+    return [m.data.tobytes() for m in out] + [None if g is None else g.tobytes() for g in grads]
 
 
 @pytest.mark.parametrize("n_nodes,layers,views", [
@@ -340,25 +332,26 @@ def test_gih_view_without_gradient_leaves_its_rows_untouched():
     neither view holds a gradient of its own."""
     rng = np.random.default_rng(13)
     state = _state(rng, 3, 3, 4)
+    params = init_propagation(drawn(rng), "gih", 4, 2)
     with ad.Tape() as tape:
-        out = _gih(state, loop_a_tilde(3, [(0, 1), (1, 0), (1, 2)]), init_propagation(drawn(rng), "gih", 4, 2))
-        loss = ad.sum_all(ad.mul(out.node_feats, out.node_feats))
+        nodes, edges = _gih(*state, loop_a_tilde(3, [(0, 1), (1, 0), (1, 2)]), params)
+        loss = ad.sum_all(ad.mul(nodes, nodes))
     tape.backward(loss)
     [whole] = [record_out for name, record_out, _ in tape.records if name == "gih"]
-    assert out.node_feats.whole is whole and out.edge_feats.whole is whole
+    assert nodes.whole is whole and edges.whole is whole
     assert whole.grad[3:].tobytes() == np.zeros((3, 4)).tobytes()
     assert np.abs(whole.grad[:3]).max() > 0
-    assert out.node_feats.grad is None and out.edge_feats.grad is None
+    assert nodes.grad is None and edges.grad is None
 
 
 def test_gih_records_once_and_no_record_replays_for_unused_rows():
     rng = np.random.default_rng(14)
-    state = _state(rng, 3, 2, 4)
+    nodes, edges = _state(rng, 3, 2, 4)
     params = init_propagation(drawn(rng), "gih", 4, 4)
     with ad.Tape() as tape:
-        out = _gih(state, loop_a_tilde(3, [(0, 1), (1, 2)]), params)
-        unused = ad.sum_all(out.edge_feats)
-        loss = ad.sum_all(state.node_feats)
+        _, out_edges = _gih(nodes, edges, loop_a_tilde(3, [(0, 1), (1, 2)]), params)
+        unused = ad.sum_all(out_edges)
+        loss = ad.sum_all(nodes)
     assert [name for name, _, _ in tape.records] == ["gih", "sum_all", "sum_all"]
     tape.backward(loss)
     assert unused.grad is None and tape.records[0][1].grad is None
@@ -370,6 +363,5 @@ def test_non_finite_intermediate_names_gih():
     rng = np.random.default_rng(15)
     params = init_propagation(drawn(rng), "gih", 4, 4)
     params.layers[1] = (ad.Matrix(np.full((4, 4), 1e308)),)
-    state = GraphState(ad.Matrix(np.ones((3, 4))), ad.Matrix(np.ones((2, 4))))
     with np.errstate(over="ignore"), pytest.raises(ad.NumericError, match="^gih produced a non-finite value$"):
-        _gih(state, loop_a_tilde(3, [(0, 1), (1, 2)]), params)
+        _gih(ad.Matrix(np.ones((3, 4))), ad.Matrix(np.ones((2, 4))), loop_a_tilde(3, [(0, 1), (1, 2)]), params)
