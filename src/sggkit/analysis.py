@@ -168,7 +168,9 @@ def guess_curve(
     higher global frequency first, then smaller label). Contexts never
     seen in training fall back to the global ranking. Entry [k-1] of the
     result is the fraction of instances whose true label ranks in the
-    top k.
+    top k. A true label always ranks among the labels seen, so the curve
+    stops after min(k_max, number of labels seen) entries: later ones
+    would repeat the last.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
@@ -201,7 +203,7 @@ def guess_curve(
         return sorted(universe, key=lambda lab: (-bucket.get(lab, 0), -global_counts.get(lab, 0), lab))
 
     global_ranking = ranking(global_counts)
-    hits = np.zeros(k_max)
+    hits = np.zeros(min(k_max, len(universe)))
     n_scored = 0
     for inst in evals:
         true = inst[target_component]
@@ -211,11 +213,8 @@ def guess_curve(
         bucket = context_counts.get(key)
         order = ranking(bucket) if bucket is not None else global_ranking
         n_scored += 1
-        try:
-            rank = order.index(true)
-        except ValueError:
-            continue
-        if rank < k_max:
+        rank = order.index(true)  # true is in universe, which every ranking orders
+        if rank < hits.size:
             hits[rank] += 1
     if n_scored == 0:
         raise ValueError("no evaluation instance carries the target component")

@@ -10,8 +10,10 @@ environment can serve several commands. Values are read by field annotation
 true/false/1/0/yes/no, str as written, `int | None` from an int or `none`, a
 seed as an int that must be non-negative. A value that cannot be read exits 2
 naming the file or variable and the key; a config file that is not UTF-8 names
-the file. A resolved config that fails validation names the file only when the
-defaults and the file's own values already fail it.
+the file. A resolved config that fails validation names the file when the
+defaults and the file's own values already fail it, else the set SGGKIT_
+variables when those with the defaults and the file fail it; a failing flag
+is not named.
 
 Every command returns its manifest base path, config snapshot, inputs and
 outputs, and main writes the `<out>.manifest.json` recording the command line,
@@ -19,7 +21,8 @@ the resolved config, seeds, sha256 hashes of inputs and outputs, and
 wall-clock time. Manifests are the only outputs that differ between identical
 reruns (wall-clock); all data artifacts are byte-identical for equal seeds.
 
-Exit codes: 0 success, 2 validation error, 3 numeric failure, 4 I/O error.
+Exit codes: 0 success, 2 validation error (or an array too large for memory),
+3 numeric failure, 4 I/O error.
 Commands run with numpy's overflow and invalid-value warnings off, so a
 numeric failure prints its one exit-3 line and nothing else.
 Corpus, prediction, sidecar and checkpoint files are all read by
@@ -112,28 +115,31 @@ def _parse_kv_file(path) -> dict[str, str]:
 
 def _assemble_config(cls, config_path, overrides: dict, check, defaults: dict | None = None):
     """Resolve one schema, dataclass defaults < `defaults` < config file < environment < flags, and run `check`
-    on it once: (config, check's result). If the check fails, the error names the config file only when the
-    defaults and the file's own values fail it too, and then it is their failure."""
+    on it once: (config, check's result). If the check fails, the error names the config file when the defaults
+    and the file's own values fail it too, else the set variables when they fail it with the layers below, and
+    then it is that part's failure."""
     raw = _parse_kv_file(config_path) if config_path else {}
     if unknown := set(raw) - set(cls.field_types()):
         raise ValueError(f"{config_path}: unknown config keys {sorted(unknown)}")
     values = dict(defaults or {})
     values.update((key, cls.parse_field(config_path, key, value)) for key, value in raw.items())
     from_file = dict(values)
+    env_keys = []
     for key in cls.field_types():
         env_key = ENV_PREFIX + key.upper()
         if env_key in os.environ:
             values[key] = cls.parse_field(env_key, key, os.environ[env_key])
-    values.update((key, value) for key, value in overrides.items() if value is not None)
-    config = cls(**values)
+            env_keys.append(env_key)
+    config = cls(**(values | {key: value for key, value in overrides.items() if value is not None}))
     try:
         return config, check(config)
     except ValueError:
-        if config_path:
-            try:
-                check(cls(**from_file))
-            except ValueError as exc:
-                raise ValueError(f"{config_path}: {exc}") from exc
+        for source, partial in ((config_path, from_file), (", ".join(env_keys), values)):
+            if source:
+                try:
+                    check(cls(**partial))
+                except ValueError as exc:
+                    raise ValueError(f"{source}: {exc}") from exc
         raise
 
 
@@ -275,7 +281,10 @@ def cmd_train(args) -> tuple[str, dict, list, list]:
     ks_recall = _parse_ks(args.ks_recall, "--ks-recall")
     ks_pair = _parse_ks(args.ks_pair, "--ks-pair")
     _at_least("--metrics-every", args.metrics_every, 0)
-    train_records, eval_records = split_scenes(records, args.holdout)
+    try:
+        train_records, eval_records = split_scenes(records, args.holdout)
+    except ValueError as exc:
+        raise ValueError(f"--holdout: {args.corpus}: {exc}") from exc
     result = train(
         config,
         train_records,
@@ -392,7 +401,8 @@ def cmd_analyze(args) -> tuple[str, dict, list, list]:
     _write_csv(curves_path, ["conditioning", "k", "fraction"], curve_rows)
     print(f"wrote {variance_path}, {distance_path}, {curves_path}")
     outputs = [variance_path, distance_path, curves_path]
-    return os.path.join(args.out_dir, "analyze"), {"k_max": args.k_max}, [args.corpus], outputs
+    inputs = [args.corpus] + ([f"{args.corpus}.meta.json"] if spec else [])
+    return os.path.join(args.out_dir, "analyze"), {"k_max": args.k_max}, inputs, outputs
 
 
 def cmd_br_build(args) -> tuple[str, dict, list, list]:
@@ -511,6 +521,9 @@ def main(argv=None) -> int:
         return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # numpy refusing an array whose size a config value or an input sets
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

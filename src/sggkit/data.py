@@ -533,7 +533,7 @@ def read_scenes(path) -> list[SceneRecord]:
 def split_scenes(records: list[SceneRecord], holdout: int) -> tuple[list[SceneRecord], list[SceneRecord]]:
     """Reserve the last `holdout` scenes for evaluation."""
     if holdout < 0 or holdout >= len(records):
-        raise ValueError(f"holdout must lie in [0, {len(records) - 1}], got {holdout}")
+        raise ValueError(f"holdout must lie in [0, {len(records) - 1}] for {len(records)} scenes, got {holdout}")
     if holdout == 0:
         return records, []
     return records[:-holdout], records[-holdout:]

@@ -188,6 +188,17 @@ def test_guess_curve_monotone_and_saturating():
     assert curve[-1] == 1.0
 
 
+def test_guess_curve_stops_at_the_labels_seen():
+    """Every true label ranks among the labels seen, so the curve stops after them, at 1.0; a k_max no array
+    could hold gives that same curve at once."""
+    records, _ = _rule_corpus(noise=0.2)
+    n_labels = len({edge.predicate for record in records for edge in record.edges})
+    full = guess_curve(records, records, ("head",), target="edge", k_max=n_labels)
+    assert len(full) == n_labels and full[-1] == 1.0
+    assert guess_curve(records, records, ("head",), target="edge", k_max=10**12).tobytes() == full.tobytes()
+    assert guess_curve(records, records, ("head",), target="edge", k_max=2).tobytes() == full[:2].tobytes()
+
+
 def test_guess_curve_prior_only_uniform_target():
     rng = np.random.default_rng(8)
     train = [two_node_scene(f"t{i}", 1, 2, int(rng.integers(1, 6))) for i in range(10_000)]

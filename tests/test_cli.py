@@ -167,8 +167,8 @@ def test_generate_validates_the_spec_and_builds_the_rule_once(tmp_path, monkeypa
 
 @pytest.mark.parametrize("command,env,flags,message", [
     ("train", {}, ["--epochs", "-1"], "learning_rate, weight_decay and epochs must be nonnegative"),
-    ("train", {"SGGKIT_MOMENTUM": "2"}, [], "momentum must lie in [0, 1)"),
-    ("generate", {"SGGKIT_NOISE_RATE": "2"}, [], "noise_rate must lie in [0, 1)"),
+    ("train", {"SGGKIT_MOMENTUM": "2"}, [], "SGGKIT_MOMENTUM: momentum must lie in [0, 1)"),
+    ("generate", {"SGGKIT_NOISE_RATE": "2"}, [], "SGGKIT_NOISE_RATE: noise_rate must lie in [0, 1)"),
 ], ids=["train flag", "train variable", "generate variable"])
 def test_valid_config_is_not_blamed_for_a_flag_or_variable(command, env, flags, message, corpus, tmp_path, capsys,
                                                            monkeypatch):
@@ -185,6 +185,28 @@ def test_valid_config_is_not_blamed_for_a_flag_or_variable(command, env, flags, 
     assert main([*argv, "--out", out, "--config", cfg, *flags]) == 2
     assert capsys.readouterr().err.startswith(f"error: {cfg}: ")
     assert os.listdir(tmp_path) == ["ok.cfg"]
+
+
+@pytest.mark.parametrize("command,env,flags,message", [
+    ("train", {"SGGKIT_MOMENTUM": "2"}, [], "SGGKIT_MOMENTUM: momentum must lie in [0, 1)"),
+    ("train", {"SGGKIT_EPOCHS": "3", "SGGKIT_MOMENTUM": "2"}, [],
+     "SGGKIT_MOMENTUM, SGGKIT_EPOCHS: momentum must lie in [0, 1)"),
+    ("train", {"SGGKIT_MOMENTUM": "0.5"}, ["--epochs", "-1"],
+     "learning_rate, weight_decay and epochs must be nonnegative"),
+    ("generate", {"SGGKIT_NOISE_RATE": "2"}, [], "SGGKIT_NOISE_RATE: noise_rate must lie in [0, 1)"),
+    ("generate", {"SGGKIT_N_SCENES": "5"}, ["--seed", "-1"], "spec field seed must be a non-negative integer, got -1"),
+], ids=["train variable", "train two variables", "train flag", "generate variable", "generate flag"])
+def test_variable_that_fails_validation_is_named_and_a_flag_is_not(command, env, flags, message, corpus, tmp_path,
+                                                                   capsys, monkeypatch):
+    """Without a config file, the set SGGKIT_ variables are named, in field order, when they fail validation
+    with the defaults; a failure only a flag brings stays unnamed."""
+    out = str(tmp_path / "out")
+    argv = ["train", "--corpus", corpus] if command == "train" else ["generate"]
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    assert main([*argv, "--out", out, *flags]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert os.listdir(tmp_path) == []
 
 
 def test_generate_rejects_unknown_config_key(tmp_path, capsys):
@@ -272,6 +294,15 @@ def test_train_missing_corpus_is_io_error(tmp_path, capsys):
                  "--out", str(tmp_path / "x.ckpt.json"), "--epochs", "1"])
     assert code == 4
     assert "i/o error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("holdout", ["500", "120", "-1"])
+def test_holdout_out_of_range_names_the_flag_and_the_corpus(holdout, corpus, tmp_path, capsys):
+    out = str(tmp_path / "m.ckpt.json")
+    assert main(["train", "--corpus", corpus, "--out", out, "--holdout", holdout]) == 2
+    assert capsys.readouterr().err == (f"error: --holdout: {corpus}: holdout must lie in [0, 119] for 120 scenes, "
+                                       f"got {holdout}\n")
+    assert os.listdir(tmp_path) == []
 
 
 def test_train_divergent_learning_rate_is_numeric_failure(corpus, tmp_path, monkeypatch, capsys):
@@ -438,6 +469,25 @@ def test_k_max_below_one_names_the_flag_before_reading_any_file(command, tmp_pat
     assert main([command, *corpus, *out, "--k-max", "0"]) == 2
     assert capsys.readouterr().err == "error: --k-max must be >= 1, got 0\n"
     assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("command", ["analyze", "guess-curve"])
+def test_k_max_past_the_label_count_stops_the_curve(command, corpus, tmp_path, capsys):
+    """A true label ranks among the labels seen, so each curve stops after them, at 1.0: a --k-max no array
+    could hold writes the rows that the label count writes."""
+    n_labels = len({edge.predicate for record in read_scenes(corpus) for edge in record.edges})
+    curves = []
+    for k_max in (n_labels, 10**12):
+        out = tmp_path / str(k_max)
+        argv = (["analyze", "--corpus", corpus, "--out-dir", str(out)] if command == "analyze"
+                else ["guess-curve", "--train-corpus", corpus, "--out", str(out)])
+        assert main([*argv, "--k-max", str(k_max)]) == 0
+        curves.append(_read_csv(out / "guess_curves.csv" if command == "analyze" else out))
+    assert capsys.readouterr().err == ""
+    assert curves[0] == curves[1]
+    rows = curves[1][1:]
+    assert len(rows) == n_labels * (4 if command == "analyze" else 1)
+    assert [float(fraction) for _, k, fraction in rows if int(k) == n_labels] == [1.0] * (len(rows) // n_labels)
 
 
 @pytest.mark.parametrize("entry", ["analyze", "guess-curve --train-corpus", "guess-curve --eval-corpus"])
@@ -742,6 +792,16 @@ def test_deeply_nested_sidecar_is_named(corpus, checkpoint, tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: {path}.meta.json: not valid JSON (maximum recursion depth")
 
 
+def test_array_too_large_for_memory_is_one_error_line(corpus, tmp_path, capsys):
+    """A sidecar d_appearance of 10**15 asks for arrays past any address space, which numpy refuses at once:
+    train exits 2 with one line and writes nothing."""
+    path = _corpus_with_spec(corpus, tmp_path, d_appearance=10**15)
+    assert main(["train", "--corpus", path, "--out", str(tmp_path / "m.ckpt.json"), "--holdout", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: Unable to allocate ") and err.count("\n") == 1
+    assert sorted(os.listdir(tmp_path)) == ["c.sgjsonl", "c.sgjsonl.meta.json"]
+
+
 @pytest.mark.parametrize("where", ["checkpoint", "sidecar"])
 def test_float_near_max_in_an_input_is_one_numeric_failure_line(where, corpus, checkpoint, tmp_path, capsys):
     """A finite input value near float max overflows inside the model; eval exits 3 with one stderr line."""
@@ -881,6 +941,57 @@ def test_commands_that_resolve_no_config_reject_config_and_seed(argv, flag, valu
         main([*argv, flag, value])
     assert exc.value.code == 2
     assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["generate", "train", "eval --checkpoint", "eval --predictions", "analyze",
+                                     "analyze without sidecar", "br-build", "br-build without sidecar", "guess-curve"])
+def test_manifest_lists_exactly_the_files_the_command_opened(command, corpus, checkpoint, tmp_path, monkeypatch):
+    """A manifest's inputs are the files its command opened for reading and its outputs the files it opened
+    for writing, until the manifest is written."""
+    records = read_scenes(corpus)[:12]
+    c = _rewrite_corpus(corpus, str(tmp_path / "c.sgjsonl"), records)
+    bare = str(tmp_path / "bare.sgjsonl")
+    write_scenes(bare, records)
+    ckpt = str(tmp_path / "m.ckpt.json")
+    shutil.copy(checkpoint, ckpt)
+    preds = _ground_truth_predictions(str(tmp_path / "p.pred.jsonl"), records)
+    cfg = _write_config(tmp_path / "run.cfg", **({"epochs": 1} if command == "train" else {"n_scenes": 5}))
+    out = str(tmp_path / "out")
+    argv = {
+        "generate": ["generate", "--out", out, "--config", cfg],
+        "train": ["train", "--corpus", c, "--out", out, "--config", cfg, "--holdout", "4",
+                  "--ks-recall", "4", "--ks-pair", "2"],
+        "eval --checkpoint": ["eval", "--corpus", c, "--checkpoint", ckpt, "--out", out,
+                              "--dump-predictions", f"{out}.pred.jsonl"],
+        "eval --predictions": ["eval", "--corpus", c, "--predictions", preds, "--out", out],
+        "analyze": ["analyze", "--corpus", c, "--out-dir", out],
+        "analyze without sidecar": ["analyze", "--corpus", bare, "--out-dir", out],
+        "br-build": ["br-build", "--corpus", c, "--out", out],
+        "br-build without sidecar": ["br-build", "--corpus", bare, "--out", out],
+        "guess-curve": ["guess-curve", "--train-corpus", c, "--eval-corpus", bare, "--out", out],
+    }[command]
+    opened = {"inputs": set(), "outputs": set()}
+    recording = [True]
+    real_open, write_manifest = open, sggkit.cli._write_manifest
+
+    def recorded_open(file, mode="r", *args, **kwargs):
+        if recording and str(file).startswith(str(tmp_path)):
+            opened["outputs" if "w" in mode else "inputs"].add(str(file))
+        return real_open(file, mode, *args, **kwargs)
+
+    def manifest_after_recording(*args):
+        recording.clear()
+        write_manifest(*args)
+
+    monkeypatch.setattr("builtins.open", recorded_open)
+    monkeypatch.setattr(sggkit.cli, "_write_manifest", manifest_after_recording)
+    assert main(argv) == 0
+    assert recording == []
+    base = os.path.join(out, "analyze") if command.startswith("analyze") else out
+    with open(f"{base}.manifest.json") as fh:
+        manifest = json.load(fh)
+    assert {key: set(manifest[key]) for key in opened} == opened
+    assert opened["inputs"] and opened["outputs"]
 
 
 def test_manifest_records_the_argv_main_ran(corpus, tmp_path, monkeypatch):
