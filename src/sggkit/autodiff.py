@@ -407,33 +407,34 @@ def lih(s: Matrix, o: Matrix, u: Matrix, w_q: Matrix, w_k: Matrix, w_v: Matrix,
     return RowBlock(out, 0, m), RowBlock(out, m, 2 * m), RowBlock(out, 2 * m, 3 * m)
 
 
-def gih(nodes: Matrix, edges: Matrix, a_tilde: np.ndarray, ws) -> tuple[RowBlock, RowBlock]:
+def gih(nodes: Matrix, edges: Matrix, mix: Callable[[np.ndarray], np.ndarray], ws) -> tuple[RowBlock, RowBlock]:
     """Joint node/edge message passing: the node and edge rows of G(L), as row blocks of one output.
 
     G(0) is [nodes; edges] and, with w = ws[l - 1] (D x D), layer l gives
-    G(l) = relu((a_tilde @ G(l-1)) @ w), plus G(l-2) at even l. a_tilde is
-    a plain (n+m) x (n+m) float64 array and takes no gradient. Each
-    a_tilde @ G, (a_tilde @ G) @ w and residual sum is checked before it
-    feeds the next step.
+    G(l) = relu(mix(G(l-1)) @ w), plus G(l-2) at even l. mix is the graph's
+    mixing operator: it maps an (n+m) x D array g to A~ g, a fresh array of
+    g's shape, for an (n+m) x (n+m) matrix A~ that takes no gradient and is
+    never handed over. A~ must be symmetric, since the backward applies mix
+    for A~^T too. Each mix(G), mix(G) @ w and residual sum is checked
+    before it feeds the next step.
 
-    Float order: that of the record-per-operation chain (concat, two matmuls
-    and a relu per layer, an add per even layer) kept as the test oracle.
-    The backward runs layer by layer from the last: the residual's gradient
-    goes to G(l-2) first, then the relu mask is applied, then
-    w += (a_tilde @ G(l-1)).T @ d, then G(l-1) += a_tilde.T @ (d @ w.T).
-    Trained models depend on that order to the last digit
-    (tools/output_digests.py checks).
+    Float order: that of the record-per-operation chain (concat, a mix and
+    a matmul and a relu per layer, an add per even layer) kept as the test
+    oracle. The backward runs layer by layer from the last: the residual's
+    gradient goes to G(l-2) first, then the relu mask is applied, then
+    w += mix(G(l-1)).T @ d, then G(l-1) += mix(d @ w.T). Trained models
+    depend on that order to the last digit (tools/output_digests.py checks).
     """
     n, d = nodes.shape
-    size = n + edges.rows
-    if edges.cols != d or a_tilde.shape != (size, size) or any(w.shape != (d, d) for w in ws):
-        shapes = ", ".join(str(a.shape) for a in (nodes, edges, a_tilde, *ws))
-        raise ShapeError(f"gih: nodes and edges need one width D, a_tilde a side of their total rows "
-                         f"and every w shape (D, D), got {shapes}")
-    mixed, pre = [], []  # a_tilde @ G(l-1) and its product with w, per layer
+    if edges.cols != d or any(w.shape != (d, d) for w in ws):
+        shapes = ", ".join(str(a.shape) for a in (nodes, edges, *ws))
+        raise ShapeError(f"gih: nodes and edges need one width D and every w shape (D, D), got {shapes}")
+    mixed, pre = [], []  # mix(G(l-1)) and its product with w, per layer
     before, last = None, np.concatenate([nodes.data, edges.data])  # G(l-2), G(l-1)
     for l, w in enumerate(ws, start=1):
-        mixed.append(_checked("gih", a_tilde @ last))
+        mixed.append(_checked("gih", mix(last)))
+        if mixed[-1].shape != last.shape:
+            raise ShapeError(f"gih: mix must keep the shape {last.shape} of G, got {mixed[-1].shape}")
         pre.append(_checked("gih", mixed[-1] @ w.data))
         h = np.maximum(pre[-1], 0.0)
         if l % 2 == 0:
@@ -451,13 +452,13 @@ def gih(nodes: Matrix, edges: Matrix, a_tilde: np.ndarray, ws) -> tuple[RowBlock
             d = d * (pre[l - 1] > 0.0)
             w = ws[l - 1]
             w.accumulate(mixed[l - 1].T @ d)
-            back = a_tilde.T @ (d @ w.data.T)
+            back = mix(d @ w.data.T)
             grads[l - 1] = grads[l - 1] + back if l - 1 in grads else back
         nodes.accumulate(grads[0][:n])
         edges.accumulate(grads[0][n:])
 
     out = _finish("gih", last, backward)
-    return RowBlock(out, 0, n), RowBlock(out, n, size)
+    return RowBlock(out, 0, n), RowBlock(out, n, len(last))
 
 
 def log_softmax_rows(a: Matrix) -> Matrix:

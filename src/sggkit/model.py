@@ -148,8 +148,8 @@ def prepare_scene(record: SceneRecord, spec: GeneratorSpec) -> PreparedScene:
 
     `spec`, the corpus's GeneratorSpec, bounds the labels and synthesizes the node features. A scene
     holds 1 to MAX_SCENE_NODES nodes. Its candidate edges come from build_adjacency, cached per node
-    count, so the cap bounds that cache too: all graphs up to n nodes hold O(n^3) ints, fewer than the
-    O(n^4) floats of one forward's A~ at n.
+    count, so the cap bounds that cache too: all graphs up to n nodes hold O(n^3) ints. A forward at n
+    holds A~'s n x n^2 top stripe and n^2 x d activations per layer, never the n^4 floats of A~.
     """
     record.validate()
     if not record.nodes:

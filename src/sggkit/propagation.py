@@ -34,13 +34,23 @@ through), after checking that there are n(n-1) edge rows for n node rows.
 
 build_adjacency(n) gives the edge endpoints and the flat positions of A~'s
 ones, built once per n as read-only arrays that every scene of n nodes
-shares. Each gih_forward fills a fresh A~ from those positions and runs
-every layer as one tape primitive, autodiff.gih, whose backward forms no
-gradient for A~.
+shares. A~ itself, n^4 floats, is never formed. a_tilde_product(n) fills
+only A~'s top stripe [J, B] (n x n^2, n^3 floats) from those positions and
+computes A~ G = [[J, B] G; (E + P E) + B^T N] in two BLAS products: the
+node rows are [J, B] @ G, and edge row k = (s, o) is
+(e[k] + e[opposite]) + (n[s] + n[o]), the node sum being the product of the
+stripe's B block, transposed, with N (its two ones add n[s] and n[o] exactly
+and any zeros add nothing). Both sums commute, so an edge row and its
+opposite get the same bytes whenever their inputs are swapped, which union
+fusion's direction blindness relies on. A~ is symmetric, so the same product
+serves for A~^T. gih_forward runs every layer as one tape primitive,
+autodiff.gih, with that product as its mixing operator; its backward forms
+no gradient for A~.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cache
 
@@ -67,7 +77,9 @@ def build_adjacency(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Subject rows, object rows and the flat positions of A~'s ones for n nodes, all read-only.
 
     The positions index A~ raveled, side n^2, and cover J, B, B^T, I and P
-    once each. The cache holds O(n^2) ints per node count.
+    once each, in that order: the first n^2 + 2m lie in the top n rows, and
+    the last m are P's, edge by edge. The cache holds O(n^2) ints per node
+    count.
     """
     subjects, objects = np.nonzero(~np.eye(n, dtype=bool))
     side, e = n * n, n + np.arange(n * (n - 1))
@@ -127,11 +139,33 @@ def init_propagation(param: Param, variant: str, d: int, n_layers: int = 4) -> P
     return PropagationParams(variant, [])  # none
 
 
+def a_tilde_product(n: int) -> Callable[[np.ndarray], np.ndarray]:
+    """g -> A~ g, a fresh array, for the complete graph of n nodes: g holds its n node rows, then its edge rows.
+
+    Fills A~'s top stripe [J, B], n^3 floats, once per operator; its B
+    block, transposed, is the edge-to-node incidence B^T.
+    """
+    side, ones = n * n, build_adjacency(n)[2]
+    m = side - n
+    top = np.zeros(n * side)
+    top[ones[:side + 2 * m]] = 1.0
+    top = top.reshape(n, side)
+    incidence = top[:, n:].T
+    opposite = ones[side + 5 * m:] % side  # the row of each edge's opposite in g
+
+    def product(g: np.ndarray) -> np.ndarray:
+        out = np.empty(g.shape)
+        np.matmul(top, g, out=out[:n])
+        edge_rows = out[n:]
+        np.add(g[n:], g.take(opposite, axis=0), out=edge_rows)
+        edge_rows += incidence @ g[:n]
+        return out
+
+    return product
+
+
 def gih_forward(nodes: Matrix, edges: Matrix, params: PropagationParams) -> tuple[Matrix, Matrix]:
-    n = nodes.rows
-    a_tilde = np.zeros(n ** 4)
-    a_tilde[build_adjacency(n)[2]] = 1.0
-    return gih(nodes, edges, a_tilde.reshape(n * n, n * n), [w for (w,) in params.layers])
+    return gih(nodes, edges, a_tilde_product(nodes.rows), [w for (w,) in params.layers])
 
 
 def gcn_forward(nodes: Matrix, params: PropagationParams) -> Matrix:

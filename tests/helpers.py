@@ -6,11 +6,11 @@ stay independent of the library's vectorized or dict-based shortcuts.
 
 import numpy as np
 
-from sggkit.autodiff import Constant, ShapeError, Tape, _finish, add, linear_map, matmul, relu, uniform_init
+from sggkit.autodiff import ShapeError, Tape, _finish, add, linear_map, matmul, relu, uniform_init
 from sggkit.data import _STREAM_APPEAR, _STREAM_LOGITS
 from sggkit.fusion import ORDERS
 from sggkit.metrics import GroundTruthGraph, rank_triplets
-from sggkit.propagation import build_adjacency
+from sggkit.propagation import a_tilde_product, build_adjacency
 
 
 def drawn(rng):
@@ -126,14 +126,23 @@ def chain_lih(s, o, u, params):
     return slice_rows(z, 0, m), slice_rows(z, m, 2 * m), slice_rows(z, 2 * m, 3 * m)
 
 
+def mix_rows(g, mix):
+    """mix(g.data) as one record, for a symmetric mixing operator: its backward hands g mix(grad)."""
+
+    def backward(grad):
+        g.accumulate(mix(grad))
+
+    return _finish("mix_rows", mix(g.data), backward)
+
+
 def chain_gih(nodes, edges, params):
-    """propagation.gih_forward as separate records: concat_rows, per layer matmul(A~, G),
-    matmul(., w) and relu, an add per even layer, and two slice_rows."""
+    """propagation.gih_forward as separate records: concat_rows, per layer mix_rows by the block
+    product A~ G, matmul(., w) and relu, an add per even layer, and two slice_rows."""
     n = nodes.rows
-    at = Constant(complete_a_tilde(n))
+    mix = a_tilde_product(n)
     prev = {0: concat_rows([nodes, edges])}
     for l, (w,) in enumerate(params.layers, start=1):
-        h = relu(matmul(matmul(at, prev[l - 1]), w))
+        h = relu(matmul(mix_rows(prev[l - 1], mix), w))
         prev[l] = h if l % 2 == 1 else add(prev[l - 2], h)
     out = prev[len(params.layers)]
     return slice_rows(out, 0, n), slice_rows(out, n, n * n)
@@ -342,7 +351,8 @@ def cluster_stats(embeddings, labels):
 
 
 def complete_a_tilde(n):
-    """A + I of every ordered pair of n nodes, filled as propagation.gih_forward fills it."""
+    """A + I of every ordered pair of n nodes, filled from build_adjacency's positions: the dense
+    oracle of propagation.a_tilde_product."""
     a = np.zeros(n ** 4)
     a[build_adjacency(n)[2]] = 1.0
     return a.reshape(n * n, n * n)

@@ -138,13 +138,14 @@ def test_lih_and_gih_reject_bad_shapes():
     ):
         with pytest.raises(ad.ShapeError, match="^lih: s, o and u need one shape"):
             ad.lih(*args)
-    for edges, a_tilde, ws in (
-        (ad.Matrix(np.zeros((1, 2))), np.eye(3), [w]),  # edges of another width
-        (ad.Matrix(np.zeros((1, 3))), np.eye(2), [w]),  # a_tilde misses the edge row
-        (ad.Matrix(np.zeros((1, 3))), np.eye(3), [w, ad.Matrix(np.zeros((3, 2)))]),  # a w is not square
+    for edges, ws in (
+        (ad.Matrix(np.zeros((1, 2))), [w]),  # edges of another width
+        (ad.Matrix(np.zeros((1, 3))), [w, ad.Matrix(np.zeros((3, 2)))]),  # a w is not square
     ):
         with pytest.raises(ad.ShapeError, match="^gih: nodes and edges need one width"):
-            ad.gih(x, edges, a_tilde, ws)
+            ad.gih(x, edges, lambda g: g, ws)
+    with pytest.raises(ad.ShapeError, match=r"^gih: mix must keep the shape \(3, 3\) of G, got \(2, 3\)$"):
+        ad.gih(x, ad.Matrix(np.zeros((1, 3))), lambda g: g[:2], [w])  # the operator drops the edge row
 
 
 def test_relu_values_and_gradient():
@@ -281,6 +282,7 @@ def test_grad_every_primitive_composite(seed):
     ref = ad.Constant(rng.normal(size=(3, 3)))
     a_tilde = np.eye(6)
     a_tilde[[0, 1, 3, 3, 4, 5], [3, 4, 0, 1, 5, 4]] = 1.0  # three nodes, three edges
+    a_tilde = np.maximum(a_tilde, a_tilde.T)  # gih's mixing operator must be symmetric
 
     def f():
         h = ad.matmul(a, b)
@@ -290,7 +292,7 @@ def test_grad_every_primitive_composite(seed):
         h = ad.linear_map(h, d, bias)
         h = ad.add(h, ad.transpose(c))
         zs, zo, zu = ad.lih(h, c, d, c, d, ad.scale(c, 0.5), d)  # the rows of h, c and d form three triples
-        nodes, edges = ad.gih(zs, zu, a_tilde, [ad.scale(c, 0.1), ad.scale(d, 0.1)])
+        nodes, edges = ad.gih(zs, zu, lambda g: a_tilde @ g, [ad.scale(c, 0.1), ad.scale(d, 0.1)])
         # h feeds position 0 of two orders and d position 1 of two, so two products serve two orders each
         fused = ad.arranged_mlp((h, c, d), ((0, 1), (1, 2), (0, 2)), w0, b0, w1, b1)
         s = ad.softmax_rows(zo)

@@ -19,6 +19,7 @@ from sggkit.model import ModelConfig
 from sggkit.propagation import (
     VARIANTS,
     PropagationParams,
+    a_tilde_product,
     build_adjacency,
     gat_forward,
     gcn_forward,
@@ -39,8 +40,8 @@ def _state(rng, n, m, d):
 
 
 def _gih(nodes, edges, a_tilde, params):
-    """autodiff.gih over any A + I: the node and edge rows."""
-    return ad.gih(nodes, edges, a_tilde, [w for (w,) in params.layers])
+    """autodiff.gih over any A + I, mixing by a dense product with it: the node and edge rows."""
+    return ad.gih(nodes, edges, lambda g: a_tilde @ g, [w for (w,) in params.layers])
 
 
 def test_two_nodes_two_opposite_edges_hand_case():
@@ -93,6 +94,22 @@ def test_matches_per_edge_loop_oracle():
         assert np.unique(ones).size == ones.size == n * n + 6 * n * (n - 1), n
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 6, 10, 17, 30])
+def test_block_product_matches_dense_a_tilde(n):
+    """a_tilde_product(n) is the product with the dense A + I within 1e-12 relative, and each edge
+    row (s, o) is, byte for byte, (e + e[opposite]) + (n[s] + n[o])."""
+    rng = np.random.default_rng(n)
+    g = rng.normal(size=(n * n, 8))
+    got = a_tilde_product(n)(g)
+    want = complete_a_tilde(n) @ g
+    assert (np.abs(got - want) / np.maximum(1.0, np.abs(want))).max() <= 1e-12
+    pairs = _pairs(n)
+    row = {pair: n + k for k, pair in enumerate(pairs)}
+    for k, (s, o) in enumerate(pairs):
+        expect = (g[n + k] + g[row[o, s]]) + (g[s] + g[o])
+        assert got[n + k].tobytes() == expect.tobytes(), (n, s, o)
+
+
 def test_zero_weights_even_depth_is_exact_identity():
     rng = np.random.default_rng(1)
     n, m, d = 3, 4, 5
@@ -112,18 +129,18 @@ def test_identity_adjacency_identity_weights_doubles_nonneg_input():
     np.testing.assert_allclose(out_nodes.data, 2.0 * nodes.data, atol=1e-15)
 
 
-def _dense_reference(nodes, edges, a_tilde, params):
-    """Loop-free numpy transcription with the same (A~ G) W grouping."""
+def _dense_reference(nodes, edges, mix, params):
+    """Loop-free numpy transcription with the same (A~ G) W grouping, A~ G being mix(G)."""
     g_prev = {0: np.concatenate([nodes.data, edges.data], axis=0)}
     for l, (w,) in enumerate(params.layers, start=1):
-        h = np.maximum((a_tilde @ g_prev[l - 1]) @ w.data, 0.0)
+        h = np.maximum(mix(g_prev[l - 1]) @ w.data, 0.0)
         g_prev[l] = h if l % 2 == 1 else g_prev[l - 2] + h
     return g_prev[len(params.layers)]
 
 
 def test_matches_dense_reference_bit_exact():
-    """Unnormalized gih, byte for byte: autodiff.gih on a sparse graph, and gih_forward on
-    complete graphs against the loop oracle's A + I."""
+    """Unnormalized gih, byte for byte: autodiff.gih on a sparse graph against a dense product with the
+    loop oracle's A + I, and gih_forward on complete graphs against the same layers over the block product."""
     rng = np.random.default_rng(3)
     d = 4
     edges = [(0, 1), (1, 0)]
@@ -131,12 +148,12 @@ def test_matches_dense_reference_bit_exact():
     params = init_propagation(drawn(rng), "gih", d, 4)
     out = _gih(*state, loop_a_tilde(3, edges), params)
     got = np.concatenate([m.data for m in out], axis=0)
-    assert got.tobytes() == _dense_reference(*state, loop_a_tilde(3, edges), params).tobytes()
+    assert got.tobytes() == _dense_reference(*state, lambda g: loop_a_tilde(3, edges) @ g, params).tobytes()
     for n in (2, 3, 6):
         state = _state(rng, n, n * (n - 1), d)
         out = gih_forward(*state, params)
         got = np.concatenate([m.data for m in out], axis=0)
-        assert got.tobytes() == _dense_reference(*state, loop_a_tilde(n, _pairs(n)), params).tobytes(), n
+        assert got.tobytes() == _dense_reference(*state, a_tilde_product(n), params).tobytes(), n
 
 
 def test_state_shape_mismatch_raises():
