@@ -10,6 +10,10 @@ directory, with BLAS pinned to one thread:
   2), ``train --epochs 2 --metrics-every 1 --holdout 40``; then ``eval
   --checkpoint`` constrained and ``--unconstrained``, each with
   ``--dump-predictions``; then ``eval --predictions`` on each dump;
+* ``generate`` writes a 12-scene corpus of 17 nodes per scene (seed 517),
+  where the gih product's float order departs most from a dense one; the
+  parallel-gih-lih and parallel-none-lih models train and evaluate on it as
+  above (``--holdout 4``), under ``n17/``;
 * ``eval --checkpoint`` of the parallel-gih-lih model, constrained and
   ``--unconstrained`` with ``--dump-predictions``, on a stress copy of the
   corpus: its sidecar sets a corpus seed beyond 2**32, ``logit_flip_rate``
@@ -72,6 +76,7 @@ FUSIONS = ("union", "concat", "sequential", "parallel")
 PROPAGATIONS = ("gih", "gcn", "gat", "none")
 TAGS = [f"{fusion}-{propagation}-{lih}" for fusion in FUSIONS for propagation in PROPAGATIONS
         for lih in ("lih", "nolih")]
+N17_TAGS = [f"n17/{tag}" for tag in ("parallel-gih-lih", "parallel-none-lih")]  # trained on the N = 17 corpus
 TOLERANCE = 1e-12  # relative to max(1, |parent value|)
 
 
@@ -153,22 +158,33 @@ def evaluate(main, corpus: str, ckpt: str, out_dir: str, rescore: bool) -> None:
             run(main, ["eval", "--corpus", corpus, "--predictions", dump, "--out", f"{out_dir}/{mode}.rescore.csv"])
 
 
+def train_and_evaluate(main, corpus: str, tag: str, holdout: int) -> None:
+    """Train the model a tag names (fusion-propagation-lih, after any directory) into tag/, then evaluate it."""
+    fusion, propagation, lih = os.path.basename(tag).split("-")
+    os.makedirs(tag)
+    cfg = f"{tag}/model.cfg"
+    with open(cfg, "w", encoding="utf-8") as fh:
+        fh.write(f"fusion = {fusion}\ngih_variant = {propagation}\n"
+                 f"use_lih = {str(lih == 'lih').lower()}\ngih_layers = 2\n")
+    ckpt = f"{tag}/model.ckpt.json"
+    run(main, ["train", "--corpus", corpus, "--out", ckpt, "--config", cfg,
+               "--epochs", "2", "--metrics-every", "1", "--holdout", str(holdout)])
+    evaluate(main, corpus, ckpt, tag, rescore=True)
+
+
 def sweep(main) -> None:
     """Write every output of the sweep into the current directory."""
     with open("gen.cfg", "w", encoding="utf-8") as fh:
         fh.write("n_scenes = 160\n")
     run(main, ["generate", "--out", "corpus.sgjsonl", "--config", "gen.cfg", "--seed", "501"])
     for tag in TAGS:
-        fusion, propagation, lih = tag.split("-")
-        os.mkdir(tag)
-        cfg = f"{tag}/model.cfg"
-        with open(cfg, "w", encoding="utf-8") as fh:
-            fh.write(f"fusion = {fusion}\ngih_variant = {propagation}\n"
-                     f"use_lih = {str(lih == 'lih').lower()}\ngih_layers = 2\n")
-        ckpt = f"{tag}/model.ckpt.json"
-        run(main, ["train", "--corpus", "corpus.sgjsonl", "--out", ckpt, "--config", cfg,
-                   "--epochs", "2", "--metrics-every", "1", "--holdout", "40"])
-        evaluate(main, "corpus.sgjsonl", ckpt, tag, rescore=True)
+        train_and_evaluate(main, "corpus.sgjsonl", tag, 40)
+    os.mkdir("n17")
+    with open("n17/gen.cfg", "w", encoding="utf-8") as fh:
+        fh.write("n_scenes = 12\nnodes_per_scene = 17\n")
+    run(main, ["generate", "--out", "n17/corpus.sgjsonl", "--config", "n17/gen.cfg", "--seed", "517"])
+    for tag in N17_TAGS:
+        train_and_evaluate(main, "n17/corpus.sgjsonl", tag, 4)
     os.mkdir("stress")
     write_stress_corpus("corpus.sgjsonl", "stress/corpus.sgjsonl")
     evaluate(main, "stress/corpus.sgjsonl", "parallel-gih-lih/model.ckpt.json", "stress", rescore=False)
@@ -196,16 +212,18 @@ def digest(path: str) -> str:
 def probe(main, reference: str) -> None:
     """This checkout's outputs from the checkpoints and corpora of the sweep in `reference`, under probe/.
 
-    Per variant, and for the stress evaluation: step.npz (one training step's
-    loss and parameter gradients on the corpus's first scene), logits.npz
-    (every scene's edge logits) and the eval CSVs and dumps.
+    Per variant, the N = 17 ones included, and for the stress evaluation:
+    step.npz (one training step's loss and parameter gradients on the
+    corpus's first scene), logits.npz (every scene's edge logits) and the
+    eval CSVs and dumps.
     """
     from sggkit.attract_repel import sample_negatives
     from sggkit.autodiff import Tape
     from sggkit.data import PREDICATE_NO_RELATION, GeneratorSpec, read_scenes
     from sggkit.model import load_checkpoint, prepare_scene, total_loss
 
-    runs = [(tag, tag, "corpus.sgjsonl") for tag in TAGS] + [("stress", "parallel-gih-lih", "stress/corpus.sgjsonl")]
+    runs = ([(tag, tag, "corpus.sgjsonl") for tag in TAGS] + [(tag, tag, "n17/corpus.sgjsonl") for tag in N17_TAGS]
+            + [("stress", "parallel-gih-lih", "stress/corpus.sgjsonl")])
     for tag, ckpt_tag, corpus_name in runs:
         out_dir = f"probe/{tag}"
         ckpt = os.path.join(reference, ckpt_tag, "model.ckpt.json")
@@ -315,7 +333,7 @@ def compare(parent_src: str, src: str, out: str) -> int:
         for checkout, work in ((parent_src, ref), (src, cand)):
             subprocess.run([sys.executable, os.path.abspath(__file__), "--src", checkout,
                             "--out", f"{work}.digests.json", "--workdir", work, "--probe-from", ref], check=True)
-        rows = {tag: compare_variant(cand, ref, tag) for tag in [*TAGS, "stress"]}
+        rows = {tag: compare_variant(cand, ref, tag) for tag in [*TAGS, *N17_TAGS, "stress"]}
         with open(f"{ref}.digests.json", encoding="utf-8") as fh:
             old_digests = json.load(fh)
         with open(f"{cand}.digests.json", encoding="utf-8") as fh:
