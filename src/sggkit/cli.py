@@ -117,27 +117,31 @@ def _assemble_config(cls, config_path, overrides: dict, check, defaults: dict | 
     """Resolve one schema, dataclass defaults < `defaults` < config file < environment < flags, and run `check`
     on it once: (config, check's result). If the check fails, the error names the config file when the defaults
     and the file's own values fail it too, else the set variables when they fail it with the layers below, and
-    then it is that part's failure."""
+    then it is that part's failure. A layer's own values leave out the fields a higher layer sets, so a layer
+    is never named for a failure that comes from above it."""
     raw = _parse_kv_file(config_path) if config_path else {}
     if unknown := set(raw) - set(cls.field_types()):
         raise ValueError(f"{config_path}: unknown config keys {sorted(unknown)}")
     values = dict(defaults or {})
     values.update((key, cls.parse_field(config_path, key, value)) for key, value in raw.items())
     from_file = dict(values)
-    env_keys = []
+    env_fields = []
     for key in cls.field_types():
         env_key = ENV_PREFIX + key.upper()
         if env_key in os.environ:
             values[key] = cls.parse_field(env_key, key, os.environ[env_key])
-            env_keys.append(env_key)
-    config = cls(**(values | {key: value for key, value in overrides.items() if value is not None}))
+            env_fields.append(key)
+    flags = {key: value for key, value in overrides.items() if value is not None}
+    config = cls(**(values | flags))
     try:
         return config, check(config)
     except ValueError:
-        for source, partial in ((config_path, from_file), (", ".join(env_keys), values)):
+        env_own = [key for key in env_fields if key not in flags]
+        for source, partial, above in ((config_path, from_file, {*env_fields, *flags}),
+                                       (", ".join(ENV_PREFIX + key.upper() for key in env_own), values, flags)):
             if source:
                 try:
-                    check(cls(**partial))
+                    check(cls(**{key: value for key, value in partial.items() if key not in above}))
                 except ValueError as exc:
                     raise ValueError(f"{source}: {exc}") from exc
         raise

@@ -51,9 +51,14 @@ from typing import NewType
 import numpy as np
 
 PREDICATE_NO_RELATION = 0
-# Every ordered node pair is a candidate edge, so gih's dense A~ has side N + N(N-1) = N^2 and takes
-# 8 N^4 bytes: 76 is the largest N that keeps it within 256 MiB (77 needs 268 MiB, 200 about 12 GiB).
+# Every ordered node pair is a candidate edge, so a scene of N nodes has N(N-1) edges. The cap bounds the
+# arrays a scene sizes: gih's N x N^2 stripe of A~ (N^3 floats, 3.4 MiB at 76), the cached graph (O(N^2)
+# ints) and the N^2 x d activations of each gih layer (1.4 MiB each at d = 32). gih never forms A~ itself.
 MAX_SCENE_NODES = 76
+# The largest value of a spec field that sizes an array (a vocabulary or the appearance width), so that a
+# sidecar asking for more fails validation before anything is allocated. prepare_scene's one-hot rows come
+# from np.eye of each vocabulary, 8 MiB at this bound.
+MAX_SPEC_WIDTH = 1024
 
 # rng stream tags so the one corpus seed drives independent draws
 _STREAM_RULE = 11
@@ -226,6 +231,9 @@ class GeneratorSpec(ConfigSchema):
 
     def validate(self) -> None:
         self.check_types()
+        for name in ("n_entity_categories", "n_predicate_categories", "d_appearance"):
+            if getattr(self, name) > MAX_SPEC_WIDTH:
+                raise ValueError(f"spec field {name} must be at most {MAX_SPEC_WIDTH}, got {getattr(self, name)}")
         if self.n_entity_categories < 3:
             raise ValueError("need at least two usable entity categories plus the reserved 0")
         if self.n_predicate_categories < 2:

@@ -29,6 +29,7 @@ import sggkit.model
 from sggkit.cli import main
 from sggkit.data import (
     MAX_SCENE_NODES,
+    MAX_SPEC_WIDTH,
     Edge,
     GeneratorSpec,
     Node,
@@ -207,6 +208,20 @@ def test_variable_that_fails_validation_is_named_and_a_flag_is_not(command, env,
     assert main([*argv, "--out", out, *flags]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("layer", ["variable", "file"])
+def test_layer_whose_failing_value_a_flag_overrides_is_not_named(layer, corpus, tmp_path, capsys, monkeypatch):
+    """epochs -1 from SGGKIT_EPOCHS or the config file fails alone, but --epochs 5 replaces it: the
+    failure is --seed -1's, so no layer is named."""
+    argv = ["train", "--corpus", corpus, "--out", str(tmp_path / "m.json"), "--epochs", "5", "--seed", "-1"]
+    if layer == "variable":
+        monkeypatch.setenv("SGGKIT_EPOCHS", "-1")
+    else:
+        argv += ["--config", _write_config(tmp_path / "bad.cfg", epochs=-1)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: config field seed must be a non-negative integer, got -1\n"
+    assert os.listdir(tmp_path) == ([] if layer == "variable" else ["bad.cfg"])
 
 
 def test_generate_rejects_unknown_config_key(tmp_path, capsys):
@@ -792,14 +807,25 @@ def test_deeply_nested_sidecar_is_named(corpus, checkpoint, tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: {path}.meta.json: not valid JSON (maximum recursion depth")
 
 
-def test_array_too_large_for_memory_is_one_error_line(corpus, tmp_path, capsys):
-    """A sidecar d_appearance of 10**15 asks for arrays past any address space, which numpy refuses at once:
-    train exits 2 with one line and writes nothing."""
-    path = _corpus_with_spec(corpus, tmp_path, d_appearance=10**15)
+@pytest.mark.parametrize("field", ["d_appearance", "n_entity_categories", "n_predicate_categories"])
+def test_sidecar_width_beyond_its_bound_is_named(field, corpus, tmp_path, capsys):
+    """A sidecar field that sizes an array, at 10**15, fails validation: train exits 2 with one line
+    naming the sidecar and the field, and writes nothing."""
+    path = _corpus_with_spec(corpus, tmp_path, **{field: 10**15})
     assert main(["train", "--corpus", path, "--out", str(tmp_path / "m.ckpt.json"), "--holdout", "0"]) == 2
+    assert capsys.readouterr().err == (f"error: {path}.meta.json: spec field {field} must be at most "
+                                       f"{MAX_SPEC_WIDTH}, got {10**15}\n")
+    assert sorted(os.listdir(tmp_path)) == ["c.sgjsonl", "c.sgjsonl.meta.json"]
+
+
+def test_array_too_large_for_memory_is_one_error_line(corpus, tmp_path, capsys):
+    """A config d_node of 10**15 asks for weights past any address space, which numpy refuses at once:
+    train exits 2 with one line and writes nothing."""
+    cfg = _write_config(tmp_path / "wide.cfg", d_node=10**15, d_edge=10**15)
+    assert main(["train", "--corpus", corpus, "--out", str(tmp_path / "m.ckpt.json"), "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: out of memory: Unable to allocate ") and err.count("\n") == 1
-    assert sorted(os.listdir(tmp_path)) == ["c.sgjsonl", "c.sgjsonl.meta.json"]
+    assert os.listdir(tmp_path) == ["wide.cfg"]
 
 
 @pytest.mark.parametrize("where", ["checkpoint", "sidecar"])
