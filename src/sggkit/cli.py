@@ -22,7 +22,8 @@ wall-clock time. Manifests are the only outputs that differ between identical
 reruns (wall-clock); all data artifacts are byte-identical for equal seeds.
 
 Exit codes: 0 success, 2 validation error (or an array too large for memory),
-3 numeric failure, 4 I/O error.
+3 numeric failure, 4 I/O error; an output flag naming another path flag's
+file exits 2 before the command runs.
 Commands run with numpy's overflow and invalid-value warnings off, so a
 numeric failure prints its one exit-3 line and nothing else.
 Corpus, prediction, sidecar and checkpoint files are all read by
@@ -208,6 +209,16 @@ def _load_corpus_spec(corpus_path, required: bool = True) -> GeneratorSpec | Non
     return spec
 
 
+def _check_outputs_apart(args) -> None:
+    """Reject an output flag that names the file of another path flag; two input flags may share one."""
+    outputs = ("out", "log_csv", "dump_predictions")
+    given = {dest: getattr(args, dest) for dest in (*outputs, "corpus", "checkpoint", "predictions", "config",
+                                                    "train_corpus", "eval_corpus") if getattr(args, dest, None)}
+    for first, second in itertools.combinations(given, 2):  # outputs come first
+        if first in outputs and os.path.realpath(given[first]) == os.path.realpath(given[second]):
+            raise ValueError(f"--{first.replace('_', '-')} and --{second.replace('_', '-')} both name {given[first]}")
+
+
 def _at_least(flag: str, value: int, least: int) -> None:
     if value < least:
         raise ValueError(f"{flag} must be >= {least}, got {value}")
@@ -281,7 +292,8 @@ def cmd_train(args) -> tuple[str, dict, list, list]:
     # vocabulary follows the corpus unless the user pinned it explicitly
     vocabulary = {"n_entity_categories": spec.n_entity_categories,
                   "n_predicate_categories": spec.n_predicate_categories, "d_appearance": spec.d_appearance}
-    config, _ = _assemble_config(ModelConfig, args.config, _train_overrides(args), ModelConfig.validate, vocabulary)
+    config, _ = _assemble_config(ModelConfig, args.config, _train_overrides(args),
+                                 lambda c: (c.validate(), _check_vocabulary(c, spec)), vocabulary)
     ks_recall = _parse_ks(args.ks_recall, "--ks-recall")
     ks_pair = _parse_ks(args.ks_pair, "--ks-pair")
     _at_least("--metrics-every", args.metrics_every, 0)
@@ -514,6 +526,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     t0 = time.perf_counter()
     try:
+        _check_outputs_apart(args)
         with np.errstate(over="ignore", invalid="ignore"):  # the tape's checks report non-finite values
             out_path, config_snapshot, inputs, outputs = args.func(args)
         if getattr(args, "config", None):

@@ -56,8 +56,8 @@ PREDICATE_NO_RELATION = 0
 # ints) and the N^2 x d activations of each gih layer (1.4 MiB each at d = 32). gih never forms A~ itself.
 MAX_SCENE_NODES = 76
 # The largest value of a spec field that sizes an array (a vocabulary or the appearance width), so that a
-# sidecar asking for more fails validation before anything is allocated. prepare_scene's one-hot rows come
-# from np.eye of each vocabulary, 8 MiB at this bound.
+# sidecar asking for more fails validation before anything is allocated. At this bound a rule table
+# (entity x entity ints) takes 8 MiB and a node's class logits 8 KiB; scene labels stay integers.
 MAX_SPEC_WIDTH = 1024
 
 # rng stream tags so the one corpus seed drives independent draws

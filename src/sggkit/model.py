@@ -116,7 +116,7 @@ class ModelConfig(ConfigSchema):
 
 @dataclass
 class PreparedScene:
-    """A scene lowered to the dense arrays the model consumes.
+    """A scene lowered to the model's inputs, its integer labels and its edges' node rows.
 
     Candidate edges are all ordered node pairs, in the order of
     propagation.build_adjacency; annotated pairs carry their predicate label
@@ -133,8 +133,6 @@ class PreparedScene:
     edge_index: np.ndarray  # [M, 2] int64 (subject id, object id)
     node_labels: np.ndarray
     edge_labels: np.ndarray
-    node_onehot: np.ndarray
-    edge_onehot: np.ndarray
     subjects: np.ndarray  # [M] int64 node rows
     objects: np.ndarray  # [M] int64 node rows
 
@@ -146,8 +144,8 @@ class PreparedScene:
 def prepare_scene(record: SceneRecord, spec: GeneratorSpec) -> PreparedScene:
     """A validated record lowered to model inputs; with read_scenes, the entry points that validate records.
 
-    `spec`, the corpus's GeneratorSpec, bounds the labels and synthesizes the node features. A scene
-    holds 1 to MAX_SCENE_NODES nodes. Its candidate edges come from build_adjacency, cached per node
+    `spec`, the corpus's GeneratorSpec, bounds the labels, kept as integers, and synthesizes the node features.
+    A scene holds 1 to MAX_SCENE_NODES nodes. Its candidate edges come from build_adjacency, cached per node
     count, so the cap bounds that cache too: all graphs up to n nodes hold O(n^3) ints. A forward at n
     holds A~'s n x n^2 top stripe and n^2 x d activations per layer, never the n^4 floats of A~.
     """
@@ -196,8 +194,6 @@ def prepare_scene(record: SceneRecord, spec: GeneratorSpec) -> PreparedScene:
         edge_index=np.stack([node_ids[subj], node_ids[obj]], axis=1),
         node_labels=node_labels,
         edge_labels=edge_labels,
-        node_onehot=np.eye(spec.n_entity_categories)[node_labels],
-        edge_onehot=np.eye(spec.n_predicate_categories)[edge_labels],
         subjects=subj,
         objects=obj,
     )
@@ -265,14 +261,12 @@ class Model:
         return ForwardResult(node_logits, edge_logits, edges)
 
 
-def _cross_entropy(logits: Matrix, onehot: np.ndarray, row_weights: np.ndarray | None = None) -> Matrix:
-    """Row-averaged cross-entropy; row_weights (summing to 1) replace the plain mean."""
-    lp = log_softmax_rows(logits)
-    if row_weights is None:
-        picked = mul(lp, Constant(onehot))
-        return scale(sum_all(picked), -1.0 / logits.rows)
-    picked = mul(lp, Constant(onehot * row_weights[:, None]))
-    return scale(sum_all(picked), -1.0)
+def _cross_entropy(logits: Matrix, labels: np.ndarray, row_weights: np.ndarray | None = None) -> Matrix:
+    """Row-averaged cross-entropy of each row's label; row_weights (summing to 1) replace the plain mean."""
+    target = np.zeros(logits.shape)
+    target[np.arange(logits.rows), labels] = 1.0 if row_weights is None else row_weights
+    picked = sum_all(mul(log_softmax_rows(logits), Constant(target)))
+    return scale(picked, -1.0 / logits.rows if row_weights is None else -1.0)
 
 
 def predicate_row_weights(edge_labels: np.ndarray) -> np.ndarray | None:
@@ -317,11 +311,11 @@ def total_loss(
         raise ValueError(f"scene {prep.scene_id}: entity label outside [0, {config.n_entity_categories})")
     if prep.n_edges and prep.edge_labels.max(initial=0) >= config.n_predicate_categories:
         raise ValueError(f"scene {prep.scene_id}: predicate label outside [0, {config.n_predicate_categories})")
-    loss_ent = _cross_entropy(out.node_logits, prep.node_onehot)
+    loss_ent = _cross_entropy(out.node_logits, prep.node_labels)
     total = scale(loss_ent, config.w_entity)
     parts = [loss_ent.item(), 0.0, 0.0]  # in LOSS_COLUMNS order
     if prep.n_edges:
-        loss_pred = _cross_entropy(out.edge_logits, prep.edge_onehot, predicate_row_weights(prep.edge_labels))
+        loss_pred = _cross_entropy(out.edge_logits, prep.edge_labels, predicate_row_weights(prep.edge_labels))
         total = add(total, scale(loss_pred, config.w_predicate))
         parts[1] = loss_pred.item()
         if config.w_ar != 0.0 and relation_rows(prep.edge_labels).size:

@@ -32,11 +32,11 @@ init_propagation returns PropagationParams that carry it, and propagate runs
 the variant its params name on the node and edge rows (none passes them
 through), after checking that there are n(n-1) edge rows for n node rows.
 
-build_adjacency(n) gives the edge endpoints and the flat positions of A~'s
-ones, built once per n as read-only arrays that every scene of n nodes
-shares. A~ itself, n^4 floats, is never formed. a_tilde_product(n) fills
-only A~'s top stripe [J, B] (n x n^2, n^3 floats) from those positions and
-computes A~ G = [[J, B] G; (E + P E) + B^T N] in two BLAS products: the
+build_adjacency(n) gives each edge's subject row, object row and opposite
+edge, three read-only arrays of m ints built once per n and shared by every
+scene of n nodes. A~ itself, n^4 floats, is never formed. a_tilde_product(n)
+fills only A~'s top stripe [J, B] (n x n^2, n^3 floats) from the endpoints
+and computes A~ G = [[J, B] G; (E + P E) + B^T N] in two BLAS products: the
 node rows are [J, B] @ G, and edge row k = (s, o) is
 (e[k] + e[opposite]) + (n[s] + n[o]), the node sum being the product of the
 stripe's B block, transposed, with N (its two ones add n[s] and n[o] exactly
@@ -74,23 +74,15 @@ from .data import shown
 
 @cache
 def build_adjacency(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Subject rows, object rows and the flat positions of A~'s ones for n nodes, all read-only.
+    """Subject rows, object rows and opposite edges of the n(n-1) edges among n nodes, all read-only.
 
-    The positions index A~ raveled, side n^2, and cover J, B, B^T, I and P
-    once each, in that order: the first n^2 + 2m lie in the top n rows, and
-    the last m are P's, edge by edge. The cache holds O(n^2) ints per node
-    count.
+    opposite[k] is the edge (objects[k], subjects[k]). The cache holds O(n^2) ints per node count.
     """
     subjects, objects = np.nonzero(~np.eye(n, dtype=bool))
-    side, e = n * n, n + np.arange(n * (n - 1))
-    opposite = n + objects * (n - 1) + subjects - (subjects > objects)
-    nodes = np.arange(n)
-    rows = np.concatenate([np.repeat(nodes, n), subjects, objects, e, e, e, e])
-    cols = np.concatenate([np.tile(nodes, n), e, e, subjects, objects, e, opposite])
-    ones = rows * side + cols
-    for shared in (subjects, objects, ones):
+    opposite = objects * (n - 1) + subjects - (subjects > objects)
+    for shared in (subjects, objects, opposite):
         shared.flags.writeable = False
-    return subjects, objects, ones
+    return subjects, objects, opposite
 
 
 VARIANTS = ("gih", "gcn", "gat", "none")
@@ -145,13 +137,13 @@ def a_tilde_product(n: int) -> Callable[[np.ndarray], np.ndarray]:
     Fills A~'s top stripe [J, B], n^3 floats, once per operator; its B
     block, transposed, is the edge-to-node incidence B^T.
     """
-    side, ones = n * n, build_adjacency(n)[2]
-    m = side - n
-    top = np.zeros(n * side)
-    top[ones[:side + 2 * m]] = 1.0
-    top = top.reshape(n, side)
+    subjects, objects, opposite = build_adjacency(n)
+    top = np.zeros((n, n * n))
+    top[:, :n] = 1.0
+    edge_cols = np.arange(n, n * n)
+    top[subjects, edge_cols] = top[objects, edge_cols] = 1.0
     incidence = top[:, n:].T
-    opposite = ones[side + 5 * m:] % side  # the row of each edge's opposite in g
+    opposite = n + opposite  # the row of each edge's opposite in g
 
     def product(g: np.ndarray) -> np.ndarray:
         out = np.empty(g.shape)

@@ -351,11 +351,14 @@ def cluster_stats(embeddings, labels):
 
 
 def complete_a_tilde(n):
-    """A + I of every ordered pair of n nodes, filled from build_adjacency's positions: the dense
-    oracle of propagation.a_tilde_product."""
-    a = np.zeros(n ** 4)
-    a[build_adjacency(n)[2]] = 1.0
-    return a.reshape(n * n, n * n)
+    """A + I of every ordered pair of n nodes, assembled from its blocks [[J, B], [B^T, I + P]] with
+    build_adjacency's subjects, objects and opposites: the dense oracle of propagation.a_tilde_product."""
+    subjects, objects, opposite = build_adjacency(n)
+    m = subjects.size
+    incidence = np.zeros((n, m))
+    incidence[subjects, np.arange(m)] = 1.0
+    incidence[objects, np.arange(m)] = 1.0
+    return np.block([[np.ones((n, n)), incidence], [incidence.T, np.eye(m) + np.eye(m)[opposite]]])
 
 
 def loop_a_tilde(n_nodes, edges):
@@ -436,11 +439,6 @@ def loop_prepare_scene(record, fp):
     union_inputs = np.stack(union_rows) if union_rows else np.zeros((0, 2 * fp.d_appearance + 4))
     node_labels = np.array([node.label for node in record.nodes], dtype=np.int64)
     edge_labels = np.array([annotated.get(pair, 0) for pair in edge_index], dtype=np.int64)
-    node_onehot = np.zeros((n, fp.n_entity_categories))
-    node_onehot[np.arange(n), node_labels] = 1.0
-    edge_onehot = np.zeros((len(edge_index), fp.n_predicate_categories))
-    if edge_index:
-        edge_onehot[np.arange(len(edge_index)), edge_labels] = 1.0
     rows = [(row_of[s], row_of[o]) for s, o in edge_index]
     return {
         "node_inputs": node_inputs,
@@ -450,7 +448,5 @@ def loop_prepare_scene(record, fp):
         "objects": np.array([o for _, o in rows], dtype=np.int64),
         "node_labels": node_labels,
         "edge_labels": edge_labels,
-        "node_onehot": node_onehot,
-        "edge_onehot": edge_onehot,
         "a_tilde": loop_a_tilde(n, rows),
     }

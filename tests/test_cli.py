@@ -196,7 +196,10 @@ def test_valid_config_is_not_blamed_for_a_flag_or_variable(command, env, flags, 
      "learning_rate, weight_decay and epochs must be nonnegative"),
     ("generate", {"SGGKIT_NOISE_RATE": "2"}, [], "SGGKIT_NOISE_RATE: noise_rate must lie in [0, 1)"),
     ("generate", {"SGGKIT_N_SCENES": "5"}, ["--seed", "-1"], "spec field seed must be a non-negative integer, got -1"),
-], ids=["train variable", "train two variables", "train flag", "generate variable", "generate flag"])
+    ("train", {"SGGKIT_D_APPEARANCE": "5"}, [],
+     "SGGKIT_D_APPEARANCE: model expects 5 appearance width but the corpus provides 12"),
+], ids=["train variable", "train two variables", "train flag", "generate variable", "generate flag",
+        "train variable against the sidecar"])
 def test_variable_that_fails_validation_is_named_and_a_flag_is_not(command, env, flags, message, corpus, tmp_path,
                                                                    capsys, monkeypatch):
     """Without a config file, the set SGGKIT_ variables are named, in field order, when they fail validation
@@ -245,7 +248,9 @@ def test_unreadable_config_value_names_its_source_and_key(corpus, tmp_path, caps
     for setting, message in (({"gih_layers": 3}, "config field gih_layers must be even and >= 2 for gih, got 3"),
                              ({"d_attention": 64}, "config field d_attention must not exceed d_node (32), got 64"),
                              ({"gih_variant": "gat", "gih_layers": 0},
-                              "config field gih_layers must be >= 1 for gat, got 0")):
+                              "config field gih_layers must be >= 1 for gat, got 0"),
+                             ({"n_entity_categories": 40},
+                              "model expects 40 entity categories but the corpus provides 33")):
         cfg = _write_config(tmp_path / "train.cfg", **setting)
         assert main(["train", "--corpus", corpus, "--out", out, "--config", cfg]) == 2
         assert f"error: {cfg}: {message}\n" in capsys.readouterr().err
@@ -936,6 +941,35 @@ def test_mutated_input_exits_cleanly_and_names_its_source(valid_inputs, target, 
     if code == 2:
         source = corpus if target == "sidecar" else path  # a sidecar's path starts with its corpus's
         assert source in message or message.startswith(f"error: line {line_no}: "), message
+
+
+@pytest.mark.parametrize("argv,shared,names", [
+    (["train", "--holdout", "4", "--epochs", "1", "--out", "{same}", "--log-csv", "{same}"], "same",
+     "--out and --log-csv"),
+    (["eval", "--checkpoint", "{ckpt}", "--out", "{same}", "--dump-predictions", "{same}"], "same",
+     "--out and --dump-predictions"),
+    (["eval", "--checkpoint", "{ckpt}", "--out", "{other}", "--dump-predictions", "{link}"], "link",
+     "--dump-predictions and --corpus"),
+    (["br-build", "--out", "{corpus}"], "corpus", "--out and --corpus"),
+], ids=["train log over checkpoint", "eval dump over metrics", "eval dump over corpus", "br-build over corpus"])
+def test_output_flag_naming_another_flags_file_is_rejected(argv, shared, names, corpus, checkpoint, tmp_path,
+                                                           capsys):
+    """Exit 2 before the command runs, naming both flags and the path as given (a symlink to the corpus
+    counts as the corpus): the file keeps its bytes and nothing is written."""
+    c = _rewrite_corpus(corpus, str(tmp_path / "c.sgjsonl"), read_scenes(corpus)[:12])
+    os.symlink(c, tmp_path / "link.sgjsonl")
+    (tmp_path / "same").write_text("kept\n")
+    paths = {"corpus": c, "link": str(tmp_path / "link.sgjsonl"), "same": str(tmp_path / "same"),
+             "other": str(tmp_path / "other.csv"), "ckpt": checkpoint}
+    before = {name: _sha(tmp_path / name) for name in os.listdir(tmp_path)}
+    assert main([argv[0], "--corpus", c, *(arg.format(**paths) for arg in argv[1:])]) == 2
+    assert capsys.readouterr().err == f"error: {names} both name {paths[shared]}\n"
+    assert {name: _sha(tmp_path / name) for name in os.listdir(tmp_path)} == before
+
+
+def test_input_flags_may_name_one_file(corpus, tmp_path):
+    out = str(tmp_path / "curve.csv")
+    assert main(["guess-curve", "--train-corpus", corpus, "--eval-corpus", corpus, "--out", out]) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,16 @@ import pytest
 
 from sggkit.attract_repel import ReferenceBank, sample_negatives, update_references
 from sggkit.autodiff import NumericError, Tape, softmax_rows
-from sggkit.data import PREDICATE_NO_RELATION, Edge, GeneratorSpec, Node, SceneRecord, generate, split_scenes
+from sggkit.data import (
+    MAX_SPEC_WIDTH,
+    PREDICATE_NO_RELATION,
+    Edge,
+    GeneratorSpec,
+    Node,
+    SceneRecord,
+    generate,
+    split_scenes,
+)
 from helpers import chain_gih, chain_lih, complete_a_tilde, drawn, grad_check, loop_prepare_scene
 from sggkit import model as model_module
 from sggkit import propagation
@@ -113,8 +122,7 @@ def test_prepare_scene_candidates_and_labels():
     annotated = {(e.subject, e.object): e.predicate for e in record.edges}
     for (s, o), label in zip(_pairs(prep), prep.edge_labels):
         assert label == annotated.get((s, o), 0)
-    assert prep.node_onehot.shape == (n, 11)
-    np.testing.assert_array_equal(prep.node_onehot.argmax(axis=1), prep.node_labels)
+    np.testing.assert_array_equal(prep.node_labels, [node.label for node in record.nodes])
 
 
 def test_prepare_scene_union_rows_shared_across_directions():
@@ -167,13 +175,30 @@ def test_prepared_scene_holds_no_dense_adjacency():
     assert max(a.size for a in arrays) < dense
 
 
+def test_prepare_scene_memory_does_not_grow_with_the_vocabulary_squared():
+    """At the widest vocabularies a sidecar may ask for, preparing a 6-node scene peaks far below one
+    V x V float array (8 MiB): labels stay integers, with no one-hot rows cut from an identity."""
+    spec = GeneratorSpec(nodes_per_scene=6, n_scenes=1, seed=3)
+    wide = replace(spec, n_entity_categories=MAX_SPEC_WIDTH, n_predicate_categories=MAX_SPEC_WIDTH)
+    wide.validate()
+    record = generate(spec)[0]
+    propagation.build_adjacency(6)  # the graph cached per node count, not part of one scene
+    tracemalloc.start()
+    try:
+        prepare_scene(record, wide)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < MAX_SPEC_WIDTH * MAX_SPEC_WIDTH
+
+
 def test_scenes_of_one_node_count_share_a_read_only_graph():
     spec = tiny_spec(nodes_per_scene=6, n_scenes=2)
     first, second = (prepare_scene(r, spec) for r in generate(spec))
-    subjects, objects, ones = propagation.build_adjacency(6)
+    subjects, objects, opposite = propagation.build_adjacency(6)
     assert first.subjects is second.subjects is subjects
     assert first.objects is second.objects is objects
-    for shared in (subjects, objects, ones):
+    for shared in (subjects, objects, opposite):
         with pytest.raises(ValueError, match="read-only"):
             shared[0] = 1
     for prep in (first, second):  # the writes above changed nothing
@@ -368,8 +393,8 @@ def test_perfect_one_hot_predictions_loss_near_zero():
     record, fp = scene_and_fp()
     prep = prepare_scene(record, fp)
     cfg = tiny_config(w_ar=0.0)
-    node_logits = Matrix(prep.node_onehot * 60.0 - 30.0)
-    edge_logits = Matrix(prep.edge_onehot * 60.0 - 30.0)
+    node_logits = Matrix(np.eye(11)[prep.node_labels] * 60.0 - 30.0)
+    edge_logits = Matrix(np.eye(5)[prep.edge_labels] * 60.0 - 30.0)
     out = ForwardResult(node_logits, edge_logits, Matrix(np.zeros((prep.n_edges, cfg.d_edge))))
     loss, _ = total_loss(out, prep, ReferenceBank(5, 8), cfg)
     assert loss.item() <= 1e-6

@@ -87,11 +87,12 @@ def test_adjacency_is_symmetric():
 
 def test_matches_per_edge_loop_oracle():
     """Byte for byte, the loop oracle over every ordered pair, for every node count up to 17;
-    the positions of the ones hold no repeat."""
+    opposite is an involution without a fixed point."""
     for n in range(1, 18):
         assert complete_a_tilde(n).tobytes() == loop_a_tilde(n, _pairs(n)).tobytes(), n
-        ones = build_adjacency(n)[2]
-        assert np.unique(ones).size == ones.size == n * n + 6 * n * (n - 1), n
+        opposite = build_adjacency(n)[2]
+        edges = np.arange(n * (n - 1))
+        assert np.array_equal(opposite[opposite], edges) and not np.any(opposite == edges), n
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 6, 10, 17, 30])
