@@ -2,18 +2,16 @@
 
 Config resolution for the two commands that take --config and --seed (generate
 uses the corpus spec schema, train the model schema): dataclass defaults, then
---config key=value file, then SGGKIT_<KEY> environment variables, then
-explicit flags. Unknown keys in a config file are rejected; environment
-variables that match no field of the active schema are ignored so one
-environment can serve several commands. Values are read by field annotation
-(data.FIELD_TYPES): int by int(), float by float(), bool from
+train's vocabulary from the corpus sidecar, then the --config key=value file,
+then explicit flags; nothing else, such as a shell variable, reaches a config.
+Unknown keys in a config file are rejected. Values are read by field
+annotation (data.FIELD_TYPES): int by int(), float by float(), bool from
 true/false/1/0/yes/no, str as written, `int | None` from an int or `none`, a
 seed as an int that must be non-negative. A value that cannot be read exits 2
-naming the file or variable and the key; a config file that is not UTF-8 names
-the file. A resolved config that fails validation names the file when the
-defaults and the file's own values already fail it, else the set SGGKIT_
-variables when those with the defaults and the file fail it; a failing flag
-is not named.
+naming the file and the key; a config file that is not UTF-8 names the file. A
+resolved config that fails validation names the file when the defaults and the
+file's own values (those no flag replaces) already fail it; otherwise it names
+no source, so a failing flag is not named.
 
 Every command returns its manifest base path, config snapshot, inputs and
 outputs, and main writes the `<out>.manifest.json` recording the command line,
@@ -47,6 +45,7 @@ import numpy as np
 
 from .analysis import (
     CooccurrenceTable,
+    _validate_conditioning,
     build_bidirectional_subset,
     guess_curve,
     inter_class_distance,
@@ -86,8 +85,6 @@ from .model import (
     train,
 )
 
-ENV_PREFIX = "SGGKIT_"
-
 
 # ---------------------------------------------------------------------------
 # config plumbing
@@ -115,36 +112,25 @@ def _parse_kv_file(path) -> dict[str, str]:
 
 
 def _assemble_config(cls, config_path, overrides: dict, check, defaults: dict | None = None):
-    """Resolve one schema, dataclass defaults < `defaults` < config file < environment < flags, and run `check`
-    on it once: (config, check's result). If the check fails, the error names the config file when the defaults
-    and the file's own values fail it too, else the set variables when they fail it with the layers below, and
-    then it is that part's failure. A layer's own values leave out the fields a higher layer sets, so a layer
-    is never named for a failure that comes from above it."""
+    """Resolve one schema, dataclass defaults < `defaults` < config file < flags, and run `check` on it once:
+    (config, check's result). If the check fails and the defaults with the file's own values fail it too, the
+    error names the file, and then it is the file's failure. The file's own values leave out the fields a flag
+    sets, so the file is never named for a failure that comes from a flag."""
     raw = _parse_kv_file(config_path) if config_path else {}
     if unknown := set(raw) - set(cls.field_types()):
         raise ValueError(f"{config_path}: unknown config keys {sorted(unknown)}")
     values = dict(defaults or {})
     values.update((key, cls.parse_field(config_path, key, value)) for key, value in raw.items())
-    from_file = dict(values)
-    env_fields = []
-    for key in cls.field_types():
-        env_key = ENV_PREFIX + key.upper()
-        if env_key in os.environ:
-            values[key] = cls.parse_field(env_key, key, os.environ[env_key])
-            env_fields.append(key)
     flags = {key: value for key, value in overrides.items() if value is not None}
     config = cls(**(values | flags))
     try:
         return config, check(config)
     except ValueError:
-        env_own = [key for key in env_fields if key not in flags]
-        for source, partial, above in ((config_path, from_file, {*env_fields, *flags}),
-                                       (", ".join(ENV_PREFIX + key.upper() for key in env_own), values, flags)):
-            if source:
-                try:
-                    check(cls(**{key: value for key, value in partial.items() if key not in above}))
-                except ValueError as exc:
-                    raise ValueError(f"{source}: {exc}") from exc
+        if config_path:
+            try:
+                check(cls(**{key: value for key, value in values.items() if key not in flags}))
+            except ValueError as exc:
+                raise ValueError(f"{config_path}: {exc}") from exc
         raise
 
 
@@ -398,7 +384,10 @@ def cmd_analyze(args) -> tuple[str, dict, list, list]:
     records = _read_annotated_corpus(args.corpus, "--corpus")
     spec = _load_corpus_spec(args.corpus, required=False)
     n_ent, n_pred = (spec.n_entity_categories, spec.n_predicate_categories) if spec else _infer_category_counts(records)
-    table = CooccurrenceTable.from_scenes(records, n_ent, n_pred)
+    try:  # only a sidecar's vocabulary can miss a label: one inferred from the labels holds them all
+        table = CooccurrenceTable.from_scenes(records, n_ent, n_pred)
+    except ValueError as exc:
+        raise ValueError(f"{args.corpus}: {exc}, the vocabulary of sidecar {args.corpus}.meta.json") from exc
     # every row is computed before the first file is written, so a rejected input leaves no partial output
     variance_rows = [[p, intra_class_variance(table, p)] for p in range(n_pred)]
     nonzero = [p for p in range(n_pred) if table.counts[p].sum() > 0]
@@ -442,9 +431,16 @@ def cmd_br_build(args) -> tuple[str, dict, list, list]:
 
 def cmd_guess_curve(args) -> tuple[str, dict, list, list]:
     _at_least("--k-max", args.k_max, 1)
+    conditioning = tuple(part.strip() for part in args.conditioning.split(",") if part.strip())
+    own = "h2t" if args.target == "edge" else args.target  # --target is named too when only its component fails
+    for flags, components in (("--conditioning", [c for c in conditioning if c != own]),
+                              (f"--conditioning with --target {args.target}", conditioning)):
+        try:
+            _validate_conditioning(components, args.target)
+        except ValueError as exc:
+            raise ValueError(f"{flags}: {exc}") from exc
     train_records = _read_annotated_corpus(args.train_corpus, "--train-corpus")
     eval_records = _read_annotated_corpus(args.eval_corpus, "--eval-corpus") if args.eval_corpus else train_records
-    conditioning = tuple(part.strip() for part in args.conditioning.split(",") if part.strip())
     curve = guess_curve(train_records, eval_records, conditioning, target=args.target, k_max=args.k_max)
     label = "+".join(conditioning)
     _write_csv(args.out, ["conditioning", "k", "fraction"],

@@ -140,7 +140,7 @@ class ConfigSchema:
 
     @classmethod
     def parse_field(cls, source, key: str, raw: str):
-        """Field `key`'s value from a config string; an unreadable one names `source`, a file or variable."""
+        """Field `key`'s value from a config string; an unreadable one names `source`, the config file."""
         _, want, parse = FIELD_TYPES[cls.field_types()[key]]
         try:
             return parse(raw)

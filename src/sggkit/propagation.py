@@ -116,10 +116,10 @@ def check_settings(variant: str, n_layers: int, d_node: int, d_edge: int) -> Non
 def init_propagation(param: Param, variant: str, d: int, n_layers: int = 4) -> PropagationParams:
     check_settings(variant, n_layers, d, d)
     if variant == "gih":
-        # The unnormalized block adjacency multiplies feature magnitudes by its
-        # spectral radius (about 9 when every ordered pair of 6 nodes is a
-        # candidate edge), so the weights start 10x smaller than plain fan-in
-        # scaling to keep a 4-layer stack near unit gain.
+        # The unnormalized block adjacency multiplies feature magnitudes by its spectral
+        # radius, which grows with N on the complete candidate graph: 8.9 at N = 6, 13.2 at
+        # N = 10, 20.5 at N = 17. Weights 10x smaller than plain fan-in scaling keep a
+        # 4-layer stack near unit gain at N = 6 only (the P0 in ROADMAP).
         return PropagationParams(variant, [(param(f"w{i}", d, d, fan_in=100 * d),) for i in range(n_layers)])
     if variant == "gcn":
         return PropagationParams(variant, [(param(f"w{i}", d, d),) for i in range(n_layers)])

@@ -47,7 +47,7 @@ from sggkit.metrics import (
     mean_recall_at_k,
     rank_triplets,
 )
-from sggkit.model import Model, evaluate, load_checkpoint, prepare_scene
+from sggkit.model import Model, ModelConfig, evaluate, load_checkpoint, prepare_scene
 
 BASELINE_FUSION = "union"
 
@@ -133,17 +133,15 @@ def test_generate_same_seed_is_byte_identical(tmp_path):
     assert _sha(a) != _sha(c)
 
 
-def test_generate_env_overrides_config_file_and_flag_beats_env(tmp_path, monkeypatch):
-    cfg = _write_config(tmp_path / "gen.cfg", nodes_per_scene=5, n_scenes=8)
-    monkeypatch.setenv("SGGKIT_NODES_PER_SCENE", "4")
-    monkeypatch.setenv("SGGKIT_SEED", "3")
-    out = str(tmp_path / "env.sgjsonl")
+def test_generate_flag_beats_config_file(tmp_path):
+    cfg = _write_config(tmp_path / "gen.cfg", nodes_per_scene=4, n_scenes=8, seed=3)
+    out = str(tmp_path / "flag.sgjsonl")
     assert main(["generate", "--out", out, "--config", cfg, "--seed", "7"]) == 0
     records = read_scenes(out)
     assert len(records) == 8
-    assert all(len(r.nodes) == 4 for r in records)  # env beat the config file
+    assert all(len(r.nodes) == 4 for r in records)  # the config file beat the defaults
     with open(f"{out}.manifest.json") as fh:
-        assert json.load(fh)["seed"] == 7  # flag beat the env
+        assert json.load(fh)["seed"] == 7  # the flag beat the config file
 
 
 def test_generate_validates_the_spec_and_builds_the_rule_once(tmp_path, monkeypatch):
@@ -166,65 +164,64 @@ def test_generate_validates_the_spec_and_builds_the_rule_once(tmp_path, monkeypa
     assert calls == {"validate": 1, "build_rule": 1}
 
 
-@pytest.mark.parametrize("command,env,flags,message", [
-    ("train", {}, ["--epochs", "-1"], "learning_rate, weight_decay and epochs must be nonnegative"),
-    ("train", {"SGGKIT_MOMENTUM": "2"}, [], "SGGKIT_MOMENTUM: momentum must lie in [0, 1)"),
-    ("generate", {"SGGKIT_NOISE_RATE": "2"}, [], "SGGKIT_NOISE_RATE: noise_rate must lie in [0, 1)"),
-], ids=["train flag", "train variable", "generate variable"])
-def test_valid_config_is_not_blamed_for_a_flag_or_variable(command, env, flags, message, corpus, tmp_path, capsys,
-                                                           monkeypatch):
+def test_valid_config_is_not_blamed_for_a_flag(corpus, tmp_path, capsys):
     out = str(tmp_path / "out")
-    cfg = _write_config(tmp_path / "ok.cfg", **({"epochs": 1} if command == "train" else {"n_scenes": 5}))
-    argv = ["train", "--corpus", corpus] if command == "train" else ["generate"]
-    for name, value in env.items():
-        monkeypatch.setenv(name, value)
-    assert main([*argv, "--out", out, "--config", cfg, *flags]) == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
+    cfg = _write_config(tmp_path / "ok.cfg", epochs=1)
+    argv = ["train", "--corpus", corpus, "--out", out, "--config", cfg, "--epochs", "-1"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: learning_rate, weight_decay and epochs must be nonnegative\n"
     # the file alone fails too: then it is named, with its own failure
     with open(cfg, "a") as fh:
         fh.write("seed = -5\n")
-    assert main([*argv, "--out", out, "--config", cfg, *flags]) == 2
+    assert main(argv) == 2
     assert capsys.readouterr().err.startswith(f"error: {cfg}: ")
     assert os.listdir(tmp_path) == ["ok.cfg"]
 
 
-@pytest.mark.parametrize("command,env,flags,message", [
-    ("train", {"SGGKIT_MOMENTUM": "2"}, [], "SGGKIT_MOMENTUM: momentum must lie in [0, 1)"),
-    ("train", {"SGGKIT_EPOCHS": "3", "SGGKIT_MOMENTUM": "2"}, [],
-     "SGGKIT_MOMENTUM, SGGKIT_EPOCHS: momentum must lie in [0, 1)"),
-    ("train", {"SGGKIT_MOMENTUM": "0.5"}, ["--epochs", "-1"],
-     "learning_rate, weight_decay and epochs must be nonnegative"),
-    ("generate", {"SGGKIT_NOISE_RATE": "2"}, [], "SGGKIT_NOISE_RATE: noise_rate must lie in [0, 1)"),
-    ("generate", {"SGGKIT_N_SCENES": "5"}, ["--seed", "-1"], "spec field seed must be a non-negative integer, got -1"),
-    ("train", {"SGGKIT_D_APPEARANCE": "5"}, [],
-     "SGGKIT_D_APPEARANCE: model expects 5 appearance width but the corpus provides 12"),
-], ids=["train variable", "train two variables", "train flag", "generate variable", "generate flag",
-        "train variable against the sidecar"])
-def test_variable_that_fails_validation_is_named_and_a_flag_is_not(command, env, flags, message, corpus, tmp_path,
-                                                                   capsys, monkeypatch):
-    """Without a config file, the set SGGKIT_ variables are named, in field order, when they fail validation
-    with the defaults; a failure only a flag brings stays unnamed."""
+@pytest.mark.parametrize("command,flags,message", [
+    ("train", ["--epochs", "-1"], "learning_rate, weight_decay and epochs must be nonnegative"),
+    ("generate", ["--seed", "-1"], "spec field seed must be a non-negative integer, got -1"),
+], ids=["train flag", "generate flag"])
+def test_flag_that_fails_validation_is_not_named(command, flags, message, corpus, tmp_path, capsys):
     out = str(tmp_path / "out")
     argv = ["train", "--corpus", corpus] if command == "train" else ["generate"]
-    for name, value in env.items():
-        monkeypatch.setenv(name, value)
     assert main([*argv, "--out", out, *flags]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert os.listdir(tmp_path) == []
 
 
-@pytest.mark.parametrize("layer", ["variable", "file"])
-def test_layer_whose_failing_value_a_flag_overrides_is_not_named(layer, corpus, tmp_path, capsys, monkeypatch):
-    """epochs -1 from SGGKIT_EPOCHS or the config file fails alone, but --epochs 5 replaces it: the
-    failure is --seed -1's, so no layer is named."""
-    argv = ["train", "--corpus", corpus, "--out", str(tmp_path / "m.json"), "--epochs", "5", "--seed", "-1"]
-    if layer == "variable":
-        monkeypatch.setenv("SGGKIT_EPOCHS", "-1")
-    else:
-        argv += ["--config", _write_config(tmp_path / "bad.cfg", epochs=-1)]
+def test_config_value_a_flag_overrides_is_not_named(corpus, tmp_path, capsys):
+    """epochs -1 from the config file fails alone, but --epochs 5 replaces it: the failure is --seed -1's,
+    so the file is not named."""
+    cfg = _write_config(tmp_path / "bad.cfg", epochs=-1)
+    argv = ["train", "--corpus", corpus, "--out", str(tmp_path / "m.json"), "--config", cfg,
+            "--epochs", "5", "--seed", "-1"]
     assert main(argv) == 2
     assert capsys.readouterr().err == "error: config field seed must be a non-negative integer, got -1\n"
-    assert os.listdir(tmp_path) == ([] if layer == "variable" else ["bad.cfg"])
+    assert os.listdir(tmp_path) == ["bad.cfg"]
+
+
+def test_sggkit_variables_reach_no_command(tmp_path, monkeypatch):
+    """A run depends only on its argv and its files: with an unreadable SGGKIT_<FIELD> variable for every
+    field of both config schemas, generate, train and eval --checkpoint exit 0 and write a clean run's bytes."""
+    for name in [name for name in os.environ if name.startswith("SGGKIT_")]:
+        monkeypatch.delenv(name)
+    cfg = _write_config(tmp_path / "gen.cfg", n_scenes=12)
+    ks = ["--ks-recall", "4", "--ks-pair", "2"]
+
+    def run(root):
+        root.mkdir()
+        corpus, ckpt = str(root / "c.sgjsonl"), str(root / "m.ckpt.json")
+        assert main(["generate", "--out", corpus, "--config", cfg]) == 0
+        assert main(["train", "--corpus", corpus, "--out", ckpt, "--epochs", "1", "--holdout", "4", *ks]) == 0
+        assert main(["eval", "--corpus", corpus, "--checkpoint", ckpt, "--out", str(root / "e.csv"), *ks]) == 0
+        return {name: _sha(root / name) for name in os.listdir(root) if not name.endswith(".manifest.json")}
+
+    clean = run(tmp_path / "clean")
+    assert len(clean) == 5
+    for field in {*GeneratorSpec.field_types(), *ModelConfig.field_types()}:
+        monkeypatch.setenv(f"SGGKIT_{field.upper()}", "unreadable")
+    assert run(tmp_path / "set") == clean
 
 
 def test_generate_rejects_unknown_config_key(tmp_path, capsys):
@@ -233,7 +230,7 @@ def test_generate_rejects_unknown_config_key(tmp_path, capsys):
     assert "unknown config keys" in capsys.readouterr().err
 
 
-def test_unreadable_config_value_names_its_source_and_key(corpus, tmp_path, capsys, monkeypatch):
+def test_unreadable_config_value_names_its_source_and_key(corpus, tmp_path, capsys):
     out = str(tmp_path / "m.ckpt.json")
     cfg = _write_config(tmp_path / "train.cfg", epochs="1e3")
     assert main(["train", "--corpus", corpus, "--out", out, "--config", cfg]) == 2
@@ -254,9 +251,6 @@ def test_unreadable_config_value_names_its_source_and_key(corpus, tmp_path, caps
         cfg = _write_config(tmp_path / "train.cfg", **setting)
         assert main(["train", "--corpus", corpus, "--out", out, "--config", cfg]) == 2
         assert f"error: {cfg}: {message}\n" in capsys.readouterr().err
-    monkeypatch.setenv("SGGKIT_D_NODE", "abc")
-    assert main(["train", "--corpus", corpus, "--out", out]) == 2
-    assert "error: SGGKIT_D_NODE: config key 'd_node': cannot read 'abc' as an integer" in capsys.readouterr().err
     assert not os.path.exists(out)
 
 
@@ -325,10 +319,10 @@ def test_holdout_out_of_range_names_the_flag_and_the_corpus(holdout, corpus, tmp
     assert os.listdir(tmp_path) == []
 
 
-def test_train_divergent_learning_rate_is_numeric_failure(corpus, tmp_path, monkeypatch, capsys):
+def test_train_divergent_learning_rate_is_numeric_failure(corpus, tmp_path, capsys):
     """The exit-3 line is all that reaches stderr: numpy's overflow warnings are off in commands."""
-    monkeypatch.setenv("SGGKIT_LEARNING_RATE", "1e9")
-    code = main(["train", "--corpus", corpus, "--out", str(tmp_path / "x.ckpt.json"),
+    cfg = _write_config(tmp_path / "train.cfg", learning_rate=1e9)
+    code = main(["train", "--corpus", corpus, "--out", str(tmp_path / "x.ckpt.json"), "--config", cfg,
                  "--epochs", "2", "--holdout", "110"])
     assert code == 3
     err = capsys.readouterr().err
@@ -488,6 +482,25 @@ def test_k_max_below_one_names_the_flag_before_reading_any_file(command, tmp_pat
     corpus = ["--corpus", missing] if command == "analyze" else ["--train-corpus", missing]
     assert main([command, *corpus, *out, "--k-max", "0"]) == 2
     assert capsys.readouterr().err == "error: --k-max must be >= 1, got 0\n"
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--conditioning", "bogus"],
+     "--conditioning: unknown conditioning component 'bogus', expected subset of ('head', 'tail', 'h2t', 't2h')"),
+    (["--conditioning", "head,head"], "--conditioning: duplicate conditioning components"),
+    (["--conditioning", "head,bogus,tail", "--target", "tail"],
+     "--conditioning: unknown conditioning component 'bogus', expected subset of ('head', 'tail', 'h2t', 't2h')"),
+    (["--target", "tail", "--conditioning", "tail"],
+     "--conditioning with --target tail: conditioning on the target component 'tail' is circular"),
+    (["--conditioning", "head,h2t"],
+     "--conditioning with --target edge: conditioning on the target component 'h2t' is circular"),
+], ids=["unknown", "duplicate", "unknown beside the target's component", "circular", "circular on the edge"])
+def test_bad_conditioning_names_its_flags_before_reading_any_file(flags, message, tmp_path, capsys):
+    """--target is named only when conditioning on its own component is the fault."""
+    missing = str(tmp_path / "missing.sgjsonl")  # reading it first would be an i/o error, exit 4
+    assert main(["guess-curve", "--train-corpus", missing, "--out", str(tmp_path / "c.csv"), *flags]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert os.listdir(tmp_path) == []
 
 
@@ -802,6 +815,15 @@ def test_vocabulary_the_checkpoint_lacks_names_the_corpus(where, corpus, checkpo
         path = _rewrite_corpus(corpus, str(tmp_path / "c.sgjsonl"), records)
     assert main(["eval", "--corpus", path, "--checkpoint", checkpoint, "--out", str(tmp_path / "m.csv")]) == 2
     assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+
+def test_analyze_label_outside_the_sidecar_vocabulary_names_corpus_and_sidecar(corpus, tmp_path, capsys):
+    path = _corpus_with_spec(corpus, tmp_path, n_entity_categories=3, related_pairs=1, context_categories=0,
+                             context_switched_pairs=0, nodes_per_scene=2)
+    assert main(["analyze", "--corpus", path, "--out-dir", str(tmp_path / "analysis")]) == 2
+    assert capsys.readouterr().err == (f"error: {path}: scene {read_scenes(path)[0].scene_id}: entity label "
+                                       f"outside [0, 3), the vocabulary of sidecar {path}.meta.json\n")
+    assert sorted(os.listdir(tmp_path)) == ["c.sgjsonl", "c.sgjsonl.meta.json"]
 
 
 def test_deeply_nested_sidecar_is_named(corpus, checkpoint, tmp_path, capsys):

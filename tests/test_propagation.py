@@ -6,7 +6,9 @@ a candidate edge. The sparse-graph properties of GIH run autodiff.gih on
 helpers.loop_a_tilde, the per-edge oracle of A + I for any edge list."""
 
 import ast
+import functools
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,7 +17,8 @@ import sggkit.model
 
 from helpers import chain_gih, complete_a_tilde, drawn, grad_check, loop_a_tilde
 from sggkit import autodiff as ad
-from sggkit.model import ModelConfig
+from sggkit.data import MAX_SCENE_NODES, GeneratorSpec, generate
+from sggkit.model import Model, ModelConfig, _cross_entropy, prepare_scene
 from sggkit.propagation import (
     VARIANTS,
     PropagationParams,
@@ -383,3 +386,59 @@ def test_non_finite_intermediate_names_gih():
     params.layers[1] = (ad.Matrix(np.full((4, 4), 1e308)),)
     with np.errstate(over="ignore"), pytest.raises(ad.NumericError, match="^gih produced a non-finite value$"):
         _gih(ad.Matrix(np.ones((3, 4))), ad.Matrix(np.ones((2, 4))), loop_a_tilde(3, [(0, 1), (1, 2)]), params)
+
+
+# ---------------------------------------------------------------------------
+# scale contract across node counts, at init
+
+SCALE_NODES = (3, 6, 10, 17, 30, MAX_SCENE_NODES)
+GAIN_BOUND = 2.0  # propagate's largest node-row or edge-row gain, ||out|| / ||in||
+GRADIENT_RATIO_BOUND = 4.0  # entity-CE gradient norm into prop.* over the same seed's N = 6 value
+P0 = ("P0: the unnormalized A~ of gih sums 3N - 2 rows per node row, so its gain and its prop gradient grow "
+      "with N and default training diverges at N = 17")
+
+
+@functools.cache
+def _scale_scene(n):
+    """One scene of n nodes (corpus seed 0) whose vocabulary leaves room for n - 2 related pairs, and its spec."""
+    pairs = max(15, n - 2)
+    spec = GeneratorSpec(nodes_per_scene=n, related_pairs=pairs, n_entity_categories=2 * pairs + 3, n_scenes=1)
+    return prepare_scene(generate(spec)[0], spec), spec
+
+
+@functools.cache
+def _at_init(variant, n, seed):
+    """(propagate's largest row-block gain, norm of the entity-CE gradient into prop.*) for the default
+    model of `seed` with the scene's vocabulary, at init, on the n-node scene."""
+    prep, spec = _scale_scene(n)
+    model = Model(ModelConfig(d_appearance=spec.d_appearance, n_entity_categories=spec.n_entity_categories,
+                              n_predicate_categories=spec.n_predicate_categories, gih_variant=variant, seed=seed))
+    calls = []
+
+    def recorded(nodes, edges, params):
+        out = propagate(nodes, edges, params)
+        calls.append([np.linalg.norm(after.data) / np.linalg.norm(before.data)
+                      for before, after in zip((nodes, edges), out)])
+        return out
+
+    with mock.patch.object(sggkit.model, "propagate", recorded), ad.Tape() as tape:
+        loss = _cross_entropy(model.forward(prep).node_logits, prep.node_labels)
+    tape.backward(loss)
+    grads = [p.grad for name, p in model.params.items() if name.startswith("prop.") and p.grad is not None]
+    (gains,) = calls
+    return max(gains), float(np.sqrt(sum((g * g).sum() for g in grads)))
+
+
+@pytest.mark.parametrize("variant,n", [
+    pytest.param(variant, n, marks=[pytest.mark.xfail(raises=AssertionError, strict=True, reason=P0)]
+                 if variant == "gih" and n >= 17 else [])
+    for variant in VARIANTS for n in SCALE_NODES
+])
+def test_propagation_scale_contract_at_init(variant, n):
+    """Every variant keeps its gain and its entity-CE gradient bounded as scenes grow, over model seeds 0-2:
+    the bounds were fixed before any fix of the P0 was measured against them."""
+    cells = [(_at_init(variant, n, seed), _at_init(variant, 6, seed)) for seed in range(3)]
+    gains = [gain for (gain, _), _ in cells]
+    assert max(gains) <= GAIN_BOUND, gains
+    gradients = [(grad, grad_6) for (_, grad), (_, grad_6) in cells]
+    assert all(grad <= GRADIENT_RATIO_BOUND * grad_6 for grad, grad_6 in gradients), gradients

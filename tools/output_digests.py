@@ -3,7 +3,9 @@
     python3 tools/output_digests.py --src <checkout>/src --out digests.json
 
 imports sggkit from ``--src`` and runs its CLI in this process, in a temporary
-directory, with BLAS pinned to one thread:
+directory, with BLAS pinned to one thread and every ``SGGKIT_*`` variable
+removed from the environment (checkouts before the environment layer was
+dropped read one per config field), so each checkout runs the same configs:
 
 * ``generate`` writes one 160-scene corpus (seed 501);
 * for each fusion x propagation variant, with and without LIH (``gih_layers``
@@ -68,6 +70,8 @@ import tempfile
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
+for _var in [name for name in os.environ if name.startswith("SGGKIT_")]:
+    del os.environ[_var]
 
 import numpy as np  # noqa: E402  (after the BLAS thread pins)
 
