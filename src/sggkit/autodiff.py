@@ -368,11 +368,17 @@ def lih(s: Matrix, o: Matrix, u: Matrix, w_q: Matrix, w_k: Matrix, w_v: Matrix,
     w_f (D_att x D), plus x. q, k and v, the attention logits, the attended
     values and the output map are checked before they feed the next step.
 
+    Each attention product is one np.matmul batched over triples, on
+    [triple, role, d] views of the (3M, d) arrays, written through out=
+    views. Logits and weights are stored [role, attended role, triple], so
+    the softmax reduces over a middle axis, not over three strided floats.
+
     Float order: that of the record-per-operation chain (concat, three
-    matmuls, the attention einsums, matmul, add) kept as the test oracle,
-    down to x's gradient, which is g + 0.0, then += dv @ w_v.T, += dk @ w_k.T
-    and += dq @ w_q.T. Trained models depend on that order to the last digit
-    (tools/output_digests.py checks).
+    matmuls, the batched attention matmuls, matmul, add) kept as the test
+    oracle, down to x's gradient, which is g + 0.0, then += dv @ w_v.T,
+    += dk @ w_k.T and += dq @ w_q.T. Trained models depend on that order to
+    the last digit (tools/output_digests.py checks); the tests keep the
+    replaced einsums as a 1e-12 reference.
     """
     if (not s.shape == o.shape == u.shape or w_q.shape != w_k.shape or w_v.rows != s.cols or w_q.rows != s.cols
             or w_f.shape != (w_v.cols, s.cols)):
@@ -382,20 +388,30 @@ def lih(s: Matrix, o: Matrix, u: Matrix, w_q: Matrix, w_k: Matrix, w_v: Matrix,
     m = s.rows
     x = np.concatenate([s.data, o.data, u.data])
     q, k, v = (_checked("lih", x @ w.data) for w in (w_q, w_k, w_v))
-    qs, ks, vs = (a.reshape(3, m, a.shape[1]) for a in (q, k, v))
-    logits = _checked("lih", np.einsum("rid,cid->ric", qs, ks))  # [role, triple, attended role]
-    e = np.exp(logits - logits.max(axis=2, keepdims=True))
-    alpha = e / e.sum(axis=2, keepdims=True)
-    att = _checked("lih", np.einsum("ric,cid->rid", alpha, vs).reshape(v.shape))
+
+    def by_triple(a):  # a (3M, d) array as a [triple, role, d] view
+        return a.reshape(3, m, a.shape[1]).transpose(1, 0, 2)
+
+    qt, kt, vt = by_triple(q), by_triple(k), by_triple(v)
+    logits = np.empty((3, 3, m))  # [role, attended role, triple]
+    _checked("lih", np.matmul(qt, kt.transpose(0, 2, 1), out=logits.transpose(2, 0, 1)))
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    alpha = e / e.sum(axis=1, keepdims=True)
+    alpha_t = alpha.transpose(2, 0, 1)  # [triple, role, attended role]
+    att = np.empty(v.shape)
+    _checked("lih", np.matmul(alpha_t, vt, out=by_triple(att)))
 
     def backward(g):
         w_f.accumulate(att.T @ g)
-        gs = (g @ w_f.data.T).reshape(vs.shape)
-        d_alpha = np.einsum("rid,cid->ric", gs, vs)
-        d_logits = alpha * (d_alpha - (d_alpha * alpha).sum(axis=2, keepdims=True))
-        dq = np.einsum("ric,cid->rid", d_logits, ks).reshape(q.shape)
-        dk = np.einsum("ric,rid->cid", d_logits, qs).reshape(k.shape)
-        dv = np.einsum("ric,rid->cid", alpha, gs).reshape(v.shape)
+        gt = by_triple(g @ w_f.data.T)
+        d_alpha = np.empty((3, 3, m))
+        np.matmul(gt, vt.transpose(0, 2, 1), out=d_alpha.transpose(2, 0, 1))
+        d_logits = alpha * (d_alpha - (d_alpha * alpha).sum(axis=1, keepdims=True))
+        d_logits_t = d_logits.transpose(2, 0, 1)
+        dq, dk, dv = np.empty(q.shape), np.empty(k.shape), np.empty(v.shape)
+        np.matmul(d_logits_t, kt, out=by_triple(dq))
+        np.matmul(d_logits_t.transpose(0, 2, 1), qt, out=by_triple(dk))
+        np.matmul(alpha_t.transpose(0, 2, 1), gt, out=by_triple(dv))
         dx = g + 0.0
         for d, w in ((dv, w_v), (dk, w_k), (dq, w_q)):
             w.accumulate(x.T @ d)

@@ -20,8 +20,8 @@ wall-clock time. Manifests are the only outputs that differ between identical
 reruns (wall-clock); all data artifacts are byte-identical for equal seeds.
 
 Exit codes: 0 success, 2 validation error (or an array too large for memory),
-3 numeric failure, 4 I/O error; an output flag naming another path flag's
-file exits 2 before the command runs.
+3 numeric failure, 4 I/O error; an output (a flag's or one derived from --out)
+naming another output or an input (sidecars too) exits 2 before the command runs.
 Commands run with numpy's overflow and invalid-value warnings off, so a
 numeric failure prints its one exit-3 line and nothing else.
 Corpus, prediction, sidecar and checkpoint files are all read by
@@ -196,13 +196,27 @@ def _load_corpus_spec(corpus_path, required: bool = True) -> GeneratorSpec | Non
 
 
 def _check_outputs_apart(args) -> None:
-    """Reject an output flag that names the file of another path flag; two input flags may share one."""
-    outputs = ("out", "log_csv", "dump_predictions")
-    given = {dest: getattr(args, dest) for dest in (*outputs, "corpus", "checkpoint", "predictions", "config",
-                                                    "train_corpus", "eval_corpus") if getattr(args, dest, None)}
-    for first, second in itertools.combinations(given, 2):  # outputs come first
-        if first in outputs and os.path.realpath(given[first]) == os.path.realpath(given[second]):
-            raise ValueError(f"--{first.replace('_', '-')} and --{second.replace('_', '-')} both name {given[first]}")
+    """Reject an output that names another output's or an input's file; two inputs may share one. Outputs
+    include the manifest, sidecar, summary and default epoch log derived from --out; inputs, the --corpus
+    sidecar."""
+    def given(dests):
+        return [(f"--{dest.replace('_', '-')}", getattr(args, dest)) for dest in dests if getattr(args, dest, None)]
+
+    outputs = given(("out", "log_csv", "dump_predictions"))
+    inputs = given(("corpus", "checkpoint", "predictions", "config", "train_corpus", "eval_corpus"))
+    if getattr(args, "out", None):
+        derived = [("manifest", ".manifest.json")] + {
+            "generate": [("sidecar", ".meta.json")],
+            "br-build": [("sidecar", ".meta.json"), ("summary", ".summary.json")],
+            "train": [] if getattr(args, "log_csv", None) else [("epoch log", ".log.csv")],
+        }.get(args.command, [])
+        outputs += [(f"the {what} of --out", args.out + suffix) for what, suffix in derived]
+    if getattr(args, "corpus", None):
+        inputs.append(("the sidecar of --corpus", f"{args.corpus}.meta.json"))
+    for i, (name, path) in enumerate(outputs):
+        for other, other_path in outputs[i + 1 :] + inputs:
+            if os.path.realpath(path) == os.path.realpath(other_path):
+                raise ValueError(f"{name} and {other} both name {path}")
 
 
 def _at_least(flag: str, value: int, least: int) -> None:

@@ -479,8 +479,7 @@ def save_checkpoint(path, model: Model, bank: ReferenceBank) -> None:
         "bank": bank.state(),
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(payload, sort_keys=True) + "\n")  # json.dump would stream through the Python encoder
 
 
 def _saved_matrix(saved: dict, name: str, rows: int, cols: int) -> Matrix:

@@ -87,17 +87,46 @@ def slice_rows(a, start, stop):
     return _finish("slice_rows", a.data[start:stop, :].copy(), backward)
 
 
-def triple_attention(q, k, v):
-    """Softmax attention inside triples of rows (rows i, M+i and 2M+i form triple i), one record."""
+def _triple_rows(name, q, k, v):
+    """M for q, k and v whose rows i, M+i and 2M+i form triple i, or a ShapeError naming name."""
     if q.shape != k.shape or v.rows != q.rows or q.rows % 3:
         raise ShapeError(
-            f"triple_attention: q {q.shape}, k {k.shape} and v {v.shape} need q and k of one shape "
+            f"{name}: q {q.shape}, k {k.shape} and v {v.shape} need q and k of one shape "
             f"and the same row count, divisible by 3, on all three"
         )
-    m = q.rows // 3
-    qs = q.data.reshape(3, m, q.cols)
-    ks = k.data.reshape(3, m, k.cols)
-    vs = v.data.reshape(3, m, v.cols)
+    return q.rows // 3
+
+
+def triple_attention(q, k, v):
+    """Softmax attention inside triples of rows (rows i, M+i and 2M+i form triple i), one record.
+
+    Batched matmuls over [triple, role, d] views, in autodiff.lih's float order.
+    """
+    m = _triple_rows("triple_attention", q, k, v)
+    qt, kt, vt = (a.data.reshape(3, m, a.cols).transpose(1, 0, 2) for a in (q, k, v))
+    logits = np.matmul(qt, kt.transpose(0, 2, 1)).transpose(1, 2, 0)  # [role, attended role, triple]
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    alpha = e / e.sum(axis=1, keepdims=True)
+    alpha_t = alpha.transpose(2, 0, 1)  # [triple, role, attended role]
+    out_data = np.matmul(alpha_t, vt).transpose(1, 0, 2).reshape(v.shape)
+
+    def backward(g):
+        gt = g.reshape(3, m, v.cols).transpose(1, 0, 2)
+        d_alpha = np.matmul(gt, vt.transpose(0, 2, 1)).transpose(1, 2, 0)
+        d_logits = alpha * (d_alpha - (d_alpha * alpha).sum(axis=1, keepdims=True))
+        d_logits_t = d_logits.transpose(2, 0, 1)
+        q.accumulate(np.matmul(d_logits_t, kt).transpose(1, 0, 2).reshape(q.shape))
+        k.accumulate(np.matmul(d_logits_t.transpose(0, 2, 1), qt).transpose(1, 0, 2).reshape(k.shape))
+        v.accumulate(np.matmul(alpha_t.transpose(0, 2, 1), gt).transpose(1, 0, 2).reshape(v.shape))
+
+    return _finish("triple_attention", out_data, backward)
+
+
+def einsum_triple_attention(q, k, v):
+    """triple_attention as einsums over [role, triple, d] views: the attention autodiff.lih ran
+    before its batched matmuls, kept as the reference they must match within 1e-12."""
+    m = _triple_rows("einsum_triple_attention", q, k, v)
+    qs, ks, vs = (a.data.reshape(3, m, a.cols) for a in (q, k, v))
     logits = np.einsum("rid,cid->ric", qs, ks)  # [role, triple, attended role]
     e = np.exp(logits - logits.max(axis=2, keepdims=True))
     alpha = e / e.sum(axis=2, keepdims=True)
@@ -111,18 +140,19 @@ def triple_attention(q, k, v):
         k.accumulate(np.einsum("ric,rid->cid", d_logits, qs).reshape(k.shape))
         v.accumulate(np.einsum("ric,rid->cid", alpha, gs).reshape(v.shape))
 
-    return _finish("triple_attention", out_data, backward)
+    return _finish("einsum_triple_attention", out_data, backward)
 
 
-def chain_lih(s, o, u, params):
+def chain_lih(s, o, u, params, attention=triple_attention):
     """local_attention.lih_forward_batch as 10 records: concat_rows, the q, k and v matmuls,
-    triple_attention, the output-map matmul, the residual add and three slice_rows."""
+    attention (triple_attention, or its einsum reference), the output-map matmul, the residual
+    add and three slice_rows."""
     m = s.rows
     x = concat_rows([s, o, u])
     q = matmul(x, params.w_q)
     k = matmul(x, params.w_k)
     v = matmul(x, params.w_v)
-    z = add(matmul(triple_attention(q, k, v), params.w_f), x)
+    z = add(matmul(attention(q, k, v), params.w_f), x)
     return slice_rows(z, 0, m), slice_rows(z, m, 2 * m), slice_rows(z, 2 * m, 3 * m)
 
 

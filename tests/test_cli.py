@@ -966,25 +966,51 @@ def test_mutated_input_exits_cleanly_and_names_its_source(valid_inputs, target, 
 
 
 @pytest.mark.parametrize("argv,shared,names", [
-    (["train", "--holdout", "4", "--epochs", "1", "--out", "{same}", "--log-csv", "{same}"], "same",
-     "--out and --log-csv"),
-    (["eval", "--checkpoint", "{ckpt}", "--out", "{same}", "--dump-predictions", "{same}"], "same",
-     "--out and --dump-predictions"),
-    (["eval", "--checkpoint", "{ckpt}", "--out", "{other}", "--dump-predictions", "{link}"], "link",
-     "--dump-predictions and --corpus"),
-    (["br-build", "--out", "{corpus}"], "corpus", "--out and --corpus"),
-], ids=["train log over checkpoint", "eval dump over metrics", "eval dump over corpus", "br-build over corpus"])
+    (["train", "--corpus", "{corpus}", "--holdout", "4", "--epochs", "1", "--out", "{same}", "--log-csv", "{same}"],
+     "same", "--out and --log-csv"),
+    (["eval", "--corpus", "{corpus}", "--checkpoint", "{ckpt}", "--out", "{same}", "--dump-predictions", "{same}"],
+     "same", "--out and --dump-predictions"),
+    (["eval", "--corpus", "{corpus}", "--checkpoint", "{ckpt}", "--out", "{other}", "--dump-predictions", "{link}"],
+     "link", "--dump-predictions and --corpus"),
+    (["br-build", "--corpus", "{corpus}", "--out", "{corpus}"], "corpus", "--out and --corpus"),
+    (["train", "--corpus", "{corpus}", "--holdout", "4", "--epochs", "1", "--out", "{sidecar}"], "sidecar",
+     "--out and the sidecar of --corpus"),
+    (["train", "--corpus", "{corpus}", "--holdout", "4", "--epochs", "1", "--out", "{other}", "--log-csv",
+      "{sidecar}"], "sidecar", "--log-csv and the sidecar of --corpus"),
+    (["eval", "--corpus", "{corpus}", "--checkpoint", "{ckpt}", "--out", "{sidecar}"], "sidecar",
+     "--out and the sidecar of --corpus"),
+    (["eval", "--corpus", "{corpus}", "--checkpoint", "{ckpt}", "--out", "{other}", "--dump-predictions",
+      "{sidecar}"], "sidecar", "--dump-predictions and the sidecar of --corpus"),
+    (["br-build", "--corpus", "{corpus}", "--out", "{sidecar}"], "sidecar", "--out and the sidecar of --corpus"),
+    (["train", "--corpus", "{corpus}", "--holdout", "4", "--epochs", "1", "--out", "{other}", "--log-csv",
+      "{other}.manifest.json"], "other_manifest", "--log-csv and the manifest of --out"),
+    (["eval", "--corpus", "{corpus}", "--checkpoint", "{ckpt}", "--out", "{other}", "--dump-predictions",
+      "{other}.manifest.json"], "other_manifest", "--dump-predictions and the manifest of --out"),
+    (["train", "--corpus", "{log_corpus}", "--holdout", "4", "--epochs", "1", "--out", "{model}"], "log_corpus",
+     "the epoch log of --out and --corpus"),
+    (["generate", "--config", "{gen_cfg}", "--out", "{gen}"], "gen_cfg", "the sidecar of --out and --config"),
+], ids=["train log over checkpoint", "eval dump over metrics", "eval dump over corpus", "br-build over corpus",
+        "train checkpoint over sidecar", "train log over sidecar", "eval metrics over sidecar",
+        "eval dump over sidecar", "br-build over sidecar", "train log over manifest", "eval dump over manifest",
+        "train default log over corpus", "generate sidecar over config"])
 def test_output_flag_naming_another_flags_file_is_rejected(argv, shared, names, corpus, checkpoint, tmp_path,
                                                            capsys):
-    """Exit 2 before the command runs, naming both flags and the path as given (a symlink to the corpus
-    counts as the corpus): the file keeps its bytes and nothing is written."""
-    c = _rewrite_corpus(corpus, str(tmp_path / "c.sgjsonl"), read_scenes(corpus)[:12])
+    """Exit 2 before the command runs, naming the flags or the files derived from them (a manifest,
+    sidecar or default epoch log) and the path as given or derived (a symlink to the corpus counts as
+    the corpus): every file keeps its bytes and nothing is written."""
+    records = read_scenes(corpus)[:12]
+    c = _rewrite_corpus(corpus, str(tmp_path / "c.sgjsonl"), records)
     os.symlink(c, tmp_path / "link.sgjsonl")
     (tmp_path / "same").write_text("kept\n")
+    gen = str(tmp_path / "g.sgjsonl")
+    _write_config(f"{gen}.meta.json", n_scenes=4, nodes_per_scene=3)
     paths = {"corpus": c, "link": str(tmp_path / "link.sgjsonl"), "same": str(tmp_path / "same"),
-             "other": str(tmp_path / "other.csv"), "ckpt": checkpoint}
+             "other": str(tmp_path / "other.csv"), "ckpt": checkpoint, "sidecar": f"{c}.meta.json",
+             "other_manifest": str(tmp_path / "other.csv.manifest.json"), "model": str(tmp_path / "m.json"),
+             "log_corpus": _rewrite_corpus(corpus, str(tmp_path / "m.json.log.csv"), records),
+             "gen": gen, "gen_cfg": f"{gen}.meta.json"}
     before = {name: _sha(tmp_path / name) for name in os.listdir(tmp_path)}
-    assert main([argv[0], "--corpus", c, *(arg.format(**paths) for arg in argv[1:])]) == 2
+    assert main([arg.format(**paths) for arg in argv]) == 2
     assert capsys.readouterr().err == f"error: {names} both name {paths[shared]}\n"
     assert {name: _sha(tmp_path / name) for name in os.listdir(tmp_path)} == before
 

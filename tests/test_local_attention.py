@@ -1,12 +1,16 @@
 """Local attention: the attention weights inside one triple, identity
 behaviour, permutation equivariance, an independent dense re-implementation
-of the forward pass, cost linear in the number of triples, and byte
-equality with the record-per-operation chain that autodiff.lih fuses."""
+of the forward pass, cost linear in the number of triples, byte equality
+with the record-per-operation chain that autodiff.lih fuses, a 1e-12 match
+with the einsum attention its batched matmuls replaced, and a memory bound."""
+
+import functools
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from helpers import chain_lih, concat_rows, drawn, grad_check, triple_attention
+from helpers import chain_lih, concat_rows, drawn, einsum_triple_attention, grad_check, triple_attention
 from sggkit import autodiff as ad
 from sggkit.local_attention import LihParams, init_lih_params, lih_forward_batch
 from sggkit.model import ModelConfig
@@ -181,8 +185,8 @@ def test_batch_gradients_against_central_differences():
     assert grad_check(f, mats, eps=1e-5) < 1e-6
 
 
-def _lih_bytes(lih_forward, inputs, params, targets):
-    """The refined rows and the gradients of the inputs and of every weight, as bytes.
+def _lih_arrays(lih_forward, inputs, params, targets):
+    """The refined rows and the gradients of the inputs and of every weight.
 
     The loss weighs z_s and z_u by fixed targets and squares z_o, so z_o's
     rows receive two gradients.
@@ -194,22 +198,64 @@ def _lih_bytes(lih_forward, inputs, params, targets):
         loss = ad.add(ad.add(ad.sum_all(ad.mul(zs, ad.Constant(targets[0]))), ad.sum_all(ad.mul(zo, zo))),
                       ad.sum_all(ad.mul(zu, ad.Constant(targets[1]))))
     tape.backward(loss)
-    return [z.data.tobytes() for z in (zs, zo, zu)] + [m.grad.tobytes() for m in (*leaves, *vars(weights).values())]
+    return [z.data for z in (zs, zo, zu)] + [m.grad for m in (*leaves, *vars(weights).values())]
 
 
-@pytest.mark.parametrize("n_nodes,d,d_att", [(2, 32, None), (6, 32, None), (10, 32, None), (17, 32, None),
-                                             (6, 32, 8)])
-def test_lih_matches_record_chain_bytes(n_nodes, d, d_att):
-    """autodiff.lih's refined rows and gradients equal, byte for byte, those of the 10-record chain.
-
-    M = N(N - 1) triples, as a scene of N nodes has; d_att 8 is narrower than the features.
-    """
+def _lih_case(n_nodes, d, d_att):
+    """Inputs, weights and loss targets for M = N(N - 1) triples, as a scene of N nodes has."""
     rng = np.random.default_rng(n_nodes)
     m = n_nodes * (n_nodes - 1)
     inputs = [rng.normal(size=(m, d)) for _ in range(3)]
     params = init_lih_params(drawn(rng), d, d_att)
     targets = [rng.normal(size=(m, d)) for _ in range(2)]
-    assert _lih_bytes(lih_forward_batch, inputs, params, targets) == _lih_bytes(chain_lih, inputs, params, targets)
+    return inputs, params, targets
+
+
+LIH_SIZES = [(2, 32, None), (6, 32, None), (10, 32, None), (17, 32, None), (6, 32, 8)]
+
+
+@pytest.mark.parametrize("n_nodes,d,d_att", LIH_SIZES)
+def test_lih_matches_record_chain_bytes(n_nodes, d, d_att):
+    """autodiff.lih's refined rows and gradients equal, byte for byte, those of the 10-record chain.
+
+    d_att 8 is narrower than the features.
+    """
+    case = _lih_case(n_nodes, d, d_att)
+    fused, chain = _lih_arrays(lih_forward_batch, *case), _lih_arrays(chain_lih, *case)
+    assert [a.tobytes() for a in fused] == [a.tobytes() for a in chain]
+
+
+@pytest.mark.parametrize("n_nodes,d,d_att", LIH_SIZES + [(76, 32, None)])
+def test_lih_matches_einsum_reference(n_nodes, d, d_att):
+    """autodiff.lih's refined rows and all seven gradients lie within 1e-12 of max(1, |ref|) of the
+    chain run on the einsum attention that lih's batched matmuls replaced."""
+    case = _lih_case(n_nodes, d, d_att)
+    reference = functools.partial(chain_lih, attention=einsum_triple_attention)
+    for got, ref in zip(_lih_arrays(lih_forward_batch, *case), _lih_arrays(reference, *case), strict=True):
+        assert (np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref))).all()
+
+
+def test_lih_memory_stays_linear_in_triples():
+    """At N = 76 (M = 5,700, d = 32), in units of one 3M x d float array, the forward peaks below 7
+    and forward plus backward below 14 (6.4 and 12.3 measured). A (3M)^2 temporary is 534 units;
+    an (M, 3, 3, d) one is 3, which these bounds catch in the forward or at the backward's peak."""
+    rng = np.random.default_rng(76)
+    m, d = 76 * 75, 32
+    s, o, u = (ad.Matrix(rng.normal(size=(m, d))) for _ in range(3))
+    params = init_lih_params(drawn(rng), d)
+    g = rng.normal(size=(3 * m, d))
+    unit = 3 * m * d * 8
+    tracemalloc.start()
+    try:
+        with ad.Tape() as tape:
+            lih_forward_batch(s, o, u, params)
+        forward_peak = tracemalloc.get_traced_memory()[1]
+        [(_name, _whole, backward)] = tape.records
+        backward(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert forward_peak < 7 * unit and peak < 14 * unit
 
 
 def test_lih_records_once_and_views_its_output():

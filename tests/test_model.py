@@ -22,6 +22,7 @@ from helpers import chain_gih, chain_lih, complete_a_tilde, drawn, grad_check, l
 from sggkit import model as model_module
 from sggkit import propagation
 from sggkit.model import (
+    CHECKPOINT_VERSION,
     ForwardResult,
     Matrix,
     Model,
@@ -694,6 +695,23 @@ def test_checkpoint_round_trip(tmp_path):
     e1 = evaluate(result.model, preps, ks_recall=(4,), ks_pair=(2,))
     e2 = evaluate(model, preps, ks_recall=(4,), ks_pair=(2,))
     assert e1 == e2
+
+
+def test_checkpoint_bytes_are_those_of_streaming_json_dump(tmp_path):
+    """save_checkpoint writes what json.dump(payload, fh, sort_keys=True) plus a newline writes, down
+    to subnormal, negative-zero and huge floats."""
+    model, bank = Model(tiny_config()), ReferenceBank(5, 8, seed=1)
+    model.params["node_map.w"].data[0, :4] = [5e-324, -0.0, 1e22, 1 / 3]
+    bank.refs = np.random.default_rng(2).standard_normal(bank.refs.shape)
+    path = tmp_path / "model.ckpt.json"
+    save_checkpoint(path, model, bank)
+    payload = {"format_version": CHECKPOINT_VERSION, "config": asdict(model.config),
+               "params": {name: p.data.tolist() for name, p in model.params.items()}, "bank": bank.state()}
+    streamed = tmp_path / "streamed.json"
+    with open(streamed, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, sort_keys=True)
+        fh.write("\n")
+    assert path.read_bytes() == streamed.read_bytes()
 
 
 def test_checkpoint_version_and_shape_guards(tmp_path):
