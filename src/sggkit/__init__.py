@@ -2,7 +2,6 @@
 
 Submodules:
     autodiff        dense float64 matrices + tape reverse-mode differentiation
-    local_attention per-relation attention over subject/object/union instances
     fusion          direction-sensitive edge encoding and its baselines
     propagation     joint node/edge message passing on the candidate graph
     attract_repel   reference-bank contrastive loss on edge embeddings

@@ -365,8 +365,9 @@ def lih(s: Matrix, o: Matrix, u: Matrix, w_q: Matrix, w_k: Matrix, w_v: Matrix,
     weighs the three v rows of its own triple by the softmax of its q row
     dotted with their k rows (no scaling), so 9M dot products stand in for
     a (3M)^2 masked softmax. The output is that attended value mapped back by
-    w_f (D_att x D), plus x. q, k and v, the attention logits, the attended
-    values and the output map are checked before they feed the next step.
+    w_f (D_att x D), plus x, so a zero w_f makes lih an exact identity.
+    q, k and v, the attention logits, the attended values and the output
+    map are checked before they feed the next step.
 
     Each attention product is one np.matmul batched over triples, on
     [triple, role, d] views of the (3M, d) arrays, written through out=

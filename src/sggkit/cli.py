@@ -195,10 +195,13 @@ def _load_corpus_spec(corpus_path, required: bool = True) -> GeneratorSpec | Non
     return spec
 
 
+ANALYZE_FILES = ("variance.csv", "distance.csv", "guess_curves.csv", "analyze.manifest.json")  # in --out-dir
+
+
 def _check_outputs_apart(args) -> None:
     """Reject an output that names another output's or an input's file; two inputs may share one. Outputs
-    include the manifest, sidecar, summary and default epoch log derived from --out; inputs, the --corpus
-    sidecar."""
+    include the manifest, sidecar, summary and default epoch log derived from --out and the ANALYZE_FILES
+    of --out-dir; inputs, the --corpus sidecar."""
     def given(dests):
         return [(f"--{dest.replace('_', '-')}", getattr(args, dest)) for dest in dests if getattr(args, dest, None)]
 
@@ -211,6 +214,8 @@ def _check_outputs_apart(args) -> None:
             "train": [] if getattr(args, "log_csv", None) else [("epoch log", ".log.csv")],
         }.get(args.command, [])
         outputs += [(f"the {what} of --out", args.out + suffix) for what, suffix in derived]
+    if getattr(args, "out_dir", None):
+        outputs += [(f"the {name} of --out-dir", os.path.join(args.out_dir, name)) for name in ANALYZE_FILES]
     if getattr(args, "corpus", None):
         inputs.append(("the sidecar of --corpus", f"{args.corpus}.meta.json"))
     for i, (name, path) in enumerate(outputs):
@@ -412,16 +417,15 @@ def cmd_analyze(args) -> tuple[str, dict, list, list]:
         label = "+".join(conditioning)
         curve_rows += [[label, k + 1, curve[k]] for k in range(len(curve))]
     os.makedirs(args.out_dir, exist_ok=True)
-    variance_path = os.path.join(args.out_dir, "variance.csv")
+    variance_path, distance_path, curves_path, manifest_path = (os.path.join(args.out_dir, name)
+                                                                for name in ANALYZE_FILES)
     _write_csv(variance_path, ["predicate", "variance"], variance_rows)
-    distance_path = os.path.join(args.out_dir, "distance.csv")
     _write_csv(distance_path, ["predicate_i", "predicate_j", "distance"], distance_rows)
-    curves_path = os.path.join(args.out_dir, "guess_curves.csv")
     _write_csv(curves_path, ["conditioning", "k", "fraction"], curve_rows)
-    print(f"wrote {variance_path}, {distance_path}, {curves_path}")
     outputs = [variance_path, distance_path, curves_path]
+    print(f"wrote {', '.join(outputs)}")
     inputs = [args.corpus] + ([f"{args.corpus}.meta.json"] if spec else [])
-    return os.path.join(args.out_dir, "analyze"), {"k_max": args.k_max}, inputs, outputs
+    return manifest_path.removesuffix(".manifest.json"), {"k_max": args.k_max}, inputs, outputs
 
 
 def cmd_br_build(args) -> tuple[str, dict, list, list]:

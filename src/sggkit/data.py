@@ -507,7 +507,8 @@ def _record_from_obj(obj: dict, line_no: int) -> SceneRecord:
 
 
 def _write_json_lines(path, objs) -> None:
-    """Each object as one line of JSON with sorted keys."""
+    """Each object as one line of JSON with sorted keys, through json.dumps (json.dump would stream
+    through the Python encoder, not the C one)."""
     with open(path, "w", encoding="utf-8") as fh:
         for obj in objs:
             fh.write(json.dumps(obj, sort_keys=True))

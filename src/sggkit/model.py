@@ -2,10 +2,11 @@
 
 Pipeline per scene: proposal features are mapped to node vectors, every
 ordered node pair becomes a candidate edge whose representation is built
-from the (subject, object, union) instance triple by local attention and
-a direction-aware fusion, nodes and edges then exchange messages over the
-complete candidate graph, and two linear heads read off entity and
-predicate distributions.
+from the (subject, object, union) instance triple by local attention
+(LIH, one autodiff.lih record over all M triples) and a direction-aware
+fusion, nodes and edges then exchange messages over the complete
+candidate graph, and two linear heads read off entity and predicate
+distributions.
 
 Losses: per-node cross-entropy, a per-edge cross-entropy that gives
 relation and no-relation edges equal total weight, plus the reference-bank
@@ -17,7 +18,6 @@ parameter holds finite numbers in the shape that config gives.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -30,6 +30,7 @@ from .autodiff import (
     Tape,
     add,
     gather_rows,
+    lih,
     linear_map,
     log_softmax_rows,
     mul,
@@ -46,10 +47,9 @@ from .attract_repel import (
     update_references,
 )
 from .data import (MAX_SCENE_NODES, PREDICATE_NO_RELATION, ConfigSchema, GeneratorSpec, SceneRecord, Seed,
-                   parse_json, shown)
+                   _write_json_lines, parse_json, shown)
 from .fusion import VARIANTS as FUSION_VARIANTS
 from .fusion import encode_edges, init_fusion_params
-from .local_attention import LihParams, init_lih_params, lih_forward_batch
 from .metrics import (
     GroundTruthGraph,
     corpus_pairwise_recall_at_k,
@@ -63,6 +63,8 @@ from .propagation import build_adjacency, check_settings, init_propagation, prop
 # rng stream tags
 _STREAM_PARAMS = 23
 _STREAM_BANK = 29
+
+lih_forward_batch = lih  # Model.forward calls LIH through this name, which perfbench/tracer.py wraps
 
 LOSS_COLUMNS = ("L_ent", "L_pred", "L_ar")  # total_loss's parts and the epoch log's loss columns, in this order
 
@@ -211,7 +213,8 @@ class Model:
 
     def __init__(self, config: ModelConfig, saved: dict | None = None):
         """Draws each parameter from the config seed, or takes it from `saved`, a checkpoint's params,
-        naming it as it comes; the lih, fusion and prop inits name theirs under those prefixes."""
+        naming it as it comes; the fusion and prop inits name theirs under those prefixes. LIH's query, key
+        and value maps (D x D_att) and its output map back to D are the four lih.* weights of autodiff.lih."""
         config.validate()
         self.config = config
         self.params: dict[str, Matrix] = {}
@@ -230,7 +233,9 @@ class Model:
         in_union = 2 * config.d_appearance + 4
         self.node_map = (param("node_map.w", in_node, d), param("node_map.b", 1, d, fan_in=in_node))
         self.union_map = (param("union_map.w", in_union, d), param("union_map.b", 1, d, fan_in=in_union))
-        self.lih: LihParams | None = init_lih_params(under("lih"), d, config.d_attention) if config.use_lih else None
+        d_att = d if config.d_attention is None else config.d_attention
+        self.lih = (param("lih.w_q", d, d_att), param("lih.w_k", d, d_att), param("lih.w_v", d, d_att),
+                    param("lih.w_f", d_att, d)) if config.use_lih else None
         self.fusion = init_fusion_params(under("fusion"), config.fusion, d, d_e, hidden=config.fusion_hidden)
         self.prop = init_propagation(under("prop"), config.gih_variant, d, config.gih_layers)
         n_ent, n_pred = config.n_entity_categories, config.n_predicate_categories
@@ -246,7 +251,7 @@ class Model:
             z_s = gather_rows(nodes0, prep.subjects)
             z_o = gather_rows(nodes0, prep.objects)
             if self.lih is not None:
-                z_s, z_o, z_u = lih_forward_batch(z_s, z_o, union0, self.lih)
+                z_s, z_o, z_u = lih_forward_batch(z_s, z_o, union0, *self.lih)
             else:
                 z_u = union0
             edges0 = encode_edges(z_s, z_o, z_u, self.fusion)
@@ -478,8 +483,7 @@ def save_checkpoint(path, model: Model, bank: ReferenceBank) -> None:
         "params": {name: p.data.tolist() for name, p in model.params.items()},
         "bank": bank.state(),
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload, sort_keys=True) + "\n")  # json.dump would stream through the Python encoder
+    _write_json_lines(path, [payload])
 
 
 def _saved_matrix(saved: dict, name: str, rows: int, cols: int) -> Matrix:

@@ -143,16 +143,16 @@ def einsum_triple_attention(q, k, v):
     return _finish("einsum_triple_attention", out_data, backward)
 
 
-def chain_lih(s, o, u, params, attention=triple_attention):
-    """local_attention.lih_forward_batch as 10 records: concat_rows, the q, k and v matmuls,
-    attention (triple_attention, or its einsum reference), the output-map matmul, the residual
-    add and three slice_rows."""
+def chain_lih(s, o, u, w_q, w_k, w_v, w_f, attention=triple_attention):
+    """autodiff.lih as 10 records: concat_rows, the q, k and v matmuls, attention
+    (triple_attention, or its einsum reference), the output-map matmul, the residual add and
+    three slice_rows."""
     m = s.rows
     x = concat_rows([s, o, u])
-    q = matmul(x, params.w_q)
-    k = matmul(x, params.w_k)
-    v = matmul(x, params.w_v)
-    z = add(matmul(attention(q, k, v), params.w_f), x)
+    q = matmul(x, w_q)
+    k = matmul(x, w_k)
+    v = matmul(x, w_v)
+    z = add(matmul(attention(q, k, v), w_f), x)
     return slice_rows(z, 0, m), slice_rows(z, m, 2 * m), slice_rows(z, 2 * m, 3 * m)
 
 

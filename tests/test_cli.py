@@ -989,15 +989,20 @@ def test_mutated_input_exits_cleanly_and_names_its_source(valid_inputs, target, 
     (["train", "--corpus", "{log_corpus}", "--holdout", "4", "--epochs", "1", "--out", "{model}"], "log_corpus",
      "the epoch log of --out and --corpus"),
     (["generate", "--config", "{gen_cfg}", "--out", "{gen}"], "gen_cfg", "the sidecar of --out and --config"),
+    (["analyze", "--corpus", "{variance_corpus}", "--out-dir", "{dir}"], "variance_corpus",
+     "the variance.csv of --out-dir and --corpus"),
+    (["analyze", "--corpus", "{manifest_corpus}", "--out-dir", "{dir}"], "manifest_corpus",
+     "the analyze.manifest.json of --out-dir and --corpus"),
 ], ids=["train log over checkpoint", "eval dump over metrics", "eval dump over corpus", "br-build over corpus",
         "train checkpoint over sidecar", "train log over sidecar", "eval metrics over sidecar",
         "eval dump over sidecar", "br-build over sidecar", "train log over manifest", "eval dump over manifest",
-        "train default log over corpus", "generate sidecar over config"])
+        "train default log over corpus", "generate sidecar over config", "analyze csv over corpus",
+        "analyze manifest over corpus"])
 def test_output_flag_naming_another_flags_file_is_rejected(argv, shared, names, corpus, checkpoint, tmp_path,
                                                            capsys):
     """Exit 2 before the command runs, naming the flags or the files derived from them (a manifest,
-    sidecar or default epoch log) and the path as given or derived (a symlink to the corpus counts as
-    the corpus): every file keeps its bytes and nothing is written."""
+    sidecar, default epoch log or a file analyze writes into --out-dir) and the path as given or derived
+    (a symlink to the corpus counts as the corpus): every file keeps its bytes and nothing is written."""
     records = read_scenes(corpus)[:12]
     c = _rewrite_corpus(corpus, str(tmp_path / "c.sgjsonl"), records)
     os.symlink(c, tmp_path / "link.sgjsonl")
@@ -1008,7 +1013,9 @@ def test_output_flag_naming_another_flags_file_is_rejected(argv, shared, names, 
              "other": str(tmp_path / "other.csv"), "ckpt": checkpoint, "sidecar": f"{c}.meta.json",
              "other_manifest": str(tmp_path / "other.csv.manifest.json"), "model": str(tmp_path / "m.json"),
              "log_corpus": _rewrite_corpus(corpus, str(tmp_path / "m.json.log.csv"), records),
-             "gen": gen, "gen_cfg": f"{gen}.meta.json"}
+             "gen": gen, "gen_cfg": f"{gen}.meta.json", "dir": str(tmp_path),
+             "variance_corpus": _rewrite_corpus(corpus, str(tmp_path / "variance.csv"), records),
+             "manifest_corpus": _rewrite_corpus(corpus, str(tmp_path / "analyze.manifest.json"), records)}
     before = {name: _sha(tmp_path / name) for name in os.listdir(tmp_path)}
     assert main([arg.format(**paths) for arg in argv]) == 2
     assert capsys.readouterr().err == f"error: {names} both name {paths[shared]}\n"

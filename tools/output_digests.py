@@ -7,7 +7,9 @@ directory, with BLAS pinned to one thread and every ``SGGKIT_*`` variable
 removed from the environment (checkouts before the environment layer was
 dropped read one per config field), so each checkout runs the same configs:
 
-* ``generate`` writes one 160-scene corpus (seed 501);
+* ``generate`` writes one 160-scene corpus (seed 501); ``analyze``,
+  ``br-build`` and ``guess-curve --conditioning head,tail`` run on it, under
+  ``analysis/``;
 * for each fusion x propagation variant, with and without LIH (``gih_layers``
   2), ``train --epochs 2 --metrics-every 1 --holdout 40``; then ``eval
   --checkpoint`` constrained and ``--unconstrained``, each with
@@ -181,6 +183,11 @@ def sweep(main) -> None:
     with open("gen.cfg", "w", encoding="utf-8") as fh:
         fh.write("n_scenes = 160\n")
     run(main, ["generate", "--out", "corpus.sgjsonl", "--config", "gen.cfg", "--seed", "501"])
+    os.mkdir("analysis")
+    run(main, ["analyze", "--corpus", "corpus.sgjsonl", "--out-dir", "analysis"])
+    run(main, ["br-build", "--corpus", "corpus.sgjsonl", "--out", "analysis/br.sgjsonl"])
+    run(main, ["guess-curve", "--train-corpus", "corpus.sgjsonl", "--conditioning", "head,tail",
+               "--out", "analysis/guess_head_tail.csv"])
     for tag in TAGS:
         train_and_evaluate(main, "corpus.sgjsonl", tag, 40)
     os.mkdir("n17")
