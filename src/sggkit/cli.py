@@ -13,11 +13,13 @@ resolved config that fails validation names the file when the defaults and the
 file's own values (those no flag replaces) already fail it; otherwise it names
 no source, so a failing flag is not named.
 
-Every command returns its manifest base path, config snapshot, inputs and
-outputs, and main writes the `<out>.manifest.json` recording the command line,
-the resolved config, seeds, sha256 hashes of inputs and outputs, and
-wall-clock time. Manifests are the only outputs that differ between identical
-reruns (wall-clock); all data artifacts are byte-identical for equal seeds.
+Every command returns its config snapshot; the files it reads and writes are
+declared once, by command_files, before it runs. main checks the declaration
+for overwrites and, after the command, writes the `<out>.manifest.json`
+recording the command line, the resolved config, seeds, sha256 hashes of the
+declared inputs and outputs, and wall-clock time. Manifests are the only
+outputs that differ between identical reruns (wall-clock); all data artifacts
+are byte-identical for equal seeds.
 
 Exit codes: 0 success, 2 validation error (or an array too large for memory),
 3 numeric failure, 4 I/O error; an output (a flag's or one derived from --out)
@@ -146,18 +148,19 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(command, argv, out_path, config_snapshot, inputs, outputs, wall_clock) -> None:
-    """The manifest of `command` run as `argv`; its seed is the resolved config's, null if it has none."""
+def _write_manifest(command, argv, path, config_snapshot, inputs, outputs, wall_clock) -> None:
+    """The manifest of `command` run as `argv`, with the hashes of its declared (name, path) inputs and outputs;
+    its seed is the resolved config's, null if it has none."""
     manifest = {
         "command": command,
         "argv": argv,
         "config": config_snapshot,
         "seed": config_snapshot.get("seed"),
-        "inputs": {str(p): _sha256(p) for p in inputs},
-        "outputs": {str(p): _sha256(p) for p in outputs},
+        "inputs": {p: _sha256(p) for _, p in inputs},
+        "outputs": {p: _sha256(p) for _, p in outputs},
         "wall_clock_seconds": wall_clock,
     }
-    _write_json(f"{out_path}.manifest.json", manifest)
+    _write_json(path, manifest)
 
 
 def _write_json(path, obj) -> None:
@@ -198,26 +201,32 @@ def _load_corpus_spec(corpus_path, required: bool = True) -> GeneratorSpec | Non
 ANALYZE_FILES = ("variance.csv", "distance.csv", "guess_curves.csv", "analyze.manifest.json")  # in --out-dir
 
 
-def _check_outputs_apart(args) -> None:
-    """Reject an output that names another output's or an input's file; two inputs may share one. Outputs
-    include the manifest, sidecar, summary and default epoch log derived from --out and the ANALYZE_FILES
-    of --out-dir; inputs, the --corpus sidecar."""
+def command_files(args) -> tuple[tuple[str, str], list[tuple[str, str]], list[tuple[str, str]]]:
+    """The files the command of `args` reads and writes, declared before it runs: (manifest, inputs, outputs),
+    each a (name, path) pair named as the overwrite check names it. A corpus sidecar is an input where the
+    command reads one: analyze and br-build read it only when it exists, and br-build then copies it to --out."""
     def given(dests):
         return [(f"--{dest.replace('_', '-')}", getattr(args, dest)) for dest in dests if getattr(args, dest, None)]
 
-    outputs = given(("out", "log_csv", "dump_predictions"))
     inputs = given(("corpus", "checkpoint", "predictions", "config", "train_corpus", "eval_corpus"))
-    if getattr(args, "out", None):
-        derived = [("manifest", ".manifest.json")] + {
-            "generate": [("sidecar", ".meta.json")],
-            "br-build": [("sidecar", ".meta.json"), ("summary", ".summary.json")],
-            "train": [] if getattr(args, "log_csv", None) else [("epoch log", ".log.csv")],
-        }.get(args.command, [])
-        outputs += [(f"the {what} of --out", args.out + suffix) for what, suffix in derived]
-    if getattr(args, "out_dir", None):
-        outputs += [(f"the {name} of --out-dir", os.path.join(args.out_dir, name)) for name in ANALYZE_FILES]
-    if getattr(args, "corpus", None):
+    outputs = given(("out", "log_csv", "dump_predictions"))
+    sidecar_found = args.command in ("analyze", "br-build") and os.path.exists(f"{args.corpus}.meta.json")
+    if args.command == "train" or getattr(args, "checkpoint", None) or sidecar_found:
         inputs.append(("the sidecar of --corpus", f"{args.corpus}.meta.json"))
+    if args.command == "analyze":
+        files = [(f"the {name} of --out-dir", os.path.join(args.out_dir, name)) for name in ANALYZE_FILES]
+        return files[-1], inputs, outputs + files[:-1]
+    derived = {
+        "generate": [("sidecar", ".meta.json")],
+        "br-build": ([("sidecar", ".meta.json")] if sidecar_found else []) + [("summary", ".summary.json")],
+        "train": [] if getattr(args, "log_csv", None) else [("epoch log", ".log.csv")],
+    }.get(args.command, [])
+    outputs += [(f"the {what} of --out", args.out + suffix) for what, suffix in derived]
+    return ("the manifest of --out", f"{args.out}.manifest.json"), inputs, outputs
+
+
+def _check_outputs_apart(inputs, outputs) -> None:
+    """Reject an output that names another output's or an input's file; two inputs may share one."""
     for i, (name, path) in enumerate(outputs):
         for other, other_path in outputs[i + 1 :] + inputs:
             if os.path.realpath(path) == os.path.realpath(other_path):
@@ -247,7 +256,7 @@ def _parse_ks(raw: str, flag: str) -> tuple[int, ...]:
 # commands
 
 
-def cmd_generate(args) -> tuple[str, dict, list, list]:
+def cmd_generate(args) -> dict:
     spec, rule = _assemble_config(GeneratorSpec, args.config, {"seed": args.seed}, build_rule)
     records = generate(spec, rule)
     write_scenes(args.out, records)
@@ -256,11 +265,10 @@ def cmd_generate(args) -> tuple[str, dict, list, list]:
         "n_scenes": len(records),
         "realized_asymmetric_fraction": rule.realized_asymmetric_fraction,
     }
-    meta_path = f"{args.out}.meta.json"
-    _write_json(meta_path, meta)
+    _write_json(f"{args.out}.meta.json", meta)
     print(f"wrote {len(records)} scenes to {args.out} "
           f"(asymmetric fraction {round(rule.realized_asymmetric_fraction, 4)})")
-    return args.out, asdict(spec), [], [args.out, meta_path]
+    return asdict(spec)
 
 
 def _train_overrides(args) -> dict:
@@ -291,7 +299,7 @@ def _read_annotated_corpus(path, flag: str) -> list[SceneRecord]:
     return records
 
 
-def cmd_train(args) -> tuple[str, dict, list, list]:
+def cmd_train(args) -> dict:
     records = _read_corpus(args.corpus)
     spec = _load_corpus_spec(args.corpus)
     # vocabulary follows the corpus unless the user pinned it explicitly
@@ -327,7 +335,7 @@ def cmd_train(args) -> tuple[str, dict, list, list]:
         losses = " ".join(f"{col} {last.losses[col]:.4f}" for col in LOSS_COLUMNS)
         print(f"epoch {last.epoch}: {losses} | {shown}")
     print(f"checkpoint {args.out}, epoch log {log_csv}")
-    return args.out, asdict(config), [args.corpus, f"{args.corpus}.meta.json"], [args.out, log_csv]
+    return asdict(config)
 
 
 def _scene_rows(scene_id, counts: dict[int, HitCounts], ks_recall, ks_pair) -> list[list]:
@@ -338,7 +346,7 @@ def _scene_rows(scene_id, counts: dict[int, HitCounts], ks_recall, ks_pair) -> l
     return rows
 
 
-def cmd_eval(args) -> tuple[str, dict, list, list]:
+def cmd_eval(args) -> dict:
     if bool(args.checkpoint) == bool(args.predictions):
         raise ValueError("eval needs exactly one of --checkpoint or --predictions")
     if args.predictions and args.unconstrained:
@@ -351,7 +359,6 @@ def cmd_eval(args) -> tuple[str, dict, list, list]:
     ks_recall = _parse_ks(args.ks_recall, "--ks-recall")
     ks_pair = _parse_ks(args.ks_pair, "--ks-pair")
     constraint = not args.unconstrained
-    inputs = [args.corpus]
 
     if args.checkpoint:
         model, _bank = load_checkpoint(args.checkpoint)
@@ -364,14 +371,12 @@ def cmd_eval(args) -> tuple[str, dict, list, list]:
             ]
         except ValueError as exc:
             raise ValueError(f"{args.corpus}: {exc}") from exc
-        inputs += [f"{args.corpus}.meta.json", args.checkpoint]
     else:
         predictions = read_predictions(args.predictions)
         missing = [r.scene_id for r in records if r.scene_id not in predictions]
         if missing:
             raise ValueError(f"{args.predictions}: no predictions for scenes {missing[:5]}")
         ranked_lists = [rank_triplets(predictions[r.scene_id]) for r in records]
-        inputs.append(args.predictions)
 
     ks = dict.fromkeys((*ks_recall, *ks_pair))
     counts = [{k: count_hits(ranked, gt, k) for k in ks} for ranked, gt in zip(ranked_lists, graphs)]
@@ -381,15 +386,11 @@ def cmd_eval(args) -> tuple[str, dict, list, list]:
     if any(g.bidirectional_pairs for g in graphs):
         aggregate += [["ALL", "pR", k, corpus_pairwise_recall_at_k([c[k] for c in counts])] for k in ks_pair]
     _write_csv(args.out, ["scene_id", "metric", "k", "value"], rows + aggregate)
-
-    outputs = [args.out]
     if args.dump_predictions:
         write_predictions(args.dump_predictions, {r.scene_id: ranked for r, ranked in zip(records, ranked_lists)})
-        outputs.append(args.dump_predictions)
     shown = " ".join(f"{m}@{k} {v:.3f}" for _, m, k, v in aggregate)
     print(f"{len(records)} scenes | {shown}")
-    snapshot = {"ks_recall": list(ks_recall), "ks_pair": list(ks_pair), "graph_constraint": constraint}
-    return args.out, snapshot, inputs, outputs
+    return {"ks_recall": list(ks_recall), "ks_pair": list(ks_pair), "graph_constraint": constraint}
 
 
 def _infer_category_counts(records: list[SceneRecord]) -> tuple[int, int]:
@@ -398,7 +399,7 @@ def _infer_category_counts(records: list[SceneRecord]) -> tuple[int, int]:
     return n_ent, n_pred
 
 
-def cmd_analyze(args) -> tuple[str, dict, list, list]:
+def cmd_analyze(args) -> dict:
     _at_least("--k-max", args.k_max, 1)
     records = _read_annotated_corpus(args.corpus, "--corpus")
     spec = _load_corpus_spec(args.corpus, required=False)
@@ -417,37 +418,30 @@ def cmd_analyze(args) -> tuple[str, dict, list, list]:
         label = "+".join(conditioning)
         curve_rows += [[label, k + 1, curve[k]] for k in range(len(curve))]
     os.makedirs(args.out_dir, exist_ok=True)
-    variance_path, distance_path, curves_path, manifest_path = (os.path.join(args.out_dir, name)
-                                                                for name in ANALYZE_FILES)
+    variance_path, distance_path, curves_path = (os.path.join(args.out_dir, name) for name in ANALYZE_FILES[:3])
     _write_csv(variance_path, ["predicate", "variance"], variance_rows)
     _write_csv(distance_path, ["predicate_i", "predicate_j", "distance"], distance_rows)
     _write_csv(curves_path, ["conditioning", "k", "fraction"], curve_rows)
-    outputs = [variance_path, distance_path, curves_path]
-    print(f"wrote {', '.join(outputs)}")
-    inputs = [args.corpus] + ([f"{args.corpus}.meta.json"] if spec else [])
-    return manifest_path.removesuffix(".manifest.json"), {"k_max": args.k_max}, inputs, outputs
+    print(f"wrote {variance_path}, {distance_path}, {curves_path}")
+    return {"k_max": args.k_max}
 
 
-def cmd_br_build(args) -> tuple[str, dict, list, list]:
+def cmd_br_build(args) -> dict:
     records = _read_corpus(args.corpus)
     spec = _load_corpus_spec(args.corpus, required=False)
     subset, summary = build_bidirectional_subset(records)
     if not subset:
         raise ValueError(f"{args.corpus}: no scene has a bidirectional pair, so the subset would be empty")
     write_scenes(args.out, subset)
-    summary_path = f"{args.out}.summary.json"
-    _write_json(summary_path, summary)
-    inputs, outputs = [args.corpus], [args.out, summary_path]
+    _write_json(f"{args.out}.summary.json", summary)
     if spec is not None:
         _write_json(f"{args.out}.meta.json", {"spec": asdict(spec)})
-        inputs.append(f"{args.corpus}.meta.json")
-        outputs.append(f"{args.out}.meta.json")
     print(f"kept {summary['scenes_retained']} of {summary['scenes_in']} scenes, "
           f"{summary['pairs']} bidirectional pairs")
-    return args.out, {}, inputs, outputs
+    return {}
 
 
-def cmd_guess_curve(args) -> tuple[str, dict, list, list]:
+def cmd_guess_curve(args) -> dict:
     _at_least("--k-max", args.k_max, 1)
     conditioning = tuple(part.strip() for part in args.conditioning.split(",") if part.strip())
     own = "h2t" if args.target == "edge" else args.target  # --target is named too when only its component fails
@@ -464,9 +458,7 @@ def cmd_guess_curve(args) -> tuple[str, dict, list, list]:
     _write_csv(args.out, ["conditioning", "k", "fraction"],
                [[label, k + 1, curve[k]] for k in range(len(curve))])
     print(f"top-1 {curve[0]:.4f} .. top-{len(curve)} {curve[-1]:.4f} -> {args.out}")
-    inputs = [args.train_corpus] + ([args.eval_corpus] if args.eval_corpus else [])
-    snapshot = {"conditioning": list(conditioning), "target": args.target, "k_max": args.k_max}
-    return args.out, snapshot, inputs, [args.out]
+    return {"conditioning": list(conditioning), "target": args.target, "k_max": args.k_max}
 
 
 # ---------------------------------------------------------------------------
@@ -540,12 +532,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     t0 = time.perf_counter()
     try:
-        _check_outputs_apart(args)
+        manifest, inputs, outputs = command_files(args)
+        corpus = getattr(args, "corpus", None)  # its sidecar is guarded whether or not the command reads it
+        _check_outputs_apart(inputs + ([("the sidecar of --corpus", f"{corpus}.meta.json")] if corpus else []),
+                             outputs + [manifest])
         with np.errstate(over="ignore", invalid="ignore"):  # the tape's checks report non-finite values
-            out_path, config_snapshot, inputs, outputs = args.func(args)
-        if getattr(args, "config", None):
-            inputs.append(args.config)
-        _write_manifest(args.command, argv, out_path, config_snapshot, inputs, outputs, time.perf_counter() - t0)
+            config_snapshot = args.func(args)
+        _write_manifest(args.command, argv, manifest[1], config_snapshot, inputs, outputs, time.perf_counter() - t0)
         return 0
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

@@ -993,16 +993,31 @@ def test_mutated_input_exits_cleanly_and_names_its_source(valid_inputs, target, 
      "the variance.csv of --out-dir and --corpus"),
     (["analyze", "--corpus", "{manifest_corpus}", "--out-dir", "{dir}"], "manifest_corpus",
      "the analyze.manifest.json of --out-dir and --corpus"),
+    (["eval", "--corpus", "{corpus}", "--predictions", "{preds}", "--out", "{sidecar}"], "sidecar",
+     "--out and the sidecar of --corpus"),
+    (["br-build", "--corpus", "{summary_corpus}", "--out", "{subset}"], "summary_corpus",
+     "the summary of --out and --corpus"),
+    (["guess-curve", "--train-corpus", "{corpus}", "--eval-corpus", "{log_corpus}", "--out", "{log_corpus}"],
+     "log_corpus", "--out and --eval-corpus"),
+    (["eval", "--corpus", "{corpus}", "--checkpoint", "{ckpt_copy}", "--out", "{ckpt_copy}"], "ckpt_copy",
+     "--out and --checkpoint"),
+    (["train", "--corpus", "{corpus}", "--holdout", "4", "--config", "{train_cfg}", "--out", "{train_cfg}"],
+     "train_cfg", "--out and --config"),
+    (["eval", "--corpus", "{corpus}", "--predictions", "{preds}", "--out", "{other}", "--dump-predictions",
+      "{preds}"], "preds", "--dump-predictions and --predictions"),
 ], ids=["train log over checkpoint", "eval dump over metrics", "eval dump over corpus", "br-build over corpus",
         "train checkpoint over sidecar", "train log over sidecar", "eval metrics over sidecar",
         "eval dump over sidecar", "br-build over sidecar", "train log over manifest", "eval dump over manifest",
         "train default log over corpus", "generate sidecar over config", "analyze csv over corpus",
-        "analyze manifest over corpus"])
+        "analyze manifest over corpus", "eval --predictions metrics over the unread sidecar",
+        "br-build summary over corpus", "guess-curve over eval corpus", "eval metrics over checkpoint",
+        "train checkpoint over config", "eval dump over predictions"])
 def test_output_flag_naming_another_flags_file_is_rejected(argv, shared, names, corpus, checkpoint, tmp_path,
                                                            capsys):
     """Exit 2 before the command runs, naming the flags or the files derived from them (a manifest,
-    sidecar, default epoch log or a file analyze writes into --out-dir) and the path as given or derived
-    (a symlink to the corpus counts as the corpus): every file keeps its bytes and nothing is written."""
+    sidecar, summary, default epoch log or a file analyze writes into --out-dir) and the path as given or
+    derived (a symlink to the corpus counts as the corpus): every file keeps its bytes and nothing is written.
+    The --corpus sidecar is guarded for every command, also for eval --predictions, which does not read it."""
     records = read_scenes(corpus)[:12]
     c = _rewrite_corpus(corpus, str(tmp_path / "c.sgjsonl"), records)
     os.symlink(c, tmp_path / "link.sgjsonl")
@@ -1015,11 +1030,30 @@ def test_output_flag_naming_another_flags_file_is_rejected(argv, shared, names, 
              "log_corpus": _rewrite_corpus(corpus, str(tmp_path / "m.json.log.csv"), records),
              "gen": gen, "gen_cfg": f"{gen}.meta.json", "dir": str(tmp_path),
              "variance_corpus": _rewrite_corpus(corpus, str(tmp_path / "variance.csv"), records),
-             "manifest_corpus": _rewrite_corpus(corpus, str(tmp_path / "analyze.manifest.json"), records)}
+             "manifest_corpus": _rewrite_corpus(corpus, str(tmp_path / "analyze.manifest.json"), records),
+             "preds": _ground_truth_predictions(str(tmp_path / "p.pred.jsonl"), records),
+             "summary_corpus": _rewrite_corpus(corpus, str(tmp_path / "sub.sgjsonl.summary.json"), records),
+             "subset": str(tmp_path / "sub.sgjsonl"), "ckpt_copy": shutil.copy(checkpoint, str(tmp_path / "k.json")),
+             "train_cfg": _write_config(tmp_path / "train.cfg", epochs=1)}
     before = {name: _sha(tmp_path / name) for name in os.listdir(tmp_path)}
     assert main([arg.format(**paths) for arg in argv]) == 2
     assert capsys.readouterr().err == f"error: {names} both name {paths[shared]}\n"
     assert {name: _sha(tmp_path / name) for name in os.listdir(tmp_path)} == before
+
+
+def test_br_build_writes_no_sidecar_over_a_corpus_named_like_one(corpus, tmp_path, capsys):
+    """`<out>.meta.json` is an output of br-build only when the corpus has a sidecar to copy, so a corpus
+    without one may sit at that path: it keeps its bytes and the manifest lists no sidecar."""
+    subset = str(tmp_path / "s.sgjsonl")
+    c = f"{subset}.meta.json"
+    write_scenes(c, read_scenes(corpus)[:12])
+    before = _sha(c)
+    assert main(["br-build", "--corpus", c, "--out", subset]) == 0, capsys.readouterr().err
+    assert _sha(c) == before
+    with open(f"{subset}.manifest.json") as fh:
+        manifest = json.load(fh)
+    assert manifest["inputs"].keys() == {c}
+    assert manifest["outputs"].keys() == {subset, f"{subset}.summary.json"}
 
 
 def test_input_flags_may_name_one_file(corpus, tmp_path):
@@ -1058,8 +1092,10 @@ def test_commands_that_resolve_no_config_reject_config_and_seed(argv, flag, valu
     assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["generate", "train", "eval --checkpoint", "eval --predictions", "analyze",
-                                     "analyze without sidecar", "br-build", "br-build without sidecar", "guess-curve"])
+@pytest.mark.parametrize("command", ["generate", "train", "train --log-csv", "eval --checkpoint",
+                                     "eval --checkpoint without dump", "eval --predictions", "analyze",
+                                     "analyze without sidecar", "br-build", "br-build without sidecar", "guess-curve",
+                                     "guess-curve without eval corpus"])
 def test_manifest_lists_exactly_the_files_the_command_opened(command, corpus, checkpoint, tmp_path, monkeypatch):
     """A manifest's inputs are the files its command opened for reading and its outputs the files it opened
     for writing, until the manifest is written."""
@@ -1070,20 +1106,24 @@ def test_manifest_lists_exactly_the_files_the_command_opened(command, corpus, ch
     ckpt = str(tmp_path / "m.ckpt.json")
     shutil.copy(checkpoint, ckpt)
     preds = _ground_truth_predictions(str(tmp_path / "p.pred.jsonl"), records)
-    cfg = _write_config(tmp_path / "run.cfg", **({"epochs": 1} if command == "train" else {"n_scenes": 5}))
+    cfg = _write_config(tmp_path / "run.cfg", **({"epochs": 1} if command.startswith("train") else {"n_scenes": 5}))
     out = str(tmp_path / "out")
     argv = {
         "generate": ["generate", "--out", out, "--config", cfg],
         "train": ["train", "--corpus", c, "--out", out, "--config", cfg, "--holdout", "4",
                   "--ks-recall", "4", "--ks-pair", "2"],
+        "train --log-csv": ["train", "--corpus", c, "--out", out, "--config", cfg, "--holdout", "4",
+                            "--ks-recall", "4", "--ks-pair", "2", "--log-csv", str(tmp_path / "epochs.csv")],
         "eval --checkpoint": ["eval", "--corpus", c, "--checkpoint", ckpt, "--out", out,
                               "--dump-predictions", f"{out}.pred.jsonl"],
+        "eval --checkpoint without dump": ["eval", "--corpus", c, "--checkpoint", ckpt, "--out", out],
         "eval --predictions": ["eval", "--corpus", c, "--predictions", preds, "--out", out],
         "analyze": ["analyze", "--corpus", c, "--out-dir", out],
         "analyze without sidecar": ["analyze", "--corpus", bare, "--out-dir", out],
         "br-build": ["br-build", "--corpus", c, "--out", out],
         "br-build without sidecar": ["br-build", "--corpus", bare, "--out", out],
         "guess-curve": ["guess-curve", "--train-corpus", c, "--eval-corpus", bare, "--out", out],
+        "guess-curve without eval corpus": ["guess-curve", "--train-corpus", c, "--out", out],
     }[command]
     opened = {"inputs": set(), "outputs": set()}
     recording = [True]

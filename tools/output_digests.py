@@ -32,7 +32,12 @@ dropped read one per config field), so each checkout runs the same configs:
   scores the same bytes, and scores them with ``eval --predictions`` at the
   default ks and at the overlapping ``--ks-recall 2,4 --ks-pair 2,4``. These
   outputs change when per-scene mR sums its categories in another order or
-  when pR pools pairs differently.
+  when pR pools pairs differently;
+* the multi-pair corpus has no sidecar, so ``analyze``, ``br-build`` and
+  ``guess-curve --eval-corpus`` (trained on the 160-scene corpus) run on it
+  too, under ``multipair/``: their manifests list no sidecar and br-build
+  writes none. One ``train --epochs 1 --holdout 40 --log-csv`` on the
+  160-scene corpus, under ``logged/``, writes no default epoch log.
 
 ``--out`` maps every file the sweep wrote (path relative to the temporary
 directory) to its sha256. A manifest is hashed with ``wall_clock_seconds``
@@ -204,6 +209,13 @@ def sweep(main) -> None:
     for name, flags in (("default", []), ("overlap", ["--ks-recall", "2,4", "--ks-pair", "2,4"])):
         run(main, ["eval", "--corpus", "multipair/corpus.sgjsonl", "--predictions", "multipair/scores.pred.jsonl",
                    "--out", f"multipair/{name}.csv", *flags])
+    run(main, ["analyze", "--corpus", "multipair/corpus.sgjsonl", "--out-dir", "multipair/analysis"])
+    run(main, ["br-build", "--corpus", "multipair/corpus.sgjsonl", "--out", "multipair/br.sgjsonl"])
+    run(main, ["guess-curve", "--train-corpus", "corpus.sgjsonl", "--eval-corpus", "multipair/corpus.sgjsonl",
+               "--out", "multipair/guess_cross.csv"])
+    os.mkdir("logged")
+    run(main, ["train", "--corpus", "corpus.sgjsonl", "--out", "logged/model.ckpt.json", "--epochs", "1",
+               "--holdout", "40", "--log-csv", "logged/epochs.csv"])
 
 
 def digest(path: str) -> str:
