@@ -12,6 +12,7 @@ Three views of a corpus:
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,8 +86,8 @@ def build_bidirectional_subset(records: list[SceneRecord]) -> tuple[list[SceneRe
     """
     subset = []
     pairs = asymmetric = 0
-    predicate_hist: dict[int, int] = {}
-    entity_hist: dict[int, int] = {}
+    predicate_hist: Counter[int] = Counter()
+    entity_hist: Counter[int] = Counter()
     for rec in records:
         present = {(e.subject, e.object): e.predicate for e in rec.edges}
         kept = [e for e in rec.edges if (e.object, e.subject) in present]
@@ -94,12 +95,11 @@ def build_bidirectional_subset(records: list[SceneRecord]) -> tuple[list[SceneRe
             continue
         labels = {n.id: n.label for n in rec.nodes}
         for e in kept:
-            predicate_hist[e.predicate] = predicate_hist.get(e.predicate, 0) + 1
+            predicate_hist[e.predicate] += 1
             if e.subject < e.object:
                 pairs += 1
                 asymmetric += e.predicate != present[(e.object, e.subject)]
-                for end in (e.subject, e.object):
-                    entity_hist[labels[end]] = entity_hist.get(labels[end], 0) + 1
+                entity_hist.update((labels[e.subject], labels[e.object]))
         subset.append(SceneRecord(rec.scene_id, rec.nodes, [Edge(e.subject, e.object, e.predicate) for e in kept]))
     summary = {
         "scenes_in": len(records),
@@ -170,7 +170,9 @@ def guess_curve(
     result is the fraction of instances whose true label ranks in the
     top k. A true label always ranks among the labels seen, so the curve
     stops after min(k_max, number of labels seen) entries: later ones
-    would repeat the last.
+    would repeat the last. A target label is never missing: the target is
+    an entity label or the head-to-tail predicate. Only t2h can be None,
+    and then only as a context value, which is a context of its own.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
@@ -183,39 +185,21 @@ def guess_curve(
     if not evals:
         raise ValueError("guess curves need a nonempty evaluation set")
 
-    global_counts: dict[int, int] = {}
-    context_counts: dict[tuple, dict[int, int]] = {}
+    global_counts = Counter(inst[target_component] for inst in train)
+    context_counts: defaultdict[tuple, Counter[int]] = defaultdict(Counter)
     for inst in train:
-        label = inst[target_component]
-        if label is None:
-            continue
-        global_counts[label] = global_counts.get(label, 0) + 1
-        key = tuple(inst[c] for c in cond)
-        bucket = context_counts.setdefault(key, {})
-        bucket[label] = bucket.get(label, 0) + 1
+        context_counts[tuple(inst[c] for c in cond)][inst[target_component]] += 1
+    universe = set(global_counts) | {inst[target_component] for inst in evals}
 
-    universe = set(global_counts)
-    for inst in evals:
-        if inst[target_component] is not None:
-            universe.add(inst[target_component])
-
-    def ranking(bucket: dict[int, int]) -> list[int]:
-        return sorted(universe, key=lambda lab: (-bucket.get(lab, 0), -global_counts.get(lab, 0), lab))
+    def ranking(bucket: Counter[int]) -> list[int]:
+        return sorted(universe, key=lambda lab: (-bucket[lab], -global_counts[lab], lab))
 
     global_ranking = ranking(global_counts)
     hits = np.zeros(min(k_max, len(universe)))
-    n_scored = 0
     for inst in evals:
-        true = inst[target_component]
-        if true is None:
-            continue
-        key = tuple(inst[c] for c in cond)
-        bucket = context_counts.get(key)
+        bucket = context_counts.get(tuple(inst[c] for c in cond))
         order = ranking(bucket) if bucket is not None else global_ranking
-        n_scored += 1
-        rank = order.index(true)  # true is in universe, which every ranking orders
+        rank = order.index(inst[target_component])  # the true label is in universe, which every ranking orders
         if rank < hits.size:
             hits[rank] += 1
-    if n_scored == 0:
-        raise ValueError("no evaluation instance carries the target component")
-    return np.cumsum(hits) / n_scored
+    return np.cumsum(hits) / len(evals)

@@ -26,6 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from .autodiff import Constant, Matrix, add, cosine_rows, gather_rows, mul, sum_all
+from .data import shown
 
 Negatives = dict[int, np.ndarray]
 
@@ -59,12 +60,18 @@ class ReferenceBank:
 
     @classmethod
     def from_state(cls, state: dict) -> "ReferenceBank":
-        refs = np.asarray(state["refs"], dtype=np.float64)
+        """The bank `state()` wrote; a field no trained bank could hold raises a ValueError naming the field."""
+        refs, counts, skipped = np.asarray(state["refs"]), np.asarray(state["counts"]), state["skipped_pairs"]
+        if refs.dtype.kind not in "iuf" or refs.ndim != 2 or not np.isfinite(refs).all():  # bool and str fail
+            raise ValueError(f"refs must be a 2-D array of finite numbers, got {refs.dtype} in shape {refs.shape}")
         bank = cls(refs.shape[0], refs.shape[1])
-        bank.refs = refs
-        bank.counts = np.asarray(state["counts"], dtype=np.float64)
+        if (counts.dtype.kind not in "iuf" or counts.shape != (len(refs),)
+                or not (np.isfinite(counts) & (counts >= 0)).all()):
+            raise ValueError(f"counts must be {len(refs)} finite non-negative numbers, got {shown(counts.tolist())}")
+        if type(skipped) is not int or skipped < 0:  # a bool fails
+            raise ValueError(f"skipped_pairs must be a non-negative integer, got {shown(skipped)}")
+        bank.refs, bank.counts, bank.skipped_pairs = refs.astype(np.float64), counts.astype(np.float64), skipped
         bank.rng.bit_generator.state = state["rng_state"]
-        bank.skipped_pairs = int(state["skipped_pairs"])
         return bank
 
 

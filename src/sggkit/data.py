@@ -549,10 +549,9 @@ def split_scenes(records: list[SceneRecord], holdout: int) -> tuple[list[SceneRe
 
 
 def write_predictions(path, predictions: dict[str, list[tuple[int, int, int, float]]]) -> None:
-    """One JSON line per scene: id plus score-ordered (subject, object, predicate, score)."""
-    _write_json_lines(path, ({"scene_id": scene_id,
-                              "triplets": [[int(s), int(o), int(p), float(score)] for s, o, p, score in triplets]}
-                             for scene_id, triplets in predictions.items()))
+    """One JSON line per scene: id plus score-ordered (subject, object, predicate, score), written as given: Python
+    ints and a float, as `ranked_from_scores` and `rank_triplets` return them (a tuple is written as a list)."""
+    _write_json_lines(path, ({"scene_id": scene_id, "triplets": ranked} for scene_id, ranked in predictions.items()))
 
 
 def read_predictions(path) -> dict[str, list[tuple[int, int, int, float]]]:

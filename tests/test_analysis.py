@@ -207,10 +207,18 @@ def test_guess_curve_prior_only_uniform_target():
     np.testing.assert_allclose(curve, [0.2, 0.4, 0.6, 0.8, 1.0], atol=0.05)
 
 
-def test_guess_curve_matches_brute_force_lookup():
+@pytest.mark.parametrize("target", ["edge", "head", "tail"])
+def test_guess_curve_matches_brute_force_lookup(target):
+    """Against a count over instance tuples, with one-way edges on both sides, so that a missing t2h is a
+    context of its own."""
     records, _ = _rule_corpus(noise=0.3, n_scenes=80, seed=9)
-    train, evals = records[:60], records[60:]
-    curve = guess_curve(train, evals, ("head", "t2h"), target="edge", k_max=4)
+    rng = np.random.default_rng(9)
+    one_way = [two_node_scene(f"one-way-{i}", *map(int, rng.integers(1, 5, size=2)), int(rng.integers(1, 4)))
+               for i in range(40)]
+    train, evals = records[:60] + one_way[:30], records[60:] + one_way[30:]
+    conditioning = {"edge": ("head", "t2h"), "head": ("tail", "t2h"), "tail": ("h2t", "t2h")}[target]
+    curve = guess_curve(train, evals, conditioning, target=target, k_max=4)
+    target_component = "h2t" if target == "edge" else target
 
     def instances(recs):
         out = []
@@ -218,15 +226,18 @@ def test_guess_curve_matches_brute_force_lookup():
             lab = {n.id: n.label for n in rec.nodes}
             present = {(e.subject, e.object): e.predicate for e in rec.edges}
             for e in rec.edges:
-                out.append((lab[e.subject], present.get((e.object, e.subject)), e.predicate))
+                inst = {"head": lab[e.subject], "tail": lab[e.object], "h2t": e.predicate,
+                        "t2h": present.get((e.object, e.subject))}
+                out.append((tuple(inst[c] for c in conditioning), inst[target_component]))
         return out
 
     tr, ev = instances(train), instances(evals)
-    labels = sorted({t[2] for t in tr} | {t[2] for t in ev})
-    glob = {lab: sum(t[2] == lab for t in tr) for lab in labels}
+    assert any(None in context for context, _ in tr) and any(None in context for context, _ in ev)
+    labels = sorted({t for _, t in tr} | {t for _, t in ev})
+    glob = {lab: sum(t == lab for _, t in tr) for lab in labels}
     brute = np.zeros(4)
-    for head, t2h, true in ev:
-        cond_counts = {lab: sum(t == (head, t2h, lab) for t in tr) for lab in labels}
+    for context, true in ev:
+        cond_counts = {lab: sum(t == (context, lab) for t in tr) for lab in labels}
         if sum(cond_counts.values()) == 0:
             key = lambda lab: (-glob[lab], lab)
         else:

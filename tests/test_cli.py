@@ -230,6 +230,26 @@ def test_generate_rejects_unknown_config_key(tmp_path, capsys):
     assert "unknown config keys" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text,fault", [
+    ("n_entity_categories = 2", ": need at least two usable entity categories plus the reserved 0"),
+    ("n_predicate_categories = 1", ": need at least one usable predicate category plus the reserved 0"),
+    ("related_pairs = 0", ": related_pairs must be positive"),
+    ("noise_rate = 1.0", ": noise_rate must lie in [0, 1)"),
+    ("n_predicate_categories = 2\nasymmetric_fraction = 0.0", ": label noise needs a wrong predicate to flip to"),
+    ("appearance_sigma = -1", ": appearance parameters out of range"),
+    ("logit_flip_rate = 1.5", ": logit_flip_rate must lie in [0, 1]"),
+    (" = 3", " line 1: empty key"),
+    ("seed = 1\nseed = 2", " line 2: duplicate key 'seed'"),
+], ids=["entities", "predicates", "related pairs", "noise rate", "noise without a wrong predicate",
+        "appearance sigma", "logit flip rate", "empty key", "duplicate key"])
+def test_generate_config_fault_names_the_config(text, fault, tmp_path, capsys):
+    cfg = tmp_path / "gen.cfg"
+    cfg.write_text(text + "\n")
+    assert main(["generate", "--out", str(tmp_path / "c.sgjsonl"), "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"error: {cfg}{fault}\n"
+    assert os.listdir(tmp_path) == ["gen.cfg"]
+
+
 def test_unreadable_config_value_names_its_source_and_key(corpus, tmp_path, capsys):
     out = str(tmp_path / "m.ckpt.json")
     cfg = _write_config(tmp_path / "train.cfg", epochs="1e3")
@@ -247,7 +267,10 @@ def test_unreadable_config_value_names_its_source_and_key(corpus, tmp_path, caps
                              ({"gih_variant": "gat", "gih_layers": 0},
                               "config field gih_layers must be >= 1 for gat, got 0"),
                              ({"n_entity_categories": 40},
-                              "model expects 40 entity categories but the corpus provides 33")):
+                              "model expects 40 entity categories but the corpus provides 33"),
+                             ({"d_node": 0}, "widths must be positive"),
+                             ({"w_ar": -1}, "loss weights must be nonnegative"),
+                             ({"n_predicate_categories": 1}, "need at least two categories on both vocabularies")):
         cfg = _write_config(tmp_path / "train.cfg", **setting)
         assert main(["train", "--corpus", corpus, "--out", out, "--config", cfg]) == 2
         assert f"error: {cfg}: {message}\n" in capsys.readouterr().err
@@ -256,6 +279,14 @@ def test_unreadable_config_value_names_its_source_and_key(corpus, tmp_path, caps
 
 # ---------------------------------------------------------------------------
 # train
+
+
+def test_train_without_a_sidecar_names_it(corpus, tmp_path, capsys):
+    path = shutil.copy(corpus, tmp_path / "c.sgjsonl")
+    assert main(["train", "--corpus", str(path), "--out", str(tmp_path / "m.ckpt.json")]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: missing corpus sidecar {path}.meta.json; it carries the feature-synthesis parameters ")
+    assert os.listdir(tmp_path) == ["c.sgjsonl"]
 
 
 def test_train_epochs_zero_equals_fresh_init(corpus, tmp_path):
@@ -619,14 +650,16 @@ def test_eval_bad_k_list_is_validation_error(corpus, checkpoint, tmp_path):
 
 
 @pytest.mark.parametrize("command,flag,value", [("train", "--ks-pair", "0"), ("train", "--ks-recall", "4,-1"),
-                                                ("eval", "--ks-recall", "0"), ("eval", "--ks-recall", "4,4")])
+                                                ("eval", "--ks-recall", "0"), ("eval", "--ks-recall", "4,4"),
+                                                ("train", "--ks-recall", ",")])
 def test_k_below_one_names_the_flag(command, flag, value, corpus, checkpoint, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(sggkit.cli, "train", lambda *a, **kw: pytest.fail("trained before checking the k lists"))
     out = str(tmp_path / "out")
     source = ["--out", out] if command == "train" else ["--checkpoint", checkpoint, "--out", out]
     assert main([command, "--corpus", corpus, *source, flag, value]) == 2
-    rule = "every k must be listed once" if value == "4,4" else "every k must be >= 1"
-    assert f"{flag}: {rule}, got '{value}'" in capsys.readouterr().err
+    message = {"4,4": f"{flag}: every k must be listed once, got '{value}'",
+               ",": f"{flag} needs at least one k"}.get(value, f"{flag}: every k must be >= 1, got '{value}'")
+    assert f"error: {message}\n" in capsys.readouterr().err
     assert not os.path.exists(out)
 
 
@@ -643,7 +676,10 @@ def test_negative_metrics_every_names_the_flag(corpus, tmp_path, capsys, monkeyp
                                   "rng_state without state", "use_lih is a string", "w_ar is a bool",
                                   "d_attention is zero", "learning_rate beyond float range", "5001-digit integer",
                                   "byte 0xff", "deep nesting", "parameter is a string", "parameter is ragged",
-                                  "parameter is NaN", "skipped_pairs is 1e400"])
+                                  "parameter is NaN", "skipped_pairs is 1e400", "bank one row short",
+                                  "refs is [[]]", "refs is []", "reference is NaN", "counts one short",
+                                  "count is negative", "count is a string", "skipped_pairs is -4",
+                                  "skipped_pairs is a bool"])
 def test_malformed_checkpoint_names_the_path(case, corpus, checkpoint, tmp_path, capsys):
     with open(checkpoint) as fh:
         payload = json.load(fh)
@@ -653,6 +689,11 @@ def test_malformed_checkpoint_names_the_path(case, corpus, checkpoint, tmp_path,
 
     def with_param(value):
         return json.dumps({**payload, "params": {**payload["params"], "node_map.w": value}})
+
+    def with_bank(**fields):
+        return json.dumps({**payload, "bank": {**payload["bank"], **fields}})
+
+    refs, counts = payload["bank"]["refs"], payload["bank"]["counts"]
 
     text = {
         "not json": "{config",
@@ -681,6 +722,15 @@ def test_malformed_checkpoint_names_the_path(case, corpus, checkpoint, tmp_path,
                                        + payload["params"]["node_map.w"][1:]),
         "skipped_pairs is 1e400": json.dumps({**payload, "bank": {**payload["bank"], "skipped_pairs": "@"}})
                                   .replace('"@"', "1e400"),
+        "bank one row short": with_bank(refs=refs[:-1], counts=counts[:-1]),
+        "refs is [[]]": with_bank(refs=[[]], counts=[0.0]),
+        "refs is []": with_bank(refs=[]),
+        "reference is NaN": with_bank(refs=[[float("nan")] + refs[0][1:]] + refs[1:]),
+        "counts one short": with_bank(counts=counts[:-1]),
+        "count is negative": with_bank(counts=[-1.0] + counts[1:]),
+        "count is a string": with_bank(counts=["1"] + counts[1:]),
+        "skipped_pairs is -4": with_bank(skipped_pairs=-4),
+        "skipped_pairs is a bool": with_bank(skipped_pairs=True),
     }[case]
     bad = tmp_path / "bad.ckpt.json"
     bad.write_bytes(text if isinstance(text, bytes) else text.encode())
@@ -689,6 +739,17 @@ def test_malformed_checkpoint_names_the_path(case, corpus, checkpoint, tmp_path,
     assert f"error: {bad}: " in err and err.count("\n") == 1
     if case.startswith("parameter"):
         assert "parameter node_map.w" in err
+    refs_rule = "refs must be a 2-D array of finite numbers, got "
+    counts_rule = f"counts must be {len(refs)} finite non-negative numbers, got "
+    skipped_rule = "skipped_pairs must be a non-negative integer, got "
+    bank_fault = {"bank one row short": "size does not match the configuration)",
+                  "refs is [[]]": "bank needs positive sizes, got 1 x 0)",
+                  "refs is []": refs_rule, "reference is NaN": refs_rule,
+                  "counts one short": counts_rule, "count is negative": counts_rule, "count is a string": counts_rule,
+                  "skipped_pairs is -4": skipped_rule + "-4)", "skipped_pairs is a bool": skipped_rule + "True)",
+                  "skipped_pairs is 1e400": skipped_rule + "inf)"}
+    if case in bank_fault:
+        assert f"invalid checkpoint bank ({bank_fault[case]}" in err
 
 
 def test_huge_checkpoint_value_is_shown_cut(corpus, checkpoint, tmp_path, capsys, monkeypatch):
@@ -725,6 +786,7 @@ def test_huge_checkpoint_value_is_shown_cut(corpus, checkpoint, tmp_path, capsys
     pytest.param('{"scene_id": "s", "triplets": [[' + "1" * 5001 + ', 1, 2, 0.5]]}', id="5001-digit id"),
     pytest.param(b'{"scene_id": "s\xff", "triplets": []}', id="byte 0xff"),
     pytest.param("[" * 100_000, id="deep nesting"),
+    pytest.param('{"scene_id": "scene-00000", "triplets": []}', id="line 1's scene id"),
 ])
 def test_malformed_prediction_line_is_named(line, corpus, tmp_path, capsys):
     records = read_scenes(corpus)
@@ -732,7 +794,41 @@ def test_malformed_prediction_line_is_named(line, corpus, tmp_path, capsys):
     with open(path, "ab") as fh:
         fh.write((line if isinstance(line, bytes) else line.encode()) + b"\n")
     assert main(["eval", "--corpus", corpus, "--predictions", path, "--out", str(tmp_path / "m.csv")]) == 2
-    assert "error: line 3: " in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error: line 3: " in err
+    if line == '{"scene_id": "scene-00000", "triplets": []}':
+        assert err == "error: line 3: duplicate scene id 'scene-00000'\n"
+
+
+def test_integer_scores_score_as_the_same_floats(corpus, tmp_path):
+    """Scores written as integers give the metric CSV of the same scores written as floats."""
+    records = read_scenes(corpus)
+    paths = {}
+    for number in (int, float):
+        ranked = {r.scene_id: [(e.subject, e.object, e.predicate, number(i % 3)) for i, e in enumerate(r.edges)]
+                  + [(r.nodes[0].id, r.nodes[1].id, 1, number(2))] for r in records}
+        preds, out = str(tmp_path / f"{number.__name__}.pred.jsonl"), str(tmp_path / f"{number.__name__}.csv")
+        with open(preds, "w") as fh:
+            fh.writelines(json.dumps({"scene_id": sid, "triplets": t}) + "\n" for sid, t in ranked.items())
+        assert main(["eval", "--corpus", corpus, "--predictions", preds, "--out", out,
+                     "--ks-recall", "1,2", "--ks-pair", "1"]) == 0
+        paths[number] = preds, out
+    assert _sha(paths[int][0]) != _sha(paths[float][0])  # the files differ: 2 against 2.0
+    assert _sha(paths[int][1]) == _sha(paths[float][1])
+
+
+def test_prediction_file_missing_scenes_is_named(corpus, tmp_path, capsys):
+    records = read_scenes(corpus)
+    path = _ground_truth_predictions(str(tmp_path / "p.pred.jsonl"), records[:3])
+    assert main(["eval", "--corpus", corpus, "--predictions", path, "--out", str(tmp_path / "m.csv")]) == 2
+    missing = [r.scene_id for r in records[3:8]]
+    assert missing[0] == "scene-00003"
+    assert capsys.readouterr().err == f"error: {path}: no predictions for scenes {missing}\n"
+    assert not os.path.exists(tmp_path / "m.csv")
+
+
+# well-typed values that break a rule of SceneRecord.validate; node 0's id 1 is node 1's
+_SCENE_RULE_BREAKS = [("label", -1), ("predicate", -1), ("box", [0.9, 0.1, 0.5, 0.5]), ("id", 1)]
 
 
 @pytest.mark.parametrize("field,value", [
@@ -740,6 +836,7 @@ def test_malformed_prediction_line_is_named(line, corpus, tmp_path, capsys):
     ("predicate", 1.9), ("label", "x"), ("box", [0.1, 0.1, 0.5]), ("box", "0.1"),
     ("appearance_seed", -1), ("id", 2**70), ("scene_id", "\ud800"), ("scene_id", "a\nb"),
     ("scene_id", "scene-00001"),  # line 2's id
+    *_SCENE_RULE_BREAKS,
 ])
 def test_malformed_corpus_line_is_named(field, value, corpus, checkpoint, tmp_path, capsys):
     with open(corpus) as fh:
@@ -752,7 +849,10 @@ def test_malformed_corpus_line_is_named(field, value, corpus, checkpoint, tmp_pa
     path.write_text("\n".join(lines) + "\n")
     shutil.copy(f"{corpus}.meta.json", f"{path}.meta.json")
     assert main(["eval", "--corpus", str(path), "--checkpoint", checkpoint, "--out", str(tmp_path / "m.csv")]) == 2
-    assert "error: line 3: " in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error: line 3: " in err
+    if (field, value) in _SCENE_RULE_BREAKS:
+        assert err.startswith(f"error: line 3: scene {obj['scene_id']}: ")
 
 
 @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["LF", "CRLF"])

@@ -36,8 +36,13 @@ dropped read one per config field), so each checkout runs the same configs:
 * the multi-pair corpus has no sidecar, so ``analyze``, ``br-build`` and
   ``guess-curve --eval-corpus`` (trained on the 160-scene corpus) run on it
   too, under ``multipair/``: their manifests list no sidecar and br-build
-  writes none. One ``train --epochs 1 --holdout 40 --log-csv`` on the
-  160-scene corpus, under ``logged/``, writes no default epoch log.
+  writes none. Its one-way edges leave the tail-to-head predicate missing,
+  so ``guess-curve`` also runs on it alone with ``--conditioning t2h``,
+  ``--target head --conditioning tail,t2h`` and ``--target tail
+  --conditioning head,h2t``, where a missing t2h is a context of its own;
+  each writes a curve CSV and its manifest. One ``train --epochs 1 --holdout
+  40 --log-csv`` on the 160-scene corpus, under ``logged/``, writes no
+  default epoch log.
 
 ``--out`` maps every file the sweep wrote (path relative to the temporary
 directory) to its sha256. A manifest is hashed with ``wall_clock_seconds``
@@ -213,6 +218,11 @@ def sweep(main) -> None:
     run(main, ["br-build", "--corpus", "multipair/corpus.sgjsonl", "--out", "multipair/br.sgjsonl"])
     run(main, ["guess-curve", "--train-corpus", "corpus.sgjsonl", "--eval-corpus", "multipair/corpus.sgjsonl",
                "--out", "multipair/guess_cross.csv"])
+    for name, flags in (("t2h", ["--conditioning", "t2h"]),
+                        ("head_tail_t2h", ["--target", "head", "--conditioning", "tail,t2h"]),
+                        ("tail_head_h2t", ["--target", "tail", "--conditioning", "head,h2t"])):
+        run(main, ["guess-curve", "--train-corpus", "multipair/corpus.sgjsonl", *flags,
+                   "--out", f"multipair/guess_{name}.csv"])
     os.mkdir("logged")
     run(main, ["train", "--corpus", "corpus.sgjsonl", "--out", "logged/model.ckpt.json", "--epochs", "1",
                "--holdout", "40", "--log-csv", "logged/epochs.csv"])
