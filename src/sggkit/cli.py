@@ -314,15 +314,18 @@ def cmd_train(args) -> dict:
         train_records, eval_records = split_scenes(records, args.holdout)
     except ValueError as exc:
         raise ValueError(f"--holdout: {args.corpus}: {exc}") from exc
-    result = train(
-        config,
-        train_records,
-        spec,
-        eval_records=eval_records or None,
-        metrics_every=args.metrics_every if eval_records else 0,
-        ks_recall=ks_recall,
-        ks_pair=ks_pair,
-    )
+    try:  # past the checks above, every fault train finds lies in a scene of the corpus
+        result = train(
+            config,
+            train_records,
+            spec,
+            eval_records=eval_records,
+            metrics_every=args.metrics_every,
+            ks_recall=ks_recall,
+            ks_pair=ks_pair,
+        )
+    except ValueError as exc:
+        raise ValueError(f"{args.corpus}: {exc}") from exc
     save_checkpoint(args.out, result.model, result.bank)
     log_csv = args.log_csv or f"{args.out}.log.csv"
     metric_cols = [f"R@{k}" for k in ks_recall] + [f"pR@{k}" for k in ks_pair]

@@ -56,8 +56,10 @@ PREDICATE_NO_RELATION = 0
 # ints) and the N^2 x d activations of each gih layer (1.4 MiB each at d = 32). gih never forms A~ itself.
 MAX_SCENE_NODES = 76
 # The largest value of a spec field that sizes an array (a vocabulary or the appearance width), so that a
-# sidecar asking for more fails validation before anything is allocated. At this bound a rule table
-# (entity x entity ints) takes 8 MiB and a node's class logits 8 KiB; scene labels stay integers.
+# sidecar asking for more fails validation before anything is allocated. At this bound a node's class logits
+# take 8 KiB; scene labels stay integers. One array is still sized by a vocabulary squared: analyze's
+# co-occurrence table, n_predicate_categories x n_entity_categories^2 int64 (8 GiB at both caps), which
+# numpy may refuse, ending the command with the CLI's exit 2 "out of memory".
 MAX_SPEC_WIDTH = 1024
 
 # rng stream tags so the one corpus seed drives independent draws
@@ -338,28 +340,26 @@ class GeneratorSpec(ConfigSchema):
 class RuleTable:
     """Predicate rule g(subject category, object category, table index).
 
-    tables[t] maps ordered category pairs to predicate labels (0 means
-    unrelated). Tables beyond the first rotate the assignments of the
+    tables holds one dict per table, mapping each ordered related pair, (a, b)
+    and (b, a), to its predicate label; every other category pair is
+    unrelated (label 0), so a table holds 2 * related_pairs entries whatever
+    the vocabulary. Tables beyond the first rotate the assignments of the
     switched leading pairs among themselves and agree with the first table
     everywhere else, so all tables share one asymmetric/symmetric makeup.
     context_labels[t] is the entity category marking table t in a scene;
     it is empty when there is a single table and no marker.
     """
 
-    tables: np.ndarray  # [n_tables, n_ent, n_ent] of predicate labels
+    tables: list[dict[tuple[int, int], int]]
     related: list[tuple[int, int]] = field(default_factory=list)  # (a, b) with a < b
     context_labels: tuple[int, ...] = ()
 
-    @property
-    def table(self) -> np.ndarray:
-        return self.tables[0]
-
     def predicate(self, subj_cat: int, obj_cat: int, table: int = 0) -> int:
-        return int(self.tables[table, subj_cat, obj_cat])
+        return self.tables[table].get((subj_cat, obj_cat), PREDICATE_NO_RELATION)
 
     @property
     def asymmetric_related(self) -> list[tuple[int, int]]:
-        return [(a, b) for a, b in self.related if self.table[a, b] != self.table[b, a]]
+        return [(a, b) for a, b in self.related if self.predicate(a, b) != self.predicate(b, a)]
 
     @property
     def realized_asymmetric_fraction(self) -> float:
@@ -377,15 +377,12 @@ def build_rule(spec: GeneratorSpec) -> RuleTable:
     for asym in asym_flags:
         fwd = int(rng.integers(1, spec.n_predicate_categories))
         assignments.append((fwd, _other_label(rng, spec.n_predicate_categories, fwd) if asym else fwd))
-    n_tables = max(spec.context_categories, 1)
     switched = spec.context_switched_pairs
-    tables = np.zeros((n_tables, spec.n_entity_categories, spec.n_entity_categories), dtype=np.int64)
-    for t in range(n_tables):
+    tables = [{} for _ in range(max(spec.context_categories, 1))]
+    for t, table in enumerate(tables):
         for i, (a, b) in enumerate(pairs):
             src = (i + t) % switched if t and i < switched else i
-            fwd, bwd = assignments[src]
-            tables[t, a, b] = fwd
-            tables[t, b, a] = bwd
+            table[a, b], table[b, a] = assignments[src]
     context_labels = tuple(2 * spec.related_pairs + 1 + c for c in range(spec.context_categories))
     return RuleTable(tables, pairs, context_labels)
 

@@ -308,9 +308,9 @@ def total_loss(
     The attract/repel term clusters annotated relation edges; no-relation
     rows never get a reference of their own (they only serve as sampled
     negatives), so the background class cannot pull most of the batch toward
-    a single reference. The bank is read, never written; callers update it
-    after the backward pass. Negatives default to none, which drops the
-    repel half.
+    a single reference. It runs exactly when handed `negatives`, as `train`
+    decides; it reads the references, adds its skipped zero-norm pairs to
+    bank.skipped_pairs, and callers update the references after the backward pass.
     """
     if prep.node_labels.min(initial=0) < 0 or prep.node_labels.max(initial=0) >= config.n_entity_categories:
         raise ValueError(f"scene {prep.scene_id}: entity label outside [0, {config.n_entity_categories})")
@@ -323,19 +323,14 @@ def total_loss(
         loss_pred = _cross_entropy(out.edge_logits, prep.edge_labels, predicate_row_weights(prep.edge_labels))
         total = add(total, scale(loss_pred, config.w_predicate))
         parts[1] = loss_pred.item()
-        if config.w_ar != 0.0 and relation_rows(prep.edge_labels).size:
+        if negatives is not None:
             loss_ar = attract_repel_loss(
-                bank, out.edge_embeddings, prep.edge_labels, negatives or {},
+                bank, out.edge_embeddings, prep.edge_labels, negatives,
                 skip_category=PREDICATE_NO_RELATION,
             )
             total = add(total, scale(loss_ar, config.w_ar))
             parts[2] = loss_ar.item()
     return total, dict(zip(LOSS_COLUMNS, parts))
-
-
-def relation_rows(edge_labels: np.ndarray) -> np.ndarray:
-    """Indices of candidate edges carrying an annotated relation."""
-    return np.flatnonzero(np.asarray(edge_labels) != PREDICATE_NO_RELATION)
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +387,7 @@ def train(
     for epoch in range(1, config.epochs + 1):
         sums = np.zeros(len(LOSS_COLUMNS))
         for prep in preps:
-            use_ar = config.w_ar != 0.0 and relation_rows(prep.edge_labels).size > 0
+            use_ar = config.w_ar != 0.0 and prep.edge_labels.any()  # a relation edge: PREDICATE_NO_RELATION is 0
             try:
                 with Tape() as tape:
                     out = model.forward(prep)
@@ -418,8 +413,7 @@ def train(
                     p.grad = None
             sums += [parts[column] for column in LOSS_COLUMNS]
         entry = EpochLog(epoch, dict(zip(LOSS_COLUMNS, sums / len(preps))))
-        due = metrics_every > 0 and (epoch % metrics_every == 0 or epoch == config.epochs)
-        if due and eval_preps:
+        if eval_preps and (epoch % metrics_every == 0 or epoch == config.epochs):
             entry.metrics = evaluate(model, eval_preps, ks_recall, ks_pair)
         log.append(entry)
     return TrainResult(model, bank, log)

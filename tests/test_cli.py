@@ -443,8 +443,7 @@ def test_scene_without_edges_is_named(entry, corpus, checkpoint, tmp_path, capsy
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert f"scene {bare}:" in err
-    if entry != "train":
-        assert path in err
+    assert path in err
 
 
 @pytest.mark.parametrize("entry", ["eval --checkpoint", "train"])
@@ -477,7 +476,7 @@ def test_training_scene_without_nodes_is_one_error_line(variant, corpus, tmp_pat
     argv = ["train", "--corpus", path, "--out", str(tmp_path / "m.ckpt.json"), "--config", cfg,
             "--epochs", "1", "--holdout", "0"]
     assert main(argv) == 2
-    assert capsys.readouterr().err == f"error: scene {records[0].scene_id}: no nodes\n"
+    assert capsys.readouterr().err == f"error: {path}: scene {records[0].scene_id}: no nodes\n"
 
 
 @pytest.mark.parametrize("entry", ["train", "eval --checkpoint", "eval --predictions", "analyze", "br-build",
@@ -905,16 +904,29 @@ def test_corpus_spec_seed_has_no_upper_bound_and_broken_sidecar_is_named(corpus,
     assert "spec field seed must be a non-negative integer, got -1" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("where", ["label", "sidecar"])
+@pytest.mark.parametrize("where", ["label", "sidecar", "predicate"])
 def test_vocabulary_the_checkpoint_lacks_names_the_corpus(where, corpus, checkpoint, tmp_path, capsys):
+    """A label outside the vocabulary names the corpus; a predicate label outside the sidecar's does so in
+    train too."""
     if where == "sidecar":
         path = _corpus_with_spec(corpus, tmp_path, n_entity_categories=40)
-    else:
+    elif where == "label":
         records = read_scenes(corpus)[:3]
         records[1].nodes[0].label = 40
         path = _rewrite_corpus(corpus, str(tmp_path / "c.sgjsonl"), records)
+    else:
+        records = read_scenes(corpus)[:20]
+        records[3].edges[0].predicate = 9
+        path = _rewrite_corpus(corpus, str(tmp_path / "bad.sgjsonl"), records)
     assert main(["eval", "--corpus", path, "--checkpoint", checkpoint, "--out", str(tmp_path / "m.csv")]) == 2
-    assert capsys.readouterr().err.startswith(f"error: {path}: ")
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ")
+    if where == "predicate":
+        line = f"error: {path}: scene scene-00003: predicate label 9 outside the 7-category vocabulary\n"
+        assert err == line
+        assert main(["train", "--corpus", path, "--out", str(tmp_path / "m.ckpt.json"), "--epochs", "1",
+                     "--holdout", "10"]) == 2
+        assert capsys.readouterr().err == line
 
 
 def test_analyze_label_outside_the_sidecar_vocabulary_names_corpus_and_sidecar(corpus, tmp_path, capsys):

@@ -10,6 +10,7 @@ from helpers import appearance, class_logits
 from sggkit.data import (
     FIELD_TYPES,
     MAX_SCENE_NODES,
+    MAX_SPEC_WIDTH,
     Edge,
     GeneratorSpec,
     Node,
@@ -63,26 +64,26 @@ def test_rule_table_zero_outside_related_pairs():
     for s in range(spec.n_entity_categories):
         for o in range(spec.n_entity_categories):
             if (s, o) in related:
-                assert 1 <= rule.table[s, o] <= spec.n_predicate_categories - 1
+                assert 1 <= rule.predicate(s, o) <= spec.n_predicate_categories - 1
             else:
-                assert rule.table[s, o] == 0
+                assert rule.predicate(s, o) == 0
 
 
 def test_rule_asymmetric_pairs_use_distinct_directions():
     rule = build_rule(small_spec(seed=9))
     for a, b in rule.related:
         if (a, b) in rule.asymmetric_related:
-            assert rule.table[a, b] != rule.table[b, a]
+            assert rule.predicate(a, b) != rule.predicate(b, a)
         else:
-            assert rule.table[a, b] == rule.table[b, a]
+            assert rule.predicate(a, b) == rule.predicate(b, a)
 
 
 def test_rule_deterministic_and_seed_sensitive():
-    t1 = build_rule(small_spec(seed=5)).table
-    t2 = build_rule(small_spec(seed=5)).table
-    t3 = build_rule(small_spec(seed=6)).table
-    assert np.array_equal(t1, t2)
-    assert not np.array_equal(t1, t3)
+    t1 = build_rule(small_spec(seed=5)).tables[0]
+    t2 = build_rule(small_spec(seed=5)).tables[0]
+    t3 = build_rule(small_spec(seed=6)).tables[0]
+    assert t1 == t2
+    assert t1 != t3
 
 
 # ---------------------------------------------------------------------------
@@ -108,16 +109,16 @@ def context_spec(**kw):
 def test_context_tables_rotate_the_switched_pairs():
     spec = context_spec()  # switches all five pairs by default
     rule = build_rule(spec)
-    assert rule.tables.shape == (2, 13, 13)
+    assert len(rule.tables) == 2
     assert rule.context_labels == (11, 12)
     pairs = rule.related
     for t in range(1, 2):
         for i, (a, b) in enumerate(pairs):
             a2, b2 = pairs[(i + t) % len(pairs)]
-            assert rule.tables[t, a, b] == rule.tables[0, a2, b2]
-            assert rule.tables[t, b, a] == rule.tables[0, b2, a2]
+            assert rule.predicate(a, b, t) == rule.predicate(a2, b2, 0)
+            assert rule.predicate(b, a, t) == rule.predicate(b2, a2, 0)
     # rotation moves at least one pair's assignment
-    assert not np.array_equal(rule.tables[0], rule.tables[1])
+    assert rule.tables[0] != rule.tables[1]
 
 
 def test_context_partial_switch_leaves_other_pairs_alone():
@@ -125,14 +126,14 @@ def test_context_partial_switch_leaves_other_pairs_alone():
     pairs = rule.related
     for i, (a, b) in enumerate(pairs):
         a2, b2 = pairs[(i + 1) % 2] if i < 2 else (a, b)
-        assert rule.tables[1, a, b] == rule.tables[0, a2, b2]
-        assert rule.tables[1, b, a] == rule.tables[0, b2, a2]
+        assert rule.predicate(a, b, 1) == rule.predicate(a2, b2, 0)
+        assert rule.predicate(b, a, 1) == rule.predicate(b2, a2, 0)
 
 
 def test_context_tables_share_asymmetric_makeup():
     rule = build_rule(context_spec(seed=11))
     for t in range(2):
-        asym = sum(rule.tables[t, a, b] != rule.tables[t, b, a] for a, b in rule.related)
+        asym = sum(rule.predicate(a, b, t) != rule.predicate(b, a, t) for a, b in rule.related)
         assert asym == len(rule.asymmetric_related)
 
 
@@ -167,10 +168,21 @@ def test_context_marker_is_never_a_rule_endpoint():
 def test_context_zero_keeps_single_table_and_no_marker():
     spec = small_spec()
     rule = build_rule(spec)
-    assert rule.tables.shape[0] == 1
+    assert len(rule.tables) == 1
     assert rule.context_labels == ()
     for rec in generate(spec):
         assert all(n.label <= 2 * spec.related_pairs for n in rec.nodes)
+
+
+def test_rule_at_the_width_cap_holds_only_the_related_pairs():
+    """1,021 context tables over a 1,024-category vocabulary, the most GeneratorSpec.validate allows: each
+    table holds its pairs' two directions and nothing sized by the vocabulary."""
+    spec = GeneratorSpec(n_entity_categories=MAX_SPEC_WIDTH, related_pairs=1, context_categories=1021,
+                         context_switched_pairs=1, nodes_per_scene=3, n_scenes=5)
+    rule = build_rule(spec)
+    assert len(rule.tables) == 1021
+    assert all(len(table) == 2 * spec.related_pairs for table in rule.tables)
+    assert len(generate(spec, rule)) == 5
 
 
 def test_context_validation():

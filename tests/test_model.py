@@ -451,6 +451,9 @@ def test_loss_rejects_out_of_range_labels():
     small = tiny_config(n_entity_categories=3)
     with pytest.raises(ValueError, match="entity label"):
         total_loss(out, prep, ReferenceBank(5, 8), small)
+    relabeled = replace(prep, edge_labels=np.where(prep.edge_labels > 0, 5, 0))
+    with pytest.raises(ValueError, match=rf"scene {prep.scene_id}: predicate label outside \[0, 5\)"):
+        total_loss(out, relabeled, ReferenceBank(5, 8), tiny_config())
 
 
 def test_end_to_end_gradients_on_three_node_six_edge_toy():
@@ -484,15 +487,8 @@ def test_end_to_end_gradients_on_three_node_six_edge_toy():
 # training
 
 
-def test_default_training_step_records_27_entries():
-    """One step of the default model at the CLI-default N = 6: 27 records, 20 without the AR term.
-
-    Each affine layer outside fusion is one linear_map record: the node and
-    union maps and the two heads. LIH is one lih record, parallel fusion
-    (both psi layers over all three arrangements) one arranged_mlp record,
-    GIH's four layers one gih record, and the AR cosines one cosine_rows
-    record.
-    """
+def _default_step_inputs():
+    """The default model, a CLI-default N = 6 scene, and a bank that has absorbed that scene once."""
     spec = GeneratorSpec(n_scenes=4)
     prep = prepare_scene(generate(spec)[0], spec)
     assert prep.node_inputs.shape[0] == 6
@@ -502,6 +498,19 @@ def test_default_training_step_records_27_entries():
     update_references(bank, model.forward(prep).edge_embeddings.data, prep.edge_labels,
                       sample_negatives(bank, prep.edge_labels, skip_category=PREDICATE_NO_RELATION),
                       skip_category=PREDICATE_NO_RELATION)  # give the AR term references to compare with
+    return prep, cfg, model, bank
+
+
+def test_default_training_step_records_27_entries():
+    """One step of the default model at the CLI-default N = 6: 27 records, 20 without the AR term.
+
+    Each affine layer outside fusion is one linear_map record: the node and
+    union maps and the two heads. LIH is one lih record, parallel fusion
+    (both psi layers over all three arrangements) one arranged_mlp record,
+    GIH's four layers one gih record, and the AR cosines one cosine_rows
+    record.
+    """
+    prep, cfg, model, bank = _default_step_inputs()
     with Tape() as tape:
         out = model.forward(prep)
         negatives = sample_negatives(bank, prep.edge_labels, skip_category=PREDICATE_NO_RELATION)
@@ -517,6 +526,17 @@ def test_default_training_step_records_27_entries():
     with Tape() as no_ar:
         total_loss(model.forward(prep), prep, bank, replace(cfg, w_ar=0.0), None)
     assert len(no_ar.records) == 20
+
+
+def test_total_loss_runs_the_ar_term_only_when_handed_negatives():
+    """train decides the AR term: with w_ar on, a relation edge in the scene and references to compare
+    with, total_loss without negatives records the 20 entries of a step without AR and reads L_ar 0."""
+    prep, cfg, model, bank = _default_step_inputs()
+    assert cfg.w_ar != 0.0 and prep.edge_labels.any() and bank.counts.any()
+    with Tape() as tape:
+        _, parts = total_loss(model.forward(prep), prep, bank, cfg, None)
+    assert parts["L_ar"] == 0.0
+    assert len(tape.records) == 20
 
 
 def _step_bytes(cfg, prep, bank):

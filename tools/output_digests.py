@@ -18,6 +18,11 @@ dropped read one per config field), so each checkout runs the same configs:
   where the gih product's float order departs most from a dense one; the
   parallel-gih-lih and parallel-none-lih models train and evaluate on it as
   above (``--holdout 4``), under ``n17/``;
+* every other generated corpus has two context tables, so its rotation of
+  the switched pairs moves by one and never wraps; ``generate`` also writes
+  a 60-scene corpus with six context tables and five switched pairs over 40
+  entity categories (seed 521), under ``rotation/``, whose scenes use all six
+  tables and whose table 5 wraps back to table 0's assignments;
 * ``eval --checkpoint`` of the parallel-gih-lih model, constrained and
   ``--unconstrained`` with ``--dump-predictions``, on a stress copy of the
   corpus: its sidecar sets a corpus seed beyond 2**32, ``logit_flip_rate``
@@ -206,6 +211,10 @@ def sweep(main) -> None:
     run(main, ["generate", "--out", "n17/corpus.sgjsonl", "--config", "n17/gen.cfg", "--seed", "517"])
     for tag in N17_TAGS:
         train_and_evaluate(main, "n17/corpus.sgjsonl", tag, 4)
+    os.mkdir("rotation")
+    with open("rotation/gen.cfg", "w", encoding="utf-8") as fh:
+        fh.write("n_entity_categories = 40\ncontext_categories = 6\ncontext_switched_pairs = 5\nn_scenes = 60\n")
+    run(main, ["generate", "--out", "rotation/corpus.sgjsonl", "--config", "rotation/gen.cfg", "--seed", "521"])
     os.mkdir("stress")
     write_stress_corpus("corpus.sgjsonl", "stress/corpus.sgjsonl")
     evaluate(main, "stress/corpus.sgjsonl", "parallel-gih-lih/model.ckpt.json", "stress", rescore=False)
