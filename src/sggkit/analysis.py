@@ -28,16 +28,17 @@ class CooccurrenceTable:
     """Counts of (predicate, ordered entity-category pair) co-occurrences.
 
     Row i holds predicate i's counts over all n_entities**2 ordered pairs;
-    column index is subject_category * n_entities + object_category.
+    column index is subject_category * n_entities + object_category. Only
+    the nonzero cells of the predicates that occur are kept.
     """
 
     n_entities: int
     n_predicates: int
-    counts: np.ndarray  # [n_predicates, n_entities**2], nonnegative ints
+    counts: dict[int, Counter[int]]  # predicate -> column -> positive count, sized by the corpus
 
     @classmethod
     def from_scenes(cls, records: list[SceneRecord], n_entities: int, n_predicates: int) -> "CooccurrenceTable":
-        counts = np.zeros((n_predicates, n_entities * n_entities), dtype=np.int64)
+        counts: defaultdict[int, Counter[int]] = defaultdict(Counter)
         for rec in records:
             labels = {n.id: n.label for n in rec.nodes}
             for e in rec.edges:
@@ -46,8 +47,8 @@ class CooccurrenceTable:
                     raise ValueError(f"scene {rec.scene_id}: entity label outside [0, {n_entities})")
                 if not 0 <= e.predicate < n_predicates:
                     raise ValueError(f"scene {rec.scene_id}: predicate label outside [0, {n_predicates})")
-                counts[e.predicate, s_cat * n_entities + o_cat] += 1
-        return cls(n_entities, n_predicates, counts)
+                counts[e.predicate][s_cat * n_entities + o_cat] += 1
+        return cls(n_entities, n_predicates, dict(counts))
 
     def _check_predicate(self, i: int) -> None:
         if not 0 <= i < self.n_predicates:
@@ -57,21 +58,26 @@ class CooccurrenceTable:
 def intra_class_variance(table: CooccurrenceTable, predicate: int) -> float:
     """Population variance of one predicate's counts over all entity pairs."""
     table._check_predicate(predicate)
-    row = table.counts[predicate].astype(float)
+    cells = table.counts.get(predicate)
+    if not cells:
+        return 0.0  # the dense row's arithmetic on an all-zero row
+    row = np.zeros(table.n_entities * table.n_entities)  # one dense row at a time
+    row[list(cells)] = list(cells.values())
     return float(np.mean((row - row.mean()) ** 2))
 
 
 def inter_class_distance(table: CooccurrenceTable, i: int, j: int) -> float:
     """L1 distance between two predicate rows, normalized by the geometric
-    mean of their total counts."""
+    mean of their total counts. Integer sums are exact, so the nonzero cells
+    give the dense rows' floats."""
     table._check_predicate(i)
     table._check_predicate(j)
-    fi = table.counts[i].astype(float)
-    fj = table.counts[j].astype(float)
-    si, sj = fi.sum(), fj.sum()
-    if si == 0.0 or sj == 0.0:
-        raise ValueError(f"predicate row {i if si == 0.0 else j} has no occurrences, distance undefined")
-    return float(np.abs(fi - fj).sum() / (np.sqrt(si) * np.sqrt(sj)))
+    ci, cj = table.counts.get(i, Counter()), table.counts.get(j, Counter())
+    si, sj = ci.total(), cj.total()
+    if si == 0 or sj == 0:
+        raise ValueError(f"predicate row {i if si == 0 else j} has no occurrences, distance undefined")
+    l1 = sum(abs(ci[c] - cj[c]) for c in ci.keys() | cj.keys())
+    return float(l1 / (np.sqrt(si) * np.sqrt(sj)))
 
 
 # ---------------------------------------------------------------------------

@@ -341,11 +341,11 @@ def cmd_train(args) -> dict:
     return asdict(config)
 
 
-def _scene_rows(scene_id, counts: dict[int, HitCounts], ks_recall, ks_pair) -> list[list]:
-    """One scene's CSV rows from its counts at each k."""
-    rows = [[scene_id, "R", k, counts[k].recall] for k in ks_recall]
-    rows += [[scene_id, "mR", k, counts[k].mean_recall] for k in ks_recall]
-    rows += [[scene_id, "pR", k, counts[k].pair_recall] for k in ks_pair if counts[k].pairs[1]]
+def _scene_rows(scene_id, counts: HitCounts, ks_recall, ks_pair) -> list[list]:
+    """One scene's CSV rows, read from its one count at each k."""
+    rows = [[scene_id, "R", k, counts.recall(k)] for k in ks_recall]
+    rows += [[scene_id, "mR", k, counts.mean_recall(k)] for k in ks_recall]
+    rows += [[scene_id, "pR", k, counts.pair_recall(k)] for k in ks_pair if counts.pairs]
     return rows
 
 
@@ -381,13 +381,12 @@ def cmd_eval(args) -> dict:
             raise ValueError(f"{args.predictions}: no predictions for scenes {missing[:5]}")
         ranked_lists = [rank_triplets(predictions[r.scene_id]) for r in records]
 
-    ks = dict.fromkeys((*ks_recall, *ks_pair))
-    counts = [{k: count_hits(ranked, gt, k) for k in ks} for ranked, gt in zip(ranked_lists, graphs)]
-    rows = [row for r, by_k in zip(records, counts) for row in _scene_rows(r.scene_id, by_k, ks_recall, ks_pair)]
-    aggregate = [["ALL", "R", k, corpus_recall_at_k([c[k] for c in counts])] for k in ks_recall]
-    aggregate += [["ALL", "mR", k, mean_recall_at_k([c[k] for c in counts])] for k in ks_recall]
+    counts = [count_hits(ranked, gt, max((*ks_recall, *ks_pair))) for ranked, gt in zip(ranked_lists, graphs)]
+    rows = [row for r, c in zip(records, counts) for row in _scene_rows(r.scene_id, c, ks_recall, ks_pair)]
+    aggregate = [["ALL", "R", k, corpus_recall_at_k(counts, k)] for k in ks_recall]
+    aggregate += [["ALL", "mR", k, mean_recall_at_k(counts, k)] for k in ks_recall]
     if any(g.bidirectional_pairs for g in graphs):
-        aggregate += [["ALL", "pR", k, corpus_pairwise_recall_at_k([c[k] for c in counts])] for k in ks_pair]
+        aggregate += [["ALL", "pR", k, corpus_pairwise_recall_at_k(counts, k)] for k in ks_pair]
     _write_csv(args.out, ["scene_id", "metric", "k", "value"], rows + aggregate)
     if args.dump_predictions:
         write_predictions(args.dump_predictions, {r.scene_id: ranked for r, ranked in zip(records, ranked_lists)})
@@ -413,7 +412,7 @@ def cmd_analyze(args) -> dict:
         raise ValueError(f"{args.corpus}: {exc}, the vocabulary of sidecar {args.corpus}.meta.json") from exc
     # every row is computed before the first file is written, so a rejected input leaves no partial output
     variance_rows = [[p, intra_class_variance(table, p)] for p in range(n_pred)]
-    nonzero = [p for p in range(n_pred) if table.counts[p].sum() > 0]
+    nonzero = sorted(table.counts)
     distance_rows = [[i, j, inter_class_distance(table, i, j)] for i, j in itertools.combinations(nonzero, 2)]
     curve_rows = []
     for conditioning in ((), ("head",), ("tail",), ("head", "tail")):

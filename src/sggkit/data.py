@@ -57,9 +57,9 @@ PREDICATE_NO_RELATION = 0
 MAX_SCENE_NODES = 76
 # The largest value of a spec field that sizes an array (a vocabulary or the appearance width), so that a
 # sidecar asking for more fails validation before anything is allocated. At this bound a node's class logits
-# take 8 KiB; scene labels stay integers. One array is still sized by a vocabulary squared: analyze's
-# co-occurrence table, n_predicate_categories x n_entity_categories^2 int64 (8 GiB at both caps), which
-# numpy may refuse, ending the command with the CLI's exit 2 "out of memory".
+# take 8 KiB; scene labels stay integers. The one array sized by a vocabulary squared is a predicate's
+# dense row of analyze's co-occurrence table, n_entity_categories^2 floats (8 MiB at the cap), built only
+# while its variance is read.
 MAX_SPEC_WIDTH = 1024
 
 # rng stream tags so the one corpus seed drives independent draws

@@ -5,11 +5,12 @@ matches when its node ids and predicate equal a ground-truth triplet's; node
 labels play no part, and there is no box matching because evaluation assumes
 ground-truth entities are given.
 
-Three metrics, all read from one count per scene and k: `count_hits` builds
-the top-k set of a ranked list (as returned by `rank_triplets` or
-`ranked_from_scores`) and counts the hits per predicate category and the
-matched bidirectional pairs. Per-scene values are `HitCounts` properties and
-corpus values reduce a list of counts; nothing ranks a list again.
+Three metrics, all read from one scan per scene: `count_hits` records where
+each ground-truth triplet first appears among the first k_max of a ranked list
+(as returned by `rank_triplets` or `ranked_from_scores`), stopping once all
+have appeared; a triplet is in the top k when that position is below k.
+Per-scene values are `HitCounts` methods and corpus values reduce a list of
+counts, both at any k <= k_max; nothing ranks or scans a list again.
   * R@k: fraction of ground-truth triplets found in the top-k; the corpus
     value `corpus_recall_at_k` is the mean over scenes.
   * mR@k: recall per predicate category, averaged without frequency
@@ -21,6 +22,7 @@ corpus values reduce a list of counts; nothing ranks a list again.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,84 +71,93 @@ class GroundTruthGraph:
 
 @dataclass(frozen=True, slots=True)
 class HitCounts:
-    """One scene's ground truth found among the first k of its ranked list.
+    """Where one scene's ground truth first appears among the first k_max of its ranked list.
 
-    categories maps each predicate category to (hits, ground-truth triplets),
-    in the iteration order of `GroundTruthGraph.triplets`; pairs is
-    (matched, total) over the scene's bidirectional pairs.
+    categories maps each predicate category to the sorted 0-based first
+    positions of its ground-truth triplets, in the iteration order of
+    `GroundTruthGraph.triplets`; pairs holds, sorted, the position by which
+    both directions of each bidirectional pair have appeared. What the scan
+    did not find sits at k_max, so the hits at k are the positions below k.
     """
 
-    categories: dict[int, tuple[int, int]]
-    pairs: tuple[int, int]
+    categories: dict[int, list[int]]
+    pairs: list[int]
+    k_max: int
 
-    @property
-    def recall(self) -> float:
+    def hits(self, positions: list[int], k: int) -> int:
+        """How many of these sorted positions lie among the first k."""
+        if not 1 <= k <= self.k_max:
+            raise ValueError(f"k must be between 1 and the {self.k_max} ranks counted, got {k}")
+        return bisect_left(positions, k)
+
+    def recall(self, k: int) -> float:
         """R@k: fraction of the scene's ground-truth triplets that were hit."""
         if not self.categories:
             raise ValueError("recall is undefined for a scene with no ground-truth triplets")
-        hits = sum(h for h, _ in self.categories.values())
-        return hits / sum(t for _, t in self.categories.values())
+        found = self.categories.values()
+        return sum([self.hits(f, k) for f in found]) / sum(map(len, found))
 
-    @property
-    def mean_recall(self) -> float:
+    def mean_recall(self, k: int) -> float:
         """mR@k of this scene alone: unweighted mean of its per-category recall."""
         if not self.categories:
             raise ValueError("recall is undefined for a scene with no ground-truth triplets")
-        per_cat = [hit / total for hit, total in self.categories.values()]
-        return sum(per_cat) / len(per_cat)
+        found = self.categories.values()
+        return sum([self.hits(f, k) / len(f) for f in found]) / len(found)
 
-    @property
-    def pair_recall(self) -> float:
+    def pair_recall(self, k: int) -> float:
         """pR@k: fraction of bidirectional pairs with both directions hit."""
-        matched, total = self.pairs
-        if not total:
+        if not self.pairs:
             raise ValueError("pairwise recall is undefined without bidirectional pairs")
-        return matched / total
+        return self.hits(self.pairs, k) / len(self.pairs)
 
 
-def count_hits(ranked: list[ScoredTriplet], gt: GroundTruthGraph, k: int) -> HitCounts:
-    """Count the scene's ground truth among the first k of the ranked list; the one top-k set."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    top = {(s, o, p) for s, o, p, _ in ranked[:k]}
-    categories: dict[int, tuple[int, int]] = {}
-    for trip in gt.triplets:
-        hit, total = categories.get(trip[2], (0, 0))
-        categories[trip[2]] = (hit + (trip in top), total + 1)
-    matched = sum((i, j, gt.edges[(i, j)]) in top and (j, i, gt.edges[(j, i)]) in top
-                  for i, j in gt.bidirectional_pairs)
-    return HitCounts(categories, (matched, len(gt.bidirectional_pairs)))
+def count_hits(ranked: list[ScoredTriplet], gt: GroundTruthGraph, k_max: int) -> HitCounts:
+    """Scan the first k_max of the ranked list once for the scene's ground truth; the one count per scene."""
+    if k_max < 1:
+        raise ValueError(f"k must be >= 1, got {k_max}")
+    wanted, first = gt.triplets, {}
+    for pos, (s, o, p, _) in enumerate(ranked[:k_max]):
+        if (s, o, p) in wanted:
+            first.setdefault((s, o, p), pos)  # a repeated triplet keeps its first position
+            if len(first) == len(wanted):
+                break
+    categories: dict[int, list[int]] = {}
+    for trip in wanted:
+        insort(categories.setdefault(trip[2], []), first.get(trip, k_max))
+    pairs = sorted(max(first.get((i, j, gt.edges[(i, j)]), k_max), first.get((j, i, gt.edges[(j, i)]), k_max))
+                   for i, j in gt.bidirectional_pairs)
+    return HitCounts(categories, pairs, k_max)
 
 
-def corpus_recall_at_k(counts: list[HitCounts]) -> float:
-    """Mean of per-scene recall (every scene weighted equally)."""
+def corpus_recall_at_k(counts: list[HitCounts], k: int) -> float:
+    """Mean of per-scene recall at k (every scene weighted equally)."""
     if not counts:
         raise ValueError("need at least one scene")
-    return float(np.mean([c.recall for c in counts]))
+    return float(np.mean([c.recall(k) for c in counts]))
 
 
-def mean_recall_at_k(counts: list[HitCounts]) -> float:
-    """Unweighted mean of per-predicate-category recall.
+def mean_recall_at_k(counts: list[HitCounts], k: int) -> float:
+    """Unweighted mean of per-predicate-category recall at k.
 
     Each category's recall pools its ground-truth triplets across scenes;
     categories absent from the ground truth do not contribute.
     """
     totals: dict[int, list[int]] = {}
     for c in counts:
-        for cat, (hit, tot) in c.categories.items():
+        for cat, found in c.categories.items():
             agg = totals.setdefault(cat, [0, 0])
-            agg[0] += hit
-            agg[1] += tot
+            agg[0] += c.hits(found, k)
+            agg[1] += len(found)
     if not totals:
         raise ValueError("mean recall is undefined with no ground-truth triplets")
     # fixed category order so the average does not depend on insertion order
     return float(np.mean([totals[c][0] / totals[c][1] for c in sorted(totals)]))
 
 
-def corpus_pairwise_recall_at_k(counts: list[HitCounts]) -> float:
-    """Matched bidirectional pairs over total pairs, pooled across scenes."""
-    matched = sum(c.pairs[0] for c in counts)
-    total = sum(c.pairs[1] for c in counts)
+def corpus_pairwise_recall_at_k(counts: list[HitCounts], k: int) -> float:
+    """Matched bidirectional pairs at k over total pairs, pooled across scenes."""
+    matched = sum(c.hits(c.pairs, k) for c in counts)
+    total = sum(len(c.pairs) for c in counts)
     if total == 0:
         raise ValueError("pairwise recall is undefined without bidirectional pairs")
     return matched / total

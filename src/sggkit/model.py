@@ -452,15 +452,14 @@ def evaluate(
         raise ValueError("evaluation needs at least one scene")
     preds = [predict_scene(model, prep) for prep in preps]
     gts = [GroundTruthGraph.from_scene(prep.record) for prep in preps]
-    ks = dict.fromkeys((*ks_recall, *ks_pair))
-    counts = [{k: count_hits(pred, gt, k) for k in ks} for pred, gt in zip(preds, gts)]
+    counts = [count_hits(pred, gt, max((*ks_recall, *ks_pair))) for pred, gt in zip(preds, gts)]
     out: dict[str, float] = {}
     for k in ks_recall:
-        out[f"R@{k}"] = corpus_recall_at_k([c[k] for c in counts])
-        out[f"mR@{k}"] = mean_recall_at_k([c[k] for c in counts])
+        out[f"R@{k}"] = corpus_recall_at_k(counts, k)
+        out[f"mR@{k}"] = mean_recall_at_k(counts, k)
     if any(gt.bidirectional_pairs for gt in gts):
         for k in ks_pair:
-            out[f"pR@{k}"] = corpus_pairwise_recall_at_k([c[k] for c in counts])
+            out[f"pR@{k}"] = corpus_pairwise_recall_at_k(counts, k)
     return out
 
 

@@ -1,3 +1,5 @@
+from collections import Counter, defaultdict
+
 import numpy as np
 import pytest
 
@@ -12,8 +14,10 @@ from sggkit.data import Edge, GeneratorSpec, Node, SceneRecord, build_rule, gene
 
 
 def table_from_rows(rows, n_entities=2):
-    counts = np.asarray(rows, dtype=np.int64)
-    return CooccurrenceTable(n_entities, counts.shape[0], counts)
+    """The table whose dense predicate rows are rows: each nonzero row's nonzero cells."""
+    rows = np.asarray(rows, dtype=np.int64)
+    counts = {p: Counter({c: int(v) for c, v in enumerate(row) if v}) for p, row in enumerate(rows) if row.any()}
+    return CooccurrenceTable(n_entities, rows.shape[0], counts)
 
 
 def two_node_scene(scene_id, head_label, tail_label, fwd, bwd=None):
@@ -89,13 +93,23 @@ def test_table_from_scenes_matches_brute_count():
     )
     records = generate(spec)
     table = CooccurrenceTable.from_scenes(records, 11, 5)
-    brute = np.zeros((5, 121), dtype=np.int64)
+    brute = defaultdict(Counter)
     for rec in records:
         labels = {n.id: n.label for n in rec.nodes}
         for e in rec.edges:
-            brute[e.predicate, labels[e.subject] * 11 + labels[e.object]] += 1
-    np.testing.assert_array_equal(table.counts, brute)
-    assert table.counts.sum() == 2 * 60
+            brute[e.predicate][labels[e.subject] * 11 + labels[e.object]] += 1
+    assert table.counts == brute
+    assert sum(cells.total() for cells in table.counts.values()) == 2 * 60
+    # the dense rows' arithmetic, which the sparse table must reproduce to the last bit
+    dense = np.zeros((5, 121))
+    for p, cells in brute.items():
+        dense[p, list(cells)] = list(cells.values())
+    for p in range(5):
+        assert intra_class_variance(table, p) == float(np.mean((dense[p] - dense[p].mean()) ** 2))
+    for i in brute:
+        for j in brute:
+            expected = np.abs(dense[i] - dense[j]).sum() / (np.sqrt(dense[i].sum()) * np.sqrt(dense[j].sum()))
+            assert inter_class_distance(table, i, j) == float(expected)
 
 
 def test_table_rejects_out_of_range_labels():

@@ -401,12 +401,12 @@ def test_eval_checkpoint_matches_library_metrics(corpus, checkpoint, tmp_path):
     records = read_scenes(corpus)
     graphs = [GroundTruthGraph.from_scene(r) for r in records]
     ranked = [rank_triplets(read_predictions(dumped)[r.scene_id]) for r in records]
-    counts = {k: [count_hits(r, g, k) for r, g in zip(ranked, graphs)] for k in (2, 4, 20)}
+    counts = [count_hits(r, g, 20) for r, g in zip(ranked, graphs)]
     agg = {(r[1], int(r[2])): float(r[3]) for r in _read_csv(out)[1:] if r[0] == "ALL"}
-    np.testing.assert_allclose(agg[("R", 4)], corpus_recall_at_k(counts[4]))
-    np.testing.assert_allclose(agg[("R", 20)], corpus_recall_at_k(counts[20]))
-    np.testing.assert_allclose(agg[("mR", 4)], mean_recall_at_k(counts[4]))
-    np.testing.assert_allclose(agg[("pR", 2)], corpus_pairwise_recall_at_k(counts[2]))
+    np.testing.assert_allclose(agg[("R", 4)], corpus_recall_at_k(counts, 4))
+    np.testing.assert_allclose(agg[("R", 20)], corpus_recall_at_k(counts, 20))
+    np.testing.assert_allclose(agg[("mR", 4)], mean_recall_at_k(counts, 4))
+    np.testing.assert_allclose(agg[("pR", 2)], corpus_pairwise_recall_at_k(counts, 2))
 
 
 def test_eval_direction_blind_checkpoint_has_zero_pair_recall(tmp_path):
@@ -605,13 +605,13 @@ def test_each_scene_is_ranked_once(corpus, checkpoint, tmp_path, monkeypatch):
     assert calls == []
 
 
-def test_each_scene_and_k_is_counted_once(corpus, checkpoint, tmp_path, monkeypatch):
+def test_each_scene_is_counted_once(corpus, checkpoint, tmp_path, monkeypatch):
     calls = []
     count = sggkit.metrics.count_hits
 
-    def counted(ranked, gt, k):
-        calls.append(k)
-        return count(ranked, gt, k)
+    def counted(ranked, gt, k_max):
+        calls.append(k_max)
+        return count(ranked, gt, k_max)
 
     monkeypatch.setattr(sggkit.cli, "count_hits", counted)
     monkeypatch.setattr(sggkit.model, "count_hits", counted)
@@ -620,14 +620,14 @@ def test_each_scene_and_k_is_counted_once(corpus, checkpoint, tmp_path, monkeypa
     preds = _ground_truth_predictions(str(tmp_path / "gt.pred.jsonl"), records)
     assert main(["eval", "--corpus", small, "--predictions", preds, "--out", str(tmp_path / "m.csv"),
                  "--ks-recall", "2,4", "--ks-pair", "2,4,8"]) == 0
-    assert sorted(calls) == [2] * 12 + [4] * 12 + [8] * 12
+    assert calls == [8] * 12
 
     calls.clear()
     model, _ = load_checkpoint(checkpoint)
     with open(f"{corpus}.meta.json") as fh:
         fp = GeneratorSpec.from_dict(json.load(fh)["spec"])
     evaluate(model, [prepare_scene(r, fp) for r in records], (2, 4), (2, 4, 8))
-    assert sorted(calls) == [2] * 12 + [4] * 12 + [8] * 12
+    assert calls == [8] * 12
 
 
 def test_eval_rerun_is_byte_identical(corpus, checkpoint, tmp_path):
@@ -1348,6 +1348,19 @@ def test_analyze_writes_distance_and_guess_curves(corpus, tmp_path):
     assert set(by_label) == {"", "head", "tail", "head+tail"}
     for fractions in by_label.values():
         assert fractions == sorted(fractions)  # top-k curves never decrease
+
+
+def test_analyze_at_the_width_cap_counts_only_the_cells_that_occur(tmp_path):
+    """Both vocabularies at the 1,024 cap: a dense co-occurrence table would take 8 GiB of int64."""
+    cfg = tmp_path / "gen.cfg"
+    cfg.write_text(f"n_entity_categories = {MAX_SPEC_WIDTH}\nn_predicate_categories = {MAX_SPEC_WIDTH}\n"
+                   "nodes_per_scene = 3\nn_scenes = 5\n")
+    corpus = str(tmp_path / "wide.sgjsonl")
+    assert main(["generate", "--out", corpus, "--config", str(cfg)]) == 0
+    out_dir = str(tmp_path / "analysis")
+    assert main(["analyze", "--corpus", corpus, "--out-dir", out_dir]) == 0
+    assert len(_read_csv(os.path.join(out_dir, "variance.csv"))) == 1 + MAX_SPEC_WIDTH
+    assert len(_read_csv(os.path.join(out_dir, "distance.csv"))) > 1
 
 
 def test_br_build_without_bidirectional_pairs_is_rejected(tmp_path, capsys):

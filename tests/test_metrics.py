@@ -30,16 +30,16 @@ def graph(edges):
 
 
 def recall(pred, gt, k):
-    return count_hits(pred, gt, k).recall
+    return count_hits(pred, gt, k).recall(k)
 
 
 def pair_recall(pred, gt, k):
-    return count_hits(pred, gt, k).pair_recall
+    return count_hits(pred, gt, k).pair_recall(k)
 
 
 def corpus(metric, preds, gts, k):
     """A corpus metric over the scenes' counts at k."""
-    return metric([count_hits(pred, gt, k) for pred, gt in zip(preds, gts)])
+    return metric([count_hits(pred, gt, k) for pred, gt in zip(preds, gts)], k)
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +103,7 @@ def test_mean_recall_unweighted_over_categories():
     gt = graph([(0, 1, 1), (1, 2, 1), (2, 0, 1), (0, 2, 2)])
     pred = [(0, 1, 1, 0.9), (1, 2, 1, 0.8), (2, 0, 1, 0.7)]
     assert corpus(mean_recall_at_k, [pred], [gt], 10) == 0.5
-    assert count_hits(pred, gt, 10).mean_recall == 0.5
+    assert count_hits(pred, gt, 10).mean_recall(10) == 0.5
 
 
 def test_mean_recall_single_category_equals_recall():
@@ -293,7 +293,7 @@ def test_mean_recall_matches_brute_force_on_random_corpora():
                 brute_mean_recall(preds, gts, k),
                 atol=1e-12,
             )
-            np.testing.assert_allclose(count_hits(rank_triplets(preds[0]), gts[0], k).mean_recall,
+            np.testing.assert_allclose(count_hits(rank_triplets(preds[0]), gts[0], k).mean_recall(k),
                                        brute_mean_recall(preds[:1], gts[:1], k), atol=1e-12)
 
 
@@ -308,3 +308,66 @@ def test_corpus_aggregates():
         corpus(corpus_recall_at_k, [pred1], [GroundTruthGraph({}, [])], 2)
     with pytest.raises(ValueError, match="pairwise recall is undefined"):
         corpus(corpus_pairwise_recall_at_k, [pred1], [graph([(0, 1, 1)])], 2)
+
+
+# ---------------------------------------------------------------------------
+# the one-pass count against the per-k top-k set it replaced
+
+
+def top_k_oracle(ranked, gt, k):
+    """One scene's (per-category (hits, total) in triplet order, matched pairs) from the set of ranked[:k]."""
+    top = {(s, o, p) for s, o, p, _ in ranked[:k]}
+    categories = {}
+    for trip in gt.triplets:
+        hit, total = categories.get(trip[2], (0, 0))
+        categories[trip[2]] = (hit + (trip in top), total + 1)
+    matched = sum((i, j, gt.edges[(i, j)]) in top and (j, i, gt.edges[(j, i)]) in top
+                  for i, j in gt.bidirectional_pairs)
+    return categories, matched
+
+
+@st.composite
+def ranked_corpora(draw):
+    """Scenes with several categories and bidirectional pairs, each with a ranked list that repeats
+    triplets and ties scores, plus a k_max that may reach past every list."""
+    scenes = []
+    for _ in range(draw(st.integers(1, 4))):
+        n_nodes, n_pred = draw(st.integers(2, 5)), draw(st.integers(1, 4))
+        ordered = [(s, o) for s in range(n_nodes) for o in range(n_nodes) if s != o]
+        annotated = draw(st.lists(st.sampled_from(ordered), min_size=1, unique=True))
+        gt = graph([(s, o, draw(st.integers(1, n_pred))) for s, o in annotated])
+        triplet = st.sampled_from(sorted(gt.triplets)) | st.tuples(
+            st.integers(0, n_nodes - 1), st.integers(0, n_nodes - 1), st.integers(1, n_pred))
+        listed = draw(st.lists(st.tuples(triplet, st.sampled_from([0.25, 0.5, 1.0])), max_size=24))
+        # sorted by score alone, so tied triplets and a triplet's repeats keep their drawn order
+        ranked = [(*t, score) for t, score in sorted(listed, key=lambda ts: -ts[1])]
+        scenes.append((ranked, gt))
+    return scenes, draw(st.integers(1, 28))
+
+
+@settings(deadline=None)
+@given(ranked_corpora())
+def test_one_pass_count_matches_top_k_sets_at_every_k(case):
+    scenes, k_max = case
+    counts = [count_hits(ranked, gt, k_max) for ranked, gt in scenes]
+    with_pairs = any(gt.bidirectional_pairs for _, gt in scenes)
+    for k in range(1, k_max + 1):
+        oracle = [top_k_oracle(ranked, gt, k) for ranked, gt in scenes]
+        scene_recall = [sum(h for h, _ in cats.values()) / sum(t for _, t in cats.values()) for cats, _ in oracle]
+        for c, (_, gt), (cats, matched), r in zip(counts, scenes, oracle, scene_recall):
+            assert c.recall(k) == r
+            assert c.mean_recall(k) == sum([h / t for h, t in cats.values()]) / len(cats)
+            if gt.bidirectional_pairs:
+                assert c.pair_recall(k) == matched / len(gt.bidirectional_pairs)
+        assert corpus_recall_at_k(counts, k) == float(np.mean(scene_recall))
+        pooled = {}
+        for cats, _ in oracle:
+            for cat, (h, t) in cats.items():
+                pooled_h, pooled_t = pooled.get(cat, (0, 0))
+                pooled[cat] = (pooled_h + h, pooled_t + t)
+        assert mean_recall_at_k(counts, k) == float(np.mean([pooled[c][0] / pooled[c][1] for c in sorted(pooled)]))
+        if with_pairs:
+            assert corpus_pairwise_recall_at_k(counts, k) == (
+                sum(m for _, m in oracle) / sum(len(gt.bidirectional_pairs) for _, gt in scenes))
+    with pytest.raises(ValueError, match="k must be"):
+        counts[0].recall(k_max + 1)

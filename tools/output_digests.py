@@ -35,9 +35,11 @@ dropped read one per config field), so each checkout runs the same configs:
   categories, plus scored triplets for it with tied scores and repeated
   triplets. The tool writes both as plain JSON lines itself, so every checkout
   scores the same bytes, and scores them with ``eval --predictions`` at the
-  default ks and at the overlapping ``--ks-recall 2,4 --ks-pair 2,4``. These
-  outputs change when per-scene mR sums its categories in another order or
-  when pR pools pairs differently;
+  default ks, at the overlapping ``--ks-recall 2,4 --ks-pair 2,4`` and at
+  ``--ks-recall 1,500 --ks-pair 1,3``, whose k = 1 and k past every ranked
+  list are the early-stop and short-list edges of the one scan per scene.
+  These outputs change when per-scene mR sums its categories in another
+  order or when pR pools pairs differently;
 * the multi-pair corpus has no sidecar, so ``analyze``, ``br-build`` and
   ``guess-curve --eval-corpus`` (trained on the 160-scene corpus) run on it
   too, under ``multipair/``: their manifests list no sidecar and br-build
@@ -220,7 +222,8 @@ def sweep(main) -> None:
     evaluate(main, "stress/corpus.sgjsonl", "parallel-gih-lih/model.ckpt.json", "stress", rescore=False)
     os.mkdir("multipair")
     write_multi_pair("multipair/corpus.sgjsonl", "multipair/scores.pred.jsonl")
-    for name, flags in (("default", []), ("overlap", ["--ks-recall", "2,4", "--ks-pair", "2,4"])):
+    for name, flags in (("default", []), ("overlap", ["--ks-recall", "2,4", "--ks-pair", "2,4"]),
+                        ("extremes", ["--ks-recall", "1,500", "--ks-pair", "1,3"])):
         run(main, ["eval", "--corpus", "multipair/corpus.sgjsonl", "--predictions", "multipair/scores.pred.jsonl",
                    "--out", f"multipair/{name}.csv", *flags])
     run(main, ["analyze", "--corpus", "multipair/corpus.sgjsonl", "--out-dir", "multipair/analysis"])
