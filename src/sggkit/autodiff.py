@@ -14,8 +14,11 @@ when a value is not finite, with or without an active tape. linear_map
 arranged_mlp, a shared MLP summed over arrangements of its role inputs,
 is one entry for every fusion variant. lih (attention inside triples of
 rows) and gih (joint node/edge message passing) are one entry each for a
-whole module, and check each intermediate array too, so a non-finite
-value inside one names the module.
+whole module. These three kernels also check an intermediate where a relu
+or exp could hide a non-finite value or a sum could overflow (inf * 0 is
+NaN, so a product cannot hide one). They run under
+np.errstate(over="ignore", invalid="ignore"), so a non-finite value inside
+one raises only the NumericError naming the kernel.
 
 A record holds one output Matrix. lih and gih return row blocks of theirs
 (RowBlock): Matrices whose data is a view of the output's rows and whose
@@ -273,15 +276,16 @@ def softmax_rows(a: Matrix) -> Matrix:
 @functools.cache
 def _arrangement_plan(orders: tuple[tuple[int, ...], ...]):
     """arranged_mlp's products for one table: the distinct (role, block) pairs, sorted; per
-    order, its product indices by position; per product, the orders that use it, ascending."""
+    product, the orders that use it, ascending; the product indices by position, then role."""
     if not orders or any(len(order) != len(orders[0]) for order in orders):
         raise ShapeError(f"arranged_mlp: the orders must be non-empty and of one length, got {orders}")
     products = sorted({(r, j) for order in orders for j, r in enumerate(order)})
-    sums = [[products.index((r, j)) for j, r in enumerate(order)] for order in orders]
     uses = [[k for k, order in enumerate(orders) if order[j] == r] for r, j in products]
-    return products, sums, uses
+    by_position = sorted(range(len(products)), key=lambda i: products[i][1])
+    return products, uses, by_position
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the checks below report non-finite values
 def arranged_mlp(roles: tuple[Matrix, ...], orders: tuple[tuple[int, ...], ...], w0: Matrix, b0: Matrix,
                  w1: Matrix | None = None, b1: Matrix | None = None) -> Matrix:
     """The sum over orders of psi([roles in that order]), for role inputs of one shape (M, d).
@@ -291,10 +295,15 @@ def arranged_mlp(roles: tuple[Matrix, ...], orders: tuple[tuple[int, ...], ...],
     relu(x @ w0 + b0) @ w1 + b1, or x @ w0 + b0 without w1. x @ w0 sums
     each position's role times that position's block, so each distinct
     (role, block) product is formed once however many orders share it
-    (parallel fusion's three orders share seven). psi's second layer is
-    linear, so it runs once on the summed activations, plus K b1 for K
-    orders. The role products, the pre-activations and the summed
-    activations are checked before they feed the next step.
+    (parallel fusion's three orders share seven). The products are formed
+    position by position into one reused (M, h) buffer, which is copied
+    into each order that uses it at position 0 and added at later ones. psi's
+    second layer is linear, so it runs once on the summed activations, plus
+    K b1 for K orders.
+
+    Checked: the pre-activations, since relu turns -inf into 0; the summed
+    activations, which can overflow; the output. Each role product is a
+    summand of a pre-activation, so it is not checked on its own.
 
     Float order: an order's pre-activation is P0 + P1, then += P2, then
     + b0; a product's gradient sums the orders that use it in table order;
@@ -302,7 +311,7 @@ def arranged_mlp(roles: tuple[Matrix, ...], orders: tuple[tuple[int, ...], ...],
     role. Trained models depend on that order to the last digit
     (tools/output_digests.py checks).
     """
-    products, sums, uses = _arrangement_plan(orders)
+    products, uses, by_position = _arrangement_plan(orders)
     n = len(orders[0])
     m, d = roles[0].shape
     h = w0.cols
@@ -313,23 +322,26 @@ def arranged_mlp(roles: tuple[Matrix, ...], orders: tuple[tuple[int, ...], ...],
         raise ShapeError(f"arranged_mlp: the roles need one shape (M, d) and the layers must chain "
                          f"from {n}d columns, got {shapes}")
     blocks = [w0.data[j * d : (j + 1) * d] for j in range(n)]
-    prods = np.empty((len(products), m, h))
-    for i, (r, j) in enumerate(products):
-        np.matmul(roles[r].data, blocks[j], out=prods[i])
-    _checked("arranged_mlp", prods)
     pre = np.empty((len(orders), m, h))  # one pre-activation per order
-    for out, (first, *rest) in zip(pre, sums):
-        np.copyto(out, prods[first])
-        for i in rest:
-            out += prods[i]
+    prod = np.empty((m, h))
+    for i in by_position:
+        r, j = products[i]
+        np.matmul(roles[r].data, blocks[j], out=prod)
+        for k in uses[i]:
+            if j:
+                pre[k] += prod
+            else:
+                pre[k] = prod
     pre += b0.data
     _checked("arranged_mlp", pre)
     n_orders = float(len(orders))
     if deep:
-        act_sum = _checked("arranged_mlp", np.maximum(pre, 0.0).sum(axis=0))
-        out_data = act_sum @ w1.data + n_orders * b1.data
+        np.maximum(pre, 0.0, out=pre)  # in place: pre > 0.0 still marks the active units
+        act_sum = _checked("arranged_mlp", pre.sum(axis=0, out=prod))  # the product buffer is free
+        out_data = act_sum @ w1.data
+        out_data += n_orders * b1.data
     else:
-        out_data = pre.sum(axis=0)
+        out_data = pre.sum(axis=0, out=prod)
 
     def backward(g):
         if deep:
@@ -356,6 +368,7 @@ def arranged_mlp(roles: tuple[Matrix, ...], orders: tuple[tuple[int, ...], ...],
     return _finish("arranged_mlp", out_data, backward)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the checks below report non-finite values
 def lih(s: Matrix, o: Matrix, u: Matrix, w_q: Matrix, w_k: Matrix, w_v: Matrix,
         w_f: Matrix) -> tuple[RowBlock, RowBlock, RowBlock]:
     """Attention inside triples of rows: the refined s, o and u, as row blocks of one (3M, D) output.
@@ -366,8 +379,11 @@ def lih(s: Matrix, o: Matrix, u: Matrix, w_q: Matrix, w_k: Matrix, w_v: Matrix,
     dotted with their k rows (no scaling), so 9M dot products stand in for
     a (3M)^2 masked softmax. The output is that attended value mapped back by
     w_f (D_att x D), plus x, so a zero w_f makes lih an exact identity.
-    q, k and v, the attention logits, the attended values and the output
-    map are checked before they feed the next step.
+
+    Checked: the logits, since exp turns a -inf logit into a weight of 0,
+    and the output. q and k reach the logits, and v, the attended values
+    and the output map reach the output, only through products or a sum
+    with x, so they are not checked on their own.
 
     Each attention product is one np.matmul batched over triples, on
     [triple, role, d] views of the (3M, d) arrays, written through out=
@@ -388,7 +404,7 @@ def lih(s: Matrix, o: Matrix, u: Matrix, w_q: Matrix, w_k: Matrix, w_v: Matrix,
                          f"w_v D rows and w_f shape (w_v columns, D), got {shapes}")
     m = s.rows
     x = np.concatenate([s.data, o.data, u.data])
-    q, k, v = (_checked("lih", x @ w.data) for w in (w_q, w_k, w_v))
+    q, k, v = (x @ w.data for w in (w_q, w_k, w_v))
 
     def by_triple(a):  # a (3M, d) array as a [triple, role, d] view
         return a.reshape(3, m, a.shape[1]).transpose(1, 0, 2)
@@ -400,7 +416,7 @@ def lih(s: Matrix, o: Matrix, u: Matrix, w_q: Matrix, w_k: Matrix, w_v: Matrix,
     alpha = e / e.sum(axis=1, keepdims=True)
     alpha_t = alpha.transpose(2, 0, 1)  # [triple, role, attended role]
     att = np.empty(v.shape)
-    _checked("lih", np.matmul(alpha_t, vt, out=by_triple(att)))
+    np.matmul(alpha_t, vt, out=by_triple(att))
 
     def backward(g):
         w_f.accumulate(att.T @ g)
@@ -420,10 +436,11 @@ def lih(s: Matrix, o: Matrix, u: Matrix, w_q: Matrix, w_k: Matrix, w_v: Matrix,
         for i, part in enumerate((s, o, u)):
             part.accumulate(dx[i * m : (i + 1) * m])
 
-    out = _finish("lih", _checked("lih", att @ w_f.data) + x, backward)
+    out = _finish("lih", att @ w_f.data + x, backward)
     return RowBlock(out, 0, m), RowBlock(out, m, 2 * m), RowBlock(out, 2 * m, 3 * m)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the checks below report non-finite values
 def gih(nodes: Matrix, edges: Matrix, mix: Callable[[np.ndarray], np.ndarray], ws) -> tuple[RowBlock, RowBlock]:
     """Joint node/edge message passing: the node and edge rows of G(L), as row blocks of one output.
 
@@ -432,8 +449,12 @@ def gih(nodes: Matrix, edges: Matrix, mix: Callable[[np.ndarray], np.ndarray], w
     mixing operator: it maps an (n+m) x D array g to A~ g, a fresh array of
     g's shape, for an (n+m) x (n+m) matrix A~ that takes no gradient and is
     never handed over. A~ must be symmetric, since the backward applies mix
-    for A~^T too. Each mix(G), mix(G) @ w and residual sum is checked
-    before it feeds the next step.
+    for A~^T too.
+
+    Checked: each mix(G) @ w, since relu turns -inf into 0; each residual
+    sum, which can overflow and which a zero column of A~ would drop; the
+    output. mix(G) reaches the output only through mix(G) @ w, so it is not
+    checked on its own.
 
     Float order: that of the record-per-operation chain (concat, a mix and
     a matmul and a relu per layer, an add per even layer) kept as the test
@@ -449,7 +470,7 @@ def gih(nodes: Matrix, edges: Matrix, mix: Callable[[np.ndarray], np.ndarray], w
     mixed, pre = [], []  # mix(G(l-1)) and its product with w, per layer
     before, last = None, np.concatenate([nodes.data, edges.data])  # G(l-2), G(l-1)
     for l, w in enumerate(ws, start=1):
-        mixed.append(_checked("gih", mix(last)))
+        mixed.append(mix(last))
         if mixed[-1].shape != last.shape:
             raise ShapeError(f"gih: mix must keep the shape {last.shape} of G, got {mixed[-1].shape}")
         pre.append(_checked("gih", mixed[-1] @ w.data))
@@ -535,7 +556,7 @@ def gather_rows(a: Matrix, indices) -> Matrix:
         bins = (idx[:, None] * cols + np.arange(cols)).ravel()
         a.accumulate(np.bincount(bins, weights=g.ravel(), minlength=rows * cols).reshape(rows, cols))
 
-    return _finish("gather_rows", a.data[idx, :].copy(), backward)
+    return _finish("gather_rows", a.data[idx, :], backward)  # fancy indexing copies
 
 
 def linear_map(x: Matrix, w: Matrix, b: Matrix) -> Matrix:
@@ -552,7 +573,9 @@ def linear_map(x: Matrix, w: Matrix, b: Matrix) -> Matrix:
             x.accumulate(g @ w.data.T)
         w.accumulate(x.data.T @ g)
 
-    return _finish("linear_map", x.data @ w.data + b.data, backward)
+    out_data = x.data @ w.data
+    out_data += b.data
+    return _finish("linear_map", out_data, backward)
 
 
 # ---------------------------------------------------------------------------

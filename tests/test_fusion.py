@@ -2,6 +2,7 @@
 direction blindness of the union baseline."""
 
 import re
+import tracemalloc
 from itertools import permutations
 
 import numpy as np
@@ -224,11 +225,30 @@ def test_parallel_fusion_gradients_without_hidden_layer():
 
 
 def test_parallel_fusion_checks_role_products_before_summing_them():
-    """s·a = +inf and o·b = -inf would sum to NaN with a numpy warning; the product check raises first."""
+    """s·a = +inf and o·b = -inf sum to a NaN pre-activation: arranged_mlp raises its NumericError, and
+    numpy warns of nothing, also outside np.errstate."""
     params = FusionParams("parallel", (ad.Matrix(np.ones((6, 2))), ad.Matrix(np.zeros((1, 2)))))
     z_s, z_o, z_u = ad.Matrix([[np.inf, 0.0]]), ad.Matrix([[-np.inf, 0.0]]), ad.Matrix([[0.0, 0.0]])
     with pytest.raises(ad.NumericError, match="^arranged_mlp produced a non-finite value$"):
         encode_edges(z_s, z_o, z_u, params)
+
+
+def test_parallel_forward_holds_one_role_product_at_a_time():
+    """The parallel table's seven (role, block) products share one (M, h) buffer: a forward at M = 272
+    peaks below one (7, M, h) array of them, 975 KB."""
+    m, d, h = 272, 32, 64
+    rng = np.random.default_rng(19)
+    params = init_fusion_params(drawn(rng), "parallel", d, d, hidden=h)
+    roles = _rows(rng, m, d)
+    encode_edges(*roles, params)  # the plan is cached per table, not part of one forward
+    tracemalloc.start()
+    try:
+        encode_edges(*roles, params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    products = {(r, j) for order in ORDERS["parallel"] for j, r in enumerate(order)}
+    assert len(products) == 7 and peak < len(products) * m * h * 8
 
 
 @pytest.mark.parametrize("variant,records", [("union", 1), ("concat", 1), ("sequential", 2), ("parallel", 1)])

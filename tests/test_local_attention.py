@@ -6,6 +6,7 @@ with the einsum attention its batched matmuls replaced, and a memory bound."""
 
 import functools
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -256,6 +257,28 @@ def test_lih_memory_stays_linear_in_triples():
     finally:
         tracemalloc.stop()
     assert forward_peak < 7 * unit and peak < 14 * unit
+
+
+def test_infinite_union_row_reaches_the_logits_check():
+    """An infinite union row makes q and k non-finite; the logits check raises, with no numpy warning."""
+    rng = np.random.default_rng(20)
+    s, o, u = (rng.normal(size=(2, 3)) for _ in range(3))
+    u[1] = np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ad.NumericError, match="^lih produced a non-finite value$"):
+            ad.lih(ad.Matrix(s), ad.Matrix(o), ad.Matrix(u), *_weights(rng, 3))
+
+
+def test_overflowing_values_reach_the_output_check():
+    """w_v at 1e308 overflows v and so the attended values; the output check raises, with no numpy warning."""
+    rng = np.random.default_rng(21)
+    w_q, w_k, _w_v, w_f = _weights(rng, 3)
+    triple = (ad.Matrix(rng.uniform(1.0, 2.0, size=(2, 3))) for _ in range(3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ad.NumericError, match="^lih produced a non-finite value$"):
+            ad.lih(*triple, w_q, w_k, ad.Matrix(np.full((3, 3), 1e308)), w_f)
 
 
 def test_lih_records_once_and_views_its_output():

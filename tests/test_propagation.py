@@ -7,6 +7,7 @@ helpers.loop_a_tilde, the per-edge oracle of A + I for any edge list."""
 
 import ast
 import functools
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -386,6 +387,18 @@ def test_non_finite_intermediate_names_gih():
     params.layers[1] = (ad.Matrix(np.full((4, 4), 1e308)),)
     with np.errstate(over="ignore"), pytest.raises(ad.NumericError, match="^gih produced a non-finite value$"):
         _gih(ad.Matrix(np.ones((3, 4))), ad.Matrix(np.ones((2, 4))), loop_a_tilde(3, [(0, 1), (1, 2)]), params)
+
+
+def test_overflowing_mix_reaches_the_product_check():
+    """Node rows at 1e308 overflow mix(G) on the edge rows that sum two of them; the mix(G) @ w check
+    raises, with no numpy warning."""
+    rng = np.random.default_rng(22)
+    params = init_propagation(drawn(rng), "gih", 4, 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ad.NumericError, match="^gih produced a non-finite value$"):
+            _gih(ad.Matrix(np.full((3, 4), 1e308)), ad.Matrix(np.ones((2, 4))), loop_a_tilde(3, [(0, 1), (1, 2)]),
+                 params)
 
 
 # ---------------------------------------------------------------------------
