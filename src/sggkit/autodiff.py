@@ -287,19 +287,18 @@ def _arrangement_plan(orders: tuple[tuple[int, ...], ...]):
 
 @np.errstate(over="ignore", invalid="ignore")  # the checks below report non-finite values
 def arranged_mlp(roles: tuple[Matrix, ...], orders: tuple[tuple[int, ...], ...], w0: Matrix, b0: Matrix,
-                 w1: Matrix | None = None, b1: Matrix | None = None) -> Matrix:
+                 w1: Matrix, b1: Matrix) -> Matrix:
     """The sum over orders of psi([roles in that order]), for role inputs of one shape (M, d).
 
     An order lists indices into roles; all orders have one length n, and w0
     has n row blocks of d rows, one per input position. psi(x) is
-    relu(x @ w0 + b0) @ w1 + b1, or x @ w0 + b0 without w1. x @ w0 sums
-    each position's role times that position's block, so each distinct
-    (role, block) product is formed once however many orders share it
-    (parallel fusion's three orders share seven). The products are formed
-    position by position into one reused (M, h) buffer, which is copied
-    into each order that uses it at position 0 and added at later ones. psi's
-    second layer is linear, so it runs once on the summed activations, plus
-    K b1 for K orders.
+    relu(x @ w0 + b0) @ w1 + b1. x @ w0 sums each position's role times
+    that position's block, so each distinct (role, block) product is formed
+    once however many orders share it (parallel fusion's three orders share
+    seven). The products are formed position by position into one reused
+    (M, h) buffer, which is copied into each order that uses it at position
+    0 and added at later ones. psi's second layer is linear, so it runs once
+    on the summed activations, plus K b1 for K orders.
 
     Checked: the pre-activations, since relu turns -inf into 0; the summed
     activations, which can overflow; the output. Each role product is a
@@ -315,10 +314,9 @@ def arranged_mlp(roles: tuple[Matrix, ...], orders: tuple[tuple[int, ...], ...],
     n = len(orders[0])
     m, d = roles[0].shape
     h = w0.cols
-    deep = w1 is not None
     if (any(x.shape != (m, d) for x in roles) or w0.rows != n * d
-            or b0.shape != (1, h) or deep != (b1 is not None) or deep and (w1.rows != h or b1.shape != (1, w1.cols))):
-        shapes = ", ".join(str(x.shape) for x in (*roles, w0, b0, w1, b1) if x is not None)
+            or b0.shape != (1, h) or w1.rows != h or b1.shape != (1, w1.cols)):
+        shapes = ", ".join(str(x.shape) for x in (*roles, w0, b0, w1, b1))
         raise ShapeError(f"arranged_mlp: the roles need one shape (M, d) and the layers must chain "
                          f"from {n}d columns, got {shapes}")
     blocks = [w0.data[j * d : (j + 1) * d] for j in range(n)]
@@ -335,21 +333,15 @@ def arranged_mlp(roles: tuple[Matrix, ...], orders: tuple[tuple[int, ...], ...],
     pre += b0.data
     _checked("arranged_mlp", pre)
     n_orders = float(len(orders))
-    if deep:
-        np.maximum(pre, 0.0, out=pre)  # in place: pre > 0.0 still marks the active units
-        act_sum = _checked("arranged_mlp", pre.sum(axis=0, out=prod))  # the product buffer is free
-        out_data = act_sum @ w1.data
-        out_data += n_orders * b1.data
-    else:
-        out_data = pre.sum(axis=0, out=prod)
+    np.maximum(pre, 0.0, out=pre)  # in place: pre > 0.0 still marks the active units
+    act_sum = _checked("arranged_mlp", pre.sum(axis=0, out=prod))  # the product buffer is free
+    out_data = act_sum @ w1.data
+    out_data += n_orders * b1.data
 
     def backward(g):
-        if deep:
-            b1.accumulate(n_orders * g.sum(axis=0, keepdims=True))
-            w1.accumulate(act_sum.T @ g)
-            d_pre = (pre > 0.0) * (g @ w1.data.T)
-        else:
-            d_pre = np.broadcast_to(g, pre.shape)
+        b1.accumulate(n_orders * g.sum(axis=0, keepdims=True))
+        w1.accumulate(act_sum.T @ g)
+        d_pre = (pre > 0.0) * (g @ w1.data.T)
         b0.accumulate(d_pre.sum(axis=(0, 1)).reshape(1, h))
         d_roles, d_blocks = {}, [None] * n
         for (r, j), (first, *rest) in zip(products, uses):  # by role, then block

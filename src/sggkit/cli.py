@@ -6,12 +6,12 @@ train's vocabulary from the corpus sidecar, then the --config key=value file,
 then explicit flags; nothing else, such as a shell variable, reaches a config.
 Unknown keys in a config file are rejected. Values are read by field
 annotation (data.FIELD_TYPES): int by int(), float by float(), bool from
-true/false/1/0/yes/no, str as written, `int | None` from an int or `none`, a
-seed as an int that must be non-negative. A value that cannot be read exits 2
-naming the file and the key; a config file that is not UTF-8 names the file. A
-resolved config that fails validation names the file when the defaults and the
-file's own values (those no flag replaces) already fail it; otherwise it names
-no source, so a failing flag is not named.
+true/false/1/0/yes/no, str as written, a seed as an int that must be
+non-negative. A value that cannot be read exits 2 naming the file and the
+key; a config file that is not UTF-8 names the file. A resolved config that
+fails validation names the file when the defaults and the file's own values
+(those no flag replaces) already fail it; otherwise it names no source, so a
+failing flag is not named.
 
 Every command returns its config snapshot; the files it reads and writes are
 declared once, by command_files, before it runs. main checks the declaration

@@ -84,8 +84,6 @@ FIELD_TYPES = {
     float: (lambda v: type(v) in _NUMBER_TYPES and -_FLOAT_MAX <= v <= _FLOAT_MAX, "a finite number", float),
     bool: (lambda v: type(v) is bool, "true or false", lambda raw: _BOOL_WORDS[raw.lower()]),
     str: (lambda v: type(v) is str, "a string", str),
-    int | None: (lambda v: v is None or type(v) is int, "null or an integer",
-                 lambda raw: None if raw.lower() == "none" else int(raw)),
 }
 
 

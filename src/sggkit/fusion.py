@@ -23,10 +23,9 @@ as one autodiff.arranged_mlp record; sequential runs pre over [s||o] first,
 and its output takes the subject's place in psi's table. arranged_mlp forms
 each distinct product of a role with a row block of psi's first layer once
 (the parallel table shares seven), and psi's linear second layer runs once
-on the summed activations. A one-layer psi (fusion_hidden 0) sums the affine
-maps. The variant is fixed when the weights are built: init_fusion_params
-returns FusionParams that carry it, and encode_edges runs the variant its
-params name.
+on the summed activations. The variant is fixed when the weights are built:
+init_fusion_params returns FusionParams that carry it, and encode_edges runs
+the variant its params name.
 """
 
 from __future__ import annotations
@@ -51,7 +50,7 @@ VARIANTS = tuple(ORDERS)
 class FusionParams:
     """Shared fusion map for one variant; sequential carries an extra stage.
 
-    psi and pre are (w0, b0) or, with a hidden layer, (w0, b0, w1, b1).
+    psi and pre are (w0, b0, w1, b1), each with one relu hidden layer 2 * d_e wide.
     """
 
     variant: str
@@ -59,19 +58,11 @@ class FusionParams:
     pre: tuple[Matrix, ...] | None = None  # sequential only: fuses [s||o] before the union
 
 
-def init_fusion_params(
-    param: Param,
-    variant: str,
-    d: int,
-    d_e: int,
-    hidden: int | None = None,
-) -> FusionParams:
-    """hidden defaults to 2*d_e; pass hidden=0 for a purely affine map. ModelConfig.validate checks the variant."""
-    if hidden is None:
-        hidden = 2 * d_e
+def init_fusion_params(param: Param, variant: str, d: int, d_e: int) -> FusionParams:
+    """Each stage's hidden layer is 2 * d_e wide. ModelConfig.validate checks the variant."""
 
     def mlp(stage: str, d_in: int, d_out: int) -> tuple[Matrix, ...]:
-        dims = [d_in, hidden, d_out] if hidden else [d_in, d_out]
+        dims = [d_in, 2 * d_e, d_out]
         # each layer draws its weight, then its bias
         return tuple(m for i, (a, b) in enumerate(zip(dims, dims[1:]))
                      for m in (param(f"{stage}.w{i}", a, b), param(f"{stage}.b{i}", 1, b, fan_in=a)))

@@ -74,16 +74,12 @@ class ModelConfig(ConfigSchema):
     d_appearance: int = 12
     d_node: int = 32
     d_edge: int = 32
-    d_attention: int | None = None
     n_entity_categories: int = 33
     n_predicate_categories: int = 7
     fusion: str = "parallel"
-    fusion_hidden: int | None = None
     use_lih: bool = True
     gih_variant: str = "gih"
     gih_layers: int = 4
-    w_entity: float = 1.0
-    w_predicate: float = 1.0
     w_ar: float = 1.0
     learning_rate: float = 1e-3
     momentum: float = 0.9
@@ -95,24 +91,18 @@ class ModelConfig(ConfigSchema):
 
     def validate(self) -> None:
         self.check_types()
-        for name, least in (("d_attention", 1), ("fusion_hidden", 0)):  # fusion_hidden 0 is a purely affine fusion
-            value = getattr(self, name)
-            if value is not None and value < least:
-                raise ValueError(f"config field {name} must be null or an integer >= {least}, got {shown(value)}")
         if min(self.d_appearance, self.d_node, self.d_edge) < 1:
             raise ValueError("widths must be positive")
         if self.n_entity_categories < 2 or self.n_predicate_categories < 2:
             raise ValueError("need at least two categories on both vocabularies")
         if self.fusion not in FUSION_VARIANTS:
             raise ValueError(f"unknown fusion variant {shown(self.fusion)}, expected one of {FUSION_VARIANTS}")
-        if self.use_lih and self.d_attention is not None and self.d_attention > self.d_node:
-            raise ValueError(f"config field d_attention must not exceed d_node ({self.d_node}), got {self.d_attention}")
         check_settings(self.gih_variant, self.gih_layers, self.d_node, self.d_edge)
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must lie in [0, 1)")
         if self.learning_rate < 0 or self.weight_decay < 0 or self.epochs < 0:
             raise ValueError("learning_rate, weight_decay and epochs must be nonnegative")
-        if min(self.w_entity, self.w_predicate, self.w_ar) < 0:
+        if self.w_ar < 0:
             raise ValueError("loss weights must be nonnegative")
 
 
@@ -213,8 +203,8 @@ class Model:
 
     def __init__(self, config: ModelConfig, saved: dict | None = None):
         """Draws each parameter from the config seed, or takes it from `saved`, a checkpoint's params,
-        naming it as it comes; the fusion and prop inits name theirs under those prefixes. LIH's query, key
-        and value maps (D x D_att) and its output map back to D are the four lih.* weights of autodiff.lih."""
+        naming it as it comes; the fusion and prop inits name theirs under those prefixes. LIH's query, key,
+        value and output maps are the four D x D lih.* weights of autodiff.lih."""
         config.validate()
         self.config = config
         self.params: dict[str, Matrix] = {}
@@ -233,10 +223,8 @@ class Model:
         in_union = 2 * config.d_appearance + 4
         self.node_map = (param("node_map.w", in_node, d), param("node_map.b", 1, d, fan_in=in_node))
         self.union_map = (param("union_map.w", in_union, d), param("union_map.b", 1, d, fan_in=in_union))
-        d_att = d if config.d_attention is None else config.d_attention
-        self.lih = (param("lih.w_q", d, d_att), param("lih.w_k", d, d_att), param("lih.w_v", d, d_att),
-                    param("lih.w_f", d_att, d)) if config.use_lih else None
-        self.fusion = init_fusion_params(under("fusion"), config.fusion, d, d_e, hidden=config.fusion_hidden)
+        self.lih = tuple(param(f"lih.w_{x}", d, d) for x in "qkvf") if config.use_lih else None
+        self.fusion = init_fusion_params(under("fusion"), config.fusion, d, d_e)
         self.prop = init_propagation(under("prop"), config.gih_variant, d, config.gih_layers)
         n_ent, n_pred = config.n_entity_categories, config.n_predicate_categories
         self.entity_head = (param("entity_head.w", d, n_ent), param("entity_head.b", 1, n_ent, fan_in=d))
@@ -293,7 +281,7 @@ def total_loss(
     config: ModelConfig,
     negatives: Negatives | None = None,
 ) -> tuple[Matrix, dict[str, float]]:
-    """Weighted sum of both cross-entropies and the attract/repel term.
+    """The sum of both cross-entropies and the attract/repel term weighted by w_ar.
 
     The predicate cross-entropy is balanced: relation rows share half of a
     unit weight and no-relation rows the other half (see
@@ -317,11 +305,11 @@ def total_loss(
     if prep.n_edges and prep.edge_labels.max(initial=0) >= config.n_predicate_categories:
         raise ValueError(f"scene {prep.scene_id}: predicate label outside [0, {config.n_predicate_categories})")
     loss_ent = _cross_entropy(out.node_logits, prep.node_labels)
-    total = scale(loss_ent, config.w_entity)
+    total = loss_ent
     parts = [loss_ent.item(), 0.0, 0.0]  # in LOSS_COLUMNS order
     if prep.n_edges:
         loss_pred = _cross_entropy(out.edge_logits, prep.edge_labels, predicate_row_weights(prep.edge_labels))
-        total = add(total, scale(loss_pred, config.w_predicate))
+        total = add(total, loss_pred)
         parts[1] = loss_pred.item()
         if negatives is not None:
             loss_ar = attract_repel_loss(
@@ -508,8 +496,11 @@ def load_checkpoint(path) -> tuple[Model, ReferenceBank]:
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {shown(version)}")
     part = "config"
+    # older checkpoints hold these former fields; each loads only at the value the code now fixes
+    fixed = {"d_attention": None, "fusion_hidden": None, "w_entity": 1.0, "w_predicate": 1.0}
     try:
-        config = ModelConfig.from_dict(payload["config"])
+        config = ModelConfig.from_dict({key: value for key, value in payload["config"].items()
+                                        if key not in fixed or type(value) is bool or value != fixed[key]})
         config.validate()
         part = "params"
         model = Model(config, saved=payload["params"])

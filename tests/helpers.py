@@ -204,7 +204,7 @@ def chain_cosine_rows(e, r, g):
     return cos, grad
 
 
-def loop_psi(parts, w0, b0, w1=None, b1=None):
+def loop_psi(parts, w0, b0, w1, b1):
     """psi on [parts[0]||parts[1]||...] as separate records: the first layer is a sum of
     part @ (its row block of w0, cut with slice_rows) plus b0, never one shared product."""
     d = parts[0].cols
@@ -212,7 +212,7 @@ def loop_psi(parts, w0, b0, w1=None, b1=None):
     for j, part in enumerate(parts):
         block = slice_rows(w0, j * d, (j + 1) * d)
         pre = linear_map(part, block, b0) if pre is None else add(pre, matmul(part, block))
-    return pre if w1 is None else linear_map(relu(pre), w1, b1)
+    return linear_map(relu(pre), w1, b1)
 
 
 def loop_encode_edges(z_s, z_o, z_u, params):

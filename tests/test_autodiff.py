@@ -236,6 +236,33 @@ def test_matrix_rejects_3d():
         ad.Matrix(np.zeros((2, 2, 2)))
 
 
+def _ones(rows, cols):
+    return ad.Matrix(np.ones((rows, cols)))
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: _ones(2, 3).item(), r"item\(\) needs a 1x1 matrix, got \(2, 3\)"),  # numpy would read [0, 0]
+    (lambda: ad.Tape().backward(_ones(1, 2)), r"backward\(\) needs a 1x1 loss, got \(1, 2\)"),
+    (lambda: ad.matmul(_ones(2, 3), _ones(2, 3)),  # numpy's own error would name no primitive
+     r"matmul: inner dimensions differ, \(2, 3\) @ \(2, 3\)"),
+    (lambda: ad.add(_ones(2, 3), _ones(1, 3)), r"add: incompatible shapes \(2, 3\) and \(1, 3\)"),  # broadcast
+    (lambda: ad.mul(_ones(2, 3), _ones(2, 1)), r"mul: incompatible shapes \(2, 3\) and \(2, 1\)"),  # broadcast
+    (lambda: ad.linear_map(_ones(2, 3), _ones(3, 4), _ones(2, 4)),  # one bias row per input row would add
+     r"linear_map: bias \(2, 4\) does not match weight \(3, 4\)"),
+    (lambda: ad.gather_rows(_ones(3, 2), [[0, 1]]), "gather_rows: indices must be one-dimensional"),  # a 3-D gather
+    (lambda: ad.gather_rows(_ones(3, 2), [0, -1]), r"gather_rows: index out of range for \(3, 2\)"),  # would wrap
+    (lambda: ad.gather_rows(_ones(3, 2), [3]), r"gather_rows: index out of range for \(3, 2\)"),
+    (lambda: ad.uniform_init(np.random.default_rng(0), 2, 3, fan_in=0),  # the bound would be 1 / 0
+     "uniform_init: fan_in must be positive, got 0"),
+], ids=["item", "backward", "matmul", "add", "mul", "linear_map-bias", "gather_rows-2d", "gather_rows-negative",
+        "gather_rows-past-end", "uniform_init-fan_in"])
+def test_guards_reject_bad_shapes(call, message):
+    """Each guard raises its ShapeError, naming the primitive, where numpy would broadcast, wrap an index,
+    divide by zero or raise an error of its own."""
+    with pytest.raises(ad.ShapeError, match=f"^{message}$"):
+        call()
+
+
 def _numeric_vs_tape(build, mats, tol=1e-7):
     """build() -> scalar Matrix from mats; compare tape grads to central FD."""
     err = grad_check(build, mats, eps=1e-5)
@@ -355,14 +382,15 @@ def test_every_public_name_is_loaded_outside_its_definition():
 def test_arranged_mlp_rejects_bad_tables_and_shapes():
     x, wide = ad.Matrix(np.ones((2, 3))), ad.Matrix(np.ones((2, 4)))
     w0, b0 = ad.Matrix(np.ones((6, 4))), ad.Matrix(np.ones((1, 4)))
+    w1, b1 = ad.Matrix(np.ones((4, 2))), ad.Matrix(np.ones((1, 2)))
     with pytest.raises(ad.ShapeError, match="orders must be non-empty and of one length"):
-        ad.arranged_mlp((x, x), ((0, 1), (1,)), w0, b0)
-    for roles, orders, w in (((x, wide), ((0, 1),), w0), ((x, x), ((0, 1, 1),), w0),
-                             ((x, x), ((0, 1),), ad.Matrix(np.ones((5, 4))))):
+        ad.arranged_mlp((x, x), ((0, 1), (1,)), w0, b0, w1, b1)
+    for roles, orders, layers in (((x, wide), ((0, 1),), (w0, b0, w1, b1)), ((x, x), ((0, 1, 1),), (w0, b0, w1, b1)),
+                                  ((x, x), ((0, 1),), (ad.Matrix(np.ones((5, 4))), b0, w1, b1)),
+                                  ((x, x), ((0, 1),), (w0, b0, ad.Matrix(np.ones((3, 2))), b1)),  # w1 rows != h
+                                  ((x, x), ((0, 1),), (w0, b0, w1, ad.Matrix(np.ones((1, 3)))))):  # b1 != w1 cols
         with pytest.raises(ad.ShapeError, match="^arranged_mlp: the roles need one shape"):
-            ad.arranged_mlp(roles, orders, w, b0)
-    with pytest.raises(ad.ShapeError, match="^arranged_mlp: the roles need one shape"):
-        ad.arranged_mlp((x, x), ((0, 1),), w0, b0, ad.Matrix(np.ones((4, 2))))  # w1 without b1
+            ad.arranged_mlp(roles, orders, *layers)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -456,9 +484,10 @@ def test_gather_rows_gradient_bytes_match_add_at(indices, negative_zero):
     assert x.grad.tobytes() == expect.tobytes()
 
 
-@pytest.mark.parametrize("op", [ad.matmul, ad.mul])
+@pytest.mark.parametrize("op", [ad.matmul, ad.mul, ad.add])
 def test_constant_operand_gets_no_gradient(op):
-    """The other operand's gradient is byte-identical to the all-Matrix case."""
+    """The other operand's gradient is byte-identical to the all-Matrix case, and the Constant's grad
+    stays None: add hands it its gradient, which Constant.accumulate drops."""
     rng = np.random.default_rng(12)
     x_data, c_data, g = rng.normal(size=(3, 3)), rng.normal(size=(3, 3)), rng.normal(size=(3, 3))
     grads = []

@@ -263,7 +263,7 @@ def test_unreadable_config_value_names_its_source_and_key(corpus, tmp_path, caps
     assert main(["train", "--corpus", corpus, "--out", out, "--config", cfg]) == 2
     assert f"error: {cfg}: not UTF-8 (invalid start byte at byte " in capsys.readouterr().err
     for setting, message in (({"gih_layers": 3}, "config field gih_layers must be even and >= 2 for gih, got 3"),
-                             ({"d_attention": 64}, "config field d_attention must not exceed d_node (32), got 64"),
+                             ({"d_attention": 64}, "unknown config keys ['d_attention']"),  # a former field
                              ({"gih_variant": "gat", "gih_layers": 0},
                               "config field gih_layers must be >= 1 for gat, got 0"),
                              ({"n_entity_categories": 40},
@@ -694,43 +694,43 @@ def test_malformed_checkpoint_names_the_path(case, corpus, checkpoint, tmp_path,
 
     refs, counts = payload["bank"]["refs"], payload["bank"]["counts"]
 
-    text = {
-        "not json": "{config",
-        "list": json.dumps([payload]),
-        "no config": json.dumps(drop(payload, "config")),
-        "no params": json.dumps(drop(payload, "params")),
-        "no bank": json.dumps(drop(payload, "bank")),
-        "bank is a list": json.dumps({**payload, "bank": [payload["bank"]]}),
-        "bank without rng_state": json.dumps({**payload, "bank": drop(payload["bank"], "rng_state")}),
-        "width is a string": json.dumps({**payload, "config": {**payload["config"], "d_node": "8"}}),
-        "rng_state without state": json.dumps({**payload, "bank": {**payload["bank"],
-                                                                  "rng_state": {"bit_generator": "PCG64"}}}),
-        "use_lih is a string": json.dumps({**payload, "config": {**payload["config"], "use_lih": "false"}}),
-        "w_ar is a bool": json.dumps({**payload, "config": {**payload["config"], "w_ar": True}}),
-        "d_attention is zero": json.dumps({**payload, "config": {**payload["config"], "d_attention": 0}}),
-        "learning_rate beyond float range": json.dumps({**payload, "config": {**payload["config"],
-                                                                              "learning_rate": 10**400}}),
-        "5001-digit integer": json.dumps({**payload, "config": {**payload["config"], "learning_rate": "@"}})
-                              .replace('"@"', "1" * 5001),
-        "byte 0xff": b"\xff" + json.dumps(payload).encode(),
-        "deep nesting": "[" * 100_000,
-        "parameter is a string": with_param([["high"] + payload["params"]["node_map.w"][0][1:]]
-                                            + payload["params"]["node_map.w"][1:]),
-        "parameter is ragged": with_param([[0.5]] + payload["params"]["node_map.w"][1:] + [[0.5, 0.5]]),
-        "parameter is NaN": with_param([[float("nan")] + payload["params"]["node_map.w"][0][1:]]
-                                       + payload["params"]["node_map.w"][1:]),
-        "skipped_pairs is 1e400": json.dumps({**payload, "bank": {**payload["bank"], "skipped_pairs": "@"}})
-                                  .replace('"@"', "1e400"),
-        "bank one row short": with_bank(refs=refs[:-1], counts=counts[:-1]),
-        "refs is [[]]": with_bank(refs=[[]], counts=[0.0]),
-        "refs is []": with_bank(refs=[]),
-        "reference is NaN": with_bank(refs=[[float("nan")] + refs[0][1:]] + refs[1:]),
-        "counts one short": with_bank(counts=counts[:-1]),
-        "count is negative": with_bank(counts=[-1.0] + counts[1:]),
-        "count is a string": with_bank(counts=["1"] + counts[1:]),
-        "skipped_pairs is -4": with_bank(skipped_pairs=-4),
-        "skipped_pairs is a bool": with_bank(skipped_pairs=True),
-    }[case]
+    def with_config(**fields):
+        return json.dumps({**payload, "config": {**payload["config"], **fields}})
+
+    variants = {  # each builds its text only when chosen: one dump of the 449 KB checkpoint takes about 20 ms
+        "not json": lambda: "{config",
+        "list": lambda: json.dumps([payload]),
+        "no config": lambda: json.dumps(drop(payload, "config")),
+        "no params": lambda: json.dumps(drop(payload, "params")),
+        "no bank": lambda: json.dumps(drop(payload, "bank")),
+        "bank is a list": lambda: json.dumps({**payload, "bank": [payload["bank"]]}),
+        "bank without rng_state": lambda: json.dumps({**payload, "bank": drop(payload["bank"], "rng_state")}),
+        "width is a string": lambda: with_config(d_node="8"),
+        "rng_state without state": lambda: with_bank(rng_state={"bit_generator": "PCG64"}),
+        "use_lih is a string": lambda: with_config(use_lih="false"),
+        "w_ar is a bool": lambda: with_config(w_ar=True),
+        "d_attention is zero": lambda: with_config(d_attention=0),
+        "learning_rate beyond float range": lambda: with_config(learning_rate=10**400),
+        "5001-digit integer": lambda: with_config(learning_rate="@").replace('"@"', "1" * 5001),
+        "byte 0xff": lambda: b"\xff" + json.dumps(payload).encode(),
+        "deep nesting": lambda: "[" * 100_000,
+        "parameter is a string": lambda: with_param([["high"] + payload["params"]["node_map.w"][0][1:]]
+                                                    + payload["params"]["node_map.w"][1:]),
+        "parameter is ragged": lambda: with_param([[0.5]] + payload["params"]["node_map.w"][1:] + [[0.5, 0.5]]),
+        "parameter is NaN": lambda: with_param([[float("nan")] + payload["params"]["node_map.w"][0][1:]]
+                                               + payload["params"]["node_map.w"][1:]),
+        "skipped_pairs is 1e400": lambda: with_bank(skipped_pairs="@").replace('"@"', "1e400"),
+        "bank one row short": lambda: with_bank(refs=refs[:-1], counts=counts[:-1]),
+        "refs is [[]]": lambda: with_bank(refs=[[]], counts=[0.0]),
+        "refs is []": lambda: with_bank(refs=[]),
+        "reference is NaN": lambda: with_bank(refs=[[float("nan")] + refs[0][1:]] + refs[1:]),
+        "counts one short": lambda: with_bank(counts=counts[:-1]),
+        "count is negative": lambda: with_bank(counts=[-1.0] + counts[1:]),
+        "count is a string": lambda: with_bank(counts=["1"] + counts[1:]),
+        "skipped_pairs is -4": lambda: with_bank(skipped_pairs=-4),
+        "skipped_pairs is a bool": lambda: with_bank(skipped_pairs=True),
+    }
+    text = variants[case]()
     bad = tmp_path / "bad.ckpt.json"
     bad.write_bytes(text if isinstance(text, bytes) else text.encode())
     assert main(["eval", "--corpus", corpus, "--checkpoint", str(bad), "--out", str(tmp_path / "m.csv")]) == 2
@@ -749,6 +749,27 @@ def test_malformed_checkpoint_names_the_path(case, corpus, checkpoint, tmp_path,
                   "skipped_pairs is 1e400": skipped_rule + "inf)"}
     if case in bank_fault:
         assert f"invalid checkpoint bank ({bank_fault[case]}" in err
+
+
+def test_checkpoint_with_former_config_fields_loads_at_their_fixed_values(corpus, checkpoint, tmp_path, capsys):
+    """Checkpoints written while d_attention, fusion_hidden, w_entity and w_predicate were config fields
+    carry them. At the values the code now fixes (null widths, weights of 1 as an int or a float) such a
+    checkpoint loads and writes the same eval CSV; any other value exits 2 naming the key."""
+    with open(checkpoint) as fh:
+        payload = json.load(fh)
+    former = {"d_attention": None, "fusion_hidden": None, "w_entity": 1.0, "w_predicate": 1}
+
+    def eval_with(name, **fields):
+        path = tmp_path / f"{name}.ckpt.json"
+        path.write_text(json.dumps({**payload, "config": {**payload["config"], **fields}}))
+        return main(["eval", "--corpus", corpus, "--checkpoint", str(path), "--out", str(tmp_path / f"{name}.csv")])
+
+    assert eval_with("now") == 0 and eval_with("older", **former) == 0
+    assert (tmp_path / "older.csv").read_bytes() == (tmp_path / "now.csv").read_bytes()
+    capsys.readouterr()
+    for key, value in (("fusion_hidden", 0), ("d_attention", 32), ("w_entity", True), ("w_predicate", 0.5)):
+        assert eval_with(key, **{**former, key: value}) == 2
+        assert f"invalid checkpoint config (unknown model config keys: ['{key}'])\n" in capsys.readouterr().err
 
 
 def test_huge_checkpoint_value_is_shown_cut(corpus, checkpoint, tmp_path, capsys, monkeypatch):

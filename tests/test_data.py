@@ -308,7 +308,6 @@ _WRONG_KIND = {
     float: ["0.5", True, None, float("nan"), float("inf"), 10**400],
     bool: ["true", 1, 0.0, None],
     str: [1, 0.5, True, None],
-    int | None: ["12", True, 1.0],
 }
 
 

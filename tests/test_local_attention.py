@@ -13,7 +13,6 @@ import pytest
 
 from helpers import chain_lih, concat_rows, drawn, einsum_triple_attention, grad_check, triple_attention
 from sggkit import autodiff as ad
-from sggkit.model import ModelConfig
 
 
 def _triple(rng, d):
@@ -148,12 +147,6 @@ def test_tape_arrays_grow_linearly_in_triples():
         ad.lih(s, o, u, *weights)
     assert tape.records
     assert max(out.data.size for _name, out, _fn in tape.records) <= 3 * m * d
-
-
-def test_attention_width_cannot_exceed_feature_width():
-    with pytest.raises(ValueError, match=r"^config field d_attention must not exceed d_node \(4\), got 8$"):
-        ModelConfig(d_node=4, d_edge=4, d_attention=8).validate()
-    ModelConfig(d_node=4, d_edge=4, d_attention=8, use_lih=False).validate()  # unused without LIH
 
 
 def test_gradients_against_central_differences():

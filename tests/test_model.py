@@ -99,10 +99,8 @@ def test_config_validation():
     tiny_config(d_edge=4, gih_variant="none").validate()  # fine without stacking
     with pytest.raises(ValueError, match="momentum"):
         tiny_config(momentum=1.0).validate()
-    for field, value in (("d_attention", 0), ("d_attention", -2), ("fusion_hidden", -1), ("seed", -1)):
-        with pytest.raises(ValueError, match=f"config field {field} must be"):
-            tiny_config(**{field: value}).validate()
-    tiny_config(fusion_hidden=0).validate()  # a purely affine fusion
+    with pytest.raises(ValueError, match="config field seed must be"):
+        tiny_config(seed=-1).validate()
     with pytest.raises(ValueError, match="unknown model config keys"):
         ModelConfig.from_dict({"banana": 1})
     cfg = tiny_config()
@@ -363,10 +361,12 @@ def test_union_fusion_without_propagation_is_direction_blind():
         np.testing.assert_array_equal(edge_probs[i], edge_probs[j])
 
 
-def test_union_fusion_with_propagation_stays_direction_blind():
+@pytest.mark.parametrize("gih_variant", propagation.VARIANTS)
+def test_union_fusion_with_propagation_stays_direction_blind(gih_variant):
+    """Both directions of a pair get equal predicate probabilities, byte for byte, under every propagation."""
     record, fp = scene_and_fp()
     prep = prepare_scene(record, fp)
-    out = Model(tiny_config(fusion="union", use_lih=False, gih_variant="gih", seed=7)).forward(prep)
+    out = Model(tiny_config(fusion="union", use_lih=False, gih_variant=gih_variant, seed=7)).forward(prep)
     rows = {pair: i for i, pair in enumerate(_pairs(prep))}
     edge_probs = probs(out.edge_logits)
     for (s, o), i in rows.items():
@@ -464,7 +464,7 @@ def test_end_to_end_gradients_on_three_node_six_edge_toy():
     record = SceneRecord("toy", nodes, [Edge(0, 1, 1), Edge(1, 0, 2), Edge(1, 2, 1)])
     cfg = ModelConfig(
         d_appearance=3, d_node=4, d_edge=4, n_entity_categories=4, n_predicate_categories=3,
-        fusion="parallel", fusion_hidden=5, gih_variant="gih", gih_layers=2, seed=4,
+        fusion="parallel", gih_variant="gih", gih_layers=2, seed=4,
     )
     prep = prepare_scene(record, fp)
     assert prep.n_edges == 6
@@ -501,14 +501,14 @@ def _default_step_inputs():
     return prep, cfg, model, bank
 
 
-def test_default_training_step_records_27_entries():
-    """One step of the default model at the CLI-default N = 6: 27 records, 20 without the AR term.
+def test_default_training_step_records_25_entries():
+    """One step of the default model at the CLI-default N = 6: 25 records, 18 without the AR term.
 
     Each affine layer outside fusion is one linear_map record: the node and
     union maps and the two heads. LIH is one lih record, parallel fusion
     (both psi layers over all three arrangements) one arranged_mlp record,
     GIH's four layers one gih record, and the AR cosines one cosine_rows
-    record.
+    record. The two cross-entropies add unscaled, with one add record.
     """
     prep, cfg, model, bank = _default_step_inputs()
     with Tape() as tape:
@@ -522,21 +522,21 @@ def test_default_training_step_records_27_entries():
     assert names.count("arranged_mlp") == 1
     assert names.count("gih") == 1
     assert names.count("cosine_rows") == 1
-    assert len(names) == 27
+    assert len(names) == 25
     with Tape() as no_ar:
         total_loss(model.forward(prep), prep, bank, replace(cfg, w_ar=0.0), None)
-    assert len(no_ar.records) == 20
+    assert len(no_ar.records) == 18
 
 
 def test_total_loss_runs_the_ar_term_only_when_handed_negatives():
     """train decides the AR term: with w_ar on, a relation edge in the scene and references to compare
-    with, total_loss without negatives records the 20 entries of a step without AR and reads L_ar 0."""
+    with, total_loss without negatives records the 18 entries of a step without AR and reads L_ar 0."""
     prep, cfg, model, bank = _default_step_inputs()
     assert cfg.w_ar != 0.0 and prep.edge_labels.any() and bank.counts.any()
     with Tape() as tape:
         _, parts = total_loss(model.forward(prep), prep, bank, cfg, None)
     assert parts["L_ar"] == 0.0
-    assert len(tape.records) == 20
+    assert len(tape.records) == 18
 
 
 def _step_bytes(cfg, prep, bank):
@@ -552,7 +552,7 @@ def _step_bytes(cfg, prep, bank):
 
 
 @pytest.mark.parametrize("n_nodes,overrides", [
-    (6, {}), (17, {}), (6, {"fusion": "sequential", "d_attention": 8}), (1, {}),
+    (6, {}), (17, {}), (6, {"fusion": "sequential", "d_node": 8, "d_edge": 8}), (1, {}),
 ], ids=["n6", "n17", "sequential-d_att8", "one-node"])
 def test_training_step_matches_record_chains_bytes(n_nodes, overrides, monkeypatch):
     """A step with the fused lih and gih records equals, byte for byte, one that runs the
@@ -585,17 +585,21 @@ def _four_node_scene():
 @pytest.mark.parametrize("fusion", ["union", "concat", "sequential", "parallel"])
 @pytest.mark.parametrize("gih_variant", ["gih", "gcn", "gat", "none"])
 @pytest.mark.parametrize("use_lih", [True, False], ids=["lih", "no-lih"])
-@pytest.mark.parametrize("fusion_hidden", [None, 0], ids=["hidden", "affine"])
-def test_end_to_end_directional_derivatives_every_variant(fusion, gih_variant, use_lih, fusion_hidden):
+@pytest.mark.parametrize("all_active", [False, True], ids=["hidden", "affine"])
+def test_end_to_end_directional_derivatives_every_variant(fusion, gih_variant, use_lih, all_active):
     """The tape gradient of the full loss (both cross-entropies and the AR term) agrees with
     central differences along 8 random unit directions in parameter space, within 1e-7 of
-    max(1, |difference quotient|), for every fusion x propagation x LIH x hidden-layer
-    combination."""
+    max(1, |difference quotient|), for every fusion x propagation x LIH combination. The affine
+    cells raise the first bias of each fusion MLP by 10, so every hidden unit is active and the
+    fusion is an affine map near the point."""
     prep = _four_node_scene()
     cfg = ModelConfig(d_appearance=3, d_node=4, d_edge=4, n_entity_categories=5, n_predicate_categories=3,
-                      fusion=fusion, fusion_hidden=fusion_hidden, use_lih=use_lih, gih_variant=gih_variant,
-                      gih_layers=2, seed=5)
+                      fusion=fusion, use_lih=use_lih, gih_variant=gih_variant, gih_layers=2, seed=5)
     model = Model(cfg)
+    if all_active:
+        for name in ("fusion.psi.b0", "fusion.pre.b0"):
+            if name in model.params:
+                model.params[name].data += 10.0
     bank = ReferenceBank(3, 4, seed=9)
     bank.refs = np.random.default_rng(10).standard_normal((3, 4))
     bank.counts = np.ones(3)
@@ -762,15 +766,17 @@ def test_checkpoint_version_and_shape_guards(tmp_path):
         load_checkpoint(bad)
 
 
-@pytest.mark.parametrize("field,value,name", [
-    ("gih_layers", 20_000, "prop.w2: missing"),
-    ("fusion_hidden", 200_000, "fusion.psi.w0: expected numbers in shape (24, 200000)"),
-    ("n_entity_categories", 300_000, "node_map.w: expected numbers in shape (300009, 8)"),
+@pytest.mark.parametrize("field,value,fault", [
+    ("gih_layers", 20_000, "params (parameter prop.w2: missing"),
+    ("fusion_hidden", 200_000, "config (unknown model config keys: ['fusion_hidden'])"),
+    ("n_entity_categories", 300_000, "params (parameter node_map.w: expected numbers in shape (300009, 8)"),
 ], ids=["gih_layers", "fusion_hidden", "n_entity_categories"])
-def test_checkpoint_of_a_huge_config_fails_before_allocating_it(field, value, name, tmp_path):
+def test_checkpoint_of_a_huge_config_fails_before_allocating_it(field, value, fault, tmp_path):
     """Each saved parameter is checked before the config's shape is allocated, so a checkpoint
     whose config asks for a huge model fails at its first parameter that does not fit, in well
-    under 1 MB; building the configured model first takes 17 to 77 MB at these sizes."""
+    under 1 MB; building the configured model first takes 17 to 77 MB at these sizes. A former
+    field such as fusion_hidden loads only at the value the code now fixes (null for a width),
+    so a huge one fails as an unknown key."""
     path = tmp_path / "huge.ckpt.json"
     save_checkpoint(path, Model(tiny_config()), ReferenceBank(5, 8, seed=1))
     payload = json.loads(path.read_text())
@@ -784,7 +790,7 @@ def test_checkpoint_of_a_huge_config_fails_before_allocating_it(field, value, na
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
-    assert f"invalid checkpoint params (parameter {name}" in str(exc.value)
+    assert f"invalid checkpoint {fault}" in str(exc.value)
 
 
 # Checkpoint parameter names and shapes per component at tiny_config widths:
