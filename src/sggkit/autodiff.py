@@ -32,6 +32,11 @@ Constant. A Constant built from a 2-D C-contiguous float64 array shares
 that array instead of copying it, so the array must not be mutated while
 the Constant is in use.
 
+A Parameter is a learnable Matrix whose data is a reshaped view into the
+flat buffer of its ParameterBuffer. Its gradient is a view into the
+buffer's twin flat gradient, so after a backward pass one update can run
+over every parameter at once, with no gradient ever concatenated.
+
 Active tapes form one module-level stack; primitives record onto the
 innermost.
 """
@@ -109,6 +114,53 @@ class Constant(Matrix):
 
     def accumulate(self, g) -> None:
         pass
+
+
+class Parameter(Matrix):
+    """A learnable matrix, laid out by a ParameterBuffer as a view into one flat buffer.
+
+    The first gradient a parameter receives after its grad was cleared is
+    written, as g + 0.0, into its slot of the buffer's flat gradient, and grad
+    becomes that slot; later ones add in place. grad stays None until then.
+    """
+
+    __slots__ = ("buffer", "slot")
+
+    def accumulate(self, g) -> None:
+        if self.grad is None:
+            if self.slot is None:
+                self.buffer.allocate_grad()
+            self.grad = np.add(g, 0.0, out=self.slot)  # as Matrix.accumulate: -0.0 -> +0.0
+        else:
+            self.grad += g
+
+
+class ParameterBuffer:
+    """Parameters laid out as reshaped views of one flat float64 buffer, `data`, in the order given.
+
+    `grad`, the twin flat gradient, is allocated as zeros at the first
+    gradient any of them receives, so a model that is only evaluated never
+    holds one. A slot whose parameter got no gradient since its grad was
+    cleared holds stale values.
+    """
+
+    def __init__(self, params: list[Parameter]):
+        self.params = params
+        self.sizes = [p.data.size for p in params]
+        self.data = np.concatenate([p.data.reshape(-1) for p in params])
+        self.grad = None
+        for p, view in zip(params, self.views(self.data)):
+            p.data, p.buffer, p.slot = view, self, None
+
+    def views(self, flat: np.ndarray) -> list[np.ndarray]:
+        """Each parameter's slot of a flat array laid out like `data`, shaped as the parameter."""
+        ends = np.cumsum(self.sizes).tolist()
+        return [flat[end - size:end].reshape(p.shape) for p, size, end in zip(self.params, self.sizes, ends)]
+
+    def allocate_grad(self) -> None:
+        self.grad = np.zeros_like(self.data)
+        for p, slot in zip(self.params, self.views(self.grad)):
+            p.slot = slot
 
 
 class RowBlock(Matrix):

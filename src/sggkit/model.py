@@ -27,6 +27,8 @@ from .autodiff import (
     Matrix,
     NumericError,
     Param,
+    Parameter,
+    ParameterBuffer,
     Tape,
     add,
     gather_rows,
@@ -133,62 +135,59 @@ class PreparedScene:
         return len(self.edge_index)
 
 
-def prepare_scene(record: SceneRecord, spec: GeneratorSpec) -> PreparedScene:
-    """A validated record lowered to model inputs; with read_scenes, the entry points that validate records.
+def prepare_scenes(records: list[SceneRecord], spec: GeneratorSpec) -> list[PreparedScene]:
+    """Validated records lowered to model inputs; with read_scenes, the entry points that validate records.
 
-    `spec`, the corpus's GeneratorSpec, bounds the labels, kept as integers, and synthesizes the node features.
-    A scene holds 1 to MAX_SCENE_NODES nodes. Its candidate edges come from build_adjacency, cached per node
-    count, so the cap bounds that cache too: all graphs up to n nodes hold O(n^3) ints. A forward at n
-    holds A~'s n x n^2 top stripe and n^2 x d activations per layer, never the n^4 floats of A~.
+    `spec`, the corpus's GeneratorSpec, bounds the labels, kept as integers, and synthesizes the node features,
+    seeding the generators of many scenes in one hash pass (GeneratorSpec.node_features). Every record is
+    checked before any feature is drawn, so a fault names the first faulty scene in list order. A scene holds
+    1 to MAX_SCENE_NODES nodes. Its candidate edges come from build_adjacency, cached per node count, so the
+    cap bounds that cache too: all graphs up to n nodes hold O(n^3) ints. A forward at n holds A~'s n x n^2
+    top stripe and n^2 x d activations per layer, never the n^4 floats of A~.
     """
-    record.validate()
-    if not record.nodes:
-        raise ValueError(f"scene {record.scene_id}: no nodes")
-    if len(record.nodes) > MAX_SCENE_NODES:
-        raise ValueError(f"scene {record.scene_id}: {len(record.nodes)} nodes, more than the "
-                         f"{MAX_SCENE_NODES} a scene may hold")
-    for node in record.nodes:
-        if node.label >= spec.n_entity_categories:
-            raise ValueError(
-                f"scene {record.scene_id}: entity label {node.label} outside the "
-                f"{spec.n_entity_categories}-category vocabulary"
-            )
-    for e in record.edges:
-        if e.predicate >= spec.n_predicate_categories:
-            raise ValueError(
-                f"scene {record.scene_id}: predicate label {e.predicate} outside the "
-                f"{spec.n_predicate_categories}-category vocabulary"
-            )
-    n = len(record.nodes)
-    appearance, logits = spec.node_features(record)
-    boxes = np.array([node.box for node in record.nodes], dtype=float).reshape(n, 4)
-    node_inputs = np.concatenate([appearance, boxes, logits], axis=1)
-    ids = [node.id for node in record.nodes]
-    row_of = {node_id: row for row, node_id in enumerate(ids)}
-    subj, obj, _ = build_adjacency(n)
-    node_ids = np.array(ids, dtype=np.int64)
-    swap = node_ids[obj] < node_ids[subj]
-    first, second = np.where(swap, obj, subj), np.where(swap, subj, obj)
-    a, b = boxes[first], boxes[second]
-    cover = np.concatenate([np.where(b[:, :2] < a[:, :2], b[:, :2], a[:, :2]),
-                            np.where(b[:, 2:] > a[:, 2:], b[:, 2:], a[:, 2:])], axis=1)
-    union_inputs = np.concatenate([appearance[first], appearance[second], cover], axis=1)
-    node_labels = np.array([node.label for node in record.nodes], dtype=np.int64)
-    annotated = np.zeros((n, n), dtype=np.int64)
-    for e in record.edges:
-        annotated[row_of[e.subject], row_of[e.object]] = e.predicate
-    edge_labels = annotated[subj, obj]
-    return PreparedScene(
-        scene_id=record.scene_id,
-        record=record,
-        node_inputs=node_inputs,
-        union_inputs=union_inputs,
-        edge_index=np.stack([node_ids[subj], node_ids[obj]], axis=1),
-        node_labels=node_labels,
-        edge_labels=edge_labels,
-        subjects=subj,
-        objects=obj,
-    )
+    for record in records:
+        record.validate()
+        if not record.nodes:
+            raise ValueError(f"scene {record.scene_id}: no nodes")
+        if len(record.nodes) > MAX_SCENE_NODES:
+            raise ValueError(f"scene {record.scene_id}: {len(record.nodes)} nodes, more than the "
+                             f"{MAX_SCENE_NODES} a scene may hold")
+        for node in record.nodes:
+            if node.label >= spec.n_entity_categories:
+                raise ValueError(f"scene {record.scene_id}: entity label {node.label} outside the "
+                                 f"{spec.n_entity_categories}-category vocabulary")
+        for e in record.edges:
+            if e.predicate >= spec.n_predicate_categories:
+                raise ValueError(f"scene {record.scene_id}: predicate label {e.predicate} outside the "
+                                 f"{spec.n_predicate_categories}-category vocabulary")
+    preps = []
+    for record, (appearance, logits) in zip(records, spec.node_features(records)):
+        n = len(record.nodes)
+        boxes = np.array([node.box for node in record.nodes], dtype=float).reshape(n, 4)
+        node_inputs = np.concatenate([appearance, boxes, logits], axis=1)
+        ids = [node.id for node in record.nodes]
+        row_of = {node_id: row for row, node_id in enumerate(ids)}
+        subj, obj, _ = build_adjacency(n)
+        node_ids = np.array(ids, dtype=np.int64)
+        swap = node_ids[obj] < node_ids[subj]
+        first, second = np.where(swap, obj, subj), np.where(swap, subj, obj)
+        a, b = boxes[first], boxes[second]
+        cover = np.concatenate([np.where(b[:, :2] < a[:, :2], b[:, :2], a[:, :2]),
+                                np.where(b[:, 2:] > a[:, 2:], b[:, 2:], a[:, 2:])], axis=1)
+        union_inputs = np.concatenate([appearance[first], appearance[second], cover], axis=1)
+        node_labels = np.array([node.label for node in record.nodes], dtype=np.int64)
+        annotated = np.zeros((n, n), dtype=np.int64)
+        for e in record.edges:
+            annotated[row_of[e.subject], row_of[e.object]] = e.predicate
+        edge_index = np.stack([node_ids[subj], node_ids[obj]], axis=1)
+        preps.append(PreparedScene(record.scene_id, record, node_inputs, union_inputs, edge_index, node_labels,
+                                   annotated[subj, obj], subj, obj))
+    return preps
+
+
+def prepare_scene(record: SceneRecord, spec: GeneratorSpec) -> PreparedScene:
+    """prepare_scenes of the one record."""
+    return prepare_scenes([record], spec)[0]
 
 
 @dataclass
@@ -199,7 +198,7 @@ class ForwardResult:
 
 
 class Model:
-    """Holds all learnable matrices in a flat dictionary, by checkpoint name."""
+    """Holds all learnable matrices in a dictionary, by checkpoint name, as views into one ParameterBuffer."""
 
     def __init__(self, config: ModelConfig, saved: dict | None = None):
         """Draws each parameter from the config seed, or takes it from `saved`, a checkpoint's params,
@@ -207,13 +206,13 @@ class Model:
         value and output maps are the four D x D lih.* weights of autodiff.lih."""
         config.validate()
         self.config = config
-        self.params: dict[str, Matrix] = {}
+        self.params: dict[str, Parameter] = {}
         rng = np.random.default_rng([_STREAM_PARAMS, config.seed]) if saved is None else None
 
-        def param(name: str, rows: int, cols: int, fan_in: int | None = None) -> Matrix:
+        def param(name: str, rows: int, cols: int, fan_in: int | None = None) -> Parameter:
             matrix = uniform_init(rng, rows, cols, fan_in) if saved is None else _saved_matrix(saved, name, rows, cols)
-            self.params[name] = matrix
-            return matrix
+            self.params[name] = Parameter(matrix.data)
+            return self.params[name]
 
         def under(prefix: str) -> Param:
             return lambda name, rows, cols, fan_in=None: param(f"{prefix}.{name}", rows, cols, fan_in)
@@ -229,6 +228,7 @@ class Model:
         n_ent, n_pred = config.n_entity_categories, config.n_predicate_categories
         self.entity_head = (param("entity_head.w", d, n_ent), param("entity_head.b", 1, n_ent, fan_in=d))
         self.predicate_head = (param("predicate_head.w", d_e, n_pred), param("predicate_head.b", 1, n_pred, fan_in=d_e))
+        self.buffer = ParameterBuffer(list(self.params.values()))
 
     def forward(self, prep: PreparedScene) -> ForwardResult:
         cfg = self.config
@@ -252,6 +252,24 @@ class Model:
         else:
             edge_logits = Matrix(np.zeros((0, cfg.n_predicate_categories)))
         return ForwardResult(node_logits, edge_logits, edges)
+
+    def sgd_step(self, velocity: np.ndarray) -> None:
+        """SGD with momentum and weight decay in place over the flat buffer, then every grad cleared.
+
+        `velocity` is laid out like the buffer. Elementwise, the ops are those of a per-parameter update, so
+        the bytes equal it. Parameters with no gradient (a one-node scene reaches no edge parameter) keep
+        their data and velocity: only then is the update masked.
+        """
+        cfg, buffer = self.config, self.buffer
+        got = [p.grad is not None for p in buffer.params]
+        where = True if all(got) else np.repeat(got, buffer.sizes)
+        step = cfg.weight_decay * buffer.data
+        step += buffer.grad
+        np.multiply(velocity, cfg.momentum, out=velocity, where=where)
+        np.add(velocity, step, out=velocity, where=where)
+        np.subtract(buffer.data, cfg.learning_rate * velocity, out=buffer.data, where=where)
+        for p in buffer.params:
+            p.grad = None
 
 
 def _cross_entropy(logits: Matrix, labels: np.ndarray, row_weights: np.ndarray | None = None) -> Matrix:
@@ -365,12 +383,12 @@ def train(
     _check_vocabulary(config, spec)
     model = Model(config)
     bank = ReferenceBank(config.n_predicate_categories, config.d_edge, seed=[_STREAM_BANK, config.seed])
-    preps = [prepare_scene(r, spec) for r in train_records]
-    eval_preps = [prepare_scene(r, spec) for r in eval_records] if metrics_every > 0 and eval_records else []
+    preps = prepare_scenes(train_records, spec)
+    eval_preps = prepare_scenes(eval_records, spec) if metrics_every > 0 and eval_records else []
     for prep in eval_preps:
         if not prep.record.edges:
             raise ValueError(f"held-out scene {prep.scene_id}: no annotated edges, so recall is undefined")
-    velocity = {name: np.zeros_like(p.data) for name, p in model.params.items()}
+    velocity = np.zeros_like(model.buffer.data)
     log: list[EpochLog] = []
     for epoch in range(1, config.epochs + 1):
         sums = np.zeros(len(LOSS_COLUMNS))
@@ -387,18 +405,11 @@ def train(
                     tape.backward(loss)
             except NumericError as exc:
                 raise NumericError(f"epoch {epoch}, scene {prep.scene_id}: {exc}") from exc
+            del tape  # its records go before the update's buffer-sized temporaries are allocated
             if use_ar:
                 update_references(bank, out.edge_embeddings.data, prep.edge_labels, negatives,
                                   skip_category=PREDICATE_NO_RELATION)
-            for name, p in model.params.items():
-                if p.grad is not None:  # in place; float sums commute, so the bytes equal w - lr (mu v + (g + wd w))
-                    step = config.weight_decay * p.data
-                    step += p.grad
-                    v = velocity[name]
-                    v *= config.momentum
-                    v += step
-                    p.data -= config.learning_rate * v
-                    p.grad = None
+            model.sgd_step(velocity)
             sums += [parts[column] for column in LOSS_COLUMNS]
         entry = EpochLog(epoch, dict(zip(LOSS_COLUMNS, sums / len(preps))))
         if eval_preps and (epoch % metrics_every == 0 or epoch == config.epochs):

@@ -53,6 +53,21 @@ def grad_check(f, params, eps=1e-5):
     return worst
 
 
+def loop_sgd_step(model, velocity):
+    """Model.sgd_step one parameter at a time, as train ran it before the flat buffer: `velocity` maps
+    each parameter name to its momentum, zeros until the parameter first gets a gradient."""
+    config = model.config
+    for name, p in model.params.items():
+        if p.grad is not None:
+            step = config.weight_decay * p.data
+            step += p.grad
+            v = velocity.setdefault(name, np.zeros_like(p.data))
+            v *= config.momentum
+            v += step
+            p.data -= config.learning_rate * v
+            p.grad = None
+
+
 # ---------------------------------------------------------------------------
 # record-per-operation oracles: the tape ops and chains that autodiff.lih and
 # autodiff.gih fuse, recorded as the library recorded them before

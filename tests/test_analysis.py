@@ -1,4 +1,5 @@
 from collections import Counter, defaultdict
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -292,6 +293,10 @@ def test_guess_curve_validation_errors():
     records, _ = _rule_corpus(n_scenes=5)
     with pytest.raises(ValueError, match="nonempty training"):
         guess_curve([], records, ("head",))
+    with pytest.raises(ValueError, match="nonempty evaluation"):
+        guess_curve(records, [replace(records[0], edges=[])], ("head",))
+    with pytest.raises(ValueError, match="target must be one of"):
+        guess_curve(records, records, ("head",), target="h2t")
     with pytest.raises(ValueError, match="unknown conditioning"):
         guess_curve(records, records, ("banana",))
     with pytest.raises(ValueError, match="circular"):

@@ -62,6 +62,14 @@ def test_out_of_range_label_raises():
         update_references(bank, np.array([[1.0, 0.0]]), [5], {})
 
 
+def test_labels_and_embeddings_must_match_the_bank():
+    bank = ReferenceBank(2, 2, seed=0)
+    with pytest.raises(ValueError, match=r"labels shape \(2,\) does not match 1 embeddings"):
+        update_references(bank, np.array([[1.0, 0.0]]), [1, 1], {})
+    with pytest.raises(ValueError, match="embedding width 3 does not match bank width 2"):
+        attract_repel_loss(bank, ad.Matrix(np.ones((1, 3))), [1], {})
+
+
 def test_sample_negatives_counts_and_pool():
     bank = ReferenceBank(3, 2, seed=1)
     labels = [0, 0, 0, 1, 2]

@@ -523,3 +523,26 @@ def test_first_accumulate_owns_its_gradient():
     z = ad.Matrix([[1.0]])
     z.accumulate(np.array([[-0.0]]))
     assert not np.signbit(z.grad[0, 0])  # stored as +0.0
+
+
+def test_parameters_take_their_gradients_in_the_flat_buffer():
+    """A Parameter's gradient equals a Matrix's byte for byte, also when it is used twice in one backward,
+    and lives in its slot of the buffer's flat gradient; an unused one keeps grad None. A slot's stale
+    values from an earlier step never reach the next gradient."""
+    rng = np.random.default_rng(14)
+    x = ad.Constant(rng.normal(size=(3, 2)))
+    data = [rng.normal(size=(2, 2)), rng.normal(size=(1, 2)), rng.normal(size=(2, 1))]
+    params = [ad.Parameter(d) for d in data]
+    buffer = ad.ParameterBuffer(params)
+    assert buffer.grad is None and buffer.data.tobytes() == b"".join(d.tobytes() for d in data)
+    grads = {}
+    for kind, (w, b, unused) in (("matrix", [ad.Matrix(d) for d in data]), ("parameter", params)):
+        for step in range(2):
+            w.grad = b.grad = None
+            with ad.Tape() as tape:
+                loss = ad.sum_all(ad.linear_map(ad.linear_map(x, w, b), w, b))
+            tape.backward(loss)
+            grads.setdefault(kind, []).append((w.grad.tobytes(), b.grad.tobytes(), unused.grad))
+    assert grads["parameter"] == grads["matrix"] and grads["matrix"][0] == grads["matrix"][1]
+    for p, slot in zip(params[:2], buffer.views(buffer.grad)):
+        assert np.shares_memory(p.grad, slot) and p.grad.tobytes() == slot.tobytes()

@@ -306,6 +306,12 @@ def test_corpus_aggregates():
     assert corpus(corpus_pairwise_recall_at_k, [pred1, pred2], [gt1, gt2], 2) == 0.5
     with pytest.raises(ValueError, match="no ground-truth triplets"):
         corpus(corpus_recall_at_k, [pred1], [GroundTruthGraph({}, [])], 2)
+    with pytest.raises(ValueError, match="no ground-truth triplets"):
+        count_hits(pred1, GroundTruthGraph({}, []), 2).mean_recall(2)
+    with pytest.raises(ValueError, match="mean recall is undefined with no ground-truth triplets"):
+        corpus(mean_recall_at_k, [pred1], [GroundTruthGraph({}, [])], 2)
+    with pytest.raises(ValueError, match="need at least one scene"):
+        corpus_recall_at_k([], 2)
     with pytest.raises(ValueError, match="pairwise recall is undefined"):
         corpus(corpus_pairwise_recall_at_k, [pred1], [graph([(0, 1, 1)])], 2)
 

@@ -18,7 +18,7 @@ from sggkit.data import (
     generate,
     split_scenes,
 )
-from helpers import chain_gih, chain_lih, complete_a_tilde, drawn, grad_check, loop_prepare_scene
+from helpers import chain_gih, chain_lih, complete_a_tilde, drawn, grad_check, loop_prepare_scene, loop_sgd_step
 from sggkit import model as model_module
 from sggkit import propagation
 from sggkit.model import (
@@ -30,6 +30,7 @@ from sggkit.model import (
     evaluate,
     load_checkpoint,
     prepare_scene,
+    prepare_scenes,
     save_checkpoint,
     total_loss,
     train,
@@ -229,6 +230,42 @@ def test_prepare_scene_matches_loop_oracle_across_alternating_node_counts():
         for n, spec in specs.items():
             record = generate(spec)[i]
             _assert_matches_loop_oracle(prepare_scene(record, spec), loop_prepare_scene(record, spec))
+
+
+def _prepared(prep):
+    arrays = [prep.node_inputs, prep.union_inputs, prep.edge_index, prep.node_labels, prep.edge_labels,
+              prep.subjects, prep.objects]
+    return prep.scene_id, prep.record, [(a.dtype.str, a.shape, a.tobytes()) for a in arrays]
+
+
+@pytest.mark.parametrize("n_records", [70, 0])
+def test_prepare_scenes_equals_prepare_scene_per_record(n_records):
+    """One call seeds the list's scenes together; each scene's arrays equal those of its own call, byte for
+    byte. The list mixes 1, 6 and 17 nodes and holds more than one seeding run (data._SEED_BATCH scenes); the
+    corpus seed and every third appearance seed lie beyond 2**32, so rows of four and five 32-bit words
+    share a hash pass."""
+    spec = GeneratorSpec(nodes_per_scene=6, n_scenes=66, seed=2**40 + 5, logit_flip_rate=0.5,
+                         scene_offset_sigma=0.3)
+    records = generate(spec) + generate(replace(spec, nodes_per_scene=17, n_scenes=3))
+    records.insert(2, SceneRecord("solo", [Node(4, 3, (0.1, 0.2, 0.6, 0.9), 9)], []))
+    for i, node in enumerate(node for record in records for node in record.nodes):
+        if i % 3 == 0:
+            node.appearance_seed += 2**35 + i
+    records = records[:n_records]
+    assert [_prepared(prep) for prep in prepare_scenes(records, spec)] == [
+        _prepared(prepare_scene(record, spec)) for record in records]
+
+
+def test_prepare_scenes_names_the_first_faulty_scene():
+    """Every record is checked before the seeding pass, which would reject a negative appearance seed
+    without naming its scene."""
+    spec = tiny_spec(n_scenes=5)
+    records = generate(spec)
+    records[1].nodes[0].label = spec.n_entity_categories
+    records[2] = replace(records[2], nodes=[], edges=[])
+    records[3].nodes[0].appearance_seed = -1
+    with pytest.raises(ValueError, match=r"^scene scene-00001: entity label 11 outside the 11-category vocabulary$"):
+        prepare_scenes(records, spec)
 
 
 def test_gih_forward_never_holds_a_dense_adjacency():
@@ -640,6 +677,55 @@ def test_zero_learning_rate_leaves_parameters_bit_identical():
         np.testing.assert_array_equal(p.data, fresh.params[name].data)
 
 
+def _one_node_scene():
+    return SceneRecord("solo", [Node(0, 3, (0.1, 0.2, 0.6, 0.9), 7)], [])
+
+
+def test_flat_update_trains_as_the_per_parameter_loop(monkeypatch, tmp_path):
+    """Checkpoint and epoch log byte for byte; the one-node scene between normal ones reaches no union_map,
+    lih, fusion or predicate_head parameter, so its update is the masked one."""
+    spec = tiny_spec(n_scenes=5)
+    records = generate(spec)
+    records.insert(2, _one_node_scene())
+    runs = []
+    for oracle in (False, True):
+        if oracle:
+            velocity = {}
+            monkeypatch.setattr(Model, "sgd_step", lambda model, _velocity: loop_sgd_step(model, velocity))
+        result = train(tiny_config(epochs=3), records, spec, eval_records=records[:2], metrics_every=1)
+        path = tmp_path / f"{oracle}.ckpt.json"
+        save_checkpoint(path, result.model, result.bank)
+        runs.append((path.read_bytes(), [vars(entry) for entry in result.log]))
+    assert runs[0] == runs[1]
+
+
+def test_parameters_without_a_gradient_keep_their_data_and_velocity():
+    spec, cfg = tiny_spec(), tiny_config()
+    prep = prepare_scene(_one_node_scene(), spec)
+    model, oracle = Model(cfg), Model(cfg)
+    for m in (model, oracle):
+        with Tape() as tape:
+            loss, _ = total_loss(m.forward(prep), prep, ReferenceBank(5, 8, seed=1), cfg)
+            tape.backward(loss)
+    untouched = {name for name, p in model.params.items() if p.grad is None}
+    assert untouched == {name for name in model.params
+                         if name.split(".")[0] in ("union_map", "lih", "fusion", "predicate_head")}
+    start_velocity = np.random.default_rng(3).standard_normal(model.buffer.data.size)
+    velocity, oracle_velocity = start_velocity.copy(), start_velocity.copy()
+    start_data = model.buffer.data.copy()
+    model.sgd_step(velocity)
+    loop_sgd_step(oracle, dict(zip(oracle.params, oracle.buffer.views(oracle_velocity))))
+    assert model.buffer.data.tobytes() == oracle.buffer.data.tobytes()
+    assert velocity.tobytes() == oracle_velocity.tobytes()
+    views = zip(model.params, model.buffer.views(start_data), model.buffer.views(start_velocity),
+                model.buffer.views(velocity))
+    for name, data, v_before, v_after in views:
+        if name in untouched:
+            assert model.params[name].data.tobytes() == data.tobytes()
+            assert v_after.tobytes() == v_before.tobytes()
+    assert all(p.grad is None for p in model.params.values())
+
+
 def test_training_is_deterministic_given_seed():
     spec = tiny_spec(n_scenes=8)
     records = generate(spec)
@@ -675,6 +761,11 @@ def test_evaluate_on_an_overflowing_weight_raises_only_numeric_error():
     model.params["predicate_head.w"].data[:] = 1e308
     with pytest.raises(NumericError, match="non-finite"):
         evaluate(model, [prepare_scene(r, spec) for r in generate(spec)], ks_recall=(4,), ks_pair=(2,))
+
+
+def test_evaluate_needs_a_scene():
+    with pytest.raises(ValueError, match="evaluation needs at least one scene"):
+        evaluate(Model(tiny_config()), [])
 
 
 def test_train_rejects_vocabulary_mismatch_and_empty_corpus():

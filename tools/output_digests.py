@@ -28,7 +28,10 @@ dropped read one per config field), so each checkout runs the same configs:
   corpus: its sidecar sets a corpus seed beyond 2**32, ``logit_flip_rate``
   0.5 and ``scene_offset_sigma`` 0.3, and a third of its appearance seeds lie
   beyond 2**32. These outputs change when a node's appearance or observed
-  label is drawn from another generator state, for any seed width;
+  label is drawn from another generator state, for any seed width. A
+  parallel-gih-lih model also trains and evaluates on the stress copy as
+  above (``--holdout 40``), under ``stress/parallel-gih-lih/``, so the
+  features of whole training and held-out lists are drawn with those seeds;
 * generated scenes hold one bidirectional pair and at most two predicate
   categories each, so the sweep also writes a multi-pair corpus (seed 601):
   scenes with 2 to 4 bidirectional pairs, one-way edges and up to 6 predicate
@@ -100,6 +103,7 @@ PROPAGATIONS = ("gih", "gcn", "gat", "none")
 TAGS = [f"{fusion}-{propagation}-{lih}" for fusion in FUSIONS for propagation in PROPAGATIONS
         for lih in ("lih", "nolih")]
 N17_TAGS = [f"n17/{tag}" for tag in ("parallel-gih-lih", "parallel-none-lih")]  # trained on the N = 17 corpus
+STRESS_TAG = "stress/parallel-gih-lih"  # trained on the stress corpus
 TOLERANCE = 1e-12  # relative to max(1, |parent value|)
 
 
@@ -220,6 +224,7 @@ def sweep(main) -> None:
     os.mkdir("stress")
     write_stress_corpus("corpus.sgjsonl", "stress/corpus.sgjsonl")
     evaluate(main, "stress/corpus.sgjsonl", "parallel-gih-lih/model.ckpt.json", "stress", rescore=False)
+    train_and_evaluate(main, "stress/corpus.sgjsonl", STRESS_TAG, 40)
     os.mkdir("multipair")
     write_multi_pair("multipair/corpus.sgjsonl", "multipair/scores.pred.jsonl")
     for name, flags in (("default", []), ("overlap", ["--ks-recall", "2,4", "--ks-pair", "2,4"]),
@@ -257,7 +262,7 @@ def digest(path: str) -> str:
 def probe(main, reference: str) -> None:
     """This checkout's outputs from the checkpoints and corpora of the sweep in `reference`, under probe/.
 
-    Per variant, the N = 17 ones included, and for the stress evaluation:
+    Per variant, the N = 17 and stress-trained ones included, and for the stress evaluation:
     step.npz (one training step's loss and parameter gradients on the
     corpus's first scene), logits.npz (every scene's edge logits) and the
     eval CSVs and dumps.
@@ -268,7 +273,8 @@ def probe(main, reference: str) -> None:
     from sggkit.model import load_checkpoint, prepare_scene, total_loss
 
     runs = ([(tag, tag, "corpus.sgjsonl") for tag in TAGS] + [(tag, tag, "n17/corpus.sgjsonl") for tag in N17_TAGS]
-            + [("stress", "parallel-gih-lih", "stress/corpus.sgjsonl")])
+            + [("stress", "parallel-gih-lih", "stress/corpus.sgjsonl"),
+               (STRESS_TAG, STRESS_TAG, "stress/corpus.sgjsonl")])
     for tag, ckpt_tag, corpus_name in runs:
         out_dir = f"probe/{tag}"
         ckpt = os.path.join(reference, ckpt_tag, "model.ckpt.json")
@@ -378,7 +384,7 @@ def compare(parent_src: str, src: str, out: str) -> int:
         for checkout, work in ((parent_src, ref), (src, cand)):
             subprocess.run([sys.executable, os.path.abspath(__file__), "--src", checkout,
                             "--out", f"{work}.digests.json", "--workdir", work, "--probe-from", ref], check=True)
-        rows = {tag: compare_variant(cand, ref, tag) for tag in [*TAGS, *N17_TAGS, "stress"]}
+        rows = {tag: compare_variant(cand, ref, tag) for tag in [*TAGS, *N17_TAGS, "stress", STRESS_TAG]}
         with open(f"{ref}.digests.json", encoding="utf-8") as fh:
             old_digests = json.load(fh)
         with open(f"{cand}.digests.json", encoding="utf-8") as fh:
