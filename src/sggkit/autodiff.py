@@ -35,7 +35,9 @@ the Constant is in use.
 A Parameter is a learnable Matrix whose data is a reshaped view into the
 flat buffer of its ParameterBuffer. Its gradient is a view into the
 buffer's twin flat gradient, so after a backward pass one update can run
-over every parameter at once, with no gradient ever concatenated.
+over every parameter at once, with no gradient ever concatenated. Its
+data is written in place (`p.data[...] = x`), never rebound: a rebound
+array is no longer the buffer's, so the update would miss it.
 
 Active tapes form one module-level stack; primitives record onto the
 innermost.
@@ -122,6 +124,8 @@ class Parameter(Matrix):
     The first gradient a parameter receives after its grad was cleared is
     written, as g + 0.0, into its slot of the buffer's flat gradient, and grad
     becomes that slot; later ones add in place. grad stays None until then.
+    data must be written in place, never rebound: an update over the
+    buffer would not reach a rebound array.
     """
 
     __slots__ = ("buffer", "slot")

@@ -11,11 +11,9 @@ Seeding contract: each node's appearance noise and its observed label come
 from two generators of its own, whose states equal
 np.random.default_rng([stream, corpus seed, appearance_seed]) with the
 appearance and logit stream tags. `GeneratorSpec.node_features` seeds the
-generators of a whole list of scenes in array passes of NumPy's
-SeedSequence hash (`seeded_generators`), one per run of up to _SEED_BATCH
-scenes. It builds each scene's Generators only when it draws that scene's
-features, and draws from each exactly what a per-node default_rng would,
-so any non-negative seed gives the same bytes.
+generators of a whole scene in one array pass of NumPy's SeedSequence
+hash (`seeded_generators`) and draws from each exactly what a per-node
+default_rng would, so any non-negative seed gives the same bytes.
 
 The generator plants a relation rule over entity categories. Categories
 are organized as matched pairs (1,2), (3,4), ...; exactly the matched
@@ -47,7 +45,6 @@ import hashlib
 import json
 import sys
 import typing
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 from typing import NewType
 
@@ -72,9 +69,6 @@ _STREAM_PROTO = 101
 _STREAM_APPEAR = 202
 _STREAM_LOGITS = 303
 _STREAM_SCENE_OFFSET = 404
-# scenes whose node generators node_features seeds in one hash pass: the pass's fixed cost is shared by this
-# many scenes, and its entropy rows and arrays stay bounded however long the list
-_SEED_BATCH = 64
 
 _FLOAT_MAX = sys.float_info.max
 _INT64_END = 2**63  # ids and labels end up in int64 arrays
@@ -315,39 +309,29 @@ class GeneratorSpec(ConfigSchema):
         rng = np.random.default_rng([_STREAM_SCENE_OFFSET, self.seed, *words.tolist()])
         return self.scene_offset_sigma * rng.standard_normal(self.d_appearance)
 
-    def node_features(self, records: list[SceneRecord]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """Appearance [N, d_appearance] and class logits [N, n_entity_categories] of each record's nodes, in order.
+    def node_features(self, record: SceneRecord) -> tuple[np.ndarray, np.ndarray]:
+        """Appearance [N, d_appearance] and class logits [N, n_entity_categories] of a scene's nodes.
 
         A node's appearance is its category prototype plus appearance_sigma
         times standard_normal noise, plus the scene offset. Its logits are
         logit_scale at the label a noisy upstream classifier reports: with
         probability logit_flip_rate a uniformly drawn wrong label. Both draws
-        come from the node's own generators. Those of every node of a run of
-        records are seeded in one pass, and a scene's Generators are built
-        when its features are drawn.
+        come from the node's own generators, seeded together for the scene.
         """
-        d = self.d_appearance
-        for first in range(0, len(records), _SEED_BATCH):
-            batch = records[first:first + _SEED_BATCH]
-            states = seeded_generators([[stream, self.seed, node.appearance_seed]
-                                        for stream in (_STREAM_APPEAR, _STREAM_LOGITS)
-                                        for record in batch for node in record.nodes])
-            appear_rows, logit_rows = states[:len(states) // 2], states[len(states) // 2:]
-            stop = 0
-            for record in batch:
-                nodes = record.nodes
-                n = len(nodes)
-                start, stop = stop, stop + n
-                noise = np.array([rng.standard_normal(d) for rng in generators(appear_rows[start:stop])]).reshape(n, d)
-                protos = np.array([self.prototype(node.label) for node in nodes]).reshape(n, d)
-                appearance = protos + self.appearance_sigma * noise + self.scene_offset(record.scene_id)
-                labels = [node.label for node in nodes]
-                for i, rng in enumerate(generators(logit_rows[start:stop])):
-                    if rng.random() < self.logit_flip_rate:
-                        labels[i] = _other_label(rng, self.n_entity_categories, labels[i])
-                logits = np.zeros((n, self.n_entity_categories))
-                logits[np.arange(n), labels] = self.logit_scale
-                yield appearance, logits
+        nodes = record.nodes
+        n, d = len(nodes), self.d_appearance
+        rngs = seeded_generators([[stream, self.seed, node.appearance_seed]
+                                  for stream in (_STREAM_APPEAR, _STREAM_LOGITS) for node in nodes])
+        noise = np.array([rng.standard_normal(d) for rng in rngs[:n]]).reshape(n, d)
+        protos = np.array([self.prototype(node.label) for node in nodes]).reshape(n, d)
+        appearance = protos + self.appearance_sigma * noise + self.scene_offset(record.scene_id)
+        labels = [node.label for node in nodes]
+        for i, rng in enumerate(rngs[n:]):
+            if rng.random() < self.logit_flip_rate:
+                labels[i] = _other_label(rng, self.n_entity_categories, labels[i])
+        logits = np.zeros((n, self.n_entity_categories))
+        logits[np.arange(n), labels] = self.logit_scale
+        return appearance, logits
 
 
 @dataclass
@@ -653,18 +637,17 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def seeded_generators(entropy: list[list[int]]) -> np.ndarray:
-    """The PCG64 states of np.random.default_rng(row) for every row of non-negative ints, hashed in one pass.
+def seeded_generators(entropy: list[list[int]]) -> list[np.random.Generator]:
+    """np.random.default_rng(row) for every row of non-negative ints, seeded in one pass.
 
-    The result is [len(entropy), 4] uint64; `generators` turns rows of it
-    into Generators, so a caller builds only those it draws from. Each
-    row's ints are split into 32-bit words as SeedSequence splits them,
+    Each row's ints are split into 32-bit words as SeedSequence splits them,
     then run through its hash: hashmix the first pool-size words into the
     pool (missing words hash as 0), mix every pool word into the others, mix
     in each word beyond the pool, then hash the pool out to four uint64 words
     of state. The hash constants follow the number of hashmix calls, not the
     data, so each step is one array op over all rows; within one source word
-    the mix updates are independent.
+    the mix updates are independent. NumPy's own PCG64 seeding turns each
+    state into a generator.
     """
     split = {value: _words(value) for value in {value for row in entropy for value in row}}
     rows = [[word for value in row for word in split[value]] for row in entropy]
@@ -687,9 +670,4 @@ def seeded_generators(entropy: list[list[int]]) -> np.ndarray:
     state = _hashmix(np.concatenate([pool, pool]), b[:-1], b[1:])
     # SeedSequence reads its uint32 words as little-endian uint64 pairs
     state = state.T.astype("<u4", order="C").view("<u8").astype(np.uint64, copy=False)
-    return state
-
-
-def generators(states: np.ndarray) -> list[np.random.Generator]:
-    """A Generator for each [4] uint64 PCG64 state of `seeded_generators`, by NumPy's own PCG64 seeding."""
-    return [np.random.Generator(np.random.PCG64(_PresetState(row))) for row in states]
+    return [np.random.Generator(np.random.PCG64(_PresetState(row))) for row in state]

@@ -135,59 +135,62 @@ class PreparedScene:
         return len(self.edge_index)
 
 
-def prepare_scenes(records: list[SceneRecord], spec: GeneratorSpec) -> list[PreparedScene]:
-    """Validated records lowered to model inputs; with read_scenes, the entry points that validate records.
-
-    `spec`, the corpus's GeneratorSpec, bounds the labels, kept as integers, and synthesizes the node features,
-    seeding the generators of many scenes in one hash pass (GeneratorSpec.node_features). Every record is
-    checked before any feature is drawn, so a fault names the first faulty scene in list order. A scene holds
-    1 to MAX_SCENE_NODES nodes. Its candidate edges come from build_adjacency, cached per node count, so the
-    cap bounds that cache too: all graphs up to n nodes hold O(n^3) ints. A forward at n holds A~'s n x n^2
-    top stripe and n^2 x d activations per layer, never the n^4 floats of A~.
-    """
-    for record in records:
-        record.validate()
-        if not record.nodes:
-            raise ValueError(f"scene {record.scene_id}: no nodes")
-        if len(record.nodes) > MAX_SCENE_NODES:
-            raise ValueError(f"scene {record.scene_id}: {len(record.nodes)} nodes, more than the "
-                             f"{MAX_SCENE_NODES} a scene may hold")
-        for node in record.nodes:
-            if node.label >= spec.n_entity_categories:
-                raise ValueError(f"scene {record.scene_id}: entity label {node.label} outside the "
-                                 f"{spec.n_entity_categories}-category vocabulary")
-        for e in record.edges:
-            if e.predicate >= spec.n_predicate_categories:
-                raise ValueError(f"scene {record.scene_id}: predicate label {e.predicate} outside the "
-                                 f"{spec.n_predicate_categories}-category vocabulary")
-    preps = []
-    for record, (appearance, logits) in zip(records, spec.node_features(records)):
-        n = len(record.nodes)
-        boxes = np.array([node.box for node in record.nodes], dtype=float).reshape(n, 4)
-        node_inputs = np.concatenate([appearance, boxes, logits], axis=1)
-        ids = [node.id for node in record.nodes]
-        row_of = {node_id: row for row, node_id in enumerate(ids)}
-        subj, obj, _ = build_adjacency(n)
-        node_ids = np.array(ids, dtype=np.int64)
-        swap = node_ids[obj] < node_ids[subj]
-        first, second = np.where(swap, obj, subj), np.where(swap, subj, obj)
-        a, b = boxes[first], boxes[second]
-        cover = np.concatenate([np.where(b[:, :2] < a[:, :2], b[:, :2], a[:, :2]),
-                                np.where(b[:, 2:] > a[:, 2:], b[:, 2:], a[:, 2:])], axis=1)
-        union_inputs = np.concatenate([appearance[first], appearance[second], cover], axis=1)
-        node_labels = np.array([node.label for node in record.nodes], dtype=np.int64)
-        annotated = np.zeros((n, n), dtype=np.int64)
-        for e in record.edges:
-            annotated[row_of[e.subject], row_of[e.object]] = e.predicate
-        edge_index = np.stack([node_ids[subj], node_ids[obj]], axis=1)
-        preps.append(PreparedScene(record.scene_id, record, node_inputs, union_inputs, edge_index, node_labels,
-                                   annotated[subj, obj], subj, obj))
-    return preps
-
-
 def prepare_scene(record: SceneRecord, spec: GeneratorSpec) -> PreparedScene:
-    """prepare_scenes of the one record."""
-    return prepare_scenes([record], spec)[0]
+    """A validated record lowered to model inputs; with read_scenes, the entry points that validate records.
+
+    `spec`, the corpus's GeneratorSpec, bounds the labels, kept as integers, and synthesizes the node features.
+    A scene holds 1 to MAX_SCENE_NODES nodes. Its candidate edges come from build_adjacency, cached per node
+    count, so the cap bounds that cache too: all graphs up to n nodes hold O(n^3) ints. A forward at n
+    holds A~'s n x n^2 top stripe and n^2 x d activations per layer, never the n^4 floats of A~.
+    """
+    record.validate()
+    if not record.nodes:
+        raise ValueError(f"scene {record.scene_id}: no nodes")
+    if len(record.nodes) > MAX_SCENE_NODES:
+        raise ValueError(f"scene {record.scene_id}: {len(record.nodes)} nodes, more than the "
+                         f"{MAX_SCENE_NODES} a scene may hold")
+    for node in record.nodes:
+        if node.label >= spec.n_entity_categories:
+            raise ValueError(
+                f"scene {record.scene_id}: entity label {node.label} outside the "
+                f"{spec.n_entity_categories}-category vocabulary"
+            )
+    for e in record.edges:
+        if e.predicate >= spec.n_predicate_categories:
+            raise ValueError(
+                f"scene {record.scene_id}: predicate label {e.predicate} outside the "
+                f"{spec.n_predicate_categories}-category vocabulary"
+            )
+    n = len(record.nodes)
+    appearance, logits = spec.node_features(record)
+    boxes = np.array([node.box for node in record.nodes], dtype=float).reshape(n, 4)
+    node_inputs = np.concatenate([appearance, boxes, logits], axis=1)
+    ids = [node.id for node in record.nodes]
+    row_of = {node_id: row for row, node_id in enumerate(ids)}
+    subj, obj, _ = build_adjacency(n)
+    node_ids = np.array(ids, dtype=np.int64)
+    swap = node_ids[obj] < node_ids[subj]
+    first, second = np.where(swap, obj, subj), np.where(swap, subj, obj)
+    a, b = boxes[first], boxes[second]
+    cover = np.concatenate([np.where(b[:, :2] < a[:, :2], b[:, :2], a[:, :2]),
+                            np.where(b[:, 2:] > a[:, 2:], b[:, 2:], a[:, 2:])], axis=1)
+    union_inputs = np.concatenate([appearance[first], appearance[second], cover], axis=1)
+    node_labels = np.array([node.label for node in record.nodes], dtype=np.int64)
+    annotated = np.zeros((n, n), dtype=np.int64)
+    for e in record.edges:
+        annotated[row_of[e.subject], row_of[e.object]] = e.predicate
+    edge_labels = annotated[subj, obj]
+    return PreparedScene(
+        scene_id=record.scene_id,
+        record=record,
+        node_inputs=node_inputs,
+        union_inputs=union_inputs,
+        edge_index=np.stack([node_ids[subj], node_ids[obj]], axis=1),
+        node_labels=node_labels,
+        edge_labels=edge_labels,
+        subjects=subj,
+        objects=obj,
+    )
 
 
 @dataclass
@@ -383,8 +386,8 @@ def train(
     _check_vocabulary(config, spec)
     model = Model(config)
     bank = ReferenceBank(config.n_predicate_categories, config.d_edge, seed=[_STREAM_BANK, config.seed])
-    preps = prepare_scenes(train_records, spec)
-    eval_preps = prepare_scenes(eval_records, spec) if metrics_every > 0 and eval_records else []
+    preps = [prepare_scene(r, spec) for r in train_records]
+    eval_preps = [prepare_scene(r, spec) for r in eval_records] if metrics_every > 0 and eval_records else []
     for prep in eval_preps:
         if not prep.record.edges:
             raise ValueError(f"held-out scene {prep.scene_id}: no annotated edges, so recall is undefined")

@@ -18,7 +18,6 @@ from sggkit.data import (
     Seed,
     build_rule,
     generate,
-    generators,
     read_scenes,
     seeded_generators,
     split_scenes,
@@ -434,23 +433,17 @@ def _scene(*nodes):
     return SceneRecord("scene-00000", list(nodes), [])
 
 
-def features(spec, record):
-    """node_features of the one record."""
-    (one,) = spec.node_features([record])
-    return one
-
-
 def test_appearance_deterministic_and_seed_driven():
     fp = small_spec()
     scene = _scene(Node(0, 3, (0.0, 0.0, 1.0, 1.0), 42), Node(1, 3, (0.0, 0.0, 1.0, 1.0), 43))
-    appearance, _ = features(fp, scene)
-    np.testing.assert_array_equal(features(fp, scene)[0], appearance)
+    appearance, _ = fp.node_features(scene)
+    np.testing.assert_array_equal(fp.node_features(scene)[0], appearance)
     assert not np.array_equal(appearance[0], appearance[1])
 
 
 def test_appearance_sigma_zero_hits_prototype_exactly():
     fp = small_spec(appearance_sigma=0.0)
-    appearance, _ = features(fp, _scene(Node(0, 4, (0.0, 0.0, 1.0, 1.0), 7)))
+    appearance, _ = fp.node_features(_scene(Node(0, 4, (0.0, 0.0, 1.0, 1.0), 7)))
     np.testing.assert_array_equal(appearance[0], fp.prototype(4))
 
 
@@ -469,7 +462,7 @@ def test_feature_synthesis_leaves_the_spec_fields_and_equality_alone():
     """The prototype cache is no field: the sidecar, ==, the schema and its type checks never see it."""
     spec = small_spec(scene_offset_sigma=0.3)
     before = asdict(spec)
-    features(spec, _scene(Node(0, 4, (0.0, 0.0, 1.0, 1.0), 7)))
+    spec.node_features(_scene(Node(0, 4, (0.0, 0.0, 1.0, 1.0), 7)))
     spec.prototype(5)
     assert asdict(spec) == before
     assert spec == replace(spec)
@@ -496,8 +489,8 @@ def test_nearest_prototype_accuracy_degrades_with_sigma():
         fp = small_spec(appearance_sigma=sigma, seed=21)
         protos = np.stack([fp.prototype(c) for c in range(spec.n_entity_categories)])
         hit = total = 0
-        for rec, (scene_appearance, _) in zip(records, fp.node_features(records)):
-            for n, app in zip(rec.nodes, scene_appearance):
+        for rec in records:
+            for n, app in zip(rec.nodes, fp.node_features(rec)[0]):
                 d = np.linalg.norm(protos - app, axis=1)
                 d[0] = np.inf  # reserved no-object prototype is not a candidate
                 hit += int(np.argmin(d)) == n.label
@@ -510,8 +503,8 @@ def test_nearest_prototype_accuracy_degrades_with_sigma():
 def test_observed_label_flip_rate_endpoints():
     never = small_spec(logit_flip_rate=0.0)
     always = small_spec(logit_flip_rate=1.0)
-    assert features(never, _scene(Node(0, 5, (0.0, 0.0, 1.0, 1.0), 99)))[1].argmax() == 5
-    _, logits = features(always, _scene(*(Node(i, 5, (0.0, 0.0, 1.0, 1.0), i) for i in range(200))))
+    assert never.node_features(_scene(Node(0, 5, (0.0, 0.0, 1.0, 1.0), 99)))[1].argmax() == 5
+    _, logits = always.node_features(_scene(*(Node(i, 5, (0.0, 0.0, 1.0, 1.0), i) for i in range(200))))
     seen = set()
     for lab in logits.argmax(axis=1).tolist():
         assert lab != 5 and 1 <= lab <= 10
@@ -523,7 +516,8 @@ def test_observed_label_flip_rate_statistics():
     spec = small_spec(logit_flip_rate=0.3, n_scenes=1000, seed=2)
     records = generate(spec)
     flips = total = 0
-    for rec, (_, logits) in zip(records, spec.node_features(records)):
+    for rec in records:
+        _, logits = spec.node_features(rec)
         for n, lab in zip(rec.nodes, logits.argmax(axis=1).tolist()):
             flips += lab != n.label
             total += 1
@@ -532,7 +526,7 @@ def test_observed_label_flip_rate_statistics():
 
 def test_class_logits_one_hot_at_observed_label():
     spec = small_spec(logit_flip_rate=0.0, logit_scale=2.5)
-    _, logits = features(spec, _scene(Node(0, 6, (0.0, 0.0, 1.0, 1.0), 5)))
+    _, logits = spec.node_features(_scene(Node(0, 6, (0.0, 0.0, 1.0, 1.0), 5)))
     assert logits.shape == (1, spec.n_entity_categories)
     assert logits[0, 6] == 2.5
     assert np.count_nonzero(logits) == 1
@@ -545,9 +539,9 @@ seed_ints = st.integers(0, 2**70) | st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**
 @settings(deadline=None)
 @given(st.lists(st.lists(seed_ints, min_size=1, max_size=6), max_size=6))
 def test_seeded_generators_match_default_rng(rows):
-    states = seeded_generators(rows)
-    assert states.shape == (len(rows), 4) and states.dtype == np.uint64
-    for rng, row in zip(generators(states), rows):
+    rngs = seeded_generators(rows)
+    assert len(rngs) == len(rows)
+    for rng, row in zip(rngs, rows):
         want = np.random.default_rng(row)
         assert rng.bit_generator.state == want.bit_generator.state
         assert rng.standard_normal(3).tobytes() == want.standard_normal(3).tobytes()
@@ -569,7 +563,7 @@ def test_node_features_match_per_node_oracle(flip_rate, seed, offset_sigma, labe
     fp = small_spec(seed=seed, logit_flip_rate=flip_rate, scene_offset_sigma=offset_sigma)
     nodes = [Node(i, label, (0.0, 0.0, 1.0, 1.0), s) for i, (label, s) in enumerate(labelled_seeds)]
     record = SceneRecord("scene-00007", nodes, [])
-    got_appearance, got_logits = features(fp, record)
+    got_appearance, got_logits = fp.node_features(record)
     n, offset = len(nodes), fp.scene_offset(record.scene_id)
     want_appearance = np.array([appearance(fp, node) + offset for node in nodes]).reshape(n, fp.d_appearance)
     want_logits = np.array([class_logits(fp, node) for node in nodes]).reshape(n, fp.n_entity_categories)

@@ -30,7 +30,6 @@ from sggkit.model import (
     evaluate,
     load_checkpoint,
     prepare_scene,
-    prepare_scenes,
     save_checkpoint,
     total_loss,
     train,
@@ -232,42 +231,6 @@ def test_prepare_scene_matches_loop_oracle_across_alternating_node_counts():
             _assert_matches_loop_oracle(prepare_scene(record, spec), loop_prepare_scene(record, spec))
 
 
-def _prepared(prep):
-    arrays = [prep.node_inputs, prep.union_inputs, prep.edge_index, prep.node_labels, prep.edge_labels,
-              prep.subjects, prep.objects]
-    return prep.scene_id, prep.record, [(a.dtype.str, a.shape, a.tobytes()) for a in arrays]
-
-
-@pytest.mark.parametrize("n_records", [70, 0])
-def test_prepare_scenes_equals_prepare_scene_per_record(n_records):
-    """One call seeds the list's scenes together; each scene's arrays equal those of its own call, byte for
-    byte. The list mixes 1, 6 and 17 nodes and holds more than one seeding run (data._SEED_BATCH scenes); the
-    corpus seed and every third appearance seed lie beyond 2**32, so rows of four and five 32-bit words
-    share a hash pass."""
-    spec = GeneratorSpec(nodes_per_scene=6, n_scenes=66, seed=2**40 + 5, logit_flip_rate=0.5,
-                         scene_offset_sigma=0.3)
-    records = generate(spec) + generate(replace(spec, nodes_per_scene=17, n_scenes=3))
-    records.insert(2, SceneRecord("solo", [Node(4, 3, (0.1, 0.2, 0.6, 0.9), 9)], []))
-    for i, node in enumerate(node for record in records for node in record.nodes):
-        if i % 3 == 0:
-            node.appearance_seed += 2**35 + i
-    records = records[:n_records]
-    assert [_prepared(prep) for prep in prepare_scenes(records, spec)] == [
-        _prepared(prepare_scene(record, spec)) for record in records]
-
-
-def test_prepare_scenes_names_the_first_faulty_scene():
-    """Every record is checked before the seeding pass, which would reject a negative appearance seed
-    without naming its scene."""
-    spec = tiny_spec(n_scenes=5)
-    records = generate(spec)
-    records[1].nodes[0].label = spec.n_entity_categories
-    records[2] = replace(records[2], nodes=[], edges=[])
-    records[3].nodes[0].appearance_seed = -1
-    with pytest.raises(ValueError, match=r"^scene scene-00001: entity label 11 outside the 11-category vocabulary$"):
-        prepare_scenes(records, spec)
-
-
 def test_gih_forward_never_holds_a_dense_adjacency():
     """At N = 30, A~ would take (N^2)^2 floats, 6.5 MB; one gih forward peaks well below that."""
     n, d = 30, 32
@@ -315,7 +278,7 @@ def probs(logits):
 def zero_model(config) -> Model:
     model = Model(config)
     for p in model.params.values():
-        p.data = np.zeros_like(p.data)
+        p.data[...] = 0.0
     return model
 
 
@@ -367,10 +330,10 @@ def test_node_head_matches_hand_matrix_product():
     rng = np.random.default_rng(11)
     w = rng.standard_normal((cfg.d_appearance + 4 + 11, 2))
     b = rng.standard_normal(2)
-    model.params["node_map.w"].data = w.copy()
-    model.params["node_map.b"].data = b.reshape(1, 2).copy()
-    model.params["entity_head.w"].data = np.eye(2, 11)
-    model.params["entity_head.b"].data = np.zeros((1, 11))
+    model.params["node_map.w"].data[...] = w
+    model.params["node_map.b"].data[...] = b
+    model.params["entity_head.w"].data[...] = np.eye(2, 11)
+    model.params["entity_head.b"].data[...] = 0.0
     prep = prepare_scene(record, fp)
     out = model.forward(prep)
     expected = prep.node_inputs @ w + b
@@ -651,7 +614,7 @@ def test_end_to_end_directional_derivatives_every_variant(fusion, gih_variant, u
     tape.backward(out)
     assert out.item() != 0.0 and all(p.grad is not None for p in params)
     rng = np.random.default_rng(6)
-    base = [p.data for p in params]
+    base = [p.data.copy() for p in params]
     eps, worst = 1e-6, 0.0
     for _ in range(8):
         steps = [rng.standard_normal(x.shape) for x in base]
@@ -660,7 +623,7 @@ def test_end_to_end_directional_derivatives_every_variant(fusion, gih_variant, u
         values = []
         for sign in (1.0, -1.0):
             for p, x, v in zip(params, base, steps):
-                p.data = x + sign * eps / norm * v
+                p.data[...] = x + sign * eps / norm * v
             values.append(loss().item())
         numeric = (values[0] - values[1]) / (2.0 * eps)
         worst = max(worst, abs(analytic - numeric) / max(1.0, abs(numeric)))

@@ -30,8 +30,8 @@ dropped read one per config field), so each checkout runs the same configs:
   beyond 2**32. These outputs change when a node's appearance or observed
   label is drawn from another generator state, for any seed width. A
   parallel-gih-lih model also trains and evaluates on the stress copy as
-  above (``--holdout 40``), under ``stress/parallel-gih-lih/``, so the
-  features of whole training and held-out lists are drawn with those seeds;
+  above (``--holdout 40``), under ``stress/parallel-gih-lih/``, so training
+  and its held-out evaluation draw their features with those seeds too;
 * generated scenes hold one bidirectional pair and at most two predicate
   categories each, so the sweep also writes a multi-pair corpus (seed 601):
   scenes with 2 to 4 bidirectional pairs, one-way edges and up to 6 predicate
