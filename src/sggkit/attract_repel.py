@@ -26,7 +26,6 @@ from __future__ import annotations
 import numpy as np
 
 from .autodiff import Constant, Matrix, add, cosine_rows, gather_rows, mul, sum_all
-from .data import shown
 
 Negatives = dict[int, np.ndarray]
 
@@ -35,8 +34,6 @@ class ReferenceBank:
     """Per-category reference vectors with cumulative absorption counts."""
 
     def __init__(self, n_categories: int, dim: int, seed=0):
-        if n_categories < 1 or dim < 1:
-            raise ValueError(f"bank needs positive sizes, got {n_categories} x {dim}")
         self.refs = np.zeros((n_categories, dim))
         self.counts = np.zeros(n_categories)
         self.rng = np.random.default_rng(seed)
@@ -49,30 +46,6 @@ class ReferenceBank:
     @property
     def dim(self) -> int:
         return self.refs.shape[1]
-
-    def state(self) -> dict:
-        return {
-            "refs": self.refs.tolist(),
-            "counts": self.counts.tolist(),
-            "rng_state": self.rng.bit_generator.state,
-            "skipped_pairs": self.skipped_pairs,
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "ReferenceBank":
-        """The bank `state()` wrote; a field no trained bank could hold raises a ValueError naming the field."""
-        refs, counts, skipped = np.asarray(state["refs"]), np.asarray(state["counts"]), state["skipped_pairs"]
-        if refs.dtype.kind not in "iuf" or refs.ndim != 2 or not np.isfinite(refs).all():  # bool and str fail
-            raise ValueError(f"refs must be a 2-D array of finite numbers, got {refs.dtype} in shape {refs.shape}")
-        bank = cls(refs.shape[0], refs.shape[1])
-        if (counts.dtype.kind not in "iuf" or counts.shape != (len(refs),)
-                or not (np.isfinite(counts) & (counts >= 0)).all()):
-            raise ValueError(f"counts must be {len(refs)} finite non-negative numbers, got {shown(counts.tolist())}")
-        if type(skipped) is not int or skipped < 0:  # a bool fails
-            raise ValueError(f"skipped_pairs must be a non-negative integer, got {shown(skipped)}")
-        bank.refs, bank.counts, bank.skipped_pairs = refs.astype(np.float64), counts.astype(np.float64), skipped
-        bank.rng.bit_generator.state = state["rng_state"]
-        return bank
 
 
 def _check_labels(bank: ReferenceBank, emb: np.ndarray, labels: np.ndarray) -> None:

@@ -422,11 +422,11 @@ def lih(s: Matrix, o: Matrix, u: Matrix, w_q: Matrix, w_k: Matrix, w_v: Matrix,
     """Attention inside triples of rows: the refined s, o and u, as row blocks of one (3M, D) output.
 
     Row i of s, o and u (M x D each) forms triple i. With x = [s; o; u],
-    q, k and v are x @ w_q, x @ w_k and x @ w_v (D x D_att each). Each row
-    weighs the three v rows of its own triple by the softmax of its q row
+    q, k and v are x @ w_q, x @ w_k and x @ w_v (every weight D x D). Each
+    row weighs the three v rows of its own triple by the softmax of its q row
     dotted with their k rows (no scaling), so 9M dot products stand in for
-    a (3M)^2 masked softmax. The output is that attended value mapped back by
-    w_f (D_att x D), plus x, so a zero w_f makes lih an exact identity.
+    a (3M)^2 masked softmax. The output is that attended value mapped by w_f,
+    plus x, so a zero w_f makes lih an exact identity.
 
     Checked: the logits, since exp turns a -inf logit into a weight of 0,
     and the output. q and k reach the logits, and v, the attended values
@@ -445,11 +445,9 @@ def lih(s: Matrix, o: Matrix, u: Matrix, w_q: Matrix, w_k: Matrix, w_v: Matrix,
     the last digit (tools/output_digests.py checks); the tests keep the
     replaced einsums as a 1e-12 reference.
     """
-    if (not s.shape == o.shape == u.shape or w_q.shape != w_k.shape or w_v.rows != s.cols or w_q.rows != s.cols
-            or w_f.shape != (w_v.cols, s.cols)):
+    if not s.shape == o.shape == u.shape or any(w.shape != (s.cols, s.cols) for w in (w_q, w_k, w_v, w_f)):
         shapes = ", ".join(str(a.shape) for a in (s, o, u, w_q, w_k, w_v, w_f))
-        raise ShapeError(f"lih: s, o and u need one shape (M, D), w_q and w_k one shape (D, D_att), "
-                         f"w_v D rows and w_f shape (w_v columns, D), got {shapes}")
+        raise ShapeError(f"lih: s, o and u need one shape (M, D) and every weight shape (D, D), got {shapes}")
     m = s.rows
     x = np.concatenate([s.data, o.data, u.data])
     q, k, v = (x @ w.data for w in (w_q, w_k, w_v))

@@ -326,7 +326,7 @@ def cmd_train(args) -> dict:
         )
     except ValueError as exc:
         raise ValueError(f"{args.corpus}: {exc}") from exc
-    save_checkpoint(args.out, result.model, result.bank)
+    save_checkpoint(args.out, result.model)
     log_csv = args.log_csv or f"{args.out}.log.csv"
     metric_cols = [f"R@{k}" for k in ks_recall] + [f"pR@{k}" for k in ks_pair]
     rows = [[entry.epoch, *(entry.losses[col] for col in LOSS_COLUMNS),
@@ -364,7 +364,7 @@ def cmd_eval(args) -> dict:
     constraint = not args.unconstrained
 
     if args.checkpoint:
-        model, _bank = load_checkpoint(args.checkpoint)
+        model = load_checkpoint(args.checkpoint)
         spec = _load_corpus_spec(args.corpus)
         try:  # the checkpoint's vocabulary may lack the sidecar's or a scene's labels
             _check_vocabulary(model.config, spec)

@@ -12,8 +12,10 @@ Losses: per-node cross-entropy, a per-edge cross-entropy that gives
 relation and no-relation edges equal total weight, plus the reference-bank
 cosine term on post-propagation edge embeddings. Training is plain SGD
 with momentum and weight decay, one scene per step, deterministic given
-the config seed. A checkpoint loads only when its config validates and each
-parameter holds finite numbers in the shape that config gives.
+the config seed. A checkpoint holds what eval reads, the config and the
+parameters; the reference bank lives for one training run and is never
+saved. A checkpoint loads only when its config validates and each parameter
+holds finite numbers in the shape that config gives.
 """
 
 from __future__ import annotations
@@ -356,7 +358,6 @@ class EpochLog:
 @dataclass
 class TrainResult:
     model: "Model"
-    bank: ReferenceBank
     log: list[EpochLog]
 
 
@@ -418,7 +419,7 @@ def train(
         if eval_preps and (epoch % metrics_every == 0 or epoch == config.epochs):
             entry.metrics = evaluate(model, eval_preps, ks_recall, ks_pair)
         log.append(entry)
-    return TrainResult(model, bank, log)
+    return TrainResult(model, log)
 
 
 def _check_vocabulary(config: ModelConfig, spec: GeneratorSpec) -> None:
@@ -471,12 +472,11 @@ def evaluate(
 CHECKPOINT_VERSION = 1
 
 
-def save_checkpoint(path, model: Model, bank: ReferenceBank) -> None:
+def save_checkpoint(path, model: Model) -> None:
     payload = {
         "format_version": CHECKPOINT_VERSION,
         "config": asdict(model.config),
         "params": {name: p.data.tolist() for name, p in model.params.items()},
-        "bank": bank.state(),
     }
     _write_json_lines(path, [payload])
 
@@ -498,14 +498,12 @@ def _saved_matrix(saved: dict, name: str, rows: int, cols: int) -> Matrix:
     return Matrix(arr.astype(np.float64, copy=False))
 
 
-def load_checkpoint(path) -> tuple[Model, ReferenceBank]:
-    """A checkpoint's model and bank; a fault raises a ValueError naming `path` and the faulty part."""
+def load_checkpoint(path) -> Model:
+    """A checkpoint's model, an older one's bank unread. A fault raises a ValueError naming `path` and the part."""
     with open(path, "rb") as fh:
         payload = parse_json(fh.read(), path)
-    if not (isinstance(payload, dict) and all(isinstance(payload.get(k), dict) for k in ("config", "params", "bank"))
-            and {"refs", "counts", "rng_state", "skipped_pairs"} <= set(payload["bank"])):
-        raise ValueError(f"{path}: not a checkpoint: expected a JSON object with config, params and bank "
-                         f"objects, the bank holding refs, counts, rng_state and skipped_pairs")
+    if not (isinstance(payload, dict) and all(isinstance(payload.get(k), dict) for k in ("config", "params"))):
+        raise ValueError(f"{path}: not a checkpoint: expected a JSON object with config and params objects")
     version = payload.get("format_version")
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {shown(version)}")
@@ -520,10 +518,6 @@ def load_checkpoint(path) -> tuple[Model, ReferenceBank]:
         model = Model(config, saved=payload["params"])
         if unknown := set(payload["params"]) - set(model.params):
             raise ValueError(f"names the configuration does not give: {shown(sorted(unknown))}")
-        part = "bank"
-        bank = ReferenceBank.from_state(payload["bank"])
-        if bank.n_categories != config.n_predicate_categories or bank.dim != config.d_edge:
-            raise ValueError("size does not match the configuration")
     except (TypeError, ValueError, KeyError, IndexError, OverflowError) as exc:
         raise ValueError(f"{path}: invalid checkpoint {part} ({exc})") from exc
-    return model, bank
+    return model

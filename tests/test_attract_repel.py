@@ -241,18 +241,3 @@ def test_cluster_stats_matches_brute_force():
 def test_cluster_stats_single_category_raises():
     with pytest.raises(ValueError, match="two categories"):
         cluster_stats(np.eye(3), [1, 1, 1])
-
-
-def test_bank_state_round_trip():
-    bank = ReferenceBank(3, 2, seed=11)
-    update_references(bank, np.array([[1.0, 2.0], [3.0, -1.0]]), [0, 2], sample_negatives(bank, [0, 2]))
-    bank.skipped_pairs = 7
-    clone = ReferenceBank.from_state(bank.state())
-    np.testing.assert_array_equal(clone.refs, bank.refs)
-    np.testing.assert_array_equal(clone.counts, bank.counts)
-    assert clone.skipped_pairs == 7
-    labels = [0, 1, 2, 0]
-    a = sample_negatives(bank, labels)
-    b = sample_negatives(clone, labels)
-    for m in a:
-        np.testing.assert_array_equal(a[m], b[m])

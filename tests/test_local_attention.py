@@ -20,11 +20,10 @@ def _triple(rng, d):
     return tuple(ad.Matrix(rng.normal(size=(1, d))) for _ in range(3))
 
 
-def _weights(rng, d, d_att=None):
-    """w_q, w_k and w_v (d x d_att, d_att defaulting to d) and w_f (d_att x d), drawn in that order."""
-    a = d if d_att is None else d_att
+def _weights(rng, d):
+    """w_q, w_k, w_v and w_f, each d x d, drawn in that order."""
     draw = drawn(rng)
-    return [draw("w_q", d, a), draw("w_k", d, a), draw("w_v", d, a), draw("w_f", a, d)]
+    return [draw(name, d, d) for name in ("w_q", "w_k", "w_v", "w_f")]
 
 
 def _alpha(triple, w_q, w_k, *_):
@@ -93,8 +92,8 @@ def test_zero_output_map_is_exact_identity():
     rng = np.random.default_rng(3)
     d = 6
     t = _triple(rng, d)
-    w_q, w_k, w_v, _w_f = _weights(rng, d, d_att=3)
-    z = ad.lih(*t, w_q, w_k, w_v, ad.Matrix(np.zeros((3, d))))
+    w_q, w_k, w_v, _w_f = _weights(rng, d)
+    z = ad.lih(*t, w_q, w_k, w_v, ad.Matrix(np.zeros((d, d))))
     for got, x in zip(z, t):
         np.testing.assert_array_equal(got.data, x.data)
 
@@ -153,7 +152,7 @@ def test_gradients_against_central_differences():
     rng = np.random.default_rng(7)
     d = 4
     t = _triple(rng, d)
-    weights = _weights(rng, d, d_att=3)
+    weights = _weights(rng, d)
     mats = [*t, *weights]
 
     def f():
@@ -195,35 +194,32 @@ def _lih_arrays(lih_forward, inputs, weights, targets):
     return [z.data for z in (zs, zo, zu)] + [m.grad for m in (*leaves, *weights)]
 
 
-def _lih_case(n_nodes, d, d_att):
+def _lih_case(n_nodes, d):
     """Inputs, weights and loss targets for M = N(N - 1) triples, as a scene of N nodes has."""
     rng = np.random.default_rng(n_nodes)
     m = n_nodes * (n_nodes - 1)
     inputs = [rng.normal(size=(m, d)) for _ in range(3)]
-    weights = _weights(rng, d, d_att)
+    weights = _weights(rng, d)
     targets = [rng.normal(size=(m, d)) for _ in range(2)]
     return inputs, weights, targets
 
 
-LIH_SIZES = [(2, 32, None), (6, 32, None), (10, 32, None), (17, 32, None), (6, 32, 8)]
+LIH_SIZES = [(2, 32), (6, 32), (10, 32), (17, 32), (6, 8)]
 
 
-@pytest.mark.parametrize("n_nodes,d,d_att", LIH_SIZES)
-def test_lih_matches_record_chain_bytes(n_nodes, d, d_att):
-    """autodiff.lih's refined rows and gradients equal, byte for byte, those of the 10-record chain.
-
-    d_att 8 is narrower than the features.
-    """
-    case = _lih_case(n_nodes, d, d_att)
+@pytest.mark.parametrize("n_nodes,d", LIH_SIZES)
+def test_lih_matches_record_chain_bytes(n_nodes, d):
+    """autodiff.lih's refined rows and gradients equal, byte for byte, those of the 10-record chain."""
+    case = _lih_case(n_nodes, d)
     fused, chain = _lih_arrays(ad.lih, *case), _lih_arrays(chain_lih, *case)
     assert [a.tobytes() for a in fused] == [a.tobytes() for a in chain]
 
 
-@pytest.mark.parametrize("n_nodes,d,d_att", LIH_SIZES + [(76, 32, None)])
-def test_lih_matches_einsum_reference(n_nodes, d, d_att):
+@pytest.mark.parametrize("n_nodes,d", LIH_SIZES + [(76, 32)])
+def test_lih_matches_einsum_reference(n_nodes, d):
     """autodiff.lih's refined rows and all seven gradients lie within 1e-12 of max(1, |ref|) of the
     chain run on the einsum attention that lih's batched matmuls replaced."""
-    case = _lih_case(n_nodes, d, d_att)
+    case = _lih_case(n_nodes, d)
     reference = functools.partial(chain_lih, attention=einsum_triple_attention)
     for got, ref in zip(_lih_arrays(ad.lih, *case), _lih_arrays(reference, *case), strict=True):
         assert (np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref))).all()
@@ -278,7 +274,7 @@ def test_lih_records_once_and_views_its_output():
     rng = np.random.default_rng(10)
     s, o, u = (ad.Matrix(rng.normal(size=(4, 5))) for _ in range(3))
     with ad.Tape() as tape:
-        zs, zo, zu = ad.lih(s, o, u, *_weights(rng, 5, 3))
+        zs, zo, zu = ad.lih(s, o, u, *_weights(rng, 5))
     [(name, whole, _)] = tape.records
     assert name == "lih" and whole.shape == (12, 5)
     for i, z in enumerate((zs, zo, zu)):

@@ -63,8 +63,10 @@ produce the same outputs when ``diff`` finds their digest files equal.
 
 checks a change that may move last digits. Each checkout runs the sweep in a
 subprocess; then, from every checkpoint the parent trained (and the stress
-evaluation's), each computes one training step on the corpus's first scene
-(loss and every parameter gradient), the edge logits of every scene, and
+evaluation's), each builds the model from the checkpoint's config and
+params and computes one training step on the corpus's first scene (loss and
+every parameter gradient, the AR term against a fresh reference bank that
+has absorbed that scene once), the edge logits of every scene, and
 the ``eval --checkpoint`` CSVs, ranked lists and their ``eval --predictions``
 CSVs. Per variant, the change passes when every loss, gradient, logit and
 ranked score lies within 1e-12 of the parent's, relative to max(1, |parent|);
@@ -267,10 +269,10 @@ def probe(main, reference: str) -> None:
     corpus's first scene), logits.npz (every scene's edge logits) and the
     eval CSVs and dumps.
     """
-    from sggkit.attract_repel import sample_negatives
+    from sggkit.attract_repel import ReferenceBank, sample_negatives, update_references
     from sggkit.autodiff import Tape
     from sggkit.data import PREDICATE_NO_RELATION, GeneratorSpec, read_scenes
-    from sggkit.model import load_checkpoint, prepare_scene, total_loss
+    from sggkit.model import Model, ModelConfig, prepare_scene, total_loss
 
     runs = ([(tag, tag, "corpus.sgjsonl") for tag in TAGS] + [(tag, tag, "n17/corpus.sgjsonl") for tag in N17_TAGS]
             + [("stress", "parallel-gih-lih", "stress/corpus.sgjsonl"),
@@ -281,12 +283,18 @@ def probe(main, reference: str) -> None:
         corpus = os.path.join(reference, corpus_name)
         os.makedirs(out_dir)
         evaluate(main, corpus, ckpt, out_dir, rescore=True)
-        model, bank = load_checkpoint(ckpt)
+        with open(ckpt, encoding="utf-8") as fh:
+            saved = json.load(fh)
+        model = Model(ModelConfig.from_dict(saved["config"]), saved=saved["params"])
         with open(f"{corpus}.meta.json", encoding="utf-8") as fh:
             spec = GeneratorSpec.from_dict(json.load(fh)["spec"])
         preps = [prepare_scene(record, spec) for record in read_scenes(corpus)]
         np.savez(f"{out_dir}/logits.npz", **{prep.scene_id: model.forward(prep).edge_logits.data for prep in preps})
         prep = preps[0]
+        bank = ReferenceBank(model.config.n_predicate_categories, model.config.d_edge)
+        update_references(bank, model.forward(prep).edge_embeddings.data, prep.edge_labels,
+                          sample_negatives(bank, prep.edge_labels, skip_category=PREDICATE_NO_RELATION),
+                          skip_category=PREDICATE_NO_RELATION)
         with Tape() as tape:
             out = model.forward(prep)
             negatives = (sample_negatives(bank, prep.edge_labels, skip_category=PREDICATE_NO_RELATION)
